@@ -31,6 +31,7 @@ from .geometry import (
     TestCounters,
     Triangle,
     Vector2,
+    _extent,
     brute_force_triangle_distance,
 )
 
@@ -116,11 +117,12 @@ def _translated_along(tri: Triangle, axis: MovementAxis, offset: float) -> Trian
 
 
 def _span(tri: Triangle, axis: MovementAxis) -> float:
+    v0, v1, v2 = tri.vertices
     if axis is MovementAxis.X:
-        cs = [v.x for v in tri.vertices]
+        lo, hi = _extent(v0.x, v1.x, v2.x)
     else:
-        cs = [v.y for v in tri.vertices]
-    return max(cs) - min(cs)
+        lo, hi = _extent(v0.y, v1.y, v2.y)
+    return hi - lo
 
 
 def place_pair(

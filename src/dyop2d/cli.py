@@ -18,17 +18,17 @@ import json
 import os
 import sys
 
-from .baselines import gjk_distance, lin_canny_distance
 from .benchmark import (
     ALGORITHMS,
     DEFAULT_ALGORITHMS,
     Scene,
+    _run_algorithm,
     build_report,
     default_scene,
     run_benchmark,
     write_records_csv,
 )
-from .dyop import MovementAxis, dyop_distance
+from .dyop import MovementAxis
 from .errors import (
     DegenerateInput,
     Penetrating,
@@ -36,7 +36,7 @@ from .errors import (
     ZeroDirection,
     ZeroVelocity,
 )
-from .geometry import DistanceResult, Vector2, brute_force_triangle_distance
+from .geometry import DistanceResult, Vector2
 from .sceneio import load_scene
 from .verify import DEFAULT_TOLERANCE, run_verify
 
@@ -95,14 +95,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     axis = MovementAxis(args.axis) if args.axis else scene.axis
     velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
     try:
-        if args.algo == "dyop":
-            result = dyop_distance(tri_a, tri_b, velocity)
-        elif args.algo == "gjk":
-            result = gjk_distance(tri_a, tri_b)
-        elif args.algo == "lincanny":
-            result = lin_canny_distance(tri_a, tri_b)[0]
-        else:
-            result = brute_force_triangle_distance(tri_a, tri_b)
+        result = _run_algorithm(args.algo, tri_a, tri_b, velocity)
     except _ALGORITHM_ERRORS as exc:
         _diag(f"algorithm error ({type(exc).__name__}): {exc}")
         return 4

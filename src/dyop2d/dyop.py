@@ -24,26 +24,25 @@ from .errors import DegenerateInput, ZeroVelocity
 from .geometry import (
     Aabb,
     DistanceResult,
-    FeatureId,
     Point2,
     TestCounters,
     Triangle,
     Vector2,
     _classify_edge_point,
-    _point_segment_param,
-    _segment_segment_params,
+    _Edges,
+    _edges,
+    _extent,
+    _is_degenerate,
+    _project,
+    _require_finite,
+    _segment_segment,
     edge_index_joining,
-    vertex_feature,
 )
 
 
 class MovementAxis(Enum):
     X = "x"
     Y = "y"
-
-    @property
-    def perpendicular(self) -> MovementAxis:
-        return MovementAxis.Y if self is MovementAxis.X else MovementAxis.X
 
 
 @dataclass(frozen=True)
@@ -99,36 +98,72 @@ def _coord(p: Point2, axis: MovementAxis) -> float:
     return p.x if axis is MovementAxis.X else p.y
 
 
-def _extent(tri: Triangle, axis: MovementAxis) -> tuple[float, float]:
-    cs = [_coord(v, axis) for v in tri.vertices]
-    return min(cs), max(cs)
+def _gap(lo_a: float, hi_a: float, lo_b: float, hi_b: float) -> tuple[int, float, float, bool]:
+    """The interval between two extents on one axis: (ahead, lo, hi, inverted).
 
-
-def _extreme_index(tri: Triangle, axis: MovementAxis, maximize: bool) -> int:
-    """Index of the extremal vertex on the axis; ties keep the lower index."""
-    best_i = 0
-    best = _coord(tri.v0, axis)
-    for i in (1, 2):
-        c = _coord(tri.vertex(i), axis)
-        if (c > best) if maximize else (c < best):
-            best_i, best = i, c
-    return best_i
-
-
-def _foremost(tA: Triangle, tB: Triangle, axis: MovementAxis) -> int:
-    """Which argument (0 or 1) sits ahead on the axis.
-
-    Greater extent maximum wins, ties fall to the greater minimum, and a
-    full tie returns 1; fully tied extents always clamp to the same
-    midpoint downstream, so the choice cannot change any result.
+    ``ahead`` is the argument (0 or 1) that sits further along the axis:
+    greater maximum wins, ties fall to the greater minimum, and a full
+    tie returns 1; fully tied extents always clamp to the same midpoint,
+    so the choice cannot change any result. The interval runs from the
+    trailing extent's maximum to the ahead extent's minimum; when it is
+    inverted (the extents overlap) it clamps to its midpoint with zero
+    width.
     """
-    lo_a, hi_a = _extent(tA, axis)
-    lo_b, hi_b = _extent(tB, axis)
     if hi_a != hi_b:
-        return 0 if hi_a > hi_b else 1
-    if lo_a != lo_b:
-        return 0 if lo_a > lo_b else 1
-    return 1
+        ahead = 0 if hi_a > hi_b else 1
+    elif lo_a != lo_b:
+        ahead = 0 if lo_a > lo_b else 1
+    else:
+        ahead = 1
+    lo, hi = (hi_a, lo_b) if ahead == 1 else (hi_b, lo_a)
+    inverted = lo > hi
+    if inverted:
+        lo = hi = 0.5 * (lo + hi)
+    return ahead, lo, hi, inverted
+
+
+def _gap_box(
+    edges_a: _Edges, edges_b: _Edges, axis: MovementAxis
+) -> tuple[int, int, float, float, float, float, bool]:
+    """(leading, higher, lo, hi, p_lo, p_hi, degenerate_gap) of the gap box.
+
+    [lo, hi] is the box along the movement axis, [p_lo, p_hi] across it.
+    """
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    xa, ya = _extent(ax0, ax1, ax2), _extent(ay0, ay1, ay2)
+    xb, yb = _extent(bx0, bx1, bx2), _extent(by0, by1, by2)
+    if axis is MovementAxis.X:
+        along_a, along_b, across_a, across_b = xa, xb, ya, yb
+    else:
+        along_a, along_b, across_a, across_b = ya, yb, xa, xb
+    lead, lo, hi, degenerate_gap = _gap(*along_a, *along_b)
+    high, p_lo, p_hi, _ = _gap(*across_a, *across_b)
+    return lead, high, lo, hi, p_lo, p_hi, degenerate_gap
+
+
+def _midpoint(x0: float, y0: float, x1: float, y1: float) -> tuple[float, float]:
+    """Midpoint of the box with corners (x0, y0) and (x1, y1); an overflowed
+    midpoint is refused like any other non-finite point."""
+    px, py = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    _require_finite(px, py)
+    return px, py
+
+
+def _nearest_two(edges: _Edges, px: float, py: float) -> tuple[int, int, int]:
+    """(i, j, edge): the two vertices nearest (px, py), nearer first, and the
+    edge joining them; ties resolve to the lower vertex index."""
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+    d0 = (x0 - px) ** 2 + (y0 - py) ** 2
+    d1 = (x1 - px) ** 2 + (y1 - py) ** 2
+    d2 = (x2 - px) ** 2 + (y2 - py) ** 2
+    # Drop the farthest vertex (the highest index among equals); the
+    # edge opposite it joins the other two.
+    if d2 >= d0 and d2 >= d1:
+        return (0, 1, 0) if d0 <= d1 else (1, 0, 0)
+    if d1 >= d0:
+        return (0, 2, 2) if d0 <= d2 else (2, 0, 2)
+    return (1, 2, 1) if d1 <= d2 else (2, 1, 1)
 
 
 def nearest_facing_vertices(
@@ -139,15 +174,12 @@ def nearest_facing_vertices(
     The trailing triangle contributes its maximal vertex on the axis,
     the leading one its minimal vertex; ties keep the lower index.
     """
-    if _foremost(tA, tB, axis) == 1:
-        return (
-            _extreme_index(tA, axis, maximize=True),
-            _extreme_index(tB, axis, maximize=False),
-        )
-    return (
-        _extreme_index(tA, axis, maximize=False),
-        _extreme_index(tB, axis, maximize=True),
-    )
+    cs_a = [_coord(v, axis) for v in tA.vertices]
+    cs_b = [_coord(v, axis) for v in tB.vertices]
+    (lo_a, hi_a), (lo_b, hi_b) = _extent(*cs_a), _extent(*cs_b)
+    if _gap(lo_a, hi_a, lo_b, hi_b)[0] == 1:
+        return cs_a.index(hi_a), cs_b.index(lo_b)
+    return cs_a.index(lo_a), cs_b.index(hi_b)
 
 
 def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> InternalAabb:
@@ -164,24 +196,7 @@ def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> Inter
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("internal box requires non-degenerate triangles")
 
-    lead = _foremost(tA, tB, axis)
-    idx_a, idx_b = nearest_facing_vertices(tA, tB, axis)
-    coord_a = _coord(tA.vertex(idx_a), axis)
-    coord_b = _coord(tB.vertex(idx_b), axis)
-    lo, hi = (coord_a, coord_b) if lead == 1 else (coord_b, coord_a)
-    degenerate_gap = lo > hi
-    if degenerate_gap:
-        lo = hi = 0.5 * (lo + hi)
-
-    perp = axis.perpendicular
-    high = _foremost(tA, tB, perp)
-    higher_tri = (tA, tB)[high]
-    lower_tri = (tA, tB)[1 - high]
-    p_lo = _extent(lower_tri, perp)[1]
-    p_hi = _extent(higher_tri, perp)[0]
-    if p_lo > p_hi:
-        p_lo = p_hi = 0.5 * (p_lo + p_hi)
-
+    lead, high, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(_edges(tA), _edges(tB), axis)
     if axis is MovementAxis.X:
         box = Aabb(Point2(lo, p_lo), Point2(hi, p_hi))
     else:
@@ -192,9 +207,7 @@ def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> Inter
 def compute_dyop(iaabb: InternalAabb) -> DyopPoint:
     """Midpoint of the internal box, componentwise."""
     box = iaabb.box
-    return DyopPoint(
-        Point2(0.5 * (box.min.x + box.max.x), 0.5 * (box.min.y + box.max.y))
-    )
+    return DyopPoint(Point2(*_midpoint(box.min.x, box.min.y, box.max.x, box.max.y)))
 
 
 def select_candidates(tri: Triangle, dyop: DyopPoint) -> tuple[tuple[int, int], int]:
@@ -204,16 +217,17 @@ def select_candidates(tri: Triangle, dyop: DyopPoint) -> tuple[tuple[int, int], 
     a triangle are joined by exactly one edge, so the candidate edge is
     always well defined.
     """
-    p = dyop.point
-    ranked = sorted(
-        range(3),
-        key=lambda i: (
-            (tri.vertex(i).x - p.x) ** 2 + (tri.vertex(i).y - p.y) ** 2,
-            i,
-        ),
+    i, j, edge = _nearest_two(_edges(tri), dyop.point.x, dyop.point.y)
+    return (i, j), edge
+
+
+def _feature_indices(w: tuple) -> tuple[int, int]:
+    """The feature indices _classify_edge_point would give a candidate,
+    without building the features; see dyop_distance for its layout."""
+    return (
+        (w[5] + 1) % 3 if w[6] == 1.0 else w[5],
+        (w[7] + 1) % 3 if w[8] == 1.0 else w[7],
     )
-    pair = (ranked[0], ranked[1])
-    return pair, edge_index_joining(pair[0], pair[1])
 
 
 def dyop_distance(
@@ -221,65 +235,62 @@ def dyop_distance(
 ) -> DistanceResult:
     """Pruned shortest distance between two triangles.
 
-    Runs the full pipeline: movement axis, facing vertices, internal gap
-    box, pivot point, candidate selection, then exactly four
-    vertex-vertex, four vertex-edge, and one edge-edge evaluation over
-    the candidates. The result is never below the exact separation
-    distance; it equals it whenever the true witness features survive
-    pruning. A "overlapping-boxes" flag marks queries whose extents were
-    not disjoint along the movement axis.
+    Runs the full pipeline: movement axis, internal gap box, pivot
+    point, candidate selection, then exactly four vertex-vertex, four
+    vertex-edge, and one edge-edge evaluation over the candidates. The
+    result is never below the exact separation distance; it equals it
+    whenever the true witness features survive pruning. A
+    "overlapping-boxes" flag marks queries whose extents were not
+    disjoint along the movement axis.
     """
     axis = dominant_axis(relative_velocity)
-    if tA.is_degenerate or tB.is_degenerate:
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    if _is_degenerate(ax0, ay0, ax1, ay1, ax2, ay2) or _is_degenerate(
+        bx0, by0, bx1, by1, bx2, by2
+    ):
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
 
-    iaabb = build_internal_aabb(tA, tB, axis)
-    pivot = compute_dyop(iaabb)
-    verts_a, edge_a = select_candidates(tA, pivot)
-    verts_b, edge_b = select_candidates(tB, pivot)
-    cand = CandidateSet(verts_a, verts_b, edge_a, edge_b)
+    _, _, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(edges_a, edges_b, axis)
+    along, across = _midpoint(lo, p_lo, hi, p_hi)
+    px, py = (along, across) if axis is MovementAxis.X else (across, along)
+    ia, ja, edge_a = _nearest_two(edges_a, px, py)
+    ib, jb, edge_b = _nearest_two(edges_b, px, py)
+    seg_a, seg_b = edges_a[edge_a], edges_b[edge_b]
 
-    counters = TestCounters()
-    best: tuple[float, Point2, Point2, FeatureId, FeatureId] | None = None
+    # Each candidate is (d, pa.x, pa.y, pb.x, pb.y, edge_a, t_a, edge_b, t_b):
+    # a witness at parameter t on an edge, vertex i written as (i, 0.0).
+    cands = []
+    for i in (ia, ja):
+        vx, vy = edges_a[i][0], edges_a[i][1]
+        for j in (ib, jb):
+            ux, uy = edges_b[j][0], edges_b[j][1]
+            cands.append((math.hypot(vx - ux, vy - uy), vx, vy, ux, uy, i, 0.0, j, 0.0))
+    for i in (ia, ja):
+        vx, vy = edges_a[i][0], edges_a[i][1]
+        d, qx, qy, t = _project(vx, vy, *seg_b)
+        cands.append((d, vx, vy, qx, qy, i, 0.0, edge_b, t))
+    for j in (ib, jb):
+        ux, uy = edges_b[j][0], edges_b[j][1]
+        d, qx, qy, t = _project(ux, uy, *seg_a)
+        cands.append((d, qx, qy, ux, uy, edge_a, t, j, 0.0))
+    d, pax, pay, pbx, pby, t1, t2 = _segment_segment(*seg_a, *seg_b)
+    cands.append((d, pax, pay, pbx, pby, edge_a, t1, edge_b, t2))
 
-    def consider(d: float, pa: Point2, pb: Point2, fa: FeatureId, fb: FeatureId) -> None:
-        nonlocal best
-        if (
-            best is None
-            or d < best[0]
-            or (d == best[0] and (fa.index, fb.index) < (best[3].index, best[4].index))
-        ):
-            best = (d, pa, pb, fa, fb)
-
-    ea = tA.edge(cand.edge_a)
-    eb = tB.edge(cand.edge_b)
-    for i in cand.verts_a:
-        va = tA.vertex(i)
-        for j in cand.verts_b:
-            vb = tB.vertex(j)
-            counters.vv_tests += 1
-            d = math.hypot(va.x - vb.x, va.y - vb.y)
-            consider(d, va, vb, vertex_feature(i), vertex_feature(j))
-    for i in cand.verts_a:
-        va = tA.vertex(i)
-        d, closest, t = _point_segment_param(va, eb)
-        counters.ve_tests += 1
-        consider(d, va, closest, vertex_feature(i), _classify_edge_point(cand.edge_b, t))
-    for j in cand.verts_b:
-        vb = tB.vertex(j)
-        d, closest, t = _point_segment_param(vb, ea)
-        counters.ve_tests += 1
-        consider(d, closest, vb, _classify_edge_point(cand.edge_a, t), vertex_feature(j))
-    d, pa, pb, t1, t2 = _segment_segment_params(ea, eb)
-    counters.ee_tests += 1
-    consider(
+    # Equal distances keep the lower (feature_a, feature_b) index pair.
+    best = cands[0]
+    for w in cands[1:]:
+        if w[0] < best[0] or (w[0] == best[0] and _feature_indices(w) < _feature_indices(best)):
+            best = w
+    d, pax, pay, pbx, pby, e_a, t_a, e_b, t_b = best
+    flags = ("overlapping-boxes",) if degenerate_gap else ()
+    return DistanceResult(
         d,
-        pa,
-        pb,
-        _classify_edge_point(cand.edge_a, t1),
-        _classify_edge_point(cand.edge_b, t2),
+        Point2(pax, pay),
+        Point2(pbx, pby),
+        _classify_edge_point(e_a, t_a),
+        _classify_edge_point(e_b, t_b),
+        TestCounters(4, 4, 1),
+        flags,
     )
-
-    assert best is not None
-    flags = ("overlapping-boxes",) if iaabb.degenerate_gap else ()
-    return DistanceResult(best[0], best[1], best[2], best[3], best[4], counters, flags)

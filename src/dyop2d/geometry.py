@@ -3,6 +3,12 @@
 Everything here is a pure function of its inputs; the brute-force
 distance is the reference that every faster algorithm in the package is
 validated against.
+
+The primitives work on plain float coordinates: a triangle enters the
+core as its three edges, each an ``(ax, ay, bx, by)`` tuple running from
+vertex i to vertex (i + 1) % 3, and ``Point2``/``FeatureId`` objects are
+built only for the answer a caller receives. The public point and
+segment functions are thin wrappers over the same core.
 """
 
 from __future__ import annotations
@@ -57,8 +63,41 @@ class Segment:
     b: Point2
 
 
-def _signed_area(a: Point2, b: Point2, c: Point2) -> float:
-    return 0.5 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
+def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
+    """Twice the signed area of abc: >0 when c is left of a->b."""
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _signed_area(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> float:
+    return 0.5 * _orient(x0, y0, x1, y1, x2, y2)
+
+
+def _is_degenerate(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> bool:
+    return abs(_signed_area(x0, y0, x1, y1, x2, y2)) <= DEGENERATE_AREA
+
+
+_Edges = tuple[tuple[float, float, float, float], ...]
+
+
+def _edges(tri: Triangle) -> _Edges:
+    """The triangle's three edges as float tuples, edge i from vertex i to (i + 1) % 3."""
+    v0, v1, v2 = tri.v0, tri.v1, tri.v2
+    x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
+    return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+
+
+def _extent(c0: float, c1: float, c2: float) -> tuple[float, float]:
+    """Minimum and maximum of three coordinates; ties keep the earlier value."""
+    lo = hi = c0
+    if c1 < lo:
+        lo = c1
+    elif c1 > hi:
+        hi = c1
+    if c2 < lo:
+        lo = c2
+    elif c2 > hi:
+        hi = c2
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -78,7 +117,7 @@ class Triangle:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if _signed_area(self.v0, self.v1, self.v2) < 0.0:
+        if self.signed_area < 0.0:
             swapped_v1, swapped_v2 = self.v2, self.v1
             object.__setattr__(self, "v1", swapped_v1)
             object.__setattr__(self, "v2", swapped_v2)
@@ -97,11 +136,13 @@ class Triangle:
 
     @property
     def signed_area(self) -> float:
-        return _signed_area(self.v0, self.v1, self.v2)
+        v0, v1, v2 = self.v0, self.v1, self.v2
+        return _signed_area(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
 
     @property
     def is_degenerate(self) -> bool:
-        return abs(self.signed_area) <= DEGENERATE_AREA
+        v0, v1, v2 = self.v0, self.v1, self.v2
+        return _is_degenerate(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
 
     def centroid(self) -> Point2:
         return Point2(
@@ -206,143 +247,176 @@ class DistanceResult:
 
 def aabb_of_triangle(tri: Triangle) -> Aabb:
     """Tightest axis-aligned box containing the triangle."""
-    xs = (tri.v0.x, tri.v1.x, tri.v2.x)
-    ys = (tri.v0.y, tri.v1.y, tri.v2.y)
-    return Aabb(Point2(min(xs), min(ys)), Point2(max(xs), max(ys)))
+    v0, v1, v2 = tri.v0, tri.v1, tri.v2
+    x_lo, x_hi = _extent(v0.x, v1.x, v2.x)
+    y_lo, y_hi = _extent(v0.y, v1.y, v2.y)
+    return Aabb(Point2(x_lo, y_lo), Point2(x_hi, y_hi))
 
 
-def _point_segment_param(p: Point2, s: Segment) -> tuple[float, Point2, float]:
-    """Distance, closest point, and clamped parameter t of p against s."""
-    ax, ay = s.a.x, s.a.y
-    abx, aby = s.b.x - ax, s.b.y - ay
+def _project(
+    px: float, py: float, ax: float, ay: float, bx: float, by: float
+) -> tuple[float, float, float, float]:
+    """Distance, closest point (x, y) and clamped parameter t of p against segment ab."""
+    abx, aby = bx - ax, by - ay
     ab2 = abx * abx + aby * aby
     if ab2 == 0.0:
-        return math.hypot(p.x - ax, p.y - ay), s.a, 0.0
-    t = ((p.x - ax) * abx + (p.y - ay) * aby) / ab2
+        return math.hypot(px - ax, py - ay), ax, ay, 0.0
+    t = ((px - ax) * abx + (py - ay) * aby) / ab2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     cx, cy = ax + t * abx, ay + t * aby
-    return math.hypot(p.x - cx, p.y - cy), Point2(cx, cy), t
+    if t != t or ab2 == math.inf:
+        # Only coordinates near the float range make t NaN or ab2
+        # overflow; the closest point can then be non-finite, and is
+        # refused as Point2 refuses one.
+        _require_finite(cx, cy)
+    return math.hypot(px - cx, py - cy), cx, cy, t
 
 
-def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
-    """Shortest distance from a point to a closed segment, with the closest point."""
-    d, closest, _ = _point_segment_param(p, s)
-    return d, closest
-
-
-def _orient(a: Point2, b: Point2, c: Point2) -> float:
-    """Twice the signed area of abc: >0 when c is left of a->b."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def _within_extent(a: Point2, b: Point2, p: Point2) -> bool:
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
-
-
-def _segment_intersection(s1: Segment, s2: Segment) -> Point2 | None:
-    """Intersection point of two closed segments, or None if disjoint.
-
-    Endpoint contact and collinear overlap count as intersecting; the
-    returned witness for those cases is the first touching endpoint in
-    (s2.a, s2.b, s1.a, s1.b) order.
-    """
-    a, b, c, d = s1.a, s1.b, s2.a, s2.b
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
-        (o3 > 0.0) != (o4 > 0.0)
-    ) and o3 != 0.0 and o4 != 0.0:
-        rx, ry = b.x - a.x, b.y - a.y
-        sx, sy = d.x - c.x, d.y - c.y
-        denom = rx * sy - ry * sx
-        t = ((c.x - a.x) * sy - (c.y - a.y) * sx) / denom
-        return Point2(a.x + t * rx, a.y + t * ry)
-    if o1 == 0.0 and _within_extent(a, b, c):
-        return c
-    if o2 == 0.0 and _within_extent(a, b, d):
-        return d
-    if o3 == 0.0 and _within_extent(c, d, a):
-        return a
-    if o4 == 0.0 and _within_extent(c, d, b):
-        return b
-    return None
-
-
-def _param_on(s: Segment, p: Point2) -> float:
-    dx, dy = s.b.x - s.a.x, s.b.y - s.a.y
+def _param_on(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:
+    """Clamped parameter of p projected on segment ab; 0 when a == b."""
+    dx, dy = bx - ax, by - ay
     len2 = dx * dx + dy * dy
     if len2 == 0.0:
         return 0.0
-    t = ((p.x - s.a.x) * dx + (p.y - s.a.y) * dy) / len2
+    t = ((px - ax) * dx + (py - ay) * dy) / len2
     return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
 
 
-def _segment_segment_params(
-    s1: Segment, s2: Segment
-) -> tuple[float, Point2, Point2, float, float]:
-    """Distance, witness points, and parameters on each segment.
+def _within_extent(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> bool:
+    return (ax <= px <= bx or bx <= px <= ax) and (ay <= py <= by or by <= py <= ay)
 
-    Intersecting segments report distance 0 with coincident witnesses.
-    Otherwise the minimum over the four clamped endpoint projections is
-    exact for disjoint segments; ties keep the earliest candidate in
-    (s1.a, s1.b, s2.a, s2.b) order.
+
+def _intersect(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
+) -> tuple[float, float] | None:
+    """Intersection point of closed segments ab and cd, or None if disjoint.
+
+    Endpoint contact and collinear overlap count as intersecting; the
+    returned witness for those cases is the first touching endpoint in
+    (c, d, a, b) order.
     """
-    hit = _segment_intersection(s1, s2)
+    o1 = _orient(ax, ay, bx, by, cx, cy)
+    o2 = _orient(ax, ay, bx, by, dx, dy)
+    o3 = _orient(cx, cy, dx, dy, ax, ay)
+    o4 = _orient(cx, cy, dx, dy, bx, by)
+    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
+        (o3 > 0.0) != (o4 > 0.0)
+    ) and o3 != 0.0 and o4 != 0.0:
+        rx, ry = bx - ax, by - ay
+        sx, sy = dx - cx, dy - cy
+        denom = rx * sy - ry * sx
+        t = ((cx - ax) * sy - (cy - ay) * sx) / denom
+        hx, hy = ax + t * rx, ay + t * ry
+        _require_finite(hx, hy)
+        return hx, hy
+    if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
+        return cx, cy
+    if o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
+        return dx, dy
+    if o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
+        return ax, ay
+    if o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
+        return bx, by
+    return None
+
+
+_Witnesses = tuple[float, float, float, float, float, float, float]
+
+
+def _endpoint_projections(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
+) -> _Witnesses:
+    """(distance, pa.x, pa.y, pb.x, pb.y, t1, t2) of disjoint segments ab and cd.
+
+    The minimum over the four clamped endpoint projections is exact for
+    disjoint segments; ties keep the earliest candidate in (a, b, c, d)
+    order.
+    """
+    best = (math.inf, ax, ay, cx, cy, 0.0, 0.0)
+    d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
+    if d < best[0]:
+        best = (d, ax, ay, qx, qy, 0.0, t)
+    d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
+    if d < best[0]:
+        best = (d, bx, by, qx, qy, 1.0, t)
+    d, qx, qy, t = _project(cx, cy, ax, ay, bx, by)
+    if d < best[0]:
+        best = (d, qx, qy, cx, cy, t, 0.0)
+    d, qx, qy, t = _project(dx, dy, ax, ay, bx, by)
+    if d < best[0]:
+        best = (d, qx, qy, dx, dy, t, 1.0)
+    return best
+
+
+def _segment_segment(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
+) -> _Witnesses:
+    """Like _endpoint_projections, but intersecting segments report distance 0
+    with coincident witnesses."""
+    hit = _intersect(ax, ay, bx, by, cx, cy, dx, dy)
     if hit is not None:
-        return 0.0, hit, hit, _param_on(s1, hit), _param_on(s2, hit)
-
-    best_d, best_pa, best_pb, best_t1, best_t2 = math.inf, s1.a, s2.a, 0.0, 0.0
-    d, closest, t = _point_segment_param(s1.a, s2)
-    if d < best_d:
-        best_d, best_pa, best_pb, best_t1, best_t2 = d, s1.a, closest, 0.0, t
-    d, closest, t = _point_segment_param(s1.b, s2)
-    if d < best_d:
-        best_d, best_pa, best_pb, best_t1, best_t2 = d, s1.b, closest, 1.0, t
-    d, closest, t = _point_segment_param(s2.a, s1)
-    if d < best_d:
-        best_d, best_pa, best_pb, best_t1, best_t2 = d, closest, s2.a, t, 0.0
-    d, closest, t = _point_segment_param(s2.b, s1)
-    if d < best_d:
-        best_d, best_pa, best_pb, best_t1, best_t2 = d, closest, s2.b, t, 1.0
-    return best_d, best_pa, best_pb, best_t1, best_t2
+        hx, hy = hit
+        t1, t2 = _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
+        return 0.0, hx, hy, hx, hy, t1, t2
+    return _endpoint_projections(ax, ay, bx, by, cx, cy, dx, dy)
 
 
-def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, Point2]:
-    """Shortest distance between two closed segments, with witness points."""
-    d, pa, pb, _, _ = _segment_segment_params(s1, s2)
-    return d, pa, pb
-
-
-def point_in_triangle(tri: Triangle, p: Point2) -> bool:
-    """Containment test, boundary inclusive; degenerate triangles act as segments."""
-    if tri.is_degenerate:
-        for i in range(3):
-            e = tri.edge(i)
-            if _orient(e.a, e.b, p) == 0.0 and _within_extent(e.a, e.b, p):
+def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+    if _is_degenerate(x0, y0, x1, y1, x2, y2):
+        for ax, ay, bx, by in edges:
+            if _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py):
                 return True
         return False
     # CCW-normalized, so inside means left of (or on) every edge.
-    for i in range(3):
-        e = tri.edge(i)
-        if _orient(e.a, e.b, p) < 0.0:
+    for ax, ay, bx, by in edges:
+        if _orient(ax, ay, bx, by, px, py) < 0.0:
             return False
     return True
 
 
-def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
-    """True when the triangles share any point; boundary contact counts."""
-    for i in range(3):
-        ea = tA.edge(i)
-        for j in range(3):
-            if _segment_intersection(ea, tB.edge(j)) is not None:
+def _overlap(edges_a: _Edges, edges_b: _Edges) -> bool:
+    for ea in edges_a:
+        for eb in edges_b:
+            if _intersect(*ea, *eb) is not None:
                 return True
     # No edge contact: overlap is only possible by full containment.
-    return point_in_triangle(tA, tB.v0) or point_in_triangle(tB, tA.v0)
+    return _point_in_triangle(edges_a, edges_b[0][0], edges_b[0][1]) or _point_in_triangle(
+        edges_b, edges_a[0][0], edges_a[0][1]
+    )
+
+
+def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
+    """Shortest distance from a point to a closed segment, with the closest point."""
+    d, cx, cy, _ = _project(p.x, p.y, s.a.x, s.a.y, s.b.x, s.b.y)
+    return d, Point2(cx, cy)
+
+
+def _segment_intersection(s1: Segment, s2: Segment) -> Point2 | None:
+    """Intersection point of two closed segments, or None if disjoint (see _intersect)."""
+    hit = _intersect(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
+    return None if hit is None else Point2(*hit)
+
+
+def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, Point2]:
+    """Shortest distance between two closed segments, with witness points.
+
+    Intersecting segments report distance 0 with coincident witnesses.
+    """
+    d, pax, pay, pbx, pby, _, _ = _segment_segment(
+        s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y
+    )
+    return d, Point2(pax, pay), Point2(pbx, pby)
+
+
+def point_in_triangle(tri: Triangle, p: Point2) -> bool:
+    """Containment test, boundary inclusive; degenerate triangles act as segments."""
+    return _point_in_triangle(_edges(tri), p.x, p.y)
+
+
+def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
+    """True when the triangles share any point; boundary contact counts."""
+    return _overlap(_edges(tA), _edges(tB))
 
 
 def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
@@ -354,31 +428,29 @@ def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
     return edge_feature(edge_index)
 
 
-def _nearest_edge_feature(tri: Triangle, p: Point2) -> FeatureId:
+def _nearest_edge_feature(edges: _Edges, px: float, py: float) -> FeatureId:
     best_d = math.inf
     best_i = 0
-    for i in range(3):
-        d, _, _ = _point_segment_param(p, tri.edge(i))
+    for i, (ax, ay, bx, by) in enumerate(edges):
+        d = _project(px, py, ax, ay, bx, by)[0]
         if d < best_d:
             best_d, best_i = d, i
     return edge_feature(best_i)
 
 
 def _contact_witness(tA: Triangle, tB: Triangle) -> tuple[Point2, FeatureId, FeatureId]:
-    for i in range(3):
-        ea = tA.edge(i)
-        for j in range(3):
-            p = _segment_intersection(ea, tB.edge(j))
-            if p is not None:
-                return p, edge_feature(i), edge_feature(j)
-    for k in range(3):
-        v = tB.vertex(k)
-        if point_in_triangle(tA, v):
-            return v, _nearest_edge_feature(tA, v), vertex_feature(k)
-    for k in range(3):
-        v = tA.vertex(k)
-        if point_in_triangle(tB, v):
-            return v, vertex_feature(k), _nearest_edge_feature(tB, v)
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    for i, ea in enumerate(edges_a):
+        for j, eb in enumerate(edges_b):
+            hit = _intersect(*ea, *eb)
+            if hit is not None:
+                return Point2(*hit), edge_feature(i), edge_feature(j)
+    for k, (vx, vy, _, _) in enumerate(edges_b):
+        if _point_in_triangle(edges_a, vx, vy):
+            return Point2(vx, vy), _nearest_edge_feature(edges_a, vx, vy), vertex_feature(k)
+    for k, (vx, vy, _, _) in enumerate(edges_a):
+        if _point_in_triangle(edges_b, vx, vy):
+            return Point2(vx, vy), vertex_feature(k), _nearest_edge_feature(edges_b, vx, vy)
     raise AssertionError("overlapping triangles without a contact witness")
 
 
@@ -388,25 +460,29 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     Overlapping or touching triangles report distance 0 with coincident
     witness points. Otherwise every edge of A is tested against every
     edge of B (which subsumes all vertex-vertex and vertex-edge pairs),
-    recording nine ee_tests. Equal minima resolve to the earliest edge
-    pair in row-major order, which keeps the reported feature indices as
-    low as possible.
+    recording nine ee_tests. The overlap test has already found every
+    edge pair disjoint, so each pair costs only its four endpoint
+    projections. Equal minima resolve to the earliest edge pair in
+    row-major order, which keeps the reported feature indices as low as
+    possible.
     """
-    counters = TestCounters()
-    if triangles_overlap(tA, tB):
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    if _overlap(edges_a, edges_b):
         p, fa, fb = _contact_witness(tA, tB)
-        return DistanceResult(0.0, p, p, fa, fb, counters)
+        return DistanceResult(0.0, p, p, fa, fb, TestCounters())
 
-    best: tuple[float, Point2, Point2, int, int, float, float] | None = None
-    for i in range(3):
-        ea = tA.edge(i)
-        for j in range(3):
-            d, pa, pb, t1, t2 = _segment_segment_params(ea, tB.edge(j))
-            counters.ee_tests += 1
-            if best is None or d < best[0]:
-                best = (d, pa, pb, i, j, t1, t2)
-    assert best is not None
-    d, pa, pb, i, j, t1, t2 = best
+    best = None
+    for i, ea in enumerate(edges_a):
+        for j, eb in enumerate(edges_b):
+            w = _endpoint_projections(*ea, *eb)
+            if best is None or w[0] < best[0]:
+                best, bi, bj = w, i, j
+    d, pax, pay, pbx, pby, t1, t2 = best
     return DistanceResult(
-        d, pa, pb, _classify_edge_point(i, t1), _classify_edge_point(j, t2), counters
+        d,
+        Point2(pax, pay),
+        Point2(pbx, pby),
+        _classify_edge_point(bi, t1),
+        _classify_edge_point(bj, t2),
+        TestCounters(ee_tests=9),
     )

@@ -1,0 +1,461 @@
+"""A frozen copy of the original object-based primitives, DyOP pipeline and oracle.
+
+tests/test_equivalence.py compares the float-coordinate implementations
+in dyop2d against this module, which must not change with them: it reads
+triangles only through their vertex fields and builds a Point2 for every
+intermediate point, as the original code did. Only the data types come
+from the package.
+"""
+
+from __future__ import annotations
+
+import math
+
+from dyop2d.dyop import CandidateSet, DyopPoint, InternalAabb, MovementAxis
+from dyop2d.errors import DegenerateInput, ZeroVelocity
+from dyop2d.geometry import (
+    DEGENERATE_AREA,
+    Aabb,
+    DistanceResult,
+    FeatureId,
+    FeatureKind,
+    Point2,
+    Segment,
+    TestCounters,
+    Triangle,
+    Vector2,
+)
+
+
+def _vertices(tri: Triangle) -> tuple[Point2, Point2, Point2]:
+    return (tri.v0, tri.v1, tri.v2)
+
+
+def _vertex(tri: Triangle, i: int) -> Point2:
+    return _vertices(tri)[i]
+
+
+def _edge(tri: Triangle, i: int) -> Segment:
+    vs = _vertices(tri)
+    return Segment(vs[i], vs[(i + 1) % 3])
+
+
+def _is_degenerate(tri: Triangle) -> bool:
+    a, b, c = _vertices(tri)
+    return abs(0.5 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))) <= DEGENERATE_AREA
+
+
+def vertex_feature(i: int) -> FeatureId:
+    return FeatureId(FeatureKind.VERTEX, i)
+
+
+def edge_feature(i: int) -> FeatureId:
+    return FeatureId(FeatureKind.EDGE, i)
+
+
+def edge_index_joining(i: int, j: int) -> int:
+    if j == (i + 1) % 3:
+        return i
+    if i == (j + 1) % 3:
+        return j
+    raise ValueError(f"no edge joins vertices {i} and {j}")
+
+
+def _point_segment_param(p: Point2, s: Segment) -> tuple[float, Point2, float]:
+    """Distance, closest point, and clamped parameter t of p against s."""
+    ax, ay = s.a.x, s.a.y
+    abx, aby = s.b.x - ax, s.b.y - ay
+    ab2 = abx * abx + aby * aby
+    if ab2 == 0.0:
+        return math.hypot(p.x - ax, p.y - ay), s.a, 0.0
+    t = ((p.x - ax) * abx + (p.y - ay) * aby) / ab2
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    cx, cy = ax + t * abx, ay + t * aby
+    return math.hypot(p.x - cx, p.y - cy), Point2(cx, cy), t
+
+
+def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
+    """Shortest distance from a point to a closed segment, with the closest point."""
+    d, closest, _ = _point_segment_param(p, s)
+    return d, closest
+
+
+def _orient(a: Point2, b: Point2, c: Point2) -> float:
+    """Twice the signed area of abc: >0 when c is left of a->b."""
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def _within_extent(a: Point2, b: Point2, p: Point2) -> bool:
+    return (
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
+def _segment_intersection(s1: Segment, s2: Segment) -> Point2 | None:
+    """Intersection point of two closed segments, or None if disjoint.
+
+    Endpoint contact and collinear overlap count as intersecting; the
+    returned witness for those cases is the first touching endpoint in
+    (s2.a, s2.b, s1.a, s1.b) order.
+    """
+    a, b, c, d = s1.a, s1.b, s2.a, s2.b
+    o1 = _orient(a, b, c)
+    o2 = _orient(a, b, d)
+    o3 = _orient(c, d, a)
+    o4 = _orient(c, d, b)
+    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
+        (o3 > 0.0) != (o4 > 0.0)
+    ) and o3 != 0.0 and o4 != 0.0:
+        rx, ry = b.x - a.x, b.y - a.y
+        sx, sy = d.x - c.x, d.y - c.y
+        denom = rx * sy - ry * sx
+        t = ((c.x - a.x) * sy - (c.y - a.y) * sx) / denom
+        return Point2(a.x + t * rx, a.y + t * ry)
+    if o1 == 0.0 and _within_extent(a, b, c):
+        return c
+    if o2 == 0.0 and _within_extent(a, b, d):
+        return d
+    if o3 == 0.0 and _within_extent(c, d, a):
+        return a
+    if o4 == 0.0 and _within_extent(c, d, b):
+        return b
+    return None
+
+
+def _param_on(s: Segment, p: Point2) -> float:
+    dx, dy = s.b.x - s.a.x, s.b.y - s.a.y
+    len2 = dx * dx + dy * dy
+    if len2 == 0.0:
+        return 0.0
+    t = ((p.x - s.a.x) * dx + (p.y - s.a.y) * dy) / len2
+    return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+
+
+def _segment_segment_params(
+    s1: Segment, s2: Segment
+) -> tuple[float, Point2, Point2, float, float]:
+    """Distance, witness points, and parameters on each segment.
+
+    Intersecting segments report distance 0 with coincident witnesses.
+    Otherwise the minimum over the four clamped endpoint projections is
+    exact for disjoint segments; ties keep the earliest candidate in
+    (s1.a, s1.b, s2.a, s2.b) order.
+    """
+    hit = _segment_intersection(s1, s2)
+    if hit is not None:
+        return 0.0, hit, hit, _param_on(s1, hit), _param_on(s2, hit)
+
+    best_d, best_pa, best_pb, best_t1, best_t2 = math.inf, s1.a, s2.a, 0.0, 0.0
+    d, closest, t = _point_segment_param(s1.a, s2)
+    if d < best_d:
+        best_d, best_pa, best_pb, best_t1, best_t2 = d, s1.a, closest, 0.0, t
+    d, closest, t = _point_segment_param(s1.b, s2)
+    if d < best_d:
+        best_d, best_pa, best_pb, best_t1, best_t2 = d, s1.b, closest, 1.0, t
+    d, closest, t = _point_segment_param(s2.a, s1)
+    if d < best_d:
+        best_d, best_pa, best_pb, best_t1, best_t2 = d, closest, s2.a, t, 0.0
+    d, closest, t = _point_segment_param(s2.b, s1)
+    if d < best_d:
+        best_d, best_pa, best_pb, best_t1, best_t2 = d, closest, s2.b, t, 1.0
+    return best_d, best_pa, best_pb, best_t1, best_t2
+
+
+def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, Point2]:
+    """Shortest distance between two closed segments, with witness points."""
+    d, pa, pb, _, _ = _segment_segment_params(s1, s2)
+    return d, pa, pb
+
+
+def point_in_triangle(tri: Triangle, p: Point2) -> bool:
+    """Containment test, boundary inclusive; degenerate triangles act as segments."""
+    if _is_degenerate(tri):
+        for i in range(3):
+            e = _edge(tri, i)
+            if _orient(e.a, e.b, p) == 0.0 and _within_extent(e.a, e.b, p):
+                return True
+        return False
+    # CCW-normalized, so inside means left of (or on) every edge.
+    for i in range(3):
+        e = _edge(tri, i)
+        if _orient(e.a, e.b, p) < 0.0:
+            return False
+    return True
+
+
+def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
+    """True when the triangles share any point; boundary contact counts."""
+    for i in range(3):
+        ea = _edge(tA, i)
+        for j in range(3):
+            if _segment_intersection(ea, _edge(tB, j)) is not None:
+                return True
+    # No edge contact: overlap is only possible by full containment.
+    return point_in_triangle(tA, tB.v0) or point_in_triangle(tB, tA.v0)
+
+
+def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
+    """Name the feature a witness on edge ``edge_index`` actually lies on."""
+    if t == 0.0:
+        return vertex_feature(edge_index)
+    if t == 1.0:
+        return vertex_feature((edge_index + 1) % 3)
+    return edge_feature(edge_index)
+
+
+def _nearest_edge_feature(tri: Triangle, p: Point2) -> FeatureId:
+    best_d = math.inf
+    best_i = 0
+    for i in range(3):
+        d, _, _ = _point_segment_param(p, _edge(tri, i))
+        if d < best_d:
+            best_d, best_i = d, i
+    return edge_feature(best_i)
+
+
+def _contact_witness(tA: Triangle, tB: Triangle) -> tuple[Point2, FeatureId, FeatureId]:
+    for i in range(3):
+        ea = _edge(tA, i)
+        for j in range(3):
+            p = _segment_intersection(ea, _edge(tB, j))
+            if p is not None:
+                return p, edge_feature(i), edge_feature(j)
+    for k in range(3):
+        v = _vertex(tB, k)
+        if point_in_triangle(tA, v):
+            return v, _nearest_edge_feature(tA, v), vertex_feature(k)
+    for k in range(3):
+        v = _vertex(tA, k)
+        if point_in_triangle(tB, v):
+            return v, vertex_feature(k), _nearest_edge_feature(tB, v)
+    raise AssertionError("overlapping triangles without a contact witness")
+
+
+def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
+    """Exact separation distance by exhausting all nine edge pairs.
+
+    Overlapping or touching triangles report distance 0 with coincident
+    witness points. Otherwise every edge of A is tested against every
+    edge of B (which subsumes all vertex-vertex and vertex-edge pairs),
+    recording nine ee_tests. Equal minima resolve to the earliest edge
+    pair in row-major order, which keeps the reported feature indices as
+    low as possible.
+    """
+    counters = TestCounters()
+    if triangles_overlap(tA, tB):
+        p, fa, fb = _contact_witness(tA, tB)
+        return DistanceResult(0.0, p, p, fa, fb, counters)
+
+    best: tuple[float, Point2, Point2, int, int, float, float] | None = None
+    for i in range(3):
+        ea = _edge(tA, i)
+        for j in range(3):
+            d, pa, pb, t1, t2 = _segment_segment_params(ea, _edge(tB, j))
+            counters.ee_tests += 1
+            if best is None or d < best[0]:
+                best = (d, pa, pb, i, j, t1, t2)
+    assert best is not None
+    d, pa, pb, i, j, t1, t2 = best
+    return DistanceResult(
+        d, pa, pb, _classify_edge_point(i, t1), _classify_edge_point(j, t2), counters
+    )
+
+
+def dominant_axis(relative_velocity: Vector2) -> MovementAxis:
+    """The axis the movement is mostly along; ties go to X."""
+    if relative_velocity.dx == 0.0 and relative_velocity.dy == 0.0:
+        raise ZeroVelocity("zero relative velocity: supply a separation axis explicitly")
+    if abs(relative_velocity.dx) >= abs(relative_velocity.dy):
+        return MovementAxis.X
+    return MovementAxis.Y
+
+
+def _coord(p: Point2, axis: MovementAxis) -> float:
+    return p.x if axis is MovementAxis.X else p.y
+
+
+def _extent(tri: Triangle, axis: MovementAxis) -> tuple[float, float]:
+    cs = [_coord(v, axis) for v in _vertices(tri)]
+    return min(cs), max(cs)
+
+
+def _extreme_index(tri: Triangle, axis: MovementAxis, maximize: bool) -> int:
+    """Index of the extremal vertex on the axis; ties keep the lower index."""
+    best_i = 0
+    best = _coord(tri.v0, axis)
+    for i in (1, 2):
+        c = _coord(_vertex(tri, i), axis)
+        if (c > best) if maximize else (c < best):
+            best_i, best = i, c
+    return best_i
+
+
+def _foremost(tA: Triangle, tB: Triangle, axis: MovementAxis) -> int:
+    """Which argument (0 or 1) sits ahead on the axis.
+
+    Greater extent maximum wins, ties fall to the greater minimum, and a
+    full tie returns 1; fully tied extents always clamp to the same
+    midpoint downstream, so the choice cannot change any result.
+    """
+    lo_a, hi_a = _extent(tA, axis)
+    lo_b, hi_b = _extent(tB, axis)
+    if hi_a != hi_b:
+        return 0 if hi_a > hi_b else 1
+    if lo_a != lo_b:
+        return 0 if lo_a > lo_b else 1
+    return 1
+
+
+def nearest_facing_vertices(
+    tA: Triangle, tB: Triangle, axis: MovementAxis
+) -> tuple[int, int]:
+    """The vertex of each triangle on its side of the gap.
+
+    The trailing triangle contributes its maximal vertex on the axis,
+    the leading one its minimal vertex; ties keep the lower index.
+    """
+    if _foremost(tA, tB, axis) == 1:
+        return (
+            _extreme_index(tA, axis, maximize=True),
+            _extreme_index(tB, axis, maximize=False),
+        )
+    return (
+        _extreme_index(tA, axis, maximize=False),
+        _extreme_index(tB, axis, maximize=True),
+    )
+
+
+def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> InternalAabb:
+    """Construct the gap box between two facing triangles.
+
+    Along the movement axis the box spans from the trailing triangle's
+    facing extreme to the leading triangle's; on the perpendicular axis
+    it spans from the lower triangle's maximum to the higher triangle's
+    minimum. An inverted interval (extents overlapping on that axis)
+    clamps to its midpoint with zero width; on the movement axis that
+    also sets ``degenerate_gap``, since the construction's premise of an
+    actual gap is then violated.
+    """
+    if _is_degenerate(tA) or _is_degenerate(tB):
+        raise DegenerateInput("internal box requires non-degenerate triangles")
+
+    lead = _foremost(tA, tB, axis)
+    idx_a, idx_b = nearest_facing_vertices(tA, tB, axis)
+    coord_a = _coord(_vertex(tA, idx_a), axis)
+    coord_b = _coord(_vertex(tB, idx_b), axis)
+    lo, hi = (coord_a, coord_b) if lead == 1 else (coord_b, coord_a)
+    degenerate_gap = lo > hi
+    if degenerate_gap:
+        lo = hi = 0.5 * (lo + hi)
+
+    perp = MovementAxis.Y if axis is MovementAxis.X else MovementAxis.X
+    high = _foremost(tA, tB, perp)
+    higher_tri = (tA, tB)[high]
+    lower_tri = (tA, tB)[1 - high]
+    p_lo = _extent(lower_tri, perp)[1]
+    p_hi = _extent(higher_tri, perp)[0]
+    if p_lo > p_hi:
+        p_lo = p_hi = 0.5 * (p_lo + p_hi)
+
+    if axis is MovementAxis.X:
+        box = Aabb(Point2(lo, p_lo), Point2(hi, p_hi))
+    else:
+        box = Aabb(Point2(p_lo, lo), Point2(p_hi, hi))
+    return InternalAabb(box=box, leading=lead, higher=high, degenerate_gap=degenerate_gap)
+
+
+def compute_dyop(iaabb: InternalAabb) -> DyopPoint:
+    """Midpoint of the internal box, componentwise."""
+    box = iaabb.box
+    return DyopPoint(
+        Point2(0.5 * (box.min.x + box.max.x), 0.5 * (box.min.y + box.max.y))
+    )
+
+
+def select_candidates(tri: Triangle, dyop: DyopPoint) -> tuple[tuple[int, int], int]:
+    """The two vertices nearest the pivot and the edge joining them.
+
+    Ties resolve to the lower vertex index. Any two distinct vertices of
+    a triangle are joined by exactly one edge, so the candidate edge is
+    always well defined.
+    """
+    p = dyop.point
+    ranked = sorted(
+        range(3),
+        key=lambda i: (
+            (_vertex(tri, i).x - p.x) ** 2 + (_vertex(tri, i).y - p.y) ** 2,
+            i,
+        ),
+    )
+    pair = (ranked[0], ranked[1])
+    return pair, edge_index_joining(pair[0], pair[1])
+
+
+def dyop_distance(
+    tA: Triangle, tB: Triangle, relative_velocity: Vector2
+) -> DistanceResult:
+    """Pruned shortest distance between two triangles.
+
+    Runs the full pipeline: movement axis, facing vertices, internal gap
+    box, pivot point, candidate selection, then exactly four
+    vertex-vertex, four vertex-edge, and one edge-edge evaluation over
+    the candidates. The result is never below the exact separation
+    distance; it equals it whenever the true witness features survive
+    pruning. A "overlapping-boxes" flag marks queries whose extents were
+    not disjoint along the movement axis.
+    """
+    axis = dominant_axis(relative_velocity)
+    if _is_degenerate(tA) or _is_degenerate(tB):
+        raise DegenerateInput("pruned distance requires non-degenerate triangles")
+
+    iaabb = build_internal_aabb(tA, tB, axis)
+    pivot = compute_dyop(iaabb)
+    verts_a, edge_a = select_candidates(tA, pivot)
+    verts_b, edge_b = select_candidates(tB, pivot)
+    cand = CandidateSet(verts_a, verts_b, edge_a, edge_b)
+
+    counters = TestCounters()
+    best: tuple[float, Point2, Point2, FeatureId, FeatureId] | None = None
+
+    def consider(d: float, pa: Point2, pb: Point2, fa: FeatureId, fb: FeatureId) -> None:
+        nonlocal best
+        if (
+            best is None
+            or d < best[0]
+            or (d == best[0] and (fa.index, fb.index) < (best[3].index, best[4].index))
+        ):
+            best = (d, pa, pb, fa, fb)
+
+    ea = _edge(tA, cand.edge_a)
+    eb = _edge(tB, cand.edge_b)
+    for i in cand.verts_a:
+        va = _vertex(tA, i)
+        for j in cand.verts_b:
+            vb = _vertex(tB, j)
+            counters.vv_tests += 1
+            d = math.hypot(va.x - vb.x, va.y - vb.y)
+            consider(d, va, vb, vertex_feature(i), vertex_feature(j))
+    for i in cand.verts_a:
+        va = _vertex(tA, i)
+        d, closest, t = _point_segment_param(va, eb)
+        counters.ve_tests += 1
+        consider(d, va, closest, vertex_feature(i), _classify_edge_point(cand.edge_b, t))
+    for j in cand.verts_b:
+        vb = _vertex(tB, j)
+        d, closest, t = _point_segment_param(vb, ea)
+        counters.ve_tests += 1
+        consider(d, closest, vb, _classify_edge_point(cand.edge_a, t), vertex_feature(j))
+    d, pa, pb, t1, t2 = _segment_segment_params(ea, eb)
+    counters.ee_tests += 1
+    consider(
+        d,
+        pa,
+        pb,
+        _classify_edge_point(cand.edge_a, t1),
+        _classify_edge_point(cand.edge_b, t2),
+    )
+
+    assert best is not None
+    flags = ("overlapping-boxes",) if iaabb.degenerate_gap else ()
+    return DistanceResult(best[0], best[1], best[2], best[3], best[4], counters, flags)

@@ -204,6 +204,15 @@ def test_dyop_distance_rejects_degenerate():
         )
 
 
+def test_dyop_distance_refuses_overflowing_pivot():
+    # The gap box runs from x = 1.65e308 to 1.7e308, so its midpoint overflows.
+    a = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1))
+    b = tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
+    with pytest.raises(ValueError) as info:
+        dyop_distance(a, b, Vector2(1, 0))
+    assert type(info.value) is ValueError
+
+
 def test_dyop_distance_flags_overlapping_boxes():
     a = tri((0, 0), (2, 0), (1, 1))
     b = tri((1, 3), (3, 3), (2, 4))
