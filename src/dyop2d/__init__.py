@@ -2,126 +2,27 @@
 
 Exact brute-force distance, a pivot-point pruned distance, GJK and
 Lin-Canny baselines, and a pairing benchmark with a verification sweep.
+Everything else is imported from its submodule.
 """
 
-from .baselines import (
-    FeaturePair,
-    Simplex,
-    SupportPoint,
-    gjk_distance,
-    lin_canny_distance,
-    support,
-)
-from .benchmark import (
-    ComparisonReport,
-    PairingPlan,
-    Scene,
-    TimingRecord,
-    build_report,
-    default_scene,
-    enumerate_pairs,
-    percentage_diff,
-    place_pair,
-    run_benchmark,
-    write_records_csv,
-)
-from .dyop import (
-    CandidateSet,
-    DyopPoint,
-    InternalAabb,
-    MovementAxis,
-    build_internal_aabb,
-    compute_dyop,
-    dominant_axis,
-    dyop_distance,
-    nearest_facing_vertices,
-    select_candidates,
-)
-from .errors import (
-    DegenerateInput,
-    IncompleteRecords,
-    Penetrating,
-    PlacementFailure,
-    SceneFormatError,
-    ZeroDirection,
-    ZeroVelocity,
-)
-from .geometry import (
-    Aabb,
-    DistanceResult,
-    FeatureId,
-    FeatureKind,
-    Point2,
-    Segment,
-    TestCounters,
-    Triangle,
-    Vector2,
-    aabb_of_triangle,
-    brute_force_triangle_distance,
-    point_segment_distance,
-    segment_segment_distance,
-    triangles_overlap,
-)
-from .sceneio import load_scene, scene_from_dict, scene_to_dict, write_scene
-from .verify import VerifyReport, random_separated_pair, random_triangle, run_verify
+from .baselines import gjk_distance, lin_canny_distance
+from .benchmark import default_scene, place_pair
+from .dyop import dyop_distance
+from .geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
+from .verify import random_separated_pair, run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aabb",
-    "CandidateSet",
-    "ComparisonReport",
-    "DegenerateInput",
-    "DistanceResult",
-    "DyopPoint",
-    "FeatureId",
-    "FeatureKind",
-    "FeaturePair",
-    "IncompleteRecords",
-    "InternalAabb",
-    "MovementAxis",
-    "PairingPlan",
-    "Penetrating",
-    "PlacementFailure",
     "Point2",
-    "Scene",
-    "SceneFormatError",
-    "Segment",
-    "Simplex",
-    "SupportPoint",
-    "TestCounters",
-    "TimingRecord",
     "Triangle",
     "Vector2",
-    "VerifyReport",
-    "ZeroDirection",
-    "ZeroVelocity",
-    "aabb_of_triangle",
     "brute_force_triangle_distance",
-    "build_internal_aabb",
-    "build_report",
-    "compute_dyop",
     "default_scene",
-    "dominant_axis",
     "dyop_distance",
-    "enumerate_pairs",
     "gjk_distance",
     "lin_canny_distance",
-    "load_scene",
-    "nearest_facing_vertices",
-    "percentage_diff",
     "place_pair",
-    "point_segment_distance",
     "random_separated_pair",
-    "random_triangle",
-    "run_benchmark",
     "run_verify",
-    "scene_from_dict",
-    "scene_to_dict",
-    "segment_segment_distance",
-    "select_candidates",
-    "support",
-    "triangles_overlap",
-    "write_records_csv",
-    "write_scene",
 ]

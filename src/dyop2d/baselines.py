@@ -4,7 +4,8 @@ Both are specialized to 2D triangles and fill the same counters as the
 other algorithms so benchmark cost comparisons stay portable. For GJK
 the counters record simplex solves by size (vv = point, ve = segment,
 ee = triangle); for the feature walk they record the actual feature-pair
-distance evaluations.
+distance evaluations, plus nine ee tests when it falls back on the
+oracle's edge sweep.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from .geometry import (
     TestCounters,
     Triangle,
     Vector2,
+    _Edges,
+    _edge_sweep,
+    _edges,
+    _overlap,
+    _project,
+    _segment_segment,
     edge_feature,
     edge_index_joining,
-    point_segment_distance,
-    segment_segment_distance,
-    triangles_overlap,
     vertex_feature,
 )
 
@@ -259,77 +263,58 @@ class FeaturePair:
     feature_b: FeatureId
 
 
+_VERTEX_FEATURES = tuple(FeatureId(FeatureKind.VERTEX, i) for i in range(3))
+_EDGE_FEATURES = tuple(FeatureId(FeatureKind.EDGE, i) for i in range(3))
+
+
 def _feature_distance(
-    tA: Triangle, fa: FeatureId, tB: Triangle, fb: FeatureId, counters: TestCounters
-) -> tuple[float, Point2, Point2]:
-    a_vertex = fa.kind is FeatureKind.VERTEX
-    b_vertex = fb.kind is FeatureKind.VERTEX
-    if a_vertex and b_vertex:
-        va, vb = tA.vertex(fa.index), tB.vertex(fb.index)
-        counters.vv_tests += 1
-        return math.hypot(va.x - vb.x, va.y - vb.y), va, vb
-    if a_vertex:
-        va = tA.vertex(fa.index)
+    edges_a: _Edges, fa: FeatureId, edges_b: _Edges, fb: FeatureId, counters: TestCounters
+) -> tuple[float, float, float, float, float]:
+    """(distance, pa.x, pa.y, pb.x, pb.y) of one feature pair; vertex i starts edge i."""
+    if fa.kind is FeatureKind.VERTEX:
+        ax, ay, _, _ = edges_a[fa.index]
+        if fb.kind is FeatureKind.VERTEX:
+            bx, by, _, _ = edges_b[fb.index]
+            counters.vv_tests += 1
+            return math.hypot(ax - bx, ay - by), ax, ay, bx, by
         counters.ve_tests += 1
-        d, closest = point_segment_distance(va, tB.edge(fb.index))
-        return d, va, closest
-    if b_vertex:
-        vb = tB.vertex(fb.index)
+        d, cx, cy, _ = _project(ax, ay, *edges_b[fb.index])
+        return d, ax, ay, cx, cy
+    if fb.kind is FeatureKind.VERTEX:
+        bx, by, _, _ = edges_b[fb.index]
         counters.ve_tests += 1
-        d, closest = point_segment_distance(vb, tA.edge(fa.index))
-        return d, closest, vb
+        d, cx, cy, _ = _project(bx, by, *edges_a[fa.index])
+        return d, cx, cy, bx, by
     counters.ee_tests += 1
-    return segment_segment_distance(tA.edge(fa.index), tB.edge(fb.index))
+    return _segment_segment(*edges_a[fa.index], *edges_b[fb.index])[:5]
 
 
-def _voronoi_escape(tri: Triangle, feature: FeatureId, p: Point2) -> FeatureId | None:
+def _voronoi_escape(edges: _Edges, feature: FeatureId, px: float, py: float) -> FeatureId | None:
     """None when p lies in the feature's outer Voronoi region, else the feature to move to."""
+    i = feature.index
+    ax, ay, bx, by = edges[i]
     if feature.kind is FeatureKind.VERTEX:
-        i = feature.index
-        v = tri.vertex(i)
-        nxt = tri.vertex((i + 1) % 3)
-        prv = tri.vertex((i + 2) % 3)
-        if (p.x - v.x) * (nxt.x - v.x) + (p.y - v.y) * (nxt.y - v.y) > _VORONOI_EPS:
-            return edge_feature(i)
-        if (p.x - v.x) * (prv.x - v.x) + (p.y - v.y) * (prv.y - v.y) > _VORONOI_EPS:
-            return edge_feature((i + 2) % 3)
+        # a is the vertex, b the next one and c, which starts edge i + 2, the previous one.
+        if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > _VORONOI_EPS:
+            return _EDGE_FEATURES[i]
+        cx, cy, _, _ = edges[(i + 2) % 3]
+        if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > _VORONOI_EPS:
+            return _EDGE_FEATURES[(i + 2) % 3]
         return None
 
-    i = feature.index
-    a = tri.vertex(i)
-    b = tri.vertex((i + 1) % 3)
-    ux, uy = b.x - a.x, b.y - a.y
-    t = (p.x - a.x) * ux + (p.y - a.y) * uy
+    ux, uy = bx - ax, by - ay
+    t = (px - ax) * ux + (py - ay) * uy
     if t < -_VORONOI_EPS:
-        return vertex_feature(i)
+        return _VERTEX_FEATURES[i]
     if t > ux * ux + uy * uy + _VORONOI_EPS:
-        return vertex_feature((i + 1) % 3)
+        return _VERTEX_FEATURES[(i + 1) % 3]
     # CCW winding puts the outward normal at (uy, -ux); a point behind the
     # edge cannot have it as closest feature, so step to the nearer endpoint.
-    if (p.x - a.x) * uy - (p.y - a.y) * ux < -_VORONOI_EPS:
-        da = math.hypot(p.x - a.x, p.y - a.y)
-        db = math.hypot(p.x - b.x, p.y - b.y)
-        return vertex_feature(i) if da <= db else vertex_feature((i + 1) % 3)
+    if (px - ax) * uy - (py - ay) * ux < -_VORONOI_EPS:
+        da = math.hypot(px - ax, py - ay)
+        db = math.hypot(px - bx, py - by)
+        return _VERTEX_FEATURES[i] if da <= db else _VERTEX_FEATURES[(i + 1) % 3]
     return None
-
-
-_ALL_FEATURES = tuple(
-    [FeatureId(FeatureKind.VERTEX, i) for i in range(3)]
-    + [FeatureId(FeatureKind.EDGE, i) for i in range(3)]
-)
-
-
-def _exhaustive_pair(
-    tA: Triangle, tB: Triangle, counters: TestCounters
-) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
-    best: tuple[float, Point2, Point2, FeatureId, FeatureId] | None = None
-    for fa in _ALL_FEATURES:
-        for fb in _ALL_FEATURES:
-            d, pa, pb = _feature_distance(tA, fa, tB, fb, counters)
-            if best is None or d < best[0]:
-                best = (d, pa, pb, fa, fb)
-    assert best is not None
-    return best
 
 
 def _walk_features(
@@ -339,38 +324,38 @@ def _walk_features(
     fb: FeatureId,
     counters: TestCounters,
     trace: list[tuple[FeatureId, FeatureId, float]] | None = None,
-) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
+) -> tuple[float, Point2, Point2, FeatureId, FeatureId] | None:
     """Walk neighboring feature pairs until both Voronoi conditions hold.
 
     A pair whose witnesses each lie in the other feature's outer Voronoi
     region realizes the global minimum (mutual projections of convex
     shapes). Revisiting a pair or failing to strictly decrease the
-    distance aborts the walk into an exhaustive sweep of all 36 feature
-    pairs, so floating-point oscillation can never produce a wrong
-    answer or an endless loop.
+    distance aborts the walk and returns None, so floating-point
+    oscillation can never produce a wrong answer or an endless loop.
     """
+    edges_a, edges_b = _edges(tA), _edges(tB)
     visited: set[tuple[FeatureId, FeatureId]] = set()
     prev = math.inf
     while True:
         key = (fa, fb)
         if key in visited:
-            return _exhaustive_pair(tA, tB, counters)
+            return None
         visited.add(key)
-        d, pa, pb = _feature_distance(tA, fa, tB, fb, counters)
+        d, pax, pay, pbx, pby = _feature_distance(edges_a, fa, edges_b, fb, counters)
         if trace is not None:
             trace.append((fa, fb, d))
         if d >= prev:
-            return _exhaustive_pair(tA, tB, counters)
+            return None
         prev = d
-        step_a = _voronoi_escape(tA, fa, pb)
+        step_a = _voronoi_escape(edges_a, fa, pbx, pby)
         if step_a is not None:
             fa = step_a
             continue
-        step_b = _voronoi_escape(tB, fb, pa)
+        step_b = _voronoi_escape(edges_b, fb, pax, pay)
         if step_b is not None:
             fb = step_b
             continue
-        return d, pa, pb, fa, fb
+        return d, Point2(pax, pay), Point2(pbx, pby), fa, fb
 
 
 def lin_canny_distance(
@@ -380,19 +365,29 @@ def lin_canny_distance(
 
     Returns the distance result and the witness pair; passing that pair
     back as ``seed`` on temporally coherent queries lets the walk
-    terminate in a single verification step. Overlapping or touching
-    triangles raise Penetrating.
+    terminate in a single verification step. When the walk aborts, the
+    oracle's nine-edge sweep answers instead: the result is flagged
+    "lincanny-fallback" and the sweep adds its nine ee_tests to the
+    walk's counters. Overlapping or touching triangles raise Penetrating.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
-    if triangles_overlap(tA, tB):
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    if _overlap(edges_a, edges_b):
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
 
     counters = TestCounters()
     if seed is not None:
         fa, fb = seed.feature_a, seed.feature_b
     else:
-        fa, fb = vertex_feature(0), vertex_feature(0)
-    d, pa, pb, fa, fb = _walk_features(tA, tB, fa, fb, counters)
-    result = DistanceResult(d, pa, pb, fa, fb, counters)
+        fa, fb = _VERTEX_FEATURES[0], _VERTEX_FEATURES[0]
+    walked = _walk_features(tA, tB, fa, fb, counters)
+    if walked is None:
+        counters.ee_tests += 9
+        d, pa, pb, fa, fb = _edge_sweep(edges_a, edges_b)
+        flags: tuple[str, ...] = ("lincanny-fallback",)
+    else:
+        d, pa, pb, fa, fb = walked
+        flags = ()
+    result = DistanceResult(d, pa, pb, fa, fb, counters, flags)
     return result, FeaturePair(fa, fb)

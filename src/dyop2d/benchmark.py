@@ -280,25 +280,39 @@ def run_benchmark(
     return records
 
 
+def record_fields(r: TimingRecord) -> dict:
+    """The record as JSON values keyed by CSV_COLUMNS; a failed record has distance None."""
+    c = r.counters
+    values = (
+        r.pair[0],
+        r.pair[1],
+        r.algorithm,
+        r.median_ns,
+        c.vv_tests,
+        c.ve_tests,
+        c.ee_tests,
+        r.distance,
+        list(r.flags),
+    )
+    return dict(zip(CSV_COLUMNS, values))
+
+
+def _csv_cell(value: object) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(value)
+    return value
+
+
 def write_records_csv(records: list[TimingRecord], path: str) -> None:
-    """One row per record; see CSV_COLUMNS for the stable column set."""
+    """One row per record: the values of record_fields, with a missing distance
+    written as an empty cell and the flags joined by ';'."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.pair[0],
-                    r.pair[1],
-                    r.algorithm,
-                    repr(r.median_ns),
-                    r.counters.vv_tests,
-                    r.counters.ve_tests,
-                    r.counters.ee_tests,
-                    "" if r.distance is None else repr(r.distance),
-                    ";".join(r.flags),
-                ]
-            )
+            writer.writerow([_csv_cell(v) for v in record_fields(r).values()])
 
 
 def percentage_diff(t_baseline: float, t_dyop: float) -> float:

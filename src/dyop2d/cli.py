@@ -25,6 +25,7 @@ from .benchmark import (
     _run_algorithm,
     build_report,
     default_scene,
+    record_fields,
     run_benchmark,
     write_records_csv,
 )
@@ -140,20 +141,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "axis": scene.axis.value,
         "repeats": args.repeats,
         "algorithms": list(algos),
-        "records": [
-            {
-                "pair_a": r.pair[0],
-                "pair_b": r.pair[1],
-                "algorithm": r.algorithm,
-                "median_ns": r.median_ns,
-                "vv_tests": r.counters.vv_tests,
-                "ve_tests": r.counters.ve_tests,
-                "ee_tests": r.counters.ee_tests,
-                "distance": r.distance,
-                "flags": list(r.flags),
-            }
-            for r in records
-        ],
+        "records": [record_fields(r) for r in records],
         "report": report.to_dict() if report is not None else None,
     }
     with open(args.out_json, "w") as fh:

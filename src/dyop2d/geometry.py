@@ -232,8 +232,9 @@ class DistanceResult:
     """A distance query answer with its witness points and feature pair.
 
     ``flags`` carries advisory signals such as "overlapping-boxes"
-    (pruning assumptions violated) or "gjk-unconverged"; an empty tuple
-    means a clean result.
+    (pruning assumptions violated), "gjk-unconverged", or
+    "lincanny-fallback" (the feature walk aborted and the oracle's
+    nine-edge sweep answered); an empty tuple means a clean result.
     """
 
     distance: float
@@ -454,23 +455,18 @@ def _contact_witness(tA: Triangle, tB: Triangle) -> tuple[Point2, FeatureId, Fea
     raise AssertionError("overlapping triangles without a contact witness")
 
 
-def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
-    """Exact separation distance by exhausting all nine edge pairs.
+def _edge_sweep(
+    edges_a: _Edges, edges_b: _Edges
+) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
+    """Distance, witnesses and features of disjoint triangles over their nine edge pairs.
 
-    Overlapping or touching triangles report distance 0 with coincident
-    witness points. Otherwise every edge of A is tested against every
-    edge of B (which subsumes all vertex-vertex and vertex-edge pairs),
-    recording nine ee_tests. The overlap test has already found every
-    edge pair disjoint, so each pair costs only its four endpoint
+    Every edge of A is tested against every edge of B, which subsumes all
+    vertex-vertex and vertex-edge pairs. The caller has already found the
+    triangles disjoint, so each pair costs only its four endpoint
     projections. Equal minima resolve to the earliest edge pair in
     row-major order, which keeps the reported feature indices as low as
     possible.
     """
-    edges_a, edges_b = _edges(tA), _edges(tB)
-    if _overlap(edges_a, edges_b):
-        p, fa, fb = _contact_witness(tA, tB)
-        return DistanceResult(0.0, p, p, fa, fb, TestCounters())
-
     best = None
     for i, ea in enumerate(edges_a):
         for j, eb in enumerate(edges_b):
@@ -478,11 +474,24 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
             if best is None or w[0] < best[0]:
                 best, bi, bj = w, i, j
     d, pax, pay, pbx, pby, t1, t2 = best
-    return DistanceResult(
+    return (
         d,
         Point2(pax, pay),
         Point2(pbx, pby),
         _classify_edge_point(bi, t1),
         _classify_edge_point(bj, t2),
-        TestCounters(ee_tests=9),
     )
+
+
+def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
+    """Exact separation distance by exhausting all nine edge pairs.
+
+    Overlapping or touching triangles report distance 0 with coincident
+    witness points. Otherwise the nine-edge sweep (``_edge_sweep``)
+    answers, recording nine ee_tests.
+    """
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    if _overlap(edges_a, edges_b):
+        p, fa, fb = _contact_witness(tA, tB)
+        return DistanceResult(0.0, p, p, fa, fb, TestCounters())
+    return DistanceResult(*_edge_sweep(edges_a, edges_b), TestCounters(ee_tests=9))

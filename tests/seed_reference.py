@@ -1,4 +1,5 @@
-"""A frozen copy of the original object-based primitives, DyOP pipeline and oracle.
+"""A frozen copy of the original object-based primitives, DyOP pipeline and oracle,
+and of the Lin-Canny feature walk with its 36-feature-pair exhaustive fallback.
 
 tests/test_equivalence.py compares the float-coordinate implementations
 in dyop2d against this module, which must not change with them: it reads
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import math
 
+from dyop2d.baselines import FeaturePair
 from dyop2d.dyop import CandidateSet, DyopPoint, InternalAabb, MovementAxis
-from dyop2d.errors import DegenerateInput, ZeroVelocity
+from dyop2d.errors import DegenerateInput, Penetrating, ZeroVelocity
 from dyop2d.geometry import (
     DEGENERATE_AREA,
     Aabb,
@@ -459,3 +461,127 @@ def dyop_distance(
     assert best is not None
     flags = ("overlapping-boxes",) if iaabb.degenerate_gap else ()
     return DistanceResult(best[0], best[1], best[2], best[3], best[4], counters, flags)
+
+
+_VORONOI_EPS = 1e-12
+
+
+def _feature_distance(
+    tA: Triangle, fa: FeatureId, tB: Triangle, fb: FeatureId, counters: TestCounters
+) -> tuple[float, Point2, Point2]:
+    a_vertex = fa.kind is FeatureKind.VERTEX
+    b_vertex = fb.kind is FeatureKind.VERTEX
+    if a_vertex and b_vertex:
+        va, vb = _vertex(tA, fa.index), _vertex(tB, fb.index)
+        counters.vv_tests += 1
+        return math.hypot(va.x - vb.x, va.y - vb.y), va, vb
+    if a_vertex:
+        va = _vertex(tA, fa.index)
+        counters.ve_tests += 1
+        d, closest = point_segment_distance(va, _edge(tB, fb.index))
+        return d, va, closest
+    if b_vertex:
+        vb = _vertex(tB, fb.index)
+        counters.ve_tests += 1
+        d, closest = point_segment_distance(vb, _edge(tA, fa.index))
+        return d, closest, vb
+    counters.ee_tests += 1
+    return segment_segment_distance(_edge(tA, fa.index), _edge(tB, fb.index))
+
+
+def _voronoi_escape(tri: Triangle, feature: FeatureId, p: Point2) -> FeatureId | None:
+    if feature.kind is FeatureKind.VERTEX:
+        i = feature.index
+        v = _vertex(tri, i)
+        nxt = _vertex(tri, (i + 1) % 3)
+        prv = _vertex(tri, (i + 2) % 3)
+        if (p.x - v.x) * (nxt.x - v.x) + (p.y - v.y) * (nxt.y - v.y) > _VORONOI_EPS:
+            return edge_feature(i)
+        if (p.x - v.x) * (prv.x - v.x) + (p.y - v.y) * (prv.y - v.y) > _VORONOI_EPS:
+            return edge_feature((i + 2) % 3)
+        return None
+
+    i = feature.index
+    a = _vertex(tri, i)
+    b = _vertex(tri, (i + 1) % 3)
+    ux, uy = b.x - a.x, b.y - a.y
+    t = (p.x - a.x) * ux + (p.y - a.y) * uy
+    if t < -_VORONOI_EPS:
+        return vertex_feature(i)
+    if t > ux * ux + uy * uy + _VORONOI_EPS:
+        return vertex_feature((i + 1) % 3)
+    if (p.x - a.x) * uy - (p.y - a.y) * ux < -_VORONOI_EPS:
+        da = math.hypot(p.x - a.x, p.y - a.y)
+        db = math.hypot(p.x - b.x, p.y - b.y)
+        return vertex_feature(i) if da <= db else vertex_feature((i + 1) % 3)
+    return None
+
+
+_ALL_FEATURES = tuple(
+    [FeatureId(FeatureKind.VERTEX, i) for i in range(3)]
+    + [FeatureId(FeatureKind.EDGE, i) for i in range(3)]
+)
+
+
+def _exhaustive_pair(
+    tA: Triangle, tB: Triangle, counters: TestCounters
+) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
+    best: tuple[float, Point2, Point2, FeatureId, FeatureId] | None = None
+    for fa in _ALL_FEATURES:
+        for fb in _ALL_FEATURES:
+            d, pa, pb = _feature_distance(tA, fa, tB, fb, counters)
+            if best is None or d < best[0]:
+                best = (d, pa, pb, fa, fb)
+    assert best is not None
+    return best
+
+
+def _walk_features(
+    tA: Triangle,
+    tB: Triangle,
+    fa: FeatureId,
+    fb: FeatureId,
+    counters: TestCounters,
+    trace: list[tuple[FeatureId, FeatureId, float]] | None = None,
+) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
+    """The walk; revisiting a pair or not strictly decreasing runs the 36-pair sweep."""
+    visited: set[tuple[FeatureId, FeatureId]] = set()
+    prev = math.inf
+    while True:
+        key = (fa, fb)
+        if key in visited:
+            return _exhaustive_pair(tA, tB, counters)
+        visited.add(key)
+        d, pa, pb = _feature_distance(tA, fa, tB, fb, counters)
+        if trace is not None:
+            trace.append((fa, fb, d))
+        if d >= prev:
+            return _exhaustive_pair(tA, tB, counters)
+        prev = d
+        step_a = _voronoi_escape(tA, fa, pb)
+        if step_a is not None:
+            fa = step_a
+            continue
+        step_b = _voronoi_escape(tB, fb, pa)
+        if step_b is not None:
+            fb = step_b
+            continue
+        return d, pa, pb, fa, fb
+
+
+def lin_canny_distance(
+    tA: Triangle, tB: Triangle, seed: FeaturePair | None = None
+) -> tuple[DistanceResult, FeaturePair]:
+    if _is_degenerate(tA) or _is_degenerate(tB):
+        raise DegenerateInput("feature walk requires non-degenerate triangles")
+    if triangles_overlap(tA, tB):
+        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
+
+    counters = TestCounters()
+    if seed is not None:
+        fa, fb = seed.feature_a, seed.feature_b
+    else:
+        fa, fb = vertex_feature(0), vertex_feature(0)
+    d, pa, pb, fa, fb = _walk_features(tA, tB, fa, fb, counters)
+    result = DistanceResult(d, pa, pb, fa, fb, counters)
+    return result, FeaturePair(fa, fb)

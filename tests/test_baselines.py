@@ -174,6 +174,46 @@ def test_walk_strictly_decreases_and_never_revisits():
         assert violations in ([], [len(distances) - 1])
 
 
+def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
+    rng = random.Random(26)
+    aborted = 0
+    for _ in range(300):
+        a, b, _ = random_separated_pair(rng)
+        trace, walk_counters = [], TestCounters()
+        walked = _walk_features(a, b, vertex_feature(0), vertex_feature(0), walk_counters, trace)
+        result, witness = lin_canny_distance(a, b)
+        if walked is not None:
+            assert result.flags == ()
+            continue
+        if len(trace) < 2 or trace[-1][2] < trace[-2][2]:
+            continue  # aborted on a revisit, which the trace does not record
+        aborted += 1
+        exact = brute_force_triangle_distance(a, b)
+        assert result.flags == ("lincanny-fallback",)
+        fields = ("distance", "point_a", "point_b", "feature_a", "feature_b")
+        assert [getattr(result, f) for f in fields] == [getattr(exact, f) for f in fields]
+        assert witness == FeaturePair(exact.feature_a, exact.feature_b)
+        # The walk's own evaluations plus the sweep's nine edge pairs.
+        walk_counters.ee_tests += 9
+        assert result.counters == walk_counters
+    assert aborted > 0
+
+
+def test_lin_canny_seeded_repeat_after_fallback_is_one_pass_without_flag():
+    rng = random.Random(27)
+    fallbacks = 0
+    for _ in range(300):
+        a, b, _ = random_separated_pair(rng)
+        first, witness = lin_canny_distance(a, b)
+        fallbacks += "lincanny-fallback" in first.flags
+        second, witness2 = lin_canny_distance(a, b, seed=witness)
+        assert second.flags == ()
+        assert second.counters.total() == 1
+        assert second.distance == first.distance
+        assert witness2 == witness
+    assert fallbacks > 0
+
+
 def test_seeded_random_pairs_are_deterministic():
     pairs1 = [random_separated_pair(random.Random(99)) for _ in range(1)]
     pairs2 = [random_separated_pair(random.Random(99)) for _ in range(1)]

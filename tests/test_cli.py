@@ -5,7 +5,7 @@ import pytest
 
 from dyop2d.cli import main
 from dyop2d.sceneio import write_scene
-from dyop2d.benchmark import Scene
+from dyop2d.benchmark import CSV_COLUMNS, Scene
 from dyop2d.dyop import MovementAxis
 from dyop2d.geometry import Point2, Triangle
 
@@ -108,6 +108,27 @@ def test_bench_small_scene(tmp_path, scene_file, capsys):
     report = json.loads(open(out_json).read())
     assert len(report["records"]) == 18
     assert set(report["report"]["summary"]) == {"gjk", "lincanny"}
+
+
+def test_bench_json_records_match_csv_rows(tmp_path, scene_file):
+    out_csv = str(tmp_path / "records.csv")
+    out_json = str(tmp_path / "report.json")
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--algos", "dyop,gjk,lincanny,oracle"]
+    assert main(args + ["--out-csv", out_csv, "--out-json", out_json]) in (0, 5)
+    header, *rows = read_csv(out_csv)
+    assert tuple(header) == CSV_COLUMNS
+    records = json.loads(open(out_json).read())["records"]
+    assert len(records) == len(rows) == 6 * 4
+    for rec, row in zip(records, rows):
+        assert tuple(rec) == CSV_COLUMNS
+        cell = dict(zip(header, row))
+        for key in ("pair_a", "pair_b", "algorithm"):
+            assert cell[key] == rec[key]
+        for key in ("vv_tests", "ve_tests", "ee_tests"):
+            assert int(cell[key]) == rec[key]
+        assert float(cell["median_ns"]) == rec["median_ns"]
+        assert (None if cell["distance"] == "" else float(cell["distance"])) == rec["distance"]
+        assert (cell["flags"].split(";") if cell["flags"] else []) == rec["flags"]
 
 
 def test_bench_dyop_only_has_no_percentages(tmp_path, scene_file, capsys):

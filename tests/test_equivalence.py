@@ -2,15 +2,18 @@
 
 Every answer must be bit-identical: distance, witness coordinates
 (including the sign of zero), features, counters and flags, or the same
-exception type.
+exception type. Lin-Canny differs only where its walk aborts: the
+oracle's nine-edge sweep answers in place of the 36-feature-pair sweep.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
 
 import seed_reference as ref
+from dyop2d.baselines import FeaturePair, lin_canny_distance
 from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.dyop import (
     MovementAxis,
@@ -142,3 +145,56 @@ def test_overflowing_coordinates_match_reference(scale, shift):
         b = b.scaled(scale).translated(shift, 0.0)
         _assert_pair_same(a, b, velocity)
         _assert_same(triangles_overlap, ref.triangles_overlap, a, b)
+
+
+def _assert_lin_canny_matches_reference(a, b):
+    try:
+        old, _ = ref.lin_canny_distance(a, b)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            lin_canny_distance(a, b)
+        return
+    new, new_pair = lin_canny_distance(a, b)
+    assert repr(new.distance) == repr(old.distance), (a, b)
+    assert new_pair == FeaturePair(new.feature_a, new.feature_b)
+    if new.flags == ():
+        assert _bits(new) == _bits(old), (a, b)
+        return
+    assert new.flags == ("lincanny-fallback",)
+    # The walk is unchanged; its fallback made 9 vv, 18 ve and 9 ee tests
+    # over 36 feature pairs, and now makes 9 ee tests over the edge pairs.
+    n, o = new.counters, old.counters
+    assert (n.vv_tests, n.ve_tests, n.ee_tests) == (o.vv_tests - 9, o.ve_tests - 18, o.ee_tests)
+    if (new.point_a, new.point_b, new.feature_a, new.feature_b) != (
+        old.point_a,
+        old.point_b,
+        old.feature_a,
+        old.feature_b,
+    ):
+        # A tie: the two sweeps order feature pairs differently, and each
+        # reports a witness pair that realizes the same distance.
+        for r in (new, old):
+            assert math.hypot(r.point_a.x - r.point_b.x, r.point_a.y - r.point_b.y) == r.distance
+
+
+def test_lin_canny_matches_reference_on_placed_pairs():
+    scene = default_scene()
+    n = len(scene.objects)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a, b, _ = place_pair(scene, (i, j))
+                _assert_lin_canny_matches_reference(a, b)
+
+
+def test_lin_canny_matches_reference_on_random_pairs():
+    rng = random.Random(2025)
+    for _ in range(5000):
+        a, b, _ = random_separated_pair(rng)
+        _assert_lin_canny_matches_reference(a, b)
+
+
+def test_lin_canny_matches_reference_on_grid():
+    rng = random.Random(11)
+    for _ in range(5000):
+        _assert_lin_canny_matches_reference(_grid_triangle(rng), _grid_triangle(rng))
