@@ -1,8 +1,14 @@
 """Comparison algorithms: GJK distance and a planar Lin-Canny feature walk.
 
-Both are specialized to 2D triangles and fill the same counters as the
-other algorithms so benchmark cost comparisons stay portable. For GJK
-the counters record simplex solves by size (vv = point, ve = segment,
+Both are specialized to 2D triangles and run on the float core of
+``geometry.py``: a query reads each triangle's ``_edges`` tuples once,
+and ``Point2``/``FeatureId`` objects are built only for the answer. GJK
+keeps its support points as ``(x, y, index_a, index_b)`` tuples in a
+plain list simplex.
+
+Both fill the same counters as the other algorithms, each in its own
+unit, so counts of two algorithms are not a cost ratio. For GJK the
+counters record simplex solves by size (vv = point, ve = segment,
 ee = triangle); for the feature walk they record the actual feature-pair
 distance evaluations, plus nine ee tests when it falls back on the
 oracle's edge sweep.
@@ -27,6 +33,7 @@ from .geometry import (
     _edges,
     _overlap,
     _project,
+    _require_finite,
     _segment_segment,
     edge_feature,
     edge_index_joining,
@@ -38,110 +45,98 @@ GJK_IMPROVEMENT_TOL = 1e-12
 _VORONOI_EPS = 1e-12
 
 
+def _support(edges: _Edges, dx: float, dy: float) -> int:
+    """Index of the vertex maximizing the dot product with (dx, dy); ties to lower index."""
+    best_i = 0
+    best = edges[0][0] * dx + edges[0][1] * dy
+    for i in (1, 2):
+        x, y, _, _ = edges[i]
+        d = x * dx + y * dy
+        if d > best:
+            best_i, best = i, d
+    return best_i
+
+
 def support(tri: Triangle, direction: Vector2) -> tuple[int, Point2]:
     """The vertex maximizing the dot product with direction; ties to lower index."""
     if direction.dx == 0.0 and direction.dy == 0.0:
         raise ZeroDirection("support direction must be non-zero")
-    best_i = 0
-    best = tri.v0.x * direction.dx + tri.v0.y * direction.dy
-    for i in (1, 2):
-        v = tri.vertex(i)
-        d = v.x * direction.dx + v.y * direction.dy
-        if d > best:
-            best_i, best = i, d
-    return best_i, tri.vertex(best_i)
+    i = _support(_edges(tri), direction.dx, direction.dy)
+    return i, tri.vertex(i)
 
 
-@dataclass(frozen=True)
-class SupportPoint:
-    """A difference-space point with the source vertices that produced it."""
-
-    point: Point2
-    index_a: int
-    index_b: int
+# A difference-space support point (x, y, index_a, index_b): A's vertex
+# index_a minus B's vertex index_b.
+_SupportPoint = tuple[float, float, int, int]
+_LambdaList = list[tuple[_SupportPoint, float]]
 
 
-@dataclass
-class Simplex:
-    """1 to 3 difference-space points, no duplicates."""
-
-    points: list[SupportPoint]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.points) <= 3:
-            raise ValueError(f"simplex size out of range: {len(self.points)}")
-        keys = {(sp.index_a, sp.index_b) for sp in self.points}
-        if len(keys) != len(self.points):
-            raise ValueError("duplicate simplex points")
-
-    def contains_sources(self, sp: SupportPoint) -> bool:
-        return any(
-            p.index_a == sp.index_a and p.index_b == sp.index_b for p in self.points
-        )
+def _difference_support(edges_a: _Edges, edges_b: _Edges, dx: float, dy: float) -> _SupportPoint:
+    """The support point of A - B along (dx, dy); non-finite values raise ValueError."""
+    _require_finite(dx, dy)
+    ia, ib = _support(edges_a, dx, dy), _support(edges_b, -dx, -dy)
+    x, y = edges_a[ia][0] - edges_b[ib][0], edges_a[ia][1] - edges_b[ib][1]
+    _require_finite(x, y)
+    return x, y, ia, ib
 
 
-def _minkowski_support(tA: Triangle, tB: Triangle, dx: float, dy: float) -> SupportPoint:
-    ia, va = support(tA, Vector2(dx, dy))
-    ib, vb = support(tB, Vector2(-dx, -dy))
-    return SupportPoint(Point2(va.x - vb.x, va.y - vb.y), ia, ib)
-
-
-_LambdaList = list[tuple[SupportPoint, float]]
-
-
-def _closest_on_segment(a: SupportPoint, b: SupportPoint) -> tuple[float, float, _LambdaList, bool]:
-    ax, ay = a.point.x, a.point.y
-    abx, aby = b.point.x - ax, b.point.y - ay
+def _closest_on_segment(a: _SupportPoint, b: _SupportPoint) -> tuple[float, float, _LambdaList]:
+    ax, ay, _, _ = a
+    bx, by, _, _ = b
+    abx, aby = bx - ax, by - ay
     ab2 = abx * abx + aby * aby
     if ab2 == 0.0:
-        return ax, ay, [(a, 1.0)], False
+        return ax, ay, [(a, 1.0)]
     t = -(ax * abx + ay * aby) / ab2
     if t <= 0.0:
-        return ax, ay, [(a, 1.0)], False
+        return ax, ay, [(a, 1.0)]
     if t >= 1.0:
-        return b.point.x, b.point.y, [(b, 1.0)], False
-    return ax + t * abx, ay + t * aby, [(a, 1.0 - t), (b, t)], False
+        return bx, by, [(b, 1.0)]
+    return ax + t * abx, ay + t * aby, [(a, 1.0 - t), (b, t)]
 
 
 def _closest_on_triangle(
-    a: SupportPoint, b: SupportPoint, c: SupportPoint
-) -> tuple[float, float, _LambdaList, bool]:
-    """Closest point of the simplex triangle to the origin, by Voronoi regions."""
-    ax, ay = a.point.x, a.point.y
-    bx, by = b.point.x, b.point.y
-    cx, cy = c.point.x, c.point.y
+    a: _SupportPoint, b: _SupportPoint, c: _SupportPoint
+) -> tuple[float, float, _LambdaList]:
+    """Closest point of the simplex triangle to the origin, by Voronoi regions.
+
+    An origin inside the triangle is its own closest point, (0, 0).
+    """
+    ax, ay, _, _ = a
+    bx, by, _, _ = b
+    cx, cy, _, _ = c
     abx, aby = bx - ax, by - ay
     acx, acy = cx - ax, cy - ay
 
     d1 = -(abx * ax + aby * ay)
     d2 = -(acx * ax + acy * ay)
     if d1 <= 0.0 and d2 <= 0.0:
-        return ax, ay, [(a, 1.0)], False
+        return ax, ay, [(a, 1.0)]
 
     d3 = -(abx * bx + aby * by)
     d4 = -(acx * bx + acy * by)
     if d3 >= 0.0 and d4 <= d3:
-        return bx, by, [(b, 1.0)], False
+        return bx, by, [(b, 1.0)]
 
     vc = d1 * d4 - d3 * d2
     if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0 and d1 != d3:
         t = d1 / (d1 - d3)
-        return ax + t * abx, ay + t * aby, [(a, 1.0 - t), (b, t)], False
+        return ax + t * abx, ay + t * aby, [(a, 1.0 - t), (b, t)]
 
     d5 = -(abx * cx + aby * cy)
     d6 = -(acx * cx + acy * cy)
     if d6 >= 0.0 and d5 <= d6:
-        return cx, cy, [(c, 1.0)], False
+        return cx, cy, [(c, 1.0)]
 
     vb = d5 * d2 - d1 * d6
     if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0 and d2 != d6:
         t = d2 / (d2 - d6)
-        return ax + t * acx, ay + t * acy, [(a, 1.0 - t), (c, t)], False
+        return ax + t * acx, ay + t * acy, [(a, 1.0 - t), (c, t)]
 
     va = d3 * d6 - d5 * d4
     if va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0 and (d4 - d3) + (d5 - d6) > 0.0:
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return bx + t * (cx - bx), by + t * (cy - by), [(b, 1.0 - t), (c, t)], False
+        return bx + t * (cx - bx), by + t * (cy - by), [(b, 1.0 - t), (c, t)]
 
     denom = va + vb + vc
     if denom <= 0.0:
@@ -155,25 +150,28 @@ def _closest_on_triangle(
     v = vb / denom
     w = vc / denom
     u = 1.0 - v - w
-    return 0.0, 0.0, [(a, u), (b, v), (c, w)], True
+    return 0.0, 0.0, [(a, u), (b, v), (c, w)]
 
 
-def _solve_simplex(simplex: Simplex, counters: TestCounters) -> tuple[float, float, _LambdaList, bool]:
-    pts = simplex.points
-    if len(pts) == 1:
+def _solve_simplex(
+    simplex: list[_SupportPoint], counters: TestCounters
+) -> tuple[float, float, _LambdaList]:
+    if len(simplex) == 1:
         counters.vv_tests += 1
-        return pts[0].point.x, pts[0].point.y, [(pts[0], 1.0)], False
-    if len(pts) == 2:
+        a = simplex[0]
+        return a[0], a[1], [(a, 1.0)]
+    if len(simplex) == 2:
         counters.ve_tests += 1
-        return _closest_on_segment(pts[0], pts[1])
+        return _closest_on_segment(*simplex)
     counters.ee_tests += 1
-    return _closest_on_triangle(pts[0], pts[1], pts[2])
+    return _closest_on_triangle(*simplex)
 
 
-def _side_feature(lambdas: _LambdaList, side: str) -> FeatureId:
+def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
+    """The feature of A (slot 2) or B (slot 3) that the weighted support points lie on."""
     weights: dict[int, float] = {}
     for sp, lam in lambdas:
-        idx = sp.index_a if side == "a" else sp.index_b
+        idx = sp[slot]
         weights[idx] = weights.get(idx, 0.0) + lam
     active = sorted(i for i, w in weights.items() if w > 1e-12)
     if not active:
@@ -200,42 +198,41 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
 
+    edges_a, edges_b = _edges(tA), _edges(tB)
     counters = TestCounters()
-    ca, cb = tA.centroid(), tB.centroid()
-    dx, dy = ca.x - cb.x, ca.y - cb.y
+    # The centroid difference; a non-finite one is refused by _difference_support.
+    (a0, a1, a2), (b0, b1, b2) = edges_a, edges_b
+    dx = (a0[0] + a1[0] + a2[0]) / 3.0 - (b0[0] + b1[0] + b2[0]) / 3.0
+    dy = (a0[1] + a1[1] + a2[1]) / 3.0 - (b0[1] + b1[1] + b2[1]) / 3.0
     if dx == 0.0 and dy == 0.0:
         dx = 1.0
-    start = _minkowski_support(tA, tB, dx, dy)
-    simplex = Simplex([start])
+    start = _difference_support(edges_a, edges_b, dx, dy)
+    simplex = [start]
 
     lambdas: _LambdaList = [(start, 1.0)]
     intersecting = False
     converged = False
     for _ in range(GJK_MAX_ITERATIONS):
-        vx, vy, lambdas, inside = _solve_simplex(simplex, counters)
-        simplex = Simplex([sp for sp, _ in lambdas])
-        if inside:
-            intersecting = True
-            converged = True
-            break
+        vx, vy, lambdas = _solve_simplex(simplex, counters)
+        simplex = [sp for sp, _ in lambdas]
         v2 = vx * vx + vy * vy
         if v2 <= 1e-24:
             intersecting = True
             converged = True
             break
-        w = _minkowski_support(tA, tB, -vx, -vy)
-        if simplex.contains_sources(w):
+        w = _difference_support(edges_a, edges_b, -vx, -vy)
+        if any(sp[2] == w[2] and sp[3] == w[3] for sp in simplex):
             converged = True
             break
-        if v2 - (vx * w.point.x + vy * w.point.y) < GJK_IMPROVEMENT_TOL:
+        if v2 - (vx * w[0] + vy * w[1]) < GJK_IMPROVEMENT_TOL:
             converged = True
             break
-        simplex = Simplex(simplex.points + [w])
+        simplex.append(w)
 
-    pax = sum(lam * tA.vertex(sp.index_a).x for sp, lam in lambdas)
-    pay = sum(lam * tA.vertex(sp.index_a).y for sp, lam in lambdas)
-    pbx = sum(lam * tB.vertex(sp.index_b).x for sp, lam in lambdas)
-    pby = sum(lam * tB.vertex(sp.index_b).y for sp, lam in lambdas)
+    pax = sum(lam * edges_a[sp[2]][0] for sp, lam in lambdas)
+    pay = sum(lam * edges_a[sp[2]][1] for sp, lam in lambdas)
+    pbx = sum(lam * edges_b[sp[3]][0] for sp, lam in lambdas)
+    pby = sum(lam * edges_b[sp[3]][1] for sp, lam in lambdas)
     if intersecting:
         point_a = point_b = Point2(pax, pay)
         distance = 0.0
@@ -248,8 +245,8 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         distance,
         point_a,
         point_b,
-        _side_feature(lambdas, "a"),
-        _side_feature(lambdas, "b"),
+        _side_feature(lambdas, 2),
+        _side_feature(lambdas, 3),
         counters,
         flags,
     )

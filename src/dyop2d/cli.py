@@ -195,6 +195,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    # Every row is built before anything is written, so a malformed report
+    # leaves no output directory or partial file behind.
     try:
         with open(args.report) as fh:
             doc = json.load(fh)
@@ -202,35 +204,34 @@ def cmd_plot(args: argparse.Namespace) -> int:
         report = doc.get("report")
         if not isinstance(records, list):
             raise SceneFormatError("'records' must be a list")
-    except (OSError, json.JSONDecodeError, KeyError, SceneFormatError, TypeError) as exc:
-        _diag(f"unreadable report: {exc}")
+        speed_rows = [
+            [r["pair_a"], r["pair_b"], r["algorithm"], repr(r["median_ns"])] for r in records
+        ]
+        pct_rows = [
+            [p["pair_a"], p["pair_b"], baseline, repr(pct), repr(p["delta_pct"][baseline])]
+            for p in (report["pairs"] if report is not None else ())
+            for baseline, pct in p["pct"].items()
+        ]
+    except (
+        OSError,
+        json.JSONDecodeError,
+        KeyError,
+        SceneFormatError,
+        TypeError,
+        AttributeError,
+    ) as exc:
+        _diag(f"unreadable report ({type(exc).__name__}): {exc}")
         return 2
 
     os.makedirs(args.out, exist_ok=True)
     speed_path = os.path.join(args.out, "speed.csv")
     pct_path = os.path.join(args.out, "percentages.csv")
-
-    with open(speed_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPEED_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r["pair_a"], r["pair_b"], r["algorithm"], repr(r["median_ns"])])
-
-    with open(pct_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PCT_CSV_COLUMNS)
-        if report is not None:
-            for p in report["pairs"]:
-                for baseline, pct in p["pct"].items():
-                    writer.writerow(
-                        [
-                            p["pair_a"],
-                            p["pair_b"],
-                            baseline,
-                            repr(pct),
-                            repr(p["delta_pct"][baseline]),
-                        ]
-                    )
+    outputs = ((speed_path, SPEED_CSV_COLUMNS, speed_rows), (pct_path, PCT_CSV_COLUMNS, pct_rows))
+    for path, columns, rows in outputs:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
 
     _emit({"speed_csv": speed_path, "percentages_csv": pct_path})
     return 0

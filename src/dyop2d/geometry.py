@@ -174,10 +174,6 @@ class Aabb:
         if self.min.x > self.max.x or self.min.y > self.max.y:
             raise ValueError(f"inverted box: min={self.min} max={self.max}")
 
-    @property
-    def center(self) -> Point2:
-        return Point2(0.5 * (self.min.x + self.max.x), 0.5 * (self.min.y + self.max.y))
-
 
 class FeatureKind(Enum):
     VERTEX = "vertex"

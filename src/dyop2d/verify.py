@@ -13,13 +13,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dyop import MovementAxis, dyop_distance
+from .dyop import dyop_distance
 from .geometry import (
     DEGENERATE_AREA,
     Point2,
     Triangle,
     Vector2,
-    aabb_of_triangle,
+    _extent,
     brute_force_triangle_distance,
 )
 
@@ -73,23 +73,18 @@ def random_separated_pair(
     first = random_triangle(rng)
     while True:
         second = random_triangle(rng)
-        axis = MovementAxis.X if rng.random() < 0.5 else MovementAxis.Y
+        along_x = rng.random() < 0.5
         offset = _diameter(second) + rng.uniform(0.0, 2.0)
-        if axis is MovementAxis.X:
+        if along_x:
             second = second.translated(offset, 0.0)
+            a_hi = _extent(first.v0.x, first.v1.x, first.v2.x)[1]
+            b_lo = _extent(second.v0.x, second.v1.x, second.v2.x)[0]
         else:
             second = second.translated(0.0, offset)
-        box_a = aabb_of_triangle(first)
-        box_b = aabb_of_triangle(second)
-        if axis is MovementAxis.X:
-            separated = box_b.min.x > box_a.max.x
-        else:
-            separated = box_b.min.y > box_a.max.y
-        if separated:
-            velocity = (
-                Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
-            )
-            return first, second, velocity
+            a_hi = _extent(first.v0.y, first.v1.y, first.v2.y)[1]
+            b_lo = _extent(second.v0.y, second.v1.y, second.v2.y)[0]
+        if b_lo > a_hi:
+            return first, second, Vector2(1.0, 0.0) if along_x else Vector2(0.0, 1.0)
 
 
 def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> VerifyReport:

@@ -1,5 +1,6 @@
 """A frozen copy of the original object-based primitives, DyOP pipeline and oracle,
-and of the Lin-Canny feature walk with its 36-feature-pair exhaustive fallback.
+of the Lin-Canny feature walk with its 36-feature-pair exhaustive fallback, and
+of GJK on SupportPoint objects and a self-validating Simplex.
 
 tests/test_equivalence.py compares the float-coordinate implementations
 in dyop2d against this module, which must not change with them: it reads
@@ -11,10 +12,11 @@ from the package.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from dyop2d.baselines import FeaturePair
 from dyop2d.dyop import CandidateSet, DyopPoint, InternalAabb, MovementAxis
-from dyop2d.errors import DegenerateInput, Penetrating, ZeroVelocity
+from dyop2d.errors import DegenerateInput, Penetrating, ZeroDirection, ZeroVelocity
 from dyop2d.geometry import (
     DEGENERATE_AREA,
     Aabb,
@@ -585,3 +587,215 @@ def lin_canny_distance(
     d, pa, pb, fa, fb = _walk_features(tA, tB, fa, fb, counters)
     result = DistanceResult(d, pa, pb, fa, fb, counters)
     return result, FeaturePair(fa, fb)
+
+
+GJK_MAX_ITERATIONS = 64
+GJK_IMPROVEMENT_TOL = 1e-12
+
+
+def support(tri: Triangle, direction: Vector2) -> tuple[int, Point2]:
+    if direction.dx == 0.0 and direction.dy == 0.0:
+        raise ZeroDirection("support direction must be non-zero")
+    best_i = 0
+    best = tri.v0.x * direction.dx + tri.v0.y * direction.dy
+    for i in (1, 2):
+        v = _vertex(tri, i)
+        d = v.x * direction.dx + v.y * direction.dy
+        if d > best:
+            best_i, best = i, d
+    return best_i, _vertex(tri, best_i)
+
+
+@dataclass(frozen=True)
+class SupportPoint:
+    point: Point2
+    index_a: int
+    index_b: int
+
+
+@dataclass
+class Simplex:
+    """1 to 3 difference-space points, no duplicates; checked on every construction."""
+
+    points: list[SupportPoint]
+
+    def __post_init__(self) -> None:
+        if not 1 <= len(self.points) <= 3:
+            raise ValueError(f"simplex size out of range: {len(self.points)}")
+        keys = {(sp.index_a, sp.index_b) for sp in self.points}
+        if len(keys) != len(self.points):
+            raise ValueError("duplicate simplex points")
+
+    def contains_sources(self, sp: SupportPoint) -> bool:
+        return any(
+            p.index_a == sp.index_a and p.index_b == sp.index_b for p in self.points
+        )
+
+
+def _minkowski_support(tA: Triangle, tB: Triangle, dx: float, dy: float) -> SupportPoint:
+    ia, va = support(tA, Vector2(dx, dy))
+    ib, vb = support(tB, Vector2(-dx, -dy))
+    return SupportPoint(Point2(va.x - vb.x, va.y - vb.y), ia, ib)
+
+
+_LambdaList = list[tuple[SupportPoint, float]]
+
+
+def _closest_on_segment(a: SupportPoint, b: SupportPoint) -> tuple[float, float, _LambdaList, bool]:
+    ax, ay = a.point.x, a.point.y
+    abx, aby = b.point.x - ax, b.point.y - ay
+    ab2 = abx * abx + aby * aby
+    if ab2 == 0.0:
+        return ax, ay, [(a, 1.0)], False
+    t = -(ax * abx + ay * aby) / ab2
+    if t <= 0.0:
+        return ax, ay, [(a, 1.0)], False
+    if t >= 1.0:
+        return b.point.x, b.point.y, [(b, 1.0)], False
+    return ax + t * abx, ay + t * aby, [(a, 1.0 - t), (b, t)], False
+
+
+def _closest_on_triangle(
+    a: SupportPoint, b: SupportPoint, c: SupportPoint
+) -> tuple[float, float, _LambdaList, bool]:
+    ax, ay = a.point.x, a.point.y
+    bx, by = b.point.x, b.point.y
+    cx, cy = c.point.x, c.point.y
+    abx, aby = bx - ax, by - ay
+    acx, acy = cx - ax, cy - ay
+
+    d1 = -(abx * ax + aby * ay)
+    d2 = -(acx * ax + acy * ay)
+    if d1 <= 0.0 and d2 <= 0.0:
+        return ax, ay, [(a, 1.0)], False
+
+    d3 = -(abx * bx + aby * by)
+    d4 = -(acx * bx + acy * by)
+    if d3 >= 0.0 and d4 <= d3:
+        return bx, by, [(b, 1.0)], False
+
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0 and d1 != d3:
+        t = d1 / (d1 - d3)
+        return ax + t * abx, ay + t * aby, [(a, 1.0 - t), (b, t)], False
+
+    d5 = -(abx * cx + aby * cy)
+    d6 = -(acx * cx + acy * cy)
+    if d6 >= 0.0 and d5 <= d6:
+        return cx, cy, [(c, 1.0)], False
+
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0 and d2 != d6:
+        t = d2 / (d2 - d6)
+        return ax + t * acx, ay + t * acy, [(a, 1.0 - t), (c, t)], False
+
+    va = d3 * d6 - d5 * d4
+    if va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0 and (d4 - d3) + (d5 - d6) > 0.0:
+        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return bx + t * (cx - bx), by + t * (cy - by), [(b, 1.0 - t), (c, t)], False
+
+    denom = va + vb + vc
+    if denom <= 0.0:
+        candidates = (
+            _closest_on_segment(a, b),
+            _closest_on_segment(a, c),
+            _closest_on_segment(b, c),
+        )
+        return min(candidates, key=lambda r: r[0] * r[0] + r[1] * r[1])
+    v = vb / denom
+    w = vc / denom
+    u = 1.0 - v - w
+    return 0.0, 0.0, [(a, u), (b, v), (c, w)], True
+
+
+def _solve_simplex(simplex: Simplex, counters: TestCounters) -> tuple[float, float, _LambdaList, bool]:
+    pts = simplex.points
+    if len(pts) == 1:
+        counters.vv_tests += 1
+        return pts[0].point.x, pts[0].point.y, [(pts[0], 1.0)], False
+    if len(pts) == 2:
+        counters.ve_tests += 1
+        return _closest_on_segment(pts[0], pts[1])
+    counters.ee_tests += 1
+    return _closest_on_triangle(pts[0], pts[1], pts[2])
+
+
+def _side_feature(lambdas: _LambdaList, side: str) -> FeatureId:
+    weights: dict[int, float] = {}
+    for sp, lam in lambdas:
+        idx = sp.index_a if side == "a" else sp.index_b
+        weights[idx] = weights.get(idx, 0.0) + lam
+    active = sorted(i for i, w in weights.items() if w > 1e-12)
+    if not active:
+        active = [min(weights)]
+    if len(active) == 1:
+        return vertex_feature(active[0])
+    if len(active) == 2:
+        return edge_feature(edge_index_joining(active[0], active[1]))
+    heaviest = max(active, key=lambda i: (weights[i], -i))
+    return vertex_feature(heaviest)
+
+
+def _centroid(tri: Triangle) -> Point2:
+    a, b, c = _vertices(tri)
+    return Point2((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
+
+
+def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
+    """GJK on SupportPoint objects, re-validating the Simplex on every iteration."""
+    if _is_degenerate(tA) or _is_degenerate(tB):
+        raise DegenerateInput("gjk requires non-degenerate triangles")
+
+    counters = TestCounters()
+    ca, cb = _centroid(tA), _centroid(tB)
+    dx, dy = ca.x - cb.x, ca.y - cb.y
+    if dx == 0.0 and dy == 0.0:
+        dx = 1.0
+    start = _minkowski_support(tA, tB, dx, dy)
+    simplex = Simplex([start])
+
+    lambdas: _LambdaList = [(start, 1.0)]
+    intersecting = False
+    converged = False
+    for _ in range(GJK_MAX_ITERATIONS):
+        vx, vy, lambdas, inside = _solve_simplex(simplex, counters)
+        simplex = Simplex([sp for sp, _ in lambdas])
+        if inside:
+            intersecting = True
+            converged = True
+            break
+        v2 = vx * vx + vy * vy
+        if v2 <= 1e-24:
+            intersecting = True
+            converged = True
+            break
+        w = _minkowski_support(tA, tB, -vx, -vy)
+        if simplex.contains_sources(w):
+            converged = True
+            break
+        if v2 - (vx * w.point.x + vy * w.point.y) < GJK_IMPROVEMENT_TOL:
+            converged = True
+            break
+        simplex = Simplex(simplex.points + [w])
+
+    pax = sum(lam * _vertex(tA, sp.index_a).x for sp, lam in lambdas)
+    pay = sum(lam * _vertex(tA, sp.index_a).y for sp, lam in lambdas)
+    pbx = sum(lam * _vertex(tB, sp.index_b).x for sp, lam in lambdas)
+    pby = sum(lam * _vertex(tB, sp.index_b).y for sp, lam in lambdas)
+    if intersecting:
+        point_a = point_b = Point2(pax, pay)
+        distance = 0.0
+    else:
+        point_a = Point2(pax, pay)
+        point_b = Point2(pbx, pby)
+        distance = math.hypot(pax - pbx, pay - pby)
+    flags = () if converged else ("gjk-unconverged",)
+    return DistanceResult(
+        distance,
+        point_a,
+        point_b,
+        _side_feature(lambdas, "a"),
+        _side_feature(lambdas, "b"),
+        counters,
+        flags,
+    )

@@ -5,8 +5,6 @@ import pytest
 
 from dyop2d.baselines import (
     FeaturePair,
-    Simplex,
-    SupportPoint,
     _walk_features,
     gjk_distance,
     lin_canny_distance,
@@ -46,14 +44,6 @@ def test_support_zero_direction():
         support(tri((0, 0), (1, 0), (0, 1)), Vector2(0, 0))
 
 
-def test_simplex_validation():
-    sp = SupportPoint(Point2(1, 0), 0, 0)
-    with pytest.raises(ValueError):
-        Simplex([])
-    with pytest.raises(ValueError):
-        Simplex([sp, sp])
-
-
 def test_gjk_disjoint_pair_matches_oracle():
     a = tri((0, 0), (1, 0), (0, 1))
     r = gjk_distance(a, a.translated(3, 0))
@@ -76,6 +66,16 @@ def test_gjk_identical_is_zero():
 def test_gjk_rejects_degenerate():
     with pytest.raises(DegenerateInput):
         gjk_distance(tri((0, 0), (1, 0), (2, 0)), tri((5, 0), (6, 0), (5, 1)))
+
+
+def test_gjk_refuses_overflowing_support_point():
+    # The centroids are about 6.7e307 apart, but the first support point,
+    # A's vertex at x = -1e308 minus B's vertex at x = 1e308, overflows.
+    a = tri((-1e308, 0), (0, 0), (0, 1))
+    b = tri((1e308, 2), (1, 2), (1, 3))
+    with pytest.raises(ValueError) as info:
+        gjk_distance(a, b)
+    assert type(info.value) is ValueError
 
 
 def test_gjk_closest_points_realize_distance():

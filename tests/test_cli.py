@@ -285,6 +285,22 @@ def test_plot_unreadable_report(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}", encoding="utf-8")
     assert main(["plot", "--report", str(bad), "--out", str(tmp_path)]) == 2
+    # A record or report pair without its keys, or not an object at all, is
+    # refused before the output directory or any file is created.
+    out_dir = tmp_path / "plots"
+    for doc in (
+        {"records": [{"pair_a": "A"}], "report": None},
+        {"records": [1], "report": None},
+        {"records": [], "report": {"pairs": [{}]}},
+        {"records": [], "report": {"pairs": [{"pair_a": "A", "pair_b": "B", "pct": {"gjk": 50.0}}]}},
+        {"records": [], "report": {"pairs": [{"pair_a": "A", "pair_b": "B", "pct": [1]}]}},
+        {"records": [], "report": []},
+    ):
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["plot", "--report", str(bad), "--out", str(out_dir)]) == 2, doc
+        assert "unreadable report" in capsys.readouterr().err
+        assert not out_dir.exists(), doc
 
 
 def test_stdout_is_pure_json(capsys):

@@ -2,7 +2,9 @@
 
 Every answer must be bit-identical: distance, witness coordinates
 (including the sign of zero), features, counters and flags, or the same
-exception type. Lin-Canny differs only where its walk aborts: the
+exception type. GJK is held to this too, against a frozen copy that
+re-validates its Simplex (size 1 to 3, no duplicate support point) on
+every iteration. Lin-Canny differs only where its walk aborts: the
 oracle's nine-edge sweep answers in place of the 36-feature-pair sweep.
 """
 
@@ -13,7 +15,7 @@ import random
 import pytest
 
 import seed_reference as ref
-from dyop2d.baselines import FeaturePair, lin_canny_distance
+from dyop2d.baselines import FeaturePair, gjk_distance, lin_canny_distance
 from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.dyop import (
     MovementAxis,
@@ -65,6 +67,7 @@ def _assert_same(new, old, *args):
 def _assert_pair_same(a, b, velocity):
     _assert_same(dyop_distance, ref.dyop_distance, a, b, velocity)
     _assert_same(brute_force_triangle_distance, ref.brute_force_triangle_distance, a, b)
+    _assert_same(gjk_distance, ref.gjk_distance, a, b)
 
 
 def test_default_scene_placed_pairs_match_reference():
