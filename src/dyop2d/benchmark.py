@@ -2,8 +2,8 @@
 
 A scene holds n named triangles; the plan runs every ordered pair
 (mover, static) once, n*(n-1) queries total. Before each query the mover
-is translated along the negative movement axis until the exact
-separation distance matches the scene's configured value, so every
+is translated along the negative movement axis, by an offset found in
+closed form, until the exact distance is the scene's separation, so every
 algorithm answers the same question. Wall times use a monotonic clock
 (one warm-up, median of the repeats); primitive-test counters are
 recorded alongside as the machine-independent cost metric.
@@ -12,6 +12,7 @@ recorded alongside as the machine-independent cost metric.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from .geometry import (
     TestCounters,
     Triangle,
     Vector2,
-    _extent,
+    _edges,
+    _far_exit,
     brute_force_triangle_distance,
 )
 
@@ -110,80 +112,37 @@ def default_scene() -> Scene:
     )
 
 
-def _translated_along(tri: Triangle, axis: MovementAxis, offset: float) -> Triangle:
-    if axis is MovementAxis.X:
-        return tri.translated(-offset, 0.0)
-    return tri.translated(0.0, -offset)
-
-
-def _span(tri: Triangle, axis: MovementAxis) -> float:
-    v0, v1, v2 = tri.vertices
-    if axis is MovementAxis.X:
-        lo, hi = _extent(v0.x, v1.x, v2.x)
-    else:
-        lo, hi = _extent(v0.y, v1.y, v2.y)
-    return hi - lo
-
-
 def place_pair(
     scene: Scene, pair: tuple[int, int]
 ) -> tuple[Triangle, Triangle, Vector2]:
     """Translate the mover along the negative axis until the exact distance
-    equals the scene separation; the static object keeps its canonical pose.
+    equals the scene separation s; the static object keeps its canonical pose.
 
-    The separation is found by bisecting the translation offset against
-    the brute-force distance, which is convex in the offset.
+    The offset is the largest at which the distance is at most s. No
+    vertex-edge pair is nearer than the triangles and one realizes s > 0
+    there, so it is the last exit, over the 18 pairs, of a vertex moving
+    along the axis from the band of radius s around an edge of the other
+    triangle. One oracle call checks it to PLACEMENT_TOLERANCE.
     """
     i, j = pair
     n = len(scene.objects)
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError(f"invalid pair: {pair}")
-    mover = scene.objects[i]
-    static = scene.objects[j]
-    axis = scene.axis
-
-    def gap(offset: float) -> float:
-        moved = _translated_along(mover, axis, offset)
-        return brute_force_triangle_distance(moved, static).distance - scene.separation
-
-    hi = _span(mover, axis) + _span(static, axis) + scene.separation + 1.0
-    for _ in range(64):
-        if gap(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise PlacementFailure(f"no offset reaches separation {scene.separation}")
-
-    lo = 0.0
-    if gap(lo) > 0.0:
-        # Canonical poses already separated: find the closest-approach offset
-        # by ternary search (the gap is convex in the offset).
-        a, b = -hi, hi
-        for _ in range(200):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if gap(m1) <= gap(m2):
-                b = m2
-            else:
-                a = m1
-        lo = 0.5 * (a + b)
-        if gap(lo) > 0.0:
-            raise PlacementFailure(
-                f"pair {pair} cannot reach separation {scene.separation} along {scene.axis.value}"
-            )
-
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if abs(gap(hi)) > PLACEMENT_TOLERANCE:
-        raise PlacementFailure(f"bisection did not converge for pair {pair}")
-
-    moved = _translated_along(mover, axis, hi)
-    velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
-    return moved, static, velocity
+    mover, static, s = scene.objects[i], scene.objects[j], scene.separation
+    ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
+    edges_m, edges_s = _edges(mover), _edges(static)
+    offset = max(
+        [_far_exit(px, py, -ux, -uy, *e, s) for px, py, _, _ in edges_m for e in edges_s]
+        + [_far_exit(qx, qy, ux, uy, *e, s) for qx, qy, _, _ in edges_s for e in edges_m]
+    )
+    label = f"pair {mover.name}->{static.name}"
+    if offset == -math.inf:
+        raise PlacementFailure(f"{label} cannot reach separation {s} along {scene.axis.value}")
+    moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
+    gap = brute_force_triangle_distance(moved, static).distance - s
+    if abs(gap) > PLACEMENT_TOLERANCE:
+        raise PlacementFailure(f"{label} placed {gap:+.3g} off separation {s}")
+    return moved, static, Vector2(ux, uy)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,33 @@ def _project(
     return math.hypot(px - cx, py - cy), cx, cy, t
 
 
+def _far_exit(
+    px: float, py: float, ux: float, uy: float, ax: float, ay: float, bx: float, by: float, r: float
+) -> float:
+    """Largest t at which p + t*u lies within r of segment ab; -inf when no t does.
+
+    The points within r of ab are the disks of radius r around a and b and
+    the strip of half-width r along ab, so the exit is the larger of the
+    disks' far roots and the crossing of the strip's far side, if it lies
+    between a and b.
+    """
+    uu = ux * ux + uy * uy
+    exits = [-math.inf]
+    for cx, cy in ((ax, ay), (bx, by)):
+        wx, wy = px - cx, py - cy
+        disc = uu * r * r - (ux * wy - uy * wx) ** 2
+        if disc >= 0.0:
+            exits.append((math.sqrt(disc) - (ux * wx + uy * wy)) / uu)
+    dx, dy = bx - ax, by - ay
+    slope = dx * uy - dy * ux
+    if slope != 0.0:
+        dd = dx * dx + dy * dy
+        t = (math.copysign(r * math.sqrt(dd), slope) - dx * (py - ay) + dy * (px - ax)) / slope
+        if 0.0 <= dx * (px + t * ux - ax) + dy * (py + t * uy - ay) <= dd:
+            exits.append(t)
+    return max(exits)
+
+
 def _param_on(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:
     """Clamped parameter of p projected on segment ab; 0 when a == b."""
     dx, dy = bx - ax, by - ay

@@ -1,6 +1,7 @@
 """A frozen copy of the original object-based primitives, DyOP pipeline and oracle,
 of the Lin-Canny feature walk with its 36-feature-pair exhaustive fallback, and
-of GJK on SupportPoint objects and a self-validating Simplex.
+of GJK on SupportPoint objects and a self-validating Simplex, and of the
+benchmark placement that bisects the mover's offset against the oracle.
 
 tests/test_equivalence.py compares the float-coordinate implementations
 in dyop2d against this module, which must not change with them: it reads
@@ -16,7 +17,13 @@ from dataclasses import dataclass
 
 from dyop2d.baselines import FeaturePair
 from dyop2d.dyop import CandidateSet, DyopPoint, InternalAabb, MovementAxis
-from dyop2d.errors import DegenerateInput, Penetrating, ZeroDirection, ZeroVelocity
+from dyop2d.errors import (
+    DegenerateInput,
+    Penetrating,
+    PlacementFailure,
+    ZeroDirection,
+    ZeroVelocity,
+)
 from dyop2d.geometry import (
     DEGENERATE_AREA,
     Aabb,
@@ -799,3 +806,75 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         counters,
         flags,
     )
+
+
+PLACEMENT_TOLERANCE = 1e-9
+
+
+def _translated_along(tri: Triangle, axis: MovementAxis, offset: float) -> Triangle:
+    if axis is MovementAxis.X:
+        return tri.translated(-offset, 0.0)
+    return tri.translated(0.0, -offset)
+
+
+def _span(tri: Triangle, axis: MovementAxis) -> float:
+    lo, hi = _extent(tri, axis)
+    return hi - lo
+
+
+def place_pair(scene, pair: tuple[int, int]) -> tuple[Triangle, Triangle, Vector2]:
+    """Translate the mover along the negative axis until the exact distance
+    equals the scene separation, by bisecting the offset against the oracle.
+
+    When the canonical poses are apart, a ternary search over
+    [-hi, hi] first looks for an offset inside the separation; it ignores
+    how far apart the poses are, so it refuses some reachable pairs.
+    """
+    i, j = pair
+    n = len(scene.objects)
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValueError(f"invalid pair: {pair}")
+    mover = scene.objects[i]
+    static = scene.objects[j]
+    axis = scene.axis
+
+    def gap(offset: float) -> float:
+        moved = _translated_along(mover, axis, offset)
+        return brute_force_triangle_distance(moved, static).distance - scene.separation
+
+    hi = _span(mover, axis) + _span(static, axis) + scene.separation + 1.0
+    for _ in range(64):
+        if gap(hi) >= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise PlacementFailure(f"no offset reaches separation {scene.separation}")
+
+    lo = 0.0
+    if gap(lo) > 0.0:
+        a, b = -hi, hi
+        for _ in range(200):
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            if gap(m1) <= gap(m2):
+                b = m2
+            else:
+                a = m1
+        lo = 0.5 * (a + b)
+        if gap(lo) > 0.0:
+            raise PlacementFailure(
+                f"pair {pair} cannot reach separation {scene.separation} along {scene.axis.value}"
+            )
+
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    if abs(gap(hi)) > PLACEMENT_TOLERANCE:
+        raise PlacementFailure(f"bisection did not converge for pair {pair}")
+
+    moved = _translated_along(mover, axis, hi)
+    velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
+    return moved, static, velocity

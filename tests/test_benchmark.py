@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import seed_reference as ref
 from dyop2d.benchmark import (
     MISMATCH_TOLERANCE,
     Scene,
@@ -12,7 +15,7 @@ from dyop2d.benchmark import (
     run_benchmark,
 )
 from dyop2d.dyop import MovementAxis
-from dyop2d.errors import IncompleteRecords
+from dyop2d.errors import IncompleteRecords, PlacementFailure
 from dyop2d.geometry import Point2, TestCounters, Triangle, brute_force_triangle_distance
 
 
@@ -115,6 +118,70 @@ def test_place_pair_rejects_bad_pair():
         place_pair(scene, (0, 0))
     with pytest.raises(ValueError):
         place_pair(scene, (0, 9))
+
+
+def test_place_pair_reaches_distant_canonical_poses():
+    # The mover starts 19 units left of the static triangle; placement must
+    # move it 18 units right, whatever the triangles' own widths.
+    mover = tri("M", (-20, 0), (-19, 0), (-20, 1))
+    static = tri("S", (0, 0), (1, 0), (0, 1))
+    scene = Scene((mover, static), 1.0, MovementAxis.X)
+    moved, _, _ = place_pair(scene, (0, 1))
+    assert [(p.x, p.y) for p in moved.vertices] == [(-2.0, 0.0), (-1.0, 0.0), (-2.0, 1.0)]
+    assert brute_force_triangle_distance(moved, static).distance == 1.0
+
+
+def test_place_pair_refuses_unreachable_pair():
+    # The static triangle sits 4 units above the mover, so no x offset brings
+    # them within 1 of each other.
+    scene = Scene(
+        (tri("M", (0, 0), (1, 0), (0, 1)), tri("S", (0, 5), (1, 5), (0, 6))),
+        1.0,
+        MovementAxis.X,
+    )
+    with pytest.raises(PlacementFailure, match="M->S"):
+        place_pair(scene, (0, 1))
+
+
+def _perpendicular_gap(a, b, axis):
+    """Gap between the extents across the axis: the least distance the pair
+    reaches over all offsets along it."""
+    coord = (lambda p: p.y) if axis is MovementAxis.X else (lambda p: p.x)
+    ca, cb = [coord(p) for p in a.vertices], [coord(p) for p in b.vertices]
+    return max(min(cb) - max(ca), min(ca) - max(cb), 0.0)
+
+
+def test_place_pair_matches_bisection_on_random_scenes():
+    rng = random.Random(2024)
+    placed = refused = 0
+    for _ in range(40):
+        objects = []
+        while len(objects) < 3:
+            t = tri(f"T{len(objects)}", *((rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)))
+            if not t.is_degenerate:
+                objects.append(t)
+        axis = rng.choice((MovementAxis.X, MovementAxis.Y))
+        scene = Scene(tuple(objects), rng.choice((0.1, 0.5, 1.0, 2.0, 5.0)), axis)
+        for pair in enumerate_pairs(3).pairs:
+            mover, static = objects[pair[0]], objects[pair[1]]
+            try:
+                frozen = ref.place_pair(scene, pair)[0]
+            except PlacementFailure:
+                frozen = None
+            if _perpendicular_gap(mover, static, axis) > scene.separation:
+                with pytest.raises(PlacementFailure):
+                    place_pair(scene, pair)
+                assert frozen is None
+                refused += 1
+                continue
+            moved, _, _ = place_pair(scene, pair)
+            got = brute_force_triangle_distance(moved, static).distance
+            assert abs(got - scene.separation) <= 1e-9
+            if frozen is not None:
+                for p, q in zip(moved.vertices, frozen.vertices):
+                    assert abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9
+            placed += 1
+    assert placed > 0 and refused > 0
 
 
 def test_run_benchmark_record_count_and_order():

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from dyop2d import benchmark
 from dyop2d.cli import main
 from dyop2d.sceneio import write_scene
 from dyop2d.benchmark import CSV_COLUMNS, Scene
@@ -213,6 +215,49 @@ def test_bench_deterministic_except_wall_time(tmp_path, scene_file, capsys):
         outs.append([row[:ns_col] + row[ns_col + 1 :] for row in rows])
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_bench_unplaceable_pair_exit_2(tmp_path, capsys):
+    # S sits 4 units above M, so no offset along x brings them within 1.
+    scene = Scene(
+        (tri("M", (0, 0), (1, 0), (0, 1)), tri("S", (0, 5), (1, 5), (0, 6))),
+        1.0,
+        MovementAxis.X,
+    )
+    path = tmp_path / "scene.json"
+    write_scene(scene, str(path))
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    code = main(["bench", "--scene", str(path), "--out-csv", str(out_csv), "--out-json", str(out_json)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "M->S" in err
+    assert not out_csv.exists() and not out_json.exists()
+
+
+def test_bench_default_scene_reports_dyop_overestimate_and_exits_0(tmp_path, capsys):
+    args = ["bench", "--repeats", "1", "--algos", "dyop,gjk,lincanny,oracle"]
+    code = main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["mismatches"] == 1
+    assert "dyop overestimates 1 pair(s)" in captured.err and "Obj10->Obj6" in captured.err
+
+
+@pytest.mark.parametrize("algorithm,shift", [("gjk", 0.5), ("gjk", -0.5), ("dyop", -0.5)])
+def test_bench_mismatch_exit_5(tmp_path, scene_file, monkeypatch, capsys, algorithm, shift):
+    # A baseline off the exact distance either way, or DyOP below it, is a bug.
+    name = f"{algorithm}_distance"
+    real = getattr(benchmark, name)
+
+    def shifted(*args):
+        result = real(*args)
+        return dataclasses.replace(result, distance=result.distance + shift)
+
+    monkeypatch.setattr(benchmark, name, shifted)
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--algos", "dyop,gjk"]
+    code = main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+    assert code == 5
+    assert "6 record(s) exceeded the distance mismatch tolerance" in capsys.readouterr().err
 
 
 def test_verify_deterministic(capsys):
