@@ -187,7 +187,8 @@ def run_benchmark(
     counters are deterministic; a record whose distance strays more than
     MISMATCH_TOLERANCE from the exact value is flagged "mismatch", and
     algorithm errors produce a record flagged "error:<kind>" instead of
-    aborting the run.
+    aborting the run. The exact value is the scene separation, which
+    place_pair has checked against the oracle to PLACEMENT_TOLERANCE.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1: {repeats}")
@@ -199,7 +200,6 @@ def run_benchmark(
     records: list[TimingRecord] = []
     for i, j in plan.pairs:
         moving, static, velocity = place_pair(scene, (i, j))
-        reference = brute_force_triangle_distance(moving, static).distance
         names = (scene.objects[i].name or "", scene.objects[j].name or "")
         for algorithm in algorithms:
             begin = time.perf_counter_ns()
@@ -224,7 +224,7 @@ def run_benchmark(
                 result = _run_algorithm(algorithm, moving, static, velocity)
                 times.append(time.perf_counter_ns() - t0)
             flags = result.flags
-            if abs(result.distance - reference) > MISMATCH_TOLERANCE:
+            if abs(result.distance - scene.separation) > MISMATCH_TOLERANCE:
                 flags = flags + ("mismatch",)
             records.append(
                 TimingRecord(
@@ -336,29 +336,6 @@ class ComparisonReport:
             "mismatches": self.mismatches,
             "failed": self.failed,
         }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ComparisonReport":
-        return ComparisonReport(
-            pairs=tuple(
-                PairTiming(
-                    pair=(p["pair_a"], p["pair_b"]),
-                    dyop_ns=p["dyop_ns"],
-                    baseline_ns=dict(p["baseline_ns"]),
-                    pct=dict(p["pct"]),
-                    delta_pct=dict(p["delta_pct"]),
-                )
-                for p in doc["pairs"]
-            ),
-            summary={
-                name: BaselineSummary(s["max_pct"], s["min_pct"], s["mean_pct"])
-                for name, s in doc["summary"].items()
-            },
-            counter_totals={k: dict(v) for k, v in doc["counter_totals"].items()},
-            counter_pct=dict(doc["counter_pct"]),
-            mismatches=doc["mismatches"],
-            failed=doc["failed"],
-        )
 
 
 def build_report(records: list[TimingRecord]) -> ComparisonReport:

@@ -3,20 +3,25 @@
 For two triangles separated along a movement axis, the space between
 their facing extremes bounds an inner gap box. Its midpoint — the
 dynamic origin point — serves as a reference: only the two vertices of
-each triangle nearest to it (and the edge joining them) are kept as
-candidates, cutting the nine vertex-vertex tests of the exhaustive
-sweep down to four, plus four vertex-edge tests and one edge-edge test.
+each triangle nearest to it, and the edge joining them, are kept as
+candidates.
 
-The pruned minimum can only overestimate: every candidate evaluation
-measures two subsets of the triangle boundaries, so the result is never
-below the exact separation distance. Whether it matches exactly depends
-on the winning features being inside the candidate sets; the verify
-sweep measures the observed mismatch rate empirically.
+The paper tests the candidates against each other with four
+vertex-vertex, four vertex-edge and one edge-edge test. All nine
+features lie on the two candidate edges, so the edge-edge test alone is
+their exact minimum and the other eight can never win by a smaller
+distance. The query therefore runs one segment-segment test and counts
+one ee test, the unit of which the oracle counts nine.
+
+The pruned minimum can only overestimate: it measures a subset of each
+triangle's boundary, so the result is never below the exact separation
+distance. It is exact whenever the winning features lie on the
+candidate edges; the verify sweep measures the observed mismatch rate
+empirically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,10 +38,8 @@ from .geometry import (
     _edges,
     _extent,
     _is_degenerate,
-    _project,
     _require_finite,
     _segment_segment,
-    edge_index_joining,
 )
 
 
@@ -68,23 +71,6 @@ class DyopPoint:
     point: Point2
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """The features retained per triangle: two vertices and the edge joining them."""
-
-    verts_a: tuple[int, int]
-    verts_b: tuple[int, int]
-    edge_a: int
-    edge_b: int
-
-    def __post_init__(self) -> None:
-        for pair, edge in ((self.verts_a, self.edge_a), (self.verts_b, self.edge_b)):
-            if pair[0] == pair[1]:
-                raise ValueError(f"candidate vertices must be distinct: {pair}")
-            if edge_index_joining(pair[0], pair[1]) != edge:
-                raise ValueError(f"edge {edge} does not join vertices {pair}")
-
-
 def dominant_axis(relative_velocity: Vector2) -> MovementAxis:
     """The axis the movement is mostly along; ties go to X."""
     if relative_velocity.dx == 0.0 and relative_velocity.dy == 0.0:
@@ -92,10 +78,6 @@ def dominant_axis(relative_velocity: Vector2) -> MovementAxis:
     if abs(relative_velocity.dx) >= abs(relative_velocity.dy):
         return MovementAxis.X
     return MovementAxis.Y
-
-
-def _coord(p: Point2, axis: MovementAxis) -> float:
-    return p.x if axis is MovementAxis.X else p.y
 
 
 def _gap(lo_a: float, hi_a: float, lo_b: float, hi_b: float) -> tuple[int, float, float, bool]:
@@ -166,22 +148,6 @@ def _nearest_two(edges: _Edges, px: float, py: float) -> tuple[int, int, int]:
     return (1, 2, 1) if d1 <= d2 else (2, 1, 1)
 
 
-def nearest_facing_vertices(
-    tA: Triangle, tB: Triangle, axis: MovementAxis
-) -> tuple[int, int]:
-    """The vertex of each triangle on its side of the gap.
-
-    The trailing triangle contributes its maximal vertex on the axis,
-    the leading one its minimal vertex; ties keep the lower index.
-    """
-    cs_a = [_coord(v, axis) for v in tA.vertices]
-    cs_b = [_coord(v, axis) for v in tB.vertices]
-    (lo_a, hi_a), (lo_b, hi_b) = _extent(*cs_a), _extent(*cs_b)
-    if _gap(lo_a, hi_a, lo_b, hi_b)[0] == 1:
-        return cs_a.index(hi_a), cs_b.index(lo_b)
-    return cs_a.index(lo_a), cs_b.index(hi_b)
-
-
 def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> InternalAabb:
     """Construct the gap box between two facing triangles.
 
@@ -221,23 +187,18 @@ def select_candidates(tri: Triangle, dyop: DyopPoint) -> tuple[tuple[int, int], 
     return (i, j), edge
 
 
-def _feature_indices(w: tuple) -> tuple[int, int]:
-    """The feature indices _classify_edge_point would give a candidate,
-    without building the features; see dyop_distance for its layout."""
-    return (
-        (w[5] + 1) % 3 if w[6] == 1.0 else w[5],
-        (w[7] + 1) % 3 if w[8] == 1.0 else w[7],
-    )
-
-
 def dyop_distance(
     tA: Triangle, tB: Triangle, relative_velocity: Vector2
 ) -> DistanceResult:
     """Pruned shortest distance between two triangles.
 
     Runs the full pipeline: movement axis, internal gap box, pivot
-    point, candidate selection, then exactly four vertex-vertex, four
-    vertex-edge, and one edge-edge evaluation over the candidates. The
+    point, candidate selection, then one edge-edge test between the two
+    candidate edges, which covers the paper's four vertex-vertex and four
+    vertex-edge tests too. Intersecting candidate edges report their
+    contact point at distance 0; otherwise equal distances keep the
+    earliest endpoint projection in (a, b, c, d) order, for candidate
+    edge a-b of A against c-d of B. The
     result is never below the exact separation distance; it equals it
     whenever the true witness features survive pruning. A
     "overlapping-boxes" flag marks queries whose extents were not
@@ -255,42 +216,16 @@ def dyop_distance(
     _, _, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(edges_a, edges_b, axis)
     along, across = _midpoint(lo, p_lo, hi, p_hi)
     px, py = (along, across) if axis is MovementAxis.X else (across, along)
-    ia, ja, edge_a = _nearest_two(edges_a, px, py)
-    ib, jb, edge_b = _nearest_two(edges_b, px, py)
-    seg_a, seg_b = edges_a[edge_a], edges_b[edge_b]
-
-    # Each candidate is (d, pa.x, pa.y, pb.x, pb.y, edge_a, t_a, edge_b, t_b):
-    # a witness at parameter t on an edge, vertex i written as (i, 0.0).
-    cands = []
-    for i in (ia, ja):
-        vx, vy = edges_a[i][0], edges_a[i][1]
-        for j in (ib, jb):
-            ux, uy = edges_b[j][0], edges_b[j][1]
-            cands.append((math.hypot(vx - ux, vy - uy), vx, vy, ux, uy, i, 0.0, j, 0.0))
-    for i in (ia, ja):
-        vx, vy = edges_a[i][0], edges_a[i][1]
-        d, qx, qy, t = _project(vx, vy, *seg_b)
-        cands.append((d, vx, vy, qx, qy, i, 0.0, edge_b, t))
-    for j in (ib, jb):
-        ux, uy = edges_b[j][0], edges_b[j][1]
-        d, qx, qy, t = _project(ux, uy, *seg_a)
-        cands.append((d, qx, qy, ux, uy, edge_a, t, j, 0.0))
-    d, pax, pay, pbx, pby, t1, t2 = _segment_segment(*seg_a, *seg_b)
-    cands.append((d, pax, pay, pbx, pby, edge_a, t1, edge_b, t2))
-
-    # Equal distances keep the lower (feature_a, feature_b) index pair.
-    best = cands[0]
-    for w in cands[1:]:
-        if w[0] < best[0] or (w[0] == best[0] and _feature_indices(w) < _feature_indices(best)):
-            best = w
-    d, pax, pay, pbx, pby, e_a, t_a, e_b, t_b = best
+    edge_a = _nearest_two(edges_a, px, py)[2]
+    edge_b = _nearest_two(edges_b, px, py)[2]
+    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*edges_a[edge_a], *edges_b[edge_b])
     flags = ("overlapping-boxes",) if degenerate_gap else ()
     return DistanceResult(
         d,
         Point2(pax, pay),
         Point2(pbx, pby),
-        _classify_edge_point(e_a, t_a),
-        _classify_edge_point(e_b, t_b),
-        TestCounters(4, 4, 1),
+        _classify_edge_point(edge_a, t_a),
+        _classify_edge_point(edge_b, t_b),
+        TestCounters(ee_tests=1),
         flags,
     )

@@ -144,12 +144,6 @@ class Triangle:
         v0, v1, v2 = self.v0, self.v1, self.v2
         return _is_degenerate(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
 
-    def centroid(self) -> Point2:
-        return Point2(
-            (self.v0.x + self.v1.x + self.v2.x) / 3.0,
-            (self.v0.y + self.v1.y + self.v2.y) / 3.0,
-        )
-
     def translated(self, dx: float, dy: float) -> Triangle:
         return Triangle(
             self.v0.translated(dx, dy),
@@ -240,14 +234,6 @@ class DistanceResult:
     feature_b: FeatureId
     counters: TestCounters
     flags: tuple[str, ...] = field(default=())
-
-
-def aabb_of_triangle(tri: Triangle) -> Aabb:
-    """Tightest axis-aligned box containing the triangle."""
-    v0, v1, v2 = tri.v0, tri.v1, tri.v2
-    x_lo, x_hi = _extent(v0.x, v1.x, v2.x)
-    y_lo, y_hi = _extent(v0.y, v1.y, v2.y)
-    return Aabb(Point2(x_lo, y_lo), Point2(x_hi, y_hi))
 
 
 def _project(

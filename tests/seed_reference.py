@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from dyop2d.baselines import FeaturePair
-from dyop2d.dyop import CandidateSet, DyopPoint, InternalAabb, MovementAxis
+from dyop2d.dyop import DyopPoint, InternalAabb, MovementAxis
 from dyop2d.errors import (
     DegenerateInput,
     Penetrating,
@@ -70,6 +70,23 @@ def edge_index_joining(i: int, j: int) -> int:
     if i == (j + 1) % 3:
         return j
     raise ValueError(f"no edge joins vertices {i} and {j}")
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    """The features retained per triangle: two vertices and the edge joining them."""
+
+    verts_a: tuple[int, int]
+    verts_b: tuple[int, int]
+    edge_a: int
+    edge_b: int
+
+    def __post_init__(self) -> None:
+        for pair, edge in ((self.verts_a, self.edge_a), (self.verts_b, self.edge_b)):
+            if pair[0] == pair[1]:
+                raise ValueError(f"candidate vertices must be distinct: {pair}")
+            if edge_index_joining(pair[0], pair[1]) != edge:
+                raise ValueError(f"edge {edge} does not join vertices {pair}")
 
 
 def _point_segment_param(p: Point2, s: Segment) -> tuple[float, Point2, float]:

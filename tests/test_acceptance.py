@@ -71,11 +71,11 @@ def test_criterion_2_vertex_test_reduction(bench_run):
     ee = header.index("ee_tests")
     dyop_rows = [r for r in bench_run["rows"] if r[2] == "dyop"]
     dyop_ok = all(
-        (int(r[vv]), int(r[ve]), int(r[ee])) == (4, 4, 1) for r in dyop_rows
+        (int(r[vv]), int(r[ve]), int(r[ee])) == (0, 0, 1) for r in dyop_rows
     ) and len(dyop_rows) == 90
     oracle_records = run_benchmark(default_scene(), algorithms=("oracle",), repeats=1)
     oracle_ok = all(r.counters.ee_tests == 9 for r in oracle_records)
-    _report("2 vertex-test reduction: dyop (4,4,1) vs oracle 9 edge pairs", dyop_ok and oracle_ok)
+    _report("2 vertex-test reduction: dyop 1 edge pair vs oracle 9 edge pairs", dyop_ok and oracle_ok)
 
 
 def test_criterion_3_conservative_bound():
@@ -145,7 +145,7 @@ def test_criterion_6_property_suites():
         verts_a, edge_a = select_candidates(a, compute_dyop(box))
         ok = ok and len(set(verts_a)) == 2 and edge_a in (0, 1, 2)
         r = dyop_distance(a, b, vel)
-        ok = ok and (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (4, 4, 1)
+        ok = ok and (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
     for n in (1, 2, 5, 10):
         ok = ok and len(enumerate_pairs(n).pairs) == n * (n - 1)
     _report("6 property suites: symmetry/translation/scaling, midpoint, arity, pairing", ok)

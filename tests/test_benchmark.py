@@ -195,7 +195,24 @@ def test_run_benchmark_record_count_and_order():
 def test_run_benchmark_dyop_counters():
     records = run_benchmark(small_scene(), algorithms=("dyop",), repeats=1)
     for r in records:
-        assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (4, 4, 1)
+        assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
+
+
+def test_run_benchmark_calls_oracle_once_per_pair(monkeypatch):
+    # place_pair's check is the only oracle call: records are compared
+    # against the separation it has already confirmed.
+    import dyop2d.benchmark as benchmark
+
+    calls = []
+    oracle = benchmark.brute_force_triangle_distance
+
+    def counting(a, b):
+        calls.append(None)
+        return oracle(a, b)
+
+    monkeypatch.setattr(benchmark, "brute_force_triangle_distance", counting)
+    run_benchmark(default_scene(), ("dyop",), 1)
+    assert len(calls) == 90
 
 
 def test_run_benchmark_oracle_counters():
@@ -293,17 +310,6 @@ def test_build_report_requires_dyop_everywhere():
     ]
     with pytest.raises(IncompleteRecords):
         build_report(records)
-
-
-def test_build_report_roundtrip_dict():
-    from dyop2d.benchmark import ComparisonReport
-
-    records = [
-        _record(("A", "B"), "dyop", 1000.0),
-        _record(("A", "B"), "gjk", 700.0),
-    ]
-    report = build_report(records)
-    assert ComparisonReport.from_dict(report.to_dict()) == report
 
 
 def test_build_report_counts_failures():

@@ -4,13 +4,11 @@ import random
 import pytest
 
 from dyop2d.dyop import (
-    CandidateSet,
     MovementAxis,
     build_internal_aabb,
     compute_dyop,
     dominant_axis,
     dyop_distance,
-    nearest_facing_vertices,
     select_candidates,
 )
 from dyop2d.errors import DegenerateInput, ZeroVelocity
@@ -20,6 +18,7 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
     brute_force_triangle_distance,
+    edge_index_joining,
 )
 from dyop2d.verify import random_separated_pair
 
@@ -37,26 +36,35 @@ def test_dominant_axis():
 
 
 def test_nearest_facing_vertices_x():
+    # The gap box runs between the facing vertices along the axis.
     a = tri((0, 0), (1, 2), (2, 1))
     b = tri((4, 0), (5, 2), (6, 1))
-    ia, ib = nearest_facing_vertices(a, b, MovementAxis.X)
-    assert a.vertex(ia).x == 2  # trailing side: maximal x
-    assert b.vertex(ib).x == 4  # leading side: minimal x
+    ia = build_internal_aabb(a, b, MovementAxis.X)
+    assert ia.leading == 1
+    assert ia.box.min.x == 2  # trailing side: maximal x
+    assert ia.box.max.x == 4  # leading side: minimal x
+    assert build_internal_aabb(b, a, MovementAxis.X).leading == 0
 
 
 def test_nearest_facing_vertices_y_symmetry():
     low = tri((0, 0), (1, 0), (0, 1))
     high = low.translated(0, 5)
-    ia, ib = nearest_facing_vertices(low, high, MovementAxis.Y)
-    assert low.vertex(ia).y == 1
-    assert high.vertex(ib).y == 5
+    ia = build_internal_aabb(low, high, MovementAxis.Y)
+    assert ia.leading == 1
+    assert (ia.box.min.y, ia.box.max.y) == (1, 5)
+    assert build_internal_aabb(high, low, MovementAxis.Y).leading == 0
 
 
-def test_nearest_facing_vertices_tie_lower_index():
-    a = tri((0, 0), (1, 0), (0, 1))
-    b = tri((3, 0), (4, 0), (3, 1))  # min-x tie between vertices 0 and 2
-    _, ib = nearest_facing_vertices(a, b, MovementAxis.X)
-    assert ib == 0
+def test_build_internal_aabb_leading_tie_rule():
+    # Equal maxima: the greater minimum leads.
+    a = tri((0, 0), (2, 0), (0, 1))
+    b = tri((1, 3), (2, 3), (1, 4))
+    assert build_internal_aabb(a, b, MovementAxis.X).leading == 1
+    assert build_internal_aabb(b, a, MovementAxis.X).leading == 0
+    # Equal extents: the second argument leads, whatever the order.
+    c = a.translated(0, 5)
+    assert build_internal_aabb(a, c, MovementAxis.X).leading == 1
+    assert build_internal_aabb(c, a, MovementAxis.X).leading == 1
 
 
 def test_build_internal_aabb_worked_example():
@@ -144,7 +152,7 @@ def test_select_candidates_equidistant_tie():
     t = tri((0, 0), (2, 0), (1, math.sqrt(3)))
     from dyop2d.dyop import DyopPoint
 
-    centroid = t.centroid()
+    centroid = Point2((t.v0.x + t.v1.x + t.v2.x) / 3.0, (t.v0.y + t.v1.y + t.v2.y) / 3.0)
     verts, edge = select_candidates(t, DyopPoint(centroid))
     assert verts == (0, 1)
     assert edge == 0
@@ -161,14 +169,7 @@ def test_select_candidates_arity_random():
         verts, edge = select_candidates(t, pivot)
         assert len(set(verts)) == 2
         assert edge in (0, 1, 2)
-        CandidateSet(verts, verts, edge, edge)  # invariants hold
-
-
-def test_candidate_set_validation():
-    with pytest.raises(ValueError):
-        CandidateSet((1, 1), (0, 1), 0, 0)
-    with pytest.raises(ValueError):
-        CandidateSet((0, 1), (0, 1), 1, 0)
+        assert edge_index_joining(*verts) == edge
 
 
 def test_dyop_distance_shifted_pair():
@@ -176,8 +177,21 @@ def test_dyop_distance_shifted_pair():
     b = a.translated(3, 0)
     r = dyop_distance(a, b, Vector2(1, 0))
     assert r.distance == pytest.approx(2.0, abs=1e-12)
-    assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (4, 4, 1)
+    assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
     assert r.flags == ()
+
+
+def test_dyop_distance_tie_keeps_earliest_endpoint_projection():
+    # Parallel candidate edges 1 apart: A's edge 2 runs (2, 0) -> (0, 0) and
+    # B's edge 0 runs (0.5, 1) -> (2.5, 1). A's first endpoint and B's first
+    # endpoint both project at distance 1; A's comes first in (a, b, c, d).
+    a = tri((0, 0), (2, 0), (1, -1))
+    b = tri((0.5, 1), (2.5, 1), (1.5, 2))
+    r = dyop_distance(a, b, Vector2(0, 1))
+    assert r.distance == 1.0
+    assert (r.point_a, r.point_b) == (Point2(2, 0), Point2(2, 1))
+    assert (r.feature_a.kind, r.feature_a.index) == (FeatureKind.VERTEX, 2)
+    assert (r.feature_b.kind, r.feature_b.index) == (FeatureKind.EDGE, 0)
 
 
 def test_dyop_distance_role_symmetry():
@@ -222,12 +236,12 @@ def test_dyop_distance_flags_overlapping_boxes():
     assert r.distance >= brute_force_triangle_distance(a, b).distance - 1e-12
 
 
-def test_dyop_counters_always_4_4_1():
+def test_dyop_counters_always_one_ee_test():
     rng = random.Random(12)
     for _ in range(300):
         a, b, vel = random_separated_pair(rng)
         r = dyop_distance(a, b, vel)
-        assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (4, 4, 1)
+        assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
 
 
 def test_dyop_conservative_bound_random():

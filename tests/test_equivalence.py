@@ -6,6 +6,9 @@ exception type. GJK is held to this too, against a frozen copy that
 re-validates its Simplex (size 1 to 3, no duplicate support point) on
 every iteration. Lin-Canny differs only where its walk aborts: the
 oracle's nine-edge sweep answers in place of the 36-feature-pair sweep.
+DyOP runs only the edge-edge test of the frozen copy's nine candidate
+tests, so its distance, flags and exceptions are bit-identical but its
+witnesses and features may differ on ties.
 """
 
 import dataclasses
@@ -22,7 +25,6 @@ from dyop2d.dyop import (
     build_internal_aabb,
     compute_dyop,
     dyop_distance,
-    nearest_facing_vertices,
     select_candidates,
 )
 from dyop2d.errors import DegenerateInput
@@ -64,8 +66,32 @@ def _assert_same(new, old, *args):
     assert _outcome(new, *args) == _outcome(old, *args), args
 
 
+def _realizes_distance(r):
+    return math.hypot(r.point_a.x - r.point_b.x, r.point_a.y - r.point_b.y) == r.distance
+
+
+def _witness_bits(r):
+    return _bits((r.point_a, r.point_b, r.feature_a, r.feature_b))
+
+
+def _assert_dyop_matches_reference(a, b, velocity):
+    try:
+        old = ref.dyop_distance(a, b, velocity)
+    except Exception as exc:
+        assert _outcome(dyop_distance, a, b, velocity) == ("raised", type(exc)), (a, b)
+        return
+    new = dyop_distance(a, b, velocity)
+    assert repr(new.distance) == repr(old.distance), (a, b, velocity)
+    assert new.flags == old.flags
+    # The frozen copy counts 4 vv, 4 ve and 1 ee test; only the ee test runs now.
+    assert (new.counters.vv_tests, new.counters.ve_tests, new.counters.ee_tests) == (0, 0, 1)
+    if _witness_bits(new) != _witness_bits(old):
+        # A tie between equal distances: each answer realizes the distance.
+        assert _realizes_distance(new) and _realizes_distance(old), (a, b, velocity)
+
+
 def _assert_pair_same(a, b, velocity):
-    _assert_same(dyop_distance, ref.dyop_distance, a, b, velocity)
+    _assert_dyop_matches_reference(a, b, velocity)
     _assert_same(brute_force_triangle_distance, ref.brute_force_triangle_distance, a, b)
     _assert_same(gjk_distance, ref.gjk_distance, a, b)
 
@@ -122,7 +148,6 @@ def test_stage_functions_match_reference():
         else:
             a, b, _ = random_separated_pair(rng)
         for axis in MovementAxis:
-            _assert_same(nearest_facing_vertices, ref.nearest_facing_vertices, a, b, axis)
             _assert_same(build_internal_aabb, ref.build_internal_aabb, a, b, axis)
             try:
                 box = build_internal_aabb(a, b, axis)
@@ -176,8 +201,7 @@ def _assert_lin_canny_matches_reference(a, b):
     ):
         # A tie: the two sweeps order feature pairs differently, and each
         # reports a witness pair that realizes the same distance.
-        for r in (new, old):
-            assert math.hypot(r.point_a.x - r.point_b.x, r.point_a.y - r.point_b.y) == r.distance
+        assert _realizes_distance(new) and _realizes_distance(old), (a, b)
 
 
 def test_lin_canny_matches_reference_on_placed_pairs():

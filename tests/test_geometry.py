@@ -9,7 +9,6 @@ from dyop2d.geometry import (
     Point2,
     Segment,
     Triangle,
-    aabb_of_triangle,
     brute_force_triangle_distance,
     edge_index_joining,
     point_segment_distance,
@@ -62,13 +61,6 @@ def test_triangle_degenerate_flag():
 def test_aabb_rejects_inverted():
     with pytest.raises(ValueError):
         Aabb(Point2(1, 0), Point2(0, 1))
-
-
-def test_aabb_of_triangle():
-    assert aabb_of_triangle(tri((0, 0), (2, 0), (0, 2))) == Aabb(Point2(0, 0), Point2(2, 2))
-    assert aabb_of_triangle(tri((1, 1), (1, 1), (1, 1))) == Aabb(Point2(1, 1), Point2(1, 1))
-    # componentwise min/max worked by hand
-    assert aabb_of_triangle(tri((-3, 5), (4, -1), (0, 0))) == Aabb(Point2(-3, -1), Point2(4, 5))
 
 
 def test_edge_index_joining():
