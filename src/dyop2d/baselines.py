@@ -12,6 +12,13 @@ counters record simplex solves by size (vv = point, ve = segment,
 ee = triangle); for the feature walk they record the actual feature-pair
 distance evaluations, plus nine ee tests when it falls back on the
 oracle's edge sweep.
+
+The feature walk is answered by its own end pair, not by an overlap test
+first: the pair's witnesses must pass ``geometry._separated``, the
+separating-line certificate the oracle also uses, which proves the
+triangles disjoint. Only a walk that aborts or fails the certificate
+runs the full overlap test and, on disjoint triangles, the flagged
+sweep.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .geometry import (
     _project,
     _require_finite,
     _segment_segment,
+    _separated,
     edge_feature,
     edge_index_joining,
     vertex_feature,
@@ -42,7 +50,6 @@ from .geometry import (
 
 GJK_MAX_ITERATIONS = 64
 GJK_IMPROVEMENT_TOL = 1e-12
-_VORONOI_EPS = 1e-12
 
 
 def _support(edges: _Edges, dx: float, dy: float) -> int:
@@ -287,27 +294,32 @@ def _feature_distance(
 
 
 def _voronoi_escape(edges: _Edges, feature: FeatureId, px: float, py: float) -> FeatureId | None:
-    """None when p lies in the feature's outer Voronoi region, else the feature to move to."""
+    """None when p lies in the feature's outer Voronoi region, else the feature to move to.
+
+    The tests have no slack: the caller's certificate, not a tolerance,
+    guards the walk's answer, so the walk does not depend on the
+    coordinates' scale.
+    """
     i = feature.index
     ax, ay, bx, by = edges[i]
     if feature.kind is FeatureKind.VERTEX:
         # a is the vertex, b the next one and c, which starts edge i + 2, the previous one.
-        if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > _VORONOI_EPS:
+        if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
             return _EDGE_FEATURES[i]
         cx, cy, _, _ = edges[(i + 2) % 3]
-        if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > _VORONOI_EPS:
+        if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
             return _EDGE_FEATURES[(i + 2) % 3]
         return None
 
     ux, uy = bx - ax, by - ay
     t = (px - ax) * ux + (py - ay) * uy
-    if t < -_VORONOI_EPS:
+    if t < 0.0:
         return _VERTEX_FEATURES[i]
-    if t > ux * ux + uy * uy + _VORONOI_EPS:
+    if t > ux * ux + uy * uy:
         return _VERTEX_FEATURES[(i + 1) % 3]
     # CCW winding puts the outward normal at (uy, -ux); a point behind the
     # edge cannot have it as closest feature, so step to the nearer endpoint.
-    if (px - ax) * uy - (py - ay) * ux < -_VORONOI_EPS:
+    if (px - ax) * uy - (py - ay) * ux < 0.0:
         da = math.hypot(px - ax, py - ay)
         db = math.hypot(px - bx, py - by)
         return _VERTEX_FEATURES[i] if da <= db else _VERTEX_FEATURES[(i + 1) % 3]
@@ -315,22 +327,23 @@ def _voronoi_escape(edges: _Edges, feature: FeatureId, px: float, py: float) -> 
 
 
 def _walk_features(
-    tA: Triangle,
-    tB: Triangle,
+    edges_a: _Edges,
+    edges_b: _Edges,
     fa: FeatureId,
     fb: FeatureId,
     counters: TestCounters,
     trace: list[tuple[FeatureId, FeatureId, float]] | None = None,
-) -> tuple[float, Point2, Point2, FeatureId, FeatureId] | None:
+) -> tuple[float, float, float, float, float, FeatureId, FeatureId] | None:
     """Walk neighboring feature pairs until both Voronoi conditions hold.
 
-    A pair whose witnesses each lie in the other feature's outer Voronoi
-    region realizes the global minimum (mutual projections of convex
-    shapes). Revisiting a pair or failing to strictly decrease the
-    distance aborts the walk and returns None, so floating-point
-    oscillation can never produce a wrong answer or an endless loop.
+    Returns (distance, pa.x, pa.y, pb.x, pb.y, feature_a, feature_b) of
+    the pair whose witnesses each lie in the other feature's outer
+    Voronoi region, or None. A vertex-to-edge step decreases the
+    distance and an edge-to-vertex step keeps it, so a step that
+    increases it (the "behind the edge" escape) or revisits a pair
+    aborts the walk and returns None: there is no endless loop. The end
+    pair is only a candidate; the caller certifies it with ``_separated``.
     """
-    edges_a, edges_b = _edges(tA), _edges(tB)
     visited: set[tuple[FeatureId, FeatureId]] = set()
     prev = math.inf
     while True:
@@ -341,7 +354,7 @@ def _walk_features(
         d, pax, pay, pbx, pby = _feature_distance(edges_a, fa, edges_b, fb, counters)
         if trace is not None:
             trace.append((fa, fb, d))
-        if d >= prev:
+        if d > prev:
             return None
         prev = d
         step_a = _voronoi_escape(edges_a, fa, pbx, pby)
@@ -352,7 +365,7 @@ def _walk_features(
         if step_b is not None:
             fb = step_b
             continue
-        return d, Point2(pax, pay), Point2(pbx, pby), fa, fb
+        return d, pax, pay, pbx, pby, fa, fb
 
 
 def lin_canny_distance(
@@ -362,29 +375,38 @@ def lin_canny_distance(
 
     Returns the distance result and the witness pair; passing that pair
     back as ``seed`` on temporally coherent queries lets the walk
-    terminate in a single verification step. When the walk aborts, the
-    oracle's nine-edge sweep answers instead: the result is flagged
-    "lincanny-fallback" and the sweep adds its nine ee_tests to the
-    walk's counters. Overlapping or touching triangles raise Penetrating.
+    terminate in a single verification step. A walk whose end witnesses
+    pass ``_separated`` has proved the triangles disjoint, at a positive
+    distance, and answers. Any other walk runs the full overlap
+    test: overlapping or touching triangles raise Penetrating, and
+    disjoint ones are answered by the oracle's nine-edge sweep, flagged
+    "lincanny-fallback", which adds its nine ee_tests to the walk's
+    counters.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
-    if _overlap(edges_a, edges_b):
-        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-
     counters = TestCounters()
     if seed is not None:
         fa, fb = seed.feature_a, seed.feature_b
     else:
         fa, fb = _VERTEX_FEATURES[0], _VERTEX_FEATURES[0]
-    walked = _walk_features(tA, tB, fa, fb, counters)
-    if walked is None:
-        counters.ee_tests += 9
-        d, pa, pb, fa, fb = _edge_sweep(edges_a, edges_b)
-        flags: tuple[str, ...] = ("lincanny-fallback",)
-    else:
-        d, pa, pb, fa, fb = walked
-        flags = ()
-    result = DistanceResult(d, pa, pb, fa, fb, counters, flags)
+    try:
+        walked = _walk_features(edges_a, edges_b, fa, fb, counters)
+    except ValueError:
+        # Coordinates near the float range overflow a witness; overlapping
+        # triangles are still refused as overlapping.
+        if not _overlap(edges_a, edges_b):
+            raise
+        walked = None
+    if walked is not None:
+        d, pax, pay, pbx, pby, fa, fb = walked
+        if _separated(edges_a, edges_b, pax, pay, pbx, pby):
+            result = DistanceResult(d, Point2(pax, pay), Point2(pbx, pby), fa, fb, counters)
+            return result, FeaturePair(fa, fb)
+    if _overlap(edges_a, edges_b):
+        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
+    counters.ee_tests += 9
+    d, pa, pb, fa, fb = _edge_sweep(edges_a, edges_b)
+    result = DistanceResult(d, pa, pb, fa, fb, counters, ("lincanny-fallback",))
     return result, FeaturePair(fa, fb)

@@ -223,8 +223,9 @@ class DistanceResult:
 
     ``flags`` carries advisory signals such as "overlapping-boxes"
     (pruning assumptions violated), "gjk-unconverged", or
-    "lincanny-fallback" (the feature walk aborted and the oracle's
-    nine-edge sweep answered); an empty tuple means a clean result.
+    "lincanny-fallback" (the feature walk aborted or was not certified,
+    and the oracle's nine-edge sweep answered); an empty tuple means a
+    clean result.
     """
 
     distance: float
@@ -470,9 +471,10 @@ def _edge_sweep(
     """Distance, witnesses and features of disjoint triangles over their nine edge pairs.
 
     Every edge of A is tested against every edge of B, which subsumes all
-    vertex-vertex and vertex-edge pairs. The caller has already found the
-    triangles disjoint, so each pair costs only its four endpoint
-    projections. Equal minima resolve to the earliest edge pair in
+    vertex-vertex and vertex-edge pairs. Each pair costs only its four
+    endpoint projections, which is exact only for disjoint triangles: the
+    caller proves them disjoint, by ``_separated`` or ``_overlap``, before
+    it trusts the answer. Equal minima resolve to the earliest edge pair in
     row-major order, which keeps the reported feature indices as low as
     possible.
     """
@@ -492,15 +494,57 @@ def _edge_sweep(
     )
 
 
+def _separated(
+    edges_a: _Edges, edges_b: _Edges, pax: float, pay: float, pbx: float, pby: float
+) -> bool:
+    """True when the witnesses pa on A and pb on B prove the triangles disjoint.
+
+    With n = pb - pa, sa = pa.n and sb = pb.n, every vertex of A must
+    have v.n <= sa + tol and every vertex of B u.n >= sb - tol, with
+    sb - sa > 2 tol: the two slabs then leave a gap, so the witnesses
+    realize the distance (the duality gap that ends GJK, and Lin and
+    Canny's closest-feature condition). tol = 1e-12 (|sa| + |sb|) is
+    relative to the coordinates, so the test has no absolute slack, and
+    touching or overlapping shapes fail it since sb - sa = |n|^2. Every
+    comparison is written to fail on NaN.
+    """
+    nx, ny = pbx - pax, pby - pay
+    sa, sb = pax * nx + pay * ny, pbx * nx + pby * ny
+    tol = 1e-12 * (abs(sa) + abs(sb))
+    if not sb - sa > 2.0 * tol:
+        return False
+    hi, lo = sa + tol, sb - tol
+    for x, y, _, _ in edges_a:
+        if not x * nx + y * ny <= hi:
+            return False
+    for x, y, _, _ in edges_b:
+        if not x * nx + y * ny >= lo:
+            return False
+    return True
+
+
 def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """Exact separation distance by exhausting all nine edge pairs.
 
-    Overlapping or touching triangles report distance 0 with coincident
-    witness points. Otherwise the nine-edge sweep (``_edge_sweep``)
-    answers, recording nine ee_tests.
+    The nine-edge sweep (``_edge_sweep``) runs first and answers,
+    recording nine ee_tests, when its witnesses pass ``_separated``.
+    Only when they fail does the full overlap test run: overlapping or
+    touching triangles then report distance 0 with coincident witness
+    points, and disjoint ones the sweep's answer.
     """
     edges_a, edges_b = _edges(tA), _edges(tB)
-    if _overlap(edges_a, edges_b):
-        p, fa, fb = _contact_witness(tA, tB)
-        return DistanceResult(0.0, p, p, fa, fb, TestCounters())
-    return DistanceResult(*_edge_sweep(edges_a, edges_b), TestCounters(ee_tests=9))
+    try:
+        swept = _edge_sweep(edges_a, edges_b)
+    except ValueError:
+        # Near the float range the sweep can overflow on triangles that
+        # the contact path answers; disjoint ones re-run it below and raise.
+        swept = None
+    if swept is None or not _separated(
+        edges_a, edges_b, swept[1].x, swept[1].y, swept[2].x, swept[2].y
+    ):
+        if _overlap(edges_a, edges_b):
+            p, fa, fb = _contact_witness(tA, tB)
+            return DistanceResult(0.0, p, p, fa, fb, TestCounters())
+        if swept is None:
+            swept = _edge_sweep(edges_a, edges_b)
+    return DistanceResult(*swept, TestCounters(ee_tests=9))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dyop2d import baselines, geometry
 from dyop2d.baselines import (
     FeaturePair,
     _walk_features,
@@ -10,13 +11,18 @@ from dyop2d.baselines import (
     lin_canny_distance,
     support,
 )
+from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.errors import DegenerateInput, Penetrating, ZeroDirection
 from dyop2d.geometry import (
+    FeatureKind,
     Point2,
     TestCounters,
     Triangle,
     Vector2,
+    _edges,
+    _overlap,
     brute_force_triangle_distance,
+    triangles_overlap,
     vertex_feature,
 )
 from dyop2d.verify import random_separated_pair, random_triangle
@@ -159,44 +165,154 @@ def test_lin_canny_counters_populated():
         assert result.counters.total() >= 1
 
 
-def test_walk_strictly_decreases_and_never_revisits():
+def _walk(a, b, counters=None, trace=None):
+    counters = TestCounters() if counters is None else counters
+    v0 = vertex_feature(0)
+    return _walk_features(_edges(a), _edges(b), v0, v0, counters, trace)
+
+
+def test_walk_never_increases_and_never_revisits():
+    # A vertex->edge step moves to a feature holding a strictly closer
+    # point (on integer grids a float tie can round it equal, which these
+    # random pairs never hit); an edge->vertex step moves to the endpoint
+    # the witness was already clamped to, so it keeps the distance, unless
+    # the point lay behind the edge, whose escape raises it and aborts.
     rng = random.Random(25)
+    kinds = {"vertex->edge": 0, "edge->vertex": 0, "raised": 0}
     for _ in range(500):
         a, b, _ = random_separated_pair(rng)
         trace = []
-        _walk_features(a, b, vertex_feature(0), vertex_feature(0), TestCounters(), trace)
+        walked = _walk(a, b, trace=trace)
         pairs = [(fa, fb) for fa, fb, _ in trace]
         assert len(pairs) == len(set(pairs))
-        distances = [d for _, _, d in trace]
-        # every step strictly decreases, except a final one that triggers
-        # termination into the exhaustive fallback
-        violations = [k for k in range(1, len(distances)) if distances[k] >= distances[k - 1]]
-        assert violations in ([], [len(distances) - 1])
+        for k in range(1, len(trace)):
+            (fa0, fb0, d0), (fa1, fb1, d1) = trace[k - 1], trace[k]
+            old, new = (fa0, fa1) if fa0 != fa1 else (fb0, fb1)
+            if old.kind is FeatureKind.VERTEX:
+                assert new.kind is FeatureKind.EDGE and d1 < d0
+                kinds["vertex->edge"] += 1
+            else:
+                assert new.kind is FeatureKind.VERTEX and d1 >= d0
+                kinds["edge->vertex"] += 1
+                if d1 > d0:
+                    # No accepted step increases the distance: this one aborts.
+                    assert k == len(trace) - 1 and walked is None
+                    kinds["raised"] += 1
+    assert all(kinds.values())
+
+
+def _realizes(r):
+    return math.hypot(r.point_a.x - r.point_b.x, r.point_a.y - r.point_b.y) == r.distance
 
 
 def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
     rng = random.Random(26)
-    aborted = 0
+    certified = fallbacks = 0
+    fields = ("distance", "point_a", "point_b", "feature_a", "feature_b")
     for _ in range(300):
         a, b, _ = random_separated_pair(rng)
-        trace, walk_counters = [], TestCounters()
-        walked = _walk_features(a, b, vertex_feature(0), vertex_feature(0), walk_counters, trace)
+        walk_counters = TestCounters()
+        _walk(a, b, walk_counters)
         result, witness = lin_canny_distance(a, b)
-        if walked is not None:
-            assert result.flags == ()
-            continue
-        if len(trace) < 2 or trace[-1][2] < trace[-2][2]:
-            continue  # aborted on a revisit, which the trace does not record
-        aborted += 1
         exact = brute_force_triangle_distance(a, b)
+        assert witness == FeaturePair(result.feature_a, result.feature_b)
+        if result.flags == ():
+            # A certified walk: its own witnesses, the oracle's distance.
+            certified += 1
+            assert _realizes(result)
+            assert abs(result.distance - exact.distance) <= 4 * math.ulp(exact.distance)
+            assert result.counters == walk_counters
+            continue
+        fallbacks += 1
         assert result.flags == ("lincanny-fallback",)
-        fields = ("distance", "point_a", "point_b", "feature_a", "feature_b")
         assert [getattr(result, f) for f in fields] == [getattr(exact, f) for f in fields]
-        assert witness == FeaturePair(exact.feature_a, exact.feature_b)
         # The walk's own evaluations plus the sweep's nine edge pairs.
         walk_counters.ee_tests += 9
         assert result.counters == walk_counters
-    assert aborted > 0
+    assert certified > 0 and fallbacks > 0
+
+
+def _count_overlap_calls(monkeypatch):
+    calls = []
+
+    def counting(edges_a, edges_b):
+        calls.append(None)
+        return _overlap(edges_a, edges_b)
+
+    monkeypatch.setattr(geometry, "_overlap", counting)
+    monkeypatch.setattr(baselines, "_overlap", counting)
+    return calls
+
+
+def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
+    calls = _count_overlap_calls(monkeypatch)
+    scene = default_scene()
+    n = len(scene.objects)
+    pairs = [place_pair(scene, (i, j)) for i in range(n) for j in range(n) if i != j]
+    assert len(pairs) == 90
+    for a, b, _ in pairs:
+        brute_force_triangle_distance(a, b)
+        result, _ = lin_canny_distance(a, b)
+        assert "lincanny-fallback" not in result.flags
+    assert calls == []
+
+
+def test_near_touching_copies_still_count_as_contact(monkeypatch):
+    # A copy shifted by the width plus a gap at or below rounding: the
+    # certificate must not call that separated, so the overlap test
+    # decides, as it did before the certificate existed. Obj1 to Obj9
+    # rest their leftmost and rightmost vertices on y = 0, so a copy
+    # shifted by exactly the width touches at a vertex; at 2**15 times
+    # their size, every gap here rounds away.
+    calls = _count_overlap_calls(monkeypatch)
+    for scale in (1.0, 2.0**15):
+        for obj in default_scene().objects[:9]:
+            t = obj.scaled(scale)
+            xs = [p.x for p in t.vertices]
+            width = max(xs) - min(xs)
+            for gap in (0.0, 1e-18, 1e-15, 1e-12):
+                b = t.translated(width + gap, 0.0)
+                exact = brute_force_triangle_distance(t, b)
+                if triangles_overlap(t, b):
+                    assert exact.distance == 0.0
+                    with pytest.raises(Penetrating):
+                        lin_canny_distance(t, b)
+                else:
+                    assert scale == 1.0 and gap > 0.0 and exact.distance > 0.0
+                    result, _ = lin_canny_distance(t, b)
+                    assert result.distance == exact.distance
+                    assert result.flags == ("lincanny-fallback",)
+    assert calls
+
+
+@pytest.mark.parametrize("k", [-20, 20])
+def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
+    # DEGENERATE_AREA is still an absolute area bound, so the pairs are
+    # taken at 2**20 times their unit size: at both scalings every
+    # triangle's area stays far above it.
+    rng = random.Random(28)
+    base = 2.0**20
+    scene = default_scene()
+    n = len(scene.objects)
+    pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
+    pairs += [random_separated_pair(rng)[:2] for _ in range(300)]
+    grid = [tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))) for _ in range(600)]
+    pairs += list(zip(grid[::2], grid[1::2]))
+    s = 2.0**k
+    for a, b in pairs:
+        a, b = a.scaled(base), b.scaled(base)
+        sa, sb = a.scaled(s), b.scaled(s)
+        exact, scaled = brute_force_triangle_distance(a, b), brute_force_triangle_distance(sa, sb)
+        assert scaled.distance == exact.distance * s
+        try:
+            result, _ = lin_canny_distance(a, b)
+        except (DegenerateInput, Penetrating) as exc:
+            with pytest.raises(type(exc)):
+                lin_canny_distance(sa, sb)
+            continue
+        scaled_result, _ = lin_canny_distance(sa, sb)
+        assert scaled_result.distance == result.distance * s
+        assert scaled_result.flags == result.flags
 
 
 def test_lin_canny_seeded_repeat_after_fallback_is_one_pass_without_flag():
