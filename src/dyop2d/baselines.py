@@ -35,6 +35,8 @@ from .geometry import (
     TestCounters,
     Triangle,
     Vector2,
+    _EDGE_FEATURES,
+    _VERTEX_FEATURES,
     _Edges,
     _edge_sweep,
     _edges,
@@ -43,9 +45,7 @@ from .geometry import (
     _require_finite,
     _segment_segment,
     _separated,
-    edge_feature,
     edge_index_joining,
-    vertex_feature,
 )
 
 GJK_MAX_ITERATIONS = 64
@@ -184,12 +184,12 @@ def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
     if not active:
         active = [min(weights)]
     if len(active) == 1:
-        return vertex_feature(active[0])
+        return _VERTEX_FEATURES[active[0]]
     if len(active) == 2:
-        return edge_feature(edge_index_joining(active[0], active[1]))
+        return _EDGE_FEATURES[edge_index_joining(active[0], active[1])]
     # All three vertices active: an interior contact; report the heaviest vertex.
     heaviest = max(active, key=lambda i: (weights[i], -i))
-    return vertex_feature(heaviest)
+    return _VERTEX_FEATURES[heaviest]
 
 
 def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
@@ -265,10 +265,6 @@ class FeaturePair:
 
     feature_a: FeatureId
     feature_b: FeatureId
-
-
-_VERTEX_FEATURES = tuple(FeatureId(FeatureKind.VERTEX, i) for i in range(3))
-_EDGE_FEATURES = tuple(FeatureId(FeatureKind.EDGE, i) for i in range(3))
 
 
 def _feature_distance(

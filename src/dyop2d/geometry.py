@@ -194,6 +194,11 @@ def edge_feature(i: int) -> FeatureId:
     return FeatureId(FeatureKind.EDGE, i)
 
 
+# Every feature name an answer can carry, built once rather than per answer.
+_VERTEX_FEATURES = tuple(map(vertex_feature, range(3)))
+_EDGE_FEATURES = tuple(map(edge_feature, range(3)))
+
+
 def edge_index_joining(i: int, j: int) -> int:
     """The index of the triangle edge whose endpoints are vertices i and j."""
     if j == (i + 1) % 3:
@@ -433,35 +438,28 @@ def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
 def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
     """Name the feature a witness on edge ``edge_index`` actually lies on."""
     if t == 0.0:
-        return vertex_feature(edge_index)
+        return _VERTEX_FEATURES[edge_index]
     if t == 1.0:
-        return vertex_feature((edge_index + 1) % 3)
-    return edge_feature(edge_index)
+        return _VERTEX_FEATURES[(edge_index + 1) % 3]
+    return _EDGE_FEATURES[edge_index]
 
 
 def _nearest_edge_feature(edges: _Edges, px: float, py: float) -> FeatureId:
-    best_d = math.inf
-    best_i = 0
-    for i, (ax, ay, bx, by) in enumerate(edges):
-        d = _project(px, py, ax, ay, bx, by)[0]
-        if d < best_d:
-            best_d, best_i = d, i
-    return edge_feature(best_i)
+    return _EDGE_FEATURES[min(range(3), key=lambda i: _project(px, py, *edges[i])[0])]
 
 
-def _contact_witness(tA: Triangle, tB: Triangle) -> tuple[Point2, FeatureId, FeatureId]:
-    edges_a, edges_b = _edges(tA), _edges(tB)
+def _contact_witness(edges_a: _Edges, edges_b: _Edges) -> tuple[Point2, FeatureId, FeatureId]:
     for i, ea in enumerate(edges_a):
         for j, eb in enumerate(edges_b):
             hit = _intersect(*ea, *eb)
             if hit is not None:
-                return Point2(*hit), edge_feature(i), edge_feature(j)
+                return Point2(*hit), _EDGE_FEATURES[i], _EDGE_FEATURES[j]
     for k, (vx, vy, _, _) in enumerate(edges_b):
         if _point_in_triangle(edges_a, vx, vy):
-            return Point2(vx, vy), _nearest_edge_feature(edges_a, vx, vy), vertex_feature(k)
+            return Point2(vx, vy), _nearest_edge_feature(edges_a, vx, vy), _VERTEX_FEATURES[k]
     for k, (vx, vy, _, _) in enumerate(edges_a):
         if _point_in_triangle(edges_b, vx, vy):
-            return Point2(vx, vy), vertex_feature(k), _nearest_edge_feature(edges_b, vx, vy)
+            return Point2(vx, vy), _VERTEX_FEATURES[k], _nearest_edge_feature(edges_b, vx, vy)
     raise AssertionError("overlapping triangles without a contact witness")
 
 
@@ -470,28 +468,35 @@ def _edge_sweep(
 ) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
     """Distance, witnesses and features of disjoint triangles over their nine edge pairs.
 
-    Every edge of A is tested against every edge of B, which subsumes all
-    vertex-vertex and vertex-edge pairs. Each pair costs only its four
-    endpoint projections, which is exact only for disjoint triangles: the
-    caller proves them disjoint, by ``_separated`` or ``_overlap``, before
-    it trusts the answer. Equal minima resolve to the earliest edge pair in
-    row-major order, which keeps the reported feature indices as low as
-    possible.
+    The minimum over the 18 vertex-edge projections, each computed once,
+    in the first edge pair that holds it: vertex i + 1 ends edge i and
+    starts edge i + 1. It is exact only for disjoint triangles, which the
+    caller proves by ``_separated`` or ``_overlap``. Ties keep the earliest
+    projection in row-major edge-pair order, then (a, b, c, d) order, so
+    the reported feature indices stay as low as possible.
     """
-    best = None
-    for i, ea in enumerate(edges_a):
-        for j, eb in enumerate(edges_b):
-            w = _endpoint_projections(*ea, *eb)
-            if best is None or w[0] < best[0]:
-                best, bi, bj = w, i, j
-    d, pax, pay, pbx, pby, t1, t2 = best
-    return (
-        d,
-        Point2(pax, pay),
-        Point2(pbx, pby),
-        _classify_edge_point(bi, t1),
-        _classify_edge_point(bj, t2),
-    )
+    best_d, best = math.inf, (*edges_a[0][:2], *edges_b[0][:2], 0.0, 0.0, 0, 0)
+    for i, (ax, ay, bx, by) in enumerate(edges_a):
+        for j, (cx, cy, dx, dy) in enumerate(edges_b):
+            if i == 0:
+                d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
+                if d < best_d:
+                    best_d, best = d, (ax, ay, qx, qy, 0.0, t, i, j)
+            if i < 2:
+                d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
+                if d < best_d:
+                    best_d, best = d, (bx, by, qx, qy, 1.0, t, i, j)
+            if j == 0:
+                d, qx, qy, t = _project(cx, cy, ax, ay, bx, by)
+                if d < best_d:
+                    best_d, best = d, (qx, qy, cx, cy, t, 0.0, i, j)
+            if j < 2:
+                d, qx, qy, t = _project(dx, dy, ax, ay, bx, by)
+                if d < best_d:
+                    best_d, best = d, (qx, qy, dx, dy, t, 1.0, i, j)
+    pax, pay, pbx, pby, t1, t2, bi, bj = best
+    fa, fb = _classify_edge_point(bi, t1), _classify_edge_point(bj, t2)
+    return best_d, Point2(pax, pay), Point2(pbx, pby), fa, fb
 
 
 def _separated(
@@ -526,11 +531,11 @@ def _separated(
 def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """Exact separation distance by exhausting all nine edge pairs.
 
-    The nine-edge sweep (``_edge_sweep``) runs first and answers,
-    recording nine ee_tests, when its witnesses pass ``_separated``.
-    Only when they fail does the full overlap test run: overlapping or
-    touching triangles then report distance 0 with coincident witness
-    points, and disjoint ones the sweep's answer.
+    The nine-edge sweep (``_edge_sweep``, 18 projections) runs first and
+    answers, counted as nine ee_tests, when its witnesses pass
+    ``_separated``. Only when they fail does the full overlap test run:
+    overlapping or touching triangles then report distance 0 with
+    coincident witnesses, and disjoint ones the sweep's answer.
     """
     edges_a, edges_b = _edges(tA), _edges(tB)
     try:
@@ -543,7 +548,7 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         edges_a, edges_b, swept[1].x, swept[1].y, swept[2].x, swept[2].y
     ):
         if _overlap(edges_a, edges_b):
-            p, fa, fb = _contact_witness(tA, tB)
+            p, fa, fb = _contact_witness(edges_a, edges_b)
             return DistanceResult(0.0, p, p, fa, fb, TestCounters())
         if swept is None:
             swept = _edge_sweep(edges_a, edges_b)

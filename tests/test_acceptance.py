@@ -90,6 +90,14 @@ def test_criterion_3_conservative_bound():
     )
 
 
+def test_verify_document_is_pinned():
+    # The oracle and DyOP on 10,000 seeded pairs: any change to either
+    # answer moves one of these values.
+    report = run_verify(trials=10000, seed=1)
+    assert (report.trials, report.mismatches, report.conservative_violations) == (10000, 673, 0)
+    assert repr(report.max_overestimate) == "0.4667220283239716"
+
+
 def test_criterion_4_baseline_oracle_equivalence():
     rng = random.Random(2)
     start = time.perf_counter()

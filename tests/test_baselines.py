@@ -20,7 +20,9 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
     _edges,
+    _edge_sweep,
     _overlap,
+    _project,
     brute_force_triangle_distance,
     triangles_overlap,
     vertex_feature,
@@ -255,6 +257,52 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
         result, _ = lin_canny_distance(a, b)
         assert "lincanny-fallback" not in result.flags
     assert calls == []
+
+
+def _count_projections(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _project(*args)
+
+    monkeypatch.setattr(geometry, "_project", counting)
+    return calls
+
+
+def test_sweep_projects_each_vertex_edge_pair_once(monkeypatch):
+    # Each of the 18 vertex-edge pairs is projected once, not once for
+    # each of the two edges that the vertex ends and starts.
+    calls = _count_projections(monkeypatch)
+    scene = default_scene()
+    n = len(scene.objects)
+    pairs = [place_pair(scene, (i, j)) for i in range(n) for j in range(n) if i != j]
+    assert len(pairs) == 90
+    for a, b, _ in pairs:
+        calls.clear()
+        assert brute_force_triangle_distance(a, b).counters.ee_tests == 9
+        assert len(calls) == 18 and len(set(calls)) == 18
+
+
+def test_lin_canny_fallback_sweep_projects_each_pair_once(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    sweeps = []
+
+    def counting_sweep(edges_a, edges_b):
+        calls.clear()
+        answer = _edge_sweep(edges_a, edges_b)
+        sweeps.append(len(calls))
+        return answer
+
+    monkeypatch.setattr(baselines, "_edge_sweep", counting_sweep)
+    rng = random.Random(26)
+    for _ in range(300):
+        a, b, _ = random_separated_pair(rng)
+        result, _ = lin_canny_distance(a, b)
+        if result.flags:
+            break
+    assert result.flags == ("lincanny-fallback",)
+    assert sweeps == [18]
 
 
 def test_near_touching_copies_still_count_as_contact(monkeypatch):

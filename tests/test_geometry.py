@@ -5,15 +5,20 @@ import pytest
 
 from dyop2d.geometry import (
     Aabb,
+    FeatureId,
     FeatureKind,
     Point2,
     Segment,
     Triangle,
+    _EDGE_FEATURES,
+    _VERTEX_FEATURES,
     brute_force_triangle_distance,
+    edge_feature,
     edge_index_joining,
     point_segment_distance,
     segment_segment_distance,
     triangles_overlap,
+    vertex_feature,
 )
 
 
@@ -71,6 +76,18 @@ def test_edge_index_joining():
     assert edge_index_joining(0, 2) == 2
     with pytest.raises(ValueError):
         edge_index_joining(1, 1)
+
+
+def test_feature_index_out_of_range_is_refused():
+    for i in (-1, 3):
+        for make in (vertex_feature, edge_feature):
+            with pytest.raises(ValueError):
+                make(i)
+        for kind in FeatureKind:
+            with pytest.raises(ValueError):
+                FeatureId(kind, i)
+    assert _VERTEX_FEATURES == tuple(vertex_feature(i) for i in range(3))
+    assert _EDGE_FEATURES == tuple(edge_feature(i) for i in range(3))
 
 
 def test_point_segment_distance_foot_inside():
