@@ -3,8 +3,12 @@
 Both are specialized to 2D triangles and run on the float core of
 ``geometry.py``: a query reads each triangle's ``_edges`` tuples once,
 and ``Point2``/``FeatureId`` objects are built only for the answer. GJK
-keeps its support points as ``(x, y, index_a, index_b)`` tuples in a
-plain list simplex.
+runs its loop on scalar locals: the six vertex coordinates of each
+triangle are unpacked once, and the support argmaxes, finiteness
+checks, solve counts and witness sums are inline, with no dict or sort
+per query (only an intersecting answer with three weights sums its
+witness with ``sum()``). Its support points are
+``(x, y, index_a, index_b)`` tuples in a plain list simplex.
 
 Both fill the same counters as the other algorithms, each in its own
 unit, so counts of two algorithms are not a cost ratio. For GJK the
@@ -40,6 +44,8 @@ from .geometry import (
     _Edges,
     _edge_sweep,
     _edges,
+    _edges_degenerate,
+    _is_degenerate,
     _overlap,
     _project,
     _require_finite,
@@ -76,15 +82,6 @@ def support(tri: Triangle, direction: Vector2) -> tuple[int, Point2]:
 # index_a minus B's vertex index_b.
 _SupportPoint = tuple[float, float, int, int]
 _LambdaList = list[tuple[_SupportPoint, float]]
-
-
-def _difference_support(edges_a: _Edges, edges_b: _Edges, dx: float, dy: float) -> _SupportPoint:
-    """The support point of A - B along (dx, dy); non-finite values raise ValueError."""
-    _require_finite(dx, dy)
-    ia, ib = _support(edges_a, dx, dy), _support(edges_b, -dx, -dy)
-    x, y = edges_a[ia][0] - edges_b[ib][0], edges_a[ia][1] - edges_b[ib][1]
-    _require_finite(x, y)
-    return x, y, ia, ib
 
 
 def _closest_on_segment(a: _SupportPoint, b: _SupportPoint) -> tuple[float, float, _LambdaList]:
@@ -160,36 +157,25 @@ def _closest_on_triangle(
     return 0.0, 0.0, [(a, u), (b, v), (c, w)]
 
 
-def _solve_simplex(
-    simplex: list[_SupportPoint], counters: TestCounters
-) -> tuple[float, float, _LambdaList]:
-    if len(simplex) == 1:
-        counters.vv_tests += 1
-        a = simplex[0]
-        return a[0], a[1], [(a, 1.0)]
-    if len(simplex) == 2:
-        counters.ve_tests += 1
-        return _closest_on_segment(*simplex)
-    counters.ee_tests += 1
-    return _closest_on_triangle(*simplex)
-
-
 def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
-    """The feature of A (slot 2) or B (slot 3) that the weighted support points lie on."""
-    weights: dict[int, float] = {}
+    """The feature of A (slot 2) or B (slot 3) that the weighted support points lie on.
+
+    A vertex is active when its summed weight exceeds 1e-12; when none
+    is, the lowest vertex index among the support points stands in.
+    """
+    weights = [0.0, 0.0, 0.0]
     for sp, lam in lambdas:
-        idx = sp[slot]
-        weights[idx] = weights.get(idx, 0.0) + lam
-    active = sorted(i for i, w in weights.items() if w > 1e-12)
+        weights[sp[slot]] += lam
+    active = [i for i in (0, 1, 2) if weights[i] > 1e-12]
     if not active:
-        active = [min(weights)]
+        return _VERTEX_FEATURES[min(sp[slot] for sp, _ in lambdas)]
     if len(active) == 1:
         return _VERTEX_FEATURES[active[0]]
     if len(active) == 2:
         return _EDGE_FEATURES[edge_index_joining(active[0], active[1])]
-    # All three vertices active: an interior contact; report the heaviest vertex.
-    heaviest = max(active, key=lambda i: (weights[i], -i))
-    return _VERTEX_FEATURES[heaviest]
+    # All three vertices active: an interior contact; report the heaviest
+    # vertex, ties to the lower index.
+    return _VERTEX_FEATURES[max((0, 1, 2), key=weights.__getitem__)]
 
 
 def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
@@ -201,45 +187,98 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     point repeats, or after GJK_MAX_ITERATIONS (then flagged
     "gjk-unconverged" and the best simplex so far is reported).
     Intersecting triangles return distance 0 with coincident witnesses.
+    A non-finite search direction or support point raises ValueError.
     """
-    if tA.is_degenerate or tB.is_degenerate:
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    if _is_degenerate(ax0, ay0, ax1, ay1, ax2, ay2) or _is_degenerate(
+        bx0, by0, bx1, by1, bx2, by2
+    ):
         raise DegenerateInput("gjk requires non-degenerate triangles")
 
-    edges_a, edges_b = _edges(tA), _edges(tB)
-    counters = TestCounters()
-    # The centroid difference; a non-finite one is refused by _difference_support.
-    (a0, a1, a2), (b0, b1, b2) = edges_a, edges_b
-    dx = (a0[0] + a1[0] + a2[0]) / 3.0 - (b0[0] + b1[0] + b2[0]) / 3.0
-    dy = (a0[1] + a1[1] + a2[1]) / 3.0 - (b0[1] + b1[1] + b2[1]) / 3.0
+    # The first search direction is the centroid difference.
+    dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
+    dy = (ay0 + ay1 + ay2) / 3.0 - (by0 + by1 + by2) / 3.0
     if dx == 0.0 and dy == 0.0:
         dx = 1.0
-    start = _difference_support(edges_a, edges_b, dx, dy)
-    simplex = [start]
-
-    lambdas: _LambdaList = [(start, 1.0)]
+    simplex: list[_SupportPoint] = []
+    vv = ve = ee = 0
     intersecting = False
     converged = False
-    for _ in range(GJK_MAX_ITERATIONS):
-        vx, vy, lambdas = _solve_simplex(simplex, counters)
-        simplex = [sp for sp, _ in lambdas]
+    for solves in range(GJK_MAX_ITERATIONS + 1):
+        # The support point of A - B along (dx, dy): A's vertex maximizing
+        # the dot product with (dx, dy) minus B's maximizing it with
+        # (-dx, -dy), ties to the lower index.
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            _require_finite(dx, dy)
+        ia, sax, say = 0, ax0, ay0
+        best = ax0 * dx + ay0 * dy
+        d = ax1 * dx + ay1 * dy
+        if d > best:
+            ia, sax, say, best = 1, ax1, ay1, d
+        if ax2 * dx + ay2 * dy > best:
+            ia, sax, say = 2, ax2, ay2
+        dx, dy = -dx, -dy
+        ib, sbx, sby = 0, bx0, by0
+        best = bx0 * dx + by0 * dy
+        d = bx1 * dx + by1 * dy
+        if d > best:
+            ib, sbx, sby, best = 1, bx1, by1, d
+        if bx2 * dx + by2 * dy > best:
+            ib, sbx, sby = 2, bx2, by2
+        x, y = sax - sbx, say - sby
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _require_finite(x, y)
+
+        if simplex:
+            for _, _, sa, sb in simplex:
+                if sa == ia and sb == ib:
+                    converged = True
+                    break
+            if converged or v2 - (vx * x + vy * y) < GJK_IMPROVEMENT_TOL:
+                converged = True
+                break
+        simplex.append((x, y, ia, ib))
+        if solves == GJK_MAX_ITERATIONS:
+            break
+
+        if len(simplex) == 1:
+            vv += 1
+            vx, vy, lambdas = x, y, [(simplex[0], 1.0)]
+        else:
+            if len(simplex) == 2:
+                ve += 1
+                vx, vy, lambdas = _closest_on_segment(*simplex)
+            else:
+                ee += 1
+                vx, vy, lambdas = _closest_on_triangle(*simplex)
+            simplex = [sp for sp, _ in lambdas]
         v2 = vx * vx + vy * vy
         if v2 <= 1e-24:
             intersecting = True
             converged = True
             break
-        w = _difference_support(edges_a, edges_b, -vx, -vy)
-        if any(sp[2] == w[2] and sp[3] == w[3] for sp in simplex):
-            converged = True
-            break
-        if v2 - (vx * w[0] + vy * w[1]) < GJK_IMPROVEMENT_TOL:
-            converged = True
-            break
-        simplex.append(w)
+        dx, dy = -vx, -vy
 
-    pax = sum(lam * edges_a[sp[2]][0] for sp, lam in lambdas)
-    pay = sum(lam * edges_a[sp[2]][1] for sp, lam in lambdas)
-    pbx = sum(lam * edges_b[sp[3]][0] for sp, lam in lambdas)
-    pby = sum(lam * edges_b[sp[3]][1] for sp, lam in lambdas)
+    if len(lambdas) == 3:
+        # Three weights put the origin inside the simplex triangle, so the
+        # triangles intersect and only A's witness is used. sum() keeps it
+        # as it was on every interpreter: from Python 3.12 on, sum()
+        # compensates, which a plain loop does not; on one or two terms,
+        # as below, the two agree.
+        pax = sum(lam * edges_a[sp[2]][0] for sp, lam in lambdas)
+        pay = sum(lam * edges_a[sp[2]][1] for sp, lam in lambdas)
+    else:
+        # Summed from int 0 in lambda order, as sum() does.
+        pax = pay = pbx = pby = 0
+        for (_, _, ia, ib), lam in lambdas:
+            x, y, _, _ = edges_a[ia]
+            pax += lam * x
+            pay += lam * y
+            x, y, _, _ = edges_b[ib]
+            pbx += lam * x
+            pby += lam * y
     if intersecting:
         point_a = point_b = Point2(pax, pay)
         distance = 0.0
@@ -254,7 +293,7 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         point_b,
         _side_feature(lambdas, 2),
         _side_feature(lambdas, 3),
-        counters,
+        TestCounters(vv, ve, ee),
         flags,
     )
 
@@ -379,9 +418,9 @@ def lin_canny_distance(
     "lincanny-fallback", which adds its nine ee_tests to the walk's
     counters.
     """
-    if tA.is_degenerate or tB.is_degenerate:
-        raise DegenerateInput("feature walk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
+    if _edges_degenerate(edges_a) or _edges_degenerate(edges_b):
+        raise DegenerateInput("feature walk requires non-degenerate triangles")
     counters = TestCounters()
     if seed is not None:
         fa, fb = seed.feature_a, seed.feature_b

@@ -86,6 +86,12 @@ def _edges(tri: Triangle) -> _Edges:
     return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
 
 
+def _edges_degenerate(edges: _Edges) -> bool:
+    """``_is_degenerate`` on the vertices of a triangle's edge tuples."""
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+    return _is_degenerate(x0, y0, x1, y1, x2, y2)
+
+
 def _extent(c0: float, c1: float, c2: float) -> tuple[float, float]:
     """Minimum and maximum of three coordinates; ties keep the earlier value."""
     lo = hi = c0
@@ -378,8 +384,7 @@ def _segment_segment(
 
 
 def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
-    if _is_degenerate(x0, y0, x1, y1, x2, y2):
+    if _edges_degenerate(edges):
         for ax, ay, bx, by in edges:
             if _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py):
                 return True
@@ -448,7 +453,16 @@ def _nearest_edge_feature(edges: _Edges, px: float, py: float) -> FeatureId:
     return _EDGE_FEATURES[min(range(3), key=lambda i: _project(px, py, *edges[i])[0])]
 
 
-def _contact_witness(edges_a: _Edges, edges_b: _Edges) -> tuple[Point2, FeatureId, FeatureId]:
+def _contact_witness(
+    edges_a: _Edges, edges_b: _Edges
+) -> tuple[Point2, FeatureId, FeatureId] | None:
+    """Contact point and features of overlapping triangles, or None when ``_overlap`` is false.
+
+    Overlap is decided by ``_overlap``'s tests in its order: the nine edge
+    pairs, then B's vertex 0 in A, then A's vertex 0 in B. The witness is
+    the first intersection in edge-pair order, else the first of B's
+    vertices inside A, else A's vertex 0.
+    """
     for i, ea in enumerate(edges_a):
         for j, eb in enumerate(edges_b):
             hit = _intersect(*ea, *eb)
@@ -457,10 +471,10 @@ def _contact_witness(edges_a: _Edges, edges_b: _Edges) -> tuple[Point2, FeatureI
     for k, (vx, vy, _, _) in enumerate(edges_b):
         if _point_in_triangle(edges_a, vx, vy):
             return Point2(vx, vy), _nearest_edge_feature(edges_a, vx, vy), _VERTEX_FEATURES[k]
-    for k, (vx, vy, _, _) in enumerate(edges_a):
-        if _point_in_triangle(edges_b, vx, vy):
-            return Point2(vx, vy), _VERTEX_FEATURES[k], _nearest_edge_feature(edges_b, vx, vy)
-    raise AssertionError("overlapping triangles without a contact witness")
+        if k == 0 and not _point_in_triangle(edges_b, edges_a[0][0], edges_a[0][1]):
+            return None
+    vx, vy, _, _ = edges_a[0]
+    return Point2(vx, vy), _VERTEX_FEATURES[0], _nearest_edge_feature(edges_b, vx, vy)
 
 
 def _edge_sweep(
@@ -533,9 +547,10 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
 
     The nine-edge sweep (``_edge_sweep``, 18 projections) runs first and
     answers, counted as nine ee_tests, when its witnesses pass
-    ``_separated``. Only when they fail does the full overlap test run:
-    overlapping or touching triangles then report distance 0 with
-    coincident witnesses, and disjoint ones the sweep's answer.
+    ``_separated``. Only when they fail does the overlap test run, as
+    ``_contact_witness``: overlapping or touching triangles then report
+    distance 0 with coincident witnesses, and disjoint ones the sweep's
+    answer.
     """
     edges_a, edges_b = _edges(tA), _edges(tB)
     try:
@@ -547,8 +562,9 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     if swept is None or not _separated(
         edges_a, edges_b, swept[1].x, swept[1].y, swept[2].x, swept[2].y
     ):
-        if _overlap(edges_a, edges_b):
-            p, fa, fb = _contact_witness(edges_a, edges_b)
+        contact = _contact_witness(edges_a, edges_b)
+        if contact is not None:
+            p, fa, fb = contact
             return DistanceResult(0.0, p, p, fa, fb, TestCounters())
         if swept is None:
             swept = _edge_sweep(edges_a, edges_b)

@@ -24,6 +24,7 @@ from dyop2d.geometry import (
     _overlap,
     _project,
     brute_force_triangle_distance,
+    edge_feature,
     triangles_overlap,
     vertex_feature,
 )
@@ -115,9 +116,61 @@ def test_gjk_convergence_flag_rate():
 
 
 def test_gjk_counts_simplex_solves():
-    a = tri((0, 0), (1, 0), (0, 1))
-    r = gjk_distance(a, a.translated(3, 0))
-    assert r.counters.total() > 0
+    # One point, one segment and one triangle solve are counted as vv, ve
+    # and ee; on the placed pairs most queries stop after a point and a
+    # segment solve.
+    scene = default_scene()
+    n = len(scene.objects)
+    results = [
+        gjk_distance(*place_pair(scene, (i, j))[:2]) for i in range(n) for j in range(n) if i != j
+    ]
+    solves = [(r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in results]
+    assert len(solves) == 90
+    assert tuple(map(sum, zip(*solves))) == (90, 95, 18)
+    assert solves.count((1, 1, 0)) == 76
+    assert not any("gjk-unconverged" in r.flags for r in results)
+
+
+def _sp(index_a, index_b):
+    return (0.0, 0.0, index_a, index_b)
+
+
+@pytest.mark.parametrize(
+    "lambdas, expected_a, expected_b",
+    [
+        # A weight at or below 1e-12 leaves its vertex inactive.
+        ([(_sp(0, 1), 1.0 - 1e-13), (_sp(2, 2), 1e-13)], vertex_feature(0), vertex_feature(1)),
+        ([(_sp(0, 1), 0.5), (_sp(2, 2), 0.5)], edge_feature(2), edge_feature(1)),
+        # Equal indices on one side sum into one vertex.
+        ([(_sp(1, 0), 0.5), (_sp(1, 2), 0.5)], vertex_feature(1), edge_feature(2)),
+        (
+            [(_sp(0, 0), 1.0 - 1.2e-12), (_sp(2, 1), 6e-13), (_sp(2, 2), 6e-13)],
+            edge_feature(2),
+            vertex_feature(0),
+        ),
+        # No active vertex: the lowest index among the support points.
+        ([(_sp(2, 2), 1e-13), (_sp(1, 2), 0.0)], vertex_feature(1), vertex_feature(2)),
+        # Three active vertices: the heaviest, ties to the lower index.
+        (
+            [(_sp(0, 2), 0.2), (_sp(1, 0), 0.5), (_sp(2, 1), 0.3)],
+            vertex_feature(1),
+            vertex_feature(0),
+        ),
+        (
+            [(_sp(0, 0), 0.25), (_sp(1, 1), 0.375), (_sp(2, 2), 0.375)],
+            vertex_feature(1),
+            vertex_feature(1),
+        ),
+        (
+            [(_sp(2, 2), 0.375), (_sp(1, 1), 0.25), (_sp(0, 0), 0.375)],
+            vertex_feature(0),
+            vertex_feature(0),
+        ),
+    ],
+)
+def test_side_feature(lambdas, expected_a, expected_b):
+    assert baselines._side_feature(lambdas, 2) == expected_a
+    assert baselines._side_feature(lambdas, 3) == expected_b
 
 
 def test_lin_canny_disjoint_pair_matches_oracle():
@@ -235,14 +288,19 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
 
 
 def _count_overlap_calls(monkeypatch):
+    # Lin-Canny's overlap test is _overlap; the oracle's is _contact_witness.
     calls = []
 
-    def counting(edges_a, edges_b):
-        calls.append(None)
-        return _overlap(edges_a, edges_b)
+    def counting(test):
+        def counted(edges_a, edges_b):
+            calls.append(test.__name__)
+            return test(edges_a, edges_b)
 
-    monkeypatch.setattr(geometry, "_overlap", counting)
-    monkeypatch.setattr(baselines, "_overlap", counting)
+        return counted
+
+    monkeypatch.setattr(geometry, "_overlap", counting(_overlap))
+    monkeypatch.setattr(baselines, "_overlap", counting(_overlap))
+    monkeypatch.setattr(geometry, "_contact_witness", counting(geometry._contact_witness))
     return calls
 
 
@@ -305,6 +363,25 @@ def test_lin_canny_fallback_sweep_projects_each_pair_once(monkeypatch):
     assert sweeps == [18]
 
 
+def test_contained_triangle_is_decided_by_nine_intersection_tests(monkeypatch):
+    # With no edge contact, the contact witness's nine edge pairs and two
+    # containment tests decide the overlap; they are not run twice.
+    calls = []
+    intersect = geometry._intersect
+
+    def counting(*args):
+        calls.append(args)
+        return intersect(*args)
+
+    monkeypatch.setattr(geometry, "_intersect", counting)
+    big, small = tri((0, 0), (10, 0), (0, 10)), tri((1, 1), (2, 1), (1, 2))
+    for a, b in ((big, small), (small, big)):
+        calls.clear()
+        r = brute_force_triangle_distance(a, b)
+        assert r.distance == 0.0 and r.point_a == r.point_b == Point2(1, 1)
+        assert len(calls) == 9
+
+
 def test_near_touching_copies_still_count_as_contact(monkeypatch):
     # A copy shifted by the width plus a gap at or below rounding: the
     # certificate must not call that separated, so the overlap test
@@ -330,7 +407,7 @@ def test_near_touching_copies_still_count_as_contact(monkeypatch):
                     result, _ = lin_canny_distance(t, b)
                     assert result.distance == exact.distance
                     assert result.flags == ("lincanny-fallback",)
-    assert calls
+    assert "_contact_witness" in calls and "_overlap" in calls
 
 
 @pytest.mark.parametrize("k", [-20, 20])
