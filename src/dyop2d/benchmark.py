@@ -7,6 +7,13 @@ closed form, until the exact distance is the scene's separation, so every
 algorithm answers the same question. Wall times use a monotonic clock
 (one warm-up, median of the repeats); primitive-test counters are
 recorded alongside as the machine-independent cost metric.
+
+ALGORITHMS maps each algorithm name to its query. build_report turns the
+records into the comparison report as the JSON document the ``bench``
+command writes: each baseline's time as a percentage of DyOP's, per pair
+and summarized, and the counter totals per algorithm. Only the oracle
+counts in DyOP's unit, the ee test, so ``counter_pct`` holds the oracle
+alone.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import csv
 import math
 import statistics
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .baselines import gjk_distance, lin_canny_distance
@@ -37,7 +45,14 @@ from .geometry import (
     brute_force_triangle_distance,
 )
 
-ALGORITHMS = ("dyop", "gjk", "lincanny", "oracle")
+# Each entry looks its function up when called, so patching the
+# module-level name reaches every query.
+ALGORITHMS: dict[str, Callable[[Triangle, Triangle, Vector2], DistanceResult]] = {
+    "dyop": lambda mover, static, velocity: dyop_distance(mover, static, velocity),
+    "gjk": lambda mover, static, velocity: gjk_distance(mover, static),
+    "lincanny": lambda mover, static, velocity: lin_canny_distance(mover, static)[0],
+    "oracle": lambda mover, static, velocity: brute_force_triangle_distance(mover, static),
+}
 DEFAULT_ALGORITHMS = ("dyop", "gjk", "lincanny")
 MISMATCH_TOLERANCE = 1e-6
 PLACEMENT_TOLERANCE = 1e-9
@@ -74,18 +89,11 @@ class Scene:
             raise ValueError(f"separation must be positive: {self.separation}")
 
 
-@dataclass(frozen=True)
-class PairingPlan:
-    pairs: tuple[tuple[int, int], ...]
-
-
-def enumerate_pairs(n: int) -> PairingPlan:
+def enumerate_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All ordered pairs (mover, static) without self-pairs, in row-major order."""
     if n < 1:
         raise ValueError(f"object count must be at least 1: {n}")
-    return PairingPlan(
-        tuple((i, j) for i in range(n) for j in range(n) if i != j)
-    )
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
 def _tri(name: str, a: tuple[float, float], b: tuple[float, float], c: tuple[float, float]) -> Triangle:
@@ -161,20 +169,6 @@ class TimingRecord:
         return any(f.startswith("error:") for f in self.flags)
 
 
-def _run_algorithm(
-    algorithm: str, moving: Triangle, static: Triangle, velocity: Vector2
-) -> DistanceResult:
-    if algorithm == "dyop":
-        return dyop_distance(moving, static, velocity)
-    if algorithm == "gjk":
-        return gjk_distance(moving, static)
-    if algorithm == "lincanny":
-        return lin_canny_distance(moving, static)[0]
-    if algorithm == "oracle":
-        return brute_force_triangle_distance(moving, static)
-    raise ValueError(f"unknown algorithm: {algorithm}")
-
-
 def run_benchmark(
     scene: Scene,
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS,
@@ -196,15 +190,15 @@ def run_benchmark(
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm}")
 
-    plan = enumerate_pairs(len(scene.objects))
     records: list[TimingRecord] = []
-    for i, j in plan.pairs:
+    for i, j in enumerate_pairs(len(scene.objects)):
         moving, static, velocity = place_pair(scene, (i, j))
         names = (scene.objects[i].name or "", scene.objects[j].name or "")
         for algorithm in algorithms:
+            query = ALGORITHMS[algorithm]
             begin = time.perf_counter_ns()
             try:
-                result = _run_algorithm(algorithm, moving, static, velocity)
+                result = query(moving, static, velocity)
             except (DegenerateInput, Penetrating, ZeroVelocity) as exc:
                 elapsed = max(time.perf_counter_ns() - begin, 1)
                 records.append(
@@ -221,7 +215,7 @@ def run_benchmark(
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter_ns()
-                result = _run_algorithm(algorithm, moving, static, velocity)
+                result = query(moving, static, velocity)
                 times.append(time.perf_counter_ns() - t0)
             flags = result.flags
             if abs(result.distance - scene.separation) > MISMATCH_TOLERANCE:
@@ -281,93 +275,37 @@ def percentage_diff(t_baseline: float, t_dyop: float) -> float:
     return t_baseline / t_dyop * 100.0
 
 
-@dataclass(frozen=True)
-class PairTiming:
-    pair: tuple[str, str]
-    dyop_ns: float
-    baseline_ns: dict[str, float]
-    pct: dict[str, float]
-    delta_pct: dict[str, float]
-
-
-@dataclass(frozen=True)
-class BaselineSummary:
-    max_pct: float
-    min_pct: float
-    mean_pct: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-pair percentage ratios of each baseline against the pruned
-    algorithm, with max/min/mean summaries, counter totals, and both the
-    ratio (pct) and difference (delta_pct = pct - 100) readings."""
-
-    pairs: tuple[PairTiming, ...]
-    summary: dict[str, BaselineSummary]
-    counter_totals: dict[str, dict[str, int]]
-    counter_pct: dict[str, float]
-    mismatches: int
-    failed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": [
-                {
-                    "pair_a": p.pair[0],
-                    "pair_b": p.pair[1],
-                    "dyop_ns": p.dyop_ns,
-                    "baseline_ns": p.baseline_ns,
-                    "pct": p.pct,
-                    "delta_pct": p.delta_pct,
-                }
-                for p in self.pairs
-            ],
-            "summary": {
-                name: {
-                    "max_pct": s.max_pct,
-                    "min_pct": s.min_pct,
-                    "mean_pct": s.mean_pct,
-                }
-                for name, s in self.summary.items()
-            },
-            "counter_totals": self.counter_totals,
-            "counter_pct": self.counter_pct,
-            "mismatches": self.mismatches,
-            "failed": self.failed,
-        }
-
-
-def build_report(records: list[TimingRecord]) -> ComparisonReport:
+def build_report(records: list[TimingRecord]) -> dict:
     """Aggregate timing records into the baseline-vs-pruned comparison.
+
+    The report is the JSON document ``bench`` writes: per-pair ratios
+    (pct) and differences (delta_pct = pct - 100) of each baseline's time
+    against the pruned algorithm's, their max/min/mean per baseline,
+    counter totals per algorithm, the oracle's counter total over DyOP's,
+    and the mismatch and failure counts.
 
     Requires a successful pruned-algorithm record for every pair and at
     least one baseline algorithm; raises IncompleteRecords otherwise.
     Failed records are counted but excluded from percentages.
     """
     by_pair: dict[tuple[str, str], dict[str, TimingRecord]] = {}
-    order: list[tuple[str, str]] = []
     for r in records:
-        if r.pair not in by_pair:
-            by_pair[r.pair] = {}
-            order.append(r.pair)
-        by_pair[r.pair][r.algorithm] = r
+        by_pair.setdefault(r.pair, {})[r.algorithm] = r
 
     baselines = sorted(
         {r.algorithm for r in records if r.algorithm != "dyop"}
     )
     if not baselines:
         raise IncompleteRecords("a baseline algorithm is required for comparison")
-    for pair in order:
-        rec = by_pair[pair].get("dyop")
+    for pair, group in by_pair.items():
+        rec = group.get("dyop")
         if rec is None or rec.failed:
             raise IncompleteRecords(f"missing dyop record for pair {pair}")
 
-    pairs: list[PairTiming] = []
+    pairs: list[dict] = []
     pct_by_baseline: dict[str, list[float]] = {b: [] for b in baselines}
-    for pair in order:
-        group = by_pair[pair]
-        dyop_rec = group["dyop"]
+    for (pair_a, pair_b), group in by_pair.items():
+        dyop_ns = group["dyop"].median_ns
         baseline_ns: dict[str, float] = {}
         pct: dict[str, float] = {}
         delta: dict[str, float] = {}
@@ -376,14 +314,23 @@ def build_report(records: list[TimingRecord]) -> ComparisonReport:
             if rec is None or rec.failed:
                 continue
             baseline_ns[b] = rec.median_ns
-            ratio = percentage_diff(rec.median_ns, dyop_rec.median_ns)
+            ratio = percentage_diff(rec.median_ns, dyop_ns)
             pct[b] = ratio
             delta[b] = ratio - 100.0
             pct_by_baseline[b].append(ratio)
-        pairs.append(PairTiming(pair, dyop_rec.median_ns, baseline_ns, pct, delta))
+        pairs.append(
+            {
+                "pair_a": pair_a,
+                "pair_b": pair_b,
+                "dyop_ns": dyop_ns,
+                "baseline_ns": baseline_ns,
+                "pct": pct,
+                "delta_pct": delta,
+            }
+        )
 
     summary = {
-        b: BaselineSummary(max(vals), min(vals), statistics.fmean(vals))
+        b: {"max_pct": max(vals), "min_pct": min(vals), "mean_pct": statistics.fmean(vals)}
         for b, vals in pct_by_baseline.items()
         if vals
     }
@@ -402,21 +349,19 @@ def build_report(records: list[TimingRecord]) -> ComparisonReport:
         tot["ee_tests"] += r.counters.ee_tests
         tot["total"] += r.counters.total()
 
+    # GJK counts simplex solves and Lin-Canny walk steps, so only the
+    # oracle's total shares DyOP's unit, the ee test.
+    dyop_total = counter_totals["dyop"]["total"]
+    oracle_total = counter_totals.get("oracle", {}).get("total", 0)
     counter_pct: dict[str, float] = {}
-    dyop_total = counter_totals.get("dyop", {}).get("total", 0)
-    if dyop_total > 0:
-        for b in baselines:
-            b_total = counter_totals.get(b, {}).get("total", 0)
-            if b_total > 0:
-                counter_pct[b] = b_total / dyop_total * 100.0
+    if dyop_total and oracle_total:
+        counter_pct["oracle"] = oracle_total / dyop_total * 100.0
 
-    mismatches = sum(1 for r in records if "mismatch" in r.flags)
-    failed = sum(1 for r in records if r.failed)
-    return ComparisonReport(
-        pairs=tuple(pairs),
-        summary=summary,
-        counter_totals=counter_totals,
-        counter_pct=counter_pct,
-        mismatches=mismatches,
-        failed=failed,
-    )
+    return {
+        "pairs": pairs,
+        "summary": summary,
+        "counter_totals": counter_totals,
+        "counter_pct": counter_pct,
+        "mismatches": sum(1 for r in records if "mismatch" in r.flags),
+        "failed": sum(1 for r in records if r.failed),
+    }

@@ -23,7 +23,6 @@ from .benchmark import (
     ALGORITHMS,
     DEFAULT_ALGORITHMS,
     Scene,
-    _run_algorithm,
     build_report,
     default_scene,
     record_fields,
@@ -98,7 +97,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     axis = MovementAxis(args.axis) if args.axis else scene.axis
     velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
     try:
-        result = _run_algorithm(args.algo, tri_a, tri_b, velocity)
+        result = ALGORITHMS[args.algo](tri_a, tri_b, velocity)
     except _ALGORITHM_ERRORS as exc:
         _diag(f"algorithm error ({type(exc).__name__}): {exc}")
         return 4
@@ -148,7 +147,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "repeats": args.repeats,
         "algorithms": list(algos),
         "records": [record_fields(r) for r in records],
-        "report": report.to_dict() if report is not None else None,
+        "report": report,
     }
     with open(args.out_json, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -159,17 +158,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "records": len(records),
         "mismatches": len(mismatched),
         "failed": sum(1 for r in records if r.failed),
-        "summary": doc["report"]["summary"] if report is not None else {},
-        "counter_totals": doc["report"]["counter_totals"] if report is not None else {},
+        "summary": report["summary"] if report is not None else {},
+        "counter_totals": report["counter_totals"] if report is not None else {},
         "out_csv": args.out_csv,
         "out_json": args.out_json,
     }
     _emit(summary_doc)
     if report is not None:
-        for name, s in report.summary.items():
+        for name, s in report["summary"].items():
             _diag(
-                f"{name} vs dyop: max {s.max_pct:.7f}% min {s.min_pct:.7f}% "
-                f"mean {s.mean_pct:.7f}%"
+                f"{name} vs dyop: max {s['max_pct']:.7f}% min {s['min_pct']:.7f}% "
+                f"mean {s['mean_pct']:.7f}%"
             )
     # Every pair is placed at the separation, so that is the exact distance.
     over = [r for r in mismatched if r.algorithm == "dyop" and r.distance > scene.separation]

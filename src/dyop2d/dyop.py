@@ -36,8 +36,8 @@ from .geometry import (
     _classify_edge_point,
     _Edges,
     _edges,
+    _edges_degenerate,
     _extent,
-    _is_degenerate,
     _require_finite,
     _segment_segment,
 )
@@ -206,11 +206,7 @@ def dyop_distance(
     """
     axis = dominant_axis(relative_velocity)
     edges_a, edges_b = _edges(tA), _edges(tB)
-    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
-    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
-    if _is_degenerate(ax0, ay0, ax1, ay1, ax2, ay2) or _is_degenerate(
-        bx0, by0, bx1, by1, bx2, by2
-    ):
+    if _edges_degenerate(edges_a) or _edges_degenerate(edges_b):
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
 
     _, _, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(edges_a, edges_b, axis)

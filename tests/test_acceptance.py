@@ -119,7 +119,7 @@ def test_criterion_4_baseline_oracle_equivalence():
 def test_criterion_5_placement_exactness():
     scene = default_scene()
     worst = 0.0
-    for pair in enumerate_pairs(len(scene.objects)).pairs:
+    for pair in enumerate_pairs(len(scene.objects)):
         moving, static, _ = place_pair(scene, pair)
         got = brute_force_triangle_distance(moving, static).distance
         worst = max(worst, abs(got - scene.separation))
@@ -155,23 +155,23 @@ def test_criterion_6_property_suites():
         r = dyop_distance(a, b, vel)
         ok = ok and (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
     for n in (1, 2, 5, 10):
-        ok = ok and len(enumerate_pairs(n).pairs) == n * (n - 1)
+        ok = ok and len(enumerate_pairs(n)) == n * (n - 1)
     _report("6 property suites: symmetry/translation/scaling, midpoint, arity, pairing", ok)
 
 
 def test_criterion_7_report_well_formedness():
     records = run_benchmark(default_scene(), repeats=3)
     report = build_report(records)
-    ok = bool(report.summary)
-    for pair in report.pairs:
-        for pct in pair.pct.values():
+    ok = bool(report["summary"])
+    for pair in report["pairs"]:
+        for pct in pair["pct"].values():
             ok = ok and pct > 0.0
-    for s in report.summary.values():
-        ok = ok and s.max_pct >= s.mean_pct >= s.min_pct > 0.0
+    for s in report["summary"].values():
+        ok = ok and s["max_pct"] >= s["mean_pct"] >= s["min_pct"] > 0.0
     # both the ratio and the difference reading are emitted per pair
-    for pair in report.pairs:
-        for name, pct in pair.pct.items():
-            ok = ok and pair.delta_pct[name] == pct - 100.0
+    for pair in report["pairs"]:
+        for name, pct in pair["pct"].items():
+            ok = ok and pair["delta_pct"][name] == pct - 100.0
     _report(
         "7 report well-formedness: percentages positive, max>=mean>=min, "
         "ratio and delta emitted (reference speed ratios are not reproducible claims)",

@@ -5,11 +5,12 @@ import json
 import pytest
 
 from dyop2d import benchmark
+from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.cli import main
-from dyop2d.sceneio import write_scene
+from dyop2d.sceneio import load_scene, write_scene
 from dyop2d.benchmark import CSV_COLUMNS, Scene
-from dyop2d.dyop import MovementAxis
-from dyop2d.geometry import Point2, Triangle
+from dyop2d.dyop import MovementAxis, dyop_distance
+from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
 
 
 def tri(name, a, b, c):
@@ -45,6 +46,36 @@ def test_dist_oracle_default_scene(capsys):
     assert doc["algorithm"] == "oracle"
     assert doc["distance"] >= 0.0
     assert set(doc["counters"]) == {"vv_tests", "ve_tests", "ee_tests"}
+
+
+# The plain query of each algorithm, called without the command line.
+DIRECT = {
+    "dyop": lambda a, b: dyop_distance(a, b, Vector2(1.0, 0.0)),
+    "gjk": gjk_distance,
+    "lincanny": lambda a, b: lin_canny_distance(a, b)[0],
+    "oracle": brute_force_triangle_distance,
+}
+
+
+@pytest.mark.parametrize("algorithm", list(benchmark.ALGORITHMS))
+def test_dist_each_algorithm_matches_direct_call(tmp_path, capsys, algorithm):
+    # Disjoint triangles, which every algorithm answers (Lin-Canny refuses overlap).
+    scene = Scene(
+        objects=(
+            tri("A", (0, 0), (1, 0), (0, 1)),
+            tri("B", (3, 0), (5, 0), (4, 1.5)),
+        ),
+        separation=1.0,
+        axis=MovementAxis.X,
+    )
+    path = str(tmp_path / "scene.json")
+    write_scene(scene, path)
+    code = main(["dist", "--scene", path, "--a", "A", "--b", "B", "--algo", algorithm])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["algorithm"] == algorithm
+    a, b = load_scene(path).objects
+    assert doc["distance"] == DIRECT[algorithm](a, b).distance
 
 
 def test_dist_unknown_object(capsys):
