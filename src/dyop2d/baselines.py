@@ -2,7 +2,9 @@
 
 Both are specialized to 2D triangles and run on the float core of
 ``geometry.py``: a query reads each triangle's ``_edges`` tuples once,
-and ``Point2``/``FeatureId`` objects are built only for the answer. GJK
+refuses a degenerate triangle by the flag the ``Triangle`` computed at
+construction, and builds its answer once, with ``geometry._answer``,
+which checks the witnesses' finiteness there. GJK
 runs its loop on scalar locals: the six vertex coordinates of each
 triangle are unpacked once, and the support argmaxes, finiteness
 checks, solve counts and witness sums are inline, with no dict or sort
@@ -42,10 +44,9 @@ from .geometry import (
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
     _Edges,
+    _answer,
     _edge_sweep,
     _edges,
-    _edges_degenerate,
-    _is_degenerate,
     _overlap,
     _project,
     _require_finite,
@@ -189,13 +190,11 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     Intersecting triangles return distance 0 with coincident witnesses.
     A non-finite search direction or support point raises ValueError.
     """
+    if tA._degenerate or tB._degenerate:
+        raise DegenerateInput("gjk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
     (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
     (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
-    if _is_degenerate(ax0, ay0, ax1, ay1, ax2, ay2) or _is_degenerate(
-        bx0, by0, bx1, by1, bx2, by2
-    ):
-        raise DegenerateInput("gjk requires non-degenerate triangles")
 
     # The first search direction is the centroid difference.
     dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
@@ -280,21 +279,21 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
             pbx += lam * x
             pby += lam * y
     if intersecting:
-        point_a = point_b = Point2(pax, pay)
+        # Only A's witness is used, for both points.
+        pbx, pby = pax, pay
         distance = 0.0
     else:
-        point_a = Point2(pax, pay)
-        point_b = Point2(pbx, pby)
         distance = math.hypot(pax - pbx, pay - pby)
-    flags = () if converged else ("gjk-unconverged",)
-    return DistanceResult(
+    return _answer(
         distance,
-        point_a,
-        point_b,
+        pax,
+        pay,
+        pbx,
+        pby,
         _side_feature(lambdas, 2),
         _side_feature(lambdas, 3),
         TestCounters(vv, ve, ee),
-        flags,
+        () if converged else ("gjk-unconverged",),
     )
 
 
@@ -418,10 +417,10 @@ def lin_canny_distance(
     "lincanny-fallback", which adds its nine ee_tests to the walk's
     counters.
     """
-    edges_a, edges_b = _edges(tA), _edges(tB)
-    if _edges_degenerate(edges_a) or _edges_degenerate(edges_b):
+    if tA._degenerate or tB._degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
-    counters = TestCounters()
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    counters = TestCounters(0, 0, 0)
     if seed is not None:
         fa, fb = seed.feature_a, seed.feature_b
     else:
@@ -437,11 +436,10 @@ def lin_canny_distance(
     if walked is not None:
         d, pax, pay, pbx, pby, fa, fb = walked
         if _separated(edges_a, edges_b, pax, pay, pbx, pby):
-            result = DistanceResult(d, Point2(pax, pay), Point2(pbx, pby), fa, fb, counters)
-            return result, FeaturePair(fa, fb)
+            return _answer(d, pax, pay, pbx, pby, fa, fb, counters), FeaturePair(fa, fb)
     if _overlap(edges_a, edges_b):
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
     counters.ee_tests += 9
-    d, pa, pb, fa, fb = _edge_sweep(edges_a, edges_b)
-    result = DistanceResult(d, pa, pb, fa, fb, counters, ("lincanny-fallback",))
+    d, pax, pay, pbx, pby, fa, fb = _edge_sweep(edges_a, edges_b)
+    result = _answer(d, pax, pay, pbx, pby, fa, fb, counters, ("lincanny-fallback",))
     return result, FeaturePair(fa, fb)

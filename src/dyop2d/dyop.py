@@ -33,10 +33,10 @@ from .geometry import (
     TestCounters,
     Triangle,
     Vector2,
+    _answer,
     _classify_edge_point,
     _Edges,
     _edges,
-    _edges_degenerate,
     _extent,
     _require_finite,
     _segment_segment,
@@ -205,9 +205,9 @@ def dyop_distance(
     disjoint along the movement axis.
     """
     axis = dominant_axis(relative_velocity)
-    edges_a, edges_b = _edges(tA), _edges(tB)
-    if _edges_degenerate(edges_a) or _edges_degenerate(edges_b):
+    if tA._degenerate or tB._degenerate:
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
+    edges_a, edges_b = _edges(tA), _edges(tB)
 
     _, _, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(edges_a, edges_b, axis)
     along, across = _midpoint(lo, p_lo, hi, p_hi)
@@ -215,13 +215,14 @@ def dyop_distance(
     edge_a = _nearest_two(edges_a, px, py)[2]
     edge_b = _nearest_two(edges_b, px, py)[2]
     d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*edges_a[edge_a], *edges_b[edge_b])
-    flags = ("overlapping-boxes",) if degenerate_gap else ()
-    return DistanceResult(
+    return _answer(
         d,
-        Point2(pax, pay),
-        Point2(pbx, pby),
+        pax,
+        pay,
+        pbx,
+        pby,
         _classify_edge_point(edge_a, t_a),
         _classify_edge_point(edge_b, t_b),
-        TestCounters(ee_tests=1),
-        flags,
+        TestCounters(0, 0, 1),
+        ("overlapping-boxes",) if degenerate_gap else (),
     )

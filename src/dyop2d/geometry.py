@@ -6,9 +6,13 @@ validated against.
 
 The primitives work on plain float coordinates: a triangle enters the
 core as its three edges, each an ``(ax, ay, bx, by)`` tuple running from
-vertex i to vertex (i + 1) % 3, and ``Point2``/``FeatureId`` objects are
-built only for the answer a caller receives. The public point and
-segment functions are thin wrappers over the same core.
+vertex i to vertex (i + 1) % 3. Every algorithm's answer is built once,
+by ``_answer``: it checks the four witness coordinates for finiteness
+and fills the ``Point2`` and ``DistanceResult`` fields directly, without
+re-running their constructors. A ``Triangle`` decides whether it is
+degenerate once, at construction, and the algorithms read that flag
+instead of recomputing its area per query. The public point and segment
+functions are thin wrappers over the same core.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class Point2:
     y: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.x, self.y)
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            _require_finite(self.x, self.y)
 
     def translated(self, dx: float, dy: float) -> Point2:
         return Point2(self.x + dx, self.y + dy)
@@ -52,7 +57,8 @@ class Vector2:
     dy: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.dx, self.dy)
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
+            _require_finite(self.dx, self.dy)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,10 @@ class Triangle:
     vertex and edge indexing orientation-independent. Degenerate inputs
     (|area| <= DEGENERATE_AREA) are representable but flagged via
     ``is_degenerate``; algorithms that cannot handle them refuse them
-    explicitly.
+    explicitly. The flag is decided once, from the signed area that
+    normalization computes, and kept as the non-field attribute
+    ``_degenerate``: swapping v1 and v2 negates that area exactly, so it
+    equals ``_is_degenerate`` on the normalized vertices.
     """
 
     v0: Point2
@@ -123,10 +132,12 @@ class Triangle:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.signed_area < 0.0:
-            swapped_v1, swapped_v2 = self.v2, self.v1
-            object.__setattr__(self, "v1", swapped_v1)
-            object.__setattr__(self, "v2", swapped_v2)
+        v0, v1, v2 = self.v0, self.v1, self.v2
+        area = _signed_area(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+        if area < 0.0:
+            object.__setattr__(self, "v1", v2)
+            object.__setattr__(self, "v2", v1)
+        object.__setattr__(self, "_degenerate", abs(area) <= DEGENERATE_AREA)
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -147,8 +158,7 @@ class Triangle:
 
     @property
     def is_degenerate(self) -> bool:
-        v0, v1, v2 = self.v0, self.v1, self.v2
-        return _is_degenerate(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+        return self._degenerate
 
     def translated(self, dx: float, dy: float) -> Triangle:
         return Triangle(
@@ -246,6 +256,51 @@ class DistanceResult:
     feature_b: FeatureId
     counters: TestCounters
     flags: tuple[str, ...] = field(default=())
+
+
+def _answer(
+    d: float,
+    pax: float,
+    pay: float,
+    pbx: float,
+    pby: float,
+    fa: FeatureId,
+    fb: FeatureId,
+    counters: TestCounters,
+    flags: tuple[str, ...] = (),
+) -> DistanceResult:
+    """The ``DistanceResult`` of witnesses pa = (pax, pay) on A and pb = (pbx, pby) on B.
+
+    The witnesses are checked for finiteness in the order in which
+    ``Point2(pax, pay)`` and then ``Point2(pbx, pby)`` check them, and
+    raise the same ``ValueError``. The two points and the result are then
+    filled in one ``__dict__`` each, skipping the generated frozen
+    ``__init__`` (one ``object.__setattr__`` per field) and
+    ``Point2.__post_init__``; they compare, hash, print and
+    ``dataclasses.replace`` as constructed ones do.
+    """
+    isfinite = math.isfinite
+    if not (isfinite(pax) and isfinite(pay) and isfinite(pbx) and isfinite(pby)):
+        _require_finite(pax, pay, pbx, pby)
+    pa = object.__new__(Point2)
+    object.__setattr__(pa, "__dict__", {"x": pax, "y": pay})
+    pb = object.__new__(Point2)
+    object.__setattr__(pb, "__dict__", {"x": pbx, "y": pby})
+    result = object.__new__(DistanceResult)
+    object.__setattr__(
+        result,
+        "__dict__",
+        {
+            "distance": d,
+            "point_a": pa,
+            "point_b": pb,
+            "feature_a": fa,
+            "feature_b": fb,
+            "counters": counters,
+            "flags": flags,
+        },
+    )
+    return result
 
 
 def _project(
@@ -455,8 +510,9 @@ def _nearest_edge_feature(edges: _Edges, px: float, py: float) -> FeatureId:
 
 def _contact_witness(
     edges_a: _Edges, edges_b: _Edges
-) -> tuple[Point2, FeatureId, FeatureId] | None:
-    """Contact point and features of overlapping triangles, or None when ``_overlap`` is false.
+) -> tuple[float, float, FeatureId, FeatureId] | None:
+    """Contact point (x, y) and features of overlapping triangles, or None when
+    ``_overlap`` is false.
 
     Overlap is decided by ``_overlap``'s tests in its order: the nine edge
     pairs, then B's vertex 0 in A, then A's vertex 0 in B. The witness is
@@ -467,27 +523,29 @@ def _contact_witness(
         for j, eb in enumerate(edges_b):
             hit = _intersect(*ea, *eb)
             if hit is not None:
-                return Point2(*hit), _EDGE_FEATURES[i], _EDGE_FEATURES[j]
+                return *hit, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
     for k, (vx, vy, _, _) in enumerate(edges_b):
         if _point_in_triangle(edges_a, vx, vy):
-            return Point2(vx, vy), _nearest_edge_feature(edges_a, vx, vy), _VERTEX_FEATURES[k]
+            return vx, vy, _nearest_edge_feature(edges_a, vx, vy), _VERTEX_FEATURES[k]
         if k == 0 and not _point_in_triangle(edges_b, edges_a[0][0], edges_a[0][1]):
             return None
     vx, vy, _, _ = edges_a[0]
-    return Point2(vx, vy), _VERTEX_FEATURES[0], _nearest_edge_feature(edges_b, vx, vy)
+    return vx, vy, _VERTEX_FEATURES[0], _nearest_edge_feature(edges_b, vx, vy)
 
 
 def _edge_sweep(
     edges_a: _Edges, edges_b: _Edges
-) -> tuple[float, Point2, Point2, FeatureId, FeatureId]:
-    """Distance, witnesses and features of disjoint triangles over their nine edge pairs.
+) -> tuple[float, float, float, float, float, FeatureId, FeatureId]:
+    """(distance, pa.x, pa.y, pb.x, pb.y, feature_a, feature_b) of disjoint triangles
+    over their nine edge pairs.
 
     The minimum over the 18 vertex-edge projections, each computed once,
     in the first edge pair that holds it: vertex i + 1 ends edge i and
     starts edge i + 1. It is exact only for disjoint triangles, which the
     caller proves by ``_separated`` or ``_overlap``. Ties keep the earliest
     projection in row-major edge-pair order, then (a, b, c, d) order, so
-    the reported feature indices stay as low as possible.
+    the reported feature indices stay as low as possible. The witnesses
+    are not checked for finiteness here; ``_answer`` checks them.
     """
     best_d, best = math.inf, (*edges_a[0][:2], *edges_b[0][:2], 0.0, 0.0, 0, 0)
     for i, (ax, ay, bx, by) in enumerate(edges_a):
@@ -510,7 +568,7 @@ def _edge_sweep(
                     best_d, best = d, (qx, qy, dx, dy, t, 1.0, i, j)
     pax, pay, pbx, pby, t1, t2, bi, bj = best
     fa, fb = _classify_edge_point(bi, t1), _classify_edge_point(bj, t2)
-    return best_d, Point2(pax, pay), Point2(pbx, pby), fa, fb
+    return best_d, pax, pay, pbx, pby, fa, fb
 
 
 def _separated(
@@ -556,16 +614,18 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     try:
         swept = _edge_sweep(edges_a, edges_b)
     except ValueError:
-        # Near the float range the sweep can overflow on triangles that
-        # the contact path answers; disjoint ones re-run it below and raise.
+        # Near the float range a projection can overflow on triangles that
+        # the contact path answers; disjoint ones re-run the sweep below and raise.
         swept = None
-    if swept is None or not _separated(
-        edges_a, edges_b, swept[1].x, swept[1].y, swept[2].x, swept[2].y
-    ):
-        contact = _contact_witness(edges_a, edges_b)
-        if contact is not None:
-            p, fa, fb = contact
-            return DistanceResult(0.0, p, p, fa, fb, TestCounters())
-        if swept is None:
-            swept = _edge_sweep(edges_a, edges_b)
-    return DistanceResult(*swept, TestCounters(ee_tests=9))
+    else:
+        # Non-finite witnesses never pass _separated, so they take the
+        # contact path too, and _answer refuses them on disjoint triangles.
+        if _separated(edges_a, edges_b, swept[1], swept[2], swept[3], swept[4]):
+            return _answer(*swept, TestCounters(0, 0, 9))
+    contact = _contact_witness(edges_a, edges_b)
+    if contact is not None:
+        px, py, fa, fb = contact
+        return _answer(0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0))
+    if swept is None:
+        swept = _edge_sweep(edges_a, edges_b)
+    return _answer(*swept, TestCounters(0, 0, 9))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .dyop import dyop_distance
 from .geometry import (
-    DEGENERATE_AREA,
     Point2,
     Triangle,
     Vector2,
@@ -48,7 +47,7 @@ def random_triangle(rng: random.Random) -> Triangle:
             Point2(rng.random(), rng.random()),
             Point2(rng.random(), rng.random()),
         )
-        if abs(tri.signed_area) > DEGENERATE_AREA:
+        if not tri.is_degenerate:
             return tri
 
 

@@ -1,17 +1,27 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from dyop2d.baselines import gjk_distance, lin_canny_distance
+from dyop2d.dyop import dyop_distance
+from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import (
+    DEGENERATE_AREA,
     Aabb,
+    DistanceResult,
     FeatureId,
     FeatureKind,
     Point2,
     Segment,
+    TestCounters,
     Triangle,
+    Vector2,
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
+    _answer,
+    _is_degenerate,
     brute_force_triangle_distance,
     edge_feature,
     edge_index_joining,
@@ -61,6 +71,153 @@ def test_triangle_degenerate_flag():
     assert tri((0, 0), (1, 0), (2, 0)).is_degenerate
     assert tri((1, 1), (1, 1), (1, 1)).is_degenerate
     assert not tri((0, 0), (1, 0), (0, 1)).is_degenerate
+
+
+def _threshold_triangles():
+    # Signed area 0.5 * h: h = 2e-12 puts it exactly at DEGENERATE_AREA.
+    h = 2 * DEGENERATE_AREA
+    return [
+        tri((0, 0), (1, 0), (0, math.nextafter(h, 0.0))),
+        tri((0, 0), (1, 0), (0, h)),
+        tri((0, 0), (1, 0), (0, math.nextafter(h, 1.0))),
+    ]
+
+
+def _degeneracy_cases():
+    rng = random.Random(41)
+    cases = [random_tri(rng) for _ in range(200)]
+    cases += [tri((0, 0), (0, 1), (1, 0)), tri((0, 0), (1, 0), (2, 0)), tri((1, 1), (1, 1), (1, 1))]
+    for t in _threshold_triangles():
+        # Each at-threshold triangle clockwise too, and shifted off the origin.
+        clockwise = tri((t.v0.x, t.v0.y), (t.v2.x, t.v2.y), (t.v1.x, t.v1.y))
+        cases += [t, clockwise, t.translated(3.0, -5.0)]
+    return cases
+
+
+def test_triangle_threshold_areas():
+    below, at, above = _threshold_triangles()
+    assert below.signed_area < DEGENERATE_AREA == at.signed_area < above.signed_area
+    assert below.is_degenerate and at.is_degenerate and not above.is_degenerate
+
+
+def test_degeneracy_flag_equals_the_area_test_on_normalized_vertices():
+    rng = random.Random(42)
+    for t in _degeneracy_cases():
+        rebuilt = [
+            t,
+            dataclasses.replace(t),
+            dataclasses.replace(t, v1=t.v2, v2=t.v1),
+            dataclasses.replace(t, v2=t.v0),
+            t.translated(rng.uniform(-10, 10), rng.uniform(-10, 10)),
+            t.scaled(rng.uniform(0.5, 2.0)),
+            t.scaled(1e-7),
+        ]
+        for u in rebuilt:
+            v0, v1, v2 = u.vertices
+            expected = _is_degenerate(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+            assert u.signed_area >= 0.0
+            assert u.is_degenerate is expected
+
+
+def test_degeneracy_flag_is_not_a_field():
+    t = tri((0, 0), (1, 0), (0, 1))
+    assert [f.name for f in dataclasses.fields(t)] == ["v0", "v1", "v2", "name"]
+    assert t == tri((0, 0), (1, 0), (0, 1)) and hash(t) == hash(tri((0, 0), (1, 0), (0, 1)))
+    assert "_degenerate" not in repr(t)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t._degenerate = True
+
+
+_REFUSALS = [
+    (
+        lambda a, b: dyop_distance(a, b, Vector2(1, 0)),
+        "pruned distance requires non-degenerate triangles",
+    ),
+    (gjk_distance, "gjk requires non-degenerate triangles"),
+    (lin_canny_distance, "feature walk requires non-degenerate triangles"),
+]
+
+
+@pytest.mark.parametrize("query, message", _REFUSALS)
+def test_algorithms_refuse_degenerate_triangles_by_the_cached_flag(query, message):
+    good = tri((5, 0), (6, 0), (5, 1))
+    below, at, above = _threshold_triangles()
+    for bad in (below, at, tri((0, 0), (1, 0), (2, 0))):
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(DegenerateInput) as info:
+                query(a, b)
+            assert str(info.value) == message
+    query(above, good)
+
+
+def _constructed(d, pax, pay, pbx, pby, fa, fb, counters, flags=()):
+    return DistanceResult(d, Point2(pax, pay), Point2(pbx, pby), fa, fb, counters, flags)
+
+
+_ANSWER_ARGS = [
+    (1.5, 0.0, -0.0, 1.5, 0.0, _VERTEX_FEATURES[0], _EDGE_FEATURES[2], TestCounters(0, 0, 1)),
+    (0.0, 1, 2, 1, 2, _EDGE_FEATURES[1], _VERTEX_FEATURES[2], TestCounters(2, 3, 4), ("flag",)),
+]
+
+
+def _hash_outcome(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("args", _ANSWER_ARGS)
+def test_answer_matches_the_constructed_result(args):
+    built, expected = _answer(*args), _constructed(*args)
+    assert type(built) is DistanceResult and type(built.point_a) is Point2
+    assert built == expected and repr(built) == repr(expected)
+    # The mutable TestCounters field makes both unhashable, with the same error.
+    assert _hash_outcome(built) == _hash_outcome(expected)
+    assert built.point_a == expected.point_a and hash(built.point_a) == hash(expected.point_a)
+    assert built.point_b == expected.point_b and hash(built.point_b) == hash(expected.point_b)
+    assert dataclasses.astuple(built) == dataclasses.astuple(expected)
+    assert vars(built).keys() == vars(expected).keys()
+
+
+def test_answer_is_frozen_and_replaceable():
+    built = _answer(*_ANSWER_ARGS[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.distance = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.point_a.x = 2.0
+    point_b = dataclasses.replace(built.point_b, y=1.0)
+    moved = dataclasses.replace(built, distance=2.0, point_b=point_b)
+    assert moved == _constructed(2.0, 0.0, -0.0, 1.5, 1.0, *_ANSWER_ARGS[0][5:])
+    assert built.distance == 1.5 and built.point_b == Point2(1.5, 0.0)
+    with pytest.raises(ValueError, match="non-finite coordinate: inf"):
+        dataclasses.replace(built.point_a, x=math.inf)
+
+
+def _point_error(pax, pay, pbx, pby):
+    with pytest.raises(ValueError) as info:
+        Point2(pax, pay)
+        Point2(pbx, pby)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (math.nan, 0.0, 1.0, 1.0),
+        (0.0, math.inf, 1.0, 1.0),
+        (0.0, 0.0, -math.inf, 1.0),
+        (0.0, 0.0, 1.0, math.nan),
+        (math.inf, math.nan, -math.inf, 1.0),
+        (0.0, -math.inf, math.nan, 1.0),
+        (0.0, 0.0, math.inf, math.nan),
+    ],
+)
+def test_answer_refuses_non_finite_witnesses_as_point2_does(coords):
+    message = _point_error(*coords)
+    with pytest.raises(ValueError) as info:
+        _answer(1.0, *coords, _VERTEX_FEATURES[0], _VERTEX_FEATURES[0], TestCounters(0, 0, 0))
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_aabb_rejects_inverted():
