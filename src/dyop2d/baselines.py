@@ -19,12 +19,13 @@ ee = triangle); for the feature walk they record the actual feature-pair
 distance evaluations, plus nine ee tests when it falls back on the
 oracle's edge sweep.
 
-The feature walk is answered by its own end pair, not by an overlap test
-first: the pair's witnesses must pass ``geometry._separated``, the
-separating-line certificate the oracle also uses, which proves the
-triangles disjoint. Only a walk that aborts or fails the certificate
-runs the full overlap test and, on disjoint triangles, the flagged
-sweep.
+The feature walk names vertex i by the int i, edge i by 3 + i and a
+pair by ca * 6 + cb, so it hashes no ``FeatureId``; an answer maps the
+codes back to the shared ``FeatureId``s and returns one of 36 prebuilt
+``FeaturePair``s. Its end pair answers once ``geometry._separated``, the
+oracle's separating-line certificate, proves the triangles disjoint; only
+an aborted or uncertified walk runs the overlap test (see
+``lin_canny_distance``).
 """
 
 from __future__ import annotations
@@ -305,101 +306,106 @@ class FeaturePair:
     feature_b: FeatureId
 
 
-def _feature_distance(
-    edges_a: _Edges, fa: FeatureId, edges_b: _Edges, fb: FeatureId, counters: TestCounters
-) -> tuple[float, float, float, float, float]:
-    """(distance, pa.x, pa.y, pb.x, pb.y) of one feature pair; vertex i starts edge i."""
-    if fa.kind is FeatureKind.VERTEX:
-        ax, ay, _, _ = edges_a[fa.index]
-        if fb.kind is FeatureKind.VERTEX:
-            bx, by, _, _ = edges_b[fb.index]
-            counters.vv_tests += 1
-            return math.hypot(ax - bx, ay - by), ax, ay, bx, by
-        counters.ve_tests += 1
-        d, cx, cy, _ = _project(ax, ay, *edges_b[fb.index])
-        return d, ax, ay, cx, cy
-    if fb.kind is FeatureKind.VERTEX:
-        bx, by, _, _ = edges_b[fb.index]
-        counters.ve_tests += 1
-        d, cx, cy, _ = _project(bx, by, *edges_a[fa.index])
-        return d, cx, cy, bx, by
-    counters.ee_tests += 1
-    return _segment_segment(*edges_a[fa.index], *edges_b[fb.index])[:5]
+_FEATURES = _VERTEX_FEATURES + _EDGE_FEATURES
+_PAIRS = tuple(FeaturePair(fa, fb) for fa in _FEATURES for fb in _FEATURES)
 
 
-def _voronoi_escape(edges: _Edges, feature: FeatureId, px: float, py: float) -> FeatureId | None:
-    """None when p lies in the feature's outer Voronoi region, else the feature to move to.
+def _code(feature: FeatureId) -> int:
+    return feature.index if feature.kind is FeatureKind.VERTEX else 3 + feature.index
+
+
+def _voronoi_escape(edges: _Edges, code: int, px: float, py: float) -> int | None:
+    """None when p lies in the feature's outer Voronoi region, else the code to move to.
 
     The tests have no slack: the caller's certificate, not a tolerance,
     guards the walk's answer, so the walk does not depend on the
     coordinates' scale.
     """
-    i = feature.index
-    ax, ay, bx, by = edges[i]
-    if feature.kind is FeatureKind.VERTEX:
-        # a is the vertex, b the next one and c, which starts edge i + 2, the previous one.
+    if code < 3:
+        # a is the vertex, b the next one and c, starting edge code - 1 (mod 3), the previous one.
+        ax, ay, bx, by = edges[code]
         if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
-            return _EDGE_FEATURES[i]
-        cx, cy, _, _ = edges[(i + 2) % 3]
+            return 3 + code
+        cx, cy, _, _ = edges[code - 1]
         if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
-            return _EDGE_FEATURES[(i + 2) % 3]
+            return 3 + (code + 2) % 3
         return None
 
+    i = code - 3
+    ax, ay, bx, by = edges[i]
     ux, uy = bx - ax, by - ay
     t = (px - ax) * ux + (py - ay) * uy
     if t < 0.0:
-        return _VERTEX_FEATURES[i]
+        return i
     if t > ux * ux + uy * uy:
-        return _VERTEX_FEATURES[(i + 1) % 3]
+        return (i + 1) % 3
     # CCW winding puts the outward normal at (uy, -ux); a point behind the
     # edge cannot have it as closest feature, so step to the nearer endpoint.
     if (px - ax) * uy - (py - ay) * ux < 0.0:
         da = math.hypot(px - ax, py - ay)
         db = math.hypot(px - bx, py - by)
-        return _VERTEX_FEATURES[i] if da <= db else _VERTEX_FEATURES[(i + 1) % 3]
+        return i if da <= db else (i + 1) % 3
     return None
 
 
-def _walk_features(
+def _walk_codes(
     edges_a: _Edges,
     edges_b: _Edges,
-    fa: FeatureId,
-    fb: FeatureId,
-    counters: TestCounters,
+    ca: int,
+    cb: int,
     trace: list[tuple[FeatureId, FeatureId, float]] | None = None,
-) -> tuple[float, float, float, float, float, FeatureId, FeatureId] | None:
-    """Walk neighboring feature pairs until both Voronoi conditions hold.
+) -> tuple[float | None, float, float, float, float, int, int, int, int, int]:
+    """Walk neighboring feature pairs, by code, until both Voronoi conditions hold.
 
-    Returns (distance, pa.x, pa.y, pb.x, pb.y, feature_a, feature_b) of
-    the pair whose witnesses each lie in the other feature's outer
-    Voronoi region, or None. A vertex-to-edge step decreases the
-    distance and an edge-to-vertex step keeps it, so a step that
-    increases it (the "behind the edge" escape) or revisits a pair
-    aborts the walk and returns None: there is no endless loop. The end
-    pair is only a candidate; the caller certifies it with ``_separated``.
+    Returns (d, pa.x, pa.y, pb.x, pb.y, code_a, code_b, vv, ve, ee): the
+    pair whose witnesses each lie in the other feature's outer Voronoi
+    region, and the evaluations made by kind. A vertex-to-edge step
+    decreases the distance and an edge-to-vertex step keeps it, so a step
+    that increases it (the "behind the edge" escape) or revisits a pair
+    aborts the walk, with d None: there is no endless loop. The end pair
+    is only a candidate; the caller certifies it with ``_separated``.
+    ``trace`` gets (feature_a, feature_b, d) per step.
     """
-    visited: set[tuple[FeatureId, FeatureId]] = set()
+    visited: set[int] = set()
     prev = math.inf
+    vv = ve = ee = 0
     while True:
-        key = (fa, fb)
+        key = ca * 6 + cb
         if key in visited:
-            return None
+            break
         visited.add(key)
-        d, pax, pay, pbx, pby = _feature_distance(edges_a, fa, edges_b, fb, counters)
+        # The pair's distance and witnesses; vertex i starts edge i.
+        if ca < 3:
+            pax, pay, _, _ = edges_a[ca]
+            if cb < 3:
+                vv += 1
+                pbx, pby, _, _ = edges_b[cb]
+                d = math.hypot(pax - pbx, pay - pby)
+            else:
+                ve += 1
+                d, pbx, pby, _ = _project(pax, pay, *edges_b[cb - 3])
+        elif cb < 3:
+            ve += 1
+            pbx, pby, _, _ = edges_b[cb]
+            d, pax, pay, _ = _project(pbx, pby, *edges_a[ca - 3])
+        else:
+            ee += 1
+            d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
         if trace is not None:
-            trace.append((fa, fb, d))
+            trace.append((_FEATURES[ca], _FEATURES[cb], d))
         if d > prev:
-            return None
+            break
         prev = d
-        step_a = _voronoi_escape(edges_a, fa, pbx, pby)
-        if step_a is not None:
-            fa = step_a
+        step = _voronoi_escape(edges_a, ca, pbx, pby)
+        if step is not None:
+            ca = step
             continue
-        step_b = _voronoi_escape(edges_b, fb, pax, pay)
-        if step_b is not None:
-            fb = step_b
+        step = _voronoi_escape(edges_b, cb, pax, pay)
+        if step is not None:
+            cb = step
             continue
-        return d, pax, pay, pbx, pby, fa, fb
+        return d, pax, pay, pbx, pby, ca, cb, vv, ve, ee
+    return None, 0.0, 0.0, 0.0, 0.0, ca, cb, vv, ve, ee
 
 
 def lin_canny_distance(
@@ -420,26 +426,21 @@ def lin_canny_distance(
     if tA._degenerate or tB._degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
-    counters = TestCounters(0, 0, 0)
-    if seed is not None:
-        fa, fb = seed.feature_a, seed.feature_b
-    else:
-        fa, fb = _VERTEX_FEATURES[0], _VERTEX_FEATURES[0]
+    ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
     try:
-        walked = _walk_features(edges_a, edges_b, fa, fb, counters)
+        d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_codes(edges_a, edges_b, ca, cb)
     except ValueError:
         # Coordinates near the float range overflow a witness; overlapping
-        # triangles are still refused as overlapping.
+        # triangles are still refused as overlapping, without walk counts.
         if not _overlap(edges_a, edges_b):
             raise
-        walked = None
-    if walked is not None:
-        d, pax, pay, pbx, pby, fa, fb = walked
-        if _separated(edges_a, edges_b, pax, pay, pbx, pby):
-            return _answer(d, pax, pay, pbx, pby, fa, fb, counters), FeaturePair(fa, fb)
+        d = None
+    if d is not None and _separated(edges_a, edges_b, pax, pay, pbx, pby):
+        fa, fb = _FEATURES[ca], _FEATURES[cb]
+        result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee))
+        return result, _PAIRS[ca * 6 + cb]
     if _overlap(edges_a, edges_b):
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-    counters.ee_tests += 9
-    d, pax, pay, pbx, pby, fa, fb = _edge_sweep(edges_a, edges_b)
-    result = _answer(d, pax, pay, pbx, pby, fa, fb, counters, ("lincanny-fallback",))
-    return result, FeaturePair(fa, fb)
+    swept = _edge_sweep(edges_a, edges_b)
+    result = _answer(*swept, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
+    return result, _PAIRS[_code(swept[5]) * 6 + _code(swept[6])]

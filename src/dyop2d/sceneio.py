@@ -24,13 +24,16 @@ from .errors import SceneFormatError
 from .geometry import Point2, Triangle
 
 
+def _finite_number(value: object) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        return number and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _parse_vertex(raw: object, where: str) -> Point2:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw)
-        or not all(math.isfinite(c) for c in raw)
-    ):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(map(_finite_number, raw)):
         raise SceneFormatError(f"{where}: vertex must be a pair of finite numbers, got {raw!r}")
     return Point2(float(raw[0]), float(raw[1]))
 
@@ -61,12 +64,7 @@ def scene_from_dict(doc: object) -> Scene:
         triangles.append(Triangle(points[0], points[1], points[2], name))
 
     separation = doc.get("separation")
-    if (
-        not isinstance(separation, (int, float))
-        or isinstance(separation, bool)
-        or not math.isfinite(separation)
-        or separation <= 0
-    ):
+    if not _finite_number(separation) or separation <= 0:
         raise SceneFormatError(f"separation must be a positive number, got {separation!r}")
 
     axis = doc.get("axis")
@@ -99,7 +97,8 @@ def load_scene(path: str) -> Scene:
             doc = json.load(fh)
     except OSError as exc:
         raise SceneFormatError(f"cannot read scene file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Malformed JSON, an integer past the int-to-str digit limit, or not UTF-8.
         raise SceneFormatError(f"scene file {path} is not valid JSON: {exc}") from exc
     return scene_from_dict(doc)
 

@@ -6,7 +6,7 @@ import pytest
 from dyop2d import baselines, geometry
 from dyop2d.baselines import (
     FeaturePair,
-    _walk_features,
+    _walk_codes,
     gjk_distance,
     lin_canny_distance,
     support,
@@ -14,6 +14,7 @@ from dyop2d.baselines import (
 from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.errors import DegenerateInput, Penetrating, ZeroDirection
 from dyop2d.geometry import (
+    FeatureId,
     FeatureKind,
     Point2,
     TestCounters,
@@ -220,10 +221,20 @@ def test_lin_canny_counters_populated():
         assert result.counters.total() >= 1
 
 
-def _walk(a, b, counters=None, trace=None):
-    counters = TestCounters() if counters is None else counters
-    v0 = vertex_feature(0)
-    return _walk_features(_edges(a), _edges(b), v0, v0, counters, trace)
+def _code(feature):
+    return feature.index + (3 if feature.kind is FeatureKind.EDGE else 0)
+
+
+def _walk(a, b, counters=None, trace=None, seed=None):
+    """The end pair of the walk from the seed's features (cold: vertex 0 and
+    vertex 0), or None when it aborts; its evaluations are added to ``counters``."""
+    ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    *end, vv, ve, ee = _walk_codes(_edges(a), _edges(b), ca, cb, trace)
+    if counters is not None:
+        counters.vv_tests += vv
+        counters.ve_tests += ve
+        counters.ee_tests += ee
+    return None if end[0] is None else end
 
 
 def test_walk_never_increases_and_never_revisits():
@@ -285,6 +296,64 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
         walk_counters.ee_tests += 9
         assert result.counters == walk_counters
     assert certified > 0 and fallbacks > 0
+
+
+def _assert_seeded_answer(a, b, seed, result, pair):
+    """A seeded answer is a certified walk from the seed or a flagged fallback."""
+    assert pair == FeaturePair(result.feature_a, result.feature_b)
+    walk_counters = TestCounters()
+    _walk(a, b, walk_counters, seed=seed)
+    exact = brute_force_triangle_distance(a, b)
+    if result.flags == ():
+        assert _realizes(result)
+        assert abs(result.distance - exact.distance) <= 4 * math.ulp(exact.distance)
+        assert result.counters == walk_counters
+        return
+    assert result.flags == ("lincanny-fallback",)
+    assert repr(result.distance) == repr(exact.distance)
+    walk_counters.ee_tests += 9
+    assert result.counters == walk_counters
+
+
+def test_lin_canny_every_seed_answers_alike_from_fresh_and_returned_features():
+    # Each of the 36 seeds, built from freshly constructed FeatureIds and
+    # from the FeatureIds of earlier answers' pairs, gives the same answer.
+    rng = random.Random(27)
+    pairs = [random_separated_pair(rng)[:2] for _ in range(60)]
+    returned = {}
+    for a, b in pairs:
+        _, pair = lin_canny_distance(a, b)
+        for f in (pair.feature_a, pair.feature_b):
+            returned.setdefault((f.kind, f.index), f)
+    keys = [(kind, i) for kind in FeatureKind for i in range(3)]
+    assert sorted(returned, key=keys.index) == keys
+    seeds = [(ka, kb) for ka in keys for kb in keys]
+    outcomes = {"certified": 0, "fallback": 0}
+    for a, b in pairs:
+        for ka, kb in seeds:
+            fresh = FeaturePair(FeatureId(*ka), FeatureId(*kb))
+            reused = FeaturePair(returned[ka], returned[kb])
+            assert fresh == reused and fresh.feature_a is not reused.feature_a
+            result, pair = lin_canny_distance(a, b, seed=fresh)
+            assert repr((result, pair)) == repr(lin_canny_distance(a, b, seed=reused))
+            _assert_seeded_answer(a, b, fresh, result, pair)
+            outcomes["fallback" if result.flags else "certified"] += 1
+    assert all(outcomes.values())
+
+
+def test_lin_canny_threads_its_seed_along_a_trajectory():
+    # A mover steps past a static triangle, always 0.5 above it, and each
+    # frame starts from the previous frame's witness pair.
+    static = tri((0, 0), (1, 0), (0, 1))
+    mover = tri((0, 0), (1, 0), (0.5, 1))
+    seed, hits = None, 0
+    for k in range(12):
+        a = mover.translated(-3.0 + 0.5 * k, 1.5)
+        result, pair = lin_canny_distance(a, static, seed)
+        _assert_seeded_answer(a, static, seed, result, pair)
+        hits += seed is not None and result.counters.total() == 1
+        seed = pair
+    assert hits > 0
 
 
 def _count_overlap_calls(monkeypatch):

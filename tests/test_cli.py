@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,30 @@ def test_dist_malformed_scene(tmp_path, capsys):
     assert code == 2
 
 
+HUGE = "1" + "0" * 400  # a JSON integer literal too large for a float
+
+
+@pytest.mark.parametrize("command", ["dist", "bench"])
+@pytest.mark.parametrize("where", ["vertex", "separation"])
+def test_scene_with_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command, where):
+    vertex, separation = (HUGE, "1") if where == "vertex" else ("0", HUGE)
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"objects": ['
+        f'{{"name": "A", "vertices": [[{vertex}, 0], [1, 0], [0, 1]]}}, '
+        '{"name": "B", "vertices": [[0, 0], [2, 0], [1, 1]]}], '
+        f'"separation": {separation}, "axis": "x"}}',
+        encoding="utf-8",
+    )
+    if command == "dist":
+        args = ["dist", "--scene", str(path), "--a", "A", "--b", "B", "--algo", "oracle"]
+    else:
+        args = ["bench", "--scene", str(path), "--out-csv", str(tmp_path / "r.csv")]
+        args += ["--out-json", str(tmp_path / "r.json")]
+    assert main(args) == 2
+    assert "invalid scene" in capsys.readouterr().err
+
+
 def test_dist_algorithm_error_exit_4(capsys):
     # canonical poses overlap, which the feature walk refuses
     code = main(["dist", "--a", "Obj1", "--b", "Obj2", "--algo", "lincanny"])
@@ -138,7 +163,7 @@ def test_bench_small_scene(tmp_path, scene_file, capsys):
     assert len(rows) - 1 == 6 * 3
     summary = json.loads(capsys.readouterr().out)
     assert summary["records"] == 18
-    report = json.loads(open(out_json).read())
+    report = json.loads(Path(out_json).read_text())
     assert len(report["records"]) == 18
     assert set(report["report"]["summary"]) == {"gjk", "lincanny"}
 
@@ -150,7 +175,7 @@ def test_bench_json_records_match_csv_rows(tmp_path, scene_file):
     assert main(args + ["--out-csv", out_csv, "--out-json", out_json]) in (0, 5)
     header, *rows = read_csv(out_csv)
     assert tuple(header) == CSV_COLUMNS
-    records = json.loads(open(out_json).read())["records"]
+    records = json.loads(Path(out_json).read_text())["records"]
     assert len(records) == len(rows) == 6 * 4
     for rec, row in zip(records, rows):
         assert tuple(rec) == CSV_COLUMNS
@@ -184,7 +209,7 @@ def test_bench_dyop_only_has_no_percentages(tmp_path, scene_file, capsys):
     )
     assert code in (0, 5)
     assert len(read_csv(out_csv)) - 1 == 6
-    report = json.loads(open(out_json).read())
+    report = json.loads(Path(out_json).read_text())
     assert report["report"] is None
     summary = json.loads(capsys.readouterr().out)
     assert summary["summary"] == {}

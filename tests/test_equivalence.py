@@ -19,7 +19,7 @@ import random
 import pytest
 
 import seed_reference as ref
-from dyop2d.baselines import FeaturePair, _walk_features, gjk_distance, lin_canny_distance
+from dyop2d.baselines import FeaturePair, _walk_codes, gjk_distance, lin_canny_distance
 from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.dyop import (
     MovementAxis,
@@ -42,7 +42,6 @@ from dyop2d.geometry import (
     point_segment_distance,
     segment_segment_distance,
     triangles_overlap,
-    vertex_feature,
 )
 from dyop2d.verify import random_separated_pair
 
@@ -196,9 +195,8 @@ def _assert_lin_canny_matches_reference(a, b):
     new, new_pair = lin_canny_distance(a, b)
     exact = brute_force_triangle_distance(a, b)
     assert new_pair == FeaturePair(new.feature_a, new.feature_b)
-    walk_counters = TestCounters()
-    v0 = vertex_feature(0)
-    _walk_features(_edges(a), _edges(b), v0, v0, walk_counters)
+    # The cold walk's own evaluations, from the vertex pair (0, 0).
+    walk_counters = TestCounters(*_walk_codes(_edges(a), _edges(b), 0, 0)[7:])
     if new.flags == ():
         # A certified walk reports its own witnesses; a tie realized by
         # another feature pair may round differently from the oracle's.

@@ -43,6 +43,9 @@ def test_scene_from_dict_parses():
         lambda d: d.__setitem__("separation", "wide"),
         lambda d: d.__setitem__("axis", "z"),
         lambda d: d.pop("axis"),
+        # Integers too large for a float, as a JSON literal of 400 digits parses.
+        lambda d: d["objects"][0]["vertices"].__setitem__(0, [10**400, 0]),
+        lambda d: d.__setitem__("separation", 10**400),
     ],
 )
 def test_scene_from_dict_rejects_malformed(mutate):
@@ -77,5 +80,20 @@ def test_load_scene_missing_file(tmp_path):
 def test_load_scene_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SceneFormatError):
+        load_scene(str(path))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"separation": ' + b"1" * 5000 + b"}",  # past the int-to-str digit limit
+        b"\xff\xfe{}",  # not UTF-8
+    ],
+    ids=["digit-limit", "not-utf8"],
+)
+def test_load_scene_refuses_undecodable_file(tmp_path, data):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
     with pytest.raises(SceneFormatError):
         load_scene(str(path))
