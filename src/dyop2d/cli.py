@@ -225,7 +225,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         ]
     except (
         OSError,
-        json.JSONDecodeError,
+        # Malformed JSON, an integer past the int-to-str digit limit, or not UTF-8.
+        ValueError,
         KeyError,
         SceneFormatError,
         TypeError,

@@ -4,15 +4,23 @@ Everything here is a pure function of its inputs; the brute-force
 distance is the reference that every faster algorithm in the package is
 validated against.
 
-The primitives work on plain float coordinates: a triangle enters the
-core as its three edges, each an ``(ax, ay, bx, by)`` tuple running from
-vertex i to vertex (i + 1) % 3. Every algorithm's answer is built once,
+The primitives work on plain float coordinates: the oracle, GJK and
+Lin-Canny take a triangle as its three edges, each an ``(ax, ay, bx,
+by)`` tuple running from vertex i to vertex (i + 1) % 3, and DyOP reads
+its six coordinates directly. Every algorithm's answer is built once,
 by ``_answer``: it checks the four witness coordinates for finiteness
 and fills the ``Point2`` and ``DistanceResult`` fields directly, without
 re-running their constructors. A ``Triangle`` decides whether it is
 degenerate once, at construction, and the algorithms read that flag
 instead of recomputing its area per query. The public point and segment
 functions are thin wrappers over the same core.
+
+``_segment_segment`` is the one segment-segment test: DyOP's query, the
+Lin-Canny walk's edge-edge steps and ``segment_segment_distance`` all
+call it. It calls ``_intersect``, which writes ``_orient``'s four
+orientations out inline, and then writes ``_project``'s four endpoint
+projections out inline, so one test costs two Python calls; its bits
+equal those of the definition composed from those helpers.
 """
 
 from __future__ import annotations
@@ -370,17 +378,18 @@ def _intersect(
 
     Endpoint contact and collinear overlap count as intersecting; the
     returned witness for those cases is the first touching endpoint in
-    (c, d, a, b) order.
+    (c, d, a, b) order. The four orientations are ``_orient``'s
+    expressions written out on the directions r = b - a and s = d - c.
     """
-    o1 = _orient(ax, ay, bx, by, cx, cy)
-    o2 = _orient(ax, ay, bx, by, dx, dy)
-    o3 = _orient(cx, cy, dx, dy, ax, ay)
-    o4 = _orient(cx, cy, dx, dy, bx, by)
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
     if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
         (o3 > 0.0) != (o4 > 0.0)
     ) and o3 != 0.0 and o4 != 0.0:
-        rx, ry = bx - ax, by - ay
-        sx, sy = dx - cx, dy - cy
         denom = rx * sy - ry * sx
         t = ((cx - ax) * sy - (cy - ay) * sx) / denom
         hx, hy = ax + t * rx, ay + t * ry
@@ -397,45 +406,76 @@ def _intersect(
     return None
 
 
-_Witnesses = tuple[float, float, float, float, float, float, float]
-
-
-def _endpoint_projections(
-    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
-) -> _Witnesses:
-    """(distance, pa.x, pa.y, pb.x, pb.y, t1, t2) of disjoint segments ab and cd.
-
-    The minimum over the four clamped endpoint projections is exact for
-    disjoint segments; ties keep the earliest candidate in (a, b, c, d)
-    order.
-    """
-    best = (math.inf, ax, ay, cx, cy, 0.0, 0.0)
-    d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
-    if d < best[0]:
-        best = (d, ax, ay, qx, qy, 0.0, t)
-    d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
-    if d < best[0]:
-        best = (d, bx, by, qx, qy, 1.0, t)
-    d, qx, qy, t = _project(cx, cy, ax, ay, bx, by)
-    if d < best[0]:
-        best = (d, qx, qy, cx, cy, t, 0.0)
-    d, qx, qy, t = _project(dx, dy, ax, ay, bx, by)
-    if d < best[0]:
-        best = (d, qx, qy, dx, dy, t, 1.0)
-    return best
-
-
 def _segment_segment(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
-) -> _Witnesses:
-    """Like _endpoint_projections, but intersecting segments report distance 0
-    with coincident witnesses."""
+) -> tuple[float, float, float, float, float, float, float]:
+    """(distance, pa.x, pa.y, pb.x, pb.y, t1, t2) of closed segments ab and cd.
+
+    Intersecting segments report distance 0 with coincident witnesses.
+    Otherwise the minimum over the four clamped endpoint projections is
+    exact (Ericson, Real-Time Collision Detection, 2004, 5.1.9); ties
+    keep the earliest in (a, b, c, d) order. Each projection is
+    ``_project`` written out, with its zero-length branch, clamp and
+    finiteness check, on the directions s = d - c and r = b - a and
+    their squared lengths, computed once for both endpoints they serve.
+    """
     hit = _intersect(ax, ay, bx, by, cx, cy, dx, dy)
     if hit is not None:
         hx, hy = hit
         t1, t2 = _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
         return 0.0, hx, hy, hx, hy, t1, t2
-    return _endpoint_projections(ax, ay, bx, by, cx, cy, dx, dy)
+    inf = math.inf
+    # a and b projected on cd.
+    sx, sy = dx - cx, dy - cy
+    s2 = sx * sx + sy * sy
+    if s2 == 0.0:
+        qax = qbx = cx
+        qay = qby = cy
+        ta = tb = 0.0
+    else:
+        ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
+        ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
+        qax, qay = cx + ta * sx, cy + ta * sy
+        if ta != ta or s2 == inf:
+            _require_finite(qax, qay)
+        tb = ((bx - cx) * sx + (by - cy) * sy) / s2
+        tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
+        qbx, qby = cx + tb * sx, cy + tb * sy
+        if tb != tb or s2 == inf:
+            _require_finite(qbx, qby)
+    # c and d projected on ab.
+    rx, ry = bx - ax, by - ay
+    r2 = rx * rx + ry * ry
+    if r2 == 0.0:
+        qcx = qdx = ax
+        qcy = qdy = ay
+        tc = td = 0.0
+    else:
+        tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
+        tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
+        qcx, qcy = ax + tc * rx, ay + tc * ry
+        if tc != tc or r2 == inf:
+            _require_finite(qcx, qcy)
+        td = ((dx - ax) * rx + (dy - ay) * ry) / r2
+        td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
+        qdx, qdy = ax + td * rx, ay + td * ry
+        if td != td or r2 == inf:
+            _require_finite(qdx, qdy)
+    hypot = math.hypot
+    best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0)
+    d = hypot(ax - qax, ay - qay)
+    if d < best_d:
+        best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta)
+    d = hypot(bx - qbx, by - qby)
+    if d < best_d:
+        best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb)
+    d = hypot(cx - qcx, cy - qcy)
+    if d < best_d:
+        best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0)
+    d = hypot(dx - qdx, dy - qdy)
+    if d < best_d:
+        best = (d, qdx, qdy, dx, dy, td, 1.0)
+    return best
 
 
 def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:

@@ -404,6 +404,23 @@ def test_plot_unreadable_report(tmp_path, capsys):
         assert not out_dir.exists(), doc
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"records": [], "report": ' + b"1" * 5000 + b"}",  # past the int-to-str digit limit
+        b"\xff\xfe{}",  # not UTF-8
+    ],
+    ids=["digit-limit", "not-utf8"],
+)
+def test_plot_refuses_undecodable_report(tmp_path, capsys, data):
+    report = tmp_path / "report.json"
+    report.write_bytes(data)
+    out_dir = tmp_path / "plots"
+    assert main(["plot", "--report", str(report), "--out", str(out_dir)]) == 2
+    assert "unreadable report" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_stdout_is_pure_json(capsys):
     main(["dist", "--a", "Obj1", "--b", "Obj3", "--algo", "gjk"])
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.dyop import (
     MovementAxis,
     build_internal_aabb,
@@ -13,14 +14,19 @@ from dyop2d.dyop import (
 )
 from dyop2d.errors import DegenerateInput, ZeroVelocity
 from dyop2d.geometry import (
+    DistanceResult,
     FeatureKind,
     Point2,
+    TestCounters,
     Triangle,
     Vector2,
+    _classify_edge_point,
+    _segment_segment,
     brute_force_triangle_distance,
     edge_index_joining,
 )
 from dyop2d.verify import random_separated_pair
+from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -295,3 +301,61 @@ def test_dyop_winning_features_stable_under_scaling():
         for s in (0.5, 2.0, 4.0):
             rs = dyop_distance(a.scaled(s), b.scaled(s), vel)
             assert (rs.feature_a, rs.feature_b) == (r.feature_a, r.feature_b)
+
+
+def _dyop_by_stages(a, b, velocity):
+    """``dyop_distance`` as the chain of its public stages."""
+    iaabb = build_internal_aabb(a, b, dominant_axis(velocity))
+    pivot = compute_dyop(iaabb)
+    _, edge_a = select_candidates(a, pivot)
+    _, edge_b = select_candidates(b, pivot)
+    ea, eb = a.edge(edge_a), b.edge(edge_b)
+    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(
+        ea.a.x, ea.a.y, ea.b.x, ea.b.y, eb.a.x, eb.a.y, eb.b.x, eb.b.y
+    )
+    return DistanceResult(
+        d,
+        Point2(pax, pay),
+        Point2(pbx, pby),
+        _classify_edge_point(edge_a, t_a),
+        _classify_edge_point(edge_b, t_b),
+        TestCounters(0, 0, 1),
+        ("overlapping-boxes",) if iaabb.degenerate_gap else (),
+    )
+
+
+def _stage_cases():
+    scene = default_scene()
+    n = len(scene.objects)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield place_pair(scene, (i, j))
+    rng = random.Random(17)
+    for _ in range(2000):
+        yield random_separated_pair(rng)
+    for _ in range(2000):
+        # Ties, touching, overlapping and degenerate triangles, zero velocities.
+        velocity = Vector2(rng.randint(-2, 2), rng.randint(-2, 2))
+        yield _grid_triangle(rng), _grid_triangle(rng), velocity
+    for scale, shift in OVERFLOW_SCALES:
+        for _ in range(100):
+            a, b, velocity = random_separated_pair(rng)
+            yield a.scaled(scale).translated(shift, 0.0), b.scaled(scale).translated(shift, 0.0), velocity
+
+
+def test_dyop_distance_is_the_chain_of_its_stages():
+    # Distance, witnesses, features, counters and flags bit for bit, or the
+    # same exception and message. Only the refusal of a degenerate triangle
+    # names the entry point that refused it.
+    seen = set()
+    for a, b, velocity in _stage_cases():
+        query = _value_or_error(dyop_distance, a, b, velocity)
+        staged = _value_or_error(_dyop_by_stages, a, b, velocity)
+        if query[:2] == ("raised", DegenerateInput):
+            assert query[2] == "pruned distance requires non-degenerate triangles"
+            assert staged == ("raised", DegenerateInput, "internal box requires non-degenerate triangles")
+        else:
+            assert query == staged, (a, b, velocity)
+        seen.add(query[1] if query[0] == "raised" else "overlapping-boxes" in query[1][-1])
+    assert seen >= {ZeroVelocity, DegenerateInput, ValueError, True, False}

@@ -65,6 +65,14 @@ def _outcome(fn, *args):
         return "raised", type(exc)
 
 
+def _value_or_error(fn, *args):
+    """Like ``_outcome``, with the exception's message as part of the answer."""
+    try:
+        return "ok", _bits(fn(*args))
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
 def _assert_same(new, old, *args):
     assert _outcome(new, *args) == _outcome(old, *args), args
 
@@ -162,10 +170,11 @@ def test_stage_functions_match_reference():
             _assert_same(select_candidates, ref.select_candidates, b, pivot)
 
 
-@pytest.mark.parametrize(
-    "scale, shift",
-    [(1e150, 0.0), (1e154, 0.0), (1e155, 0.0), (1e300, 0.0), (1.0, 1.7e308), (1e307, 8e307)],
-)
+# (scale, shift) of pairs whose intermediate values overflow near the float range.
+OVERFLOW_SCALES = [(1e150, 0.0), (1e154, 0.0), (1e155, 0.0), (1e300, 0.0), (1.0, 1.7e308), (1e307, 8e307)]
+
+
+@pytest.mark.parametrize("scale, shift", OVERFLOW_SCALES)
 def test_overflowing_coordinates_match_reference(scale, shift):
     # Near the float range intermediate points overflow; the original code
     # refused them with ValueError wherever it built a Point2. A copy of

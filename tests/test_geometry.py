@@ -21,7 +21,11 @@ from dyop2d.geometry import (
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
     _answer,
+    _intersect,
     _is_degenerate,
+    _param_on,
+    _project,
+    _segment_segment,
     brute_force_triangle_distance,
     edge_feature,
     edge_index_joining,
@@ -30,6 +34,8 @@ from dyop2d.geometry import (
     triangles_overlap,
     vertex_feature,
 )
+from dyop2d.verify import random_separated_pair
+from test_equivalence import OVERFLOW_SCALES, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -300,6 +306,67 @@ def test_segment_segment_bounded_by_endpoint_projections():
             assert d <= point_segment_distance(p, s2)[0] + 1e-12
         for p in (s2.a, s2.b):
             assert d <= point_segment_distance(p, s1)[0] + 1e-12
+
+
+def _segment_segment_by_definition(ax, ay, bx, by, cx, cy, dx, dy):
+    """``_segment_segment`` composed from its parts: the intersection test,
+    else the four endpoint projections in (a, b, c, d) order, where only a
+    strictly smaller distance replaces the best so far."""
+    hit = _intersect(ax, ay, bx, by, cx, cy, dx, dy)
+    if hit is not None:
+        hx, hy = hit
+        return 0.0, hx, hy, hx, hy, _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
+    d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
+    candidates = [(d, ax, ay, qx, qy, 0.0, t)]
+    d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
+    candidates.append((d, bx, by, qx, qy, 1.0, t))
+    d, qx, qy, t = _project(cx, cy, ax, ay, bx, by)
+    candidates.append((d, qx, qy, cx, cy, t, 0.0))
+    d, qx, qy, t = _project(dx, dy, ax, ay, bx, by)
+    candidates.append((d, qx, qy, dx, dy, t, 1.0))
+    best = (math.inf, ax, ay, cx, cy, 0.0, 0.0)
+    for candidate in candidates:
+        if candidate[0] < best[0]:
+            best = candidate
+    return best
+
+
+def _segment_cases():
+    """Seeded (ax, ay, bx, by, cx, cy, dx, dy) inputs for the segment test."""
+    rng = random.Random(13)
+    for _ in range(3000):
+        # Integer grid: ties, collinear, touching and crossing pairs.
+        yield tuple(rng.randint(0, 3) for _ in range(8))
+    for k in range(2000):
+        # A zero-length segment on either side, or on both.
+        c = [float(rng.randint(-2, 2)) if k % 2 else rng.uniform(-2.0, 2.0) for _ in range(8)]
+        for start in rng.choice(((0,), (4,), (0, 4))):
+            c[start + 2], c[start + 3] = c[start], c[start + 1]
+        yield tuple(c)
+    for _ in range(3000):
+        yield tuple(rng.uniform(-2.0, 2.0) for _ in range(8))
+    # Edges of the overflow-scale pairs, and of a copy of A shifted into it.
+    for scale, shift in OVERFLOW_SCALES:
+        for _ in range(40):
+            a, b, _ = random_separated_pair(rng)
+            a = a.scaled(scale).translated(shift, 0.0)
+            b = b.scaled(scale).translated(shift, 0.0)
+            for other in (b, a.translated(0.3 * scale, 0.0)):
+                for i in range(3):
+                    for j in range(3):
+                        e, f = a.edge(i), other.edge(j)
+                        yield e.a.x, e.a.y, e.b.x, e.b.y, f.a.x, f.a.y, f.b.x, f.b.y
+
+
+def test_segment_segment_equals_its_definition():
+    # All seven values, t1 and t2 included, bit for bit (the sign of zero
+    # and int against float too), or the same exception and message.
+    kinds = set()
+    for args in _segment_cases():
+        got = _value_or_error(_segment_segment, *args)
+        assert got == _value_or_error(_segment_segment_by_definition, *args), args
+        kinds.add("raised" if got[0] == "raised" else "contact" if got[1][0] == "0.0" else "apart")
+    assert kinds == {"raised", "contact", "apart"}
 
 
 def test_triangles_overlap_cases():
