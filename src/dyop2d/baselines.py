@@ -53,7 +53,6 @@ from .geometry import (
     _require_finite,
     _segment_segment,
     _separated,
-    edge_index_joining,
 )
 
 GJK_MAX_ITERATIONS = 64
@@ -174,7 +173,9 @@ def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
     if len(active) == 1:
         return _VERTEX_FEATURES[active[0]]
     if len(active) == 2:
-        return _EDGE_FEATURES[edge_index_joining(active[0], active[1])]
+        # Vertices i < j: edge i joins i and i + 1, and edge 2 joins 2 and 0.
+        i, j = active
+        return _EDGE_FEATURES[i if j == i + 1 else j]
     # All three vertices active: an interior contact; report the heaviest
     # vertex, ties to the lower index.
     return _VERTEX_FEATURES[max((0, 1, 2), key=weights.__getitem__)]

@@ -8,6 +8,12 @@ algorithm answers the same question. Wall times use a monotonic clock
 (one warm-up, median of the repeats); primitive-test counters are
 recorded alongside as the machine-independent cost metric.
 
+Each record is the JSON object the ``bench`` command writes, from
+measurement on: a dict keyed by CSV_COLUMNS, in that order. A failed
+record carries an "error:<kind>" flag (record_failed), distance None and
+zero counters. write_records_csv is the one CSV writer, for the records
+and for the ``plot`` series.
+
 ALGORITHMS maps each algorithm name to its query. build_report turns the
 records into the comparison report as the JSON document the ``bench``
 command writes: each baseline's time as a percentage of DyOP's, per pair
@@ -22,7 +28,7 @@ import csv
 import math
 import statistics
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .baselines import gjk_distance, lin_canny_distance
@@ -37,7 +43,6 @@ from .errors import (
 from .geometry import (
     DistanceResult,
     Point2,
-    TestCounters,
     Triangle,
     Vector2,
     _edges,
@@ -130,7 +135,9 @@ def place_pair(
     vertex-edge pair is nearer than the triangles and one realizes s > 0
     there, so it is the last exit, over the 18 pairs, of a vertex moving
     along the axis from the band of radius s around an edge of the other
-    triangle. One oracle call checks it to PLACEMENT_TOLERANCE.
+    triangle. One oracle call checks it to PLACEMENT_TOLERANCE. A pair
+    that cannot be placed, or whose coordinates overflow the search or the
+    check, raises PlacementFailure naming it.
     """
     i, j = pair
     n = len(scene.objects)
@@ -139,50 +146,40 @@ def place_pair(
     mover, static, s = scene.objects[i], scene.objects[j], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
     edges_m, edges_s = _edges(mover), _edges(static)
-    offset = max(
-        [_far_exit(px, py, -ux, -uy, *e, s) for px, py, _, _ in edges_m for e in edges_s]
-        + [_far_exit(qx, qy, ux, uy, *e, s) for qx, qy, _, _ in edges_s for e in edges_m]
-    )
     label = f"pair {mover.name}->{static.name}"
-    if offset == -math.inf:
-        raise PlacementFailure(f"{label} cannot reach separation {s} along {scene.axis.value}")
-    moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
-    gap = brute_force_triangle_distance(moved, static).distance - s
+    try:
+        offset = max(
+            [_far_exit(px, py, -ux, -uy, *e, s) for px, py, _, _ in edges_m for e in edges_s]
+            + [_far_exit(qx, qy, ux, uy, *e, s) for qx, qy, _, _ in edges_s for e in edges_m]
+        )
+        if offset == -math.inf:
+            raise PlacementFailure(f"{label} cannot reach separation {s} along {scene.axis.value}")
+        moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
+        gap = brute_force_triangle_distance(moved, static).distance - s
+    except (OverflowError, ValueError) as exc:
+        # Coordinates near the float range overflow the search or the check.
+        raise PlacementFailure(f"{label} cannot be placed: {exc}") from exc
     if abs(gap) > PLACEMENT_TOLERANCE:
         raise PlacementFailure(f"{label} placed {gap:+.3g} off separation {s}")
     return moved, static, Vector2(ux, uy)
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    """One (pair, algorithm) measurement."""
-
-    pair: tuple[str, str]
-    algorithm: str
-    median_ns: float
-    counters: TestCounters
-    distance: float | None
-    flags: tuple[str, ...] = ()
-
-    @property
-    def failed(self) -> bool:
-        return any(f.startswith("error:") for f in self.flags)
 
 
 def run_benchmark(
     scene: Scene,
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS,
     repeats: int = 1000,
-) -> list[TimingRecord]:
+) -> list[dict]:
     """Time every algorithm on every ordered pair of the scene.
 
     Per (pair, algorithm): one untimed warm-up, then ``repeats`` timed
-    runs on the monotonic clock, keeping the median. Distances and
-    counters are deterministic; a record whose distance strays more than
-    MISMATCH_TOLERANCE from the exact value is flagged "mismatch", and
-    algorithm errors produce a record flagged "error:<kind>" instead of
-    aborting the run. The exact value is the scene separation, which
-    place_pair has checked against the oracle to PLACEMENT_TOLERANCE.
+    runs on the monotonic clock, keeping the median. Each record is the
+    JSON object ``bench`` writes, keyed by CSV_COLUMNS in that order, with
+    the flags as a list. Distances and counters are deterministic; a
+    record whose distance strays more than MISMATCH_TOLERANCE from the
+    exact value is flagged "mismatch", and an algorithm error produces a
+    record flagged "error:<kind>", with distance None and zero counters,
+    instead of aborting the run. The exact value is the scene separation,
+    which place_pair has checked against the oracle to PLACEMENT_TOLERANCE.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1: {repeats}")
@@ -190,7 +187,7 @@ def run_benchmark(
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm}")
 
-    records: list[TimingRecord] = []
+    records: list[dict] = []
     for i, j in enumerate_pairs(len(scene.objects)):
         moving, static, velocity = place_pair(scene, (i, j))
         names = (scene.objects[i].name or "", scene.objects[j].name or "")
@@ -200,54 +197,28 @@ def run_benchmark(
             try:
                 result = query(moving, static, velocity)
             except (DegenerateInput, Penetrating, ZeroVelocity) as exc:
-                elapsed = max(time.perf_counter_ns() - begin, 1)
-                records.append(
-                    TimingRecord(
-                        names,
-                        algorithm,
-                        float(elapsed),
-                        TestCounters(),
-                        None,
-                        (f"error:{type(exc).__name__}",),
-                    )
-                )
-                continue
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter_ns()
-                result = query(moving, static, velocity)
-                times.append(time.perf_counter_ns() - t0)
-            flags = result.flags
-            if abs(result.distance - scene.separation) > MISMATCH_TOLERANCE:
-                flags = flags + ("mismatch",)
-            records.append(
-                TimingRecord(
-                    names,
-                    algorithm,
-                    float(statistics.median(times)),
-                    result.counters,
-                    result.distance,
-                    flags,
-                )
-            )
+                median_ns = float(max(time.perf_counter_ns() - begin, 1))
+                counts, distance, flags = (0, 0, 0), None, [f"error:{type(exc).__name__}"]
+            else:
+                times = []
+                for _ in range(repeats):
+                    t0 = time.perf_counter_ns()
+                    result = query(moving, static, velocity)
+                    times.append(time.perf_counter_ns() - t0)
+                median_ns = float(statistics.median(times))
+                c = result.counters
+                counts = (c.vv_tests, c.ve_tests, c.ee_tests)
+                distance, flags = result.distance, list(result.flags)
+                if abs(distance - scene.separation) > MISMATCH_TOLERANCE:
+                    flags.append("mismatch")
+            values = (*names, algorithm, median_ns, *counts, distance, flags)
+            records.append(dict(zip(CSV_COLUMNS, values)))
     return records
 
 
-def record_fields(r: TimingRecord) -> dict:
-    """The record as JSON values keyed by CSV_COLUMNS; a failed record has distance None."""
-    c = r.counters
-    values = (
-        r.pair[0],
-        r.pair[1],
-        r.algorithm,
-        r.median_ns,
-        c.vv_tests,
-        c.ve_tests,
-        c.ee_tests,
-        r.distance,
-        list(r.flags),
-    )
-    return dict(zip(CSV_COLUMNS, values))
+def record_failed(record: dict) -> bool:
+    """True for a record whose algorithm raised: it carries an "error:" flag."""
+    return any(f.startswith("error:") for f in record["flags"])
 
 
 def _csv_cell(value: object) -> object:
@@ -258,14 +229,14 @@ def _csv_cell(value: object) -> object:
     return value
 
 
-def write_records_csv(records: list[TimingRecord], path: str) -> None:
-    """One row per record: the values of record_fields, with a missing distance
-    written as an empty cell and the flags joined by ';'."""
+def write_records_csv(path: str, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """The header, then one line per row; a None cell is written empty and a
+    list cell as its items joined by ';'."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_csv_cell(v) for v in record_fields(r).values()])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
 
 
 def percentage_diff(t_baseline: float, t_dyop: float) -> float:
@@ -275,7 +246,7 @@ def percentage_diff(t_baseline: float, t_dyop: float) -> float:
     return t_baseline / t_dyop * 100.0
 
 
-def build_report(records: list[TimingRecord]) -> dict:
+def build_report(records: list[dict]) -> dict:
     """Aggregate timing records into the baseline-vs-pruned comparison.
 
     The report is the JSON document ``bench`` writes: per-pair ratios
@@ -288,33 +259,31 @@ def build_report(records: list[TimingRecord]) -> dict:
     least one baseline algorithm; raises IncompleteRecords otherwise.
     Failed records are counted but excluded from percentages.
     """
-    by_pair: dict[tuple[str, str], dict[str, TimingRecord]] = {}
+    by_pair: dict[tuple[str, str], dict[str, dict]] = {}
     for r in records:
-        by_pair.setdefault(r.pair, {})[r.algorithm] = r
+        by_pair.setdefault((r["pair_a"], r["pair_b"]), {})[r["algorithm"]] = r
 
-    baselines = sorted(
-        {r.algorithm for r in records if r.algorithm != "dyop"}
-    )
+    baselines = sorted({r["algorithm"] for r in records if r["algorithm"] != "dyop"})
     if not baselines:
         raise IncompleteRecords("a baseline algorithm is required for comparison")
     for pair, group in by_pair.items():
         rec = group.get("dyop")
-        if rec is None or rec.failed:
+        if rec is None or record_failed(rec):
             raise IncompleteRecords(f"missing dyop record for pair {pair}")
 
     pairs: list[dict] = []
     pct_by_baseline: dict[str, list[float]] = {b: [] for b in baselines}
     for (pair_a, pair_b), group in by_pair.items():
-        dyop_ns = group["dyop"].median_ns
+        dyop_ns = group["dyop"]["median_ns"]
         baseline_ns: dict[str, float] = {}
         pct: dict[str, float] = {}
         delta: dict[str, float] = {}
         for b in baselines:
             rec = group.get(b)
-            if rec is None or rec.failed:
+            if rec is None or record_failed(rec):
                 continue
-            baseline_ns[b] = rec.median_ns
-            ratio = percentage_diff(rec.median_ns, dyop_ns)
+            baseline_ns[b] = rec["median_ns"]
+            ratio = percentage_diff(rec["median_ns"], dyop_ns)
             pct[b] = ratio
             delta[b] = ratio - 100.0
             pct_by_baseline[b].append(ratio)
@@ -339,15 +308,14 @@ def build_report(records: list[TimingRecord]) -> dict:
 
     counter_totals: dict[str, dict[str, int]] = {}
     for r in records:
-        if r.failed:
+        if record_failed(r):
             continue
         tot = counter_totals.setdefault(
-            r.algorithm, {"vv_tests": 0, "ve_tests": 0, "ee_tests": 0, "total": 0}
+            r["algorithm"], {"vv_tests": 0, "ve_tests": 0, "ee_tests": 0, "total": 0}
         )
-        tot["vv_tests"] += r.counters.vv_tests
-        tot["ve_tests"] += r.counters.ve_tests
-        tot["ee_tests"] += r.counters.ee_tests
-        tot["total"] += r.counters.total()
+        for key in ("vv_tests", "ve_tests", "ee_tests"):
+            tot[key] += r[key]
+            tot["total"] += r[key]
 
     # GJK counts simplex solves and Lin-Canny walk steps, so only the
     # oracle's total shares DyOP's unit, the ee test.
@@ -362,6 +330,6 @@ def build_report(records: list[TimingRecord]) -> dict:
         "summary": summary,
         "counter_totals": counter_totals,
         "counter_pct": counter_pct,
-        "mismatches": sum(1 for r in records if "mismatch" in r.flags),
-        "failed": sum(1 for r in records if r.failed),
+        "mismatches": sum(1 for r in records if "mismatch" in r["flags"]),
+        "failed": sum(1 for r in records if record_failed(r)),
     }

@@ -6,43 +6,40 @@ from a benchmark report). Data documents go to stdout as JSON;
 diagnostics go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input file or unplaceable
-scene pair, 3 verification failure, 4 algorithm error, 5 benchmark
-mismatch: a baseline off the exact distance, or DyOP below it (a DyOP
+scene pair (coordinates that overflow placement included), 3 verification
+failure, 4 algorithm error (for ``bench``: no comparison report, because
+DyOP failed on a pair or no baseline answered any), 5 benchmark mismatch:
+a baseline off the exact distance, or DyOP below it (a DyOP
 overestimate, which pruning allows, is only reported on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from .benchmark import (
     ALGORITHMS,
+    CSV_COLUMNS,
     DEFAULT_ALGORITHMS,
     Scene,
     build_report,
     default_scene,
-    record_fields,
+    record_failed,
     run_benchmark,
     write_records_csv,
 )
 from .dyop import MovementAxis
-from .errors import (
-    DegenerateInput,
-    Penetrating,
-    PlacementFailure,
-    SceneFormatError,
-    ZeroDirection,
-    ZeroVelocity,
-)
+from .errors import IncompleteRecords, Penetrating, PlacementFailure, SceneFormatError
 from .geometry import DistanceResult, Vector2
 from .sceneio import load_scene
 from .verify import DEFAULT_TOLERANCE, run_verify
 
-_ALGORITHM_ERRORS = (DegenerateInput, Penetrating, ZeroVelocity, ZeroDirection)
+# DegenerateInput, ZeroVelocity, ZeroDirection and a non-finite intermediate
+# are ValueErrors; coordinates near the float range may overflow.
+_ALGORITHM_ERRORS = (ValueError, OverflowError, Penetrating)
 
 SPEED_CSV_COLUMNS = ("pair_a", "pair_b", "algorithm", "median_ns")
 PCT_CSV_COLUMNS = ("pair_a", "pair_b", "baseline", "pct", "delta_pct")
@@ -129,16 +126,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _diag(f"invalid scene: {exc}")
         return 2
 
+    # Everything is computed before anything is written, so a refused run
+    # leaves no file behind.
+    report = None
     try:
         records = run_benchmark(scene, algos, args.repeats)
+        if "dyop" in algos and any(a != "dyop" for a in algos):
+            report = build_report(records)
     except PlacementFailure as exc:
         _diag(f"unplaceable scene: {exc}")
         return 2
-    write_records_csv(records, args.out_csv)
-
-    report = None
-    if "dyop" in algos and any(a != "dyop" for a in algos):
-        report = build_report(records)
+    except IncompleteRecords as exc:
+        _diag(f"no comparison report: {exc}")
+        return 4
+    write_records_csv(args.out_csv, CSV_COLUMNS, (r.values() for r in records))
 
     doc = {
         "scene_objects": len(scene.objects),
@@ -146,18 +147,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "axis": scene.axis.value,
         "repeats": args.repeats,
         "algorithms": list(algos),
-        "records": [record_fields(r) for r in records],
+        "records": records,
         "report": report,
     }
     with open(args.out_json, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
-    mismatched = [r for r in records if "mismatch" in r.flags]
+    mismatched = [r for r in records if "mismatch" in r["flags"]]
     summary_doc = {
         "records": len(records),
         "mismatches": len(mismatched),
-        "failed": sum(1 for r in records if r.failed),
+        "failed": sum(1 for r in records if record_failed(r)),
         "summary": report["summary"] if report is not None else {},
         "counter_totals": report["counter_totals"] if report is not None else {},
         "out_csv": args.out_csv,
@@ -171,9 +172,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"mean {s['mean_pct']:.7f}%"
             )
     # Every pair is placed at the separation, so that is the exact distance.
-    over = [r for r in mismatched if r.algorithm == "dyop" and r.distance > scene.separation]
+    over = [r for r in mismatched if r["algorithm"] == "dyop" and r["distance"] > scene.separation]
     if over:
-        listed = ", ".join(f"{'->'.join(r.pair)} ({r.distance!r})" for r in over)
+        listed = ", ".join(f"{r['pair_a']}->{r['pair_b']} ({r['distance']!r})" for r in over)
         _diag(f"dyop overestimates {len(over)} pair(s), as pruning may: {listed}")
     if len(mismatched) > len(over):
         _diag(f"{len(mismatched) - len(over)} record(s) exceeded the distance mismatch tolerance")
@@ -238,12 +239,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     speed_path = os.path.join(args.out, "speed.csv")
     pct_path = os.path.join(args.out, "percentages.csv")
-    outputs = ((speed_path, SPEED_CSV_COLUMNS, speed_rows), (pct_path, PCT_CSV_COLUMNS, pct_rows))
-    for path, columns, rows in outputs:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
+    write_records_csv(speed_path, SPEED_CSV_COLUMNS, speed_rows)
+    write_records_csv(pct_path, PCT_CSV_COLUMNS, pct_rows)
 
     _emit({"speed_csv": speed_path, "percentages_csv": pct_path})
     return 0

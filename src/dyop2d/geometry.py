@@ -223,15 +223,6 @@ _VERTEX_FEATURES = tuple(map(vertex_feature, range(3)))
 _EDGE_FEATURES = tuple(map(edge_feature, range(3)))
 
 
-def edge_index_joining(i: int, j: int) -> int:
-    """The index of the triangle edge whose endpoints are vertices i and j."""
-    if j == (i + 1) % 3:
-        return i
-    if i == (j + 1) % 3:
-        return j
-    raise ValueError(f"no edge joins vertices {i} and {j}")
-
-
 @dataclass
 class TestCounters:
     """Counts of primitive distance evaluations, the portable cost metric."""
@@ -508,12 +499,6 @@ def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
     return d, Point2(cx, cy)
 
 
-def _segment_intersection(s1: Segment, s2: Segment) -> Point2 | None:
-    """Intersection point of two closed segments, or None if disjoint (see _intersect)."""
-    hit = _intersect(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
-    return None if hit is None else Point2(*hit)
-
-
 def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, Point2]:
     """Shortest distance between two closed segments, with witness points.
 
@@ -523,11 +508,6 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
         s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y
     )
     return d, Point2(pax, pay), Point2(pbx, pby)
-
-
-def point_in_triangle(tri: Triangle, p: Point2) -> bool:
-    """Containment test, boundary inclusive; degenerate triangles act as segments."""
-    return _point_in_triangle(_edges(tri), p.x, p.y)
 
 
 def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:

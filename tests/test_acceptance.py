@@ -74,7 +74,7 @@ def test_criterion_2_vertex_test_reduction(bench_run):
         (int(r[vv]), int(r[ve]), int(r[ee])) == (0, 0, 1) for r in dyop_rows
     ) and len(dyop_rows) == 90
     oracle_records = run_benchmark(default_scene(), algorithms=("oracle",), repeats=1)
-    oracle_ok = all(r.counters.ee_tests == 9 for r in oracle_records)
+    oracle_ok = all(r["ee_tests"] == 9 for r in oracle_records)
     _report("2 vertex-test reduction: dyop 1 edge pair vs oracle 9 edge pairs", dyop_ok and oracle_ok)
 
 

@@ -167,6 +167,8 @@ def _sp(index_a, index_b):
             vertex_feature(0),
             vertex_feature(0),
         ),
+        # Two active vertices: the edge joining them, 0-1 here (2-0 and 1-2 above).
+        ([(_sp(1, 1), 0.5), (_sp(0, 0), 0.5)], edge_feature(0), edge_feature(0)),
     ],
 )
 def test_side_feature(lambdas, expected_a, expected_b):

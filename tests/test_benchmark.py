@@ -4,19 +4,20 @@ import pytest
 
 import seed_reference as ref
 from dyop2d.benchmark import (
+    CSV_COLUMNS,
     MISMATCH_TOLERANCE,
     Scene,
-    TimingRecord,
     build_report,
     default_scene,
     enumerate_pairs,
     percentage_diff,
     place_pair,
+    record_failed,
     run_benchmark,
 )
 from dyop2d.dyop import MovementAxis
 from dyop2d.errors import IncompleteRecords, PlacementFailure
-from dyop2d.geometry import Point2, TestCounters, Triangle, brute_force_triangle_distance
+from dyop2d.geometry import Point2, Triangle, brute_force_triangle_distance
 
 
 def tri(name, a, b, c):
@@ -188,14 +189,15 @@ def test_run_benchmark_record_count_and_order():
     scene = small_scene()
     records = run_benchmark(scene, algorithms=("dyop", "gjk", "lincanny"), repeats=2)
     assert len(records) == 6 * 3
-    assert [r.algorithm for r in records[:3]] == ["dyop", "gjk", "lincanny"]
-    assert records[0].pair == ("A", "B")
+    assert [r["algorithm"] for r in records[:3]] == ["dyop", "gjk", "lincanny"]
+    assert (records[0]["pair_a"], records[0]["pair_b"]) == ("A", "B")
+    assert all(tuple(r) == CSV_COLUMNS for r in records)
 
 
 def test_run_benchmark_dyop_counters():
     records = run_benchmark(small_scene(), algorithms=("dyop",), repeats=1)
     for r in records:
-        assert (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
+        assert (r["vv_tests"], r["ve_tests"], r["ee_tests"]) == (0, 0, 1)
 
 
 def test_run_benchmark_calls_oracle_once_per_pair(monkeypatch):
@@ -218,19 +220,16 @@ def test_run_benchmark_calls_oracle_once_per_pair(monkeypatch):
 def test_run_benchmark_oracle_counters():
     records = run_benchmark(small_scene(), algorithms=("oracle",), repeats=1)
     for r in records:
-        assert r.counters.ee_tests == 9
+        assert r["ee_tests"] == 9
 
 
 def test_run_benchmark_distances_deterministic():
     scene = small_scene()
     r1 = run_benchmark(scene, algorithms=("dyop", "gjk"), repeats=1)
     r2 = run_benchmark(scene, algorithms=("dyop", "gjk"), repeats=1)
-    assert [(r.pair, r.algorithm, r.distance, r.flags) for r in r1] == [
-        (r.pair, r.algorithm, r.distance, r.flags) for r in r2
-    ]
-    assert [
-        (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in r1
-    ] == [(r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in r2]
+    for r in r1 + r2:
+        del r["median_ns"]
+    assert r1 == r2
 
 
 def test_run_benchmark_mismatch_flagging():
@@ -238,9 +237,40 @@ def test_run_benchmark_mismatch_flagging():
     # algorithm, never baseline disagreement
     records = run_benchmark(default_scene(), repeats=1)
     for r in records:
-        if "mismatch" in r.flags:
-            assert r.algorithm == "dyop"
-            assert r.distance > 1.0 + MISMATCH_TOLERANCE
+        if "mismatch" in r["flags"]:
+            assert r["algorithm"] == "dyop"
+            assert r["distance"] > 1.0 + MISMATCH_TOLERANCE
+
+
+def degenerate_scene():
+    # B is collinear: DyOP and GJK refuse it, while the oracle measures it.
+    return Scene(
+        (tri("A", (0, 0), (1, 0), (0, 1)), tri("B", (0, 0), (1, 0), (2, 0))),
+        1.0,
+        MovementAxis.X,
+    )
+
+
+def test_run_benchmark_records_a_failed_query():
+    records = run_benchmark(degenerate_scene(), algorithms=("gjk", "oracle"), repeats=1)
+    assert [(r["pair_a"], r["pair_b"], r["algorithm"]) for r in records] == [
+        ("A", "B", "gjk"),
+        ("A", "B", "oracle"),
+        ("B", "A", "gjk"),
+        ("B", "A", "oracle"),
+    ]
+    for r in records:
+        assert tuple(r) == CSV_COLUMNS
+        if r["algorithm"] == "gjk":
+            assert record_failed(r)
+            assert r["flags"] == ["error:DegenerateInput"]
+            assert r["distance"] is None
+            assert (r["vv_tests"], r["ve_tests"], r["ee_tests"]) == (0, 0, 0)
+        else:
+            assert not record_failed(r)
+            assert r["flags"] == []
+            assert abs(r["distance"] - 1.0) <= 1e-9
+            assert r["ee_tests"] == 9
 
 
 def test_run_benchmark_rejects_bad_args():
@@ -258,8 +288,8 @@ def test_percentage_diff():
         percentage_diff(0.0, 1.0)
 
 
-def _record(pair, algorithm, ns, distance=1.0, flags=()):
-    return TimingRecord(pair, algorithm, ns, TestCounters(4, 4, 1), distance, flags)
+def _record(pair, algorithm, ns, distance=1.0, flags=(), counts=(4, 4, 1)):
+    return dict(zip(CSV_COLUMNS, (*pair, algorithm, ns, *counts, distance, list(flags))))
 
 
 def test_build_report_constant_times():
@@ -318,7 +348,7 @@ def test_build_report_counts_failures():
     records = [
         _record(("A", "B"), "dyop", 1000.0),
         _record(("A", "B"), "gjk", 700.0),
-        TimingRecord(("A", "B"), "lincanny", 5.0, TestCounters(), None, ("error:Penetrating",)),
+        _record(("A", "B"), "lincanny", 5.0, None, ("error:Penetrating",), (0, 0, 0)),
     ]
     report = build_report(records)
     assert report["failed"] == 1

@@ -12,6 +12,7 @@ from dyop2d.sceneio import load_scene, write_scene
 from dyop2d.benchmark import CSV_COLUMNS, Scene
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
+from test_benchmark import degenerate_scene
 
 
 def tri(name, a, b, c):
@@ -168,15 +169,11 @@ def test_bench_small_scene(tmp_path, scene_file, capsys):
     assert set(report["report"]["summary"]) == {"gjk", "lincanny"}
 
 
-def test_bench_json_records_match_csv_rows(tmp_path, scene_file):
-    out_csv = str(tmp_path / "records.csv")
-    out_json = str(tmp_path / "report.json")
-    args = ["bench", "--scene", scene_file, "--repeats", "1", "--algos", "dyop,gjk,lincanny,oracle"]
-    assert main(args + ["--out-csv", out_csv, "--out-json", out_json]) in (0, 5)
+def _assert_csv_rows_match_json_records(out_csv, out_json, count):
     header, *rows = read_csv(out_csv)
     assert tuple(header) == CSV_COLUMNS
     records = json.loads(Path(out_json).read_text())["records"]
-    assert len(records) == len(rows) == 6 * 4
+    assert len(records) == len(rows) == count
     for rec, row in zip(records, rows):
         assert tuple(rec) == CSV_COLUMNS
         cell = dict(zip(header, row))
@@ -187,6 +184,75 @@ def test_bench_json_records_match_csv_rows(tmp_path, scene_file):
         assert float(cell["median_ns"]) == rec["median_ns"]
         assert (None if cell["distance"] == "" else float(cell["distance"])) == rec["distance"]
         assert (cell["flags"].split(";") if cell["flags"] else []) == rec["flags"]
+    return rows
+
+
+def test_bench_json_records_match_csv_rows(tmp_path, scene_file):
+    out_csv = str(tmp_path / "records.csv")
+    out_json = str(tmp_path / "report.json")
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--algos", "dyop,gjk,lincanny,oracle"]
+    assert main(args + ["--out-csv", out_csv, "--out-json", out_json]) in (0, 5)
+    _assert_csv_rows_match_json_records(out_csv, out_json, 6 * 4)
+
+
+def _scene_path(tmp_path, scene):
+    path = str(tmp_path / "scene.json")
+    write_scene(scene, path)
+    return path
+
+
+def test_bench_writes_failed_records_with_an_empty_distance(tmp_path, capsys):
+    out_csv = str(tmp_path / "records.csv")
+    out_json = str(tmp_path / "report.json")
+    args = ["bench", "--scene", _scene_path(tmp_path, degenerate_scene()), "--repeats", "1"]
+    assert main(args + ["--algos", "gjk,oracle", "--out-csv", out_csv, "--out-json", out_json]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 2
+    rows = _assert_csv_rows_match_json_records(out_csv, out_json, 2 * 2)
+    gjk_rows = [row for row in rows if row[2] == "gjk"]
+    assert len(gjk_rows) == 2
+    for row in gjk_rows:
+        cell = dict(zip(CSV_COLUMNS, row))
+        assert cell["distance"] == "" and cell["flags"] == "error:DegenerateInput"
+
+
+def test_bench_exits_4_when_dyop_refuses_a_pair(tmp_path, capsys):
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    args = ["bench", "--scene", _scene_path(tmp_path, degenerate_scene()), "--repeats", "1"]
+    code = main(args + ["--algos", "dyop,gjk", "--out-csv", str(out_csv), "--out-json", str(out_json)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "missing dyop record" in captured.err
+    assert not out_csv.exists() and not out_json.exists()
+
+
+def _scaled_scene(s):
+    # Unit triangles scaled towards the float range, at a separation of the same scale.
+    return Scene(
+        (tri("A", (0, 0), (s, 0), (0, s)), tri("B", (3 * s, 0), (4 * s, 0), (3 * s, s))),
+        s,
+        MovementAxis.X,
+    )
+
+
+@pytest.mark.parametrize("algorithm", list(benchmark.ALGORITHMS))
+def test_dist_overflowing_coordinates_exit_4(tmp_path, capsys, algorithm):
+    path = _scene_path(tmp_path, _scaled_scene(1e155))
+    code = main(["dist", "--scene", path, "--a", "A", "--b", "B", "--algo", algorithm])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("algorithm error (")
+
+
+@pytest.mark.parametrize("s", [1e154, 1e155])
+def test_bench_overflowing_coordinates_exit_2(tmp_path, capsys, s):
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    args = ["bench", "--scene", _scene_path(tmp_path, _scaled_scene(s)), "--repeats", "1"]
+    assert main(args + ["--out-csv", str(out_csv), "--out-json", str(out_json)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unplaceable scene: pair A->B" in err
+    assert not out_csv.exists() and not out_json.exists()
 
 
 def test_bench_dyop_only_has_no_percentages(tmp_path, scene_file, capsys):

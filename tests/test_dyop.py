@@ -23,7 +23,6 @@ from dyop2d.geometry import (
     _classify_edge_point,
     _segment_segment,
     brute_force_triangle_distance,
-    edge_index_joining,
 )
 from dyop2d.verify import random_separated_pair
 from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _value_or_error
@@ -175,7 +174,7 @@ def test_select_candidates_arity_random():
         verts, edge = select_candidates(t, pivot)
         assert len(set(verts)) == 2
         assert edge in (0, 1, 2)
-        assert edge_index_joining(*verts) == edge
+        assert set(verts) == {edge, (edge + 1) % 3}
 
 
 def test_dyop_distance_shifted_pair():

@@ -36,9 +36,9 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
     _edges,
-    _segment_intersection,
+    _intersect,
+    _point_in_triangle,
     brute_force_triangle_distance,
-    point_in_triangle,
     point_segment_distance,
     segment_segment_distance,
     triangles_overlap,
@@ -136,18 +136,30 @@ def test_integer_grid_pairs_match_reference():
         _assert_pair_same(a, b, velocity)
 
 
+def _intersection(s1, s2):
+    return _intersect(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
+
+
+def _reference_intersection(s1, s2):
+    # The frozen test returns a point; the kernel returns its (x, y).
+    hit = ref._segment_intersection(s1, s2)
+    return None if hit is None else (hit.x, hit.y)
+
+
 def test_primitives_match_reference_on_grid():
     rng = random.Random(8)
     for _ in range(1500):
         a, b = _grid_triangle(rng), _grid_triangle(rng)
         _assert_same(triangles_overlap, ref.triangles_overlap, a, b)
-        _assert_same(point_in_triangle, ref.point_in_triangle, a, b.v0)
+        _assert_same(
+            lambda t, p: _point_in_triangle(_edges(t), p.x, p.y), ref.point_in_triangle, a, b.v0
+        )
         for i in range(3):
             ea = Segment(a.vertex(i), a.vertex((i + 1) % 3))
             for j in range(3):
                 eb = Segment(b.vertex(j), b.vertex((j + 1) % 3))
                 _assert_same(segment_segment_distance, ref.segment_segment_distance, ea, eb)
-                _assert_same(_segment_intersection, ref._segment_intersection, ea, eb)
+                _assert_same(_intersection, _reference_intersection, ea, eb)
             _assert_same(point_segment_distance, ref.point_segment_distance, b.vertex(i), ea)
 
 

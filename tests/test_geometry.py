@@ -28,7 +28,6 @@ from dyop2d.geometry import (
     _segment_segment,
     brute_force_triangle_distance,
     edge_feature,
-    edge_index_joining,
     point_segment_distance,
     segment_segment_distance,
     triangles_overlap,
@@ -229,16 +228,6 @@ def test_answer_refuses_non_finite_witnesses_as_point2_does(coords):
 def test_aabb_rejects_inverted():
     with pytest.raises(ValueError):
         Aabb(Point2(1, 0), Point2(0, 1))
-
-
-def test_edge_index_joining():
-    assert edge_index_joining(0, 1) == 0
-    assert edge_index_joining(1, 0) == 0
-    assert edge_index_joining(1, 2) == 1
-    assert edge_index_joining(2, 0) == 2
-    assert edge_index_joining(0, 2) == 2
-    with pytest.raises(ValueError):
-        edge_index_joining(1, 1)
 
 
 def test_feature_index_out_of_range_is_refused():
