@@ -46,9 +46,9 @@ from .geometry import (
     _VERTEX_FEATURES,
     _Edges,
     _answer,
+    _contact_witness,
     _edge_sweep,
     _edges,
-    _overlap,
     _project,
     _require_finite,
     _segment_segment,
@@ -59,24 +59,15 @@ GJK_MAX_ITERATIONS = 64
 GJK_IMPROVEMENT_TOL = 1e-12
 
 
-def _support(edges: _Edges, dx: float, dy: float) -> int:
-    """Index of the vertex maximizing the dot product with (dx, dy); ties to lower index."""
-    best_i = 0
-    best = edges[0][0] * dx + edges[0][1] * dy
-    for i in (1, 2):
-        x, y, _, _ = edges[i]
-        d = x * dx + y * dy
-        if d > best:
-            best_i, best = i, d
-    return best_i
-
-
 def support(tri: Triangle, direction: Vector2) -> tuple[int, Point2]:
     """The vertex maximizing the dot product with direction; ties to lower index."""
-    if direction.dx == 0.0 and direction.dy == 0.0:
+    dx, dy = direction.dx, direction.dy
+    if dx == 0.0 and dy == 0.0:
         raise ZeroDirection("support direction must be non-zero")
-    i = _support(_edges(tri), direction.dx, direction.dy)
-    return i, tri.vertex(i)
+    vs = tri.vertices
+    # max keeps the first of equal maxima, so ties go to the lower index.
+    i = max((0, 1, 2), key=lambda k: vs[k].x * dx + vs[k].y * dy)
+    return i, vs[i]
 
 
 # A difference-space support point (x, y, index_a, index_b): A's vertex
@@ -418,11 +409,11 @@ def lin_canny_distance(
     back as ``seed`` on temporally coherent queries lets the walk
     terminate in a single verification step. A walk whose end witnesses
     pass ``_separated`` has proved the triangles disjoint, at a positive
-    distance, and answers. Any other walk runs the full overlap
-    test: overlapping or touching triangles raise Penetrating, and
-    disjoint ones are answered by the oracle's nine-edge sweep, flagged
-    "lincanny-fallback", which adds its nine ee_tests to the walk's
-    counters.
+    distance, and answers. Any other walk runs the oracle's overlap
+    test, ``_contact_witness``: overlapping or touching triangles raise
+    Penetrating, and disjoint ones are answered by the oracle's nine-edge
+    sweep, flagged "lincanny-fallback", which adds its nine ee_tests to
+    the walk's counters.
     """
     if tA._degenerate or tB._degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
@@ -433,14 +424,14 @@ def lin_canny_distance(
     except ValueError:
         # Coordinates near the float range overflow a witness; overlapping
         # triangles are still refused as overlapping, without walk counts.
-        if not _overlap(edges_a, edges_b):
+        if _contact_witness(edges_a, edges_b) is None:
             raise
         d = None
     if d is not None and _separated(edges_a, edges_b, pax, pay, pbx, pby):
         fa, fb = _FEATURES[ca], _FEATURES[cb]
         result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee))
         return result, _PAIRS[ca * 6 + cb]
-    if _overlap(edges_a, edges_b):
+    if _contact_witness(edges_a, edges_b) is not None:
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
     swept = _edge_sweep(edges_a, edges_b)
     result = _answer(*swept, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 
 from .baselines import gjk_distance, lin_canny_distance
 from .dyop import MovementAxis, dyop_distance
-from .errors import (
-    DegenerateInput,
-    IncompleteRecords,
-    Penetrating,
-    PlacementFailure,
-    ZeroVelocity,
-)
+from .errors import IncompleteRecords, Penetrating, PlacementFailure
 from .geometry import (
     DistanceResult,
     Point2,
@@ -59,6 +53,12 @@ ALGORITHMS: dict[str, Callable[[Triangle, Triangle, Vector2], DistanceResult]] =
     "oracle": lambda mover, static, velocity: brute_force_triangle_distance(mover, static),
 }
 DEFAULT_ALGORITHMS = ("dyop", "gjk", "lincanny")
+# What an algorithm may raise on a pair: DegenerateInput, ZeroVelocity,
+# ZeroDirection and a non-finite intermediate are ValueErrors, and
+# coordinates near the float range may overflow.
+ALGORITHM_ERRORS = (ValueError, OverflowError, Penetrating)
+# Both tolerances are fractions of the scene separation, so a scene scaled
+# by any factor that its coordinates survive places and checks alike.
 MISMATCH_TOLERANCE = 1e-6
 PLACEMENT_TOLERANCE = 1e-9
 CSV_COLUMNS = (
@@ -135,9 +135,9 @@ def place_pair(
     vertex-edge pair is nearer than the triangles and one realizes s > 0
     there, so it is the last exit, over the 18 pairs, of a vertex moving
     along the axis from the band of radius s around an edge of the other
-    triangle. One oracle call checks it to PLACEMENT_TOLERANCE. A pair
-    that cannot be placed, or whose coordinates overflow the search or the
-    check, raises PlacementFailure naming it.
+    triangle. One oracle call checks it to PLACEMENT_TOLERANCE * s. A
+    pair that cannot be placed, or whose coordinates overflow the search or
+    the check, raises PlacementFailure naming it.
     """
     i, j = pair
     n = len(scene.objects)
@@ -159,7 +159,7 @@ def place_pair(
     except (OverflowError, ValueError) as exc:
         # Coordinates near the float range overflow the search or the check.
         raise PlacementFailure(f"{label} cannot be placed: {exc}") from exc
-    if abs(gap) > PLACEMENT_TOLERANCE:
+    if abs(gap) > PLACEMENT_TOLERANCE * s:
         raise PlacementFailure(f"{label} placed {gap:+.3g} off separation {s}")
     return moved, static, Vector2(ux, uy)
 
@@ -175,11 +175,12 @@ def run_benchmark(
     runs on the monotonic clock, keeping the median. Each record is the
     JSON object ``bench`` writes, keyed by CSV_COLUMNS in that order, with
     the flags as a list. Distances and counters are deterministic; a
-    record whose distance strays more than MISMATCH_TOLERANCE from the
-    exact value is flagged "mismatch", and an algorithm error produces a
-    record flagged "error:<kind>", with distance None and zero counters,
-    instead of aborting the run. The exact value is the scene separation,
-    which place_pair has checked against the oracle to PLACEMENT_TOLERANCE.
+    record whose distance strays more than MISMATCH_TOLERANCE times the
+    exact value from it is flagged "mismatch", and an algorithm error (one
+    of ALGORITHM_ERRORS) produces a record flagged "error:<kind>", with
+    distance None and zero counters, instead of aborting the run. The exact
+    value is the scene separation s, which place_pair has checked against
+    the oracle to PLACEMENT_TOLERANCE * s.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1: {repeats}")
@@ -196,7 +197,7 @@ def run_benchmark(
             begin = time.perf_counter_ns()
             try:
                 result = query(moving, static, velocity)
-            except (DegenerateInput, Penetrating, ZeroVelocity) as exc:
+            except ALGORITHM_ERRORS as exc:
                 median_ns = float(max(time.perf_counter_ns() - begin, 1))
                 counts, distance, flags = (0, 0, 0), None, [f"error:{type(exc).__name__}"]
             else:
@@ -209,7 +210,7 @@ def run_benchmark(
                 c = result.counters
                 counts = (c.vv_tests, c.ve_tests, c.ee_tests)
                 distance, flags = result.distance, list(result.flags)
-                if abs(distance - scene.separation) > MISMATCH_TOLERANCE:
+                if abs(distance - scene.separation) > MISMATCH_TOLERANCE * scene.separation:
                     flags.append("mismatch")
             values = (*names, algorithm, median_ns, *counts, distance, flags)
             records.append(dict(zip(CSV_COLUMNS, values)))

@@ -21,6 +21,7 @@ import os
 import sys
 
 from .benchmark import (
+    ALGORITHM_ERRORS,
     ALGORITHMS,
     CSV_COLUMNS,
     DEFAULT_ALGORITHMS,
@@ -32,14 +33,10 @@ from .benchmark import (
     write_records_csv,
 )
 from .dyop import MovementAxis
-from .errors import IncompleteRecords, Penetrating, PlacementFailure, SceneFormatError
+from .errors import IncompleteRecords, PlacementFailure, SceneFormatError
 from .geometry import DistanceResult, Vector2
 from .sceneio import load_scene
 from .verify import DEFAULT_TOLERANCE, run_verify
-
-# DegenerateInput, ZeroVelocity, ZeroDirection and a non-finite intermediate
-# are ValueErrors; coordinates near the float range may overflow.
-_ALGORITHM_ERRORS = (ValueError, OverflowError, Penetrating)
 
 SPEED_CSV_COLUMNS = ("pair_a", "pair_b", "algorithm", "median_ns")
 PCT_CSV_COLUMNS = ("pair_a", "pair_b", "baseline", "pct", "delta_pct")
@@ -95,7 +92,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
     try:
         result = ALGORITHMS[args.algo](tri_a, tri_b, velocity)
-    except _ALGORITHM_ERRORS as exc:
+    except ALGORITHM_ERRORS as exc:
         _diag(f"algorithm error ({type(exc).__name__}): {exc}")
         return 4
 

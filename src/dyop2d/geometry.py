@@ -106,20 +106,6 @@ def _edges_degenerate(edges: _Edges) -> bool:
     return _is_degenerate(x0, y0, x1, y1, x2, y2)
 
 
-def _extent(c0: float, c1: float, c2: float) -> tuple[float, float]:
-    """Minimum and maximum of three coordinates; ties keep the earlier value."""
-    lo = hi = c0
-    if c1 < lo:
-        lo = c1
-    elif c1 > hi:
-        hi = c1
-    if c2 < lo:
-        lo = c2
-    elif c2 > hi:
-        hi = c2
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices, normalized to counter-clockwise order on construction.
@@ -482,17 +468,6 @@ def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
     return True
 
 
-def _overlap(edges_a: _Edges, edges_b: _Edges) -> bool:
-    for ea in edges_a:
-        for eb in edges_b:
-            if _intersect(*ea, *eb) is not None:
-                return True
-    # No edge contact: overlap is only possible by full containment.
-    return _point_in_triangle(edges_a, edges_b[0][0], edges_b[0][1]) or _point_in_triangle(
-        edges_b, edges_a[0][0], edges_a[0][1]
-    )
-
-
 def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
     """Shortest distance from a point to a closed segment, with the closest point."""
     d, cx, cy, _ = _project(p.x, p.y, s.a.x, s.a.y, s.b.x, s.b.y)
@@ -512,7 +487,7 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
 
 def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
     """True when the triangles share any point; boundary contact counts."""
-    return _overlap(_edges(tA), _edges(tB))
+    return _contact_witness(_edges(tA), _edges(tB)) is not None
 
 
 def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
@@ -530,14 +505,18 @@ def _nearest_edge_feature(edges: _Edges, px: float, py: float) -> FeatureId:
 
 def _contact_witness(
     edges_a: _Edges, edges_b: _Edges
-) -> tuple[float, float, FeatureId, FeatureId] | None:
+) -> tuple[float, float, FeatureId | None, FeatureId | None] | None:
     """Contact point (x, y) and features of overlapping triangles, or None when
-    ``_overlap`` is false.
+    they share no point; boundary contact counts.
 
-    Overlap is decided by ``_overlap``'s tests in its order: the nine edge
-    pairs, then B's vertex 0 in A, then A's vertex 0 in B. The witness is
-    the first intersection in edge-pair order, else the first of B's
-    vertices inside A, else A's vertex 0.
+    This is the one overlap test. It runs the nine edge pairs, then B's
+    vertex 0 in A, then A's vertex 0 in B: without edge contact, one
+    triangle overlaps the other only by containing it. The witness is the
+    first intersection in edge-pair order, else the first of B's vertices
+    inside A, else A's vertex 0. A contained vertex's feature on the
+    containing triangle is None, for the caller to name: callers that only
+    ask whether the triangles overlap then run no projection, which can
+    overflow near the float range.
     """
     for i, ea in enumerate(edges_a):
         for j, eb in enumerate(edges_b):
@@ -546,11 +525,11 @@ def _contact_witness(
                 return *hit, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
     for k, (vx, vy, _, _) in enumerate(edges_b):
         if _point_in_triangle(edges_a, vx, vy):
-            return vx, vy, _nearest_edge_feature(edges_a, vx, vy), _VERTEX_FEATURES[k]
+            return vx, vy, None, _VERTEX_FEATURES[k]
         if k == 0 and not _point_in_triangle(edges_b, edges_a[0][0], edges_a[0][1]):
             return None
     vx, vy, _, _ = edges_a[0]
-    return vx, vy, _VERTEX_FEATURES[0], _nearest_edge_feature(edges_b, vx, vy)
+    return vx, vy, _VERTEX_FEATURES[0], None
 
 
 def _edge_sweep(
@@ -562,10 +541,10 @@ def _edge_sweep(
     The minimum over the 18 vertex-edge projections, each computed once,
     in the first edge pair that holds it: vertex i + 1 ends edge i and
     starts edge i + 1. It is exact only for disjoint triangles, which the
-    caller proves by ``_separated`` or ``_overlap``. Ties keep the earliest
-    projection in row-major edge-pair order, then (a, b, c, d) order, so
-    the reported feature indices stay as low as possible. The witnesses
-    are not checked for finiteness here; ``_answer`` checks them.
+    caller proves by ``_separated`` or ``_contact_witness``. Ties keep the
+    earliest projection in row-major edge-pair order, then (a, b, c, d)
+    order, so the reported feature indices stay as low as possible. The
+    witnesses are not checked for finiteness here; ``_answer`` checks them.
     """
     best_d, best = math.inf, (*edges_a[0][:2], *edges_b[0][:2], 0.0, 0.0, 0, 0)
     for i, (ax, ay, bx, by) in enumerate(edges_a):
@@ -645,6 +624,11 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     contact = _contact_witness(edges_a, edges_b)
     if contact is not None:
         px, py, fa, fb = contact
+        # A contained vertex is named against the container's nearest edge.
+        if fa is None:
+            fa = _nearest_edge_feature(edges_a, px, py)
+        elif fb is None:
+            fb = _nearest_edge_feature(edges_b, px, py)
         return _answer(0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0))
     if swept is None:
         swept = _edge_sweep(edges_a, edges_b)

@@ -14,13 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .dyop import dyop_distance
-from .geometry import (
-    Point2,
-    Triangle,
-    Vector2,
-    _extent,
-    brute_force_triangle_distance,
-)
+from .geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
 
 CONSERVATIVE_SLACK = 1e-12
 DEFAULT_TOLERANCE = 1e-9
@@ -76,12 +70,12 @@ def random_separated_pair(
         offset = _diameter(second) + rng.uniform(0.0, 2.0)
         if along_x:
             second = second.translated(offset, 0.0)
-            a_hi = _extent(first.v0.x, first.v1.x, first.v2.x)[1]
-            b_lo = _extent(second.v0.x, second.v1.x, second.v2.x)[0]
+            a_hi = max(first.v0.x, first.v1.x, first.v2.x)
+            b_lo = min(second.v0.x, second.v1.x, second.v2.x)
         else:
             second = second.translated(0.0, offset)
-            a_hi = _extent(first.v0.y, first.v1.y, first.v2.y)[1]
-            b_lo = _extent(second.v0.y, second.v1.y, second.v2.y)[0]
+            a_hi = max(first.v0.y, first.v1.y, first.v2.y)
+            b_lo = min(second.v0.y, second.v1.y, second.v2.y)
         if b_lo > a_hi:
             return first, second, Vector2(1.0, 0.0) if along_x else Vector2(0.0, 1.0)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -22,7 +23,6 @@ from dyop2d.geometry import (
     Vector2,
     _edges,
     _edge_sweep,
-    _overlap,
     _project,
     brute_force_triangle_distance,
     edge_feature,
@@ -359,19 +359,18 @@ def test_lin_canny_threads_its_seed_along_a_trajectory():
 
 
 def _count_overlap_calls(monkeypatch):
-    # Lin-Canny's overlap test is _overlap; the oracle's is _contact_witness.
+    # Every overlap test is _contact_witness: the oracle's and
+    # triangles_overlap's in geometry, Lin-Canny's in baselines. Each call
+    # is recorded under the name of the function that made it.
     calls = []
+    contact_witness = geometry._contact_witness
 
-    def counting(test):
-        def counted(edges_a, edges_b):
-            calls.append(test.__name__)
-            return test(edges_a, edges_b)
+    def counted(edges_a, edges_b):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return contact_witness(edges_a, edges_b)
 
-        return counted
-
-    monkeypatch.setattr(geometry, "_overlap", counting(_overlap))
-    monkeypatch.setattr(baselines, "_overlap", counting(_overlap))
-    monkeypatch.setattr(geometry, "_contact_witness", counting(geometry._contact_witness))
+    monkeypatch.setattr(geometry, "_contact_witness", counted)
+    monkeypatch.setattr(baselines, "_contact_witness", counted)
     return calls
 
 
@@ -478,7 +477,20 @@ def test_near_touching_copies_still_count_as_contact(monkeypatch):
                     result, _ = lin_canny_distance(t, b)
                     assert result.distance == exact.distance
                     assert result.flags == ("lincanny-fallback",)
-    assert "_contact_witness" in calls and "_overlap" in calls
+    assert "brute_force_triangle_distance" in calls and "lin_canny_distance" in calls
+
+
+@pytest.mark.parametrize("s", [1e154, 1e200, 1e300, 1e307])
+def test_contained_triangles_near_the_float_range_still_overlap(s):
+    # Naming the contained vertex's nearest edge overflows a projection at
+    # these scales; the overlap test alone must not need it, so Lin-Canny
+    # still refuses the pair as overlapping rather than with a ValueError.
+    big = tri((0, 0), (10, 0), (0, 10)).scaled(s)
+    small = tri((1, 1), (2, 1), (1, 2)).scaled(s)
+    for a, b in ((big, small), (small, big)):
+        assert triangles_overlap(a, b) is True
+        with pytest.raises(Penetrating):
+            lin_canny_distance(a, b)
 
 
 @pytest.mark.parametrize("k", [-20, 20])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -271,6 +272,38 @@ def test_run_benchmark_records_a_failed_query():
             assert r["flags"] == []
             assert abs(r["distance"] - 1.0) <= 1e-9
             assert r["ee_tests"] == 9
+
+
+def scaled_default_scene(s, names=None):
+    # The default scene's objects (all, or those named) scaled by s about
+    # the origin, with the separation scaled by s too.
+    scene = default_scene()
+    objects = tuple(o.scaled(s) for o in scene.objects if names is None or o.name in names)
+    return dataclasses.replace(scene, objects=objects, separation=scene.separation * s)
+
+
+def test_run_benchmark_records_an_overflowing_query():
+    # At 0.9e154, DyOP's squared distances overflow on this pair.
+    scene = scaled_default_scene(0.9e154, ("Obj1", "Obj5"))
+    records = run_benchmark(scene, algorithms=("dyop", "gjk"), repeats=1)
+    dyop_records = [r for r in records if r["algorithm"] == "dyop"]
+    assert len(dyop_records) == 2
+    for r in dyop_records:
+        assert r["flags"] == ["error:OverflowError"]
+        assert r["distance"] is None
+        assert (r["vv_tests"], r["ve_tests"], r["ee_tests"]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("k", [7, 12, 100, 153])
+def test_run_benchmark_flags_do_not_depend_on_the_scene_scale(k):
+    # Placement and the mismatch check are relative to the separation, so
+    # every pair places at any scale the coordinates survive, and each
+    # record is flagged as at unit scale.
+    algorithms = ("dyop", "gjk", "lincanny", "oracle")
+    unscaled = run_benchmark(default_scene(), algorithms, repeats=1)
+    scaled = run_benchmark(scaled_default_scene(10.0**k), algorithms, repeats=1)
+    assert len(scaled) == 90 * len(algorithms)
+    assert [r["flags"] for r in scaled] == [r["flags"] for r in unscaled]
 
 
 def test_run_benchmark_rejects_bad_args():

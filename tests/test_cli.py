@@ -12,7 +12,7 @@ from dyop2d.sceneio import load_scene, write_scene
 from dyop2d.benchmark import CSV_COLUMNS, Scene
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
-from test_benchmark import degenerate_scene
+from test_benchmark import degenerate_scene, scaled_default_scene
 
 
 def tri(name, a, b, c):
@@ -223,6 +223,26 @@ def test_bench_exits_4_when_dyop_refuses_a_pair(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "missing dyop record" in captured.err
+    assert not out_csv.exists() and not out_json.exists()
+
+
+@pytest.mark.parametrize(
+    "names,s,message",
+    [
+        # DyOP's squared distances overflow: OverflowError.
+        (("Obj1", "Obj5"), 0.9e154, "missing dyop record"),
+        # GJK's search direction becomes NaN: ValueError.
+        (("Obj1", "Obj9"), 0.8e154, "no successful baseline records"),
+    ],
+)
+def test_bench_exits_4_when_an_algorithm_overflows(tmp_path, capsys, names, s, message):
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    args = ["bench", "--scene", _scene_path(tmp_path, scaled_default_scene(s, names))]
+    args += ["--repeats", "1", "--algos", "dyop,gjk"]
+    assert main(args + ["--out-csv", str(out_csv), "--out-json", str(out_json)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
     assert not out_csv.exists() and not out_json.exists()
 
 
