@@ -5,8 +5,9 @@ Commands: ``dist`` (single query), ``bench`` (full pairing benchmark),
 from a benchmark report). Data documents go to stdout as JSON;
 diagnostics go to stderr.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input file or unplaceable
-scene pair (coordinates that overflow placement included), 3 verification
+Exit codes: 0 success, 1 usage error (an output path that cannot be
+written included; no output file is left behind), 2 invalid input file or
+unplaceable scene pair (coordinates that overflow placement included), 3 verification
 failure, 4 algorithm error (for ``bench``: no comparison report, because
 DyOP failed on a pair or no baseline answered any), 5 benchmark mismatch:
 a baseline off the exact distance, or DyOP below it (a DyOP
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections.abc import Callable
 
 from .benchmark import (
     ALGORITHM_ERRORS,
@@ -49,6 +52,23 @@ def _emit(doc: dict) -> None:
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _write_files(writes: list[tuple[str, Callable[[str], None]]]) -> bool:
+    """Call write(path) for each (path, write) in turn. When one fails, the
+    files already written are removed and one stderr line names the path, so
+    that a refused run leaves no file behind."""
+    done = []
+    for path, write in writes:
+        try:
+            write(path)
+        except OSError as exc:
+            for written in done:
+                os.remove(written)
+            _diag(f"cannot write {path}: {exc.strerror or exc}")
+            return False
+        done.append(path)
+    return True
 
 
 def _result_doc(result: DistanceResult) -> dict:
@@ -136,8 +156,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except IncompleteRecords as exc:
         _diag(f"no comparison report: {exc}")
         return 4
-    write_records_csv(args.out_csv, CSV_COLUMNS, (r.values() for r in records))
-
     doc = {
         "scene_objects": len(scene.objects),
         "separation": scene.separation,
@@ -147,9 +165,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "records": records,
         "report": report,
     }
-    with open(args.out_json, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+
+    def write_json(path: str) -> None:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+
+    if not _write_files(
+        [
+            (args.out_csv, lambda path: write_records_csv(path, CSV_COLUMNS, (r.values() for r in records))),
+            (args.out_json, write_json),
+        ]
+    ):
+        return 1
 
     mismatched = [r for r in records if "mismatch" in r["flags"]]
     summary_doc = {
@@ -182,6 +210,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         _diag(f"trials must be at least 1: {args.trials}")
+        return 1
+    if not 0.0 <= args.tol < math.inf:
+        _diag(f"tolerance must be finite and at least 0: {args.tol!r}")
         return 1
     report = run_verify(args.trials, args.seed, args.tol)
     _emit(
@@ -233,11 +264,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
         _diag(f"unreadable report ({type(exc).__name__}): {exc}")
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        _diag(f"cannot write {args.out}: {exc.strerror or exc}")
+        return 1
     speed_path = os.path.join(args.out, "speed.csv")
     pct_path = os.path.join(args.out, "percentages.csv")
-    write_records_csv(speed_path, SPEED_CSV_COLUMNS, speed_rows)
-    write_records_csv(pct_path, PCT_CSV_COLUMNS, pct_rows)
+    if not _write_files(
+        [
+            (speed_path, lambda path: write_records_csv(path, SPEED_CSV_COLUMNS, speed_rows)),
+            (pct_path, lambda path: write_records_csv(path, PCT_CSV_COLUMNS, pct_rows)),
+        ]
+    ):
+        return 1
 
     _emit({"speed_csv": speed_path, "percentages_csv": pct_path})
     return 0

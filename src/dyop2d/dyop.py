@@ -22,22 +22,24 @@ empirically.
 The query runs on flat scalars: each triangle's six coordinates are
 read once, into a tuple ``_ring`` that repeats vertex 0 so that edge i
 is a slice of it, and the gap box, pivot and candidate choice read
-those numbers directly. The public stages ``build_internal_aabb``,
-``compute_dyop`` and ``select_candidates`` call the same helpers, so
-there is one implementation of each step.
+those numbers directly. The public stages return the query's own
+values, as plain tuples:
+
+- ``build_internal_aabb`` the gap box
+  ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
+- ``compute_dyop`` the pivot ``(px, py)``, which the query calls too;
+- ``select_candidates`` ``(i, j, edge)``, the two vertices nearest the
+  pivot and the edge joining them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
 from .errors import DegenerateInput, ZeroVelocity
 from .geometry import (
-    Aabb,
     DistanceResult,
-    Point2,
     TestCounters,
     Triangle,
     Vector2,
@@ -48,34 +50,13 @@ from .geometry import (
 )
 
 _Ring = tuple[float, float, float, float, float, float, float, float]
+# (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)
+_Box = tuple[int, int, float, float, float, float, bool]
 
 
 class MovementAxis(Enum):
     X = "x"
     Y = "y"
-
-
-@dataclass(frozen=True)
-class InternalAabb:
-    """The gap box between two facing triangles.
-
-    ``leading``/``higher`` are argument positions (0 = first triangle,
-    1 = second). ``degenerate_gap`` is set when the facing extremes
-    overlap along the movement axis, i.e. the triangles' extents are not
-    disjoint there and the pruning premise does not hold.
-    """
-
-    box: Aabb
-    leading: int
-    higher: int
-    degenerate_gap: bool
-
-
-@dataclass(frozen=True)
-class DyopPoint:
-    """The dynamic origin point: the midpoint of the internal gap box."""
-
-    point: Point2
 
 
 def dominant_axis(relative_velocity: Vector2) -> MovementAxis:
@@ -119,12 +100,9 @@ def _ring(tri: Triangle) -> _Ring:
     return (x0, y0, v1.x, v1.y, v2.x, v2.y, x0, y0)
 
 
-def _gap_box(
-    ring_a: _Ring, ring_b: _Ring, axis: MovementAxis
-) -> tuple[int, int, float, float, float, float, bool]:
-    """(leading, higher, lo, hi, p_lo, p_hi, degenerate_gap) of the gap box.
+def _gap_box(ring_a: _Ring, ring_b: _Ring, axis: MovementAxis) -> _Box:
+    """(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap) of the gap box.
 
-    [lo, hi] is the box along the movement axis, [p_lo, p_hi] across it.
     Each triangle's extent on an axis is its first minimal and first
     maximal coordinate, so ties keep the lower vertex index.
     """
@@ -139,21 +117,12 @@ def _gap_box(
     yb_lo = v0 if v0 <= v1 and v0 <= v2 else (v1 if v1 <= v2 else v2)
     yb_hi = v0 if v0 >= v1 and v0 >= v2 else (v1 if v1 >= v2 else v2)
     if axis is MovementAxis.X:
-        lead, lo, hi, degenerate_gap = _gap(xa_lo, xa_hi, xb_lo, xb_hi)
-        high, p_lo, p_hi, _ = _gap(ya_lo, ya_hi, yb_lo, yb_hi)
+        lead, x_lo, x_hi, degenerate_gap = _gap(xa_lo, xa_hi, xb_lo, xb_hi)
+        high, y_lo, y_hi, _ = _gap(ya_lo, ya_hi, yb_lo, yb_hi)
     else:
-        lead, lo, hi, degenerate_gap = _gap(ya_lo, ya_hi, yb_lo, yb_hi)
-        high, p_lo, p_hi, _ = _gap(xa_lo, xa_hi, xb_lo, xb_hi)
-    return lead, high, lo, hi, p_lo, p_hi, degenerate_gap
-
-
-def _midpoint(x0: float, y0: float, x1: float, y1: float) -> tuple[float, float]:
-    """Midpoint of the box with corners (x0, y0) and (x1, y1); an overflowed
-    midpoint is refused like any other non-finite point."""
-    px, py = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    if not (isfinite(px) and isfinite(py)):
-        _require_finite(px, py)
-    return px, py
+        lead, y_lo, y_hi, degenerate_gap = _gap(ya_lo, ya_hi, yb_lo, yb_hi)
+        high, x_lo, x_hi, _ = _gap(xa_lo, xa_hi, xb_lo, xb_hi)
+    return lead, high, x_lo, y_lo, x_hi, y_hi, degenerate_gap
 
 
 def _nearest_two(ring: _Ring, px: float, py: float) -> tuple[int, int, int]:
@@ -172,43 +141,42 @@ def _nearest_two(ring: _Ring, px: float, py: float) -> tuple[int, int, int]:
     return (1, 2, 1) if d1 <= d2 else (2, 1, 1)
 
 
-def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> InternalAabb:
-    """Construct the gap box between two facing triangles.
+def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
+    """The gap box between two facing triangles, as
+    (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap).
 
-    Along the movement axis the box spans from the trailing triangle's
-    facing extreme to the leading triangle's; on the perpendicular axis
-    it spans from the lower triangle's maximum to the higher triangle's
-    minimum. An inverted interval (extents overlapping on that axis)
-    clamps to its midpoint with zero width; on the movement axis that
-    also sets ``degenerate_gap``, since the construction's premise of an
-    actual gap is then violated.
+    ``leading``/``higher`` are argument positions (0 = first triangle,
+    1 = second): the triangle further along the movement axis and the
+    one further along the perpendicular axis. Along the movement axis
+    the box spans from the trailing triangle's facing extreme to the
+    leading triangle's; on the perpendicular axis it spans from the
+    lower triangle's maximum to the higher triangle's minimum. An
+    inverted interval (extents overlapping on that axis) clamps to its
+    midpoint with zero width; on the movement axis that also sets
+    ``degenerate_gap``, since the construction's premise of an actual
+    gap is then violated.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("internal box requires non-degenerate triangles")
-
-    lead, high, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(_ring(tA), _ring(tB), axis)
-    if axis is MovementAxis.X:
-        box = Aabb(Point2(lo, p_lo), Point2(hi, p_hi))
-    else:
-        box = Aabb(Point2(p_lo, lo), Point2(p_hi, hi))
-    return InternalAabb(box=box, leading=lead, higher=high, degenerate_gap=degenerate_gap)
+    return _gap_box(_ring(tA), _ring(tB), axis)
 
 
-def compute_dyop(iaabb: InternalAabb) -> DyopPoint:
-    """Midpoint of the internal box, componentwise."""
-    box = iaabb.box
-    return DyopPoint(Point2(*_midpoint(box.min.x, box.min.y, box.max.x, box.max.y)))
+def compute_dyop(box: _Box) -> tuple[float, float]:
+    """The pivot (px, py): the gap box's midpoint, componentwise. An
+    overflowed midpoint is refused like any other non-finite point."""
+    _, _, x_lo, y_lo, x_hi, y_hi, _ = box
+    px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    if not (isfinite(px) and isfinite(py)):
+        _require_finite(px, py)
+    return px, py
 
 
-def select_candidates(tri: Triangle, dyop: DyopPoint) -> tuple[tuple[int, int], int]:
-    """The two vertices nearest the pivot and the edge joining them.
-
-    Ties resolve to the lower vertex index. Any two distinct vertices of
-    a triangle are joined by exactly one edge, so the candidate edge is
-    always well defined.
-    """
-    i, j, edge = _nearest_two(_ring(tri), dyop.point.x, dyop.point.y)
-    return (i, j), edge
+def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, int, int]:
+    """``_nearest_two`` on ``tri``'s vertices: (i, j, edge). Any two distinct
+    vertices of a triangle are joined by exactly one edge, so the
+    candidate edge is always well defined."""
+    px, py = pivot
+    return _nearest_two(_ring(tri), px, py)
 
 
 def dyop_distance(
@@ -233,9 +201,8 @@ def dyop_distance(
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
     ring_a, ring_b = _ring(tA), _ring(tB)
 
-    _, _, lo, hi, p_lo, p_hi, degenerate_gap = _gap_box(ring_a, ring_b, axis)
-    along, across = _midpoint(lo, p_lo, hi, p_hi)
-    px, py = (along, across) if axis is MovementAxis.X else (across, along)
+    box = _gap_box(ring_a, ring_b, axis)
+    px, py = compute_dyop(box)
     edge_a = _nearest_two(ring_a, px, py)[2]
     edge_b = _nearest_two(ring_b, px, py)[2]
     i, j = 2 * edge_a, 2 * edge_b
@@ -252,5 +219,5 @@ def dyop_distance(
         _classify_edge_point(edge_a, t_a),
         _classify_edge_point(edge_b, t_b),
         TestCounters(0, 0, 1),
-        ("overlapping-boxes",) if degenerate_gap else (),
+        ("overlapping-boxes",) if box[6] else (),
     )

@@ -7,7 +7,8 @@ validated against.
 The primitives work on plain float coordinates: the oracle, GJK and
 Lin-Canny take a triangle as its three edges, each an ``(ax, ay, bx,
 by)`` tuple running from vertex i to vertex (i + 1) % 3, and DyOP reads
-its six coordinates directly. Every algorithm's answer is built once,
+its six coordinates directly; its stages pass plain tuples, so there is
+no box or pivot type here. Every algorithm's answer is built once,
 by ``_answer``: it checks the four witness coordinates for finiteness
 and fills the ``Point2`` and ``DistanceResult`` fields directly, without
 re-running their constructors. A ``Triangle`` decides whether it is
@@ -165,18 +166,6 @@ class Triangle:
     def scaled(self, s: float) -> Triangle:
         """Uniform scaling about the origin."""
         return Triangle(self.v0.scaled(s), self.v1.scaled(s), self.v2.scaled(s), self.name)
-
-
-@dataclass(frozen=True)
-class Aabb:
-    """Axis-aligned box given by its min and max corners."""
-
-    min: Point2
-    max: Point2
-
-    def __post_init__(self) -> None:
-        if self.min.x > self.max.x or self.min.y > self.max.y:
-            raise ValueError(f"inverted box: min={self.min} max={self.max}")
 
 
 class FeatureKind(Enum):

@@ -7,7 +7,9 @@ tests/test_equivalence.py compares the float-coordinate implementations
 in dyop2d against this module, which must not change with them: it reads
 triangles only through their vertex fields and builds a Point2 for every
 intermediate point, as the original code did. Only the data types come
-from the package.
+from the package; the DyOP stage types that the package no longer has
+(``Aabb``, ``InternalAabb``, ``DyopPoint`` and ``CandidateSet``) are
+frozen here with the code that uses them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from dyop2d.baselines import FeaturePair
-from dyop2d.dyop import DyopPoint, InternalAabb, MovementAxis
+from dyop2d.dyop import MovementAxis
 from dyop2d.errors import (
     DegenerateInput,
     Penetrating,
@@ -26,7 +28,6 @@ from dyop2d.errors import (
 )
 from dyop2d.geometry import (
     DEGENERATE_AREA,
-    Aabb,
     DistanceResult,
     FeatureId,
     FeatureKind,
@@ -70,6 +71,41 @@ def edge_index_joining(i: int, j: int) -> int:
     if i == (j + 1) % 3:
         return j
     raise ValueError(f"no edge joins vertices {i} and {j}")
+
+
+@dataclass(frozen=True)
+class Aabb:
+    """Axis-aligned box given by its min and max corners."""
+
+    min: Point2
+    max: Point2
+
+    def __post_init__(self) -> None:
+        if self.min.x > self.max.x or self.min.y > self.max.y:
+            raise ValueError(f"inverted box: min={self.min} max={self.max}")
+
+
+@dataclass(frozen=True)
+class InternalAabb:
+    """The gap box between two facing triangles.
+
+    ``leading``/``higher`` are argument positions (0 = first triangle,
+    1 = second). ``degenerate_gap`` is set when the facing extremes
+    overlap along the movement axis, i.e. the triangles' extents are not
+    disjoint there and the pruning premise does not hold.
+    """
+
+    box: Aabb
+    leading: int
+    higher: int
+    degenerate_gap: bool
+
+
+@dataclass(frozen=True)
+class DyopPoint:
+    """The dynamic origin point: the midpoint of the internal gap box."""
+
+    point: Point2
 
 
 @dataclass(frozen=True)

@@ -147,11 +147,12 @@ def test_criterion_6_property_suites():
     for _ in range(400):
         a, b, vel = random_separated_pair(rng)
         box = build_internal_aabb(a, b, dominant_axis(vel))
-        mid = compute_dyop(box).point
-        ok = ok and 2.0 * mid.x == box.box.min.x + box.box.max.x
-        ok = ok and 2.0 * mid.y == box.box.min.y + box.box.max.y
-        verts_a, edge_a = select_candidates(a, compute_dyop(box))
-        ok = ok and len(set(verts_a)) == 2 and edge_a in (0, 1, 2)
+        _, _, x_lo, y_lo, x_hi, y_hi, _ = box
+        px, py = compute_dyop(box)
+        ok = ok and 2.0 * px == x_lo + x_hi
+        ok = ok and 2.0 * py == y_lo + y_hi
+        i, j, edge_a = select_candidates(a, (px, py))
+        ok = ok and i != j and edge_a in (0, 1, 2)
         r = dyop_distance(a, b, vel)
         ok = ok and (r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) == (0, 0, 1)
     for n in (1, 2, 5, 10):

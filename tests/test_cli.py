@@ -416,6 +416,40 @@ def test_verify_rejects_bad_trials(capsys):
     assert main(["verify", "--trials", "0", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_verify_refuses_a_non_finite_or_negative_tolerance(capsys, tol):
+    assert main(["verify", "--trials", "200", "--seed", "7", f"--tol={tol}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "tolerance" in err
+
+
+@pytest.mark.parametrize("unwritable", ["--out-csv", "--out-json"])
+def test_bench_unwritable_output_path_exits_1_and_writes_nothing(tmp_path, scene_file, capsys, unwritable):
+    outs = {"--out-csv": tmp_path / "r.csv", "--out-json": tmp_path / "r.json"}
+    outs[unwritable] = tmp_path / "missing" / "out"
+    args = ["bench", "--scene", scene_file, "--repeats", "1"]
+    for flag, path in outs.items():
+        args += [flag, str(path)]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot write {outs[unwritable]}: No such file or directory\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
+def test_plot_unwritable_output_directory_exits_1(tmp_path, scene_file, capsys):
+    out_json = str(tmp_path / "report.json")
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--out-csv", str(tmp_path / "r.csv")]
+    assert main(args + ["--out-json", out_json]) in (0, 5)
+    capsys.readouterr()
+    out_dir = tmp_path / "r.csv" / "sub"
+    assert main(["plot", "--report", out_json, "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot write {out_dir}: Not a directory\n"
+
+
 def test_plot_outputs(tmp_path, scene_file, capsys):
     out_json = str(tmp_path / "report.json")
     main(

@@ -44,32 +44,32 @@ def test_nearest_facing_vertices_x():
     # The gap box runs between the facing vertices along the axis.
     a = tri((0, 0), (1, 2), (2, 1))
     b = tri((4, 0), (5, 2), (6, 1))
-    ia = build_internal_aabb(a, b, MovementAxis.X)
-    assert ia.leading == 1
-    assert ia.box.min.x == 2  # trailing side: maximal x
-    assert ia.box.max.x == 4  # leading side: minimal x
-    assert build_internal_aabb(b, a, MovementAxis.X).leading == 0
+    leading, _, x_lo, _, x_hi, _, _ = build_internal_aabb(a, b, MovementAxis.X)
+    assert leading == 1
+    assert x_lo == 2  # trailing side: maximal x
+    assert x_hi == 4  # leading side: minimal x
+    assert build_internal_aabb(b, a, MovementAxis.X)[0] == 0
 
 
 def test_nearest_facing_vertices_y_symmetry():
     low = tri((0, 0), (1, 0), (0, 1))
     high = low.translated(0, 5)
-    ia = build_internal_aabb(low, high, MovementAxis.Y)
-    assert ia.leading == 1
-    assert (ia.box.min.y, ia.box.max.y) == (1, 5)
-    assert build_internal_aabb(high, low, MovementAxis.Y).leading == 0
+    leading, _, _, y_lo, _, y_hi, _ = build_internal_aabb(low, high, MovementAxis.Y)
+    assert leading == 1
+    assert (y_lo, y_hi) == (1, 5)
+    assert build_internal_aabb(high, low, MovementAxis.Y)[0] == 0
 
 
 def test_build_internal_aabb_leading_tie_rule():
     # Equal maxima: the greater minimum leads.
     a = tri((0, 0), (2, 0), (0, 1))
     b = tri((1, 3), (2, 3), (1, 4))
-    assert build_internal_aabb(a, b, MovementAxis.X).leading == 1
-    assert build_internal_aabb(b, a, MovementAxis.X).leading == 0
+    assert build_internal_aabb(a, b, MovementAxis.X)[0] == 1
+    assert build_internal_aabb(b, a, MovementAxis.X)[0] == 0
     # Equal extents: the second argument leads, whatever the order.
     c = a.translated(0, 5)
-    assert build_internal_aabb(a, c, MovementAxis.X).leading == 1
-    assert build_internal_aabb(c, a, MovementAxis.X).leading == 1
+    assert build_internal_aabb(a, c, MovementAxis.X)[0] == 1
+    assert build_internal_aabb(c, a, MovementAxis.X)[0] == 1
 
 
 def test_build_internal_aabb_worked_example():
@@ -78,20 +78,20 @@ def test_build_internal_aabb_worked_example():
     # B's min (0), inverted, and clamps to its midpoint 2.
     a = tri((0, 0), (2, 3), (1, 4))
     b = tri((5, 1), (7, 0), (6, 5))
-    ia = build_internal_aabb(a, b, MovementAxis.X)
-    assert (ia.box.min.x, ia.box.max.x) == (2, 5)
-    assert (ia.box.min.y, ia.box.max.y) == (2.0, 2.0)
-    assert ia.leading == 1
-    assert ia.higher == 1
-    assert not ia.degenerate_gap
+    leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap = build_internal_aabb(a, b, MovementAxis.X)
+    assert (x_lo, x_hi) == (2, 5)
+    assert (y_lo, y_hi) == (2.0, 2.0)
+    assert leading == 1
+    assert higher == 1
+    assert not degenerate_gap
 
 
 def test_build_internal_aabb_overlapping_extents_clamps():
     a = tri((0, 0), (2, 0), (1, 1))
     b = tri((1, 3), (3, 3), (2, 4))  # x-extents overlap
-    ia = build_internal_aabb(a, b, MovementAxis.X)
-    assert ia.degenerate_gap
-    assert ia.box.min.x == ia.box.max.x
+    _, _, x_lo, _, x_hi, _, degenerate_gap = build_internal_aabb(a, b, MovementAxis.X)
+    assert degenerate_gap
+    assert x_lo == x_hi
 
 
 def test_build_internal_aabb_rejects_degenerate():
@@ -106,75 +106,80 @@ def test_build_internal_aabb_diagonal_gap_both_axes():
     # proper gaps, so the box spans the four facing extremes directly
     a = tri((0, 4), (2, 6), (1, 7))
     b = tri((5, 0), (7, 1), (6, 2))
-    ia = build_internal_aabb(a, b, MovementAxis.X)
-    assert (ia.box.min.x, ia.box.max.x) == (2, 5)
-    assert (ia.box.min.y, ia.box.max.y) == (2, 4)
-    assert not ia.degenerate_gap
-    assert compute_dyop(ia).point == Point2(3.5, 3.0)
+    box = build_internal_aabb(a, b, MovementAxis.X)
+    _, _, x_lo, y_lo, x_hi, y_hi, degenerate_gap = box
+    assert (x_lo, x_hi) == (2, 5)
+    assert (y_lo, y_hi) == (2, 4)
+    assert not degenerate_gap
+    assert compute_dyop(box) == (3.5, 3.0)
 
 
 def test_compute_dyop_trivial_boxes():
-    from dyop2d.dyop import InternalAabb
-    from dyop2d.geometry import Aabb
+    assert compute_dyop((1, 0, 0, 0, 2, 4, False)) == (1, 2)
+    assert compute_dyop((1, 0, 3, 5, 3, 5, True)) == (3, 5)
 
-    box = InternalAabb(Aabb(Point2(0, 0), Point2(2, 4)), 1, 0, False)
-    assert compute_dyop(box).point == Point2(1, 2)
-    flat = InternalAabb(Aabb(Point2(3, 5), Point2(3, 5)), 1, 0, True)
-    assert compute_dyop(flat).point == Point2(3, 5)
+
+def test_overflowed_gap_box_is_refused_by_the_pivot():
+    # Overlapping x-extents near the float range clamp to a midpoint that
+    # overflows. The box keeps it; the pivot refuses it, for the query too.
+    a = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1))
+    b = tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
+    box = build_internal_aabb(a, b, MovementAxis.X)
+    assert box[2] == box[4] == math.inf and box[6]
+    for refused in (lambda: compute_dyop(box), lambda: dyop_distance(a, b, Vector2(1, 0))):
+        with pytest.raises(ValueError, match=r"^non-finite coordinate: inf$"):
+            refused()
 
 
 def test_compute_dyop_midpoint():
     a = tri((0, 0), (1, 1), (0, 2))
     b = tri((2, 2), (4, 2), (3, 4))
-    ia = build_internal_aabb(a, b, MovementAxis.X)
-    p = compute_dyop(ia).point
-    assert p.x == pytest.approx(0.5 * (ia.box.min.x + ia.box.max.x), abs=0)
-    assert p.y == pytest.approx(0.5 * (ia.box.min.y + ia.box.max.y), abs=0)
+    box = build_internal_aabb(a, b, MovementAxis.X)
+    _, _, x_lo, y_lo, x_hi, y_hi, _ = box
+    px, py = compute_dyop(box)
+    assert px == pytest.approx(0.5 * (x_lo + x_hi), abs=0)
+    assert py == pytest.approx(0.5 * (y_lo + y_hi), abs=0)
 
 
 def test_compute_dyop_midpoint_identity_bit_exact():
     rng = random.Random(10)
     for _ in range(300):
         a, b, vel = random_separated_pair(rng)
-        ia = build_internal_aabb(a, b, dominant_axis(vel))
-        p = compute_dyop(ia).point
-        assert 2.0 * p.x == ia.box.min.x + ia.box.max.x
-        assert 2.0 * p.y == ia.box.min.y + ia.box.max.y
+        box = build_internal_aabb(a, b, dominant_axis(vel))
+        _, _, x_lo, y_lo, x_hi, y_hi, _ = box
+        px, py = compute_dyop(box)
+        assert 2.0 * px == x_lo + x_hi
+        assert 2.0 * py == y_lo + y_hi
 
 
 def test_select_candidates_worked_example():
     # distances from (2, 0.5): vertex 1 is nearest, vertices 0 and 2 tie at
     # sqrt(4.25) and the tie breaks to index 0
     t = tri((0, 0), (1, 0), (0, 1))
-    from dyop2d.dyop import DyopPoint
-
-    verts, edge = select_candidates(t, DyopPoint(Point2(2, 0.5)))
-    assert verts == (1, 0)
+    i, j, edge = select_candidates(t, (2, 0.5))
+    assert (i, j) == (1, 0)
     assert edge == 0
 
 
 def test_select_candidates_equidistant_tie():
     t = tri((0, 0), (2, 0), (1, math.sqrt(3)))
-    from dyop2d.dyop import DyopPoint
-
-    centroid = Point2((t.v0.x + t.v1.x + t.v2.x) / 3.0, (t.v0.y + t.v1.y + t.v2.y) / 3.0)
-    verts, edge = select_candidates(t, DyopPoint(centroid))
-    assert verts == (0, 1)
+    centroid = ((t.v0.x + t.v1.x + t.v2.x) / 3.0, (t.v0.y + t.v1.y + t.v2.y) / 3.0)
+    i, j, edge = select_candidates(t, centroid)
+    assert (i, j) == (0, 1)
     assert edge == 0
 
 
 def test_select_candidates_arity_random():
     rng = random.Random(11)
-    from dyop2d.dyop import DyopPoint
     from dyop2d.verify import random_triangle
 
     for _ in range(400):
         t = random_triangle(rng)
-        pivot = DyopPoint(Point2(rng.uniform(-3, 3), rng.uniform(-3, 3)))
-        verts, edge = select_candidates(t, pivot)
-        assert len(set(verts)) == 2
+        pivot = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        i, j, edge = select_candidates(t, pivot)
+        assert len({i, j}) == 2
         assert edge in (0, 1, 2)
-        assert set(verts) == {edge, (edge + 1) % 3}
+        assert {i, j} == {edge, (edge + 1) % 3}
 
 
 def test_dyop_distance_shifted_pair():
@@ -271,11 +276,11 @@ def test_dyop_exact_when_witness_survives_pruning():
         a, b, vel = random_separated_pair(rng)
         oracle = brute_force_triangle_distance(a, b)
         pivot = compute_dyop(build_internal_aabb(a, b, dominant_axis(vel)))
-        cand_a, _ = select_candidates(a, pivot)
-        cand_b, _ = select_candidates(b, pivot)
-        if _defining_vertices(oracle.feature_a) <= set(cand_a) and _defining_vertices(
+        cand_a = set(select_candidates(a, pivot)[:2])
+        cand_b = set(select_candidates(b, pivot)[:2])
+        if _defining_vertices(oracle.feature_a) <= cand_a and _defining_vertices(
             oracle.feature_b
-        ) <= set(cand_b):
+        ) <= cand_b:
             applicable += 1
             pruned = dyop_distance(a, b, vel).distance
             assert abs(pruned - oracle.distance) <= 1e-9
@@ -304,10 +309,10 @@ def test_dyop_winning_features_stable_under_scaling():
 
 def _dyop_by_stages(a, b, velocity):
     """``dyop_distance`` as the chain of its public stages."""
-    iaabb = build_internal_aabb(a, b, dominant_axis(velocity))
-    pivot = compute_dyop(iaabb)
-    _, edge_a = select_candidates(a, pivot)
-    _, edge_b = select_candidates(b, pivot)
+    box = build_internal_aabb(a, b, dominant_axis(velocity))
+    pivot = compute_dyop(box)
+    edge_a = select_candidates(a, pivot)[2]
+    edge_b = select_candidates(b, pivot)[2]
     ea, eb = a.edge(edge_a), b.edge(edge_b)
     d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(
         ea.a.x, ea.a.y, ea.b.x, ea.b.y, eb.a.x, eb.a.y, eb.b.x, eb.b.y
@@ -319,7 +324,7 @@ def _dyop_by_stages(a, b, velocity):
         _classify_edge_point(edge_a, t_a),
         _classify_edge_point(edge_b, t_b),
         TestCounters(0, 0, 1),
-        ("overlapping-boxes",) if iaabb.degenerate_gap else (),
+        ("overlapping-boxes",) if box[6] else (),
     )
 
 

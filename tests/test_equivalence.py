@@ -163,6 +163,26 @@ def test_primitives_match_reference_on_grid():
             _assert_same(point_segment_distance, ref.point_segment_distance, b.vertex(i), ea)
 
 
+# The reference's stages on the package's tuples: its InternalAabb, DyopPoint
+# and candidate pair, read as the tuples the package's stages return.
+def _ref_gap_box(a, b, axis):
+    ia = ref.build_internal_aabb(a, b, axis)
+    lo, hi = ia.box.min, ia.box.max
+    return ia.leading, ia.higher, lo.x, lo.y, hi.x, hi.y, ia.degenerate_gap
+
+
+def _ref_pivot(box):
+    leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap = box
+    ia = ref.InternalAabb(ref.Aabb(Point2(x_lo, y_lo), Point2(x_hi, y_hi)), leading, higher, degenerate_gap)
+    p = ref.compute_dyop(ia).point
+    return p.x, p.y
+
+
+def _ref_candidates(tri, pivot):
+    (i, j), edge = ref.select_candidates(tri, ref.DyopPoint(Point2(*pivot)))
+    return i, j, edge
+
+
 def test_stage_functions_match_reference():
     rng = random.Random(10)
     for k in range(2000):
@@ -171,15 +191,15 @@ def test_stage_functions_match_reference():
         else:
             a, b, _ = random_separated_pair(rng)
         for axis in MovementAxis:
-            _assert_same(build_internal_aabb, ref.build_internal_aabb, a, b, axis)
+            _assert_same(build_internal_aabb, _ref_gap_box, a, b, axis)
             try:
                 box = build_internal_aabb(a, b, axis)
             except DegenerateInput:
                 continue
-            _assert_same(compute_dyop, ref.compute_dyop, box)
+            _assert_same(compute_dyop, _ref_pivot, box)
             pivot = compute_dyop(box)
-            _assert_same(select_candidates, ref.select_candidates, a, pivot)
-            _assert_same(select_candidates, ref.select_candidates, b, pivot)
+            _assert_same(select_candidates, _ref_candidates, a, pivot)
+            _assert_same(select_candidates, _ref_candidates, b, pivot)
 
 
 # (scale, shift) of pairs whose intermediate values overflow near the float range.

@@ -9,7 +9,6 @@ from dyop2d.dyop import dyop_distance
 from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import (
     DEGENERATE_AREA,
-    Aabb,
     DistanceResult,
     FeatureId,
     FeatureKind,
@@ -223,11 +222,6 @@ def test_answer_refuses_non_finite_witnesses_as_point2_does(coords):
     with pytest.raises(ValueError) as info:
         _answer(1.0, *coords, _VERTEX_FEATURES[0], _VERTEX_FEATURES[0], TestCounters(0, 0, 0))
     assert type(info.value) is ValueError and str(info.value) == message
-
-
-def test_aabb_rejects_inverted():
-    with pytest.raises(ValueError):
-        Aabb(Point2(1, 0), Point2(0, 1))
 
 
 def test_feature_index_out_of_range_is_refused():
