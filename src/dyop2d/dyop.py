@@ -40,6 +40,7 @@ from math import isfinite
 from .errors import DegenerateInput, ZeroVelocity
 from .geometry import (
     DistanceResult,
+    FeatureId,
     TestCounters,
     Triangle,
     Vector2,
@@ -199,8 +200,14 @@ def dyop_distance(
     axis = dominant_axis(relative_velocity)
     if tA._degenerate or tB._degenerate:
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
-    ring_a, ring_b = _ring(tA), _ring(tB)
+    return _answer(*_dyop(_ring(tA), _ring(tB), axis))
 
+
+def _dyop(
+    ring_a: _Ring, ring_b: _Ring, axis: MovementAxis
+) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
+    """DyOP on two non-degenerate triangles' rings along ``axis``: the
+    arguments of its ``_answer``."""
     box = _gap_box(ring_a, ring_b, axis)
     px, py = compute_dyop(box)
     edge_a = _nearest_two(ring_a, px, py)[2]
@@ -210,7 +217,7 @@ def dyop_distance(
         ring_a[i], ring_a[i + 1], ring_a[i + 2], ring_a[i + 3],
         ring_b[j], ring_b[j + 1], ring_b[j + 2], ring_b[j + 3],
     )
-    return _answer(
+    return (
         d,
         pax,
         pay,

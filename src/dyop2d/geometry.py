@@ -588,17 +588,10 @@ def _separated(
     return True
 
 
-def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
-    """Exact separation distance by exhausting all nine edge pairs.
-
-    The nine-edge sweep (``_edge_sweep``, 18 projections) runs first and
-    answers, counted as nine ee_tests, when its witnesses pass
-    ``_separated``. Only when they fail does the overlap test run, as
-    ``_contact_witness``: overlapping or touching triangles then report
-    distance 0 with coincident witnesses, and disjoint ones the sweep's
-    answer.
-    """
-    edges_a, edges_b = _edges(tA), _edges(tB)
+def _brute_force(
+    edges_a: _Edges, edges_b: _Edges
+) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters]:
+    """The oracle on two triangles' edge tuples: the arguments of its ``_answer``."""
     try:
         swept = _edge_sweep(edges_a, edges_b)
     except ValueError:
@@ -609,7 +602,7 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         # Non-finite witnesses never pass _separated, so they take the
         # contact path too, and _answer refuses them on disjoint triangles.
         if _separated(edges_a, edges_b, swept[1], swept[2], swept[3], swept[4]):
-            return _answer(*swept, TestCounters(0, 0, 9))
+            return *swept, TestCounters(0, 0, 9)
     contact = _contact_witness(edges_a, edges_b)
     if contact is not None:
         px, py, fa, fb = contact
@@ -618,7 +611,20 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
             fa = _nearest_edge_feature(edges_a, px, py)
         elif fb is None:
             fb = _nearest_edge_feature(edges_b, px, py)
-        return _answer(0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0))
+        return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0)
     if swept is None:
         swept = _edge_sweep(edges_a, edges_b)
-    return _answer(*swept, TestCounters(0, 0, 9))
+    return *swept, TestCounters(0, 0, 9)
+
+
+def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
+    """Exact separation distance by exhausting all nine edge pairs.
+
+    The nine-edge sweep (``_edge_sweep``, 18 projections) runs first and
+    answers, counted as nine ee_tests, when its witnesses pass
+    ``_separated``. Only when they fail does the overlap test run, as
+    ``_contact_witness``: overlapping or touching triangles then report
+    distance 0 with coincident witnesses, and disjoint ones the sweep's
+    answer.
+    """
+    return _answer(*_brute_force(_edges(tA), _edges(tB)))

@@ -5,6 +5,14 @@ pairs, so it can overestimate but never underestimate. This sweep
 generates seeded random axis-separated pairs and measures both the
 mismatch rate (overestimates beyond tolerance) and the count of
 conservative-bound violations, which must be zero on a correct build.
+
+Each trial runs on flat coordinates: the generator draws a pair as two
+counter-clockwise rings, and the oracle's and DyOP's own kernels answer
+it, so a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``.
+Every coordinate is a ``random()`` draw plus a bounded push, so none is
+checked again, and the sweep keeps the refusals of the public queries.
+``random_separated_pair`` is the same draw stream, built into
+``Triangle``s.
 """
 
 from __future__ import annotations
@@ -12,9 +20,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from math import hypot, isfinite
 
-from .dyop import dyop_distance
-from .geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
+from .dyop import MovementAxis, _dyop, _Ring
+from .errors import DegenerateInput
+from .geometry import DEGENERATE_AREA, Point2, Triangle, Vector2, _brute_force, _require_finite
 
 CONSERVATIVE_SLACK = 1e-12
 DEFAULT_TOLERANCE = 1e-9
@@ -33,25 +43,59 @@ class VerifyReport:
         return self.mismatches / self.trials
 
 
+def _random_ring(rng: random.Random) -> _Ring:
+    """A non-degenerate triangle with vertices uniform in the unit box, as a
+    counter-clockwise ring; six ``random()`` calls per draw, redrawn until
+    it is not degenerate, with ``Triangle``'s area test and normalization."""
+    random_ = rng.random
+    while True:
+        x0, y0, x1, y1, x2, y2 = random_(), random_(), random_(), random_(), random_(), random_()
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        if abs(area) > DEGENERATE_AREA:
+            if area < 0.0:
+                return (x0, y0, x2, y2, x1, y1, x0, y0)
+            return (x0, y0, x1, y1, x2, y2, x0, y0)
+
+
+def _separated_rings(rng: random.Random) -> tuple[_Ring, _Ring, bool, MovementAxis]:
+    """(ring_a, ring_b, degenerate_b, axis): the draw ``random_separated_pair``
+    builds its triangles from.
+
+    The second triangle is pushed along a random axis by its diameter plus
+    ``uniform(0.0, 2.0)``; draws whose boxes still overlap on that axis are
+    redrawn. The pushed ring is normalized, and its degeneracy decided, on
+    the pushed coordinates, as ``Triangle`` does on construction.
+    """
+    ring_a = x0, y0, x1, y1, x2, y2, _, _ = _random_ring(rng)
+    ax_hi, ay_hi = max(x0, x1, x2), max(y0, y1, y2)
+    while True:
+        x0, y0, x1, y1, x2, y2, _, _ = _random_ring(rng)
+        along_x = rng.random() < 0.5
+        offset = max(hypot(x0 - x1, y0 - y1), hypot(x0 - x2, y0 - y2), hypot(x1 - x2, y1 - y2))
+        offset += rng.uniform(0.0, 2.0)
+        if along_x:
+            x0, x1, x2 = x0 + offset, x1 + offset, x2 + offset
+            separated = min(x0, x1, x2) > ax_hi
+        else:
+            y0, y1, y2 = y0 + offset, y1 + offset, y2 + offset
+            separated = min(y0, y1, y2) > ay_hi
+        if separated:
+            break
+    area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    if area < 0.0:
+        x1, y1, x2, y2 = x2, y2, x1, y1
+    ring_b = (x0, y0, x1, y1, x2, y2, x0, y0)
+    return ring_a, ring_b, abs(area) <= DEGENERATE_AREA, MovementAxis.X if along_x else MovementAxis.Y
+
+
+def _triangle(ring: _Ring) -> Triangle:
+    x0, y0, x1, y1, x2, y2, _, _ = ring
+    return Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2))
+
+
 def random_triangle(rng: random.Random) -> Triangle:
     """A non-degenerate triangle with vertices uniform in the unit box."""
-    while True:
-        tri = Triangle(
-            Point2(rng.random(), rng.random()),
-            Point2(rng.random(), rng.random()),
-            Point2(rng.random(), rng.random()),
-        )
-        if not tri.is_degenerate:
-            return tri
-
-
-def _diameter(tri: Triangle) -> float:
-    vs = tri.vertices
-    return max(
-        math.hypot(vs[i].x - vs[j].x, vs[i].y - vs[j].y)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    return _triangle(_random_ring(rng))
 
 
 def random_separated_pair(
@@ -63,35 +107,42 @@ def random_separated_pair(
     own diameter; samples whose boxes still overlap on that axis are
     rejected and redrawn.
     """
-    first = random_triangle(rng)
-    while True:
-        second = random_triangle(rng)
-        along_x = rng.random() < 0.5
-        offset = _diameter(second) + rng.uniform(0.0, 2.0)
-        if along_x:
-            second = second.translated(offset, 0.0)
-            a_hi = max(first.v0.x, first.v1.x, first.v2.x)
-            b_lo = min(second.v0.x, second.v1.x, second.v2.x)
-        else:
-            second = second.translated(0.0, offset)
-            a_hi = max(first.v0.y, first.v1.y, first.v2.y)
-            b_lo = min(second.v0.y, second.v1.y, second.v2.y)
-        if b_lo > a_hi:
-            return first, second, Vector2(1.0, 0.0) if along_x else Vector2(0.0, 1.0)
+    ring_a, ring_b, _, axis = _separated_rings(rng)
+    velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
+    return _triangle(ring_a), _triangle(ring_b), velocity
 
 
 def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> VerifyReport:
-    """Compare the pruned distance to the oracle on ``trials`` random pairs."""
+    """Compare the pruned distance to the oracle on ``trials`` random pairs.
+
+    Each pair is drawn as ``random_separated_pair`` draws it and answered
+    by the kernels that ``brute_force_triangle_distance`` and
+    ``dyop_distance`` run, with the refusals those functions make: a
+    non-finite witness raises ``ValueError`` and a degenerate second
+    triangle ``DegenerateInput``, in the same order.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and at least 0: {tolerance!r}")
     rng = random.Random(seed)
     mismatches = 0
     violations = 0
     max_over = 0.0
     for _ in range(trials):
-        first, second, velocity = random_separated_pair(rng)
-        exact = brute_force_triangle_distance(first, second).distance
-        pruned = dyop_distance(first, second, velocity).distance
+        ring_a, ring_b, degenerate_b, axis = _separated_rings(rng)
+        exact, pax, pay, pbx, pby, _, _, _ = _brute_force(
+            (ring_a[0:4], ring_a[2:6], ring_a[4:8]), (ring_b[0:4], ring_b[2:6], ring_b[4:8])
+        )
+        # The sum is non-finite when a witness coordinate is; when it only
+        # overflows, _require_finite lets the finite coordinates pass.
+        if not isfinite(pax + pay + pbx + pby):
+            _require_finite(pax, pay, pbx, pby)
+        if degenerate_b:
+            raise DegenerateInput("pruned distance requires non-degenerate triangles")
+        pruned, pax, pay, pbx, pby, _, _, _, _ = _dyop(ring_a, ring_b, axis)
+        if not isfinite(pax + pay + pbx + pby):
+            _require_finite(pax, pay, pbx, pby)
         if pruned < exact - CONSERVATIVE_SLACK:
             violations += 1
         over = pruned - exact

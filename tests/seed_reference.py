@@ -1,7 +1,9 @@
 """A frozen copy of the original object-based primitives, DyOP pipeline and oracle,
 of the Lin-Canny feature walk with its 36-feature-pair exhaustive fallback, and
-of GJK on SupportPoint objects and a self-validating Simplex, and of the
-benchmark placement that bisects the mover's offset against the oracle.
+of GJK on SupportPoint objects and a self-validating Simplex, of the
+benchmark placement that bisects the mover's offset against the oracle,
+and of the verify sweep that builds every random pair as Triangles and
+answers it with whole queries.
 
 tests/test_equivalence.py compares the float-coordinate implementations
 in dyop2d against this module, which must not change with them: it reads
@@ -15,6 +17,7 @@ frozen here with the code that uses them.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from dyop2d.baselines import FeaturePair
@@ -37,6 +40,7 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
 )
+from dyop2d.verify import VerifyReport
 
 
 def _vertices(tri: Triangle) -> tuple[Point2, Point2, Point2]:
@@ -931,3 +935,84 @@ def place_pair(scene, pair: tuple[int, int]) -> tuple[Triangle, Triangle, Vector
     moved = _translated_along(mover, axis, hi)
     velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
     return moved, static, velocity
+
+
+# The verify sweep, drawing each pair through Triangle, Point2 and
+# Triangle.translated.
+CONSERVATIVE_SLACK = 1e-12
+DEFAULT_TOLERANCE = 1e-9
+
+
+def random_triangle(rng: random.Random) -> Triangle:
+    """A non-degenerate triangle with vertices uniform in the unit box."""
+    while True:
+        tri = Triangle(
+            Point2(rng.random(), rng.random()),
+            Point2(rng.random(), rng.random()),
+            Point2(rng.random(), rng.random()),
+        )
+        if not tri.is_degenerate:
+            return tri
+
+
+def _diameter(tri: Triangle) -> float:
+    vs = tri.vertices
+    return max(
+        math.hypot(vs[i].x - vs[j].x, vs[i].y - vs[j].y)
+        for i in range(3)
+        for j in range(i + 1, 3)
+    )
+
+
+def random_separated_pair(
+    rng: random.Random,
+) -> tuple[Triangle, Triangle, Vector2]:
+    """Two disjoint triangles with boxes strictly separated along an axis.
+
+    The second triangle is pushed along a random axis by at least its
+    own diameter; samples whose boxes still overlap on that axis are
+    rejected and redrawn.
+    """
+    first = random_triangle(rng)
+    while True:
+        second = random_triangle(rng)
+        along_x = rng.random() < 0.5
+        offset = _diameter(second) + rng.uniform(0.0, 2.0)
+        if along_x:
+            second = second.translated(offset, 0.0)
+            a_hi = max(first.v0.x, first.v1.x, first.v2.x)
+            b_lo = min(second.v0.x, second.v1.x, second.v2.x)
+        else:
+            second = second.translated(0.0, offset)
+            a_hi = max(first.v0.y, first.v1.y, first.v2.y)
+            b_lo = min(second.v0.y, second.v1.y, second.v2.y)
+        if b_lo > a_hi:
+            return first, second, Vector2(1.0, 0.0) if along_x else Vector2(0.0, 1.0)
+
+
+def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> VerifyReport:
+    """Compare the pruned distance to the oracle on ``trials`` random pairs."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1: {trials}")
+    rng = random.Random(seed)
+    mismatches = 0
+    violations = 0
+    max_over = 0.0
+    for _ in range(trials):
+        first, second, velocity = random_separated_pair(rng)
+        exact = brute_force_triangle_distance(first, second).distance
+        pruned = dyop_distance(first, second, velocity).distance
+        if pruned < exact - CONSERVATIVE_SLACK:
+            violations += 1
+        over = pruned - exact
+        if over > max_over:
+            max_over = over
+        if abs(pruned - exact) > tolerance:
+            mismatches += 1
+    return VerifyReport(
+        trials=trials,
+        mismatches=mismatches,
+        max_overestimate=max_over,
+        conservative_violations=violations,
+        tolerance=tolerance,
+    )

@@ -50,6 +50,13 @@ def bench_run(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def verify_run():
+    start = time.perf_counter()
+    report = run_verify(trials=10000, seed=1)
+    return report, time.perf_counter() - start
+
+
 def test_criterion_1_pairing_protocol(bench_run):
     dyop_rows = [r for r in bench_run["rows"] if r[2] == "dyop"]
     pairs = {(r[0], r[1]) for r in dyop_rows}
@@ -78,10 +85,8 @@ def test_criterion_2_vertex_test_reduction(bench_run):
     _report("2 vertex-test reduction: dyop 1 edge pair vs oracle 9 edge pairs", dyop_ok and oracle_ok)
 
 
-def test_criterion_3_conservative_bound():
-    start = time.perf_counter()
-    report = run_verify(trials=10000, seed=1)
-    elapsed = time.perf_counter() - start
+def test_criterion_3_conservative_bound(verify_run):
+    report, elapsed = verify_run
     ok = report.conservative_violations == 0 and elapsed < 5.0
     _report(
         f"3 conservative bound: 0 violations in 10000 trials "
@@ -90,10 +95,10 @@ def test_criterion_3_conservative_bound():
     )
 
 
-def test_verify_document_is_pinned():
+def test_verify_document_is_pinned(verify_run):
     # The oracle and DyOP on 10,000 seeded pairs: any change to either
     # answer moves one of these values.
-    report = run_verify(trials=10000, seed=1)
+    report, _ = verify_run
     assert (report.trials, report.mismatches, report.conservative_violations) == (10000, 673, 0)
     assert repr(report.max_overestimate) == "0.4667220283239716"
 

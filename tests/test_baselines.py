@@ -359,9 +359,10 @@ def test_lin_canny_threads_its_seed_along_a_trajectory():
 
 
 def _count_overlap_calls(monkeypatch):
-    # Every overlap test is _contact_witness: the oracle's and
-    # triangles_overlap's in geometry, Lin-Canny's in baselines. Each call
-    # is recorded under the name of the function that made it.
+    # Every overlap test is _contact_witness: the oracle's (in its kernel
+    # _brute_force) and triangles_overlap's in geometry, Lin-Canny's in
+    # baselines. Each call is recorded under the name of the function that
+    # made it.
     calls = []
     contact_witness = geometry._contact_witness
 
@@ -477,7 +478,7 @@ def test_near_touching_copies_still_count_as_contact(monkeypatch):
                     result, _ = lin_canny_distance(t, b)
                     assert result.distance == exact.distance
                     assert result.flags == ("lincanny-fallback",)
-    assert "brute_force_triangle_distance" in calls and "lin_canny_distance" in calls
+    assert "_brute_force" in calls and "lin_canny_distance" in calls
 
 
 @pytest.mark.parametrize("s", [1e154, 1e200, 1e300, 1e307])
