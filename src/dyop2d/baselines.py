@@ -183,7 +183,7 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     Intersecting triangles return distance 0 with coincident witnesses.
     A non-finite search direction or support point raises ValueError.
     """
-    if tA._degenerate or tB._degenerate:
+    if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
     (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
@@ -415,7 +415,7 @@ def lin_canny_distance(
     sweep, flagged "lincanny-fallback", which adds its nine ee_tests to
     the walk's counters.
     """
-    if tA._degenerate or tB._degenerate:
+    if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))

@@ -89,7 +89,8 @@ class Scene:
         if any(not n for n in names):
             raise ValueError("every scene object needs a name")
         if len(set(names)) != len(names):
-            raise ValueError("scene object names must be unique")
+            duplicate = next(n for k, n in enumerate(names) if n in names[:k])
+            raise ValueError(f"duplicate object name: {duplicate}")
         if not self.separation > 0.0:
             raise ValueError(f"separation must be positive: {self.separation}")
 

@@ -20,10 +20,10 @@ candidate edges; the verify sweep measures the observed mismatch rate
 empirically.
 
 The query runs on flat scalars: each triangle's six coordinates are
-read once, into a tuple ``_ring`` that repeats vertex 0 so that edge i
-is a slice of it, and the gap box, pivot and candidate choice read
-those numbers directly. The public stages return the query's own
-values, as plain tuples:
+read once, into geometry's ``_ring`` tuple, which repeats vertex 0 so
+that edge i is a slice of it, and the gap box, pivot and candidate
+choice read those numbers directly. The public stages return the
+query's own values, as plain tuples:
 
 - ``build_internal_aabb`` the gap box
   ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
@@ -47,10 +47,11 @@ from .geometry import (
     _answer,
     _classify_edge_point,
     _require_finite,
+    _ring,
+    _Ring,
     _segment_segment,
 )
 
-_Ring = tuple[float, float, float, float, float, float, float, float]
 # (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)
 _Box = tuple[int, int, float, float, float, float, bool]
 
@@ -91,14 +92,6 @@ def _gap(lo_a: float, hi_a: float, lo_b: float, hi_b: float) -> tuple[int, float
     if inverted:
         lo = hi = 0.5 * (lo + hi)
     return ahead, lo, hi, inverted
-
-
-def _ring(tri: Triangle) -> _Ring:
-    """The triangle's coordinates (x0, y0, x1, y1, x2, y2, x0, y0): edge i,
-    from vertex i to (i + 1) % 3, is the slice [2i, 2i + 4)."""
-    v0, v1, v2 = tri.v0, tri.v1, tri.v2
-    x0, y0 = v0.x, v0.y
-    return (x0, y0, v1.x, v1.y, v2.x, v2.y, x0, y0)
 
 
 def _gap_box(ring_a: _Ring, ring_b: _Ring, axis: MovementAxis) -> _Box:
@@ -198,7 +191,7 @@ def dyop_distance(
     disjoint along the movement axis.
     """
     axis = dominant_axis(relative_velocity)
-    if tA._degenerate or tB._degenerate:
+    if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
     return _answer(*_dyop(_ring(tA), _ring(tB), axis))
 

@@ -4,17 +4,21 @@ Everything here is a pure function of its inputs; the brute-force
 distance is the reference that every faster algorithm in the package is
 validated against.
 
-The primitives work on plain float coordinates: the oracle, GJK and
-Lin-Canny take a triangle as its three edges, each an ``(ax, ay, bx,
-by)`` tuple running from vertex i to vertex (i + 1) % 3, and DyOP reads
-its six coordinates directly; its stages pass plain tuples, so there is
-no box or pivot type here. Every algorithm's answer is built once,
+The primitives work on plain float coordinates, in one of two flat
+forms built here: the oracle, GJK and Lin-Canny take a triangle as its
+three edges (``_edges``), each an ``(ax, ay, bx, by)`` tuple running from
+vertex i to vertex (i + 1) % 3, and DyOP and the verify sweep take it as
+its ``_ring`` of coordinates; DyOP's stages pass plain tuples, so there
+is no box or pivot type here. Every algorithm's answer is built once,
 by ``_answer``: it checks the four witness coordinates for finiteness
 and fills the ``Point2`` and ``DistanceResult`` fields directly, without
-re-running their constructors. A ``Triangle`` decides whether it is
-degenerate once, at construction, and the algorithms read that flag
-instead of recomputing its area per query. The public point and segment
-functions are thin wrappers over the same core.
+re-running their constructors. ``_winding`` is the one rule for a
+triangle's winding and degeneracy: a ``Triangle`` calls it once, at
+construction, and keeps the flag as ``is_degenerate``, which the
+algorithms read instead of recomputing the area per query; the verify
+sweep's draws and the degenerate branch of the point-in-triangle test
+call it on flat coordinates. The public point and segment functions are
+thin wrappers over the same core.
 
 ``_segment_segment`` is the one segment-segment test: DyOP's query, the
 Lin-Canny walk's edge-edge steps and ``segment_segment_distance`` all
@@ -83,15 +87,21 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _signed_area(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> float:
-    return 0.5 * _orient(x0, y0, x1, y1, x2, y2)
+def _winding(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> tuple[bool, bool]:
+    """(clockwise, degenerate) of the triangle (x0, y0), (x1, y1), (x2, y2).
 
-
-def _is_degenerate(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> bool:
-    return abs(_signed_area(x0, y0, x1, y1, x2, y2)) <= DEGENERATE_AREA
+    The one input rule for triangles: its signed area, computed once,
+    says whether v1 and v2 must swap to make it counter-clockwise, and
+    whether it is degenerate (|area| <= DEGENERATE_AREA). Swapping v1
+    and v2 negates that area exactly, so the flag is the same on the
+    normalized vertices.
+    """
+    area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    return area < 0.0, abs(area) <= DEGENERATE_AREA
 
 
 _Edges = tuple[tuple[float, float, float, float], ...]
+_Ring = tuple[float, float, float, float, float, float, float, float]
 
 
 def _edges(tri: Triangle) -> _Edges:
@@ -101,10 +111,12 @@ def _edges(tri: Triangle) -> _Edges:
     return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
 
 
-def _edges_degenerate(edges: _Edges) -> bool:
-    """``_is_degenerate`` on the vertices of a triangle's edge tuples."""
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
-    return _is_degenerate(x0, y0, x1, y1, x2, y2)
+def _ring(tri: Triangle) -> _Ring:
+    """The triangle's coordinates (x0, y0, x1, y1, x2, y2, x0, y0): edge i,
+    from vertex i to (i + 1) % 3, is the slice [2i, 2i + 4)."""
+    v0, v1, v2 = tri.v0, tri.v1, tri.v2
+    x0, y0 = v0.x, v0.y
+    return (x0, y0, v1.x, v1.y, v2.x, v2.y, x0, y0)
 
 
 @dataclass(frozen=True)
@@ -115,10 +127,10 @@ class Triangle:
     vertex and edge indexing orientation-independent. Degenerate inputs
     (|area| <= DEGENERATE_AREA) are representable but flagged via
     ``is_degenerate``; algorithms that cannot handle them refuse them
-    explicitly. The flag is decided once, from the signed area that
-    normalization computes, and kept as the non-field attribute
-    ``_degenerate``: swapping v1 and v2 negates that area exactly, so it
-    equals ``_is_degenerate`` on the normalized vertices.
+    explicitly. Both decisions come from one ``_winding`` call at
+    construction, and the flag is kept as the non-field attribute
+    ``is_degenerate``, so it stays out of ``fields()``, ``repr``, ``==``
+    and ``hash``.
     """
 
     v0: Point2
@@ -128,11 +140,11 @@ class Triangle:
 
     def __post_init__(self) -> None:
         v0, v1, v2 = self.v0, self.v1, self.v2
-        area = _signed_area(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
-        if area < 0.0:
+        clockwise, degenerate = _winding(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+        if clockwise:
             object.__setattr__(self, "v1", v2)
             object.__setattr__(self, "v2", v1)
-        object.__setattr__(self, "_degenerate", abs(area) <= DEGENERATE_AREA)
+        object.__setattr__(self, "is_degenerate", degenerate)
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -149,11 +161,7 @@ class Triangle:
     @property
     def signed_area(self) -> float:
         v0, v1, v2 = self.v0, self.v1, self.v2
-        return _signed_area(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self._degenerate
+        return 0.5 * _orient(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
 
     def translated(self, dx: float, dy: float) -> Triangle:
         return Triangle(
@@ -445,7 +453,8 @@ def _segment_segment(
 
 
 def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
-    if _edges_degenerate(edges):
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+    if _winding(x0, y0, x1, y1, x2, y2)[1]:
         for ax, ay, bx, by in edges:
             if _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py):
                 return True
@@ -500,25 +509,26 @@ def _contact_witness(
 
     This is the one overlap test. It runs the nine edge pairs, then B's
     vertex 0 in A, then A's vertex 0 in B: without edge contact, one
-    triangle overlaps the other only by containing it. The witness is the
-    first intersection in edge-pair order, else the first of B's vertices
-    inside A, else A's vertex 0. A contained vertex's feature on the
-    containing triangle is None, for the caller to name: callers that only
-    ask whether the triangles overlap then run no projection, which can
-    overflow near the float range.
+    triangle overlaps the other only by containing it, and then every
+    vertex of the contained one lies inside the other, so one vertex
+    decides each way. The witness is the first intersection in edge-pair
+    order, else B's vertex 0, else A's vertex 0. A contained vertex's
+    feature on the containing triangle is None, for the caller to name:
+    callers that only ask whether the triangles overlap then run no
+    projection, which can overflow near the float range.
     """
     for i, ea in enumerate(edges_a):
         for j, eb in enumerate(edges_b):
             hit = _intersect(*ea, *eb)
             if hit is not None:
                 return *hit, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
-    for k, (vx, vy, _, _) in enumerate(edges_b):
-        if _point_in_triangle(edges_a, vx, vy):
-            return vx, vy, None, _VERTEX_FEATURES[k]
-        if k == 0 and not _point_in_triangle(edges_b, edges_a[0][0], edges_a[0][1]):
-            return None
+    vx, vy, _, _ = edges_b[0]
+    if _point_in_triangle(edges_a, vx, vy):
+        return vx, vy, None, _VERTEX_FEATURES[0]
     vx, vy, _, _ = edges_a[0]
-    return vx, vy, _VERTEX_FEATURES[0], None
+    if _point_in_triangle(edges_b, vx, vy):
+        return vx, vy, _VERTEX_FEATURES[0], None
+    return None
 
 
 def _edge_sweep(

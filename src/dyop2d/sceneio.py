@@ -11,6 +11,12 @@ A scene file is a flat JSON document:
 Every object needs exactly three vertices and a unique name; vertices
 are normalized to counter-clockwise order on load, and the export
 writes the normalized order back, so a round trip is identity.
+
+``scene_from_dict`` checks only the document's JSON shape: a list of
+objects, each with a string name and three finite vertex pairs, a finite
+separation and an axis of ``x`` or ``y``. ``Scene`` checks the scene
+itself (at least one object, non-empty unique names, a positive
+separation), and its ``ValueError`` is raised as ``SceneFormatError``.
 """
 
 from __future__ import annotations
@@ -42,21 +48,17 @@ def scene_from_dict(doc: object) -> Scene:
     if not isinstance(doc, dict):
         raise SceneFormatError("scene document must be a JSON object")
     raw_objects = doc.get("objects")
-    if not isinstance(raw_objects, list) or not raw_objects:
-        raise SceneFormatError("scene needs a non-empty 'objects' list")
+    if not isinstance(raw_objects, list):
+        raise SceneFormatError("scene needs an 'objects' list")
 
     triangles = []
-    names = set()
     for k, raw in enumerate(raw_objects):
         where = f"objects[{k}]"
         if not isinstance(raw, dict):
             raise SceneFormatError(f"{where}: must be an object")
         name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            raise SceneFormatError(f"{where}: needs a non-empty string name")
-        if name in names:
-            raise SceneFormatError(f"duplicate object name: {name}")
-        names.add(name)
+        if not isinstance(name, str):
+            raise SceneFormatError(f"{where}: needs a string name")
         verts = raw.get("vertices")
         if not isinstance(verts, list) or len(verts) != 3:
             raise SceneFormatError(f"{where}: needs exactly 3 vertices")
@@ -64,8 +66,8 @@ def scene_from_dict(doc: object) -> Scene:
         triangles.append(Triangle(points[0], points[1], points[2], name))
 
     separation = doc.get("separation")
-    if not _finite_number(separation) or separation <= 0:
-        raise SceneFormatError(f"separation must be a positive number, got {separation!r}")
+    if not _finite_number(separation):
+        raise SceneFormatError(f"separation must be a finite number, got {separation!r}")
 
     axis = doc.get("axis")
     if axis not in ("x", "y"):

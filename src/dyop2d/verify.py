@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from math import hypot, isfinite
 
-from .dyop import MovementAxis, _dyop, _Ring
+from .dyop import MovementAxis, _dyop
 from .errors import DegenerateInput
-from .geometry import DEGENERATE_AREA, Point2, Triangle, Vector2, _brute_force, _require_finite
+from .geometry import Point2, Triangle, Vector2, _brute_force, _require_finite, _Ring, _winding
 
 CONSERVATIVE_SLACK = 1e-12
 DEFAULT_TOLERANCE = 1e-9
@@ -46,13 +46,14 @@ class VerifyReport:
 def _random_ring(rng: random.Random) -> _Ring:
     """A non-degenerate triangle with vertices uniform in the unit box, as a
     counter-clockwise ring; six ``random()`` calls per draw, redrawn until
-    it is not degenerate, with ``Triangle``'s area test and normalization."""
+    it is not degenerate, both decided by ``_winding`` as ``Triangle``
+    decides them."""
     random_ = rng.random
     while True:
         x0, y0, x1, y1, x2, y2 = random_(), random_(), random_(), random_(), random_(), random_()
-        area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        if abs(area) > DEGENERATE_AREA:
-            if area < 0.0:
+        clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2)
+        if not degenerate:
+            if clockwise:
                 return (x0, y0, x2, y2, x1, y1, x0, y0)
             return (x0, y0, x1, y1, x2, y2, x0, y0)
 
@@ -63,8 +64,9 @@ def _separated_rings(rng: random.Random) -> tuple[_Ring, _Ring, bool, MovementAx
 
     The second triangle is pushed along a random axis by its diameter plus
     ``uniform(0.0, 2.0)``; draws whose boxes still overlap on that axis are
-    redrawn. The pushed ring is normalized, and its degeneracy decided, on
-    the pushed coordinates, as ``Triangle`` does on construction.
+    redrawn. The pushed ring is normalized, and its degeneracy decided, by
+    ``_winding`` on the pushed coordinates, as ``Triangle`` does on
+    construction.
     """
     ring_a = x0, y0, x1, y1, x2, y2, _, _ = _random_ring(rng)
     ax_hi, ay_hi = max(x0, x1, x2), max(y0, y1, y2)
@@ -81,11 +83,11 @@ def _separated_rings(rng: random.Random) -> tuple[_Ring, _Ring, bool, MovementAx
             separated = min(y0, y1, y2) > ay_hi
         if separated:
             break
-    area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-    if area < 0.0:
+    clockwise, degenerate_b = _winding(x0, y0, x1, y1, x2, y2)
+    if clockwise:
         x1, y1, x2, y2 = x2, y2, x1, y1
     ring_b = (x0, y0, x1, y1, x2, y2, x0, y0)
-    return ring_a, ring_b, abs(area) <= DEGENERATE_AREA, MovementAxis.X if along_x else MovementAxis.Y
+    return ring_a, ring_b, degenerate_b, MovementAxis.X if along_x else MovementAxis.Y
 
 
 def _triangle(ring: _Ring) -> Triangle:

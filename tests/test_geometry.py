@@ -21,10 +21,10 @@ from dyop2d.geometry import (
     _VERTEX_FEATURES,
     _answer,
     _intersect,
-    _is_degenerate,
     _param_on,
     _project,
     _segment_segment,
+    _winding,
     brute_force_triangle_distance,
     edge_feature,
     point_segment_distance,
@@ -118,18 +118,19 @@ def test_degeneracy_flag_equals_the_area_test_on_normalized_vertices():
         ]
         for u in rebuilt:
             v0, v1, v2 = u.vertices
-            expected = _is_degenerate(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+            expected = abs(u.signed_area) <= DEGENERATE_AREA
             assert u.signed_area >= 0.0
             assert u.is_degenerate is expected
+            assert _winding(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y) == (False, expected)
 
 
 def test_degeneracy_flag_is_not_a_field():
     t = tri((0, 0), (1, 0), (0, 1))
     assert [f.name for f in dataclasses.fields(t)] == ["v0", "v1", "v2", "name"]
     assert t == tri((0, 0), (1, 0), (0, 1)) and hash(t) == hash(tri((0, 0), (1, 0), (0, 1)))
-    assert "_degenerate" not in repr(t)
+    assert "is_degenerate" not in repr(t)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        t._degenerate = True
+        t.is_degenerate = True
 
 
 _REFUSALS = [

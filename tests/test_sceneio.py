@@ -1,7 +1,9 @@
 import pytest
 
-from dyop2d.benchmark import default_scene
+from dyop2d.benchmark import Scene, default_scene
+from dyop2d.dyop import MovementAxis
 from dyop2d.errors import SceneFormatError
+from dyop2d.geometry import Point2, Triangle
 from dyop2d.sceneio import (
     load_scene,
     scene_from_dict,
@@ -53,6 +55,30 @@ def test_scene_from_dict_rejects_malformed(mutate):
     mutate(doc)
     with pytest.raises(SceneFormatError):
         scene_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.__setitem__("objects", []), "scene needs at least one object"),
+        (lambda d: d["objects"][0].__setitem__("name", ""), "every scene object needs a name"),
+        (lambda d: d["objects"][1].__setitem__("name", "A"), "duplicate object name: A"),
+        (lambda d: d.__setitem__("separation", 0), "separation must be positive: 0.0"),
+        (lambda d: d.__setitem__("separation", -1.5), "separation must be positive: -1.5"),
+    ],
+    ids=["no-objects", "empty-name", "duplicate-name", "zero-separation", "negative-separation"],
+)
+def test_scene_from_dict_and_scene_refuse_the_same_documents(mutate, message):
+    doc = valid_doc()
+    mutate(doc)
+    with pytest.raises(SceneFormatError) as from_file:
+        scene_from_dict(doc)
+    objects = tuple(
+        Triangle(*(Point2(*v) for v in raw["vertices"]), raw["name"]) for raw in doc["objects"]
+    )
+    with pytest.raises(ValueError) as in_code:
+        Scene(objects, float(doc["separation"]), MovementAxis(doc["axis"]))
+    assert str(from_file.value) == str(in_code.value) == message
 
 
 def test_scene_from_dict_rejects_non_object():

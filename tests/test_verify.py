@@ -20,6 +20,7 @@ from dyop2d import dyop, geometry, verify
 from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import DEGENERATE_AREA, Point2, Triangle, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair, run_verify
+from test_geometry import _degeneracy_cases
 
 
 class _Scripted(random.Random):
@@ -96,6 +97,21 @@ def test_scripted_draws_match_the_frozen_generator(name):
         assert (b.v1, b.v2) == (Point2(0.2 + b.v0.x, 0.0), Point2(b.v0.x, 0.2))
     assert (velocity.dx, velocity.dy) == ((0.0, 1.0) if name == "y-axis" else (1.0, 0.0))
     assert b.is_degenerate == (name == "degenerate-after-push")
+
+
+def test_random_ring_rejects_exactly_the_draws_triangle_flags_degenerate():
+    # Each case in both windings, then one clearly non-degenerate draw.
+    for t in _degeneracy_cases():
+        v0, v1, v2 = t.vertices
+        for order in ((v0, v1, v2), (v0, v2, v1)):
+            drawn = Triangle(*order)
+            rng = _Scripted([c for v in order for c in (v.x, v.y)] + FIRST)
+            ring = verify._random_ring(rng)
+            if drawn.is_degenerate:
+                assert rng.used == 12 and ring == (0.1, 0.1, 0.3, 0.1, 0.1, 0.3, 0.1, 0.1)
+            else:
+                w0, w1, w2 = drawn.vertices
+                assert rng.used == 6 and ring == (w0.x, w0.y, w1.x, w1.y, w2.x, w2.y, w0.x, w0.y)
 
 
 def test_a_second_triangle_degenerate_after_its_push_is_refused_by_both_sweeps(monkeypatch):
