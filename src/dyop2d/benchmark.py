@@ -234,7 +234,7 @@ def _csv_cell(value: object) -> object:
 def write_records_csv(path: str, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
     """The header, then one line per row; a None cell is written empty and a
     list cell as its items joined by ';'."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -167,7 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     }
 
     def write_json(path: str) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
 
@@ -208,13 +207,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        _diag(f"trials must be at least 1: {args.trials}")
+    try:
+        report = run_verify(args.trials, args.seed, args.tol)
+    except ValueError as exc:
+        _diag(str(exc))
         return 1
-    if not 0.0 <= args.tol < math.inf:
-        _diag(f"tolerance must be finite and at least 0: {args.tol!r}")
-        return 1
-    report = run_verify(args.trials, args.seed, args.tol)
     _emit(
         {
             "trials": report.trials,
@@ -238,7 +235,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     # Every row is built before anything is written, so a malformed report
     # leaves no output directory or partial file behind.
     try:
-        with open(args.report) as fh:
+        with open(args.report, encoding="utf-8") as fh:
             doc = json.load(fh)
         records = doc["records"]
         report = doc.get("report")

@@ -19,11 +19,12 @@ distance. It is exact whenever the winning features lie on the
 candidate edges; the verify sweep measures the observed mismatch rate
 empirically.
 
-The query runs on flat scalars: each triangle's six coordinates are
-read once, into geometry's ``_ring`` tuple, which repeats vertex 0 so
-that edge i is a slice of it, and the gap box, pivot and candidate
-choice read those numbers directly. The public stages return the
-query's own values, as plain tuples:
+The query runs on flat scalars: each triangle is read once, into
+geometry's ``_edges`` tuples, the layout that the oracle, GJK and
+Lin-Canny read too. The gap box, pivot and candidate choice read those
+numbers directly, and the candidate edges are passed to the
+segment-segment test as they are. The public stages return the query's
+own values, as plain tuples:
 
 - ``build_internal_aabb`` the gap box
   ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
@@ -46,9 +47,9 @@ from .geometry import (
     Vector2,
     _answer,
     _classify_edge_point,
+    _Edges,
+    _edges,
     _require_finite,
-    _ring,
-    _Ring,
     _segment_segment,
 )
 
@@ -94,14 +95,14 @@ def _gap(lo_a: float, hi_a: float, lo_b: float, hi_b: float) -> tuple[int, float
     return ahead, lo, hi, inverted
 
 
-def _gap_box(ring_a: _Ring, ring_b: _Ring, axis: MovementAxis) -> _Box:
+def _gap_box(edges_a: _Edges, edges_b: _Edges, axis: MovementAxis) -> _Box:
     """(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap) of the gap box.
 
     Each triangle's extent on an axis is its first minimal and first
     maximal coordinate, so ties keep the lower vertex index.
     """
-    x0, y0, x1, y1, x2, y2, _, _ = ring_a
-    u0, v0, u1, v1, u2, v2, _, _ = ring_b
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges_a
+    (u0, v0, u1, v1), (_, _, u2, v2), _ = edges_b
     xa_lo = x0 if x0 <= x1 and x0 <= x2 else (x1 if x1 <= x2 else x2)
     xa_hi = x0 if x0 >= x1 and x0 >= x2 else (x1 if x1 >= x2 else x2)
     ya_lo = y0 if y0 <= y1 and y0 <= y2 else (y1 if y1 <= y2 else y2)
@@ -119,10 +120,10 @@ def _gap_box(ring_a: _Ring, ring_b: _Ring, axis: MovementAxis) -> _Box:
     return lead, high, x_lo, y_lo, x_hi, y_hi, degenerate_gap
 
 
-def _nearest_two(ring: _Ring, px: float, py: float) -> tuple[int, int, int]:
+def _nearest_two(edges: _Edges, px: float, py: float) -> tuple[int, int, int]:
     """(i, j, edge): the two vertices nearest (px, py), nearer first, and the
     edge joining them; ties resolve to the lower vertex index."""
-    x0, y0, x1, y1, x2, y2, _, _ = ring
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
     d0 = (x0 - px) ** 2 + (y0 - py) ** 2
     d1 = (x1 - px) ** 2 + (y1 - py) ** 2
     d2 = (x2 - px) ** 2 + (y2 - py) ** 2
@@ -152,7 +153,7 @@ def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("internal box requires non-degenerate triangles")
-    return _gap_box(_ring(tA), _ring(tB), axis)
+    return _gap_box(_edges(tA), _edges(tB), axis)
 
 
 def compute_dyop(box: _Box) -> tuple[float, float]:
@@ -170,7 +171,7 @@ def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, i
     vertices of a triangle are joined by exactly one edge, so the
     candidate edge is always well defined."""
     px, py = pivot
-    return _nearest_two(_ring(tri), px, py)
+    return _nearest_two(_edges(tri), px, py)
 
 
 def dyop_distance(
@@ -193,23 +194,19 @@ def dyop_distance(
     axis = dominant_axis(relative_velocity)
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
-    return _answer(*_dyop(_ring(tA), _ring(tB), axis))
+    return _answer(*_dyop(_edges(tA), _edges(tB), axis))
 
 
 def _dyop(
-    ring_a: _Ring, ring_b: _Ring, axis: MovementAxis
+    edges_a: _Edges, edges_b: _Edges, axis: MovementAxis
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
-    """DyOP on two non-degenerate triangles' rings along ``axis``: the
+    """DyOP on two non-degenerate triangles' edges along ``axis``: the
     arguments of its ``_answer``."""
-    box = _gap_box(ring_a, ring_b, axis)
+    box = _gap_box(edges_a, edges_b, axis)
     px, py = compute_dyop(box)
-    edge_a = _nearest_two(ring_a, px, py)[2]
-    edge_b = _nearest_two(ring_b, px, py)[2]
-    i, j = 2 * edge_a, 2 * edge_b
-    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(
-        ring_a[i], ring_a[i + 1], ring_a[i + 2], ring_a[i + 3],
-        ring_b[j], ring_b[j + 1], ring_b[j + 2], ring_b[j + 3],
-    )
+    edge_a = _nearest_two(edges_a, px, py)[2]
+    edge_b = _nearest_two(edges_b, px, py)[2]
+    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*edges_a[edge_a], *edges_b[edge_b])
     return (
         d,
         pax,

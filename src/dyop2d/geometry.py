@@ -4,12 +4,11 @@ Everything here is a pure function of its inputs; the brute-force
 distance is the reference that every faster algorithm in the package is
 validated against.
 
-The primitives work on plain float coordinates, in one of two flat
-forms built here: the oracle, GJK and Lin-Canny take a triangle as its
-three edges (``_edges``), each an ``(ax, ay, bx, by)`` tuple running from
-vertex i to vertex (i + 1) % 3, and DyOP and the verify sweep take it as
-its ``_ring`` of coordinates; DyOP's stages pass plain tuples, so there
-is no box or pivot type here. Every algorithm's answer is built once,
+The primitives work on plain float coordinates, in one flat form built
+here: every algorithm, placement and the verify sweep take a triangle as
+its three edges (``_edges``), each an ``(ax, ay, bx, by)`` tuple running
+from vertex i to vertex (i + 1) % 3. DyOP's stages pass plain tuples, so
+there is no box or pivot type here. Every algorithm's answer is built once,
 by ``_answer``: it checks the four witness coordinates for finiteness
 and fills the ``Point2`` and ``DistanceResult`` fields directly, without
 re-running their constructors. ``_winding`` is the one rule for a
@@ -101,7 +100,6 @@ def _winding(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -
 
 
 _Edges = tuple[tuple[float, float, float, float], ...]
-_Ring = tuple[float, float, float, float, float, float, float, float]
 
 
 def _edges(tri: Triangle) -> _Edges:
@@ -109,14 +107,6 @@ def _edges(tri: Triangle) -> _Edges:
     v0, v1, v2 = tri.v0, tri.v1, tri.v2
     x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
     return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
-
-
-def _ring(tri: Triangle) -> _Ring:
-    """The triangle's coordinates (x0, y0, x1, y1, x2, y2, x0, y0): edge i,
-    from vertex i to (i + 1) % 3, is the slice [2i, 2i + 4)."""
-    v0, v1, v2 = tri.v0, tri.v1, tri.v2
-    x0, y0 = v0.x, v0.y
-    return (x0, y0, v1.x, v1.y, v2.x, v2.y, x0, y0)
 
 
 @dataclass(frozen=True)

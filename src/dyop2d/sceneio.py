@@ -95,7 +95,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def load_scene(path: str) -> Scene:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise SceneFormatError(f"cannot read scene file {path}: {exc}") from exc
@@ -106,6 +106,6 @@ def load_scene(path: str) -> Scene:
 
 
 def write_scene(scene: Scene, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(scene_to_dict(scene), fh, indent=2)
         fh.write("\n")

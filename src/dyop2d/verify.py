@@ -6,11 +6,14 @@ generates seeded random axis-separated pairs and measures both the
 mismatch rate (overestimates beyond tolerance) and the count of
 conservative-bound violations, which must be zero on a correct build.
 
-Each trial runs on flat coordinates: the generator draws a pair as two
-counter-clockwise rings, and the oracle's and DyOP's own kernels answer
-it, so a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``.
-Every coordinate is a ``random()`` draw plus a bounded push, so none is
-checked again, and the sweep keeps the refusals of the public queries.
+Each trial runs on flat coordinates: the generator draws a pair as the
+three counter-clockwise edges of each triangle, the layout that every
+algorithm reads, and the oracle's and DyOP's own kernels answer it, so
+a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``. Every
+coordinate lies in [0, 4.5): a ``random()`` draw plus a push of at most
+the unit box's diameter plus 2. So every witness is finite, and the one
+refusal of the public queries that a draw can meet is a second triangle
+made degenerate by rounding its pushed coordinates.
 ``random_separated_pair`` is the same draw stream, built into
 ``Triangle``s.
 """
@@ -20,11 +23,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from math import hypot, isfinite
+from math import hypot
 
 from .dyop import MovementAxis, _dyop
 from .errors import DegenerateInput
-from .geometry import Point2, Triangle, Vector2, _brute_force, _require_finite, _Ring, _winding
+from .geometry import Point2, Triangle, Vector2, _brute_force, _Edges, _winding
 
 CONSERVATIVE_SLACK = 1e-12
 DEFAULT_TOLERANCE = 1e-9
@@ -43,35 +46,37 @@ class VerifyReport:
         return self.mismatches / self.trials
 
 
-def _random_ring(rng: random.Random) -> _Ring:
-    """A non-degenerate triangle with vertices uniform in the unit box, as a
-    counter-clockwise ring; six ``random()`` calls per draw, redrawn until
-    it is not degenerate, both decided by ``_winding`` as ``Triangle``
-    decides them."""
+def _random_edges(rng: random.Random) -> _Edges:
+    """A non-degenerate triangle with vertices uniform in the unit box, as its
+    three counter-clockwise edges; six ``random()`` calls per draw, redrawn
+    until it is not degenerate, both decided by ``_winding`` as
+    ``Triangle`` decides them."""
     random_ = rng.random
     while True:
         x0, y0, x1, y1, x2, y2 = random_(), random_(), random_(), random_(), random_(), random_()
         clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2)
         if not degenerate:
             if clockwise:
-                return (x0, y0, x2, y2, x1, y1, x0, y0)
-            return (x0, y0, x1, y1, x2, y2, x0, y0)
+                return ((x0, y0, x2, y2), (x2, y2, x1, y1), (x1, y1, x0, y0))
+            return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
 
 
-def _separated_rings(rng: random.Random) -> tuple[_Ring, _Ring, bool, MovementAxis]:
-    """(ring_a, ring_b, degenerate_b, axis): the draw ``random_separated_pair``
+def _separated_edges(rng: random.Random) -> tuple[_Edges, _Edges, bool, MovementAxis]:
+    """(edges_a, edges_b, degenerate_b, axis): the draw ``random_separated_pair``
     builds its triangles from.
 
     The second triangle is pushed along a random axis by its diameter plus
     ``uniform(0.0, 2.0)``; draws whose boxes still overlap on that axis are
-    redrawn. The pushed ring is normalized, and its degeneracy decided, by
-    ``_winding`` on the pushed coordinates, as ``Triangle`` does on
-    construction.
+    redrawn. Its degeneracy is decided by ``_winding`` on the pushed
+    coordinates, as ``Triangle`` does on construction. Its winding needs
+    no second look: the draw's area exceeds DEGENERATE_AREA, and rounding
+    the pushed coordinates moves the computed area by less than 1e-14, so
+    the pushed triangle is still counter-clockwise.
     """
-    ring_a = x0, y0, x1, y1, x2, y2, _, _ = _random_ring(rng)
+    edges_a = (x0, y0, x1, y1), (_, _, x2, y2), _ = _random_edges(rng)
     ax_hi, ay_hi = max(x0, x1, x2), max(y0, y1, y2)
     while True:
-        x0, y0, x1, y1, x2, y2, _, _ = _random_ring(rng)
+        (x0, y0, x1, y1), (_, _, x2, y2), _ = _random_edges(rng)
         along_x = rng.random() < 0.5
         offset = max(hypot(x0 - x1, y0 - y1), hypot(x0 - x2, y0 - y2), hypot(x1 - x2, y1 - y2))
         offset += rng.uniform(0.0, 2.0)
@@ -83,21 +88,19 @@ def _separated_rings(rng: random.Random) -> tuple[_Ring, _Ring, bool, MovementAx
             separated = min(y0, y1, y2) > ay_hi
         if separated:
             break
-    clockwise, degenerate_b = _winding(x0, y0, x1, y1, x2, y2)
-    if clockwise:
-        x1, y1, x2, y2 = x2, y2, x1, y1
-    ring_b = (x0, y0, x1, y1, x2, y2, x0, y0)
-    return ring_a, ring_b, degenerate_b, MovementAxis.X if along_x else MovementAxis.Y
+    degenerate_b = _winding(x0, y0, x1, y1, x2, y2)[1]
+    edges_b = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+    return edges_a, edges_b, degenerate_b, MovementAxis.X if along_x else MovementAxis.Y
 
 
-def _triangle(ring: _Ring) -> Triangle:
-    x0, y0, x1, y1, x2, y2, _, _ = ring
+def _triangle(edges: _Edges) -> Triangle:
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
     return Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2))
 
 
 def random_triangle(rng: random.Random) -> Triangle:
     """A non-degenerate triangle with vertices uniform in the unit box."""
-    return _triangle(_random_ring(rng))
+    return _triangle(_random_edges(rng))
 
 
 def random_separated_pair(
@@ -109,9 +112,9 @@ def random_separated_pair(
     own diameter; samples whose boxes still overlap on that axis are
     rejected and redrawn.
     """
-    ring_a, ring_b, _, axis = _separated_rings(rng)
+    edges_a, edges_b, _, axis = _separated_edges(rng)
     velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
-    return _triangle(ring_a), _triangle(ring_b), velocity
+    return _triangle(edges_a), _triangle(edges_b), velocity
 
 
 def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> VerifyReport:
@@ -119,9 +122,10 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
 
     Each pair is drawn as ``random_separated_pair`` draws it and answered
     by the kernels that ``brute_force_triangle_distance`` and
-    ``dyop_distance`` run, with the refusals those functions make: a
-    non-finite witness raises ``ValueError`` and a degenerate second
-    triangle ``DegenerateInput``, in the same order.
+    ``dyop_distance`` run. A drawn witness is always finite, so the one
+    refusal those functions make that a draw can meet is kept: a second
+    triangle made degenerate by its push raises ``DegenerateInput``, as
+    ``dyop_distance`` does.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
@@ -132,19 +136,11 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
     violations = 0
     max_over = 0.0
     for _ in range(trials):
-        ring_a, ring_b, degenerate_b, axis = _separated_rings(rng)
-        exact, pax, pay, pbx, pby, _, _, _ = _brute_force(
-            (ring_a[0:4], ring_a[2:6], ring_a[4:8]), (ring_b[0:4], ring_b[2:6], ring_b[4:8])
-        )
-        # The sum is non-finite when a witness coordinate is; when it only
-        # overflows, _require_finite lets the finite coordinates pass.
-        if not isfinite(pax + pay + pbx + pby):
-            _require_finite(pax, pay, pbx, pby)
+        edges_a, edges_b, degenerate_b, axis = _separated_edges(rng)
+        exact = _brute_force(edges_a, edges_b)[0]
         if degenerate_b:
             raise DegenerateInput("pruned distance requires non-degenerate triangles")
-        pruned, pax, pay, pbx, pby, _, _, _, _ = _dyop(ring_a, ring_b, axis)
-        if not isfinite(pax + pay + pbx + pby):
-            _require_finite(pax, pay, pbx, pby)
+        pruned = _dyop(edges_a, edges_b, axis)[0]
         if pruned < exact - CONSERVATIVE_SLACK:
             violations += 1
         over = pruned - exact

@@ -176,6 +176,70 @@ def test_side_feature(lambdas, expected_a, expected_b):
     assert baselines._side_feature(lambdas, 3) == expected_b
 
 
+def _closest_to_origin(*points):
+    """The point of the segment or triangle spanned by ``points`` nearest the
+    origin: the origin itself when a triangle contains it, else the nearest
+    of the edges' projections of the origin."""
+    if len(points) == 3:
+        a, b, c = points
+        sides = [geometry._orient(*p, *q, 0.0, 0.0) for p, q in ((a, b), (b, c), (c, a))]
+        if all(s >= 0.0 for s in sides) or all(s <= 0.0 for s in sides):
+            return 0.0, 0.0
+    pairs = zip(points, points[1:] + points[:1]) if len(points) == 3 else [points]
+    _, x, y, _ = min((_project(0.0, 0.0, *p, *q) for p, q in pairs), key=lambda r: r[0])
+    return x, y
+
+
+def _assert_closest_with_weights(result, points, expected_support):
+    x, y, lambdas = result
+    assert (x, y) == pytest.approx(_closest_to_origin(*points), abs=1e-12)
+    assert [sp[:2] for sp, _ in lambdas] == expected_support
+    weights = [lam for _, lam in lambdas]
+    assert all(lam >= 0.0 for lam in weights)
+    assert sum(weights) == pytest.approx(1.0)
+    assert sum(lam * sp[0] for sp, lam in lambdas) == pytest.approx(x, abs=1e-12)
+    assert sum(lam * sp[1] for sp, lam in lambdas) == pytest.approx(y, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, expected_support",
+    [
+        # Vertex regions: the origin lies behind a, b or c along both of its edges.
+        ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0), ["a"]),
+        ((2.0, 1.0), (1.0, 1.0), (2.0, 2.0), ["b"]),
+        ((2.0, 2.0), (2.0, 1.0), (1.0, 1.0), ["c"]),
+        # Edge regions: the origin projects inside edge ab, ac or bc.
+        ((-1.0, 1.0), (1.0, 1.0), (0.0, 2.0), ["a", "b"]),
+        ((-1.0, 2.0), (2.0, 1.0), (1.0, 3.0), ["a", "b"]),
+        ((-1.0, 1.0), (0.0, 2.0), (1.0, 1.0), ["a", "c"]),
+        ((0.0, 3.0), (-1.0, 1.0), (1.0, 1.0), ["b", "c"]),
+        # The origin inside the simplex.
+        ((-1.0, -1.0), (1.0, -1.0), (0.0, 1.0), ["a", "b", "c"]),
+    ],
+)
+def test_closest_on_triangle_names_the_voronoi_region_of_the_origin(a, b, c, expected_support):
+    points = {"a": a, "b": b, "c": c}
+    support_points = [(*points[k], i, i) for i, k in enumerate("abc")]
+    result = baselines._closest_on_triangle(*support_points)
+    _assert_closest_with_weights(result, [a, b, c], [points[k] for k in expected_support])
+
+
+@pytest.mark.parametrize(
+    "a, b, expected_support",
+    [
+        # Coincident support points: a zero-length segment is the point a.
+        ((1.0, 2.0), (1.0, 2.0), ["a"]),
+        ((1.0, 1.0), (2.0, 2.0), ["a"]),
+        ((2.0, 2.0), (1.0, 1.0), ["b"]),
+        ((-1.0, 1.0), (3.0, 2.0), ["a", "b"]),
+    ],
+)
+def test_closest_on_segment_names_the_nearest_feature(a, b, expected_support):
+    points = {"a": a, "b": b}
+    result = baselines._closest_on_segment((*a, 0, 0), (*b, 1, 1))
+    _assert_closest_with_weights(result, [a, b], [points[k] for k in expected_support])
+
+
 def test_lin_canny_disjoint_pair_matches_oracle():
     a = tri((0, 0), (1, 0), (0, 1))
     result, witness = lin_canny_distance(a, a.translated(3, 0))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import seed_reference as ref
+from dyop2d import benchmark
 from dyop2d.benchmark import (
     CSV_COLUMNS,
     MISMATCH_TOLERANCE,
@@ -143,6 +144,19 @@ def test_place_pair_refuses_unreachable_pair():
     )
     with pytest.raises(PlacementFailure, match="M->S"):
         place_pair(scene, (0, 1))
+
+
+def test_place_pair_refuses_an_offset_that_the_oracle_check_disagrees_with(monkeypatch):
+    # The offset search is right, but an oracle that reads half a unit more
+    # than the truth puts the placed pair off the separation.
+    real = benchmark.brute_force_triangle_distance
+    monkeypatch.setattr(
+        benchmark,
+        "brute_force_triangle_distance",
+        lambda a, b: dataclasses.replace(real(a, b), distance=real(a, b).distance + 0.5),
+    )
+    with pytest.raises(PlacementFailure, match=r"^pair Obj1->Obj2 placed \+0\.5 off separation "):
+        place_pair(default_scene(), (0, 1))
 
 
 def _perpendicular_gap(a, b, axis):

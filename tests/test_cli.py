@@ -1,10 +1,15 @@
+import codecs
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dyop2d
 from dyop2d import benchmark
 from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.cli import main
@@ -12,6 +17,7 @@ from dyop2d.sceneio import load_scene, write_scene
 from dyop2d.benchmark import CSV_COLUMNS, Scene
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
+from dyop2d.verify import VerifyReport
 from test_benchmark import degenerate_scene, scaled_default_scene
 
 
@@ -36,7 +42,7 @@ def scene_file(tmp_path):
 
 
 def read_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
 
@@ -318,6 +324,15 @@ def test_bench_rejects_unknown_algorithm(tmp_path, scene_file):
     assert code == 1
 
 
+def test_bench_refuses_repeats_below_one_and_writes_nothing(tmp_path, scene_file, capsys):
+    args = ["bench", "--scene", scene_file, "--repeats", "0"]
+    assert main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "repeats must be at least 1: 0\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
 def test_bench_invalid_scene_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[]", encoding="utf-8")
@@ -424,6 +439,17 @@ def test_verify_refuses_a_non_finite_or_negative_tolerance(capsys, tol):
     assert err.count("\n") == 1 and "tolerance" in err
 
 
+def test_verify_exits_3_on_a_conservative_bound_violation(monkeypatch, capsys):
+    report = VerifyReport(trials=10, mismatches=2, max_overestimate=0.25, conservative_violations=2, tolerance=1e-9)
+    monkeypatch.setattr("dyop2d.cli.run_verify", lambda trials, seed, tol: report)
+    assert main(["verify", "--trials", "10", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["conservative_violations"] == 2
+    assert err == (
+        "2 conservative-bound violation(s): the pruned distance dropped below the exact distance\n"
+    )
+
+
 @pytest.mark.parametrize("unwritable", ["--out-csv", "--out-json"])
 def test_bench_unwritable_output_path_exits_1_and_writes_nothing(tmp_path, scene_file, capsys, unwritable):
     outs = {"--out-csv": tmp_path / "r.csv", "--out-json": tmp_path / "r.json"}
@@ -448,6 +474,22 @@ def test_plot_unwritable_output_directory_exits_1(tmp_path, scene_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"cannot write {out_dir}: Not a directory\n"
+
+
+def test_plot_exits_1_and_removes_speed_csv_when_percentages_csv_cannot_be_written(
+    tmp_path, scene_file, capsys
+):
+    out_json = str(tmp_path / "report.json")
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--out-csv", str(tmp_path / "r.csv")]
+    assert main(args + ["--out-json", out_json]) in (0, 5)
+    capsys.readouterr()
+    out_dir = tmp_path / "plots"
+    (out_dir / "percentages.csv").mkdir(parents=True)
+    assert main(["plot", "--report", out_json, "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot write {out_dir / 'percentages.csv'}: Is a directory\n"
+    assert list(out_dir.iterdir()) == [out_dir / "percentages.csv"]
 
 
 def test_plot_outputs(tmp_path, scene_file, capsys):
@@ -512,6 +554,7 @@ def test_plot_unreadable_report(tmp_path, capsys):
     for doc in (
         {"records": [{"pair_a": "A"}], "report": None},
         {"records": [1], "report": None},
+        {"records": {"pair_a": "A"}, "report": None},
         {"records": [], "report": {"pairs": [{}]}},
         {"records": [], "report": {"pairs": [{"pair_a": "A", "pair_b": "B", "pct": {"gjk": 50.0}}]}},
         {"records": [], "report": {"pairs": [{"pair_a": "A", "pair_b": "B", "pct": [1]}]}},
@@ -545,3 +588,40 @@ def test_stdout_is_pure_json(capsys):
     main(["dist", "--a", "Obj1", "--b", "Obj3", "--algo", "gjk"])
     out = capsys.readouterr().out
     json.loads(out)  # a single parseable document, no log noise
+
+
+def test_bench_and_plot_read_and_write_utf8_whatever_the_locale(tmp_path):
+    # A child under the C locale, with UTF-8 mode and locale coercion off,
+    # opens text files as ASCII unless the program names the encoding.
+    src = str(Path(dyop2d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": src}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, encoding="utf-8"
+        )
+
+    preferred = run("-c", "import locale; print(locale.getpreferredencoding(False))").stdout.strip()
+    if codecs.lookup(preferred).name == "utf-8":
+        pytest.skip(f"the child's preferred encoding is already {preferred}")
+    scene = Scene(
+        objects=(tri("Obj\u00e91", (0, 0), (1, 0), (0, 1)), tri("B", (0, 0), (2, 0), (1, 1.2))),
+        separation=1.0,
+        axis=MovementAxis.X,
+    )
+    # write_scene escapes the name as JSON does; a hand-written file holds it as raw UTF-8.
+    write_scene(scene, str(tmp_path / "escaped.json"))
+    raw = json.dumps(json.loads((tmp_path / "escaped.json").read_text(encoding="utf-8")), ensure_ascii=False)
+    (tmp_path / "raw.json").write_text(raw, encoding="utf-8")
+    for name in ("escaped", "raw"):
+        bench = run(
+            "-m", "dyop2d.cli", "bench", "--scene", f"{name}.json", "--repeats", "1", "--algos", "dyop,oracle",
+            "--out-csv", f"{name}.csv", "--out-json", f"{name}-report.json",
+        )
+        assert bench.returncode == 0, bench.stderr
+        rows = read_csv(tmp_path / f"{name}.csv")
+        assert {row[0] for row in rows[1:]} == {"Obj\u00e91", "B"}
+        plot = run("-m", "dyop2d.cli", "plot", "--report", f"{name}-report.json", "--out", f"{name}-plots")
+        assert plot.returncode == 0, plot.stderr
+        speed = read_csv(tmp_path / f"{name}-plots" / "speed.csv")
+        assert {row[0] for row in speed[1:]} == {"Obj\u00e91", "B"}

@@ -48,6 +48,8 @@ def test_scene_from_dict_parses():
         # Integers too large for a float, as a JSON literal of 400 digits parses.
         lambda d: d["objects"][0]["vertices"].__setitem__(0, [10**400, 0]),
         lambda d: d.__setitem__("separation", 10**400),
+        # An objects entry that is a vertex list, not an object.
+        lambda d: d["objects"].__setitem__(1, [[0, 0], [1, 0], [0, 1]]),
     ],
 )
 def test_scene_from_dict_rejects_malformed(mutate):

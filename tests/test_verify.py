@@ -106,12 +106,12 @@ def test_random_ring_rejects_exactly_the_draws_triangle_flags_degenerate():
         for order in ((v0, v1, v2), (v0, v2, v1)):
             drawn = Triangle(*order)
             rng = _Scripted([c for v in order for c in (v.x, v.y)] + FIRST)
-            ring = verify._random_ring(rng)
+            edges = verify._random_edges(rng)
             if drawn.is_degenerate:
-                assert rng.used == 12 and ring == (0.1, 0.1, 0.3, 0.1, 0.1, 0.3, 0.1, 0.1)
+                first = ((0.1, 0.1, 0.3, 0.1), (0.3, 0.1, 0.1, 0.3), (0.1, 0.3, 0.1, 0.1))
+                assert rng.used == 12 and edges == first
             else:
-                w0, w1, w2 = drawn.vertices
-                assert rng.used == 6 and ring == (w0.x, w0.y, w1.x, w1.y, w2.x, w2.y, w0.x, w0.y)
+                assert rng.used == 6 and edges == geometry._edges(drawn)
 
 
 def test_a_second_triangle_degenerate_after_its_push_is_refused_by_both_sweeps(monkeypatch):
