@@ -134,8 +134,12 @@ def _closest_on_triangle(
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
         return bx + t * (cx - bx), by + t * (cy - by), [(b, 1.0 - t), (c, t)]
 
+    # va + vb + vc is |ab x ac|^2, which is |ab|^2 |ac|^2 sin^2 of the angle
+    # at a. On a flat simplex the three sums are rounding noise and can all
+    # come out positive, so flatness is judged relative to the edge lengths
+    # before the interior branch can put the origin inside.
     denom = va + vb + vc
-    if denom <= 0.0:
+    if denom <= 1e-10 * (abx * abx + aby * aby) * (acx * acx + acy * acy):
         # Flat simplex: fall back to the best edge.
         candidates = (
             _closest_on_segment(a, b),

@@ -25,6 +25,12 @@ call it. It calls ``_intersect``, which writes ``_orient``'s four
 orientations out inline, and then writes ``_project``'s four endpoint
 projections out inline, so one test costs two Python calls; its bits
 equal those of the definition composed from those helpers.
+
+``_edge_sweep``, the oracle's nine-edge sweep, is straight-line code in
+the same way: it unpacks the six vertices once, computes the six edge
+directions and squared lengths once (6, not one per projection, 18),
+and writes its 18 vertex-edge projections out as ``_project`` defines
+them, with no Python call per projection.
 """
 
 from __future__ import annotations
@@ -534,29 +540,178 @@ def _edge_sweep(
     earliest projection in row-major edge-pair order, then (a, b, c, d)
     order, so the reported feature indices stay as low as possible. The
     witnesses are not checked for finiteness here; ``_answer`` checks them.
+
+    The sweep is straight-line code that makes no call per projection:
+    each is ``_project`` written out, with its zero-length branch, clamp
+    and finiteness check, on the six edge directions and squared lengths,
+    computed once rather than once per projection (6, not 18). Edge i of A
+    runs from A's vertex i along (uxi, uyi), and edge j of B from B's
+    vertex j along (vxj, vyj). A record names a vertex as the start of
+    its own edge, at t = 0.
     """
-    best_d, best = math.inf, (*edges_a[0][:2], *edges_b[0][:2], 0.0, 0.0, 0, 0)
-    for i, (ax, ay, bx, by) in enumerate(edges_a):
-        for j, (cx, cy, dx, dy) in enumerate(edges_b):
-            if i == 0:
-                d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
-                if d < best_d:
-                    best_d, best = d, (ax, ay, qx, qy, 0.0, t, i, j)
-            if i < 2:
-                d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
-                if d < best_d:
-                    best_d, best = d, (bx, by, qx, qy, 1.0, t, i, j)
-            if j == 0:
-                d, qx, qy, t = _project(cx, cy, ax, ay, bx, by)
-                if d < best_d:
-                    best_d, best = d, (qx, qy, cx, cy, t, 0.0, i, j)
-            if j < 2:
-                d, qx, qy, t = _project(dx, dy, ax, ay, bx, by)
-                if d < best_d:
-                    best_d, best = d, (qx, qy, dx, dy, t, 1.0, i, j)
-    pax, pay, pbx, pby, t1, t2, bi, bj = best
-    fa, fb = _classify_edge_point(bi, t1), _classify_edge_point(bj, t2)
-    return best_d, pax, pay, pbx, pby, fa, fb
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    ux0, uy0, ux1, uy1, ux2, uy2 = ax1 - ax0, ay1 - ay0, ax2 - ax1, ay2 - ay1, ax0 - ax2, ay0 - ay2
+    vx0, vy0, vx1, vy1, vx2, vy2 = bx1 - bx0, by1 - by0, bx2 - bx1, by2 - by1, bx0 - bx2, by0 - by2
+    uu0, uu1, uu2 = ux0 * ux0 + uy0 * uy0, ux1 * ux1 + uy1 * uy1, ux2 * ux2 + uy2 * uy2
+    vv0, vv1, vv2 = vx0 * vx0 + vy0 * vy0, vx1 * vx1 + vy1 * vy1, vx2 * vx2 + vy2 * vy2
+    inf, hypot = math.inf, math.hypot
+    # (pa.x, pa.y, pb.x, pb.y, edge of A, t on it, edge of B, t on it)
+    best_d, best = inf, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
+    # Edge pair (0, 0): A's vertices 0 and 1 on B's edge 0, B's vertices 0 and 1 on A's edge 0.
+    t = ((ax0 - bx0) * vx0 + (ay0 - by0) * vy0) / vv0 if vv0 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
+    if t != t or vv0 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax0 - qx, ay0 - qy)
+    if d < best_d:
+        best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 0, t)
+    t = ((ax1 - bx0) * vx0 + (ay1 - by0) * vy0) / vv0 if vv0 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
+    if t != t or vv0 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax1 - qx, ay1 - qy)
+    if d < best_d:
+        best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 0, t)
+    t = ((bx0 - ax0) * ux0 + (by0 - ay0) * uy0) / uu0 if uu0 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
+    if t != t or uu0 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx0 - qx, by0 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx0, by0, 0, t, 0, 0.0)
+    t = ((bx1 - ax0) * ux0 + (by1 - ay0) * uy0) / uu0 if uu0 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
+    if t != t or uu0 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx1 - qx, by1 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx1, by1, 0, t, 1, 0.0)
+    # (0, 1): A's vertices 0 and 1 on B's edge 1, B's vertex 2 on A's edge 0.
+    t = ((ax0 - bx1) * vx1 + (ay0 - by1) * vy1) / vv1 if vv1 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
+    if t != t or vv1 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax0 - qx, ay0 - qy)
+    if d < best_d:
+        best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 1, t)
+    t = ((ax1 - bx1) * vx1 + (ay1 - by1) * vy1) / vv1 if vv1 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
+    if t != t or vv1 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax1 - qx, ay1 - qy)
+    if d < best_d:
+        best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 1, t)
+    t = ((bx2 - ax0) * ux0 + (by2 - ay0) * uy0) / uu0 if uu0 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
+    if t != t or uu0 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx2 - qx, by2 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx2, by2, 0, t, 2, 0.0)
+    # (0, 2): A's vertices 0 and 1 on B's edge 2.
+    t = ((ax0 - bx2) * vx2 + (ay0 - by2) * vy2) / vv2 if vv2 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
+    if t != t or vv2 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax0 - qx, ay0 - qy)
+    if d < best_d:
+        best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 2, t)
+    t = ((ax1 - bx2) * vx2 + (ay1 - by2) * vy2) / vv2 if vv2 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
+    if t != t or vv2 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax1 - qx, ay1 - qy)
+    if d < best_d:
+        best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 2, t)
+    # (1, 0): A's vertex 2 on B's edge 0, B's vertices 0 and 1 on A's edge 1.
+    t = ((ax2 - bx0) * vx0 + (ay2 - by0) * vy0) / vv0 if vv0 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
+    if t != t or vv0 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax2 - qx, ay2 - qy)
+    if d < best_d:
+        best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 0, t)
+    t = ((bx0 - ax1) * ux1 + (by0 - ay1) * uy1) / uu1 if uu1 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
+    if t != t or uu1 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx0 - qx, by0 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx0, by0, 1, t, 0, 0.0)
+    t = ((bx1 - ax1) * ux1 + (by1 - ay1) * uy1) / uu1 if uu1 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
+    if t != t or uu1 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx1 - qx, by1 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx1, by1, 1, t, 1, 0.0)
+    # (1, 1): A's vertex 2 on B's edge 1, B's vertex 2 on A's edge 1.
+    t = ((ax2 - bx1) * vx1 + (ay2 - by1) * vy1) / vv1 if vv1 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
+    if t != t or vv1 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax2 - qx, ay2 - qy)
+    if d < best_d:
+        best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 1, t)
+    t = ((bx2 - ax1) * ux1 + (by2 - ay1) * uy1) / uu1 if uu1 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
+    if t != t or uu1 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx2 - qx, by2 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx2, by2, 1, t, 2, 0.0)
+    # (1, 2): A's vertex 2 on B's edge 2.
+    t = ((ax2 - bx2) * vx2 + (ay2 - by2) * vy2) / vv2 if vv2 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
+    if t != t or vv2 == inf:
+        _require_finite(qx, qy)
+    d = hypot(ax2 - qx, ay2 - qy)
+    if d < best_d:
+        best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 2, t)
+    # (2, 0): B's vertices 0 and 1 on A's edge 2.
+    t = ((bx0 - ax2) * ux2 + (by0 - ay2) * uy2) / uu2 if uu2 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
+    if t != t or uu2 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx0 - qx, by0 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx0, by0, 2, t, 0, 0.0)
+    t = ((bx1 - ax2) * ux2 + (by1 - ay2) * uy2) / uu2 if uu2 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
+    if t != t or uu2 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx1 - qx, by1 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx1, by1, 2, t, 1, 0.0)
+    # (2, 1): B's vertex 2 on A's edge 2; edge pair (2, 2) adds no projection.
+    t = ((bx2 - ax2) * ux2 + (by2 - ay2) * uy2) / uu2 if uu2 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
+    if t != t or uu2 == inf:
+        _require_finite(qx, qy)
+    d = hypot(bx2 - qx, by2 - qy)
+    if d < best_d:
+        best_d, best = d, (qx, qy, bx2, by2, 2, t, 2, 0.0)
+    pax, pay, pbx, pby, i, ta, j, tb = best
+    return best_d, pax, pay, pbx, pby, _classify_edge_point(i, ta), _classify_edge_point(j, tb)
 
 
 def _separated(

@@ -224,6 +224,32 @@ def test_closest_on_triangle_names_the_voronoi_region_of_the_origin(a, b, c, exp
     _assert_closest_with_weights(result, [a, b, c], [points[k] for k in expected_support])
 
 
+def test_closest_on_triangle_keeps_the_origin_out_of_a_flat_simplex():
+    # Three support points on one line at distance |h| from the origin,
+    # exactly (on y = h) or up to rounding (p + s d). The Voronoi sums are
+    # rounding noise there and can all come out positive; the answer must
+    # still be the nearest point of the segment they span, never the origin.
+    rng = random.Random(31)
+    for k in range(20000):
+        h = rng.uniform(0.1, 2.0) * rng.choice((-1.0, 1.0))
+        if k % 2:
+            points = [(rng.uniform(-3.0, 3.0), h) for _ in range(3)]
+        else:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            dx, dy = math.cos(angle), math.sin(angle)
+            s0 = rng.uniform(-3.0, 3.0)
+            px, py = s0 * dx - h * dy, s0 * dy + h * dx
+            points = [(px + s * dx, py + s * dy) for s in (rng.uniform(-2.0, 2.0) for _ in range(3))]
+        x, y, lambdas = baselines._closest_on_triangle(*((*p, i, i) for i, p in enumerate(points)))
+        assert (x, y) != (0.0, 0.0), points
+        assert len(lambdas) <= 2, points
+        nearest = min(
+            (_closest_to_origin(p, q) for p, q in zip(points, points[1:] + points[:1])),
+            key=lambda r: math.hypot(*r),
+        )
+        assert (x, y) == pytest.approx(nearest, abs=1e-9), points
+
+
 @pytest.mark.parametrize(
     "a, b, expected_support",
     [
@@ -446,48 +472,23 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
     pairs = [place_pair(scene, (i, j)) for i in range(n) for j in range(n) if i != j]
     assert len(pairs) == 90
     for a, b, _ in pairs:
-        brute_force_triangle_distance(a, b)
+        assert brute_force_triangle_distance(a, b).counters.ee_tests == 9
         result, _ = lin_canny_distance(a, b)
         assert "lincanny-fallback" not in result.flags
     assert calls == []
 
 
-def _count_projections(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _project(*args)
-
-    monkeypatch.setattr(geometry, "_project", counting)
-    return calls
-
-
-def test_sweep_projects_each_vertex_edge_pair_once(monkeypatch):
-    # Each of the 18 vertex-edge pairs is projected once, not once for
-    # each of the two edges that the vertex ends and starts.
-    calls = _count_projections(monkeypatch)
-    scene = default_scene()
-    n = len(scene.objects)
-    pairs = [place_pair(scene, (i, j)) for i in range(n) for j in range(n) if i != j]
-    assert len(pairs) == 90
-    for a, b, _ in pairs:
-        calls.clear()
-        assert brute_force_triangle_distance(a, b).counters.ee_tests == 9
-        assert len(calls) == 18 and len(set(calls)) == 18
-
-
-def test_lin_canny_fallback_sweep_projects_each_pair_once(monkeypatch):
-    calls = _count_projections(monkeypatch)
+def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
+    # A walk that is not certified on disjoint triangles is answered by
+    # one call of the oracle's nine-edge sweep, whose answer it reports.
     sweeps = []
 
-    def counting_sweep(edges_a, edges_b):
-        calls.clear()
+    def recording_sweep(edges_a, edges_b):
         answer = _edge_sweep(edges_a, edges_b)
-        sweeps.append(len(calls))
+        sweeps.append(answer)
         return answer
 
-    monkeypatch.setattr(baselines, "_edge_sweep", counting_sweep)
+    monkeypatch.setattr(baselines, "_edge_sweep", recording_sweep)
     rng = random.Random(26)
     for _ in range(300):
         a, b, _ = random_separated_pair(rng)
@@ -495,7 +496,10 @@ def test_lin_canny_fallback_sweep_projects_each_pair_once(monkeypatch):
         if result.flags:
             break
     assert result.flags == ("lincanny-fallback",)
-    assert sweeps == [18]
+    assert len(sweeps) == 1
+    d, pax, pay, pbx, pby, fa, fb = sweeps[0]
+    assert (result.distance, result.feature_a, result.feature_b) == (d, fa, fb)
+    assert (result.point_a, result.point_b) == (Point2(pax, pay), Point2(pbx, pby))
 
 
 def test_contained_triangle_is_decided_by_nine_intersection_tests(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dyop2d.baselines import gjk_distance, lin_canny_distance
+from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.dyop import dyop_distance
 from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import (
@@ -20,6 +21,9 @@ from dyop2d.geometry import (
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
     _answer,
+    _classify_edge_point,
+    _edge_sweep,
+    _edges,
     _intersect,
     _param_on,
     _project,
@@ -351,6 +355,106 @@ def test_segment_segment_equals_its_definition():
         assert got == _value_or_error(_segment_segment_by_definition, *args), args
         kinds.add("raised" if got[0] == "raised" else "contact" if got[1][0] == "0.0" else "apart")
     assert kinds == {"raised", "contact", "apart"}
+
+
+def _edge_sweep_by_definition(edges_a, edges_b):
+    """``_edge_sweep`` composed from ``_project``: the 18 vertex-edge
+    projections, each in the first edge pair that holds it, in row-major
+    edge-pair order and then (a, b, c, d) order, where only a strictly
+    smaller distance replaces the best so far."""
+    best_d, best = math.inf, (*edges_a[0][:2], *edges_b[0][:2], 0.0, 0.0, 0, 0)
+    for i, (ax, ay, bx, by) in enumerate(edges_a):
+        for j, (cx, cy, dx, dy) in enumerate(edges_b):
+            if i == 0:
+                d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
+                if d < best_d:
+                    best_d, best = d, (ax, ay, qx, qy, 0.0, t, i, j)
+            if i < 2:
+                d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
+                if d < best_d:
+                    best_d, best = d, (bx, by, qx, qy, 1.0, t, i, j)
+            if j == 0:
+                d, qx, qy, t = _project(cx, cy, ax, ay, bx, by)
+                if d < best_d:
+                    best_d, best = d, (qx, qy, cx, cy, t, 0.0, i, j)
+            if j < 2:
+                d, qx, qy, t = _project(dx, dy, ax, ay, bx, by)
+                if d < best_d:
+                    best_d, best = d, (qx, qy, dx, dy, t, 1.0, i, j)
+    pax, pay, pbx, pby, t1, t2, bi, bj = best
+    return best_d, pax, pay, pbx, pby, _classify_edge_point(bi, t1), _classify_edge_point(bj, t2)
+
+
+def _flat_edges(x0, y0, x1, y1, x2, y2):
+    """The ``_edges`` layout of vertices taken as given: no winding swap."""
+    return (x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0)
+
+
+def _sweep_cases():
+    """Seeded (edges_a, edges_b) inputs for the nine-edge sweep."""
+    scene = default_scene()
+    n = len(scene.objects)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a, b, _ = place_pair(scene, (i, j))
+                yield _edges(a), _edges(b)
+    rng = random.Random(17)
+    for _ in range(1000):
+        a, b, _ = random_separated_pair(rng)
+        yield _edges(a), _edges(b)
+        yield _edges(b), _edges(a)
+    for k in range(2000):
+        # Integer grid: ties, touching, collinear and overlapping pairs, on
+        # int coordinates, or on floats for B.
+        cast = float if k % 2 else int
+        yield _flat_edges(*(rng.randint(0, 4) for _ in range(6))), _flat_edges(
+            *(cast(rng.randint(0, 4)) for _ in range(6))
+        )
+    for _ in range(3000):
+        # Repeated vertices, so zero-length edges on either side or both, on
+        # coordinates where -0.0, 0.0 and 0 are common and compare equal.
+        v = [[rng.choice((-0.0, 0.0, 0, -1.0, 1, 2.0, rng.uniform(-2.0, 2.0))) for _ in "xy"] for _ in range(6)]
+        for k in rng.sample(range(6), rng.randint(1, 4)):
+            v[k] = v[k // 3 * 3 + (k + 1) % 3]
+        yield _flat_edges(*v[0], *v[1], *v[2]), _flat_edges(*v[3], *v[4], *v[5])
+    for _ in range(6000):
+        # Huge and small coordinates mixed: edges whose direction or squared
+        # length overflows, so projections raise in different places.
+        huge = rng.choice((1e154, 1e308, 1.7e308))
+        c = [rng.choice((-huge, huge)) if rng.random() < 0.2 else rng.uniform(-2.0, 2.0) for _ in range(12)]
+        yield _flat_edges(*c[:6]), _flat_edges(*c[6:])
+    for x, y in ((1e308, 0.0), (0.0, -1.7e308), (9e307, 9e307)):
+        # Two points farther apart than the float range: every distance is
+        # inf, so the sweep keeps its first record.
+        yield _flat_edges(*(-x, -y) * 3), _flat_edges(*(x, y) * 3)
+    # Two vertical segments on x = -1e308 and x = 1e308: every squared length
+    # is finite, and every t is NaN (inf * 0).
+    yield _flat_edges(-1e308, 0.0, -1e308, 1.0, -1e308, 2.0), _flat_edges(1e308, 0.0, 1e308, 1.0, 1e308, 3.0)
+    for scale, shift in OVERFLOW_SCALES:
+        for _ in range(40):
+            a, b, _ = random_separated_pair(rng)
+            a = a.scaled(scale).translated(shift, 0.0)
+            b = b.scaled(scale).translated(shift, 0.0)
+            for other in (b, a.translated(0.3 * scale, 0.0)):
+                yield _edges(a), _edges(other)
+                yield _edges(other), _edges(a)
+
+
+def test_edge_sweep_equals_its_definition():
+    # All seven values bit for bit (the sign of zero and int against float
+    # too, and the feature names), or the same exception and message.
+    kinds = set()
+    for args in _sweep_cases():
+        got = _value_or_error(_edge_sweep, *args)
+        assert got == _value_or_error(_edge_sweep_by_definition, *args), args
+        if got[0] == "raised":
+            kinds.add("raised")
+        else:
+            kinds.add("zero" if got[1][0] == "0.0" else "apart")
+            kinds.update(f"{kind.value}-{index}" for _, kind, index in got[1][5:])
+    assert {"raised", "zero", "apart"} <= kinds
+    assert {f"{k}-{i}" for k in ("vertex", "edge") for i in range(3)} <= kinds
 
 
 def test_triangles_overlap_cases():
