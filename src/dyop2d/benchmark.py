@@ -185,9 +185,11 @@ def run_benchmark(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1: {repeats}")
-    for algorithm in algorithms:
+    for k, algorithm in enumerate(algorithms):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm}")
+        if algorithm in algorithms[:k]:
+            raise ValueError(f"repeated algorithm: {algorithm}")
 
     records: list[dict] = []
     for i, j in enumerate_pairs(len(scene.objects)):

@@ -123,7 +123,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def _parse_algos(raw: str) -> tuple[str, ...] | None:
     algos = tuple(a.strip() for a in raw.split(",") if a.strip())
-    if not algos or any(a not in ALGORITHMS for a in algos):
+    if not algos or any(a not in ALGORITHMS for a in algos) or len(set(algos)) < len(algos):
         return None
     return algos
 
@@ -131,7 +131,7 @@ def _parse_algos(raw: str) -> tuple[str, ...] | None:
 def cmd_bench(args: argparse.Namespace) -> int:
     algos = _parse_algos(args.algos)
     if algos is None:
-        _diag(f"invalid algorithm list: {args.algos!r} (choose from {', '.join(ALGORITHMS)})")
+        _diag(f"invalid algorithm list: {args.algos!r} (choose from {', '.join(ALGORITHMS)}, each at most once)")
         return 1
     if args.repeats < 1:
         _diag(f"repeats must be at least 1: {args.repeats}")

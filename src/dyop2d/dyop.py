@@ -21,36 +21,41 @@ empirically.
 
 The query runs on flat scalars: each triangle is read once, into
 geometry's ``_edges`` tuples, the layout that the oracle, GJK and
-Lin-Canny read too. The gap box, pivot and candidate choice read those
-numbers directly, and the candidate edges are passed to the
-segment-segment test as they are. The public stages return the query's
-own values, as plain tuples:
+Lin-Canny read too. Its kernel ``_dyop`` is one straight-line function,
+as the oracle's ``geometry._edge_sweep`` is: the gap box, the pivot, the
+candidate choice, the segment-segment test and the naming of the
+witnesses' features are written out in it, and on its way to an answer
+without contact it makes one call, to build its counters. The stages
+below stay the definition that the kernel writes out (a test holds it to
+their chain bit for bit), and return its values as plain tuples:
 
-- ``build_internal_aabb`` the gap box
+- ``build_internal_aabb`` (and ``_gap_box`` on edges) the gap box
   ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
-- ``compute_dyop`` the pivot ``(px, py)``, which the query calls too;
-- ``select_candidates`` ``(i, j, edge)``, the two vertices nearest the
-  pivot and the edge joining them.
+- ``compute_dyop`` the pivot ``(px, py)``;
+- ``select_candidates`` (and ``_nearest_two`` on edges) ``(i, j, edge)``,
+  the two vertices nearest the pivot and the edge joining them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import isfinite
+from math import hypot, inf, isfinite
 
 from .errors import DegenerateInput, ZeroVelocity
 from .geometry import (
+    _EDGE_FEATURES,
+    _VERTEX_FEATURES,
     DistanceResult,
     FeatureId,
     TestCounters,
     Triangle,
     Vector2,
     _answer,
-    _classify_edge_point,
     _Edges,
     _edges,
+    _param_on,
     _require_finite,
-    _segment_segment,
+    _within_extent,
 )
 
 # (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)
@@ -179,13 +184,13 @@ def dyop_distance(
 ) -> DistanceResult:
     """Pruned shortest distance between two triangles.
 
-    Runs the full pipeline: movement axis, internal gap box, pivot
-    point, candidate selection, then one edge-edge test between the two
-    candidate edges, which covers the paper's four vertex-vertex and four
-    vertex-edge tests too. Intersecting candidate edges report their
-    contact point at distance 0; otherwise equal distances keep the
-    earliest endpoint projection in (a, b, c, d) order, for candidate
-    edge a-b of A against c-d of B. The
+    Runs the full pipeline: the movement axis, then, in the one kernel
+    ``_dyop``, the internal gap box, pivot point, candidate selection and
+    one edge-edge test between the two candidate edges, which covers the
+    paper's four vertex-vertex and four vertex-edge tests too.
+    Intersecting candidate edges report their contact point at distance
+    0; otherwise equal distances keep the earliest endpoint projection in
+    (a, b, c, d) order, for candidate edge a-b of A against c-d of B. The
     result is never below the exact separation distance; it equals it
     whenever the true witness features survive pruning. A
     "overlapping-boxes" flag marks queries whose extents were not
@@ -201,20 +206,163 @@ def _dyop(
     edges_a: _Edges, edges_b: _Edges, axis: MovementAxis
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
     """DyOP on two non-degenerate triangles' edges along ``axis``: the
-    arguments of its ``_answer``."""
-    box = _gap_box(edges_a, edges_b, axis)
-    px, py = compute_dyop(box)
-    edge_a = _nearest_two(edges_a, px, py)[2]
-    edge_b = _nearest_two(edges_b, px, py)[2]
-    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*edges_a[edge_a], *edges_b[edge_b])
+    arguments of its ``_answer``.
+
+    Straight-line code: ``_gap_box`` (with ``_gap`` on both axes),
+    ``compute_dyop``, ``_nearest_two`` on both triangles,
+    ``geometry._segment_segment`` (with ``_intersect``'s four
+    orientations) and ``_classify_edge_point`` written out, so that the
+    one call on the way to an answer without contact builds its
+    ``TestCounters``. The stages stay the definition, and every
+    comparison, clamp, tie rule and finiteness check is theirs. The
+    candidate edges run from A's vertex ``ea`` to ``na`` (a to b) and from
+    B's vertex ``eb`` to ``nb`` (c to d), and their directions r = b - a
+    and s = d - c serve the orientations and the four projections alike.
+    """
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges_a
+    (u0, v0, u1, v1), (_, _, u2, v2), _ = edges_b
+    xa_lo = x0 if x0 <= x1 and x0 <= x2 else (x1 if x1 <= x2 else x2)
+    xa_hi = x0 if x0 >= x1 and x0 >= x2 else (x1 if x1 >= x2 else x2)
+    ya_lo = y0 if y0 <= y1 and y0 <= y2 else (y1 if y1 <= y2 else y2)
+    ya_hi = y0 if y0 >= y1 and y0 >= y2 else (y1 if y1 >= y2 else y2)
+    xb_lo = u0 if u0 <= u1 and u0 <= u2 else (u1 if u1 <= u2 else u2)
+    xb_hi = u0 if u0 >= u1 and u0 >= u2 else (u1 if u1 >= u2 else u2)
+    yb_lo = v0 if v0 <= v1 and v0 <= v2 else (v1 if v1 <= v2 else v2)
+    yb_hi = v0 if v0 >= v1 and v0 >= v2 else (v1 if v1 >= v2 else v2)
+    # The gap on each axis runs from the trailing extent's maximum to the
+    # ahead one's minimum: A is ahead on the greater maximum, then the
+    # greater minimum, and a full tie puts B ahead.
+    if xa_hi > xb_hi or (xa_hi == xb_hi and xa_lo > xb_lo):
+        x_lo, x_hi = xb_hi, xa_lo
+    else:
+        x_lo, x_hi = xa_hi, xb_lo
+    x_inverted = x_lo > x_hi
+    if x_inverted:
+        x_lo = x_hi = 0.5 * (x_lo + x_hi)
+    if ya_hi > yb_hi or (ya_hi == yb_hi and ya_lo > yb_lo):
+        y_lo, y_hi = yb_hi, ya_lo
+    else:
+        y_lo, y_hi = ya_hi, yb_lo
+    y_inverted = y_lo > y_hi
+    if y_inverted:
+        y_lo = y_hi = 0.5 * (y_lo + y_hi)
+    px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    if not (-inf < px < inf and -inf < py < inf):
+        _require_finite(px, py)
+    # The candidate edge joins the two vertices nearest the pivot: it is
+    # the one opposite the farthest vertex (the highest index among equals).
+    d0 = (x0 - px) ** 2 + (y0 - py) ** 2
+    d1 = (x1 - px) ** 2 + (y1 - py) ** 2
+    d2 = (x2 - px) ** 2 + (y2 - py) ** 2
+    if d2 >= d0 and d2 >= d1:
+        ea, na, ax, ay, bx, by = 0, 1, x0, y0, x1, y1
+    elif d1 >= d0:
+        ea, na, ax, ay, bx, by = 2, 0, x2, y2, x0, y0
+    else:
+        ea, na, ax, ay, bx, by = 1, 2, x1, y1, x2, y2
+    d0 = (u0 - px) ** 2 + (v0 - py) ** 2
+    d1 = (u1 - px) ** 2 + (v1 - py) ** 2
+    d2 = (u2 - px) ** 2 + (v2 - py) ** 2
+    if d2 >= d0 and d2 >= d1:
+        eb, nb, cx, cy, dx, dy = 0, 1, u0, v0, u1, v1
+    elif d1 >= d0:
+        eb, nb, cx, cy, dx, dy = 2, 0, u2, v2, u0, v0
+    else:
+        eb, nb, cx, cy, dx, dy = 1, 2, u1, v1, u2, v2
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
+    contact = True
+    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
+        (o3 > 0.0) != (o4 > 0.0)
+    ) and o3 != 0.0 and o4 != 0.0:
+        t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
+        hx, hy = ax + t * rx, ay + t * ry
+        _require_finite(hx, hy)
+    elif o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
+        hx, hy = cx, cy
+    elif o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
+        hx, hy = dx, dy
+    elif o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
+        hx, hy = ax, ay
+    elif o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
+        hx, hy = bx, by
+    else:
+        contact = False
+    if contact:
+        best_d, pax, pay, pbx, pby = 0.0, hx, hy, hx, hy
+        t_a, t_b = _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
+    else:
+        # a and b projected on cd.
+        s2 = sx * sx + sy * sy
+        if s2 == 0.0:
+            qax = qbx = cx
+            qay = qby = cy
+            ta = tb = 0.0
+        else:
+            ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
+            ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
+            qax, qay = cx + ta * sx, cy + ta * sy
+            if ta != ta or s2 == inf:
+                _require_finite(qax, qay)
+            tb = ((bx - cx) * sx + (by - cy) * sy) / s2
+            tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
+            qbx, qby = cx + tb * sx, cy + tb * sy
+            if tb != tb or s2 == inf:
+                _require_finite(qbx, qby)
+        # c and d projected on ab.
+        r2 = rx * rx + ry * ry
+        if r2 == 0.0:
+            qcx = qdx = ax
+            qcy = qdy = ay
+            tc = td = 0.0
+        else:
+            tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
+            tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
+            qcx, qcy = ax + tc * rx, ay + tc * ry
+            if tc != tc or r2 == inf:
+                _require_finite(qcx, qcy)
+            td = ((dx - ax) * rx + (dy - ay) * ry) / r2
+            td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
+            qdx, qdy = ax + td * rx, ay + td * ry
+            if td != td or r2 == inf:
+                _require_finite(qdx, qdy)
+        # Ties keep the earliest record in (a, b, c, d) order.
+        best_d, best = inf, (ax, ay, cx, cy, 0.0, 0.0)
+        d = hypot(ax - qax, ay - qay)
+        if d < best_d:
+            best_d, best = d, (ax, ay, qax, qay, 0.0, ta)
+        d = hypot(bx - qbx, by - qby)
+        if d < best_d:
+            best_d, best = d, (bx, by, qbx, qby, 1.0, tb)
+        d = hypot(cx - qcx, cy - qcy)
+        if d < best_d:
+            best_d, best = d, (qcx, qcy, cx, cy, tc, 0.0)
+        d = hypot(dx - qdx, dy - qdy)
+        if d < best_d:
+            best_d, best = d, (qdx, qdy, dx, dy, td, 1.0)
+        pax, pay, pbx, pby, t_a, t_b = best
+    # Each witness names the feature it lies on: its edge's start at t = 0,
+    # its end at t = 1, else the edge itself.
+    if t_a == 0.0:
+        fa = _VERTEX_FEATURES[ea]
+    else:
+        fa = _VERTEX_FEATURES[na] if t_a == 1.0 else _EDGE_FEATURES[ea]
+    if t_b == 0.0:
+        fb = _VERTEX_FEATURES[eb]
+    else:
+        fb = _VERTEX_FEATURES[nb] if t_b == 1.0 else _EDGE_FEATURES[eb]
     return (
-        d,
+        best_d,
         pax,
         pay,
         pbx,
         pby,
-        _classify_edge_point(edge_a, t_a),
-        _classify_edge_point(edge_b, t_b),
+        fa,
+        fb,
         TestCounters(0, 0, 1),
-        ("overlapping-boxes",) if box[6] else (),
+        ("overlapping-boxes",) if (x_inverted if axis is MovementAxis.X else y_inverted) else (),
     )

@@ -37,9 +37,9 @@ def bench_run(tmp_path_factory):
         ["bench", "--repeats", "100", "--out-csv", out_csv, "--out-json", out_json]
     )
     elapsed = time.perf_counter() - start
-    with open(out_csv, newline="") as fh:
+    with open(out_csv, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    with open(out_json) as fh:
+    with open(out_json, encoding="utf-8") as fh:
         report_doc = json.load(fh)
     return {
         "code": code,

@@ -232,6 +232,15 @@ def test_run_benchmark_calls_oracle_once_per_pair(monkeypatch):
     assert len(calls) == 90
 
 
+@pytest.mark.parametrize(
+    "algorithms, message",
+    [(("dyop", "warp"), "unknown algorithm: warp"), (("dyop", "oracle", "oracle"), "repeated algorithm: oracle")],
+)
+def test_run_benchmark_refuses_an_unknown_or_repeated_algorithm(algorithms, message):
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(small_scene(), algorithms, 1)
+
+
 def test_run_benchmark_oracle_counters():
     records = run_benchmark(small_scene(), algorithms=("oracle",), repeats=1)
     for r in records:

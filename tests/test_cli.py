@@ -170,7 +170,7 @@ def test_bench_small_scene(tmp_path, scene_file, capsys):
     assert len(rows) - 1 == 6 * 3
     summary = json.loads(capsys.readouterr().out)
     assert summary["records"] == 18
-    report = json.loads(Path(out_json).read_text())
+    report = json.loads(Path(out_json).read_text(encoding="utf-8"))
     assert len(report["records"]) == 18
     assert set(report["report"]["summary"]) == {"gjk", "lincanny"}
 
@@ -178,7 +178,7 @@ def test_bench_small_scene(tmp_path, scene_file, capsys):
 def _assert_csv_rows_match_json_records(out_csv, out_json, count):
     header, *rows = read_csv(out_csv)
     assert tuple(header) == CSV_COLUMNS
-    records = json.loads(Path(out_json).read_text())["records"]
+    records = json.loads(Path(out_json).read_text(encoding="utf-8"))["records"]
     assert len(records) == len(rows) == count
     for rec, row in zip(records, rows):
         assert tuple(rec) == CSV_COLUMNS
@@ -301,7 +301,7 @@ def test_bench_dyop_only_has_no_percentages(tmp_path, scene_file, capsys):
     )
     assert code in (0, 5)
     assert len(read_csv(out_csv)) - 1 == 6
-    report = json.loads(Path(out_json).read_text())
+    report = json.loads(Path(out_json).read_text(encoding="utf-8"))
     assert report["report"] is None
     summary = json.loads(capsys.readouterr().out)
     assert summary["summary"] == {}
@@ -322,6 +322,15 @@ def test_bench_rejects_unknown_algorithm(tmp_path, scene_file):
         ]
     )
     assert code == 1
+
+
+def test_bench_refuses_a_repeated_algorithm_and_writes_nothing(tmp_path, scene_file, capsys):
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--algos", "dyop,oracle,oracle"]
+    assert main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid algorithm list: 'dyop,oracle,oracle' (choose from ")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
 
 
 def test_bench_refuses_repeats_below_one_and_writes_nothing(tmp_path, scene_file, capsys):

@@ -21,6 +21,7 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
     _classify_edge_point,
+    _intersect,
     _segment_segment,
     brute_force_triangle_distance,
 )
@@ -307,16 +308,21 @@ def test_dyop_winning_features_stable_under_scaling():
             assert (rs.feature_a, rs.feature_b) == (r.feature_a, r.feature_b)
 
 
-def _dyop_by_stages(a, b, velocity):
-    """``dyop_distance`` as the chain of its public stages."""
+def _candidate_edges(a, b, velocity):
+    """(box, edge_a, edge_b, ends): the gap box, the candidate edge indices, and
+    the candidate edges' endpoints a, b of A and c, d of B, by the public stages."""
     box = build_internal_aabb(a, b, dominant_axis(velocity))
     pivot = compute_dyop(box)
     edge_a = select_candidates(a, pivot)[2]
     edge_b = select_candidates(b, pivot)[2]
     ea, eb = a.edge(edge_a), b.edge(edge_b)
-    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(
-        ea.a.x, ea.a.y, ea.b.x, ea.b.y, eb.a.x, eb.a.y, eb.b.x, eb.b.y
-    )
+    return box, edge_a, edge_b, (ea.a.x, ea.a.y, ea.b.x, ea.b.y, eb.a.x, eb.a.y, eb.b.x, eb.b.y)
+
+
+def _dyop_by_stages(a, b, velocity):
+    """``dyop_distance`` as the chain of its public stages."""
+    box, edge_a, edge_b, ends = _candidate_edges(a, b, velocity)
+    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
     return DistanceResult(
         d,
         Point2(pax, pay),
@@ -326,6 +332,56 @@ def _dyop_by_stages(a, b, velocity):
         TestCounters(0, 0, 1),
         ("overlapping-boxes",) if box[6] else (),
     )
+
+
+def _t_name(t):
+    return "t = 0" if t == 0.0 else ("t = 1" if t == 1.0 else "interior")
+
+
+def _segment_case(a, b, velocity):
+    """The branch of the segment test that the candidate edges reach: a proper
+    crossing, the touching endpoint that witnesses a contact (c, d, a, b are
+    tried in that order), a crossing or a projection refused near the float
+    range, two edges whose squared lengths underflow to 0, or the winning
+    projection record with the parameter of the point it projects to. None
+    when an earlier stage refuses the pair."""
+    try:
+        ends = _candidate_edges(a, b, velocity)[3]
+    except (ValueError, OverflowError):
+        return None
+    ax, ay, bx, by, cx, cy, dx, dy = ends
+    try:
+        hit = _intersect(*ends)
+    except ValueError:
+        return "crossing refused"
+    if hit is not None:
+        for name, end in (("c", (cx, cy)), ("d", (dx, dy)), ("a", (ax, ay)), ("b", (bx, by))):
+            if hit == end:
+                return "touching " + name
+        return "crossing"
+    try:
+        _, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
+    except ValueError:
+        return "projection refused"
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
+        return "zero-length edges"
+    if t_a == 0.0 and (pax, pay) == (ax, ay):
+        return "record a", _t_name(t_b)
+    if t_a == 1.0 and (pax, pay) == (bx, by):
+        return "record b", _t_name(t_b)
+    if t_b == 0.0 and (pbx, pby) == (cx, cy):
+        return "record c", _t_name(t_a)
+    return "record d", _t_name(t_a)
+
+
+def _tied_axes(a, b):
+    """The axes on which the two triangles' extents tie at both ends."""
+    return {
+        axis
+        for axis, coord in ((MovementAxis.X, lambda p: p.x), (MovementAxis.Y, lambda p: p.y))
+        if sorted(map(coord, a.vertices))[::2] == sorted(map(coord, b.vertices))[::2]
+    }
 
 
 def _stage_cases():
@@ -345,7 +401,31 @@ def _stage_cases():
     for scale, shift in OVERFLOW_SCALES:
         for _ in range(100):
             a, b, velocity = random_separated_pair(rng)
-            yield a.scaled(scale).translated(shift, 0.0), b.scaled(scale).translated(shift, 0.0), velocity
+            a, b = a.scaled(scale), b.scaled(scale)
+            yield a.translated(shift, 0.0), b.translated(shift, 0.0), velocity
+            if shift:
+                # An overflowed pivot y with a finite pivot x.
+                yield a.translated(0.0, shift), b.translated(0.0, shift), velocity
+    for _ in range(200):
+        # Needles: candidate edges shorter than 1.5e-162, whose squared
+        # lengths underflow to 0 (the projections' zero-length branches),
+        # on triangles whose far vertex stays within reach of the pivot.
+        e, g, far = rng.uniform(1e-163, 1.4e-162), rng.uniform(1e-151, 1e-149), rng.uniform(1e151, 1e152)
+        fx, fy, transpose = rng.choice((1.0, -1.0)), rng.choice((1.0, -1.0)), rng.random() < 0.5
+
+        def pt(x, y):
+            return (fy * y, fx * x) if transpose else (fx * x, fy * y)
+
+        a, b = tri(pt(0.0, 0.0), pt(e, 0.0), pt(0.0, far)), tri(pt(-g, 0.0), pt(-g, -e), pt(-far, 0.0))
+        velocity = Vector2(1.0, 0.0) if rng.random() < 0.5 else Vector2(0.0, 1.0)
+        yield a, b, velocity
+        yield b, a, velocity
+    for _ in range(2000):
+        # The integer grid centred on the origin at a scale whose squared
+        # distances to the pivot stay finite while the segment test's
+        # products overflow: crossings and projections are refused there.
+        a, b = (_grid_triangle(rng).translated(-2, -2).scaled(4e153) for _ in range(2))
+        yield a, b, Vector2(1.0, 0.0) if rng.random() < 0.5 else Vector2(0.0, 1.0)
 
 
 def test_dyop_distance_is_the_chain_of_its_stages():
@@ -362,4 +442,17 @@ def test_dyop_distance_is_the_chain_of_its_stages():
         else:
             assert query == staged, (a, b, velocity)
         seen.add(query[1] if query[0] == "raised" else "overlapping-boxes" in query[1][-1])
+        if query[0] == "ok" and "overlapping-boxes" in query[1][-1]:
+            seen.add(("overlapping-boxes", dominant_axis(velocity)))
+        seen.add(_segment_case(a, b, velocity))
+        seen.update(("tied extents", axis) for axis in _tied_axes(a, b))
+    # Every branch of the kernel is reached. A projection record of c or d
+    # naming a vertex of A's edge ties with the earlier record of a or b,
+    # which keeps the tie.
     assert seen >= {ZeroVelocity, DegenerateInput, ValueError, True, False}
+    assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
+    assert seen >= {"crossing refused", "projection refused", "zero-length edges"}
+    names = ("t = 0", "t = 1", "interior")
+    assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
+    assert seen >= {("record c", "interior"), ("record d", "interior")}
+    assert seen >= {(flag, axis) for flag in ("overlapping-boxes", "tied extents") for axis in MovementAxis}
