@@ -5,12 +5,15 @@ Both are specialized to 2D triangles and run on the float core of
 refuses a degenerate triangle by the flag the ``Triangle`` computed at
 construction, and builds its answer once, with ``geometry._answer``,
 which checks the witnesses' finiteness there. GJK
-runs its loop on scalar locals: the six vertex coordinates of each
-triangle are unpacked once, and the support argmaxes, finiteness
-checks, solve counts and witness sums are inline, with no dict or sort
-per query (only an intersecting answer with three weights sums its
-witness with ``sum()``). Its support points are
-``(x, y, index_a, index_b)`` tuples in a plain list simplex.
+runs its loop as one straight-line kernel on scalar locals: the six
+vertex coordinates of each triangle are unpacked once, and the support
+argmaxes, finiteness checks, point and segment solves, repeat and
+improvement checks, solve counts, witness sums and feature names are
+inline. Its simplex is at most three ``(x, y, index_a, index_b)``
+support points and their weights, held in locals, with no list. Only
+the rare triangle solve calls ``_closest_on_triangle``, and only an
+intersecting answer with three weights calls ``sum()`` and
+``_side_feature``.
 
 Both fill the same counters as the other algorithms, each in its own
 unit, so counts of two algorithms are not a cost ratio. For GJK the
@@ -176,6 +179,15 @@ def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
     return _VERTEX_FEATURES[max((0, 1, 2), key=weights.__getitem__)]
 
 
+# _SIDE_PAIR[3 * i + j] is vertex i when i == j, else the edge joining
+# vertices i and j: edge i joins i and i + 1, and edge 2 joins 2 and 0.
+_SIDE_PAIR = tuple(
+    _VERTEX_FEATURES[i] if i == j else _EDGE_FEATURES[i if j == (i + 1) % 3 else j]
+    for i in range(3)
+    for j in range(3)
+)
+
+
 def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """Distance between convex triangles via support functions.
 
@@ -183,9 +195,13 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     point simplex of support points. Terminates when the squared-length
     improvement bound drops below GJK_IMPROVEMENT_TOL, when a support
     point repeats, or after GJK_MAX_ITERATIONS (then flagged
-    "gjk-unconverged" and the best simplex so far is reported).
+    "gjk-unconverged" and the last solve's simplex is reported).
     Intersecting triangles return distance 0 with coincident witnesses.
     A non-finite search direction or support point raises ValueError.
+
+    Straight-line code: the point and segment solves follow
+    ``_closest_on_segment`` and the feature names ``_side_feature``,
+    written out inline (see the module docstring).
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
@@ -198,8 +214,12 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     dy = (ay0 + ay1 + ay2) / 3.0 - (by0 + by1 + by2) / 3.0
     if dx == 0.0 and dy == 0.0:
         dx = 1.0
-    simplex: list[_SupportPoint] = []
-    vv = ve = ee = 0
+    # The simplex after a solve: n support points (x0, y0, ia0, ib0) and
+    # (x1, y1, ia1, ib1), in the order of that solve's weights w0 and w1; a
+    # single point has weight 1.0. A solve with three weights keeps them in
+    # lambdas, which the first solve sets to None. At a cap of 0 no solve
+    # runs, and reading lambdas raises UnboundLocalError.
+    n = vv = ve = ee = 0
     intersecting = False
     converged = False
     for solves in range(GJK_MAX_ITERATIONS + 1):
@@ -227,29 +247,51 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         if not (math.isfinite(x) and math.isfinite(y)):
             _require_finite(x, y)
 
-        if simplex:
-            for _, _, sa, sb in simplex:
-                if sa == ia and sb == ib:
-                    converged = True
-                    break
-            if converged or v2 - (vx * x + vy * y) < GJK_IMPROVEMENT_TOL:
-                converged = True
-                break
-        simplex.append((x, y, ia, ib))
+        # Stop on a repeated support point or too small an improvement.
+        if n and (
+            (ia == ia0 and ib == ib0)
+            or (n == 2 and ia == ia1 and ib == ib1)
+            or v2 - (vx * x + vy * y) < GJK_IMPROVEMENT_TOL
+        ):
+            converged = True
+            break
         if solves == GJK_MAX_ITERATIONS:
             break
 
-        if len(simplex) == 1:
-            vv += 1
-            vx, vy, lambdas = x, y, [(simplex[0], 1.0)]
-        else:
-            if len(simplex) == 2:
-                ve += 1
-                vx, vy, lambdas = _closest_on_segment(*simplex)
+        if n == 1:
+            # The segment from the kept point to the new one.
+            ve += 1
+            abx, aby = x - x0, y - y0
+            ab2 = abx * abx + aby * aby
+            t = 0.0 if ab2 == 0.0 else -(x0 * abx + y0 * aby) / ab2
+            if t <= 0.0:
+                vx, vy = x0, y0
+            elif t >= 1.0:
+                x0, y0, ia0, ib0 = x, y, ia, ib
+                vx, vy = x, y
             else:
-                ee += 1
-                vx, vy, lambdas = _closest_on_triangle(*simplex)
-            simplex = [sp for sp, _ in lambdas]
+                x1, y1, ia1, ib1 = x, y, ia, ib
+                n, w0, w1 = 2, 1.0 - t, t
+                vx, vy = x0 + t * abx, y0 + t * aby
+        elif n == 0:
+            vv += 1
+            n, lambdas = 1, None
+            x0, y0, ia0, ib0, w0 = x, y, ia, ib, 1.0
+            vx, vy = x, y
+        else:
+            ee += 1
+            vx, vy, solved = _closest_on_triangle(
+                (x0, y0, ia0, ib0), (x1, y1, ia1, ib1), (x, y, ia, ib)
+            )
+            n = len(solved)
+            if n == 3:
+                # The origin is inside the simplex: v is (0, 0), and the
+                # loop ends below.
+                lambdas = solved
+            else:
+                (x0, y0, ia0, ib0), w0 = solved[0]
+                if n == 2:
+                    (x1, y1, ia1, ib1), w1 = solved[1]
         v2 = vx * vx + vy * vy
         if v2 <= 1e-24:
             intersecting = True
@@ -257,24 +299,40 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
             break
         dx, dy = -vx, -vy
 
-    if len(lambdas) == 3:
+    if lambdas is not None:
         # Three weights put the origin inside the simplex triangle, so the
         # triangles intersect and only A's witness is used. sum() keeps it
         # as it was on every interpreter: from Python 3.12 on, sum()
-        # compensates, which a plain loop does not; on one or two terms,
-        # as below, the two agree.
+        # compensates, which a plain loop does not; on one or two terms
+        # the two agree.
         pax = sum(lam * edges_a[sp[2]][0] for sp, lam in lambdas)
         pay = sum(lam * edges_a[sp[2]][1] for sp, lam in lambdas)
+        fa, fb = _side_feature(lambdas, 2), _side_feature(lambdas, 3)
     else:
-        # Summed from int 0 in lambda order, as sum() does.
-        pax = pay = pbx = pby = 0
-        for (_, _, ia, ib), lam in lambdas:
-            x, y, _, _ = edges_a[ia]
-            pax += lam * x
-            pay += lam * y
-            x, y, _, _ = edges_b[ib]
-            pbx += lam * x
-            pby += lam * y
+        # Summed from int 0 in weight order, as sum() does, so -0.0 comes
+        # out as 0.0.
+        xa, ya, _, _ = edges_a[ia0]
+        xb, yb, _, _ = edges_b[ib0]
+        pax, pay, pbx, pby = 0 + w0 * xa, 0 + w0 * ya, 0 + w0 * xb, 0 + w0 * yb
+        if n == 1:
+            fa, fb = _VERTEX_FEATURES[ia0], _VERTEX_FEATURES[ib0]
+        else:
+            xa, ya, _, _ = edges_a[ia1]
+            xb, yb, _, _ = edges_b[ib1]
+            pax, pay, pbx, pby = pax + w1 * xa, pay + w1 * ya, pbx + w1 * xb, pby + w1 * yb
+            # _side_feature's rule: a vertex is active when its weight
+            # exceeds 1e-12. Two active vertices name the edge joining them
+            # (or the one vertex, on equal indices), and none, as with NaN
+            # weights, the lower index.
+            if w0 > 1e-12:
+                if w1 > 1e-12:
+                    fa, fb = _SIDE_PAIR[3 * ia0 + ia1], _SIDE_PAIR[3 * ib0 + ib1]
+                else:
+                    fa, fb = _VERTEX_FEATURES[ia0], _VERTEX_FEATURES[ib0]
+            elif w1 > 1e-12:
+                fa, fb = _VERTEX_FEATURES[ia1], _VERTEX_FEATURES[ib1]
+            else:
+                fa, fb = _VERTEX_FEATURES[min(ia0, ia1)], _VERTEX_FEATURES[min(ib0, ib1)]
     if intersecting:
         # Only A's witness is used, for both points.
         pbx, pby = pax, pay
@@ -287,8 +345,8 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         pay,
         pbx,
         pby,
-        _side_feature(lambdas, 2),
-        _side_feature(lambdas, 3),
+        fa,
+        fb,
         TestCounters(vv, ve, ee),
         () if converged else ("gjk-unconverged",),
     )

@@ -214,7 +214,8 @@ def _dyop(
     orientations) and ``_classify_edge_point`` written out, so that the
     one call on the way to an answer without contact builds its
     ``TestCounters``. The stages stay the definition, and every
-    comparison, clamp, tie rule and finiteness check is theirs. The
+    comparison, tie rule and finiteness check is theirs; only ``_gap``'s
+    midpoint clamp is left out, as the pivot cannot tell it apart. The
     candidate edges run from A's vertex ``ea`` to ``na`` (a to b) and from
     B's vertex ``eb`` to ``nb`` (c to d), and their directions r = b - a
     and s = d - c serve the orientations and the four projections alike.
@@ -237,15 +238,13 @@ def _dyop(
     else:
         x_lo, x_hi = xa_hi, xb_lo
     x_inverted = x_lo > x_hi
-    if x_inverted:
-        x_lo = x_hi = 0.5 * (x_lo + x_hi)
     if ya_hi > yb_hi or (ya_hi == yb_hi and ya_lo > yb_lo):
         y_lo, y_hi = yb_hi, ya_lo
     else:
         y_lo, y_hi = ya_hi, yb_lo
     y_inverted = y_lo > y_hi
-    if y_inverted:
-        y_lo = y_hi = 0.5 * (y_lo + y_hi)
+    # _gap clamps an inverted interval to its midpoint m; the pivot skips
+    # the clamp, since 0.5 * (m + m) equals 0.5 * (lo + hi) for every float.
     px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
     if not (-inf < px < inf and -inf < py < inf):
         _require_finite(px, py)

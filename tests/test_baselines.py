@@ -30,6 +30,7 @@ from dyop2d.geometry import (
     vertex_feature,
 )
 from dyop2d.verify import random_separated_pair, random_triangle
+from test_equivalence import OVERFLOW_SCALES, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -130,6 +131,261 @@ def test_gjk_counts_simplex_solves():
     assert tuple(map(sum, zip(*solves))) == (90, 95, 18)
     assert solves.count((1, 1, 0)) == 76
     assert not any("gjk-unconverged" in r.flags for r in results)
+
+
+def _gjk_by_definition(tA, tB, seen=None):
+    """``gjk_distance`` as a loop over a list simplex that composes
+    ``_closest_on_segment``, ``_closest_on_triangle`` and ``_side_feature``.
+
+    The simplex follows the order of the last solve's weights; a repeat is
+    checked against every kept point; the answer comes from the last
+    solve's weights (at the cap too, not from the support point added
+    before the break) and is summed from int 0 in weight order, with
+    ``sum()`` on three weights. ``seen`` gets the simplex size of each
+    solve, the segment solves' regions and how the loop ended.
+    """
+    if tA.is_degenerate or tB.is_degenerate:
+        raise DegenerateInput("gjk requires non-degenerate triangles")
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
+    dy = (ay0 + ay1 + ay2) / 3.0 - (by0 + by1 + by2) / 3.0
+    if dx == 0.0 and dy == 0.0:
+        dx = 1.0
+    seen = set() if seen is None else seen
+    simplex = []
+    vv = ve = ee = 0
+    intersecting = False
+    converged = False
+    for solves in range(baselines.GJK_MAX_ITERATIONS + 1):
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            seen.add("refused-direction")
+            geometry._require_finite(dx, dy)
+        ia = max((0, 1, 2), key=lambda i: edges_a[i][0] * dx + edges_a[i][1] * dy)
+        ib = max((0, 1, 2), key=lambda i: edges_b[i][0] * -dx + edges_b[i][1] * -dy)
+        dx, dy = -dx, -dy
+        x, y = edges_a[ia][0] - edges_b[ib][0], edges_a[ia][1] - edges_b[ib][1]
+        if not (math.isfinite(x) and math.isfinite(y)):
+            seen.add("refused-support")
+            geometry._require_finite(x, y)
+        if simplex:
+            repeat = any(sa == ia and sb == ib for _, _, sa, sb in simplex)
+            if repeat or v2 - (vx * x + vy * y) < baselines.GJK_IMPROVEMENT_TOL:
+                converged = True
+                seen.add("repeat" if repeat else "improvement")
+                break
+        simplex.append((x, y, ia, ib))
+        if solves == baselines.GJK_MAX_ITERATIONS:
+            seen.add(f"cap-{solves}")
+            break
+        seen.add(f"size-{len(simplex)}")
+        if len(simplex) == 1:
+            vv += 1
+            vx, vy, lambdas = x, y, [(simplex[0], 1.0)]
+        else:
+            if len(simplex) == 2:
+                ve += 1
+                vx, vy, lambdas = baselines._closest_on_segment(*simplex)
+                seen.add("segment-" + "".join("ab"[simplex.index(sp)] for sp, _ in lambdas))
+            else:
+                ee += 1
+                vx, vy, lambdas = baselines._closest_on_triangle(*simplex)
+            simplex = [sp for sp, _ in lambdas]
+            if any(lam != lam for _, lam in lambdas):
+                seen.add("nan-weights")
+        v2 = vx * vx + vy * vy
+        if v2 <= 1e-24:
+            intersecting = True
+            converged = True
+            seen.add(f"intersecting-{len(lambdas)}")
+            break
+        dx, dy = -vx, -vy
+
+    if len(lambdas) == 3:
+        pax = sum(lam * edges_a[sp[2]][0] for sp, lam in lambdas)
+        pay = sum(lam * edges_a[sp[2]][1] for sp, lam in lambdas)
+    else:
+        pax = pay = pbx = pby = 0
+        for (_, _, ia, ib), lam in lambdas:
+            pax += lam * edges_a[ia][0]
+            pay += lam * edges_a[ia][1]
+            pbx += lam * edges_b[ib][0]
+            pby += lam * edges_b[ib][1]
+    if intersecting:
+        pbx, pby = pax, pay
+        distance = 0.0
+    else:
+        distance = math.hypot(pax - pbx, pay - pby)
+    return geometry._answer(
+        distance,
+        pax,
+        pay,
+        pbx,
+        pby,
+        baselines._side_feature(lambdas, 2),
+        baselines._side_feature(lambdas, 3),
+        TestCounters(vv, ve, ee),
+        () if converged else ("gjk-unconverged",),
+    )
+
+
+def _gjk_cases():
+    """Seeded (tA, tB) inputs for GJK."""
+    scene = default_scene()
+    n = len(scene.objects)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield place_pair(scene, (i, j))[:2]
+    rng = random.Random(41)
+    for _ in range(1000):
+        a, b, _ = random_separated_pair(rng)
+        yield a, b
+        yield b, a
+    for k in range(2000):
+        # Integer grid: ties, touching, collinear, overlapping and degenerate
+        # pairs, on int coordinates, or on floats for B.
+        cast = float if k % 2 else int
+        yield tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))), tri(
+            *((cast(rng.randint(0, 4)), cast(rng.randint(0, 4))) for _ in range(3))
+        )
+    for _ in range(1000):
+        # Coordinates where -0.0, 0.0 and 0 are common and compare equal.
+        c = [rng.choice((-0.0, 0.0, 0, -1.0, 1, 2.0, rng.uniform(-2.0, 2.0))) for _ in range(12)]
+        yield tri(*zip(c[:6:2], c[1:6:2])), tri(*zip(c[6::2], c[7::2]))
+    for _ in range(500):
+        # A triangle inside the other, so GJK ends on three weights.
+        a = random_triangle(rng)
+        (x0, y0), (x1, y1), (x2, y2) = ((p.x, p.y) for p in a.vertices)
+        cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
+        s = rng.uniform(0.05, 0.9)
+        b = tri(*((cx + s * (p.x - cx) + rng.uniform(-0.01, 0.01), cy + s * (p.y - cy)) for p in a.vertices))
+        yield a, b
+        yield b, a
+    for scale, shift in OVERFLOW_SCALES:
+        for _ in range(40):
+            a, b, _ = random_separated_pair(rng)
+            a = a.scaled(scale).translated(shift, 0.0)
+            b = b.scaled(scale).translated(shift, 0.0)
+            for other in (b, a.translated(0.3 * scale, 0.0)):
+                yield a, other
+                yield other, a
+    for _ in range(300):
+        # Facing edges a hair off parallel, overlapping by less than the
+        # angle between them: the simplex can be a sliver that holds the
+        # origin, and the triangle solve falls back on its best edge.
+        eps = 10.0 ** rng.uniform(-9.0, -5.0) * rng.choice((-1.0, 1.0))
+        ha, hb, yb = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0), rng.uniform(-1.5, 1.5)
+        g = -abs(eps) * rng.uniform(0.0, 0.5)
+        pa = [(0.0, 0.0), (0.0, ha), (-rng.uniform(0.2, 2.0), rng.uniform(-1.0, 2.0))]
+        pb = [(g, yb), (g + eps * hb, yb + hb), (g + rng.uniform(0.2, 2.0), rng.uniform(-1.0, 2.0))]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        a, b = (tri(*((x * c - y * s, x * s + y * c) for x, y in p)) for p in (pa, pb))
+        yield a, b
+        yield b, a
+    for k in range(400):
+        # A vertex whose foot on the other triangle's edge lies within 1e-12
+        # of the edge's end, so one of the two final weights is that small.
+        # The edge is long, so the improvement check still admits it.
+        e = 10.0 ** rng.uniform(-16.0, -11.0) * rng.choice((-1.0, 1.0))
+        apex = e if k % 2 else 1.0 - e
+        angle = rng.uniform(0.0, 2.0 * math.pi) if k % 4 < 2 else 0.0
+        scale = 10.0 ** rng.uniform(0.0, 3.0)
+        c, s = math.cos(angle) * scale, math.sin(angle) * scale
+        pa = [(apex, 0.5)] + [(apex + rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 0.4)) for _ in "bc"]
+        pb = [(0.0, 1.0), (1.0, 1.0), (rng.uniform(-1.0, 2.0), rng.uniform(1.1, 3.0))]
+        a, b = (tri(*((x * c - y * s, x * s + y * c) for x, y in p)) for p in (pa, pb))
+        yield a, b
+        yield b, a
+    # A support point that overflows, and a centroid difference that does.
+    yield tri((-1e308, 0), (0, 0), (0, 1)), tri((1e308, 2), (1, 2), (1, 3))
+    yield tri((-1.7e308, 0), (-1.7e308, 1), (-1.6e308, 0)), tri((1.7e308, 0), (1.7e308, 1), (1.6e308, 0))
+
+
+def _record_triangle_solves(monkeypatch):
+    """The Voronoi region of each triangle solve, as the simplex points it
+    keeps, or "flat" when it falls back on the best edge."""
+    kinds = set()
+    closest_on_triangle, closest_on_segment = baselines._closest_on_triangle, baselines._closest_on_segment
+    edge_solves = []
+
+    def segment(a, b):
+        edge_solves.append((a, b))
+        return closest_on_segment(a, b)
+
+    def triangle(a, b, c):
+        edge_solves.clear()
+        x, y, lambdas = closest_on_triangle(a, b, c)
+        region = "".join("abc"[(a, b, c).index(sp)] for sp, _ in lambdas)
+        kinds.add("flat" if edge_solves else f"triangle-{region}")
+        return x, y, lambdas
+
+    monkeypatch.setattr(baselines, "_closest_on_segment", segment)
+    monkeypatch.setattr(baselines, "_closest_on_triangle", triangle)
+    return kinds
+
+
+def _has_negative_zero(t):
+    return any(math.copysign(1.0, v) < 0.0 and v == 0.0 for p in t.vertices for v in (p.x, p.y))
+
+
+def test_gjk_equals_its_definition(monkeypatch):
+    # Every answer field bit for bit (the sign of zero and int against float
+    # too, and the feature names), or the same exception and message.
+    kinds = _record_triangle_solves(monkeypatch)
+    cases = list(_gjk_cases())
+    for a, b in cases:
+        got = _value_or_error(gjk_distance, a, b)
+        assert got == _value_or_error(_gjk_by_definition, a, b, kinds), (a, b)
+        if got[0] == "ok" and isinstance(a.v0.x, int) and isinstance(b.v0.x, int):
+            kinds.add("int")
+        if _has_negative_zero(a) or _has_negative_zero(b):
+            kinds.add("negative-zero")
+    for cap in range(4):
+        monkeypatch.setattr(baselines, "GJK_MAX_ITERATIONS", cap)
+        for a, b in cases[:1000]:
+            got = _value_or_error(gjk_distance, a, b)
+            assert got == _value_or_error(_gjk_by_definition, a, b, kinds), (cap, a, b)
+            if got[0] == "ok" and "gjk-unconverged" in got[1][-1]:
+                kinds.add(f"unconverged-{cap}")
+            elif got[0] == "raised" and got[1] is UnboundLocalError:
+                kinds.add(f"unbound-{cap}")
+    # No input here makes a triangle solve keep only a, b or both: the
+    # newest point c lies beyond the last closest point, toward the origin,
+    # by the improvement check, so it stays among the kept points.
+    expected = {"size-1", "size-2", "size-3", "segment-a", "segment-b", "segment-ab"}
+    expected |= {"triangle-c", "triangle-ac", "triangle-bc", "triangle-abc", "flat", "nan-weights"}
+    expected |= {"repeat", "improvement", "intersecting-3", "refused-direction", "refused-support"}
+    expected |= {"int", "negative-zero", "unbound-0", "unconverged-1", "unconverged-2", "unconverged-3"}
+    assert expected <= kinds, sorted(expected - kinds)
+
+
+def _distance_to_feature(t, feature, x, y):
+    edges = _edges(t)
+    if feature.kind is FeatureKind.VERTEX:
+        vx, vy, _, _ = edges[feature.index]
+        return math.hypot(x - vx, y - vy)
+    return _project(x, y, *edges[feature.index])[0]
+
+
+def test_gjk_witnesses_lie_on_the_features_they_name():
+    # Each witness is within rounding of the vertex or edge that its
+    # feature names, relative to the largest coordinate of the pair.
+    scene = default_scene()
+    n = len(scene.objects)
+    pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
+    rng = random.Random(42)
+    pairs += [random_separated_pair(rng)[:2] for _ in range(2000)]
+    kinds = set()
+    for a, b in pairs:
+        r = gjk_distance(a, b)
+        size = max(abs(v) for t in (a, b) for p in t.vertices for v in (p.x, p.y))
+        for t, feature, p in ((a, r.feature_a, r.point_a), (b, r.feature_b, r.point_b)):
+            assert _distance_to_feature(t, feature, p.x, p.y) <= 1e-12 * (1.0 + size), (a, b, r)
+            kinds.add(feature.kind)
+    assert kinds == set(FeatureKind)
 
 
 def _sp(index_a, index_b):
