@@ -22,12 +22,16 @@ ee = triangle); for the feature walk they record the actual feature-pair
 distance evaluations, plus nine ee tests when it falls back on the
 oracle's edge sweep.
 
-The feature walk names vertex i by the int i, edge i by 3 + i and a
-pair by ca * 6 + cb, so it hashes no ``FeatureId``; an answer maps the
-codes back to the shared ``FeatureId``s and returns one of 36 prebuilt
-``FeaturePair``s. Its end pair answers once ``geometry._separated``, the
-oracle's separating-line certificate, proves the triangles disjoint; only
-an aborted or uncertified walk runs the overlap test (see
+The feature walk is a straight-line kernel too. It names vertex i by
+the int i, edge i by 3 + i and a pair by ca * 6 + cb, so it hashes no
+``FeatureId`` and keeps the visited pairs as bits of one int. The
+vertex-vertex and vertex-edge evaluations, the Voronoi escapes of both
+sides and ``geometry._separated``'s separating-line certificate, on the
+six unpacked vertex coordinates, are inline; only an edge-edge pair
+calls ``_segment_segment``. An answer maps the codes back to the shared
+``FeatureId``s and returns one of 36 prebuilt ``FeaturePair``s. Its end
+pair answers once the certificate proves the triangles disjoint; only an
+aborted or uncertified walk runs the overlap test (see
 ``lin_canny_distance``).
 """
 
@@ -47,15 +51,12 @@ from .geometry import (
     Vector2,
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
-    _Edges,
     _answer,
     _contact_witness,
     _edge_sweep,
     _edges,
-    _project,
     _require_finite,
     _segment_segment,
-    _separated,
 )
 
 GJK_MAX_ITERATIONS = 64
@@ -368,100 +369,6 @@ def _code(feature: FeatureId) -> int:
     return feature.index if feature.kind is FeatureKind.VERTEX else 3 + feature.index
 
 
-def _voronoi_escape(edges: _Edges, code: int, px: float, py: float) -> int | None:
-    """None when p lies in the feature's outer Voronoi region, else the code to move to.
-
-    The tests have no slack: the caller's certificate, not a tolerance,
-    guards the walk's answer, so the walk does not depend on the
-    coordinates' scale.
-    """
-    if code < 3:
-        # a is the vertex, b the next one and c, starting edge code - 1 (mod 3), the previous one.
-        ax, ay, bx, by = edges[code]
-        if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
-            return 3 + code
-        cx, cy, _, _ = edges[code - 1]
-        if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
-            return 3 + (code + 2) % 3
-        return None
-
-    i = code - 3
-    ax, ay, bx, by = edges[i]
-    ux, uy = bx - ax, by - ay
-    t = (px - ax) * ux + (py - ay) * uy
-    if t < 0.0:
-        return i
-    if t > ux * ux + uy * uy:
-        return (i + 1) % 3
-    # CCW winding puts the outward normal at (uy, -ux); a point behind the
-    # edge cannot have it as closest feature, so step to the nearer endpoint.
-    if (px - ax) * uy - (py - ay) * ux < 0.0:
-        da = math.hypot(px - ax, py - ay)
-        db = math.hypot(px - bx, py - by)
-        return i if da <= db else (i + 1) % 3
-    return None
-
-
-def _walk_codes(
-    edges_a: _Edges,
-    edges_b: _Edges,
-    ca: int,
-    cb: int,
-    trace: list[tuple[FeatureId, FeatureId, float]] | None = None,
-) -> tuple[float | None, float, float, float, float, int, int, int, int, int]:
-    """Walk neighboring feature pairs, by code, until both Voronoi conditions hold.
-
-    Returns (d, pa.x, pa.y, pb.x, pb.y, code_a, code_b, vv, ve, ee): the
-    pair whose witnesses each lie in the other feature's outer Voronoi
-    region, and the evaluations made by kind. A vertex-to-edge step
-    decreases the distance and an edge-to-vertex step keeps it, so a step
-    that increases it (the "behind the edge" escape) or revisits a pair
-    aborts the walk, with d None: there is no endless loop. The end pair
-    is only a candidate; the caller certifies it with ``_separated``.
-    ``trace`` gets (feature_a, feature_b, d) per step.
-    """
-    visited: set[int] = set()
-    prev = math.inf
-    vv = ve = ee = 0
-    while True:
-        key = ca * 6 + cb
-        if key in visited:
-            break
-        visited.add(key)
-        # The pair's distance and witnesses; vertex i starts edge i.
-        if ca < 3:
-            pax, pay, _, _ = edges_a[ca]
-            if cb < 3:
-                vv += 1
-                pbx, pby, _, _ = edges_b[cb]
-                d = math.hypot(pax - pbx, pay - pby)
-            else:
-                ve += 1
-                d, pbx, pby, _ = _project(pax, pay, *edges_b[cb - 3])
-        elif cb < 3:
-            ve += 1
-            pbx, pby, _, _ = edges_b[cb]
-            d, pax, pay, _ = _project(pbx, pby, *edges_a[ca - 3])
-        else:
-            ee += 1
-            d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
-        if trace is not None:
-            trace.append((_FEATURES[ca], _FEATURES[cb], d))
-        if d > prev:
-            break
-        prev = d
-        step = _voronoi_escape(edges_a, ca, pbx, pby)
-        if step is not None:
-            ca = step
-            continue
-        step = _voronoi_escape(edges_b, cb, pax, pay)
-        if step is not None:
-            cb = step
-            continue
-        return d, pax, pay, pbx, pby, ca, cb, vv, ve, ee
-    return None, 0.0, 0.0, 0.0, 0.0, ca, cb, vv, ve, ee
-
-
 def lin_canny_distance(
     tA: Triangle, tB: Triangle, seed: FeaturePair | None = None
 ) -> tuple[DistanceResult, FeaturePair]:
@@ -476,22 +383,163 @@ def lin_canny_distance(
     Penetrating, and disjoint ones are answered by the oracle's nine-edge
     sweep, flagged "lincanny-fallback", which adds its nine ee_tests to
     the walk's counters.
+
+    The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
+    and, after evaluating a pair, steps to a neighbouring feature of A
+    when B's witness leaves the outer Voronoi region of A's feature, else
+    to one of B when A's witness leaves B's, else ends. A vertex-to-edge
+    step decreases the distance and an edge-to-vertex step keeps it, so a
+    step that increases it (the "behind the edge" escape) or revisits a
+    pair aborts the walk: there is no endless loop. The Voronoi tests
+    have no slack: the certificate, not a tolerance, guards the answer,
+    so the walk does not depend on the coordinates' scale.
+
+    Straight-line code: the walk, the vertex-vertex and vertex-edge
+    evaluations (``_project``'s rule), both sides' Voronoi escapes and
+    the ``_separated`` certificate are written out inline; visited pairs
+    are bits of an int. Only an edge-edge pair calls ``_segment_segment``.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    hypot = math.hypot
+    visited = 0
+    prev = math.inf
+    vv = ve = ee = 0
+    certified = False
     try:
-        d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_codes(edges_a, edges_b, ca, cb)
+        while True:
+            bit = 1 << (ca * 6 + cb)
+            if visited & bit:
+                break
+            visited |= bit
+            # The pair's distance and witnesses; vertex i starts edge i. A
+            # vertex against an edge is projected as _project does it.
+            if ca < 3:
+                pax, pay, _, _ = edges_a[ca]
+                if cb < 3:
+                    vv += 1
+                    pbx, pby, _, _ = edges_b[cb]
+                    d = hypot(pax - pbx, pay - pby)
+                else:
+                    ve += 1
+                    ex, ey, fx, fy = edges_b[cb - 3]
+                    ux, uy = fx - ex, fy - ey
+                    u2 = ux * ux + uy * uy
+                    if u2 == 0.0:
+                        d, pbx, pby = hypot(pax - ex, pay - ey), ex, ey
+                    else:
+                        t = ((pax - ex) * ux + (pay - ey) * uy) / u2
+                        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                        pbx, pby = ex + t * ux, ey + t * uy
+                        if t != t or u2 == math.inf:
+                            # Only coordinates near the float range get here.
+                            _require_finite(pbx, pby)
+                        d = hypot(pax - pbx, pay - pby)
+            elif cb < 3:
+                ve += 1
+                pbx, pby, _, _ = edges_b[cb]
+                ex, ey, fx, fy = edges_a[ca - 3]
+                ux, uy = fx - ex, fy - ey
+                u2 = ux * ux + uy * uy
+                if u2 == 0.0:
+                    d, pax, pay = hypot(pbx - ex, pby - ey), ex, ey
+                else:
+                    t = ((pbx - ex) * ux + (pby - ey) * uy) / u2
+                    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                    pax, pay = ex + t * ux, ey + t * uy
+                    if t != t or u2 == math.inf:
+                        _require_finite(pax, pay)
+                    d = hypot(pbx - pax, pby - pay)
+            else:
+                ee += 1
+                d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
+            if d > prev:
+                break
+            prev = d
+
+            # B's witness against the outer Voronoi region of A's feature.
+            # At vertex i, e is the vertex and f the next one, then the
+            # previous one, which starts edge i - 1 (mod 3).
+            if ca < 3:
+                ex, ey, fx, fy = edges_a[ca]
+                if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
+                    ca += 3
+                    continue
+                fx, fy, _, _ = edges_a[ca - 1]
+                if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
+                    ca = 3 + (ca + 2) % 3
+                    continue
+            else:
+                i = ca - 3
+                ex, ey, fx, fy = edges_a[i]
+                ux, uy = fx - ex, fy - ey
+                t = (pbx - ex) * ux + (pby - ey) * uy
+                if t < 0.0:
+                    ca = i
+                    continue
+                if t > ux * ux + uy * uy:
+                    ca = (i + 1) % 3
+                    continue
+                # CCW winding puts the outward normal at (uy, -ux); a point
+                # behind the edge cannot have it as closest feature, so step
+                # to the nearer endpoint.
+                if (pbx - ex) * uy - (pby - ey) * ux < 0.0:
+                    ca = i if hypot(pbx - ex, pby - ey) <= hypot(pbx - fx, pby - fy) else (i + 1) % 3
+                    continue
+            # A's witness against the outer Voronoi region of B's feature.
+            if cb < 3:
+                ex, ey, fx, fy = edges_b[cb]
+                if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
+                    cb += 3
+                    continue
+                fx, fy, _, _ = edges_b[cb - 1]
+                if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
+                    cb = 3 + (cb + 2) % 3
+                    continue
+            else:
+                i = cb - 3
+                ex, ey, fx, fy = edges_b[i]
+                ux, uy = fx - ex, fy - ey
+                t = (pax - ex) * ux + (pay - ey) * uy
+                if t < 0.0:
+                    cb = i
+                    continue
+                if t > ux * ux + uy * uy:
+                    cb = (i + 1) % 3
+                    continue
+                if (pax - ex) * uy - (pay - ey) * ux < 0.0:
+                    cb = i if hypot(pax - ex, pay - ey) <= hypot(pax - fx, pay - fy) else (i + 1) % 3
+                    continue
+
+            # Both Voronoi conditions hold. _separated's certificate: with
+            # n = pb - pa, every vertex of A has v.n <= sa + tol and every
+            # vertex of B u.n >= sb - tol, with sb - sa > 2 tol; every
+            # comparison fails on NaN.
+            nx, ny = pbx - pax, pby - pay
+            sa, sb = pax * nx + pay * ny, pbx * nx + pby * ny
+            tol = 1e-12 * (abs(sa) + abs(sb))
+            if sb - sa > 2.0 * tol:
+                hi, lo = sa + tol, sb - tol
+                certified = (
+                    ax0 * nx + ay0 * ny <= hi
+                    and ax1 * nx + ay1 * ny <= hi
+                    and ax2 * nx + ay2 * ny <= hi
+                    and bx0 * nx + by0 * ny >= lo
+                    and bx1 * nx + by1 * ny >= lo
+                    and bx2 * nx + by2 * ny >= lo
+                )
+            break
     except ValueError:
         # Coordinates near the float range overflow a witness; overlapping
         # triangles are still refused as overlapping, without walk counts.
         if _contact_witness(edges_a, edges_b) is None:
             raise
-        d = None
-    if d is not None and _separated(edges_a, edges_b, pax, pay, pbx, pby):
-        fa, fb = _FEATURES[ca], _FEATURES[cb]
-        result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee))
+    if certified:
+        result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], TestCounters(vv, ve, ee))
         return result, _PAIRS[ca * 6 + cb]
     if _contact_witness(edges_a, edges_b) is not None:
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")

@@ -7,7 +7,6 @@ import pytest
 from dyop2d import baselines, geometry
 from dyop2d.baselines import (
     FeaturePair,
-    _walk_codes,
     gjk_distance,
     lin_canny_distance,
     support,
@@ -21,9 +20,12 @@ from dyop2d.geometry import (
     TestCounters,
     Triangle,
     Vector2,
+    _contact_witness,
     _edges,
     _edge_sweep,
     _project,
+    _segment_segment,
+    _separated,
     brute_force_triangle_distance,
     edge_feature,
     triangles_overlap,
@@ -573,16 +575,277 @@ def _code(feature):
     return feature.index + (3 if feature.kind is FeatureKind.EDGE else 0)
 
 
+def _walk_by_definition(edges_a, edges_b, ca, cb, trace=None, seen=None):
+    """Lin-Canny's walk over feature codes, composed of ``_project`` and
+    ``_segment_segment`` with a ``set`` of visited pairs.
+
+    Vertex i has code i, edge i code 3 + i and a pair code ca * 6 + cb.
+    Returns (d, pa.x, pa.y, pb.x, pb.y, code_a, code_b, vv, ve, ee): the
+    pair whose witnesses each lie in the other feature's outer Voronoi
+    region, and the evaluations made by kind; d is None when a step
+    increases the distance or revisits a pair. ``trace`` gets
+    (feature_a, feature_b, d) per step, and ``seen`` the kinds of
+    evaluation and escape and how the walk ended.
+    """
+    seen = set() if seen is None else seen
+
+    def escape(edges, code, px, py):
+        # None when p lies in the feature's outer Voronoi region, else the
+        # code to move to.
+        if code < 3:
+            # a is the vertex, b the next one and c, starting edge code - 1 (mod 3), the previous one.
+            ax, ay, bx, by = edges[code]
+            if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
+                seen.add("vertex-to-own-edge")
+                return 3 + code
+            cx, cy, _, _ = edges[code - 1]
+            if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
+                seen.add("vertex-to-previous-edge")
+                return 3 + (code + 2) % 3
+            return None
+        i = code - 3
+        ax, ay, bx, by = edges[i]
+        ux, uy = bx - ax, by - ay
+        t = (px - ax) * ux + (py - ay) * uy
+        if t < 0.0:
+            seen.add("edge-to-start")
+            return i
+        if t > ux * ux + uy * uy:
+            seen.add("edge-to-end")
+            return (i + 1) % 3
+        if (px - ax) * uy - (py - ay) * ux < 0.0:
+            da = math.hypot(px - ax, py - ay)
+            db = math.hypot(px - bx, py - by)
+            seen.add("behind-to-start" if da <= db else "behind-to-end")
+            return i if da <= db else (i + 1) % 3
+        return None
+
+    def zero_length(edge):
+        ax, ay, bx, by = edge
+        if (bx - ax) * (bx - ax) + (by - ay) * (by - ay) == 0.0:
+            seen.add("zero-length-edge")
+
+    visited = set()
+    prev = math.inf
+    vv = ve = ee = 0
+    while True:
+        key = ca * 6 + cb
+        if key in visited:
+            seen.add("revisit")
+            break
+        visited.add(key)
+        if ca < 3:
+            pax, pay, _, _ = edges_a[ca]
+            if cb < 3:
+                seen.add("vv")
+                vv += 1
+                pbx, pby, _, _ = edges_b[cb]
+                d = math.hypot(pax - pbx, pay - pby)
+            else:
+                seen.add("ve")
+                ve += 1
+                zero_length(edges_b[cb - 3])
+                d, pbx, pby, _ = _project(pax, pay, *edges_b[cb - 3])
+        elif cb < 3:
+            seen.add("ev")
+            ve += 1
+            pbx, pby, _, _ = edges_b[cb]
+            zero_length(edges_a[ca - 3])
+            d, pax, pay, _ = _project(pbx, pby, *edges_a[ca - 3])
+        else:
+            seen.add("ee")
+            ee += 1
+            d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
+        if trace is not None:
+            trace.append((baselines._FEATURES[ca], baselines._FEATURES[cb], d))
+        if d > prev:
+            seen.add("increase")
+            break
+        prev = d
+        step = escape(edges_a, ca, pbx, pby)
+        if step is not None:
+            ca = step
+            continue
+        step = escape(edges_b, cb, pax, pay)
+        if step is not None:
+            cb = step
+            continue
+        return d, pax, pay, pbx, pby, ca, cb, vv, ve, ee
+    return None, 0.0, 0.0, 0.0, 0.0, ca, cb, vv, ve, ee
+
+
+def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
+    """``lin_canny_distance`` composed of ``_walk_by_definition``,
+    ``_separated``, ``_contact_witness`` and ``_edge_sweep``; ``seen``
+    also gets how the query ended."""
+    seen = set() if seen is None else seen
+    if tA.is_degenerate or tB.is_degenerate:
+        raise DegenerateInput("feature walk requires non-degenerate triangles")
+    edges_a, edges_b = _edges(tA), _edges(tB)
+    ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    try:
+        d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_by_definition(edges_a, edges_b, ca, cb, seen=seen)
+    except ValueError:
+        if _contact_witness(edges_a, edges_b) is None:
+            seen.add("value-error")
+            raise
+        seen.add("value-error-contact")
+        d = None
+    if d is not None and _separated(edges_a, edges_b, pax, pay, pbx, pby):
+        seen.add("certified")
+        fa, fb = baselines._FEATURES[ca], baselines._FEATURES[cb]
+        result = geometry._answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee))
+        return result, FeaturePair(fa, fb)
+    if _contact_witness(edges_a, edges_b) is not None:
+        seen.add("penetrating")
+        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
+    seen.add("fallback")
+    swept = _edge_sweep(edges_a, edges_b)
+    result = geometry._answer(*swept, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
+    return result, FeaturePair(swept[5], swept[6])
+
+
 def _walk(a, b, counters=None, trace=None, seed=None):
     """The end pair of the walk from the seed's features (cold: vertex 0 and
     vertex 0), or None when it aborts; its evaluations are added to ``counters``."""
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
-    *end, vv, ve, ee = _walk_codes(_edges(a), _edges(b), ca, cb, trace)
+    *end, vv, ve, ee = _walk_by_definition(_edges(a), _edges(b), ca, cb, trace)
     if counters is not None:
         counters.vv_tests += vv
         counters.ve_tests += ve
         counters.ee_tests += ee
     return None if end[0] is None else end
+
+
+_SEEDS = [FeaturePair(fa, fb) for fa in baselines._FEATURES for fb in baselines._FEATURES]
+
+
+def _lin_canny_cases():
+    """Seeded (tA, tB, seed) inputs for Lin-Canny; seed None is a cold query."""
+    scene = default_scene()
+    n = len(scene.objects)
+    placed = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
+    for a, b in placed:
+        for seed in [None] + _SEEDS:
+            yield a, b, seed
+    rng = random.Random(43)
+    for k in range(1000):
+        a, b, _ = random_separated_pair(rng)
+        for seed in [None, rng.choice(_SEEDS)] + (_SEEDS if k < 50 else []):
+            yield a, b, seed
+            yield b, a, seed
+    for k in range(2000):
+        # Integer grid: ties, touching, collinear, overlapping and degenerate
+        # pairs, on int coordinates, or on floats for B.
+        cast = float if k % 2 else int
+        a = tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3)))
+        b = tri(*((cast(rng.randint(0, 4)), cast(rng.randint(0, 4))) for _ in range(3)))
+        yield a, b, None
+        yield a, b, rng.choice(_SEEDS)
+    for _ in range(300):
+        # A triangle inside the other, and a copy shifted by less than its size.
+        a = random_triangle(rng)
+        (x0, y0), (x1, y1), (x2, y2) = ((p.x, p.y) for p in a.vertices)
+        cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
+        s = rng.uniform(0.05, 0.9)
+        b = tri(*((cx + s * (p.x - cx), cy + s * (p.y - cy)) for p in a.vertices))
+        c = a.translated(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        for seed in (None, rng.choice(_SEEDS)):
+            yield a, b, seed
+            yield b, a, seed
+            yield a, c, seed
+    for k in range(400):
+        # Needles whose short edge's squared length underflows to 0 while
+        # the area stays above the degenerate cut, next to a small triangle.
+        h, z = 10.0 ** rng.uniform(-175.0, -165.0), rng.choice((0.0, -0.0))
+        needle = tri((z, z), (h, z), (z, 1e160 * rng.uniform(0.5, 2.0)))
+        x = rng.uniform(-2.0, 2.0)
+        other = tri((x, -1.0), (x + 1.0, -1.0 - rng.uniform(0.5, 2.0)), (x - 1.0, -2.0))
+        for seed in (None, rng.choice(_SEEDS)):
+            yield needle, other, seed
+            yield other, needle, seed
+    for k in range(1200):
+        # A's vertex (x, y), or its edge up from it, facing B's parallel edge
+        # at x + g. A vertex faces across g = 1e-12 |x| to 1e-11 |x|, where
+        # the certificate's gap test sb - sa > 2 tol changes its verdict.
+        # An edge faces across 1e-12 |x| to 1e-6 |x|, the pair turned by a
+        # random angle, so the rounded witnesses tilt n enough that a
+        # vertex of either edge fails its slab test.
+        x, y = rng.uniform(1.0, 10.0) * rng.choice((-1.0, 1.0)), rng.uniform(-10.0, 10.0)
+        edge = k % 2 == 1
+        g = abs(x) * 10.0 ** rng.uniform(-12.0, -6.0 if edge else -11.0)
+        top = (x, y + rng.uniform(0.5, 2.0)) if edge else (x - 1.0, y + rng.uniform(0.5, 1.5))
+        pa = [(x, y), top, (x - rng.uniform(0.5, 2.0), y - rng.uniform(0.5, 1.0))]
+        pb = [(x + g, y - rng.uniform(0.5, 1.0)), (x + g + rng.uniform(0.5, 2.0), y), (x + g, y + rng.uniform(1.0, 2.5))]
+        angle = rng.uniform(0.0, 2.0 * math.pi) if edge else 0.0
+        c, s = math.cos(angle), math.sin(angle)
+        a, b = (tri(*((px * c - py * s, px * s + py * c) for px, py in p)) for p in (pa, pb))
+        yield a, b, None
+        yield b, a, rng.choice(_SEEDS)
+    for scale in (1e150, 1e155, 1e300):
+        for _ in range(200):
+            a, b, _ = random_separated_pair(rng)
+            a, b = a.scaled(scale), b.scaled(scale)
+            c = a.translated(0.3 * scale, 0.0)
+            for seed in (None, rng.choice(_SEEDS)):
+                yield a, b, seed
+                yield b, a, seed
+                yield a, c, seed
+
+
+def test_lin_canny_equals_its_definition():
+    # Every answer field bit for bit (the sign of zero and int against float
+    # too, the feature names and the returned pair), or the same exception
+    # and message.
+    seen = set()
+    for a, b, seed in _lin_canny_cases():
+        got = _value_or_error(lin_canny_distance, a, b, seed)
+        assert got == _value_or_error(_lin_canny_by_definition, a, b, seed, seen), (a, b, seed)
+    expected = {"vv", "ve", "ev", "ee", "zero-length-edge"}
+    expected |= {"vertex-to-own-edge", "vertex-to-previous-edge", "edge-to-start", "edge-to-end"}
+    expected |= {"behind-to-start", "behind-to-end", "increase", "revisit"}
+    expected |= {"value-error", "value-error-contact", "certified", "fallback", "penetrating"}
+    assert expected <= seen, sorted(expected - seen)
+
+
+def test_lin_canny_witnesses_lie_on_the_features_they_name():
+    # Each witness is within rounding of the vertex or edge that its
+    # feature names, relative to the largest coordinate of the pair, for a
+    # certified walk and for the sweep that answers a fallback.
+    scene = default_scene()
+    n = len(scene.objects)
+    pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
+    rng = random.Random(44)
+    pairs += [random_separated_pair(rng)[:2] for _ in range(2000)]
+    kinds = set()
+    for a, b in pairs:
+        r, pair = lin_canny_distance(a, b)
+        assert pair == FeaturePair(r.feature_a, r.feature_b)
+        size = max(abs(v) for t in (a, b) for p in t.vertices for v in (p.x, p.y))
+        for t, feature, p in ((a, r.feature_a, r.point_a), (b, r.feature_b, r.point_b)):
+            assert _distance_to_feature(t, feature, p.x, p.y) <= 1e-12 * (1.0 + size), (a, b, r)
+            kinds.add((feature.kind, r.flags))
+    assert kinds == {(kind, flags) for kind in FeatureKind for flags in ((), ("lincanny-fallback",))}
+
+
+def test_lin_canny_counts_walk_steps():
+    # Each vertex-vertex evaluation is counted as vv, each vertex-edge one
+    # as ve and each edge-edge one as ee; on the placed pairs every cold
+    # walk ends, certified, after three or four evaluations.
+    scene = default_scene()
+    n = len(scene.objects)
+    results = [
+        lin_canny_distance(*place_pair(scene, (i, j))[:2])[0]
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    steps = [(r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in results]
+    assert len(steps) == 90
+    assert tuple(map(sum, zip(*steps))) == (180, 93, 0)
+    assert [sum(s) for s in steps].count(3) == 87
+    assert [sum(s) for s in steps].count(4) == 3
+    assert not any("lincanny-fallback" in r.flags for r in results)
 
 
 def test_walk_never_increases_and_never_revisits():

@@ -19,7 +19,7 @@ import random
 import pytest
 
 import seed_reference as ref
-from dyop2d.baselines import FeaturePair, _walk_codes, gjk_distance, lin_canny_distance
+from dyop2d.baselines import FeaturePair, gjk_distance, lin_canny_distance
 from dyop2d.benchmark import default_scene, place_pair
 from dyop2d.dyop import (
     MovementAxis,
@@ -236,8 +236,12 @@ def _assert_lin_canny_matches_reference(a, b):
     new, new_pair = lin_canny_distance(a, b)
     exact = brute_force_triangle_distance(a, b)
     assert new_pair == FeaturePair(new.feature_a, new.feature_b)
-    # The cold walk's own evaluations, from the vertex pair (0, 0).
-    walk_counters = TestCounters(*_walk_codes(_edges(a), _edges(b), 0, 0)[7:])
+    # The cold walk's own evaluations, from the vertex pair (0, 0). The
+    # walk's definition lives in test_baselines, which imports this module,
+    # so it is imported here, once both modules are loaded.
+    from test_baselines import _walk_by_definition
+
+    walk_counters = TestCounters(*_walk_by_definition(_edges(a), _edges(b), 0, 0)[7:])
     if new.flags == ():
         # A certified walk reports its own witnesses; a tie realized by
         # another feature pair may round differently from the oracle's.
