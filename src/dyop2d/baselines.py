@@ -323,17 +323,16 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
             pax, pay, pbx, pby = pax + w1 * xa, pay + w1 * ya, pbx + w1 * xb, pby + w1 * yb
             # _side_feature's rule: a vertex is active when its weight
             # exceeds 1e-12. Two active vertices name the edge joining them
-            # (or the one vertex, on equal indices), and none, as with NaN
-            # weights, the lower index.
+            # (or the one vertex, on equal indices). The two weights sum to
+            # about 1, so one of them is active: NaN weights make a NaN
+            # search direction, which the next loop refuses before naming.
             if w0 > 1e-12:
                 if w1 > 1e-12:
                     fa, fb = _SIDE_PAIR[3 * ia0 + ia1], _SIDE_PAIR[3 * ib0 + ib1]
                 else:
                     fa, fb = _VERTEX_FEATURES[ia0], _VERTEX_FEATURES[ib0]
-            elif w1 > 1e-12:
-                fa, fb = _VERTEX_FEATURES[ia1], _VERTEX_FEATURES[ib1]
             else:
-                fa, fb = _VERTEX_FEATURES[min(ia0, ia1)], _VERTEX_FEATURES[min(ib0, ib1)]
+                fa, fb = _VERTEX_FEATURES[ia1], _VERTEX_FEATURES[ib1]
     if intersecting:
         # Only A's witness is used, for both points.
         pbx, pby = pax, pay
@@ -379,10 +378,12 @@ def lin_canny_distance(
     terminate in a single verification step. A walk whose end witnesses
     pass ``_separated`` has proved the triangles disjoint, at a positive
     distance, and answers. Any other walk runs the oracle's overlap
-    test, ``_contact_witness``: overlapping or touching triangles raise
-    Penetrating, and disjoint ones are answered by the oracle's nine-edge
-    sweep, flagged "lincanny-fallback", which adds its nine ee_tests to
-    the walk's counters.
+    test, ``_contact_witness``, once: overlapping or touching triangles
+    raise Penetrating, and disjoint ones are answered by the oracle's
+    nine-edge sweep, flagged "lincanny-fallback", which adds its nine
+    ee_tests to the walk's counters. A walk that overflows a witness near
+    the float range is decided by the same one test: Penetrating on
+    contact, else the walk's ValueError.
 
     The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
     and, after evaluating a pair, steps to a neighbouring feature of A
@@ -538,6 +539,7 @@ def lin_canny_distance(
         # triangles are still refused as overlapping, without walk counts.
         if _contact_witness(edges_a, edges_b) is None:
             raise
+        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only") from None
     if certified:
         result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], TestCounters(vv, ve, ee))
         return result, _PAIRS[ca * 6 + cb]

@@ -194,7 +194,7 @@ def run_benchmark(
     records: list[dict] = []
     for i, j in enumerate_pairs(len(scene.objects)):
         moving, static, velocity = place_pair(scene, (i, j))
-        names = (scene.objects[i].name or "", scene.objects[j].name or "")
+        names = (scene.objects[i].name, scene.objects[j].name)
         for algorithm in algorithms:
             query = ALGORITHMS[algorithm]
             begin = time.perf_counter_ns()

@@ -23,11 +23,13 @@ The query runs on flat scalars: each triangle is read once, into
 geometry's ``_edges`` tuples, the layout that the oracle, GJK and
 Lin-Canny read too. Its kernel ``_dyop`` is one straight-line function,
 as the oracle's ``geometry._edge_sweep`` is: the gap box, the pivot, the
-candidate choice, the segment-segment test and the naming of the
-witnesses' features are written out in it, and on its way to an answer
-without contact it makes one call, to build its counters. The stages
-below stay the definition that the kernel writes out (a test holds it to
-their chain bit for bit), and return its values as plain tuples:
+candidate choice and the naming of the witnesses' features are written
+out in it, and the candidate edges go to the package's one
+segment-segment test, ``geometry._segment_segment``. On its way to an
+answer without contact it makes two calls: that test and the one that
+builds its counters. The stages below stay the definition that the
+kernel writes out (a test holds it to their chain and the segment test
+bit for bit), and return its values as plain tuples:
 
 - ``build_internal_aabb`` (and ``_gap_box`` on edges) the gap box
   ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
@@ -39,7 +41,7 @@ their chain bit for bit), and return its values as plain tuples:
 from __future__ import annotations
 
 from enum import Enum
-from math import hypot, inf, isfinite
+from math import inf, isfinite
 
 from .errors import DegenerateInput, ZeroVelocity
 from .geometry import (
@@ -53,9 +55,8 @@ from .geometry import (
     _answer,
     _Edges,
     _edges,
-    _param_on,
     _require_finite,
-    _within_extent,
+    _segment_segment,
 )
 
 # (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)
@@ -209,16 +210,16 @@ def _dyop(
     arguments of its ``_answer``.
 
     Straight-line code: ``_gap_box`` (with ``_gap`` on both axes),
-    ``compute_dyop``, ``_nearest_two`` on both triangles,
-    ``geometry._segment_segment`` (with ``_intersect``'s four
-    orientations) and ``_classify_edge_point`` written out, so that the
-    one call on the way to an answer without contact builds its
+    ``compute_dyop``, ``_nearest_two`` on both triangles and
+    ``_classify_edge_point`` written out, and one call of
+    ``geometry._segment_segment`` on the candidate edges, so that an
+    answer without contact costs two calls: the segment test and its
     ``TestCounters``. The stages stay the definition, and every
     comparison, tie rule and finiteness check is theirs; only ``_gap``'s
     midpoint clamp is left out, as the pivot cannot tell it apart. The
     candidate edges run from A's vertex ``ea`` to ``na`` (a to b) and from
-    B's vertex ``eb`` to ``nb`` (c to d), and their directions r = b - a
-    and s = d - c serve the orientations and the four projections alike.
+    B's vertex ``eb`` to ``nb`` (c to d), and the segment test's ``t_a``
+    and ``t_b`` name the features its witnesses lie on.
     """
     (x0, y0, x1, y1), (_, _, x2, y2), _ = edges_a
     (u0, v0, u1, v1), (_, _, u2, v2), _ = edges_b
@@ -268,82 +269,7 @@ def _dyop(
         eb, nb, cx, cy, dx, dy = 2, 0, u2, v2, u0, v0
     else:
         eb, nb, cx, cy, dx, dy = 1, 2, u1, v1, u2, v2
-    rx, ry = bx - ax, by - ay
-    sx, sy = dx - cx, dy - cy
-    o1 = rx * (cy - ay) - ry * (cx - ax)
-    o2 = rx * (dy - ay) - ry * (dx - ax)
-    o3 = sx * (ay - cy) - sy * (ax - cx)
-    o4 = sx * (by - cy) - sy * (bx - cx)
-    contact = True
-    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
-        (o3 > 0.0) != (o4 > 0.0)
-    ) and o3 != 0.0 and o4 != 0.0:
-        t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
-        hx, hy = ax + t * rx, ay + t * ry
-        _require_finite(hx, hy)
-    elif o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
-        hx, hy = cx, cy
-    elif o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
-        hx, hy = dx, dy
-    elif o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
-        hx, hy = ax, ay
-    elif o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
-        hx, hy = bx, by
-    else:
-        contact = False
-    if contact:
-        best_d, pax, pay, pbx, pby = 0.0, hx, hy, hx, hy
-        t_a, t_b = _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
-    else:
-        # a and b projected on cd.
-        s2 = sx * sx + sy * sy
-        if s2 == 0.0:
-            qax = qbx = cx
-            qay = qby = cy
-            ta = tb = 0.0
-        else:
-            ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
-            ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
-            qax, qay = cx + ta * sx, cy + ta * sy
-            if ta != ta or s2 == inf:
-                _require_finite(qax, qay)
-            tb = ((bx - cx) * sx + (by - cy) * sy) / s2
-            tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
-            qbx, qby = cx + tb * sx, cy + tb * sy
-            if tb != tb or s2 == inf:
-                _require_finite(qbx, qby)
-        # c and d projected on ab.
-        r2 = rx * rx + ry * ry
-        if r2 == 0.0:
-            qcx = qdx = ax
-            qcy = qdy = ay
-            tc = td = 0.0
-        else:
-            tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
-            tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
-            qcx, qcy = ax + tc * rx, ay + tc * ry
-            if tc != tc or r2 == inf:
-                _require_finite(qcx, qcy)
-            td = ((dx - ax) * rx + (dy - ay) * ry) / r2
-            td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
-            qdx, qdy = ax + td * rx, ay + td * ry
-            if td != td or r2 == inf:
-                _require_finite(qdx, qdy)
-        # Ties keep the earliest record in (a, b, c, d) order.
-        best_d, best = inf, (ax, ay, cx, cy, 0.0, 0.0)
-        d = hypot(ax - qax, ay - qay)
-        if d < best_d:
-            best_d, best = d, (ax, ay, qax, qay, 0.0, ta)
-        d = hypot(bx - qbx, by - qby)
-        if d < best_d:
-            best_d, best = d, (bx, by, qbx, qby, 1.0, tb)
-        d = hypot(cx - qcx, cy - qcy)
-        if d < best_d:
-            best_d, best = d, (qcx, qcy, cx, cy, tc, 0.0)
-        d = hypot(dx - qdx, dy - qdy)
-        if d < best_d:
-            best_d, best = d, (qdx, qdy, dx, dy, td, 1.0)
-        pax, pay, pbx, pby, t_a, t_b = best
+    best_d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(ax, ay, bx, by, cx, cy, dx, dy)
     # Each witness names the feature it lies on: its edge's start at t = 0,
     # its end at t = 1, else the edge itself.
     if t_a == 0.0:

@@ -21,10 +21,12 @@ thin wrappers over the same core.
 
 ``_segment_segment`` is the one segment-segment test: DyOP's query, the
 Lin-Canny walk's edge-edge steps and ``segment_segment_distance`` all
-call it. It calls ``_intersect``, which writes ``_orient``'s four
-orientations out inline, and then writes ``_project``'s four endpoint
-projections out inline, so one test costs two Python calls; its bits
-equal those of the definition composed from those helpers.
+call it. It is straight-line code: ``_intersect``'s four orientations
+and ``_project``'s four endpoint projections are written out in it, on
+the two segments' directions, so a test without contact makes no
+further Python call; its bits equal those of the definition composed
+from those helpers. ``_intersect`` stays the edge-pair primitive of the
+overlap test, ``_contact_witness``.
 
 ``_edge_sweep``, the oracle's nine-edge sweep, is straight-line code in
 the same way: it unpacks the six vertices once, computes the six edge
@@ -381,73 +383,87 @@ def _segment_segment(
 ) -> tuple[float, float, float, float, float, float, float]:
     """(distance, pa.x, pa.y, pb.x, pb.y, t1, t2) of closed segments ab and cd.
 
-    Intersecting segments report distance 0 with coincident witnesses.
-    Otherwise the minimum over the four clamped endpoint projections is
-    exact (Ericson, Real-Time Collision Detection, 2004, 5.1.9); ties
-    keep the earliest in (a, b, c, d) order. Each projection is
-    ``_project`` written out, with its zero-length branch, clamp and
-    finiteness check, on the directions s = d - c and r = b - a and
-    their squared lengths, computed once for both endpoints they serve.
+    Intersecting segments report distance 0 with coincident witnesses,
+    ``_intersect``'s contact point. Otherwise the minimum over the four
+    clamped endpoint projections is exact (Ericson, Real-Time Collision
+    Detection, 2004, 5.1.9); ties keep the earliest in (a, b, c, d) order.
+    Straight-line code: ``_intersect``'s four orientations and each
+    projection, ``_project`` with its zero-length branch, clamp and
+    finiteness check, are written out on the directions r = b - a and
+    s = d - c, computed once for all of them.
     """
-    hit = _intersect(ax, ay, bx, by, cx, cy, dx, dy)
-    if hit is not None:
-        hx, hy = hit
-        t1, t2 = _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
-        return 0.0, hx, hy, hx, hy, t1, t2
-    inf = math.inf
-    # a and b projected on cd.
-    sx, sy = dx - cx, dy - cy
-    s2 = sx * sx + sy * sy
-    if s2 == 0.0:
-        qax = qbx = cx
-        qay = qby = cy
-        ta = tb = 0.0
-    else:
-        ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
-        ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
-        qax, qay = cx + ta * sx, cy + ta * sy
-        if ta != ta or s2 == inf:
-            _require_finite(qax, qay)
-        tb = ((bx - cx) * sx + (by - cy) * sy) / s2
-        tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
-        qbx, qby = cx + tb * sx, cy + tb * sy
-        if tb != tb or s2 == inf:
-            _require_finite(qbx, qby)
-    # c and d projected on ab.
     rx, ry = bx - ax, by - ay
-    r2 = rx * rx + ry * ry
-    if r2 == 0.0:
-        qcx = qdx = ax
-        qcy = qdy = ay
-        tc = td = 0.0
+    sx, sy = dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
+    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
+        (o3 > 0.0) != (o4 > 0.0)
+    ) and o3 != 0.0 and o4 != 0.0:
+        t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
+        hx, hy = ax + t * rx, ay + t * ry
+        _require_finite(hx, hy)
+    elif o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
+        hx, hy = cx, cy
+    elif o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
+        hx, hy = dx, dy
+    elif o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
+        hx, hy = ax, ay
+    elif o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
+        hx, hy = bx, by
     else:
-        tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
-        tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
-        qcx, qcy = ax + tc * rx, ay + tc * ry
-        if tc != tc or r2 == inf:
-            _require_finite(qcx, qcy)
-        td = ((dx - ax) * rx + (dy - ay) * ry) / r2
-        td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
-        qdx, qdy = ax + td * rx, ay + td * ry
-        if td != td or r2 == inf:
-            _require_finite(qdx, qdy)
-    hypot = math.hypot
-    best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0)
-    d = hypot(ax - qax, ay - qay)
-    if d < best_d:
-        best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta)
-    d = hypot(bx - qbx, by - qby)
-    if d < best_d:
-        best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb)
-    d = hypot(cx - qcx, cy - qcy)
-    if d < best_d:
-        best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0)
-    d = hypot(dx - qdx, dy - qdy)
-    if d < best_d:
-        best = (d, qdx, qdy, dx, dy, td, 1.0)
-    return best
-
-
+        inf = math.inf
+        # a and b projected on cd.
+        s2 = sx * sx + sy * sy
+        if s2 == 0.0:
+            qax = qbx = cx
+            qay = qby = cy
+            ta = tb = 0.0
+        else:
+            ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
+            ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
+            qax, qay = cx + ta * sx, cy + ta * sy
+            if ta != ta or s2 == inf:
+                _require_finite(qax, qay)
+            tb = ((bx - cx) * sx + (by - cy) * sy) / s2
+            tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
+            qbx, qby = cx + tb * sx, cy + tb * sy
+            if tb != tb or s2 == inf:
+                _require_finite(qbx, qby)
+        # c and d projected on ab.
+        r2 = rx * rx + ry * ry
+        if r2 == 0.0:
+            qcx = qdx = ax
+            qcy = qdy = ay
+            tc = td = 0.0
+        else:
+            tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
+            tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
+            qcx, qcy = ax + tc * rx, ay + tc * ry
+            if tc != tc or r2 == inf:
+                _require_finite(qcx, qcy)
+            td = ((dx - ax) * rx + (dy - ay) * ry) / r2
+            td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
+            qdx, qdy = ax + td * rx, ay + td * ry
+            if td != td or r2 == inf:
+                _require_finite(qdx, qdy)
+        hypot = math.hypot
+        best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0)
+        d = hypot(ax - qax, ay - qay)
+        if d < best_d:
+            best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta)
+        d = hypot(bx - qbx, by - qby)
+        if d < best_d:
+            best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb)
+        d = hypot(cx - qcx, cy - qcy)
+        if d < best_d:
+            best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0)
+        d = hypot(dx - qdx, dy - qdy)
+        if d < best_d:
+            best = (d, qdx, qdy, dx, dy, td, 1.0)
+        return best
+    return 0.0, hx, hy, hx, hy, _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
 def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
     (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
     if _winding(x0, y0, x1, y1, x2, y2)[1]:

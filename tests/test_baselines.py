@@ -1081,6 +1081,28 @@ def test_contained_triangles_near_the_float_range_still_overlap(s):
             lin_canny_distance(a, b)
 
 
+def test_lin_canny_runs_one_overlap_test_after_an_overflowing_walk(monkeypatch):
+    # A and a copy shifted by 0.3 of the scale, near the float range: a
+    # walk that overflows a witness is decided by one overlap test, which
+    # refuses the pair as overlapping or raises its own ValueError, and
+    # the walk's ValueError is not chained into Penetrating's traceback.
+    calls = _count_overlap_calls(monkeypatch)
+    rng = random.Random(3)
+    overflowed = 0
+    for a in [random_separated_pair(rng)[0] for _ in range(300)]:
+        for scale in (1e155, 1e300):
+            a_scaled = a.scaled(scale)
+            calls.clear()
+            with pytest.raises((Penetrating, ValueError)) as info:
+                lin_canny_distance(a_scaled, a_scaled.translated(0.3 * scale, 0.0))
+            assert calls == ["lin_canny_distance"]
+            if info.type is Penetrating and info.value.__context__ is not None:
+                assert isinstance(info.value.__context__, ValueError)
+                assert info.value.__suppress_context__
+                overflowed += 1
+    assert overflowed > 0
+
+
 @pytest.mark.parametrize("k", [-20, 20])
 def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
     # DEGENERATE_AREA is still an absolute area bound, so the pairs are

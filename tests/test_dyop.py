@@ -21,12 +21,12 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
     _classify_edge_point,
-    _intersect,
     _segment_segment,
     brute_force_triangle_distance,
 )
 from dyop2d.verify import random_separated_pair
 from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _value_or_error
+from test_geometry import _segment_branch
 
 
 def tri(a, b, c, name=None):
@@ -334,45 +334,14 @@ def _dyop_by_stages(a, b, velocity):
     )
 
 
-def _t_name(t):
-    return "t = 0" if t == 0.0 else ("t = 1" if t == 1.0 else "interior")
-
-
 def _segment_case(a, b, velocity):
-    """The branch of the segment test that the candidate edges reach: a proper
-    crossing, the touching endpoint that witnesses a contact (c, d, a, b are
-    tried in that order), a crossing or a projection refused near the float
-    range, two edges whose squared lengths underflow to 0, or the winning
-    projection record with the parameter of the point it projects to. None
-    when an earlier stage refuses the pair."""
+    """``_segment_branch`` on the candidate edges; None when an earlier stage
+    refuses the pair."""
     try:
         ends = _candidate_edges(a, b, velocity)[3]
     except (ValueError, OverflowError):
         return None
-    ax, ay, bx, by, cx, cy, dx, dy = ends
-    try:
-        hit = _intersect(*ends)
-    except ValueError:
-        return "crossing refused"
-    if hit is not None:
-        for name, end in (("c", (cx, cy)), ("d", (dx, dy)), ("a", (ax, ay)), ("b", (bx, by))):
-            if hit == end:
-                return "touching " + name
-        return "crossing"
-    try:
-        _, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
-    except ValueError:
-        return "projection refused"
-    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
-    if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
-        return "zero-length edges"
-    if t_a == 0.0 and (pax, pay) == (ax, ay):
-        return "record a", _t_name(t_b)
-    if t_a == 1.0 and (pax, pay) == (bx, by):
-        return "record b", _t_name(t_b)
-    if t_b == 0.0 and (pbx, pby) == (cx, cy):
-        return "record c", _t_name(t_a)
-    return "record d", _t_name(t_a)
+    return _segment_branch(ends)
 
 
 def _tied_axes(a, b):

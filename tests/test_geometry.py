@@ -333,6 +333,31 @@ def _segment_cases():
         yield tuple(c)
     for _ in range(3000):
         yield tuple(rng.uniform(-2.0, 2.0) for _ in range(8))
+    for k in range(1000):
+        # Needles near the origin: an edge shorter than 1.5e-162, whose
+        # squared length underflows to 0 though its direction is not zero,
+        # on either side or on both.
+        c = [rng.uniform(-2.0, 2.0) for _ in range(8)]
+        for start in ((0,), (4,), (0, 4))[k % 3]:
+            e, angle = rng.uniform(1e-163, 1.4e-162), rng.uniform(0.0, 2.0 * math.pi)
+            x, y = rng.uniform(-1e-161, 1e-161), rng.uniform(-1e-161, 1e-161)
+            c[start : start + 4] = x, y, x + e * math.cos(angle), y + e * math.sin(angle)
+        yield tuple(c)
+    for _ in range(3000):
+        # Huge and small coordinates mixed, so that a squared length or a
+        # projection's numerator overflows while others stay finite.
+        yield tuple(rng.choice((-1.0, 1.0)) * rng.choice((0.1, 1e150)) * rng.uniform(1.0, 1e6) for _ in range(8))
+    for k in range(400):
+        # One endpoint 2e153 to 1.2e154 out, facing an edge longer than
+        # 1.4e154 from near the origin: that edge's squared length and this
+        # endpoint's projection on it overflow, the others' stay finite.
+        c = [rng.uniform(-2.0, 2.0) for _ in range(8)]
+        far, long = 2 * (k % 4), 4 if k % 4 < 2 else 0
+        angle, length = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(154.2, 155.5)
+        c[long + 2], c[long + 3] = c[long] + length * math.cos(angle), c[long + 1] + length * math.sin(angle)
+        angle, length = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(153.3, 154.1)
+        c[far], c[far + 1] = length * math.cos(angle), length * math.sin(angle)
+        yield tuple(c)
     # Edges of the overflow-scale pairs, and of a copy of A shifted into it.
     for scale, shift in OVERFLOW_SCALES:
         for _ in range(40):
@@ -346,15 +371,59 @@ def _segment_cases():
                         yield e.a.x, e.a.y, e.b.x, e.b.y, f.a.x, f.a.y, f.b.x, f.b.y
 
 
+def _t_name(t):
+    return "t = 0" if t == 0.0 else ("t = 1" if t == 1.0 else "interior")
+
+
+def _segment_branch(ends):
+    """The branch of the segment test that ends (ax, ay, bx, by, cx, cy, dx, dy)
+    reach: a proper crossing, the touching endpoint that witnesses a contact
+    (c, d, a, b are tried in that order), a crossing or a projection refused
+    near the float range, two edges whose squared lengths underflow to 0, or
+    the winning projection record with the parameter of the point it
+    projects to."""
+    ax, ay, bx, by, cx, cy, dx, dy = ends
+    try:
+        hit = _intersect(*ends)
+    except ValueError:
+        return "crossing refused"
+    if hit is not None:
+        for name, end in (("c", (cx, cy)), ("d", (dx, dy)), ("a", (ax, ay)), ("b", (bx, by))):
+            if hit == end:
+                return "touching " + name
+        return "crossing"
+    try:
+        _, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
+    except ValueError:
+        return "projection refused"
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
+        return "zero-length edges"
+    if t_a == 0.0 and (pax, pay) == (ax, ay):
+        return "record a", _t_name(t_b)
+    if t_a == 1.0 and (pax, pay) == (bx, by):
+        return "record b", _t_name(t_b)
+    if t_b == 0.0 and (pbx, pby) == (cx, cy):
+        return "record c", _t_name(t_a)
+    return "record d", _t_name(t_a)
+
+
 def test_segment_segment_equals_its_definition():
     # All seven values, t1 and t2 included, bit for bit (the sign of zero
     # and int against float too), or the same exception and message.
-    kinds = set()
+    seen = set()
     for args in _segment_cases():
         got = _value_or_error(_segment_segment, *args)
         assert got == _value_or_error(_segment_segment_by_definition, *args), args
-        kinds.add("raised" if got[0] == "raised" else "contact" if got[1][0] == "0.0" else "apart")
-    assert kinds == {"raised", "contact", "apart"}
+        seen.add(_segment_branch(args))
+    # Every branch is reached. Records of c and d count at interior points
+    # only: at t = 0 or t = 1 the earlier record of a or b ties with them,
+    # up to rounding, and keeps the tie.
+    assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
+    assert seen >= {"crossing refused", "projection refused", "zero-length edges"}
+    names = ("t = 0", "t = 1", "interior")
+    assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
+    assert seen >= {("record c", "interior"), ("record d", "interior")}
 
 
 def _edge_sweep_by_definition(edges_a, edges_b):
