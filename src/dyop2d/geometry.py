@@ -254,32 +254,37 @@ def _answer(
     The witnesses are checked for finiteness in the order in which
     ``Point2(pax, pay)`` and then ``Point2(pbx, pby)`` check them, and
     raise the same ``ValueError``. The two points and the result are then
-    filled in one ``__dict__`` each, skipping the generated frozen
-    ``__init__`` (one ``object.__setattr__`` per field) and
-    ``Point2.__post_init__``; they compare, hash, print and
-    ``dataclasses.replace`` as constructed ones do.
+    made with ``object.__new__`` and their fields stored in place, in
+    field order, into each new object's own ``__dict__``. That skips the
+    generated frozen ``__init__`` (one ``object.__setattr__`` call per
+    field) and ``Point2.__post_init__``. Storing in place is cheaper than
+    assigning a whole new ``__dict__``: the instance's own dict shares its
+    keys with the class (and on CPython 3.11+ starts as inline values), so
+    no separate dict is built and then swapped in. The objects compare,
+    hash, print, pickle, deep-copy and ``dataclasses.replace`` as
+    constructed ones do.
     """
     isfinite = math.isfinite
     if not (isfinite(pax) and isfinite(pay) and isfinite(pbx) and isfinite(pby)):
         _require_finite(pax, pay, pbx, pby)
-    pa = object.__new__(Point2)
-    object.__setattr__(pa, "__dict__", {"x": pax, "y": pay})
-    pb = object.__new__(Point2)
-    object.__setattr__(pb, "__dict__", {"x": pbx, "y": pby})
-    result = object.__new__(DistanceResult)
-    object.__setattr__(
-        result,
-        "__dict__",
-        {
-            "distance": d,
-            "point_a": pa,
-            "point_b": pb,
-            "feature_a": fa,
-            "feature_b": fb,
-            "counters": counters,
-            "flags": flags,
-        },
-    )
+    new = object.__new__
+    pa = new(Point2)
+    attrs = pa.__dict__
+    attrs["x"] = pax
+    attrs["y"] = pay
+    pb = new(Point2)
+    attrs = pb.__dict__
+    attrs["x"] = pbx
+    attrs["y"] = pby
+    result = new(DistanceResult)
+    attrs = result.__dict__
+    attrs["distance"] = d
+    attrs["point_a"] = pa
+    attrs["point_b"] = pb
+    attrs["feature_a"] = fa
+    attrs["feature_b"] = fb
+    attrs["counters"] = counters
+    attrs["flags"] = flags
     return result
 
 

@@ -1,11 +1,13 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
 from dyop2d.baselines import gjk_distance, lin_canny_distance
-from dyop2d.benchmark import default_scene, place_pair
+from dyop2d.benchmark import ALGORITHMS, default_scene, place_pair
 from dyop2d.dyop import dyop_distance
 from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import (
@@ -176,9 +178,7 @@ def _hash_outcome(value):
         return str(exc)
 
 
-@pytest.mark.parametrize("args", _ANSWER_ARGS)
-def test_answer_matches_the_constructed_result(args):
-    built, expected = _answer(*args), _constructed(*args)
+def _assert_like_constructed(built, expected):
     assert type(built) is DistanceResult and type(built.point_a) is Point2
     assert built == expected and repr(built) == repr(expected)
     # The mutable TestCounters field makes both unhashable, with the same error.
@@ -187,6 +187,35 @@ def test_answer_matches_the_constructed_result(args):
     assert built.point_b == expected.point_b and hash(built.point_b) == hash(expected.point_b)
     assert dataclasses.astuple(built) == dataclasses.astuple(expected)
     assert vars(built).keys() == vars(expected).keys()
+    # The instance dicts hold the fields in the constructor's order, on
+    # every interpreter's instance layout.
+    assert list(vars(built)) == list(vars(expected)) == [f.name for f in dataclasses.fields(DistanceResult)]
+    assert list(vars(built.point_a)) == list(vars(expected.point_a)) == ["x", "y"]
+    assert list(vars(built.point_b)) == list(vars(expected.point_b)) == ["x", "y"]
+    assert pickle.dumps(built) == pickle.dumps(expected)
+    unpickled = pickle.loads(pickle.dumps(built))
+    assert unpickled == expected and repr(unpickled) == repr(pickle.loads(pickle.dumps(expected)))
+    copied = copy.deepcopy(built)
+    assert copied == expected and repr(copied) == repr(copy.deepcopy(expected))
+    assert list(vars(copied)) == list(vars(expected))
+    assert dataclasses.asdict(built) == dataclasses.asdict(expected)
+    assert repr(dataclasses.asdict(built)) == repr(dataclasses.asdict(expected))
+
+
+@pytest.mark.parametrize("args", _ANSWER_ARGS)
+def test_answer_matches_the_constructed_result(args):
+    _assert_like_constructed(_answer(*args), _constructed(*args))
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_public_answers_match_the_constructed_result(name):
+    mover, static, velocity = place_pair(default_scene(), (0, 1))
+    built = ALGORITHMS[name](mover, static, velocity)
+    pa, pb = built.point_a, built.point_b
+    expected = _constructed(
+        built.distance, pa.x, pa.y, pb.x, pb.y, built.feature_a, built.feature_b, built.counters, built.flags
+    )
+    _assert_like_constructed(built, expected)
 
 
 def test_answer_is_frozen_and_replaceable():
