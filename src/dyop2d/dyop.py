@@ -36,6 +36,14 @@ bit for bit), and return its values as plain tuples:
 - ``compute_dyop`` the pivot ``(px, py)``;
 - ``select_candidates`` (and ``_nearest_two`` on edges) ``(i, j, edge)``,
   the two vertices nearest the pivot and the edge joining them.
+
+The candidate choice squares each vertex's offset from the pivot as a
+product on a local, ``ex * ex + ey * ey``. IEEE multiplication rounds
+correctly and a libm ``pow`` behind ``** 2`` does not always, so where
+two vertices nearly tie, the choice no longer depends on the platform's
+``pow``. ``** 2`` is left only for a triangle whose squares do not sum
+below inf: taken again that way, they raise ``OverflowError`` where they
+always have, and otherwise give the values they always gave.
 """
 
 from __future__ import annotations
@@ -128,11 +136,22 @@ def _gap_box(edges_a: _Edges, edges_b: _Edges, axis: MovementAxis) -> _Box:
 
 def _nearest_two(edges: _Edges, px: float, py: float) -> tuple[int, int, int]:
     """(i, j, edge): the two vertices nearest (px, py), nearer first, and the
-    edge joining them; ties resolve to the lower vertex index."""
+    edge joining them; ties resolve to the lower vertex index.
+
+    Squared distances are products on the offsets; a triangle whose
+    squares do not sum below inf takes them again with ``** 2``, which
+    raises ``OverflowError`` on an overflowed square."""
     (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
-    d0 = (x0 - px) ** 2 + (y0 - py) ** 2
-    d1 = (x1 - px) ** 2 + (y1 - py) ** 2
-    d2 = (x2 - px) ** 2 + (y2 - py) ** 2
+    ex, ey = x0 - px, y0 - py
+    d0 = ex * ex + ey * ey
+    ex, ey = x1 - px, y1 - py
+    d1 = ex * ex + ey * ey
+    ex, ey = x2 - px, y2 - py
+    d2 = ex * ex + ey * ey
+    if not d0 + d1 + d2 < inf:
+        d0 = (x0 - px) ** 2 + (y0 - py) ** 2
+        d1 = (x1 - px) ** 2 + (y1 - py) ** 2
+        d2 = (x2 - px) ** 2 + (y2 - py) ** 2
     # Drop the farthest vertex (the highest index among equals); the
     # edge opposite it joins the other two.
     if d2 >= d0 and d2 >= d1:
@@ -210,7 +229,8 @@ def _dyop(
     arguments of its ``_answer``.
 
     Straight-line code: ``_gap_box`` (with ``_gap`` on both axes),
-    ``compute_dyop``, ``_nearest_two`` on both triangles and
+    ``compute_dyop``, ``_nearest_two`` on both triangles (squares as
+    products, with its ``** 2`` retake where they overflow) and
     ``_classify_edge_point`` written out, and one call of
     ``geometry._segment_segment`` on the candidate edges, so that an
     answer without contact costs two calls: the segment test and its
@@ -251,18 +271,34 @@ def _dyop(
         _require_finite(px, py)
     # The candidate edge joins the two vertices nearest the pivot: it is
     # the one opposite the farthest vertex (the highest index among equals).
-    d0 = (x0 - px) ** 2 + (y0 - py) ** 2
-    d1 = (x1 - px) ** 2 + (y1 - py) ** 2
-    d2 = (x2 - px) ** 2 + (y2 - py) ** 2
+    # Squares are products; a triangle whose squares do not sum below inf
+    # takes them again with ``** 2``, which raises OverflowError there.
+    ex, ey = x0 - px, y0 - py
+    d0 = ex * ex + ey * ey
+    ex, ey = x1 - px, y1 - py
+    d1 = ex * ex + ey * ey
+    ex, ey = x2 - px, y2 - py
+    d2 = ex * ex + ey * ey
+    if not d0 + d1 + d2 < inf:
+        d0 = (x0 - px) ** 2 + (y0 - py) ** 2
+        d1 = (x1 - px) ** 2 + (y1 - py) ** 2
+        d2 = (x2 - px) ** 2 + (y2 - py) ** 2
     if d2 >= d0 and d2 >= d1:
         ea, na, ax, ay, bx, by = 0, 1, x0, y0, x1, y1
     elif d1 >= d0:
         ea, na, ax, ay, bx, by = 2, 0, x2, y2, x0, y0
     else:
         ea, na, ax, ay, bx, by = 1, 2, x1, y1, x2, y2
-    d0 = (u0 - px) ** 2 + (v0 - py) ** 2
-    d1 = (u1 - px) ** 2 + (v1 - py) ** 2
-    d2 = (u2 - px) ** 2 + (v2 - py) ** 2
+    ex, ey = u0 - px, v0 - py
+    d0 = ex * ex + ey * ey
+    ex, ey = u1 - px, v1 - py
+    d1 = ex * ex + ey * ey
+    ex, ey = u2 - px, v2 - py
+    d2 = ex * ex + ey * ey
+    if not d0 + d1 + d2 < inf:
+        d0 = (u0 - px) ** 2 + (v0 - py) ** 2
+        d1 = (u1 - px) ** 2 + (v1 - py) ** 2
+        d2 = (u2 - px) ** 2 + (v2 - py) ** 2
     if d2 >= d0 and d2 >= d1:
         eb, nb, cx, cy, dx, dy = 0, 1, u0, v0, u1, v1
     elif d1 >= d0:

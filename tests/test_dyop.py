@@ -11,6 +11,7 @@ from dyop2d.dyop import (
     dominant_axis,
     dyop_distance,
     select_candidates,
+    _nearest_two,
 )
 from dyop2d.errors import DegenerateInput, ZeroVelocity
 from dyop2d.geometry import (
@@ -397,6 +398,20 @@ def _stage_cases():
         yield a, b, Vector2(1.0, 0.0) if rng.random() < 0.5 else Vector2(0.0, 1.0)
 
 
+def _squares_overflow(a, b, velocity):
+    """Whether a triangle's squared distances to the pivot, as products, fail
+    to sum below inf; None when an earlier stage refuses the pair."""
+    try:
+        px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
+    except ValueError:
+        return None
+    for t in (a, b):
+        d0, d1, d2 = ((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) for p in t.vertices)
+        if not d0 + d1 + d2 < math.inf:
+            return True
+    return False
+
+
 def test_dyop_distance_is_the_chain_of_its_stages():
     # Distance, witnesses, features, counters and flags bit for bit, or the
     # same exception and message. Only the refusal of a degenerate triangle
@@ -415,6 +430,8 @@ def test_dyop_distance_is_the_chain_of_its_stages():
             seen.add(("overlapping-boxes", dominant_axis(velocity)))
         seen.add(_segment_case(a, b, velocity))
         seen.update(("tied extents", axis) for axis in _tied_axes(a, b))
+        if _squares_overflow(a, b, velocity):
+            seen.add(("squares overflow", query[1] if query[0] == "raised" else "answered"))
     # Every branch of the kernel is reached. A projection record of c or d
     # naming a vertex of A's edge ties with the earlier record of a or b,
     # which keeps the tie.
@@ -425,3 +442,63 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
     assert seen >= {(flag, axis) for flag in ("overlapping-boxes", "tied extents") for axis in MovementAxis}
+    # Squares that overflow as products are taken again with ``** 2``: it
+    # raises OverflowError on some, and the others still answer.
+    assert seen >= {("squares overflow", OverflowError), ("squares overflow", "answered")}
+
+
+def _near_tie_pairs(rng, count):
+    """(a, b, velocity, (px, py)): B has two vertices exactly on one circle
+    about the pivot, at lattice offsets (p, q) and (r, s) with
+    p² + q² = r² + s², scaled by 2**-27 so that every coordinate and offset
+    is exact while their squares must round. A and B's third vertex w fix
+    the pivot; draws that move it are dropped."""
+    pairs = []
+    grid = 2.0**-20
+    while len(pairs) < count:
+        a = tri(*((rng.randint(-(2**20), -1) * grid, rng.randint(-(2**20), 0) * grid) for _ in range(3)))
+        w = (rng.randint(1, 2**19) * grid, rng.randint(1, 2**19) * grid)
+        px = 0.5 * (max(v.x for v in a.vertices) + w[0])
+        py = 0.5 * (max(v.y for v in a.vertices) + w[1])
+        m, n, k, l = (rng.randint(2**12, 2**14) for _ in range(4))
+        # (m² + n²)(k² + l²) = (mk - nl)² + (ml + nk)² = (mk + nl)² + (ml - nk)²
+        offsets = [(abs(m * k - n * l), m * l + n * k), (m * k + n * l, abs(m * l - n * k))]
+        rng.shuffle(offsets)
+        b = tri(w, *((px + dx * 2.0**-27, py + dy * 2.0**-27) for dx, dy in offsets))
+        if a.is_degenerate or b.is_degenerate:
+            continue
+        if compute_dyop(build_internal_aabb(a, b, MovementAxis.X)) == (px, py):
+            pairs.append((a, b, Vector2(1.0, 0.0), (px, py)))
+    return pairs
+
+
+def _vertex_order(t, px, py, square):
+    """t's vertex indices by their squared distance to (px, py), then index."""
+    d = [square(v.x - px) + square(v.y - py) for v in t.vertices]
+    return sorted(range(3), key=lambda i: (d[i], i))
+
+
+def test_dyop_near_ties_follow_the_products():
+    # Where two vertices sit at the same exact distance from the pivot, the
+    # rounded squares decide which one is nearer. The kernel and its stages
+    # take them as products, which IEEE multiplication rounds correctly; a
+    # libm ``pow`` behind ``** 2`` does not always, and orders some of these
+    # pairs the other way.
+    flipped = 0
+    for a, b, velocity, (px, py) in _near_tie_pairs(random.Random(26), 300):
+        assert _value_or_error(dyop_distance, a, b, velocity) == _value_or_error(_dyop_by_stages, a, b, velocity)
+        by_products = _vertex_order(b, px, py, lambda e: e * e)
+        flipped += _vertex_order(b, px, py, lambda e: e**2) != by_products
+        assert select_candidates(b, (px, py))[:2] == tuple(by_products[:2])
+    assert flipped > 0
+
+
+def test_nearest_two_breaks_a_near_tie_by_products():
+    # 5328760² + 189818574² == 189628800² + 10020226² exactly. As products
+    # both round to 3.605948671853107e16, so the tie keeps the lower index,
+    # vertex 1; glibc 2.36's ``** 2`` rounds the first sum one ulp higher,
+    # which would make vertex 2 the nearer one and edge 2 the candidate.
+    p, q, r, s = 5328760.0, 189818574.0, 189628800.0, 10020226.0
+    edges = ((0.0, 0.0, p, q), (p, q, r, s), (r, s, 0.0, 0.0))
+    assert p * p + q * q == r * r + s * s
+    assert _nearest_two(edges, 0.0, 0.0) == (0, 1, 0)
