@@ -27,15 +27,15 @@ candidate choice and the naming of the witnesses' features are written
 out in it, and the candidate edges go to the package's one
 segment-segment test, ``geometry._segment_segment``. On its way to an
 answer without contact it makes two calls: that test and the one that
-builds its counters. The stages below stay the definition that the
-kernel writes out (a test holds it to their chain and the segment test
-bit for bit), and return its values as plain tuples:
+builds its counters. The three public stages below are the definition
+that the kernel writes out (a test holds it to their chain and the
+segment test bit for bit), and return its values as plain tuples:
 
-- ``build_internal_aabb`` (and ``_gap_box`` on edges) the gap box
+- ``build_internal_aabb`` the gap box
   ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
 - ``compute_dyop`` the pivot ``(px, py)``;
-- ``select_candidates`` (and ``_nearest_two`` on edges) ``(i, j, edge)``,
-  the two vertices nearest the pivot and the edge joining them.
+- ``select_candidates`` ``(i, j, edge)``, the two vertices nearest the
+  pivot and the edge joining them.
 
 The candidate choice squares each vertex's offset from the pivot as a
 product on a local, ``ex * ex + ey * ey``. IEEE multiplication rounds
@@ -85,38 +85,27 @@ def dominant_axis(relative_velocity: Vector2) -> MovementAxis:
     return MovementAxis.Y
 
 
-def _gap(lo_a: float, hi_a: float, lo_b: float, hi_b: float) -> tuple[int, float, float, bool]:
-    """The interval between two extents on one axis: (ahead, lo, hi, inverted).
+def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
+    """The gap box between two facing triangles, as
+    (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap).
 
-    ``ahead`` is the argument (0 or 1) that sits further along the axis:
-    greater maximum wins, ties fall to the greater minimum, and a full
-    tie returns 1; fully tied extents always clamp to the same midpoint,
-    so the choice cannot change any result. The interval runs from the
-    trailing extent's maximum to the ahead extent's minimum; when it is
-    inverted (the extents overlap) it clamps to its midpoint with zero
-    width.
+    ``leading``/``higher`` are argument positions (0 = first triangle,
+    1 = second): the triangle further along the movement axis and the
+    one further along the perpendicular axis. On each axis a triangle's
+    extent is its first minimal and first maximal coordinate; the
+    triangle ahead is the one with the greater maximum, then the greater
+    minimum, and a full tie puts the second ahead (fully tied extents
+    clamp to the same midpoint, so the choice cannot change any result).
+    The box spans from the trailing triangle's maximum to the ahead
+    triangle's minimum. An inverted interval (extents overlapping on that
+    axis) clamps to its midpoint with zero width; on the movement axis
+    that also sets ``degenerate_gap``, since the construction's premise
+    of an actual gap is then violated.
     """
-    if hi_a != hi_b:
-        ahead = 0 if hi_a > hi_b else 1
-    elif lo_a != lo_b:
-        ahead = 0 if lo_a > lo_b else 1
-    else:
-        ahead = 1
-    lo, hi = (hi_a, lo_b) if ahead == 1 else (hi_b, lo_a)
-    inverted = lo > hi
-    if inverted:
-        lo = hi = 0.5 * (lo + hi)
-    return ahead, lo, hi, inverted
-
-
-def _gap_box(edges_a: _Edges, edges_b: _Edges, axis: MovementAxis) -> _Box:
-    """(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap) of the gap box.
-
-    Each triangle's extent on an axis is its first minimal and first
-    maximal coordinate, so ties keep the lower vertex index.
-    """
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges_a
-    (u0, v0, u1, v1), (_, _, u2, v2), _ = edges_b
+    if tA.is_degenerate or tB.is_degenerate:
+        raise DegenerateInput("internal box requires non-degenerate triangles")
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = _edges(tA)
+    (u0, v0, u1, v1), (_, _, u2, v2), _ = _edges(tB)
     xa_lo = x0 if x0 <= x1 and x0 <= x2 else (x1 if x1 <= x2 else x2)
     xa_hi = x0 if x0 >= x1 and x0 >= x2 else (x1 if x1 >= x2 else x2)
     ya_lo = y0 if y0 <= y1 and y0 <= y2 else (y1 if y1 <= y2 else y2)
@@ -125,23 +114,42 @@ def _gap_box(edges_a: _Edges, edges_b: _Edges, axis: MovementAxis) -> _Box:
     xb_hi = u0 if u0 >= u1 and u0 >= u2 else (u1 if u1 >= u2 else u2)
     yb_lo = v0 if v0 <= v1 and v0 <= v2 else (v1 if v1 <= v2 else v2)
     yb_hi = v0 if v0 >= v1 and v0 >= v2 else (v1 if v1 >= v2 else v2)
+    x_ahead = 0 if xa_hi > xb_hi or (xa_hi == xb_hi and xa_lo > xb_lo) else 1
+    x_lo, x_hi = (xa_hi, xb_lo) if x_ahead else (xb_hi, xa_lo)
+    x_inverted = x_lo > x_hi
+    if x_inverted:
+        x_lo = x_hi = 0.5 * (x_lo + x_hi)
+    y_ahead = 0 if ya_hi > yb_hi or (ya_hi == yb_hi and ya_lo > yb_lo) else 1
+    y_lo, y_hi = (ya_hi, yb_lo) if y_ahead else (yb_hi, ya_lo)
+    y_inverted = y_lo > y_hi
+    if y_inverted:
+        y_lo = y_hi = 0.5 * (y_lo + y_hi)
     if axis is MovementAxis.X:
-        lead, x_lo, x_hi, degenerate_gap = _gap(xa_lo, xa_hi, xb_lo, xb_hi)
-        high, y_lo, y_hi, _ = _gap(ya_lo, ya_hi, yb_lo, yb_hi)
-    else:
-        lead, y_lo, y_hi, degenerate_gap = _gap(ya_lo, ya_hi, yb_lo, yb_hi)
-        high, x_lo, x_hi, _ = _gap(xa_lo, xa_hi, xb_lo, xb_hi)
-    return lead, high, x_lo, y_lo, x_hi, y_hi, degenerate_gap
+        return x_ahead, y_ahead, x_lo, y_lo, x_hi, y_hi, x_inverted
+    return y_ahead, x_ahead, x_lo, y_lo, x_hi, y_hi, y_inverted
 
 
-def _nearest_two(edges: _Edges, px: float, py: float) -> tuple[int, int, int]:
-    """(i, j, edge): the two vertices nearest (px, py), nearer first, and the
-    edge joining them; ties resolve to the lower vertex index.
+def compute_dyop(box: _Box) -> tuple[float, float]:
+    """The pivot (px, py): the gap box's midpoint, componentwise. An
+    overflowed midpoint is refused like any other non-finite point."""
+    _, _, x_lo, y_lo, x_hi, y_hi, _ = box
+    px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    if not (isfinite(px) and isfinite(py)):
+        _require_finite(px, py)
+    return px, py
+
+
+def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, int, int]:
+    """(i, j, edge): the two vertices of ``tri`` nearest the pivot, nearer
+    first, and the edge joining them; ties resolve to the lower vertex
+    index. Any two distinct vertices of a triangle are joined by exactly
+    one edge, so the candidate edge is always well defined.
 
     Squared distances are products on the offsets; a triangle whose
     squares do not sum below inf takes them again with ``** 2``, which
     raises ``OverflowError`` on an overflowed square."""
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+    px, py = pivot
+    (x0, y0, x1, y1), (_, _, x2, y2), _ = _edges(tri)
     ex, ey = x0 - px, y0 - py
     d0 = ex * ex + ey * ey
     ex, ey = x1 - px, y1 - py
@@ -159,44 +167,6 @@ def _nearest_two(edges: _Edges, px: float, py: float) -> tuple[int, int, int]:
     if d1 >= d0:
         return (0, 2, 2) if d0 <= d2 else (2, 0, 2)
     return (1, 2, 1) if d1 <= d2 else (2, 1, 1)
-
-
-def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
-    """The gap box between two facing triangles, as
-    (leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap).
-
-    ``leading``/``higher`` are argument positions (0 = first triangle,
-    1 = second): the triangle further along the movement axis and the
-    one further along the perpendicular axis. Along the movement axis
-    the box spans from the trailing triangle's facing extreme to the
-    leading triangle's; on the perpendicular axis it spans from the
-    lower triangle's maximum to the higher triangle's minimum. An
-    inverted interval (extents overlapping on that axis) clamps to its
-    midpoint with zero width; on the movement axis that also sets
-    ``degenerate_gap``, since the construction's premise of an actual
-    gap is then violated.
-    """
-    if tA.is_degenerate or tB.is_degenerate:
-        raise DegenerateInput("internal box requires non-degenerate triangles")
-    return _gap_box(_edges(tA), _edges(tB), axis)
-
-
-def compute_dyop(box: _Box) -> tuple[float, float]:
-    """The pivot (px, py): the gap box's midpoint, componentwise. An
-    overflowed midpoint is refused like any other non-finite point."""
-    _, _, x_lo, y_lo, x_hi, y_hi, _ = box
-    px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-    if not (isfinite(px) and isfinite(py)):
-        _require_finite(px, py)
-    return px, py
-
-
-def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, int, int]:
-    """``_nearest_two`` on ``tri``'s vertices: (i, j, edge). Any two distinct
-    vertices of a triangle are joined by exactly one edge, so the
-    candidate edge is always well defined."""
-    px, py = pivot
-    return _nearest_two(_edges(tri), px, py)
 
 
 def dyop_distance(
@@ -228,18 +198,18 @@ def _dyop(
     """DyOP on two non-degenerate triangles' edges along ``axis``: the
     arguments of its ``_answer``.
 
-    Straight-line code: ``_gap_box`` (with ``_gap`` on both axes),
-    ``compute_dyop``, ``_nearest_two`` on both triangles (squares as
-    products, with its ``** 2`` retake where they overflow) and
-    ``_classify_edge_point`` written out, and one call of
-    ``geometry._segment_segment`` on the candidate edges, so that an
-    answer without contact costs two calls: the segment test and its
-    ``TestCounters``. The stages stay the definition, and every
-    comparison, tie rule and finiteness check is theirs; only ``_gap``'s
-    midpoint clamp is left out, as the pivot cannot tell it apart. The
-    candidate edges run from A's vertex ``ea`` to ``na`` (a to b) and from
-    B's vertex ``eb`` to ``nb`` (c to d), and the segment test's ``t_a``
-    and ``t_b`` name the features its witnesses lie on.
+    Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
+    ``select_candidates`` on both triangles (squares as products, with
+    its ``** 2`` retake where they overflow) and ``_classify_edge_point``
+    written out, and one call of ``geometry._segment_segment`` on the
+    candidate edges, so that an answer without contact costs two calls:
+    the segment test and its ``TestCounters``. The stages stay the
+    definition, and every comparison, tie rule and finiteness check is
+    theirs; only the gap box's midpoint clamp is left out, as the pivot
+    cannot tell it apart. The candidate edges run from A's vertex ``ea``
+    to ``na`` (a to b) and from B's vertex ``eb`` to ``nb`` (c to d), and
+    the segment test's ``t_a`` and ``t_b`` name the features its
+    witnesses lie on.
     """
     (x0, y0, x1, y1), (_, _, x2, y2), _ = edges_a
     (u0, v0, u1, v1), (_, _, u2, v2), _ = edges_b
@@ -264,7 +234,7 @@ def _dyop(
     else:
         y_lo, y_hi = ya_hi, yb_lo
     y_inverted = y_lo > y_hi
-    # _gap clamps an inverted interval to its midpoint m; the pivot skips
+    # The gap box clamps an inverted interval to its midpoint m; the pivot skips
     # the clamp, since 0.5 * (m + m) equals 0.5 * (lo + hi) for every float.
     px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
     if not (-inf < px < inf and -inf < py < inf):

@@ -156,11 +156,6 @@ class Triangle:
         vs = self.vertices
         return Segment(vs[i], vs[(i + 1) % 3])
 
-    @property
-    def signed_area(self) -> float:
-        v0, v1, v2 = self.v0, self.v1, self.v2
-        return 0.5 * _orient(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
-
     def translated(self, dx: float, dy: float) -> Triangle:
         return Triangle(
             self.v0.translated(dx, dy),
@@ -191,17 +186,9 @@ class FeatureId:
             raise ValueError(f"feature index out of range: {self.index}")
 
 
-def vertex_feature(i: int) -> FeatureId:
-    return FeatureId(FeatureKind.VERTEX, i)
-
-
-def edge_feature(i: int) -> FeatureId:
-    return FeatureId(FeatureKind.EDGE, i)
-
-
 # Every feature name an answer can carry, built once rather than per answer.
-_VERTEX_FEATURES = tuple(map(vertex_feature, range(3)))
-_EDGE_FEATURES = tuple(map(edge_feature, range(3)))
+_VERTEX_FEATURES = tuple(FeatureId(FeatureKind.VERTEX, i) for i in range(3))
+_EDGE_FEATURES = tuple(FeatureId(FeatureKind.EDGE, i) for i in range(3))
 
 
 @dataclass

@@ -98,11 +98,6 @@ def _triangle(edges: _Edges) -> Triangle:
     return Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2))
 
 
-def random_triangle(rng: random.Random) -> Triangle:
-    """A non-degenerate triangle with vertices uniform in the unit box."""
-    return _triangle(_random_edges(rng))
-
-
 def random_separated_pair(
     rng: random.Random,
 ) -> tuple[Triangle, Triangle, Vector2]:

@@ -19,7 +19,8 @@ from dyop2d.benchmark import (
 from dyop2d.cli import main
 from dyop2d.dyop import build_internal_aabb, compute_dyop, dominant_axis, dyop_distance, select_candidates
 from dyop2d.geometry import brute_force_triangle_distance
-from dyop2d.verify import random_separated_pair, random_triangle, run_verify
+from dyop2d.verify import random_separated_pair, run_verify
+from seed_reference import random_triangle
 
 
 def _report(criterion, ok):

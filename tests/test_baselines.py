@@ -27,11 +27,10 @@ from dyop2d.geometry import (
     _segment_segment,
     _separated,
     brute_force_triangle_distance,
-    edge_feature,
     triangles_overlap,
-    vertex_feature,
 )
-from dyop2d.verify import random_separated_pair, random_triangle
+from dyop2d.verify import random_separated_pair
+from seed_reference import edge_feature, random_triangle, vertex_feature
 from test_equivalence import OVERFLOW_SCALES, _value_or_error
 
 
@@ -1152,4 +1151,3 @@ def test_seeded_random_pairs_are_deterministic():
     pairs1 = [random_separated_pair(random.Random(99)) for _ in range(1)]
     pairs2 = [random_separated_pair(random.Random(99)) for _ in range(1)]
     assert pairs1 == pairs2
-    assert not random_triangle(random.Random(0)).is_degenerate

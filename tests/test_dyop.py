@@ -11,7 +11,6 @@ from dyop2d.dyop import (
     dominant_axis,
     dyop_distance,
     select_candidates,
-    _nearest_two,
 )
 from dyop2d.errors import DegenerateInput, ZeroVelocity
 from dyop2d.geometry import (
@@ -26,6 +25,7 @@ from dyop2d.geometry import (
     brute_force_triangle_distance,
 )
 from dyop2d.verify import random_separated_pair
+from seed_reference import random_triangle
 from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _value_or_error
 from test_geometry import _segment_branch
 
@@ -173,8 +173,6 @@ def test_select_candidates_equidistant_tie():
 
 def test_select_candidates_arity_random():
     rng = random.Random(11)
-    from dyop2d.verify import random_triangle
-
     for _ in range(400):
         t = random_triangle(rng)
         pivot = (rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -493,12 +491,13 @@ def test_dyop_near_ties_follow_the_products():
     assert flipped > 0
 
 
-def test_nearest_two_breaks_a_near_tie_by_products():
-    # 5328760² + 189818574² == 189628800² + 10020226² exactly. As products
-    # both round to 3.605948671853107e16, so the tie keeps the lower index,
-    # vertex 1; glibc 2.36's ``** 2`` rounds the first sum one ulp higher,
-    # which would make vertex 2 the nearer one and edge 2 the candidate.
+def test_select_candidates_breaks_a_near_tie_by_products():
+    # 5328760² + 189818574² == 189628800² + 10020226² exactly. The triangle
+    # is counter-clockwise as given, so vertex 1 sits on the pivot and
+    # vertices 0 and 2 tie. As products both squares round to
+    # 3.605948671853107e16, so the tie keeps the lower index, vertex 0;
+    # glibc 2.36's ``** 2`` rounds vertex 0's sum one ulp higher, which
+    # would make vertex 2 the nearer one and edge 1 the candidate.
     p, q, r, s = 5328760.0, 189818574.0, 189628800.0, 10020226.0
-    edges = ((0.0, 0.0, p, q), (p, q, r, s), (r, s, 0.0, 0.0))
     assert p * p + q * q == r * r + s * s
-    assert _nearest_two(edges, 0.0, 0.0) == (0, 1, 0)
+    assert select_candidates(tri((p, q), (0.0, 0.0), (r, s)), (0.0, 0.0)) == (1, 0, 0)

@@ -183,8 +183,28 @@ def _ref_candidates(tri, pivot):
     return i, j, edge
 
 
+def _box_cases(a, b):
+    """The branches of the gap box's rule that (a, b) takes on each coordinate
+    axis: which triangle is ahead and by what, and whether the interval
+    between them is a gap or inverted."""
+    cases = set()
+    for name in ("x", "y"):
+        coords_a, coords_b = [getattr(v, name) for v in a.vertices], [getattr(v, name) for v in b.vertices]
+        lo_a, hi_a, lo_b, hi_b = min(coords_a), max(coords_a), min(coords_b), max(coords_b)
+        if hi_a != hi_b:
+            ahead = ("A" if hi_a > hi_b else "B") + " ahead by the maximum"
+        elif lo_a != lo_b:
+            ahead = ("A" if lo_a > lo_b else "B") + " ahead by the minimum"
+        else:
+            ahead = "full tie"
+        trailing_hi, ahead_lo = (hi_b, lo_a) if ahead.startswith("A") else (hi_a, lo_b)
+        cases |= {(name, ahead), (name, "gap" if trailing_hi <= ahead_lo else "inverted")}
+    return cases
+
+
 def test_stage_functions_match_reference():
     rng = random.Random(10)
+    seen = set()
     for k in range(2000):
         if k % 2:
             a, b = _grid_triangle(rng), _grid_triangle(rng)
@@ -196,10 +216,17 @@ def test_stage_functions_match_reference():
                 box = build_internal_aabb(a, b, axis)
             except DegenerateInput:
                 continue
+            seen |= _box_cases(a, b)
             _assert_same(compute_dyop, _ref_pivot, box)
             pivot = compute_dyop(box)
             _assert_same(select_candidates, _ref_candidates, a, pivot)
             _assert_same(select_candidates, _ref_candidates, b, pivot)
+            seen |= {select_candidates(a, pivot), select_candidates(b, pivot)}
+    for name in ("x", "y"):
+        for case in ("ahead by the maximum", "ahead by the minimum"):
+            assert {(name, "A " + case), (name, "B " + case)} <= seen
+        assert {(name, "full tie"), (name, "gap"), (name, "inverted")} <= seen
+    assert {(0, 1, 0), (1, 0, 0), (0, 2, 2), (2, 0, 2), (1, 2, 1), (2, 1, 1)} <= seen
 
 
 # (scale, shift) of pairs whose intermediate values overflow near the float range.

@@ -18,7 +18,7 @@ import pytest
 import seed_reference as ref
 from dyop2d import dyop, geometry, verify
 from dyop2d.errors import DegenerateInput
-from dyop2d.geometry import DEGENERATE_AREA, Point2, Triangle, brute_force_triangle_distance
+from dyop2d.geometry import Point2, Triangle, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair, run_verify
 from test_geometry import _degeneracy_cases
 
@@ -117,7 +117,7 @@ def test_random_ring_rejects_exactly_the_draws_triangle_flags_degenerate():
 def test_a_second_triangle_degenerate_after_its_push_is_refused_by_both_sweeps(monkeypatch):
     draws = SCRIPTS["degenerate-after-push"]
     x0, y0, x1, y1, x2, y2 = CROSSING
-    assert abs(Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2)).signed_area) > DEGENERATE_AREA
+    assert not Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2)).is_degenerate
     for module in (verify, ref):
         monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=lambda seed: _Scripted(draws)))
         with pytest.raises(DegenerateInput):
