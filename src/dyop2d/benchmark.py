@@ -182,14 +182,19 @@ def run_benchmark(
     distance None and zero counters, instead of aborting the run. The exact
     value is the scene separation s, which place_pair has checked against
     the oracle to PLACEMENT_TOLERANCE * s.
+
+    The plan is checked before any pair is placed: an empty, unknown or
+    repeated algorithm, and then repeats below 1, raise ValueError.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1: {repeats}")
+    if not algorithms:
+        raise ValueError("no algorithm given")
     for k, algorithm in enumerate(algorithms):
         if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {algorithm}")
+            raise ValueError(f"unknown algorithm: {algorithm} (choose from {', '.join(ALGORITHMS)})")
         if algorithm in algorithms[:k]:
             raise ValueError(f"repeated algorithm: {algorithm}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1: {repeats}")
 
     records: list[dict] = []
     for i, j in enumerate_pairs(len(scene.objects)):

@@ -6,7 +6,8 @@ from a benchmark report). Data documents go to stdout as JSON;
 diagnostics go to stderr.
 
 Exit codes: 0 success, 1 usage error (an output path that cannot be
-written included; no output file is left behind), 2 invalid input file or
+written, or two ``bench`` paths naming one file, included; no output file
+is left behind), 2 invalid input file (read first) or
 unplaceable scene pair (coordinates that overflow placement included), 3 verification
 failure, 4 algorithm error (for ``bench``: no comparison report, because
 DyOP failed on a pair or no baseline answered any), 5 benchmark mismatch:
@@ -27,7 +28,6 @@ from .benchmark import (
     ALGORITHMS,
     CSV_COLUMNS,
     DEFAULT_ALGORITHMS,
-    Scene,
     build_report,
     default_scene,
     record_failed,
@@ -86,19 +86,8 @@ def _result_doc(result: DistanceResult) -> dict:
     }
 
 
-def _load_scene_arg(path: str | None) -> Scene:
-    if path is None:
-        return default_scene()
-    return load_scene(path)
-
-
 def cmd_dist(args: argparse.Namespace) -> int:
-    try:
-        scene = _load_scene_arg(args.scene)
-    except SceneFormatError as exc:
-        _diag(f"invalid scene: {exc}")
-        return 2
-
+    scene = default_scene() if args.scene is None else load_scene(args.scene)
     by_name = {t.name: t for t in scene.objects}
     for name in (args.a, args.b):
         if name not in by_name:
@@ -121,37 +110,26 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_algos(raw: str) -> tuple[str, ...] | None:
-    algos = tuple(a.strip() for a in raw.split(",") if a.strip())
-    if not algos or any(a not in ALGORITHMS for a in algos) or len(set(algos)) < len(algos):
-        return None
-    return algos
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    algos = _parse_algos(args.algos)
-    if algos is None:
-        _diag(f"invalid algorithm list: {args.algos!r} (choose from {', '.join(ALGORITHMS)}, each at most once)")
+    scene = default_scene() if args.scene is None else load_scene(args.scene)
+    paths = [args.out_csv, args.out_json] + ([args.scene] if args.scene is not None else [])
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        _diag(f"two of these paths name the same file: {', '.join(paths)}")
         return 1
-    if args.repeats < 1:
-        _diag(f"repeats must be at least 1: {args.repeats}")
-        return 1
-    try:
-        scene = _load_scene_arg(args.scene)
-    except SceneFormatError as exc:
-        _diag(f"invalid scene: {exc}")
-        return 2
+    algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
 
     # Everything is computed before anything is written, so a refused run
     # leaves no file behind.
-    report = None
     try:
         records = run_benchmark(scene, algos, args.repeats)
-        if "dyop" in algos and any(a != "dyop" for a in algos):
-            report = build_report(records)
     except PlacementFailure as exc:
         _diag(f"unplaceable scene: {exc}")
         return 2
+    except ValueError as exc:
+        _diag(str(exc))
+        return 1
+    try:
+        report = build_report(records) if "dyop" in algos and any(a != "dyop" for a in algos) else None
     except IncompleteRecords as exc:
         _diag(f"no comparison report: {exc}")
         return 4
@@ -328,7 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors
         return 0 if exc.code in (0, None) else 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SceneFormatError as exc:
+        _diag(f"invalid scene: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

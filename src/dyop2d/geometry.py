@@ -182,8 +182,12 @@ class FeatureId:
     index: int
 
     def __post_init__(self) -> None:
-        if self.index not in (0, 1, 2):
-            raise ValueError(f"feature index out of range: {self.index}")
+        # isinstance, since from Python 3.12 on "vertex" in FeatureKind is True;
+        # a plain int only, since 1.0 equals index 1 but breaks the walk's bit shifts.
+        if not isinstance(self.kind, FeatureKind):
+            raise ValueError(f"unknown feature kind: {self.kind!r}")
+        if type(self.index) is not int or self.index not in (0, 1, 2):
+            raise ValueError(f"feature index out of range: {self.index!r}")
 
 
 # Every feature name an answer can carry, built once rather than per answer.

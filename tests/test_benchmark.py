@@ -334,6 +334,15 @@ def test_run_benchmark_rejects_bad_args():
         run_benchmark(small_scene(), repeats=0)
     with pytest.raises(ValueError):
         run_benchmark(small_scene(), algorithms=("nope",), repeats=1)
+    # The algorithm list is checked before the repeats.
+    for algorithms, repeats, message in (
+        ((), 1, "no algorithm given"),
+        (("nope",), 0, "unknown algorithm: nope (choose from dyop, gjk, lincanny, oracle)"),
+        (("dyop",), 0, "repeats must be at least 1: 0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            run_benchmark(small_scene(), algorithms, repeats)
+        assert str(info.value) == message
 
 
 def test_percentage_diff():

@@ -307,7 +307,7 @@ def test_bench_dyop_only_has_no_percentages(tmp_path, scene_file, capsys):
     assert summary["summary"] == {}
 
 
-def test_bench_rejects_unknown_algorithm(tmp_path, scene_file):
+def test_bench_rejects_unknown_algorithm(tmp_path, scene_file, capsys):
     code = main(
         [
             "bench",
@@ -322,6 +322,18 @@ def test_bench_rejects_unknown_algorithm(tmp_path, scene_file):
         ]
     )
     assert code == 1
+    # The message names the choices; an empty list is refused too, and the
+    # list is checked before the repeats.
+    for algos, message in (
+        ("dyop,warp", "unknown algorithm: warp (choose from dyop, gjk, lincanny, oracle)"),
+        (",", "no algorithm given"),
+        (" ", "no algorithm given"),
+    ):
+        capsys.readouterr()
+        args = ["bench", "--scene", scene_file, "--repeats", "0", "--algos", algos]
+        assert main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
 
 
 def test_bench_refuses_a_repeated_algorithm_and_writes_nothing(tmp_path, scene_file, capsys):
@@ -329,7 +341,7 @@ def test_bench_refuses_a_repeated_algorithm_and_writes_nothing(tmp_path, scene_f
     assert main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("invalid algorithm list: 'dyop,oracle,oracle' (choose from ")
+    assert err == "repeated algorithm: oracle\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
 
 
@@ -357,6 +369,33 @@ def test_bench_invalid_scene_exit_2(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_bench_reads_its_scene_before_checking_the_plan(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[]", encoding="utf-8")
+    args = ["bench", "--scene", str(path), "--repeats", "0", "--algos", "warp"]
+    assert main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid scene: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("same", ["json-is-scene", "csv-is-json"])
+def test_bench_refuses_to_overwrite_its_scene_or_other_output(tmp_path, scene_file, capsys, same):
+    before = Path(scene_file).read_bytes()
+    csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
+    if same == "json-is-scene":
+        # The same file reached by another spelling of its path.
+        json_path = os.path.join(str(tmp_path), ".", "scene.json")
+    else:
+        csv_path = json_path
+    args = ["bench", "--scene", scene_file, "--repeats", "1", "--out-csv", csv_path, "--out-json", json_path]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "same file" in err
+    assert Path(scene_file).read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
 
 
 def test_bench_deterministic_except_wall_time(tmp_path, scene_file, capsys):

@@ -263,10 +263,14 @@ def test_answer_refuses_non_finite_witnesses_as_point2_does(coords):
 
 
 def test_feature_index_out_of_range_is_refused():
-    for i in (-1, 3):
+    for i in (-1, 3, 1.0, True, "1", None):
         for kind in FeatureKind:
             with pytest.raises(ValueError):
                 FeatureId(kind, i)
+    # A kind's value, or any other non-member, is refused as well.
+    for kind in ("vertex", "edge", None, 0):
+        with pytest.raises(ValueError):
+            FeatureId(kind, 0)
     assert _VERTEX_FEATURES == tuple(vertex_feature(i) for i in range(3))
     assert _EDGE_FEATURES == tuple(edge_feature(i) for i in range(3))
 
