@@ -25,14 +25,14 @@ oracle's edge sweep.
 The feature walk is a straight-line kernel too. It names vertex i by
 the int i, edge i by 3 + i and a pair by ca * 6 + cb, so it hashes no
 ``FeatureId`` and keeps the visited pairs as bits of one int. The
-vertex-vertex and vertex-edge evaluations, the Voronoi escapes of both
-sides and ``geometry._separated``'s separating-line certificate, on the
-six unpacked vertex coordinates, are inline; only an edge-edge pair
-calls ``_segment_segment``. An answer maps the codes back to the shared
-``FeatureId``s and returns one of 36 prebuilt ``FeaturePair``s. Its end
-pair answers once the certificate proves the triangles disjoint; only an
-aborted or uncertified walk runs the overlap test (see
-``lin_canny_distance``).
+vertex-vertex and vertex-edge evaluations and the Voronoi escapes of
+both sides are inline; only an edge-edge pair calls
+``_segment_segment``. The walk ends on ``geometry._separated``, the
+oracle's separating-line certificate, so the two algorithms share one
+rule. An answer maps the codes back to the shared ``FeatureId``s and
+returns one of 36 prebuilt ``FeaturePair``s. Its end pair answers once
+the certificate proves the triangles disjoint; only an aborted or
+uncertified walk runs the overlap test (see ``lin_canny_distance``).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .geometry import (
     _edges,
     _require_finite,
     _segment_segment,
+    _separated,
 )
 
 GJK_MAX_ITERATIONS = 64
@@ -396,15 +397,14 @@ def lin_canny_distance(
     so the walk does not depend on the coordinates' scale.
 
     Straight-line code: the walk, the vertex-vertex and vertex-edge
-    evaluations (``_project``'s rule), both sides' Voronoi escapes and
-    the ``_separated`` certificate are written out inline; visited pairs
-    are bits of an int. Only an edge-edge pair calls ``_segment_segment``.
+    evaluations (``_project``'s rule) and both sides' Voronoi escapes are
+    written out inline; visited pairs are bits of an int. Only an
+    edge-edge pair calls ``_segment_segment``, and the walk ends on
+    ``geometry._separated``, the certificate the oracle checks too.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     edges_a, edges_b = _edges(tA), _edges(tB)
-    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
-    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
     hypot = math.hypot
     visited = 0
@@ -516,23 +516,9 @@ def lin_canny_distance(
                     cb = i if hypot(pax - ex, pay - ey) <= hypot(pax - fx, pay - fy) else (i + 1) % 3
                     continue
 
-            # Both Voronoi conditions hold. _separated's certificate: with
-            # n = pb - pa, every vertex of A has v.n <= sa + tol and every
-            # vertex of B u.n >= sb - tol, with sb - sa > 2 tol; every
-            # comparison fails on NaN.
-            nx, ny = pbx - pax, pby - pay
-            sa, sb = pax * nx + pay * ny, pbx * nx + pby * ny
-            tol = 1e-12 * (abs(sa) + abs(sb))
-            if sb - sa > 2.0 * tol:
-                hi, lo = sa + tol, sb - tol
-                certified = (
-                    ax0 * nx + ay0 * ny <= hi
-                    and ax1 * nx + ay1 * ny <= hi
-                    and ax2 * nx + ay2 * ny <= hi
-                    and bx0 * nx + by0 * ny >= lo
-                    and bx1 * nx + by1 * ny >= lo
-                    and bx2 * nx + by2 * ny >= lo
-                )
+            # Both Voronoi conditions hold: the end pair answers if the
+            # oracle's certificate proves the triangles disjoint.
+            certified = _separated(edges_a, edges_b, pax, pay, pbx, pby)
             break
     except ValueError:
         # Coordinates near the float range overflow a witness; overlapping

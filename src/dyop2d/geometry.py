@@ -735,24 +735,31 @@ def _separated(
     have v.n <= sa + tol and every vertex of B u.n >= sb - tol, with
     sb - sa > 2 tol: the two slabs then leave a gap, so the witnesses
     realize the distance (the duality gap that ends GJK, and Lin and
-    Canny's closest-feature condition). tol = 1e-12 (|sa| + |sb|) is
-    relative to the coordinates, so the test has no absolute slack, and
-    touching or overlapping shapes fail it since sb - sa = |n|^2. Every
-    comparison is written to fail on NaN.
+    Canny's closest-feature condition). The slack, 1e-12 times
+    |pax nx| + |pay ny| + |pbx nx| + |pby ny|, is relative to the
+    coordinates, so the test has no absolute slack, and touching or
+    overlapping shapes fail it since sb - sa = |n|^2. It sums the
+    products' sizes, not the dot products': sa and sb cancel to about
+    zero when the separating line passes near the origin, while the
+    witnesses' rounding, which the slack must cover, does not. Every
+    comparison is written to fail on NaN. The Lin-Canny walk ends on
+    this test too, so the six comparisons are straight-line code.
     """
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
     nx, ny = pbx - pax, pby - pay
     sa, sb = pax * nx + pay * ny, pbx * nx + pby * ny
-    tol = 1e-12 * (abs(sa) + abs(sb))
-    if not sb - sa > 2.0 * tol:
-        return False
+    tol = 1e-12 * (abs(pax * nx) + abs(pay * ny) + abs(pbx * nx) + abs(pby * ny))
     hi, lo = sa + tol, sb - tol
-    for x, y, _, _ in edges_a:
-        if not x * nx + y * ny <= hi:
-            return False
-    for x, y, _, _ in edges_b:
-        if not x * nx + y * ny >= lo:
-            return False
-    return True
+    return (
+        sb - sa > 2.0 * tol
+        and ax0 * nx + ay0 * ny <= hi
+        and ax1 * nx + ay1 * ny <= hi
+        and ax2 * nx + ay2 * ny <= hi
+        and bx0 * nx + by0 * ny >= lo
+        and bx1 * nx + by1 * ny >= lo
+        and bx2 * nx + by2 * ny >= lo
+    )
 
 
 def _brute_force(
