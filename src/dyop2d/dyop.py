@@ -41,9 +41,12 @@ The candidate choice squares each vertex's offset from the pivot as a
 product on a local, ``ex * ex + ey * ey``. IEEE multiplication rounds
 correctly and a libm ``pow`` behind ``** 2`` does not always, so where
 two vertices nearly tie, the choice no longer depends on the platform's
-``pow``. ``** 2`` is left only for a triangle whose squares do not sum
-below inf: taken again that way, they raise ``OverflowError`` where they
-always have, and otherwise give the values they always gave.
+``pow``. Near the float range a square can overflow to inf. One
+infinite square still decides: its vertex is the farthest, since the
+other two squares are finite, and the comparisons drop it as they drop
+any farthest vertex. Two or more infinite squares in one triangle leave
+the nearest two undecided, and only then does the query refuse, with
+``OverflowError``.
 """
 
 from __future__ import annotations
@@ -145,9 +148,9 @@ def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, i
     index. Any two distinct vertices of a triangle are joined by exactly
     one edge, so the candidate edge is always well defined.
 
-    Squared distances are products on the offsets; a triangle whose
-    squares do not sum below inf takes them again with ``** 2``, which
-    raises ``OverflowError`` on an overflowed square."""
+    Squared distances are products on the offsets. One infinite square
+    marks its vertex as the farthest; two or more leave the choice
+    undecided and raise ``OverflowError``."""
     px, py = pivot
     (x0, y0, x1, y1), (_, _, x2, y2), _ = _edges(tri)
     ex, ey = x0 - px, y0 - py
@@ -156,10 +159,8 @@ def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, i
     d1 = ex * ex + ey * ey
     ex, ey = x2 - px, y2 - py
     d2 = ex * ex + ey * ey
-    if not d0 + d1 + d2 < inf:
-        d0 = (x0 - px) ** 2 + (y0 - py) ** 2
-        d1 = (x1 - px) ** 2 + (y1 - py) ** 2
-        d2 = (x2 - px) ** 2 + (y2 - py) ** 2
+    if not d0 + d1 + d2 < inf and (d0 == inf) + (d1 == inf) + (d2 == inf) > 1:
+        raise OverflowError("squared distances to the pivot overflow")
     # Drop the farthest vertex (the highest index among equals); the
     # edge opposite it joins the other two.
     if d2 >= d0 and d2 >= d1:
@@ -199,8 +200,8 @@ def _dyop(
     arguments of its ``_answer``.
 
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
-    ``select_candidates`` on both triangles (squares as products, with
-    its ``** 2`` retake where they overflow) and ``_classify_edge_point``
+    ``select_candidates`` on both triangles (squares as products, refused
+    where two of them overflow) and ``_classify_edge_point``
     written out, and one call of ``geometry._segment_segment`` on the
     candidate edges, so that an answer without contact costs two calls:
     the segment test and its ``TestCounters``. The stages stay the
@@ -241,18 +242,16 @@ def _dyop(
         _require_finite(px, py)
     # The candidate edge joins the two vertices nearest the pivot: it is
     # the one opposite the farthest vertex (the highest index among equals).
-    # Squares are products; a triangle whose squares do not sum below inf
-    # takes them again with ``** 2``, which raises OverflowError there.
+    # Squares are products. One infinite square is the farthest vertex and
+    # the comparisons drop it; two or more cannot be ordered, so they refuse.
     ex, ey = x0 - px, y0 - py
     d0 = ex * ex + ey * ey
     ex, ey = x1 - px, y1 - py
     d1 = ex * ex + ey * ey
     ex, ey = x2 - px, y2 - py
     d2 = ex * ex + ey * ey
-    if not d0 + d1 + d2 < inf:
-        d0 = (x0 - px) ** 2 + (y0 - py) ** 2
-        d1 = (x1 - px) ** 2 + (y1 - py) ** 2
-        d2 = (x2 - px) ** 2 + (y2 - py) ** 2
+    if not d0 + d1 + d2 < inf and (d0 == inf) + (d1 == inf) + (d2 == inf) > 1:
+        raise OverflowError("squared distances to the pivot overflow")
     if d2 >= d0 and d2 >= d1:
         ea, na, ax, ay, bx, by = 0, 1, x0, y0, x1, y1
     elif d1 >= d0:
@@ -265,10 +264,8 @@ def _dyop(
     d1 = ex * ex + ey * ey
     ex, ey = u2 - px, v2 - py
     d2 = ex * ex + ey * ey
-    if not d0 + d1 + d2 < inf:
-        d0 = (u0 - px) ** 2 + (v0 - py) ** 2
-        d1 = (u1 - px) ** 2 + (v1 - py) ** 2
-        d2 = (u2 - px) ** 2 + (v2 - py) ** 2
+    if not d0 + d1 + d2 < inf and (d0 == inf) + (d1 == inf) + (d2 == inf) > 1:
+        raise OverflowError("squared distances to the pivot overflow")
     if d2 >= d0 and d2 >= d1:
         eb, nb, cx, cy, dx, dy = 0, 1, u0, v0, u1, v1
     elif d1 >= d0:

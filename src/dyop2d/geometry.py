@@ -15,9 +15,11 @@ re-running their constructors. ``_winding`` is the one rule for a
 triangle's winding and degeneracy: a ``Triangle`` calls it once, at
 construction, and keeps the flag as ``is_degenerate``, which the
 algorithms read instead of recomputing the area per query; the verify
-sweep's draws and the degenerate branch of the point-in-triangle test
-call it on flat coordinates. The public point and segment functions are
-thin wrappers over the same core.
+sweep's draws call it on flat coordinates. The point-in-triangle test
+takes its on-edge branch only for an exactly zero orientation: a sliver
+flagged degenerate but with positive area is counter-clockwise, so the
+orientation test decides it like any other triangle. The public point
+and segment functions are thin wrappers over the same core.
 
 ``_segment_segment`` is the one segment-segment test: DyOP's query, the
 Lin-Canny walk's edge-edge steps and ``segment_segment_distance`` all
@@ -312,7 +314,8 @@ def _far_exit(
     exits = [-math.inf]
     for cx, cy in ((ax, ay), (bx, by)):
         wx, wy = px - cx, py - cy
-        disc = uu * r * r - (ux * wy - uy * wx) ** 2
+        c = ux * wy - uy * wx
+        disc = uu * r * r - c * c
         if disc >= 0.0:
             exits.append((math.sqrt(disc) - (ux * wx + uy * wy)) / uu)
     dx, dy = bx - ax, by - ay
@@ -460,9 +463,11 @@ def _segment_segment(
             best = (d, qdx, qdy, dx, dy, td, 1.0)
         return best
     return 0.0, hx, hy, hx, hy, _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
+
+
 def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
     (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
-    if _winding(x0, y0, x1, y1, x2, y2)[1]:
+    if _orient(x0, y0, x1, y1, x2, y2) == 0.0:
         for ax, ay, bx, by in edges:
             if _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py):
                 return True

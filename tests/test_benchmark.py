@@ -306,15 +306,19 @@ def scaled_default_scene(s, names=None):
 
 
 def test_run_benchmark_records_an_overflowing_query():
-    # At 0.9e154, DyOP's squared distances overflow on this pair.
+    # At 0.9e154, when Obj1 moves, two of its squared distances to the pivot
+    # overflow, so DyOP cannot choose its candidate edge and refuses. When
+    # Obj5 moves, one of Obj1's squares overflows and none of Obj5's: that
+    # vertex is the farthest, and DyOP answers at the separation.
     scene = scaled_default_scene(0.9e154, ("Obj1", "Obj5"))
     records = run_benchmark(scene, algorithms=("dyop", "gjk"), repeats=1)
-    dyop_records = [r for r in records if r["algorithm"] == "dyop"]
-    assert len(dyop_records) == 2
-    for r in dyop_records:
-        assert r["flags"] == ["error:OverflowError"]
-        assert r["distance"] is None
-        assert (r["vv_tests"], r["ve_tests"], r["ee_tests"]) == (0, 0, 0)
+    refused, answered = [r for r in records if r["algorithm"] == "dyop"]
+    assert (refused["pair_a"], answered["pair_a"]) == ("Obj1", "Obj5")
+    assert refused["flags"] == ["error:OverflowError"]
+    assert refused["distance"] is None
+    assert (refused["vv_tests"], refused["ve_tests"], refused["ee_tests"]) == (0, 0, 0)
+    assert answered["distance"] == scene.separation
+    assert answered["flags"] == []
 
 
 @pytest.mark.parametrize("k", [7, 12, 100, 153])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dyop2d.benchmark import default_scene, place_pair
+from dyop2d.benchmark import default_scene, enumerate_pairs, place_pair
 from dyop2d.dyop import (
     MovementAxis,
     build_internal_aabb,
@@ -12,7 +12,7 @@ from dyop2d.dyop import (
     dyop_distance,
     select_candidates,
 )
-from dyop2d.errors import DegenerateInput, ZeroVelocity
+from dyop2d.errors import DegenerateInput, PlacementFailure, ZeroVelocity
 from dyop2d.geometry import (
     DistanceResult,
     FeatureKind,
@@ -25,8 +25,10 @@ from dyop2d.geometry import (
     brute_force_triangle_distance,
 )
 from dyop2d.verify import random_separated_pair
+from exact_reference import exact_squared_distance, is_correctly_rounded_sqrt
 from seed_reference import random_triangle
-from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _value_or_error
+from test_benchmark import scaled_default_scene
+from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _infinite_squares, _not_below, _value_or_error
 from test_geometry import _segment_branch
 
 
@@ -396,20 +398,6 @@ def _stage_cases():
         yield a, b, Vector2(1.0, 0.0) if rng.random() < 0.5 else Vector2(0.0, 1.0)
 
 
-def _squares_overflow(a, b, velocity):
-    """Whether a triangle's squared distances to the pivot, as products, fail
-    to sum below inf; None when an earlier stage refuses the pair."""
-    try:
-        px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
-    except ValueError:
-        return None
-    for t in (a, b):
-        d0, d1, d2 = ((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) for p in t.vertices)
-        if not d0 + d1 + d2 < math.inf:
-            return True
-    return False
-
-
 def test_dyop_distance_is_the_chain_of_its_stages():
     # Distance, witnesses, features, counters and flags bit for bit, or the
     # same exception and message. Only the refusal of a degenerate triangle
@@ -428,7 +416,7 @@ def test_dyop_distance_is_the_chain_of_its_stages():
             seen.add(("overlapping-boxes", dominant_axis(velocity)))
         seen.add(_segment_case(a, b, velocity))
         seen.update(("tied extents", axis) for axis in _tied_axes(a, b))
-        if _squares_overflow(a, b, velocity):
+        if _infinite_squares(a, b, velocity):
             seen.add(("squares overflow", query[1] if query[0] == "raised" else "answered"))
     # Every branch of the kernel is reached. A projection record of c or d
     # naming a vertex of A's edge ties with the earlier record of a or b,
@@ -440,9 +428,53 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
     assert seen >= {(flag, axis) for flag in ("overlapping-boxes", "tied extents") for axis in MovementAxis}
-    # Squares that overflow as products are taken again with ``** 2``: it
-    # raises OverflowError on some, and the others still answer.
+    # Squares that overflow as products: two or more in one triangle raise
+    # OverflowError, and one is the farthest vertex, so the query answers.
     assert seen >= {("squares overflow", OverflowError), ("squares overflow", "answered")}
+
+
+def test_dyop_refuses_only_where_its_candidate_choice_is_undecided():
+    # Near the float range a squared distance to the pivot can overflow to
+    # inf. One infinite square still marks the farthest vertex, so DyOP
+    # answers; two or more in one triangle leave the candidate edge
+    # undecided, and only there does it raise OverflowError. Any other
+    # refusal is a ValueError, and no answer falls below the exact distance.
+    answered = {}
+    for scale in (1e150, 1e154, 2e154):
+        rng = random.Random(9)
+        answered[scale] = 0
+        for _ in range(300):
+            a, b, velocity = random_separated_pair(rng)
+            a, b = a.scaled(scale), b.scaled(scale)
+            try:
+                r = dyop_distance(a, b, velocity)
+            except OverflowError:
+                assert _infinite_squares(a, b, velocity) in (2, 3), (a, b)
+                continue
+            except ValueError:
+                continue
+            answered[scale] += 1
+            assert _not_below(r.distance, exact_squared_distance(a, b)), (a, b)
+    # A rule that refused every overflowed square would answer 187 of these
+    # pairs at 1e154 and 14 at 2e154.
+    assert answered[1e150] == 300
+    assert answered[1e154] >= 251 and answered[2e154] >= 47
+    # The default scene at 9e153 places six pairs. DyOP answers four of them
+    # exactly; refusing every overflowed square would refuse two of those too.
+    scene = scaled_default_scene(9e153)
+    outcomes = []
+    for pair in enumerate_pairs(len(scene.objects)):
+        try:
+            a, b, velocity = place_pair(scene, pair)
+        except PlacementFailure:
+            continue
+        try:
+            r = dyop_distance(a, b, velocity)
+        except OverflowError:
+            outcomes.append("refused")
+            continue
+        outcomes.append("exact" if is_correctly_rounded_sqrt(r.distance, exact_squared_distance(a, b)) else "inexact")
+    assert sorted(outcomes) == ["exact"] * 4 + ["refused"] * 2
 
 
 def _near_tie_pairs(rng, count):

@@ -15,16 +15,18 @@ witnesses and features may differ on ties.
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import seed_reference as ref
 from dyop2d.baselines import FeaturePair, gjk_distance, lin_canny_distance
-from dyop2d.benchmark import default_scene, place_pair
+from dyop2d.benchmark import ALGORITHM_ERRORS, default_scene, place_pair
 from dyop2d.dyop import (
     MovementAxis,
     build_internal_aabb,
     compute_dyop,
+    dominant_axis,
     dyop_distance,
     select_candidates,
 )
@@ -44,6 +46,7 @@ from dyop2d.geometry import (
     triangles_overlap,
 )
 from dyop2d.verify import random_separated_pair
+from exact_reference import exact_squared_distance
 
 
 def _bits(value):
@@ -233,6 +236,44 @@ def test_stage_functions_match_reference():
 OVERFLOW_SCALES = [(1e150, 0.0), (1e154, 0.0), (1e155, 0.0), (1e300, 0.0), (1.0, 1.7e308), (1e307, 8e307)]
 
 
+def _infinite_squares(a, b, velocity):
+    """The most squared distances to the pivot, as products, that overflow
+    to inf in one triangle; None when the gap box or pivot refuses the pair."""
+    try:
+        px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
+    except ValueError:
+        return None
+    return max(
+        sum((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) == math.inf for p in t.vertices) for t in (a, b)
+    )
+
+
+def _not_below(distance, squared, slack=1e-12):
+    """Whether ``distance`` is at least the exact root of ``squared``, less a
+    relative ``slack``."""
+    return Fraction(distance) ** 2 >= squared * Fraction(1.0 - slack) ** 2
+
+
+def _assert_dyop_at_float_range(a, b, velocity):
+    # The frozen copy squared with ``** 2`` and refused wherever libm's pow
+    # overflowed. DyOP refuses only where its candidate choice is undecided,
+    # two or more infinite squares in one triangle; one infinite square is
+    # the farthest vertex. Where the frozen copy answered otherwise, DyOP
+    # keeps its bits; where it refused, DyOP may refuse or answer, but never
+    # below the exact distance.
+    infinite = _infinite_squares(a, b, velocity)
+    if infinite is not None and infinite > 1:
+        assert _outcome(dyop_distance, a, b, velocity) == ("raised", OverflowError), (a, b)
+    elif _outcome(ref.dyop_distance, a, b, velocity)[0] == "ok":
+        _assert_dyop_matches_reference(a, b, velocity)
+    else:
+        try:
+            new = dyop_distance(a, b, velocity)
+        except ALGORITHM_ERRORS:
+            return
+        assert _not_below(new.distance, exact_squared_distance(a, b)), (a, b)
+
+
 @pytest.mark.parametrize("scale, shift", OVERFLOW_SCALES)
 def test_overflowing_coordinates_match_reference(scale, shift):
     # Near the float range intermediate points overflow; the original code
@@ -245,7 +286,9 @@ def test_overflowing_coordinates_match_reference(scale, shift):
         a, b, velocity = random_separated_pair(rng)
         a = a.scaled(scale).translated(shift, 0.0)
         b = b.scaled(scale).translated(shift, 0.0)
-        _assert_pair_same(a, b, velocity)
+        _assert_dyop_at_float_range(a, b, velocity)
+        _assert_same(brute_force_triangle_distance, ref.brute_force_triangle_distance, a, b)
+        _assert_same(gjk_distance, ref.gjk_distance, a, b)
         _assert_same(triangles_overlap, ref.triangles_overlap, a, b)
         c = a.translated(0.3 * scale, 0.0)
         _assert_same(brute_force_triangle_distance, ref.brute_force_triangle_distance, a, c)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -574,6 +575,24 @@ def test_overlap_degenerate_collinear_but_disjoint():
     other = tri((10, 0), (11, 0), (10, 1))
     assert not triangles_overlap(flat, other)
     assert brute_force_triangle_distance(flat, other).distance == pytest.approx(8.0, abs=1e-12)
+
+
+def test_overlap_finds_a_triangle_inside_a_sliver():
+    # A's area, 5e-13, is under DEGENERATE_AREA, so A is flagged degenerate,
+    # yet it is not flat: B lies strictly inside it. Judged exactly, each of
+    # B's vertices is left of all three of A's edges. Only a triangle of
+    # exactly zero orientation has no inside.
+    a = tri((0.0, 0.0), (1.0, 0.0), (0.5, 1e-12))
+    b = tri((0.5, 1e-14), (0.5001, 1e-14), (0.5, 2e-14))
+    assert a.is_degenerate
+    for v in b.vertices:
+        for e in range(3):
+            p, q = a.edge(e).a, a.edge(e).b
+            px, py, qx, qy, vx, vy = map(Fraction, (p.x, p.y, q.x, q.y, v.x, v.y))
+            assert (qx - px) * (vy - py) - (qy - py) * (vx - px) > 0
+    for s, t in ((a, b), (b, a)):
+        assert triangles_overlap(s, t)
+        assert brute_force_triangle_distance(s, t).distance == 0.0
 
 
 def test_brute_force_shifted_pair():
