@@ -4,7 +4,11 @@ A scene holds n named triangles; the plan runs every ordered pair
 (mover, static) once, n*(n-1) queries total. Before each query the mover
 is translated along the negative movement axis, by an offset found in
 closed form, until the exact distance is the scene's separation, so every
-algorithm answers the same question. Wall times use a monotonic clock
+algorithm answers the same question. The offset kernel, ``_offset``, is
+straight-line code on the six vertex coordinates of each triangle: it
+computes each of the 9 vertex-vertex disk exits and each of the 18
+vertex-edge strip crossings once, each edge's direction, slope and
+length once, and keeps a running maximum. Wall times use a monotonic clock
 (one warm-up, median of the repeats); primitive-test counters are
 recorded alongside as the machine-independent cost metric.
 
@@ -39,8 +43,6 @@ from .geometry import (
     Point2,
     Triangle,
     Vector2,
-    _edges,
-    _far_exit,
     brute_force_triangle_distance,
 )
 
@@ -126,6 +128,119 @@ def default_scene() -> Scene:
     )
 
 
+def _offset(mover: Triangle, static: Triangle, ux: float, uy: float, r: float) -> float:
+    """Largest t at which the mover, translated by -t*u, is within r of the
+    static triangle; -inf when no t is.
+
+    u is (1, 0) or (0, 1), so u.u is exactly 1 and a disk exit needs no
+    division. The points within r of an edge are the disks of radius r
+    around its ends and the strip of half-width r along it, so t is the
+    last exit of a mover vertex, moving along -u, from a disk around a
+    static vertex or from a static edge's strip, or of a static vertex,
+    moving along +u, from a mover edge's strip. That is 9 disk exits and
+    18 strip crossings, each computed once: a static vertex leaves the
+    disk around a mover vertex where that vertex leaves its own, since w
+    and u both change sign and the cross and dot products keep their
+    floats. Each edge's direction and slope are computed once, and its
+    squared length and r * sqrt of it once where the slope is not zero,
+    as only then does it have crossings. A crossing counts only between
+    the edge's ends, and a NaN exit, which only coordinates near the float
+    range give, never counts. Ties keep the first exit in the order of the
+    18 vertex-edge pairs (mover vertices against static edges, then static
+    vertices against mover edges; an edge's end disks before its strip),
+    so a zero offset keeps that exit's sign.
+    """
+    sqrt, copysign = math.sqrt, math.copysign
+    a0, a1, a2 = mover.v0, mover.v1, mover.v2
+    b0, b1, b2 = static.v0, static.v1, static.v2
+    ax0, ay0, ax1, ay1, ax2, ay2 = a0.x, a0.y, a1.x, a1.y, a2.x, a2.y
+    bx0, by0, bx1, by1, bx2, by2 = b0.x, b0.y, b1.x, b1.y, b2.x, b2.y
+    nx, ny = -ux, -uy
+    rr = r * r
+    # Each edge's direction, its slope against the direction its crossing
+    # vertices move in, and, where it crosses, its squared length and the
+    # strip's half-width scaled by its length.
+    ex0, ey0 = bx1 - bx0, by1 - by0
+    es0 = ex0 * ny - ey0 * nx
+    if es0 != 0.0:
+        ed0 = ex0 * ex0 + ey0 * ey0
+        eh0 = copysign(r * sqrt(ed0), es0)
+    ex1, ey1 = bx2 - bx1, by2 - by1
+    es1 = ex1 * ny - ey1 * nx
+    if es1 != 0.0:
+        ed1 = ex1 * ex1 + ey1 * ey1
+        eh1 = copysign(r * sqrt(ed1), es1)
+    ex2, ey2 = bx0 - bx2, by0 - by2
+    es2 = ex2 * ny - ey2 * nx
+    if es2 != 0.0:
+        ed2 = ex2 * ex2 + ey2 * ey2
+        eh2 = copysign(r * sqrt(ed2), es2)
+    fx0, fy0 = ax1 - ax0, ay1 - ay0
+    fs0 = fx0 * uy - fy0 * ux
+    if fs0 != 0.0:
+        fd0 = fx0 * fx0 + fy0 * fy0
+        fh0 = copysign(r * sqrt(fd0), fs0)
+    fx1, fy1 = ax2 - ax1, ay2 - ay1
+    fs1 = fx1 * uy - fy1 * ux
+    if fs1 != 0.0:
+        fd1 = fx1 * fx1 + fy1 * fy1
+        fh1 = copysign(r * sqrt(fd1), fs1)
+    fx2, fy2 = ax0 - ax2, ay0 - ay2
+    fs2 = fx2 * uy - fy2 * ux
+    if fs2 != 0.0:
+        fd2 = fx2 * fx2 + fy2 * fy2
+        fh2 = copysign(r * sqrt(fd2), fs2)
+    best = -math.inf
+    for px, py in ((ax0, ay0), (ax1, ay1), (ax2, ay2)):
+        wx, wy = px - bx0, py - by0
+        c = nx * wy - ny * wx
+        disc = rr - c * c
+        if disc >= 0.0:
+            t = sqrt(disc) - (nx * wx + ny * wy)
+            if t > best:
+                best = t
+        wx, wy = px - bx1, py - by1
+        c = nx * wy - ny * wx
+        disc = rr - c * c
+        if disc >= 0.0:
+            t = sqrt(disc) - (nx * wx + ny * wy)
+            if t > best:
+                best = t
+        if es0 != 0.0:
+            t = (eh0 - ex0 * (py - by0) + ey0 * (px - bx0)) / es0
+            if t > best and 0.0 <= ex0 * (px + t * nx - bx0) + ey0 * (py + t * ny - by0) <= ed0:
+                best = t
+        wx, wy = px - bx2, py - by2
+        c = nx * wy - ny * wx
+        disc = rr - c * c
+        if disc >= 0.0:
+            t = sqrt(disc) - (nx * wx + ny * wy)
+            if t > best:
+                best = t
+        if es1 != 0.0:
+            t = (eh1 - ex1 * (py - by1) + ey1 * (px - bx1)) / es1
+            if t > best and 0.0 <= ex1 * (px + t * nx - bx1) + ey1 * (py + t * ny - by1) <= ed1:
+                best = t
+        if es2 != 0.0:
+            t = (eh2 - ex2 * (py - by2) + ey2 * (px - bx2)) / es2
+            if t > best and 0.0 <= ex2 * (px + t * nx - bx2) + ey2 * (py + t * ny - by2) <= ed2:
+                best = t
+    for qx, qy in ((bx0, by0), (bx1, by1), (bx2, by2)):
+        if fs0 != 0.0:
+            t = (fh0 - fx0 * (qy - ay0) + fy0 * (qx - ax0)) / fs0
+            if t > best and 0.0 <= fx0 * (qx + t * ux - ax0) + fy0 * (qy + t * uy - ay0) <= fd0:
+                best = t
+        if fs1 != 0.0:
+            t = (fh1 - fx1 * (qy - ay1) + fy1 * (qx - ax1)) / fs1
+            if t > best and 0.0 <= fx1 * (qx + t * ux - ax1) + fy1 * (qy + t * uy - ay1) <= fd1:
+                best = t
+        if fs2 != 0.0:
+            t = (fh2 - fx2 * (qy - ay2) + fy2 * (qx - ax2)) / fs2
+            if t > best and 0.0 <= fx2 * (qx + t * ux - ax2) + fy2 * (qy + t * uy - ay2) <= fd2:
+                best = t
+    return best
+
+
 def place_pair(
     scene: Scene, pair: tuple[int, int]
 ) -> tuple[Triangle, Triangle, Vector2]:
@@ -136,9 +251,11 @@ def place_pair(
     vertex-edge pair is nearer than the triangles and one realizes s > 0
     there, so it is the last exit, over the 18 pairs, of a vertex moving
     along the axis from the band of radius s around an edge of the other
-    triangle. One oracle call checks it to PLACEMENT_TOLERANCE * s. A
-    pair that cannot be placed, or whose coordinates overflow the search or
-    the check, raises PlacementFailure naming it.
+    triangle. ``_offset`` finds it from 9 disk exits and 18 strip
+    crossings, each computed once. One oracle call checks it to
+    PLACEMENT_TOLERANCE * s. A pair that cannot be placed, or whose
+    coordinates overflow the search or the check, raises PlacementFailure
+    naming it.
     """
     i, j = pair
     n = len(scene.objects)
@@ -146,22 +263,19 @@ def place_pair(
         raise ValueError(f"invalid pair: {pair}")
     mover, static, s = scene.objects[i], scene.objects[j], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
-    edges_m, edges_s = _edges(mover), _edges(static)
-    label = f"pair {mover.name}->{static.name}"
     try:
-        offset = max(
-            [_far_exit(px, py, -ux, -uy, *e, s) for px, py, _, _ in edges_m for e in edges_s]
-            + [_far_exit(qx, qy, ux, uy, *e, s) for qx, qy, _, _ in edges_s for e in edges_m]
-        )
+        offset = _offset(mover, static, ux, uy, s)
         if offset == -math.inf:
-            raise PlacementFailure(f"{label} cannot reach separation {s} along {scene.axis.value}")
+            raise PlacementFailure(
+                f"pair {mover.name}->{static.name} cannot reach separation {s} along {scene.axis.value}"
+            )
         moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
         gap = brute_force_triangle_distance(moved, static).distance - s
     except (OverflowError, ValueError) as exc:
         # Coordinates near the float range overflow the search or the check.
-        raise PlacementFailure(f"{label} cannot be placed: {exc}") from exc
+        raise PlacementFailure(f"pair {mover.name}->{static.name} cannot be placed: {exc}") from exc
     if abs(gap) > PLACEMENT_TOLERANCE * s:
-        raise PlacementFailure(f"{label} placed {gap:+.3g} off separation {s}")
+        raise PlacementFailure(f"pair {mover.name}->{static.name} placed {gap:+.3g} off separation {s}")
     return moved, static, Vector2(ux, uy)
 
 

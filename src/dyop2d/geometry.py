@@ -5,8 +5,8 @@ distance is the reference that every faster algorithm in the package is
 validated against.
 
 The primitives work on plain float coordinates, in one flat form built
-here: every algorithm, placement and the verify sweep take a triangle as
-its three edges (``_edges``), each an ``(ax, ay, bx, by)`` tuple running
+here: every algorithm and the verify sweep take a triangle as its
+three edges (``_edges``), each an ``(ax, ay, bx, by)`` tuple running
 from vertex i to vertex (i + 1) % 3. DyOP's stages pass plain tuples, so
 there is no box or pivot type here. Every algorithm's answer is built once,
 by ``_answer``: it checks the four witness coordinates for finiteness
@@ -99,14 +99,16 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
 def _winding(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> tuple[bool, bool]:
     """(clockwise, degenerate) of the triangle (x0, y0), (x1, y1), (x2, y2).
 
-    The one input rule for triangles: its signed area, computed once,
-    says whether v1 and v2 must swap to make it counter-clockwise, and
-    whether it is degenerate (|area| <= DEGENERATE_AREA). Swapping v1
-    and v2 negates that area exactly, so the flag is the same on the
-    normalized vertices.
+    The one input rule for triangles: its orientation, twice its signed
+    area, computed once, says by its sign whether v1 and v2 must swap to
+    make it counter-clockwise, and by its half whether it is degenerate
+    (|area| <= DEGENERATE_AREA). The sign is taken before halving, since
+    half of the smallest negative orientation, -5e-324, rounds to -0.0.
+    Swapping v1 and v2 negates the orientation exactly, so both answers
+    hold for the normalized vertices.
     """
-    area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-    return area < 0.0, abs(area) <= DEGENERATE_AREA
+    orientation = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    return orientation < 0.0, abs(0.5 * orientation) <= DEGENERATE_AREA
 
 
 _Edges = tuple[tuple[float, float, float, float], ...]
@@ -298,34 +300,6 @@ def _project(
         # refused as Point2 refuses one.
         _require_finite(cx, cy)
     return math.hypot(px - cx, py - cy), cx, cy, t
-
-
-def _far_exit(
-    px: float, py: float, ux: float, uy: float, ax: float, ay: float, bx: float, by: float, r: float
-) -> float:
-    """Largest t at which p + t*u lies within r of segment ab; -inf when no t does.
-
-    The points within r of ab are the disks of radius r around a and b and
-    the strip of half-width r along ab, so the exit is the larger of the
-    disks' far roots and the crossing of the strip's far side, if it lies
-    between a and b.
-    """
-    uu = ux * ux + uy * uy
-    exits = [-math.inf]
-    for cx, cy in ((ax, ay), (bx, by)):
-        wx, wy = px - cx, py - cy
-        c = ux * wy - uy * wx
-        disc = uu * r * r - c * c
-        if disc >= 0.0:
-            exits.append((math.sqrt(disc) - (ux * wx + uy * wy)) / uu)
-    dx, dy = bx - ax, by - ay
-    slope = dx * uy - dy * ux
-    if slope != 0.0:
-        dd = dx * dx + dy * dy
-        t = (math.copysign(r * math.sqrt(dd), slope) - dx * (py - ay) + dy * (px - ax)) / slope
-        if 0.0 <= dx * (px + t * ux - ax) + dy * (py + t * uy - ay) <= dd:
-            exits.append(t)
-    return max(exits)
 
 
 def _param_on(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:

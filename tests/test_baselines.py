@@ -33,6 +33,7 @@ from dyop2d.geometry import (
 from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, ulp_error
 from seed_reference import edge_feature, random_triangle, vertex_feature
+from test_benchmark import obj10_movers
 from test_equivalence import OVERFLOW_SCALES, _value_or_error
 
 
@@ -1002,19 +1003,24 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
 
 
 def test_near_contact_pairs_are_certified_wherever_the_origin_is():
-    # The default scene placed at separations 1e-2 and 1e-3, the paper's
-    # nearly intersecting regime. Each static triangle has a vertex at the
-    # origin, so separating lines pass near it, where the dot products
-    # pa.n and pb.n cancel; the certificate's slack sums the products'
-    # sizes instead. Measured: no fallback at 1e-2, three Obj10 movers at
-    # 1e-3, and none at either once the pair is shifted by (5, 5). Each
-    # distance is as many ulps off the exact one as the oracle's (at most
-    # 27 at 1e-2 and 160 at 1e-3 unshifted).
+    # The default scene placed at separations 1e-2, 1e-3 and 1e-6, the
+    # paper's nearly intersecting regime. Each static triangle has a vertex
+    # at the origin, so separating lines pass near it, where the dot
+    # products pa.n and pb.n cancel; the certificate's slack sums the
+    # products' sizes instead. Measured: no fallback at 1e-2, three Obj10
+    # movers at 1e-3 and all nine at 1e-6; shifted by (5, 5), none at 1e-2
+    # or 1e-3 and six Obj10 movers at 1e-6. Each distance is as many ulps
+    # off the exact one as the oracle's (at most 27 at 1e-2 and 160 at 1e-3
+    # unshifted).
     scene = default_scene()
     names = [o.name for o in scene.objects]
-    for s, expected in ((1e-2, set()), (1e-3, {"Obj10->Obj1", "Obj10->Obj6", "Obj10->Obj7"})):
+    for s, expected, shifted in (
+        (1e-2, set(), set()),
+        (1e-3, obj10_movers(1, 6, 7), set()),
+        (1e-6, obj10_movers(*range(1, 10)), obj10_movers(2, 3, 5, 6, 8, 9)),
+    ):
         near = dataclasses.replace(scene, separation=s)
-        for shift, fallbacks in ((0.0, expected), (5.0, set())):
+        for shift, fallbacks in ((0.0, expected), (5.0, shifted)):
             fell_back = set()
             for i, j in enumerate_pairs(len(names)):
                 a, b, _ = place_pair(near, (i, j))

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from dyop2d.benchmark import default_scene, enumerate_pairs, place_pair
+from dyop2d.benchmark import MISMATCH_TOLERANCE, default_scene, enumerate_pairs, place_pair
 from dyop2d.dyop import (
     MovementAxis,
     build_internal_aabb,
@@ -27,7 +28,7 @@ from dyop2d.geometry import (
 from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, is_correctly_rounded_sqrt
 from seed_reference import random_triangle
-from test_benchmark import scaled_default_scene
+from test_benchmark import obj10_movers, scaled_default_scene
 from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _infinite_squares, _not_below, _value_or_error
 from test_geometry import _segment_branch
 
@@ -246,6 +247,28 @@ def test_dyop_distance_flags_overlapping_boxes():
     assert "overlapping-boxes" in r.flags
     # still a total function with a conservative answer
     assert r.distance >= brute_force_triangle_distance(a, b).distance - 1e-12
+
+
+def test_near_contact_misses_and_overlapping_boxes():
+    # The default scene placed at separations from 1 down to 1e-6, toward
+    # the paper's nearly intersecting regime. DyOP misses (strays from s by
+    # more than the bench's mismatch tolerance) only on Obj10->Obj6. At
+    # s = 1 every pair leaves a gap along x; from 1e-2 on, a slanted Obj10
+    # face leaves none against seven statics, which DyOP flags.
+    scene = default_scene()
+    names = [o.name for o in scene.objects]
+    near_contact = obj10_movers(2, 3, 4, 5, 6, 8, 9)
+    for s, overlapping in ((1.0, set()), (1e-2, near_contact), (1e-3, near_contact), (1e-6, near_contact)):
+        near = dataclasses.replace(scene, separation=s)
+        missed, flagged = set(), set()
+        for i, j in enumerate_pairs(len(names)):
+            result = dyop_distance(*place_pair(near, (i, j)))
+            if abs(result.distance - s) > MISMATCH_TOLERANCE * s:
+                missed.add(f"{names[i]}->{names[j]}")
+            if "overlapping-boxes" in result.flags:
+                flagged.add(f"{names[i]}->{names[j]}")
+        assert missed == {"Obj10->Obj6"}, s
+        assert flagged == overlapping, s
 
 
 def test_dyop_counters_always_one_ee_test():

@@ -30,6 +30,7 @@ from dyop2d.geometry import (
     _intersect,
     _orient,
     _param_on,
+    _point_in_triangle,
     _project,
     _segment_segment,
     _winding,
@@ -133,6 +134,20 @@ def test_degeneracy_flag_equals_the_area_test_on_normalized_vertices():
             assert _signed_area(u) >= 0.0
             assert u.is_degenerate is expected
             assert _winding(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y) == (False, expected)
+
+
+def test_the_smallest_clockwise_orientation_is_swapped():
+    # The orientation is -5e-324, the smallest negative float, and half of
+    # it rounds to -0.0; the sign is taken before halving, so v1 and v2
+    # swap. The edge point (0, 0.5e-162) then lies left of every edge.
+    x0, y0, x1, y1, x2, y2 = 0.0, 0.0, 0.0, 1e-162, 4.94e-162, 1e-162
+    assert _orient(x0, y0, x1, y1, x2, y2) == -5e-324 and 0.5 * -5e-324 == 0.0
+    assert _winding(x0, y0, x1, y1, x2, y2) == (True, True)
+    t = tri((x0, y0), (x1, y1), (x2, y2))
+    assert t.vertices == (Point2(x0, y0), Point2(x2, y2), Point2(x1, y1))
+    assert _orient(t.v0.x, t.v0.y, t.v1.x, t.v1.y, t.v2.x, t.v2.y) == 5e-324
+    assert t.is_degenerate
+    assert _point_in_triangle(_edges(t), 0.0, 0.5e-162)
 
 
 def test_degeneracy_flag_is_not_a_field():
