@@ -46,13 +46,16 @@ infinite square still decides: its vertex is the farthest, since the
 other two squares are finite, and the comparisons drop it as they drop
 any farthest vertex. Two or more infinite squares in one triangle leave
 the nearest two undecided, and only then does the query refuse, with
-``OverflowError``.
+``OverflowError``. That is its one overflow refusal before the segment
+test, and it covers the pivot too: the pivot is not checked, and a gap
+box whose midpoint overflows gives an infinite pivot, to which all three
+squared distances of a triangle are infinite.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import inf, isfinite
+from math import inf
 
 from .errors import DegenerateInput, ZeroVelocity
 from .geometry import (
@@ -66,7 +69,6 @@ from .geometry import (
     _answer,
     _Edges,
     _edges,
-    _require_finite,
     _segment_segment,
 )
 
@@ -133,13 +135,11 @@ def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
 
 
 def compute_dyop(box: _Box) -> tuple[float, float]:
-    """The pivot (px, py): the gap box's midpoint, componentwise. An
-    overflowed midpoint is refused like any other non-finite point."""
+    """The pivot (px, py): the gap box's midpoint, componentwise. A
+    midpoint that overflows is returned as it is: every squared distance
+    to an infinite pivot is infinite, so ``select_candidates`` refuses it."""
     _, _, x_lo, y_lo, x_hi, y_hi, _ = box
-    px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-    if not (isfinite(px) and isfinite(py)):
-        _require_finite(px, py)
-    return px, py
+    return 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
 
 
 def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, int, int]:
@@ -185,7 +185,9 @@ def dyop_distance(
     result is never below the exact separation distance; it equals it
     whenever the true witness features survive pruning. A
     "overlapping-boxes" flag marks queries whose extents were not
-    disjoint along the movement axis.
+    disjoint along the movement axis. Before the segment test the query
+    refuses an overflow only where the candidate rule does, with
+    ``OverflowError``; an overflowed pivot is refused that way.
     """
     axis = dominant_axis(relative_velocity)
     if tA.is_degenerate or tB.is_degenerate:
@@ -201,13 +203,15 @@ def _dyop(
 
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
     ``select_candidates`` on both triangles (squares as products, refused
-    where two of them overflow) and ``_classify_edge_point``
-    written out, and one call of ``geometry._segment_segment`` on the
-    candidate edges, so that an answer without contact costs two calls:
-    the segment test and its ``TestCounters``. The stages stay the
-    definition, and every comparison, tie rule and finiteness check is
-    theirs; only the gap box's midpoint clamp is left out, as the pivot
-    cannot tell it apart. The candidate edges run from A's vertex ``ea``
+    where two of them overflow, as all three do for an overflowed pivot)
+    and ``_classify_edge_point`` written out, and one call of
+    ``geometry._segment_segment`` on the candidate edges, so that an
+    answer without contact costs two calls: the segment test and its
+    ``TestCounters``. The stages stay the definition, and every
+    comparison, tie rule and refusal is theirs; only the gap box's
+    midpoint clamp is left out, as the pivot cannot tell it apart, and
+    only the movement axis's interval is tested for inversion, as only
+    its flag is read. The candidate edges run from A's vertex ``ea``
     to ``na`` (a to b) and from B's vertex ``eb`` to ``nb`` (c to d), and
     the segment test's ``t_a`` and ``t_b`` name the features its
     witnesses lie on.
@@ -229,21 +233,18 @@ def _dyop(
         x_lo, x_hi = xb_hi, xa_lo
     else:
         x_lo, x_hi = xa_hi, xb_lo
-    x_inverted = x_lo > x_hi
     if ya_hi > yb_hi or (ya_hi == yb_hi and ya_lo > yb_lo):
         y_lo, y_hi = yb_hi, ya_lo
     else:
         y_lo, y_hi = ya_hi, yb_lo
-    y_inverted = y_lo > y_hi
     # The gap box clamps an inverted interval to its midpoint m; the pivot skips
     # the clamp, since 0.5 * (m + m) equals 0.5 * (lo + hi) for every float.
     px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-    if not (-inf < px < inf and -inf < py < inf):
-        _require_finite(px, py)
     # The candidate edge joins the two vertices nearest the pivot: it is
     # the one opposite the farthest vertex (the highest index among equals).
     # Squares are products. One infinite square is the farthest vertex and
     # the comparisons drop it; two or more cannot be ordered, so they refuse.
+    # An overflowed pivot makes all three infinite, so it is refused here.
     ex, ey = x0 - px, y0 - py
     d0 = ex * ex + ey * ey
     ex, ey = x1 - px, y1 - py
@@ -292,5 +293,5 @@ def _dyop(
         fa,
         fb,
         TestCounters(0, 0, 1),
-        ("overlapping-boxes",) if (x_inverted if axis is MovementAxis.X else y_inverted) else (),
+        ("overlapping-boxes",) if (x_lo > x_hi if axis is MovementAxis.X else y_lo > y_hi) else (),
     )

@@ -124,15 +124,23 @@ def test_compute_dyop_trivial_boxes():
     assert compute_dyop((1, 0, 3, 5, 3, 5, True)) == (3, 5)
 
 
-def test_overflowed_gap_box_is_refused_by_the_pivot():
+def test_overflowed_gap_box_is_refused_by_the_candidate_rule():
     # Overlapping x-extents near the float range clamp to a midpoint that
-    # overflows. The box keeps it; the pivot refuses it, for the query too.
+    # overflows. The box keeps it and the pivot returns it; every squared
+    # distance to that pivot is infinite, so the candidate rule refuses it,
+    # for the query too.
     a = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1))
     b = tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
     box = build_internal_aabb(a, b, MovementAxis.X)
     assert box[2] == box[4] == math.inf and box[6]
-    for refused in (lambda: compute_dyop(box), lambda: dyop_distance(a, b, Vector2(1, 0))):
-        with pytest.raises(ValueError, match=r"^non-finite coordinate: inf$"):
+    pivot = compute_dyop(box)
+    assert pivot == (math.inf, 2.0)
+    for refused in (
+        lambda: select_candidates(a, pivot),
+        lambda: select_candidates(b, pivot),
+        lambda: dyop_distance(a, b, Vector2(1, 0)),
+    ):
+        with pytest.raises(OverflowError, match=r"^squared distances to the pivot overflow$"):
             refused()
 
 
@@ -232,12 +240,17 @@ def test_dyop_distance_rejects_degenerate():
 
 
 def test_dyop_distance_refuses_overflowing_pivot():
-    # The gap box runs from x = 1.65e308 to 1.7e308, so its midpoint overflows.
+    # The gap box runs from x = 1.65e308 to 1.7e308, so its midpoint
+    # overflows. The pivot returns it, and the candidate rule refuses it.
     a = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1))
     b = tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
-    with pytest.raises(ValueError) as info:
-        dyop_distance(a, b, Vector2(1, 0))
-    assert type(info.value) is ValueError
+    pivot = compute_dyop(build_internal_aabb(a, b, MovementAxis.X))
+    assert pivot == (math.inf, 0.5)
+    for refused in (lambda: select_candidates(a, pivot), lambda: dyop_distance(a, b, Vector2(1, 0))):
+        with pytest.raises(OverflowError) as info:
+            refused()
+        assert type(info.value) is OverflowError
+        assert str(info.value) == "squared distances to the pivot overflow"
 
 
 def test_dyop_distance_flags_overlapping_boxes():
@@ -358,6 +371,15 @@ def _dyop_by_stages(a, b, velocity):
     )
 
 
+def _pivot(a, b, velocity):
+    """The pivot by the public stages; (0.0, 0.0) when an earlier stage
+    refuses the pair."""
+    try:
+        return compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
+    except ValueError:
+        return 0.0, 0.0
+
+
 def _segment_case(a, b, velocity):
     """``_segment_branch`` on the candidate edges; None when an earlier stage
     refuses the pair."""
@@ -441,6 +463,9 @@ def test_dyop_distance_is_the_chain_of_its_stages():
         seen.update(("tied extents", axis) for axis in _tied_axes(a, b))
         if _infinite_squares(a, b, velocity):
             seen.add(("squares overflow", query[1] if query[0] == "raised" else "answered"))
+        if not all(map(math.isfinite, _pivot(a, b, velocity))):
+            assert query == ("raised", OverflowError, "squared distances to the pivot overflow"), (a, b)
+            seen.add(("pivot overflows", OverflowError))
     # Every branch of the kernel is reached. A projection record of c or d
     # naming a vertex of A's edge ties with the earlier record of a or b,
     # which keeps the tie.
@@ -453,7 +478,41 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     assert seen >= {(flag, axis) for flag in ("overlapping-boxes", "tied extents") for axis in MovementAxis}
     # Squares that overflow as products: two or more in one triangle raise
     # OverflowError, and one is the farthest vertex, so the query answers.
+    # An overflowed pivot makes all of them infinite and is refused alike.
     assert seen >= {("squares overflow", OverflowError), ("squares overflow", "answered")}
+    assert ("pivot overflows", OverflowError) in seen
+
+
+def test_dyop_does_not_depend_on_the_movement_axis():
+    # The axis only chooses which gap interval's inversion sets the
+    # overlapping-boxes flag. Queried along x and along y, distance,
+    # witnesses, features and counters agree bit for bit, or both queries
+    # raise the same exception and message. Inputs: the default scene placed
+    # along y, 2000 random pairs and the chain test's cases (the scene
+    # placed along x among them).
+    def cases():
+        scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
+        for pair in enumerate_pairs(len(scene.objects)):
+            yield place_pair(scene, pair)
+        rng = random.Random(23)
+        for _ in range(2000):
+            yield random_separated_pair(rng)
+        yield from _stage_cases()
+
+    flagged = {axis: 0 for axis in MovementAxis}
+    for a, b, _ in cases():
+        outcomes = []
+        for axis, velocity in ((MovementAxis.X, Vector2(1.0, 0.0)), (MovementAxis.Y, Vector2(0.0, 1.0))):
+            outcome = _value_or_error(dyop_distance, a, b, velocity)
+            if outcome[0] == "ok":
+                *answer, flags = outcome[1]
+                overlapping = build_internal_aabb(a, b, axis)[6]
+                assert flags == (("overlapping-boxes",) if overlapping else ()), (a, b, axis)
+                flagged[axis] += overlapping
+                outcome = "ok", tuple(answer)
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1], (a, b)
+    assert flagged[MovementAxis.X] != flagged[MovementAxis.Y]
 
 
 def test_dyop_refuses_only_where_its_candidate_choice_is_undecided():

@@ -238,7 +238,8 @@ OVERFLOW_SCALES = [(1e150, 0.0), (1e154, 0.0), (1e155, 0.0), (1e300, 0.0), (1.0,
 
 def _infinite_squares(a, b, velocity):
     """The most squared distances to the pivot, as products, that overflow
-    to inf in one triangle; None when the gap box or pivot refuses the pair."""
+    to inf in one triangle; None when the gap box refuses the pair. An
+    overflowed pivot is not refused: all three squares to it are inf."""
     try:
         px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
     except ValueError:
