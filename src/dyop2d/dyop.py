@@ -28,8 +28,12 @@ out in it, and the candidate edges go to the package's one
 segment-segment test, ``geometry._segment_segment``. On its way to an
 answer without contact it makes two calls: that test and the one that
 builds its counters. The three public stages below are the definition
-that the kernel writes out (a test holds it to their chain and the
-segment test bit for bit), and return its values as plain tuples:
+that the kernel writes out. They state the paper's rule plainly, from
+each triangle's vertices: the extents by ``min`` and ``max``, and the
+two vertices nearest the pivot by a stable sort of their squared
+distances. So the test that holds the kernel to their chain and the
+segment test, bit for bit, checks it against an independent statement
+of the rule. They return the kernel's values as plain tuples:
 
 - ``build_internal_aabb`` the gap box
   ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
@@ -38,18 +42,19 @@ segment test bit for bit), and return its values as plain tuples:
   pivot and the edge joining them.
 
 The candidate choice squares each vertex's offset from the pivot as a
-product on a local, ``ex * ex + ey * ey``. IEEE multiplication rounds
-correctly and a libm ``pow`` behind ``** 2`` does not always, so where
-two vertices nearly tie, the choice no longer depends on the platform's
+product, ``ex * ex + ey * ey``. IEEE multiplication rounds correctly
+and a libm ``pow`` behind ``** 2`` does not always, so where two
+vertices nearly tie, the choice no longer depends on the platform's
 ``pow``. Near the float range a square can overflow to inf. One
 infinite square still decides: its vertex is the farthest, since the
 other two squares are finite, and the comparisons drop it as they drop
-any farthest vertex. Two or more infinite squares in one triangle leave
-the nearest two undecided, and only then does the query refuse, with
-``OverflowError``. That is its one overflow refusal before the segment
-test, and it covers the pivot too: the pivot is not checked, and a gap
-box whose midpoint overflows gives an infinite pivot, to which all three
-squared distances of a triangle are infinite.
+any farthest vertex (the stages' sort puts it last). Two or more
+infinite squares in one triangle leave the nearest two undecided, and
+only then does the query refuse, with ``OverflowError``. That is its
+one overflow refusal before the segment test, and it covers the pivot
+too: the pivot is not checked, and a gap box whose midpoint overflows
+gives an infinite pivot, to which all three squared distances of a
+triangle are infinite.
 """
 
 from __future__ import annotations
@@ -97,10 +102,12 @@ def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
     ``leading``/``higher`` are argument positions (0 = first triangle,
     1 = second): the triangle further along the movement axis and the
     one further along the perpendicular axis. On each axis a triangle's
-    extent is its first minimal and first maximal coordinate; the
-    triangle ahead is the one with the greater maximum, then the greater
-    minimum, and a full tie puts the second ahead (fully tied extents
-    clamp to the same midpoint, so the choice cannot change any result).
+    extent is the ``min`` and ``max`` of its vertices' coordinates (each
+    keeps the first of equal values, so of 0.0 and -0.0 the lower
+    vertex's); the triangle ahead is the one with the greater maximum,
+    then the greater minimum, and a full tie puts the second ahead (fully
+    tied extents clamp to the same midpoint, so the choice cannot change
+    any result).
     The box spans from the trailing triangle's maximum to the ahead
     triangle's minimum. An inverted interval (extents overlapping on that
     axis) clamps to its midpoint with zero width; on the movement axis
@@ -109,26 +116,17 @@ def build_internal_aabb(tA: Triangle, tB: Triangle, axis: MovementAxis) -> _Box:
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("internal box requires non-degenerate triangles")
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = _edges(tA)
-    (u0, v0, u1, v1), (_, _, u2, v2), _ = _edges(tB)
-    xa_lo = x0 if x0 <= x1 and x0 <= x2 else (x1 if x1 <= x2 else x2)
-    xa_hi = x0 if x0 >= x1 and x0 >= x2 else (x1 if x1 >= x2 else x2)
-    ya_lo = y0 if y0 <= y1 and y0 <= y2 else (y1 if y1 <= y2 else y2)
-    ya_hi = y0 if y0 >= y1 and y0 >= y2 else (y1 if y1 >= y2 else y2)
-    xb_lo = u0 if u0 <= u1 and u0 <= u2 else (u1 if u1 <= u2 else u2)
-    xb_hi = u0 if u0 >= u1 and u0 >= u2 else (u1 if u1 >= u2 else u2)
-    yb_lo = v0 if v0 <= v1 and v0 <= v2 else (v1 if v1 <= v2 else v2)
-    yb_hi = v0 if v0 >= v1 and v0 >= v2 else (v1 if v1 >= v2 else v2)
-    x_ahead = 0 if xa_hi > xb_hi or (xa_hi == xb_hi and xa_lo > xb_lo) else 1
-    x_lo, x_hi = (xa_hi, xb_lo) if x_ahead else (xb_hi, xa_lo)
-    x_inverted = x_lo > x_hi
-    if x_inverted:
-        x_lo = x_hi = 0.5 * (x_lo + x_hi)
-    y_ahead = 0 if ya_hi > yb_hi or (ya_hi == yb_hi and ya_lo > yb_lo) else 1
-    y_lo, y_hi = (ya_hi, yb_lo) if y_ahead else (yb_hi, ya_lo)
-    y_inverted = y_lo > y_hi
-    if y_inverted:
-        y_lo = y_hi = 0.5 * (y_lo + y_hi)
+    a, b = tA.vertices, tB.vertices
+    gaps = []
+    for ca, cb in (([p.x for p in a], [p.x for p in b]), ([p.y for p in a], [p.y for p in b])):
+        ahead = 0 if (max(ca), min(ca)) > (max(cb), min(cb)) else 1
+        trailing, leading = (cb, ca) if ahead == 0 else (ca, cb)
+        lo, hi = max(trailing), min(leading)
+        inverted = lo > hi
+        if inverted:
+            lo = hi = 0.5 * (lo + hi)
+        gaps.append((ahead, lo, hi, inverted))
+    (x_ahead, x_lo, x_hi, x_inverted), (y_ahead, y_lo, y_hi, y_inverted) = gaps
     if axis is MovementAxis.X:
         return x_ahead, y_ahead, x_lo, y_lo, x_hi, y_hi, x_inverted
     return y_ahead, x_ahead, x_lo, y_lo, x_hi, y_hi, y_inverted
@@ -148,26 +146,18 @@ def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, i
     index. Any two distinct vertices of a triangle are joined by exactly
     one edge, so the candidate edge is always well defined.
 
-    Squared distances are products on the offsets. One infinite square
-    marks its vertex as the farthest; two or more leave the choice
-    undecided and raise ``OverflowError``."""
+    The vertex indices are sorted by their squared distances, products
+    on the offsets; the sort is stable, so the farthest vertex among
+    equals is the highest index. One infinite square marks its vertex as
+    the farthest; two or more leave the choice undecided and raise
+    ``OverflowError``."""
     px, py = pivot
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = _edges(tri)
-    ex, ey = x0 - px, y0 - py
-    d0 = ex * ex + ey * ey
-    ex, ey = x1 - px, y1 - py
-    d1 = ex * ex + ey * ey
-    ex, ey = x2 - px, y2 - py
-    d2 = ex * ex + ey * ey
-    if not d0 + d1 + d2 < inf and (d0 == inf) + (d1 == inf) + (d2 == inf) > 1:
+    squares = [(p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) for p in tri.vertices]
+    if squares.count(inf) > 1:
         raise OverflowError("squared distances to the pivot overflow")
-    # Drop the farthest vertex (the highest index among equals); the
-    # edge opposite it joins the other two.
-    if d2 >= d0 and d2 >= d1:
-        return (0, 1, 0) if d0 <= d1 else (1, 0, 0)
-    if d1 >= d0:
-        return (0, 2, 2) if d0 <= d2 else (2, 0, 2)
-    return (1, 2, 1) if d1 <= d2 else (2, 1, 1)
+    # The edge opposite the farthest vertex joins the other two.
+    i, j, far = sorted((0, 1, 2), key=squares.__getitem__)
+    return i, j, (far + 1) % 3
 
 
 def dyop_distance(
@@ -207,8 +197,10 @@ def _dyop(
     and ``_classify_edge_point`` written out, and one call of
     ``geometry._segment_segment`` on the candidate edges, so that an
     answer without contact costs two calls: the segment test and its
-    ``TestCounters``. The stages stay the definition, and every
-    comparison, tie rule and refusal is theirs; only the gap box's
+    ``TestCounters``. The stages are the definition: they state the rule
+    with ``min``/``max`` and a stable sort, and the kernel writes it out
+    comparison by comparison, with their tie rules and refusal. Only the
+    gap box's
     midpoint clamp is left out, as the pivot cannot tell it apart, and
     only the movement axis's interval is tested for inversion, as only
     its flag is read. The candidate edges run from A's vertex ``ea``

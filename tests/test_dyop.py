@@ -390,13 +390,34 @@ def _segment_case(a, b, velocity):
     return _segment_branch(ends)
 
 
-def _tied_axes(a, b):
-    """The axes on which the two triangles' extents tie at both ends."""
-    return {
-        axis
-        for axis, coord in ((MovementAxis.X, lambda p: p.x), (MovementAxis.Y, lambda p: p.y))
-        if sorted(map(coord, a.vertices))[::2] == sorted(map(coord, b.vertices))[::2]
-    }
+def _tied_extents(a, b):
+    """("tied extents", axis) for each axis on which the two triangles'
+    extents tie at both ends, and ("tied maxima", axis) where their maxima
+    tie and their minima differ."""
+    ties = set()
+    for axis, coord in ((MovementAxis.X, lambda p: p.x), (MovementAxis.Y, lambda p: p.y)):
+        lo_a, _, hi_a = sorted(map(coord, a.vertices))
+        lo_b, _, hi_b = sorted(map(coord, b.vertices))
+        if hi_a == hi_b:
+            ties.add(("tied extents" if lo_a == lo_b else "tied maxima", axis))
+    return ties
+
+
+def _tied_squares(a, b, velocity):
+    """The ties among each triangle's squared distances to the pivot that
+    the candidate rule sorts: "all three", "two nearest" or "two farthest"
+    equal. A pair the gap box refuses has none, and neither has a triangle
+    with two or more infinite squares, which the rule refuses unsorted."""
+    try:
+        px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
+    except ValueError:
+        return set()
+    ties = set()
+    for t in (a, b):
+        near, mid, far = sorted((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) for p in t.vertices)
+        if mid < math.inf and (near == mid or mid == far):
+            ties.add("all three" if near == far else "two nearest" if near == mid else "two farthest")
+    return ties
 
 
 def _stage_cases():
@@ -460,7 +481,8 @@ def test_dyop_distance_is_the_chain_of_its_stages():
         if query[0] == "ok" and "overlapping-boxes" in query[1][-1]:
             seen.add(("overlapping-boxes", dominant_axis(velocity)))
         seen.add(_segment_case(a, b, velocity))
-        seen.update(("tied extents", axis) for axis in _tied_axes(a, b))
+        seen.update(_tied_extents(a, b))
+        seen.update(("squares tie", tie) for tie in _tied_squares(a, b, velocity))
         if _infinite_squares(a, b, velocity):
             seen.add(("squares overflow", query[1] if query[0] == "raised" else "answered"))
         if not all(map(math.isfinite, _pivot(a, b, velocity))):
@@ -475,7 +497,11 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     names = ("t = 0", "t = 1", "interior")
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
-    assert seen >= {(flag, axis) for flag in ("overlapping-boxes", "tied extents") for axis in MovementAxis}
+    assert seen >= {
+        (flag, axis) for flag in ("overlapping-boxes", "tied extents", "tied maxima") for axis in MovementAxis
+    }
+    # Every tie class of the candidate rule's stable sort.
+    assert seen >= {("squares tie", tie) for tie in ("all three", "two nearest", "two farthest")}
     # Squares that overflow as products: two or more in one triangle raise
     # OverflowError, and one is the farthest vertex, so the query answers.
     # An overflowed pivot makes all of them infinite and is refused alike.
