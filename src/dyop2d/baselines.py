@@ -7,9 +7,8 @@ construction, and builds its answer once, with ``geometry._answer``,
 which checks the witnesses' finiteness there. GJK
 runs its loop as one straight-line kernel on scalar locals: the six
 vertex coordinates of each triangle are unpacked once, and the support
-argmaxes, finiteness checks, point and segment solves, repeat and
-improvement checks, solve counts, witness sums and feature names are
-inline. Its simplex is at most three ``(x, y, index_a, index_b)``
+argmaxes, point and segment solves, repeat and improvement checks, solve
+counts, witness sums and feature names are inline. Its simplex is at most three ``(x, y, index_a, index_b)``
 support points and their weights, held in locals, with no list. Only
 the rare triangle solve calls ``_closest_on_triangle``, and only an
 intersecting answer with three weights calls ``sum()`` and
@@ -33,6 +32,14 @@ rule. An answer maps the codes back to the shared ``FeatureId``s and
 returns one of 36 prebuilt ``FeaturePair``s. Its end pair answers once
 the certificate proves the triangles disjoint; only an aborted or
 uncertified walk runs the overlap test (see ``lin_canny_distance``).
+
+Both the loop and the walk run on edges in range, at most 2^250 in
+magnitude: each public function refuses degenerate triangles and scales
+a pair past that range into it by one power of two, the package's one
+overflow rule, so neither guards against overflow. GJK's kernel
+``_gjk`` goes through ``geometry._in_range``; the walk scales its answer
+back itself, since a seeded walk is short enough that a separate kernel
+call shows in its time.
 """
 
 from __future__ import annotations
@@ -54,8 +61,11 @@ from .geometry import (
     _answer,
     _contact_witness,
     _edge_sweep,
+    _Edges,
     _edges,
-    _require_finite,
+    _in_range,
+    _pair_scale,
+    _scaled_edges,
     _segment_segment,
     _separated,
 )
@@ -199,15 +209,25 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     point repeats, or after GJK_MAX_ITERATIONS (then flagged
     "gjk-unconverged" and the last solve's simplex is reported).
     Intersecting triangles return distance 0 with coincident witnesses.
-    A non-finite search direction or support point raises ValueError.
+    A pair with a coordinate past 2^250 is answered scaled into range.
+    """
+    if tA.is_degenerate or tB.is_degenerate:
+        raise DegenerateInput("gjk requires non-degenerate triangles")
+    if tA.is_huge or tB.is_huge:
+        return _answer(*_in_range(_gjk, tA, tB))
+    return _answer(*_gjk(_edges(tA), _edges(tB)))
+
+
+def _gjk(
+    edges_a: _Edges, edges_b: _Edges
+) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
+    """GJK on two non-degenerate triangles' edges in range: the arguments of
+    its ``_answer``.
 
     Straight-line code: the point and segment solves follow
     ``_closest_on_segment`` and the feature names ``_side_feature``,
     written out inline (see the module docstring).
     """
-    if tA.is_degenerate or tB.is_degenerate:
-        raise DegenerateInput("gjk requires non-degenerate triangles")
-    edges_a, edges_b = _edges(tA), _edges(tB)
     (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
     (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
 
@@ -228,8 +248,6 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         # The support point of A - B along (dx, dy): A's vertex maximizing
         # the dot product with (dx, dy) minus B's maximizing it with
         # (-dx, -dy), ties to the lower index.
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            _require_finite(dx, dy)
         ia, sax, say = 0, ax0, ay0
         best = ax0 * dx + ay0 * dy
         d = ax1 * dx + ay1 * dy
@@ -246,8 +264,6 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         if bx2 * dx + by2 * dy > best:
             ib, sbx, sby = 2, bx2, by2
         x, y = sax - sbx, say - sby
-        if not (math.isfinite(x) and math.isfinite(y)):
-            _require_finite(x, y)
 
         # Stop on a repeated support point or too small an improvement.
         if n and (
@@ -325,8 +341,7 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
             # _side_feature's rule: a vertex is active when its weight
             # exceeds 1e-12. Two active vertices name the edge joining them
             # (or the one vertex, on equal indices). The two weights sum to
-            # about 1, so one of them is active: NaN weights make a NaN
-            # search direction, which the next loop refuses before naming.
+            # about 1, so one of them is active.
             if w0 > 1e-12:
                 if w1 > 1e-12:
                     fa, fb = _SIDE_PAIR[3 * ia0 + ia1], _SIDE_PAIR[3 * ib0 + ib1]
@@ -340,7 +355,7 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
         distance = 0.0
     else:
         distance = math.hypot(pax - pbx, pay - pby)
-    return _answer(
+    return (
         distance,
         pax,
         pay,
@@ -382,9 +397,11 @@ def lin_canny_distance(
     test, ``_contact_witness``, once: overlapping or touching triangles
     raise Penetrating, and disjoint ones are answered by the oracle's
     nine-edge sweep, flagged "lincanny-fallback", which adds its nine
-    ee_tests to the walk's counters. A walk that overflows a witness near
-    the float range is decided by the same one test: Penetrating on
-    contact, else the walk's ValueError.
+    ee_tests to the walk's counters. A walk whose edge-edge crossing
+    divides by a subnormal, which ``_segment_segment`` refuses with
+    ValueError, is decided by the same one test: Penetrating on contact,
+    else that ValueError. A pair with a coordinate past 2^250 is walked
+    scaled into range.
 
     The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
     and, after evaluating a pair, steps to a neighbouring feature of A
@@ -404,8 +421,13 @@ def lin_canny_distance(
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
-    edges_a, edges_b = _edges(tA), _edges(tB)
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    # The walk runs in range; g scales its distance and witnesses back.
+    if tA.is_huge or tB.is_huge:
+        f = _pair_scale(tA, tB)
+        edges_a, edges_b, g = _scaled_edges(tA, f), _scaled_edges(tB, f), 1.0 / f
+    else:
+        edges_a, edges_b, g = _edges(tA), _edges(tB), None
     hypot = math.hypot
     visited = 0
     prev = math.inf
@@ -436,9 +458,6 @@ def lin_canny_distance(
                         t = ((pax - ex) * ux + (pay - ey) * uy) / u2
                         t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
                         pbx, pby = ex + t * ux, ey + t * uy
-                        if t != t or u2 == math.inf:
-                            # Only coordinates near the float range get here.
-                            _require_finite(pbx, pby)
                         d = hypot(pax - pbx, pay - pby)
             elif cb < 3:
                 ve += 1
@@ -452,8 +471,6 @@ def lin_canny_distance(
                     t = ((pbx - ex) * ux + (pby - ey) * uy) / u2
                     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
                     pax, pay = ex + t * ux, ey + t * uy
-                    if t != t or u2 == math.inf:
-                        _require_finite(pax, pay)
                     d = hypot(pbx - pax, pby - pay)
             else:
                 ee += 1
@@ -521,16 +538,21 @@ def lin_canny_distance(
             certified = _separated(edges_a, edges_b, pax, pay, pbx, pby)
             break
     except ValueError:
-        # Coordinates near the float range overflow a witness; overlapping
-        # triangles are still refused as overlapping, without walk counts.
+        # An edge-edge crossing that divides by a subnormal refuses its
+        # witness; overlapping triangles are still refused as overlapping,
+        # without walk counts.
         if _contact_witness(edges_a, edges_b) is None:
             raise
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only") from None
     if certified:
+        if g is not None:
+            d, pax, pay, pbx, pby = d * g, pax * g, pay * g, pbx * g, pby * g
         result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], TestCounters(vv, ve, ee))
         return result, _PAIRS[ca * 6 + cb]
     if _contact_witness(edges_a, edges_b) is not None:
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-    swept = _edge_sweep(edges_a, edges_b)
-    result = _answer(*swept, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
-    return result, _PAIRS[_code(swept[5]) * 6 + _code(swept[6])]
+    d, pax, pay, pbx, pby, fa, fb = _edge_sweep(edges_a, edges_b)
+    if g is not None:
+        d, pax, pay, pbx, pby = d * g, pax * g, pay * g, pbx * g, pby * g
+    result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
+    return result, _PAIRS[_code(fa) * 6 + _code(fb)]

@@ -5,7 +5,8 @@ A scene holds n named triangles; the plan runs every ordered pair
 is translated along the negative movement axis, by an offset found in
 closed form, until the exact distance is the scene's separation, so every
 algorithm answers the same question. The offset kernel, ``_offset``, is
-straight-line code on the six vertex coordinates of each triangle: it
+straight-line code on the two triangles' edges, in range as every
+kernel's are (a pair past 2^250 is scaled into range first): it
 computes each of the 9 vertex-vertex disk exits and each of the 18
 vertex-edge strip crossings once, each edge's direction, slope and
 length once, and keeps a running maximum. Wall times use a monotonic clock
@@ -39,10 +40,15 @@ from .baselines import gjk_distance, lin_canny_distance
 from .dyop import MovementAxis, dyop_distance
 from .errors import IncompleteRecords, Penetrating, PlacementFailure
 from .geometry import (
+    _RANGE,
     DistanceResult,
     Point2,
     Triangle,
     Vector2,
+    _Edges,
+    _edges,
+    _pair_scale,
+    _scaled_edges,
     brute_force_triangle_distance,
 )
 
@@ -56,9 +62,8 @@ ALGORITHMS: dict[str, Callable[[Triangle, Triangle, Vector2], DistanceResult]] =
 }
 DEFAULT_ALGORITHMS = ("dyop", "gjk", "lincanny")
 # What an algorithm may raise on a pair: DegenerateInput, ZeroVelocity,
-# ZeroDirection and a non-finite intermediate are ValueErrors, and
-# coordinates near the float range may overflow.
-ALGORITHM_ERRORS = (ValueError, OverflowError, Penetrating)
+# ZeroDirection and a non-finite witness are ValueErrors.
+ALGORITHM_ERRORS = (ValueError, Penetrating)
 # Both tolerances are fractions of the scene separation, so a scene scaled
 # by any factor that its coordinates survive places and checks alike.
 MISMATCH_TOLERANCE = 1e-6
@@ -128,9 +133,10 @@ def default_scene() -> Scene:
     )
 
 
-def _offset(mover: Triangle, static: Triangle, ux: float, uy: float, r: float) -> float:
-    """Largest t at which the mover, translated by -t*u, is within r of the
-    static triangle; -inf when no t is.
+def _offset(edges_a: _Edges, edges_b: _Edges, ux: float, uy: float, r: float) -> float:
+    """Largest t at which the mover A, translated by -t*u, is within r of
+    the static triangle B; -inf when no t is. The coordinates and r are in
+    range, at most 2^250 in magnitude.
 
     u is (1, 0) or (0, 1), so u.u is exactly 1 and a disk exit needs no
     division. The points within r of an edge are the disks of radius r
@@ -144,17 +150,14 @@ def _offset(mover: Triangle, static: Triangle, ux: float, uy: float, r: float) -
     floats. Each edge's direction and slope are computed once, and its
     squared length and r * sqrt of it once where the slope is not zero,
     as only then does it have crossings. A crossing counts only between
-    the edge's ends, and a NaN exit, which only coordinates near the float
-    range give, never counts. Ties keep the first exit in the order of the
+    the edge's ends. Ties keep the first exit in the order of the
     18 vertex-edge pairs (mover vertices against static edges, then static
     vertices against mover edges; an edge's end disks before its strip),
     so a zero offset keeps that exit's sign.
     """
     sqrt, copysign = math.sqrt, math.copysign
-    a0, a1, a2 = mover.v0, mover.v1, mover.v2
-    b0, b1, b2 = static.v0, static.v1, static.v2
-    ax0, ay0, ax1, ay1, ax2, ay2 = a0.x, a0.y, a1.x, a1.y, a2.x, a2.y
-    bx0, by0, bx1, by1, bx2, by2 = b0.x, b0.y, b1.x, b1.y, b2.x, b2.y
+    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
+    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
     nx, ny = -ux, -uy
     rr = r * r
     # Each edge's direction, its slope against the direction its crossing
@@ -252,10 +255,11 @@ def place_pair(
     there, so it is the last exit, over the 18 pairs, of a vertex moving
     along the axis from the band of radius s around an edge of the other
     triangle. ``_offset`` finds it from 9 disk exits and 18 strip
-    crossings, each computed once. One oracle call checks it to
-    PLACEMENT_TOLERANCE * s. A pair that cannot be placed, or whose
-    coordinates overflow the search or the check, raises PlacementFailure
-    naming it.
+    crossings, each computed once; a pair with a coordinate or a
+    separation past 2^250 is searched scaled into range by one power of
+    two, and its offset scaled back. One oracle call checks it to
+    PLACEMENT_TOLERANCE * s. A pair that cannot be placed, or whose placed
+    coordinates leave the float range, raises PlacementFailure naming it.
     """
     i, j = pair
     n = len(scene.objects)
@@ -264,15 +268,19 @@ def place_pair(
     mover, static, s = scene.objects[i], scene.objects[j], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
     try:
-        offset = _offset(mover, static, ux, uy, s)
+        if mover.is_huge or static.is_huge or s > _RANGE:
+            f = _pair_scale(mover, static, s)
+            offset = _offset(_scaled_edges(mover, f), _scaled_edges(static, f), ux, uy, s * f) / f
+        else:
+            offset = _offset(_edges(mover), _edges(static), ux, uy, s)
         if offset == -math.inf:
             raise PlacementFailure(
                 f"pair {mover.name}->{static.name} cannot reach separation {s} along {scene.axis.value}"
             )
         moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
         gap = brute_force_triangle_distance(moved, static).distance - s
-    except (OverflowError, ValueError) as exc:
-        # Coordinates near the float range overflow the search or the check.
+    except ValueError as exc:
+        # An offset or a placed coordinate past the float range.
         raise PlacementFailure(f"pair {mover.name}->{static.name} cannot be placed: {exc}") from exc
     if abs(gap) > PLACEMENT_TOLERANCE * s:
         raise PlacementFailure(f"pair {mover.name}->{static.name} placed {gap:+.3g} off separation {s}")

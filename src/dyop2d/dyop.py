@@ -45,16 +45,16 @@ The candidate choice squares each vertex's offset from the pivot as a
 product, ``ex * ex + ey * ey``. IEEE multiplication rounds correctly
 and a libm ``pow`` behind ``** 2`` does not always, so where two
 vertices nearly tie, the choice no longer depends on the platform's
-``pow``. Near the float range a square can overflow to inf. One
-infinite square still decides: its vertex is the farthest, since the
-other two squares are finite, and the comparisons drop it as they drop
-any farthest vertex (the stages' sort puts it last). Two or more
-infinite squares in one triangle leave the nearest two undecided, and
-only then does the query refuse, with ``OverflowError``. That is its
-one overflow refusal before the segment test, and it covers the pivot
-too: the pivot is not checked, and a gap box whose midpoint overflows
-gives an infinite pivot, to which all three squared distances of a
-triangle are infinite.
+``pow``. The kernel takes coordinates in range, at most 2^250 in
+magnitude, where no square overflows: ``dyop_distance`` scales a pair
+past that into range by one power of two (geometry's one overflow
+rule), so the query refuses nothing but a degenerate triangle. The
+public stages are definitions on raw coordinates, and there a square can
+overflow to inf. One infinite square still decides: its vertex is the
+farthest, and the stages' sort puts it last. Two or more in one
+triangle, as every square to an overflowed pivot is, leave the nearest
+two undecided, and ``select_candidates`` refuses them with
+``OverflowError``.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .geometry import (
     _answer,
     _Edges,
     _edges,
+    _in_range,
     _segment_segment,
 )
 
@@ -175,32 +176,31 @@ def dyop_distance(
     result is never below the exact separation distance; it equals it
     whenever the true witness features survive pruning. A
     "overlapping-boxes" flag marks queries whose extents were not
-    disjoint along the movement axis. Before the segment test the query
-    refuses an overflow only where the candidate rule does, with
-    ``OverflowError``; an overflowed pivot is refused that way.
+    disjoint along the movement axis. A pair with a coordinate past
+    2^250 is answered scaled into range (``geometry._in_range``).
     """
     axis = dominant_axis(relative_velocity)
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
+    if tA.is_huge or tB.is_huge:
+        return _answer(*_in_range(_dyop, tA, tB, axis))
     return _answer(*_dyop(_edges(tA), _edges(tB), axis))
 
 
 def _dyop(
     edges_a: _Edges, edges_b: _Edges, axis: MovementAxis
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
-    """DyOP on two non-degenerate triangles' edges along ``axis``: the
-    arguments of its ``_answer``.
+    """DyOP on two non-degenerate triangles' edges in range, along ``axis``:
+    the arguments of its ``_answer``.
 
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
-    ``select_candidates`` on both triangles (squares as products, refused
-    where two of them overflow, as all three do for an overflowed pivot)
-    and ``_classify_edge_point`` written out, and one call of
-    ``geometry._segment_segment`` on the candidate edges, so that an
-    answer without contact costs two calls: the segment test and its
-    ``TestCounters``. The stages are the definition: they state the rule
+    ``select_candidates`` on both triangles (squares as products, none of
+    which overflows in range) and ``_classify_edge_point`` written out,
+    and one call of ``geometry._segment_segment`` on the candidate edges,
+    so that an answer without contact costs two calls: the segment test
+    and its ``TestCounters``. The stages are the definition: they state the rule
     with ``min``/``max`` and a stable sort, and the kernel writes it out
-    comparison by comparison, with their tie rules and refusal. Only the
-    gap box's
+    comparison by comparison, with their tie rules. Only the gap box's
     midpoint clamp is left out, as the pivot cannot tell it apart, and
     only the movement axis's interval is tested for inversion, as only
     its flag is read. The candidate edges run from A's vertex ``ea``
@@ -234,17 +234,12 @@ def _dyop(
     px, py = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
     # The candidate edge joins the two vertices nearest the pivot: it is
     # the one opposite the farthest vertex (the highest index among equals).
-    # Squares are products. One infinite square is the farthest vertex and
-    # the comparisons drop it; two or more cannot be ordered, so they refuse.
-    # An overflowed pivot makes all three infinite, so it is refused here.
     ex, ey = x0 - px, y0 - py
     d0 = ex * ex + ey * ey
     ex, ey = x1 - px, y1 - py
     d1 = ex * ex + ey * ey
     ex, ey = x2 - px, y2 - py
     d2 = ex * ex + ey * ey
-    if not d0 + d1 + d2 < inf and (d0 == inf) + (d1 == inf) + (d2 == inf) > 1:
-        raise OverflowError("squared distances to the pivot overflow")
     if d2 >= d0 and d2 >= d1:
         ea, na, ax, ay, bx, by = 0, 1, x0, y0, x1, y1
     elif d1 >= d0:
@@ -257,8 +252,6 @@ def _dyop(
     d1 = ex * ex + ey * ey
     ex, ey = u2 - px, v2 - py
     d2 = ex * ex + ey * ey
-    if not d0 + d1 + d2 < inf and (d0 == inf) + (d1 == inf) + (d2 == inf) > 1:
-        raise OverflowError("squared distances to the pivot overflow")
     if d2 >= d0 and d2 >= d1:
         eb, nb, cx, cy, dx, dy = 0, 1, u0, v0, u1, v1
     elif d1 >= d0:

@@ -35,6 +35,20 @@ the same way: it unpacks the six vertices once, computes the six edge
 directions and squared lengths once (6, not one per projection, 18),
 and writes its 18 vertex-edge projections out as ``_project`` defines
 them, with no Python call per projection.
+
+There is one overflow rule, at the edge. The kernels take coordinates in
+range, at most 2^250 in magnitude, where no difference, square or
+product they form can overflow, so they carry no overflow guard. A
+``Triangle`` records at construction whether it has a coordinate past
+2^250 (``is_huge``), and each public query on such a pair scales it
+into range by one power of two, runs the unchanged kernel and scales
+the distance and witnesses back (``_in_range``). Scaling by a power of
+two is exact in binary floating point wherever it does not underflow,
+so the answers do not depend on the coordinates' scale, and in range
+nothing changes. The finiteness checks that stay guard other things:
+the input points, ``_answer``'s witnesses, a crossing that divides by a
+subnormal (``_intersect`` and ``_segment_segment``), and ``_project``,
+which ``point_segment_distance`` calls on raw points.
 """
 
 from __future__ import annotations
@@ -45,6 +59,11 @@ from enum import Enum
 
 # Triangles with |signed area| at or below this are treated as degenerate.
 DEGENERATE_AREA = 1e-12
+# The kernels' range: at or below 2^250 in magnitude no coordinate difference,
+# square or product of two dot products overflows (the largest stays under
+# about 2^1010). A triangle records whether it has a coordinate past it.
+_RANGE_EXPONENT = 250
+_RANGE = math.ldexp(1.0, _RANGE_EXPONENT)
 
 
 def _require_finite(*values: float) -> None:
@@ -96,19 +115,29 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _winding(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> tuple[bool, bool]:
+def _winding(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, area: float = DEGENERATE_AREA
+) -> tuple[bool, bool]:
     """(clockwise, degenerate) of the triangle (x0, y0), (x1, y1), (x2, y2).
 
     The one input rule for triangles: its orientation, twice its signed
     area, computed once, says by its sign whether v1 and v2 must swap to
     make it counter-clockwise, and by its half whether it is degenerate
-    (|area| <= DEGENERATE_AREA). The sign is taken before halving, since
-    half of the smallest negative orientation, -5e-324, rounds to -0.0.
-    Swapping v1 and v2 negates the orientation exactly, so both answers
-    hold for the normalized vertices.
+    (|area| <= ``area``, DEGENERATE_AREA unless the coordinates were
+    scaled). The sign is taken before halving, since half of the smallest
+    negative orientation, -5e-324, rounds to -0.0. Swapping v1 and v2
+    negates the orientation exactly, so both answers hold for the
+    normalized vertices.
     """
     orientation = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    return orientation < 0.0, abs(0.5 * orientation) <= DEGENERATE_AREA
+    return orientation < 0.0, abs(0.5 * orientation) <= area
+
+
+def _range_scale(*values: float) -> float:
+    """The power of two that scales the largest |value|, past 2^250, into
+    [2^249, 2^250). Its reciprocal is exact, and scaling by either is
+    exact wherever it does not underflow."""
+    return math.ldexp(1.0, _RANGE_EXPONENT - math.frexp(max(map(abs, values)))[1])
 
 
 _Edges = tuple[tuple[float, float, float, float], ...]
@@ -121,6 +150,19 @@ def _edges(tri: Triangle) -> _Edges:
     return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
 
 
+def _scaled_edges(tri: Triangle, f: float) -> _Edges:
+    """``_edges`` of the triangle scaled by ``f``, in its own vertex order."""
+    v0, v1, v2 = tri.v0, tri.v1, tri.v2
+    x0, y0, x1, y1, x2, y2 = v0.x * f, v0.y * f, v1.x * f, v1.y * f, v2.x * f, v2.y * f
+    return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+
+
+def _pair_scale(tA: Triangle, tB: Triangle, *values: float) -> float:
+    """``_range_scale`` of the pair's coordinates and ``values``."""
+    (a, b, c), (d, e, f) = tA.vertices, tB.vertices
+    return _range_scale(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y, e.x, e.y, f.x, f.y, *values)
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices, normalized to counter-clockwise order on construction.
@@ -130,9 +172,12 @@ class Triangle:
     (|area| <= DEGENERATE_AREA) are representable but flagged via
     ``is_degenerate``; algorithms that cannot handle them refuse them
     explicitly. Both decisions come from one ``_winding`` call at
-    construction, and the flag is kept as the non-field attribute
-    ``is_degenerate``, so it stays out of ``fields()``, ``repr``, ``==``
-    and ``hash``.
+    construction. A triangle with a coordinate past 2^250 in magnitude is
+    flagged ``is_huge``, and its winding and degeneracy are decided on its
+    coordinates scaled into range by one power of two, with the area
+    bound scaled alike, since its orientation can overflow. Both flags
+    are non-field attributes, so they stay out of ``fields()``, ``repr``,
+    ``==`` and ``hash``.
     """
 
     v0: Point2
@@ -142,11 +187,22 @@ class Triangle:
 
     def __post_init__(self) -> None:
         v0, v1, v2 = self.v0, self.v1, self.v2
-        clockwise, degenerate = _winding(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+        x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
+        r = _RANGE
+        huge = not (
+            abs(x0) <= r and abs(y0) <= r and abs(x1) <= r and abs(y1) <= r and abs(x2) <= r and abs(y2) <= r
+        )
+        if huge:
+            f = _range_scale(x0, y0, x1, y1, x2, y2)
+            x0, y0, x1, y1, x2, y2 = x0 * f, y0 * f, x1 * f, y1 * f, x2 * f, y2 * f
+            clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2, DEGENERATE_AREA * f * f)
+        else:
+            clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2)
         if clockwise:
             object.__setattr__(self, "v1", v2)
             object.__setattr__(self, "v2", v1)
         object.__setattr__(self, "is_degenerate", degenerate)
+        object.__setattr__(self, "is_huge", huge)
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -283,6 +339,22 @@ def _answer(
     return result
 
 
+def _in_range(kernel, tA: Triangle, tB: Triangle, *args) -> tuple:
+    """``kernel``'s values on a pair with a coordinate past 2^250.
+
+    The kernel runs on the pair's edges scaled into range by one power of
+    two, and its distance and witnesses, its first five values, are
+    scaled back by the reciprocal; the rest (features, counters, flags)
+    pass through. Scaling by a power of two is exact where it does not
+    underflow, so these are the in-range values scaled, and a distance
+    past the float range comes back as inf.
+    """
+    f = _pair_scale(tA, tB)
+    d, pax, pay, pbx, pby, *rest = kernel(_scaled_edges(tA, f), _scaled_edges(tB, f), *args)
+    g = 1.0 / f
+    return d * g, pax * g, pay * g, pbx * g, pby * g, *rest
+
+
 def _project(
     px: float, py: float, ax: float, ay: float, bx: float, by: float
 ) -> tuple[float, float, float, float]:
@@ -361,9 +433,11 @@ def _segment_segment(
     clamped endpoint projections is exact (Ericson, Real-Time Collision
     Detection, 2004, 5.1.9); ties keep the earliest in (a, b, c, d) order.
     Straight-line code: ``_intersect``'s four orientations and each
-    projection, ``_project`` with its zero-length branch, clamp and
-    finiteness check, are written out on the directions r = b - a and
-    s = d - c, computed once for all of them.
+    projection, ``_project`` with its zero-length branch and clamp, are
+    written out on the directions r = b - a and s = d - c, computed once
+    for all of them. The coordinates are in range (at most 2^250 in
+    magnitude), so no projection overflows; a crossing that divides by a
+    subnormal is refused as ``_intersect`` refuses it.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -386,7 +460,6 @@ def _segment_segment(
     elif o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
         hx, hy = bx, by
     else:
-        inf = math.inf
         # a and b projected on cd.
         s2 = sx * sx + sy * sy
         if s2 == 0.0:
@@ -397,13 +470,9 @@ def _segment_segment(
             ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
             ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
             qax, qay = cx + ta * sx, cy + ta * sy
-            if ta != ta or s2 == inf:
-                _require_finite(qax, qay)
             tb = ((bx - cx) * sx + (by - cy) * sy) / s2
             tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
             qbx, qby = cx + tb * sx, cy + tb * sy
-            if tb != tb or s2 == inf:
-                _require_finite(qbx, qby)
         # c and d projected on ab.
         r2 = rx * rx + ry * ry
         if r2 == 0.0:
@@ -414,14 +483,10 @@ def _segment_segment(
             tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
             tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
             qcx, qcy = ax + tc * rx, ay + tc * ry
-            if tc != tc or r2 == inf:
-                _require_finite(qcx, qcy)
             td = ((dx - ax) * rx + (dy - ay) * ry) / r2
             td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
             qdx, qdy = ax + td * rx, ay + td * ry
-            if td != td or r2 == inf:
-                _require_finite(qdx, qdy)
-        hypot = math.hypot
+        hypot, inf = math.hypot, math.inf
         best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0)
         d = hypot(ax - qax, ay - qay)
         if d < best_d:
@@ -463,15 +528,25 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
     """Shortest distance between two closed segments, with witness points.
 
     Intersecting segments report distance 0 with coincident witnesses.
+    Segments with a coordinate past 2^250 are measured scaled into range
+    by one power of two, as the triangle queries are.
     """
-    d, pax, pay, pbx, pby, _, _ = _segment_segment(
-        s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y
-    )
-    return d, Point2(pax, pay), Point2(pbx, pby)
+    ends = (s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
+    if max(map(abs, ends)) <= _RANGE:
+        d, pax, pay, pbx, pby, _, _ = _segment_segment(*ends)
+        return d, Point2(pax, pay), Point2(pbx, pby)
+    f = _range_scale(*ends)
+    d, pax, pay, pbx, pby, _, _ = _segment_segment(*(v * f for v in ends))
+    g = 1.0 / f
+    return d * g, Point2(pax * g, pay * g), Point2(pbx * g, pby * g)
 
 
 def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
-    """True when the triangles share any point; boundary contact counts."""
+    """True when the triangles share any point; boundary contact counts.
+    A pair with a coordinate past 2^250 is tested scaled into range."""
+    if tA.is_huge or tB.is_huge:
+        f = _pair_scale(tA, tB)
+        return _contact_witness(_scaled_edges(tA, f), _scaled_edges(tB, f)) is not None
     return _contact_witness(_edges(tA), _edges(tB)) is not None
 
 
@@ -502,7 +577,7 @@ def _contact_witness(
     order, else B's vertex 0, else A's vertex 0. A contained vertex's
     feature on the containing triangle is None, for the caller to name:
     callers that only ask whether the triangles overlap then run no
-    projection, which can overflow near the float range.
+    projection.
     """
     for i, ea in enumerate(edges_a):
         for j, eb in enumerate(edges_b):
@@ -530,11 +605,12 @@ def _edge_sweep(
     caller proves by ``_separated`` or ``_contact_witness``. Ties keep the
     earliest projection in row-major edge-pair order, then (a, b, c, d)
     order, so the reported feature indices stay as low as possible. The
-    witnesses are not checked for finiteness here; ``_answer`` checks them.
+    coordinates are in range (at most 2^250 in magnitude), so no direction,
+    squared length or projection overflows.
 
     The sweep is straight-line code that makes no call per projection:
-    each is ``_project`` written out, with its zero-length branch, clamp
-    and finiteness check, on the six edge directions and squared lengths,
+    each is ``_project`` written out, with its zero-length branch and
+    clamp, on the six edge directions and squared lengths,
     computed once rather than once per projection (6, not 18). Edge i of A
     runs from A's vertex i along (uxi, uyi), and edge j of B from B's
     vertex j along (vxj, vyj). A record names a vertex as the start of
@@ -553,32 +629,24 @@ def _edge_sweep(
     t = ((ax0 - bx0) * vx0 + (ay0 - by0) * vy0) / vv0 if vv0 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
-    if t != t or vv0 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax0 - qx, ay0 - qy)
     if d < best_d:
         best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 0, t)
     t = ((ax1 - bx0) * vx0 + (ay1 - by0) * vy0) / vv0 if vv0 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
-    if t != t or vv0 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax1 - qx, ay1 - qy)
     if d < best_d:
         best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 0, t)
     t = ((bx0 - ax0) * ux0 + (by0 - ay0) * uy0) / uu0 if uu0 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
-    if t != t or uu0 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx0 - qx, by0 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx0, by0, 0, t, 0, 0.0)
     t = ((bx1 - ax0) * ux0 + (by1 - ay0) * uy0) / uu0 if uu0 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
-    if t != t or uu0 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx1 - qx, by1 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx1, by1, 0, t, 1, 0.0)
@@ -586,24 +654,18 @@ def _edge_sweep(
     t = ((ax0 - bx1) * vx1 + (ay0 - by1) * vy1) / vv1 if vv1 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
-    if t != t or vv1 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax0 - qx, ay0 - qy)
     if d < best_d:
         best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 1, t)
     t = ((ax1 - bx1) * vx1 + (ay1 - by1) * vy1) / vv1 if vv1 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
-    if t != t or vv1 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax1 - qx, ay1 - qy)
     if d < best_d:
         best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 1, t)
     t = ((bx2 - ax0) * ux0 + (by2 - ay0) * uy0) / uu0 if uu0 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
-    if t != t or uu0 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx2 - qx, by2 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx2, by2, 0, t, 2, 0.0)
@@ -611,16 +673,12 @@ def _edge_sweep(
     t = ((ax0 - bx2) * vx2 + (ay0 - by2) * vy2) / vv2 if vv2 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
-    if t != t or vv2 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax0 - qx, ay0 - qy)
     if d < best_d:
         best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 2, t)
     t = ((ax1 - bx2) * vx2 + (ay1 - by2) * vy2) / vv2 if vv2 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
-    if t != t or vv2 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax1 - qx, ay1 - qy)
     if d < best_d:
         best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 2, t)
@@ -628,24 +686,18 @@ def _edge_sweep(
     t = ((ax2 - bx0) * vx0 + (ay2 - by0) * vy0) / vv0 if vv0 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
-    if t != t or vv0 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax2 - qx, ay2 - qy)
     if d < best_d:
         best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 0, t)
     t = ((bx0 - ax1) * ux1 + (by0 - ay1) * uy1) / uu1 if uu1 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
-    if t != t or uu1 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx0 - qx, by0 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx0, by0, 1, t, 0, 0.0)
     t = ((bx1 - ax1) * ux1 + (by1 - ay1) * uy1) / uu1 if uu1 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
-    if t != t or uu1 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx1 - qx, by1 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx1, by1, 1, t, 1, 0.0)
@@ -653,16 +705,12 @@ def _edge_sweep(
     t = ((ax2 - bx1) * vx1 + (ay2 - by1) * vy1) / vv1 if vv1 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
-    if t != t or vv1 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax2 - qx, ay2 - qy)
     if d < best_d:
         best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 1, t)
     t = ((bx2 - ax1) * ux1 + (by2 - ay1) * uy1) / uu1 if uu1 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
-    if t != t or uu1 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx2 - qx, by2 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx2, by2, 1, t, 2, 0.0)
@@ -670,8 +718,6 @@ def _edge_sweep(
     t = ((ax2 - bx2) * vx2 + (ay2 - by2) * vy2) / vv2 if vv2 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
-    if t != t or vv2 == inf:
-        _require_finite(qx, qy)
     d = hypot(ax2 - qx, ay2 - qy)
     if d < best_d:
         best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 2, t)
@@ -679,16 +725,12 @@ def _edge_sweep(
     t = ((bx0 - ax2) * ux2 + (by0 - ay2) * uy2) / uu2 if uu2 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
-    if t != t or uu2 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx0 - qx, by0 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx0, by0, 2, t, 0, 0.0)
     t = ((bx1 - ax2) * ux2 + (by1 - ay2) * uy2) / uu2 if uu2 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
-    if t != t or uu2 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx1 - qx, by1 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx1, by1, 2, t, 1, 0.0)
@@ -696,8 +738,6 @@ def _edge_sweep(
     t = ((bx2 - ax2) * ux2 + (by2 - ay2) * uy2) / uu2 if uu2 else 0.0
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
-    if t != t or uu2 == inf:
-        _require_finite(qx, qy)
     d = hypot(bx2 - qx, by2 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx2, by2, 2, t, 2, 0.0)
@@ -744,18 +784,10 @@ def _separated(
 def _brute_force(
     edges_a: _Edges, edges_b: _Edges
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters]:
-    """The oracle on two triangles' edge tuples: the arguments of its ``_answer``."""
-    try:
-        swept = _edge_sweep(edges_a, edges_b)
-    except ValueError:
-        # Near the float range a projection can overflow on triangles that
-        # the contact path answers; disjoint ones re-run the sweep below and raise.
-        swept = None
-    else:
-        # Non-finite witnesses never pass _separated, so they take the
-        # contact path too, and _answer refuses them on disjoint triangles.
-        if _separated(edges_a, edges_b, swept[1], swept[2], swept[3], swept[4]):
-            return *swept, TestCounters(0, 0, 9)
+    """The oracle on two triangles' edge tuples, in range: the arguments of its ``_answer``."""
+    swept = _edge_sweep(edges_a, edges_b)
+    if _separated(edges_a, edges_b, swept[1], swept[2], swept[3], swept[4]):
+        return *swept, TestCounters(0, 0, 9)
     contact = _contact_witness(edges_a, edges_b)
     if contact is not None:
         px, py, fa, fb = contact
@@ -765,8 +797,6 @@ def _brute_force(
         elif fb is None:
             fb = _nearest_edge_feature(edges_b, px, py)
         return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0)
-    if swept is None:
-        swept = _edge_sweep(edges_a, edges_b)
     return *swept, TestCounters(0, 0, 9)
 
 
@@ -778,6 +808,9 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     ``_separated``. Only when they fail does the overlap test run, as
     ``_contact_witness``: overlapping or touching triangles then report
     distance 0 with coincident witnesses, and disjoint ones the sweep's
-    answer.
+    answer. A pair with a coordinate past 2^250 is answered scaled into
+    range (``_in_range``).
     """
+    if tA.is_huge or tB.is_huge:
+        return _answer(*_in_range(_brute_force, tA, tB))
     return _answer(*_brute_force(_edges(tA), _edges(tB)))

@@ -13,6 +13,7 @@ from dyop2d.baselines import (
     support,
 )
 from dyop2d.benchmark import default_scene, enumerate_pairs, place_pair
+from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.errors import DegenerateInput, Penetrating, ZeroDirection
 from dyop2d.geometry import (
     FeatureId,
@@ -34,7 +35,7 @@ from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, ulp_error
 from seed_reference import edge_feature, random_triangle, vertex_feature
 from test_benchmark import obj10_movers
-from test_equivalence import OVERFLOW_SCALES, _value_or_error
+from test_equivalence import OVERFLOW_SCALES, RANGE, _bits, _pair_size, _scaled_into_range, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -83,14 +84,19 @@ def test_gjk_rejects_degenerate():
         gjk_distance(tri((0, 0), (1, 0), (2, 0)), tri((5, 0), (6, 0), (5, 1)))
 
 
-def test_gjk_refuses_overflowing_support_point():
-    # The centroids are about 6.7e307 apart, but the first support point,
-    # A's vertex at x = -1e308 minus B's vertex at x = 1e308, overflows.
-    a = tri((-1e308, 0), (0, 0), (0, 1))
-    b = tri((1e308, 2), (1, 2), (1, 3))
-    with pytest.raises(ValueError) as info:
-        gjk_distance(a, b)
-    assert type(info.value) is ValueError
+def test_gjk_answers_where_a_support_point_would_overflow():
+    # The first support point, A's vertex at x = -1e308 minus B's vertex at
+    # x = 1e308, lies past the float range; the pair scaled into range
+    # answers, as the oracle does, and exactly as the pair scaled by 2^-774.
+    a = tri((-1e308, 0), (0, 0), (0, 1e307))
+    b = tri((1e308, 2e307), (1e307, 2e307), (1e307, 3e307))
+    r = gjk_distance(a, b)
+    exact = brute_force_triangle_distance(a, b)
+    assert (r.distance, r.point_a, r.point_b) == (exact.distance, exact.point_a, exact.point_b)
+    assert r.flags == ()
+    f = 2.0**-774
+    scaled = gjk_distance(a.scaled(f), b.scaled(f))
+    assert r.distance == scaled.distance / f
 
 
 def test_gjk_closest_points_realize_distance():
@@ -163,16 +169,10 @@ def _gjk_by_definition(tA, tB, seen=None):
     intersecting = False
     converged = False
     for solves in range(baselines.GJK_MAX_ITERATIONS + 1):
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            seen.add("refused-direction")
-            geometry._require_finite(dx, dy)
         ia = max((0, 1, 2), key=lambda i: edges_a[i][0] * dx + edges_a[i][1] * dy)
         ib = max((0, 1, 2), key=lambda i: edges_b[i][0] * -dx + edges_b[i][1] * -dy)
         dx, dy = -dx, -dy
         x, y = edges_a[ia][0] - edges_b[ib][0], edges_a[ia][1] - edges_b[ib][1]
-        if not (math.isfinite(x) and math.isfinite(y)):
-            seen.add("refused-support")
-            geometry._require_finite(x, y)
         if simplex:
             repeat = any(sa == ia and sb == ib for _, _, sa, sb in simplex)
             if repeat or v2 - (vx * x + vy * y) < baselines.GJK_IMPROVEMENT_TOL:
@@ -196,8 +196,6 @@ def _gjk_by_definition(tA, tB, seen=None):
                 ee += 1
                 vx, vy, lambdas = baselines._closest_on_triangle(*simplex)
             simplex = [sp for sp, _ in lambdas]
-            if any(lam != lam for _, lam in lambdas):
-                seen.add("nan-weights")
         v2 = vx * vx + vy * vy
         if v2 <= 1e-24:
             intersecting = True
@@ -337,12 +335,17 @@ def _has_negative_zero(t):
 
 def test_gjk_equals_its_definition(monkeypatch):
     # Every answer field bit for bit (the sign of zero and int against float
-    # too, and the feature names), or the same exception and message.
+    # too, and the feature names), or the same exception and message. A
+    # pair past 2^250 is answered as the definition answers it scaled into
+    # range by a power of two, scaled back.
     kinds = _record_triangle_solves(monkeypatch)
     cases = list(_gjk_cases())
+    definition = _scaled_into_range(_gjk_by_definition)
     for a, b in cases:
         got = _value_or_error(gjk_distance, a, b)
-        assert got == _value_or_error(_gjk_by_definition, a, b, kinds), (a, b)
+        assert got == _value_or_error(definition, a, b, kinds), (a, b)
+        if _pair_size(a, b) > RANGE:
+            kinds.add("past the range")
         if got[0] == "ok" and isinstance(a.v0.x, int) and isinstance(b.v0.x, int):
             kinds.add("int")
         if _has_negative_zero(a) or _has_negative_zero(b):
@@ -351,17 +354,19 @@ def test_gjk_equals_its_definition(monkeypatch):
         monkeypatch.setattr(baselines, "GJK_MAX_ITERATIONS", cap)
         for a, b in cases[:1000]:
             got = _value_or_error(gjk_distance, a, b)
-            assert got == _value_or_error(_gjk_by_definition, a, b, kinds), (cap, a, b)
+            assert got == _value_or_error(definition, a, b, kinds), (cap, a, b)
             if got[0] == "ok" and "gjk-unconverged" in got[1][-1]:
                 kinds.add(f"unconverged-{cap}")
             elif got[0] == "raised" and got[1] is UnboundLocalError:
                 kinds.add(f"unbound-{cap}")
-    # No input here makes a triangle solve keep only a, b or both: the
-    # newest point c lies beyond the last closest point, toward the origin,
-    # by the improvement check, so it stays among the kept points.
-    expected = {"size-1", "size-2", "size-3", "segment-a", "segment-b", "segment-ab"}
-    expected |= {"triangle-c", "triangle-ac", "triangle-bc", "triangle-abc", "flat", "nan-weights"}
-    expected |= {"repeat", "improvement", "intersecting-3", "refused-direction", "refused-support"}
+    # No input here makes a triangle solve keep only a, b or both, or a
+    # segment solve keep only a: the newest point lies beyond the last
+    # closest point, toward the origin, by the improvement check, so it
+    # stays among the kept points. (Only a pair whose squared lengths
+    # overflowed, answered now in range, kept a segment's a alone.)
+    expected = {"size-1", "size-2", "size-3", "segment-b", "segment-ab"}
+    expected |= {"triangle-c", "triangle-ac", "triangle-bc", "triangle-abc", "flat", "past the range"}
+    expected |= {"repeat", "improvement", "intersecting-3"}
     expected |= {"int", "negative-zero", "unbound-0", "unconverged-1", "unconverged-2", "unconverged-3"}
     assert expected <= kinds, sorted(expected - kinds)
 
@@ -801,15 +806,19 @@ def _lin_canny_cases():
 def test_lin_canny_equals_its_definition():
     # Every answer field bit for bit (the sign of zero and int against float
     # too, the feature names and the returned pair), or the same exception
-    # and message.
+    # and message. A pair past 2^250 is answered as the definition answers
+    # it scaled into range by a power of two, scaled back.
     seen = set()
+    definition = _scaled_into_range(_lin_canny_by_definition)
     for a, b, seed in _lin_canny_cases():
         got = _value_or_error(lin_canny_distance, a, b, seed)
-        assert got == _value_or_error(_lin_canny_by_definition, a, b, seed, seen), (a, b, seed)
+        assert got == _value_or_error(definition, a, b, seed, seen), (a, b, seed)
+        if _pair_size(a, b) > RANGE:
+            seen.add("past the range")
     expected = {"vv", "ve", "ev", "ee", "zero-length-edge"}
     expected |= {"vertex-to-own-edge", "vertex-to-previous-edge", "edge-to-start", "edge-to-end"}
     expected |= {"behind-to-start", "behind-to-end", "increase", "revisit"}
-    expected |= {"value-error", "value-error-contact", "certified", "fallback", "penetrating"}
+    expected |= {"certified", "fallback", "penetrating", "past the range"}
     assert expected <= seen, sorted(expected - seen)
 
 
@@ -1119,32 +1128,63 @@ def test_contained_triangles_near_the_float_range_still_overlap(s):
 
 
 def test_lin_canny_runs_one_overlap_test_after_an_overflowing_walk(monkeypatch):
-    # A and a copy shifted by 0.3 of the scale, near the float range: a
-    # walk that overflows a witness is decided by one overlap test, which
-    # refuses the pair as overlapping or raises its own ValueError, and
-    # the walk's ValueError is not chained into Penetrating's traceback.
+    # A crossing whose contact point overflows, a division by a subnormal,
+    # makes _segment_segment refuse it with ValueError. No input in range
+    # is known to get there, so the refusal is put into every edge-edge
+    # step of the walk. A walk that meets it is decided by one overlap
+    # test: A against a copy shifted by 0.3 of the unit box overlaps and is
+    # refused as Penetrating, without the walk's ValueError chained into
+    # its traceback; A against a disjoint B raises that ValueError.
     calls = _count_overlap_calls(monkeypatch)
+    refusals = []
+
+    def refused(*ends):
+        refusals.append(ends)
+        raise ValueError("non-finite coordinate: inf")
+
+    monkeypatch.setattr(baselines, "_segment_segment", refused)
     rng = random.Random(3)
-    overflowed = 0
-    for a in [random_separated_pair(rng)[0] for _ in range(300)]:
-        for scale in (1e155, 1e300):
-            a_scaled = a.scaled(scale)
+    outcomes = set()
+    for _ in range(300):
+        a, b, _ = random_separated_pair(rng)
+        for other in (a.translated(0.3, 0.0), b):
+            overlapping = triangles_overlap(a, other)
             calls.clear()
-            with pytest.raises((Penetrating, ValueError)) as info:
-                lin_canny_distance(a_scaled, a_scaled.translated(0.3 * scale, 0.0))
-            assert calls == ["lin_canny_distance"]
-            if info.type is Penetrating and info.value.__context__ is not None:
-                assert isinstance(info.value.__context__, ValueError)
-                assert info.value.__suppress_context__
-                overflowed += 1
-    assert overflowed > 0
+            refusals.clear()
+            try:
+                lin_canny_distance(a, other)
+            except Penetrating as exc:
+                outcome = "penetrating"
+                if refusals:
+                    assert isinstance(exc.__context__, ValueError) and exc.__suppress_context__
+            except ValueError as exc:
+                outcome = "value-error"
+                assert str(exc) == "non-finite coordinate: inf"
+            else:
+                outcome = "answered"
+            if refusals:
+                assert calls == ["lin_canny_distance"]
+                assert outcome == ("penetrating" if overlapping else "value-error"), (a, other)
+                outcomes.add(outcome)
+    assert outcomes == {"penetrating", "value-error"}
 
 
-@pytest.mark.parametrize("k", [-20, 20])
+def _scaled_result(r, s):
+    """``r`` with its distance and witnesses scaled by ``s``."""
+    point_a, point_b = Point2(r.point_a.x * s, r.point_a.y * s), Point2(r.point_b.x * s, r.point_b.y * s)
+    return dataclasses.replace(r, distance=r.distance * s, point_a=point_a, point_b=point_b)
+
+
+@pytest.mark.parametrize("k", [-20, 20, 260, 520, 1000])
 def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
     # DEGENERATE_AREA is still an absolute area bound, so the pairs are
-    # taken at 2**20 times their unit size: at both scalings every
-    # triangle's area stays far above it.
+    # taken at 2**20 times their unit size: at every scaling every
+    # triangle's area stays far above it. Past 2^250, up to near the float
+    # maximum (2^1022 here), the entries scale the pair back into range,
+    # so every answer is the in-range one times 2**k, bit for bit: the
+    # oracle's, Lin-Canny's, DyOP's, the overlap test's and placement's.
+    # GJK_IMPROVEMENT_TOL is absolute, so GJK is held to this only between
+    # two exponents past the range.
     rng = random.Random(28)
     base = 2.0**20
     scene = default_scene()
@@ -1154,20 +1194,34 @@ def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
     grid = [tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))) for _ in range(600)]
     pairs += list(zip(grid[::2], grid[1::2]))
     s = 2.0**k
+    velocity = Vector2(1.0, 0.0)
     for a, b in pairs:
         a, b = a.scaled(base), b.scaled(base)
         sa, sb = a.scaled(s), b.scaled(s)
-        exact, scaled = brute_force_triangle_distance(a, b), brute_force_triangle_distance(sa, sb)
-        assert scaled.distance == exact.distance * s
-        try:
-            result, _ = lin_canny_distance(a, b)
-        except (DegenerateInput, Penetrating) as exc:
-            with pytest.raises(type(exc)):
-                lin_canny_distance(sa, sb)
-            continue
-        scaled_result, _ = lin_canny_distance(sa, sb)
-        assert scaled_result.distance == result.distance * s
-        assert scaled_result.flags == result.flags
+        exact = _scaled_result(brute_force_triangle_distance(a, b), s)
+        assert _bits(brute_force_triangle_distance(sa, sb)) == _bits(exact)
+        assert triangles_overlap(sa, sb) is triangles_overlap(a, b)
+        for query in (lambda t, u: dyop_distance(t, u, velocity), gjk_distance, lin_canny_distance):
+            outcome = _value_or_error(query, a, b)
+            if outcome[0] == "raised":
+                assert _value_or_error(query, sa, sb) == outcome
+            elif query is gjk_distance:
+                if k > 250:
+                    past = 2.0**260
+                    expected = _scaled_result(gjk_distance(a.scaled(past), b.scaled(past)), s / past)
+                    assert _bits(gjk_distance(sa, sb)) == _bits(expected)
+            elif query is lin_canny_distance:
+                result, pair = lin_canny_distance(a, b)
+                assert _bits(lin_canny_distance(sa, sb)) == _bits((_scaled_result(result, s), pair))
+            else:
+                assert _bits(query(sa, sb)) == _bits(_scaled_result(query(a, b), s))
+    for axis in MovementAxis:
+        objects = tuple(o.scaled(base) for o in scene.objects)
+        unit = dataclasses.replace(scene, objects=objects, separation=base, axis=axis)
+        scaled = dataclasses.replace(unit, objects=tuple(o.scaled(s) for o in objects), separation=base * s)
+        for pair in enumerate_pairs(n):
+            moved, static, v = place_pair(unit, pair)
+            assert _bits(place_pair(scaled, pair)) == _bits((moved.scaled(s), static.scaled(s), v))
 
 
 def test_lin_canny_seeded_repeat_after_fallback_is_one_pass_without_flag():

@@ -23,6 +23,7 @@ from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dyop_di
 from dyop2d.errors import IncompleteRecords, PlacementFailure
 from dyop2d.geometry import FeatureKind, Point2, Triangle, Vector2, _edges, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair
+from test_equivalence import RANGE, _pair_size
 
 
 def tri(name, a, b, c):
@@ -241,17 +242,26 @@ def _offset_by_definition(mover, static, ux, uy, r):
 
 
 def _place_by_definition(scene, pair):
-    """``place_pair`` with its offset from ``_offset_by_definition``."""
+    """``place_pair`` with its offset from ``_offset_by_definition``, taken on
+    the pair and the separation scaled into range by a power of two where a
+    coordinate or the separation is past 2^250, and scaled back."""
     mover, static, s = scene.objects[pair[0]], scene.objects[pair[1]], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
     label = f"pair {mover.name}->{static.name}"
     try:
-        offset = _offset_by_definition(mover, static, ux, uy, s)
+        size = max(_pair_size(mover, static), s)
+        if size <= RANGE:
+            offset = _offset_by_definition(mover, static, ux, uy, s)
+        else:
+            # Another target than place_pair's own [2^249, 2^250): the offset
+            # scales with the pair, whatever the power.
+            f = 2.0 ** (200 - math.frexp(size)[1])
+            offset = _offset_by_definition(mover.scaled(f), static.scaled(f), ux, uy, s * f) / f
         if offset == -math.inf:
             raise PlacementFailure(f"{label} cannot reach separation {s} along {scene.axis.value}")
         moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
         gap = benchmark.brute_force_triangle_distance(moved, static).distance - s
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise PlacementFailure(f"{label} cannot be placed: {exc}") from exc
     if abs(gap) > benchmark.PLACEMENT_TOLERANCE * s:
         raise PlacementFailure(f"{label} placed {gap:+.3g} off separation {s}")
@@ -285,11 +295,17 @@ def _definition_scenes():
                 yield dataclasses.replace(base, objects=tuple(o.scaled(k) for o in base.objects), separation=s * k)
             for dx, dy in ((5.0, 5.0), (1e9, -1e9)):
                 yield dataclasses.replace(base, objects=tuple(o.translated(dx, dy) for o in base.objects))
-    # Scenes whose coordinates overflow the search or the check.
+    # Scenes whose squares would overflow the search or the check: they are
+    # placed scaled into range.
     for k in (1e155, 1e300):
         for axis in MovementAxis:
             objects = tuple(o.scaled(k) for o in scene.objects)
             yield dataclasses.replace(scene, objects=objects, separation=k, axis=axis)
+    # A scene whose placed coordinates leave the float range: each object
+    # must cross about 3.3e308 to reach the other.
+    left = tri("L", (-1.7e308, 0.0), (-1.7e308, 1.0), (-1.6e308, 0.5))
+    right = tri("R", (1.7e308, 0.0), (1.7e308, 1.0), (1.6e308, 0.5))
+    yield Scene((left, right), 1.0, MovementAxis.X)
     # Random pairs, along either axis, so that some cannot be placed.
     rng = random.Random(7)
     for _ in range(3000):
@@ -305,14 +321,16 @@ def test_placement_equals_its_definition():
         ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
         for pair in enumerate_pairs(len(scene.objects)):
             mover, static = scene.objects[pair[0]], scene.objects[pair[1]]
-            got = benchmark._offset(mover, static, ux, uy, scene.separation)
-            expected = _offset_by_definition(mover, static, ux, uy, scene.separation)
-            assert _hex(got) == _hex(expected), (scene, pair)
+            if max(_pair_size(mover, static), scene.separation) <= RANGE:
+                # The kernel's precondition: coordinates and separation in range.
+                got = benchmark._offset(_edges(mover), _edges(static), ux, uy, scene.separation)
+                expected = _offset_by_definition(mover, static, ux, uy, scene.separation)
+                assert _hex(got) == _hex(expected), (scene, pair)
             placed = _placement(place_pair, scene, pair)
             assert placed == _placement(_place_by_definition, scene, pair), (scene, pair)
             outcomes[placed[0] if placed[0] == "placed" else next(k for k in kinds if k in placed[1])] += 1
     # Every outcome occurs: shifted by 1e9, a coordinate's rounding exceeds
-    # 1e-9 * s at small s, and at 1e155 the offset overflows.
+    # 1e-9 * s at small s, and two objects 3.4e308 apart cannot be placed.
     assert set(outcomes) == {"placed", "cannot reach", "cannot be placed", "off separation"}, outcomes
 
 
@@ -331,7 +349,7 @@ def test_offset_keeps_the_first_of_tied_exits():
     for a, b, (ux, uy), r in pinned:
         mover, static = Triangle(*(Point2(*p) for p in a)), Triangle(*(Point2(*p) for p in b))
         assert _hex(_offset_by_definition(mover, static, ux, uy, r)) == "-0x0.0p+0"
-        assert _hex(benchmark._offset(mover, static, ux, uy, r)) == "-0x0.0p+0", (a, b)
+        assert _hex(benchmark._offset(_edges(mover), _edges(static), ux, uy, r)) == "-0x0.0p+0", (a, b)
     values = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
     rng = random.Random(3)
     for _ in range(5000):
@@ -340,7 +358,8 @@ def test_offset_keeps_the_first_of_tied_exits():
         ux, uy = rng.choice(((1.0, 0.0), (0.0, 1.0)))
         r = rng.choice((0.5, 1.0, 1.5, 2.0, 2.5))
         expected = _offset_by_definition(mover, static, ux, uy, r)
-        assert _hex(benchmark._offset(mover, static, ux, uy, r)) == _hex(expected), (mover, static, ux, r)
+        got = benchmark._offset(_edges(mover), _edges(static), ux, uy, r)
+        assert _hex(got) == _hex(expected), (mover, static, ux, r)
 
 
 def test_run_benchmark_record_count_and_order():
@@ -513,19 +532,24 @@ def test_default_scene_dyop_misses_drop_the_static_winning_edge(axis, static_mis
 
 
 def test_run_benchmark_records_an_overflowing_query():
-    # At 0.9e154, when Obj1 moves, two of its squared distances to the pivot
-    # overflow, so DyOP cannot choose its candidate edge and refuses. When
-    # Obj5 moves, one of Obj1's squares overflows and none of Obj5's: that
-    # vertex is the farthest, and DyOP answers at the separation.
+    # At 0.9e154 squared distances overflow on raw coordinates: when Obj1
+    # moved, DyOP's candidate rule was undecided and the query refused with
+    # OverflowError. Scaled into range, every such query answers at the
+    # separation, unflagged, and a degenerate object, which every pair with
+    # it still refuses, is recorded as a failed query beside them.
     scene = scaled_default_scene(0.9e154, ("Obj1", "Obj5"))
+    flat = tri("Flat", (0.0, 0.45e154), (1e154, 0.45e154), (2e154, 0.45e154))
+    scene = dataclasses.replace(scene, objects=scene.objects + (flat,))
     records = run_benchmark(scene, algorithms=("dyop", "gjk"), repeats=1)
-    refused, answered = [r for r in records if r["algorithm"] == "dyop"]
-    assert (refused["pair_a"], answered["pair_a"]) == ("Obj1", "Obj5")
-    assert refused["flags"] == ["error:OverflowError"]
-    assert refused["distance"] is None
-    assert (refused["vv_tests"], refused["ve_tests"], refused["ee_tests"]) == (0, 0, 0)
-    assert answered["distance"] == scene.separation
-    assert answered["flags"] == []
+    assert len(records) == 6 * 2
+    for r in records:
+        if "Flat" in (r["pair_a"], r["pair_b"]):
+            assert r["flags"] == ["error:DegenerateInput"]
+            assert r["distance"] is None
+            assert (r["vv_tests"], r["ve_tests"], r["ee_tests"]) == (0, 0, 0)
+        else:
+            assert r["distance"] == scene.separation
+            assert r["flags"] == []
 
 
 @pytest.mark.parametrize("k", [7, 12, 100, 153])

@@ -232,52 +232,73 @@ def test_bench_exits_4_when_dyop_refuses_a_pair(tmp_path, capsys):
     assert not out_csv.exists() and not out_json.exists()
 
 
-@pytest.mark.parametrize(
-    "names,s,message",
-    [
-        # DyOP's squared distances overflow: OverflowError.
-        (("Obj1", "Obj5"), 0.9e154, "missing dyop record"),
-        # GJK's search direction becomes NaN: ValueError.
-        (("Obj1", "Obj9"), 0.8e154, "no successful baseline records"),
-    ],
-)
-def test_bench_exits_4_when_an_algorithm_overflows(tmp_path, capsys, names, s, message):
+def test_bench_exits_4_when_no_baseline_answers(tmp_path, capsys, monkeypatch):
+    # DyOP answers every pair and GJK refuses every one, as an algorithm
+    # error: no baseline record is left to compare, so bench writes nothing.
+    def refused(*args):
+        raise ValueError("non-finite coordinate: nan")
+
+    monkeypatch.setattr(benchmark, "gjk_distance", refused)
     out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
-    args = ["bench", "--scene", _scene_path(tmp_path, scaled_default_scene(s, names))]
+    args = ["bench", "--scene", _scene_path(tmp_path, scaled_default_scene(1.0, ("Obj1", "Obj9")))]
     args += ["--repeats", "1", "--algos", "dyop,gjk"]
     assert main(args + ["--out-csv", str(out_csv), "--out-json", str(out_json)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and message in captured.err
+    assert captured.err.count("\n") == 1 and "no successful baseline records" in captured.err
     assert not out_csv.exists() and not out_json.exists()
 
 
-def _scaled_scene(s):
-    # Unit triangles scaled towards the float range, at a separation of the same scale.
-    return Scene(
-        (tri("A", (0, 0), (s, 0), (0, s)), tri("B", (3 * s, 0), (4 * s, 0), (3 * s, s))),
-        s,
-        MovementAxis.X,
-    )
+def _scaled_scene(s, rise=0.0):
+    # Unit triangles scaled towards the float range, at a separation of the
+    # same scale; B raised by rise times s.
+    b = tri("B", (3 * s, rise * s), (4 * s, rise * s), (3 * s, (rise + 1) * s))
+    return Scene((tri("A", (0, 0), (s, 0), (0, s)), b), s, MovementAxis.X)
 
 
-@pytest.mark.parametrize("algorithm", list(benchmark.ALGORITHMS))
+@pytest.mark.parametrize("algorithm", ["dyop", "gjk", "lincanny"])
 def test_dist_overflowing_coordinates_exit_4(tmp_path, capsys, algorithm):
-    path = _scene_path(tmp_path, _scaled_scene(1e155))
+    # Coordinates whose squares overflow are answered scaled into range, so
+    # what still fails there is a refused input: a flat triangle, which every
+    # algorithm but the oracle refuses.
+    scene = _scaled_scene(1e155)
+    flat = tri("B", (3e155, 0), (4e155, 0), (5e155, 0))
+    path = _scene_path(tmp_path, dataclasses.replace(scene, objects=(scene.objects[0], flat)))
     code = main(["dist", "--scene", path, "--a", "A", "--b", "B", "--algo", algorithm])
     assert code == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("algorithm error (")
+    assert captured.err.startswith("algorithm error (DegenerateInput)")
+
+
+@pytest.mark.parametrize("algorithm", list(benchmark.ALGORITHMS))
+def test_dist_past_the_range_answers_as_at_unit_scale(tmp_path, capsys, algorithm):
+    # At 2^515, about 1.1e155, squares overflow on raw coordinates; each
+    # algorithm answers the pair scaled into range, and its document is the
+    # unit-scale one times 2^515, bit for bit.
+    docs = []
+    for s in (1.0, 2.0**515):
+        path = _scene_path(tmp_path, _scaled_scene(s, 0.5))
+        assert main(["dist", "--scene", path, "--a", "A", "--b", "B", "--algo", algorithm]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    unit, scaled = docs
+    assert scaled["distance"] == unit["distance"] * 2.0**515 > 0.0
+    for point in ("point_a", "point_b"):
+        assert scaled[point] == [v * 2.0**515 for v in unit[point]]
+    for key in set(unit) - {"distance", "point_a", "point_b"}:
+        assert scaled[key] == unit[key]
 
 
 @pytest.mark.parametrize("s", [1e154, 1e155])
 def test_bench_overflowing_coordinates_exit_2(tmp_path, capsys, s):
+    # B sits 4 units above A at scale s, so no offset along x brings them
+    # within the separation s; placement decides that in range, where the
+    # squares it takes do not overflow.
     out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
-    args = ["bench", "--scene", _scene_path(tmp_path, _scaled_scene(s)), "--repeats", "1"]
+    args = ["bench", "--scene", _scene_path(tmp_path, _scaled_scene(s, 5.0)), "--repeats", "1"]
     assert main(args + ["--out-csv", str(out_csv), "--out-json", str(out_json)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "unplaceable scene: pair A->B" in err
+    assert err.count("\n") == 1 and "unplaceable scene: pair A->B cannot reach separation" in err
     assert not out_csv.exists() and not out_json.exists()
 
 

@@ -13,7 +13,7 @@ from dyop2d.dyop import (
     dyop_distance,
     select_candidates,
 )
-from dyop2d.errors import DegenerateInput, PlacementFailure, ZeroVelocity
+from dyop2d.errors import DegenerateInput, ZeroVelocity
 from dyop2d.geometry import (
     DistanceResult,
     FeatureKind,
@@ -29,7 +29,16 @@ from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, is_correctly_rounded_sqrt
 from seed_reference import random_triangle
 from test_benchmark import obj10_movers, scaled_default_scene
-from test_equivalence import OVERFLOW_SCALES, _grid_triangle, _infinite_squares, _not_below, _value_or_error
+from test_equivalence import (
+    OVERFLOW_SCALES,
+    _bits,
+    _grid_triangle,
+    _infinite_squares,
+    _into_range,
+    _not_below,
+    _scaled_into_range,
+    _value_or_error,
+)
 from test_geometry import _segment_branch
 
 
@@ -125,23 +134,27 @@ def test_compute_dyop_trivial_boxes():
 
 
 def test_overflowed_gap_box_is_refused_by_the_candidate_rule():
-    # Overlapping x-extents near the float range clamp to a midpoint that
-    # overflows. The box keeps it and the pivot returns it; every squared
-    # distance to that pivot is infinite, so the candidate rule refuses it,
-    # for the query too.
-    a = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1))
-    b = tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
-    box = build_internal_aabb(a, b, MovementAxis.X)
-    assert box[2] == box[4] == math.inf and box[6]
-    pivot = compute_dyop(box)
-    assert pivot == (math.inf, 2.0)
-    for refused in (
-        lambda: select_candidates(a, pivot),
-        lambda: select_candidates(b, pivot),
-        lambda: dyop_distance(a, b, Vector2(1, 0)),
-    ):
-        with pytest.raises(OverflowError, match=r"^squared distances to the pivot overflow$"):
-            refused()
+    # The stages are definitions on raw coordinates. Overlapping x-extents
+    # near the float range clamp to a midpoint that overflows, and a gap
+    # from x = 1.65e308 to 1.7e308 has one too. The box keeps it and the
+    # pivot returns it; every squared distance to that pivot is infinite,
+    # so the candidate rule refuses it. The query scales the pair into
+    # range first, so it answers, as the chain of stages does on the
+    # scaled pair, and not below the exact distance.
+    overlapping = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1)), tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
+    apart = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1)), tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
+    for (a, b), pivot_y, clamped in ((overlapping, 2.0, True), (apart, 0.5, False)):
+        box = build_internal_aabb(a, b, MovementAxis.X)
+        assert (box[2] == box[4] == math.inf) is clamped and box[6] is clamped
+        pivot = compute_dyop(box)
+        assert pivot == (math.inf, pivot_y)
+        for t in (a, b):
+            with pytest.raises(OverflowError, match=r"^squared distances to the pivot overflow$"):
+                select_candidates(t, pivot)
+        r = dyop_distance(a, b, Vector2(1, 0))
+        assert _bits(r) == _bits(_scaled_into_range(_dyop_by_stages)(a, b, Vector2(1, 0)))
+        assert _not_below(r.distance, exact_squared_distance(a, b))
+        assert r.flags == (("overlapping-boxes",) if clamped else ())
 
 
 def test_compute_dyop_midpoint():
@@ -237,20 +250,6 @@ def test_dyop_distance_rejects_degenerate():
         dyop_distance(
             tri((0, 0), (1, 0), (2, 0)), tri((5, 0), (6, 0), (5, 1)), Vector2(1, 0)
         )
-
-
-def test_dyop_distance_refuses_overflowing_pivot():
-    # The gap box runs from x = 1.65e308 to 1.7e308, so its midpoint
-    # overflows. The pivot returns it, and the candidate rule refuses it.
-    a = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1))
-    b = tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
-    pivot = compute_dyop(build_internal_aabb(a, b, MovementAxis.X))
-    assert pivot == (math.inf, 0.5)
-    for refused in (lambda: select_candidates(a, pivot), lambda: dyop_distance(a, b, Vector2(1, 0))):
-        with pytest.raises(OverflowError) as info:
-            refused()
-        assert type(info.value) is OverflowError
-        assert str(info.value) == "squared distances to the pivot overflow"
 
 
 def test_dyop_distance_flags_overlapping_boxes():
@@ -371,21 +370,12 @@ def _dyop_by_stages(a, b, velocity):
     )
 
 
-def _pivot(a, b, velocity):
-    """The pivot by the public stages; (0.0, 0.0) when an earlier stage
-    refuses the pair."""
-    try:
-        return compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
-    except ValueError:
-        return 0.0, 0.0
-
-
 def _segment_case(a, b, velocity):
     """``_segment_branch`` on the candidate edges; None when an earlier stage
     refuses the pair."""
     try:
         ends = _candidate_edges(a, b, velocity)[3]
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
     return _segment_branch(ends)
 
@@ -459,7 +449,7 @@ def _stage_cases():
     for _ in range(2000):
         # The integer grid centred on the origin at a scale whose squared
         # distances to the pivot stay finite while the segment test's
-        # products overflow: crossings and projections are refused there.
+        # products would overflow: the query scales it into range.
         a, b = (_grid_triangle(rng).translated(-2, -2).scaled(4e153) for _ in range(2))
         yield a, b, Vector2(1.0, 0.0) if rng.random() < 0.5 else Vector2(0.0, 1.0)
 
@@ -467,11 +457,14 @@ def _stage_cases():
 def test_dyop_distance_is_the_chain_of_its_stages():
     # Distance, witnesses, features, counters and flags bit for bit, or the
     # same exception and message. Only the refusal of a degenerate triangle
-    # names the entry point that refused it.
+    # names the entry point that refused it. A pair past 2^250 is answered
+    # as the chain answers it scaled into range by a power of two, scaled
+    # back; the branches reached are counted on the pair the kernel sees.
     seen = set()
+    chain = _scaled_into_range(_dyop_by_stages)
     for a, b, velocity in _stage_cases():
         query = _value_or_error(dyop_distance, a, b, velocity)
-        staged = _value_or_error(_dyop_by_stages, a, b, velocity)
+        staged = _value_or_error(chain, a, b, velocity)
         if query[:2] == ("raised", DegenerateInput):
             assert query[2] == "pruned distance requires non-degenerate triangles"
             assert staged == ("raised", DegenerateInput, "internal box requires non-degenerate triangles")
@@ -480,20 +473,20 @@ def test_dyop_distance_is_the_chain_of_its_stages():
         seen.add(query[1] if query[0] == "raised" else "overlapping-boxes" in query[1][-1])
         if query[0] == "ok" and "overlapping-boxes" in query[1][-1]:
             seen.add(("overlapping-boxes", dominant_axis(velocity)))
+        a, b, up = _into_range(a, b)
+        if up != 1.0:
+            seen.add("past the range")
         seen.add(_segment_case(a, b, velocity))
         seen.update(_tied_extents(a, b))
         seen.update(("squares tie", tie) for tie in _tied_squares(a, b, velocity))
-        if _infinite_squares(a, b, velocity):
-            seen.add(("squares overflow", query[1] if query[0] == "raised" else "answered"))
-        if not all(map(math.isfinite, _pivot(a, b, velocity))):
-            assert query == ("raised", OverflowError, "squared distances to the pivot overflow"), (a, b)
-            seen.add(("pivot overflows", OverflowError))
+        # In range no squared distance to the pivot overflows.
+        assert not _infinite_squares(a, b, velocity), (a, b)
     # Every branch of the kernel is reached. A projection record of c or d
     # naming a vertex of A's edge ties with the earlier record of a or b,
     # which keeps the tie.
-    assert seen >= {ZeroVelocity, DegenerateInput, ValueError, True, False}
+    assert seen >= {ZeroVelocity, DegenerateInput, True, False, "past the range"}
     assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
-    assert seen >= {"crossing refused", "projection refused", "zero-length edges"}
+    assert "zero-length edges" in seen
     names = ("t = 0", "t = 1", "interior")
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
@@ -502,11 +495,6 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     }
     # Every tie class of the candidate rule's stable sort.
     assert seen >= {("squares tie", tie) for tie in ("all three", "two nearest", "two farthest")}
-    # Squares that overflow as products: two or more in one triangle raise
-    # OverflowError, and one is the farthest vertex, so the query answers.
-    # An overflowed pivot makes all of them infinite and is refused alike.
-    assert seen >= {("squares overflow", OverflowError), ("squares overflow", "answered")}
-    assert ("pivot overflows", OverflowError) in seen
 
 
 def test_dyop_does_not_depend_on_the_movement_axis():
@@ -542,47 +530,46 @@ def test_dyop_does_not_depend_on_the_movement_axis():
 
 
 def test_dyop_refuses_only_where_its_candidate_choice_is_undecided():
-    # Near the float range a squared distance to the pivot can overflow to
-    # inf. One infinite square still marks the farthest vertex, so DyOP
-    # answers; two or more in one triangle leave the candidate edge
-    # undecided, and only there does it raise OverflowError. Any other
-    # refusal is a ValueError, and no answer falls below the exact distance.
-    answered = {}
+    # On raw coordinates near the float range a squared distance to the
+    # pivot can overflow to inf. The candidate rule, a definition on raw
+    # coordinates, refuses with OverflowError exactly where two or more of
+    # one triangle's squares are infinite, which leaves its nearest two
+    # undecided; one infinite square marks the farthest vertex. The query
+    # scales a pair past 2^250 into range, where every square is finite and
+    # every choice decided, so it answers every pair, never below the exact
+    # distance.
+    seen = set()
     for scale in (1e150, 1e154, 2e154):
         rng = random.Random(9)
-        answered[scale] = 0
         for _ in range(300):
             a, b, velocity = random_separated_pair(rng)
             a, b = a.scaled(scale), b.scaled(scale)
-            try:
-                r = dyop_distance(a, b, velocity)
-            except OverflowError:
-                assert _infinite_squares(a, b, velocity) in (2, 3), (a, b)
-                continue
-            except ValueError:
-                continue
-            answered[scale] += 1
-            assert _not_below(r.distance, exact_squared_distance(a, b)), (a, b)
-    # A rule that refused every overflowed square would answer 187 of these
-    # pairs at 1e154 and 14 at 2e154.
-    assert answered[1e150] == 300
-    assert answered[1e154] >= 251 and answered[2e154] >= 47
-    # The default scene at 9e153 places six pairs. DyOP answers four of them
-    # exactly; refusing every overflowed square would refuse two of those too.
-    scene = scaled_default_scene(9e153)
-    outcomes = []
-    for pair in enumerate_pairs(len(scene.objects)):
-        try:
-            a, b, velocity = place_pair(scene, pair)
-        except PlacementFailure:
-            continue
-        try:
+            px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
+            for t in (a, b):
+                squares = [(p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) for p in t.vertices]
+                infinite = squares.count(math.inf)
+                try:
+                    select_candidates(t, (px, py))
+                except OverflowError:
+                    assert infinite > 1, (a, b)
+                    seen.add("refused")
+                else:
+                    assert infinite <= 1, (a, b)
+                    seen.add("one infinite square" if infinite else "finite")
             r = dyop_distance(a, b, velocity)
-        except OverflowError:
-            outcomes.append("refused")
-            continue
-        outcomes.append("exact" if is_correctly_rounded_sqrt(r.distance, exact_squared_distance(a, b)) else "inexact")
-    assert sorted(outcomes) == ["exact"] * 4 + ["refused"] * 2
+            assert _not_below(r.distance, exact_squared_distance(a, b)), (a, b)
+    assert seen == {"refused", "one infinite square", "finite"}
+    # The default scene at 9e153 places all 90 pairs (6 before its pairs
+    # were scaled into range), and DyOP answers them as at unit scale:
+    # correctly rounded on all but Obj10->Obj6, which pruning misses.
+    scene = scaled_default_scene(9e153)
+    inexact = []
+    for pair in enumerate_pairs(len(scene.objects)):
+        a, b, velocity = place_pair(scene, pair)
+        r = dyop_distance(a, b, velocity)
+        if not is_correctly_rounded_sqrt(r.distance, exact_squared_distance(a, b)):
+            inexact.append(f"{a.name}->{b.name}")
+    assert inexact == ["Obj10->Obj6"]
 
 
 def _near_tie_pairs(rng, count):

@@ -30,7 +30,7 @@ from dyop2d.dyop import (
     dyop_distance,
     select_candidates,
 )
-from dyop2d.errors import DegenerateInput
+from dyop2d.errors import DegenerateInput, Penetrating
 from dyop2d.geometry import (
     Point2,
     Segment,
@@ -80,6 +80,52 @@ def _assert_same(new, old, *args):
     assert _outcome(new, *args) == _outcome(old, *args), args
 
 
+# The kernels take coordinates at most 2^250 in magnitude; each public
+# entry scales a pair past that into range by one power of two.
+RANGE = 2.0**250
+
+
+def _pair_size(a, b):
+    return max(abs(v) for t in (a, b) for p in t.vertices for v in (p.x, p.y))
+
+
+def _into_range(a, b):
+    """(a, b, up): the pair scaled by the power of two that brings its
+    largest coordinate into [2^249, 2^250), and the power that scales back;
+    a pair in range as it is, with up = 1.0. DEGENERATE_AREA bounds the
+    area in the pair's own units, so the scaled triangles keep the flags of
+    the pair."""
+    size = _pair_size(a, b)
+    if size <= RANGE:
+        return a, b, 1.0
+    k = 250 - math.frexp(size)[1]
+    scaled = a.scaled(2.0**k), b.scaled(2.0**k)
+    for t, original in zip(scaled, (a, b)):
+        object.__setattr__(t, "is_degenerate", original.is_degenerate)
+    return *scaled, 2.0**-k
+
+
+def _scaled_into_range(fn):
+    """``fn`` on a pair run on it ``_into_range``, with the distance and
+    witnesses of its answer scaled back. An answer may come first in a tuple."""
+
+    def run(a, b, *args):
+        a, b, up = _into_range(a, b)
+        if up == 1.0:
+            return fn(a, b, *args)
+        answer = fn(a, b, *args)
+        r = answer[0] if isinstance(answer, tuple) else answer
+        r = dataclasses.replace(
+            r,
+            distance=r.distance * up,
+            point_a=Point2(r.point_a.x * up, r.point_a.y * up),
+            point_b=Point2(r.point_b.x * up, r.point_b.y * up),
+        )
+        return (r, *answer[1:]) if isinstance(answer, tuple) else r
+
+    return run
+
+
 def _realizes_distance(r):
     return math.hypot(r.point_a.x - r.point_b.x, r.point_a.y - r.point_b.y) == r.distance
 
@@ -88,9 +134,9 @@ def _witness_bits(r):
     return _bits((r.point_a, r.point_b, r.feature_a, r.feature_b))
 
 
-def _assert_dyop_matches_reference(a, b, velocity):
+def _assert_dyop_matches_reference(a, b, velocity, reference=ref.dyop_distance):
     try:
-        old = ref.dyop_distance(a, b, velocity)
+        old = reference(a, b, velocity)
     except Exception as exc:
         assert _outcome(dyop_distance, a, b, velocity) == ("raised", type(exc)), (a, b)
         return
@@ -255,46 +301,58 @@ def _not_below(distance, squared, slack=1e-12):
     return Fraction(distance) ** 2 >= squared * Fraction(1.0 - slack) ** 2
 
 
-def _assert_dyop_at_float_range(a, b, velocity):
-    # The frozen copy squared with ``** 2`` and refused wherever libm's pow
-    # overflowed. DyOP refuses only where its candidate choice is undecided,
-    # two or more infinite squares in one triangle; one infinite square is
-    # the farthest vertex. Where the frozen copy answered otherwise, DyOP
-    # keeps its bits; where it refused, DyOP may refuse or answer, but never
-    # below the exact distance.
-    infinite = _infinite_squares(a, b, velocity)
-    if infinite is not None and infinite > 1:
-        assert _outcome(dyop_distance, a, b, velocity) == ("raised", OverflowError), (a, b)
-    elif _outcome(ref.dyop_distance, a, b, velocity)[0] == "ok":
-        _assert_dyop_matches_reference(a, b, velocity)
-    else:
-        try:
-            new = dyop_distance(a, b, velocity)
-        except ALGORITHM_ERRORS:
-            return
-        assert _not_below(new.distance, exact_squared_distance(a, b)), (a, b)
+def _near(distance, squared, size, rel=1e-12):
+    """Whether ``distance`` is within ``rel`` times ``size``, the pair's
+    largest coordinate, of the exact root of ``squared``, up to its own
+    rounding."""
+    d = Fraction(distance)
+    slack = Fraction(rel) * Fraction(size) + d * Fraction(1e-15)
+    return max(d - slack, Fraction(0)) ** 2 <= squared <= (d + slack) ** 2
 
 
 @pytest.mark.parametrize("scale, shift", OVERFLOW_SCALES)
 def test_overflowing_coordinates_match_reference(scale, shift):
-    # Near the float range intermediate points overflow; the original code
-    # refused them with ValueError wherever it built a Point2. A copy of
-    # the first triangle shifted by 0.3 of the unit box often overlaps it:
-    # the oracle's sweep and certificate may overflow there, and the
-    # overlap test must still answer as it did when it ran first.
+    # Near the float range intermediate values overflow on raw coordinates:
+    # the original code refused some pairs with ValueError wherever it
+    # built a Point2, and answered others off the mark where an overflow
+    # went unchecked. Every query now runs on the pair scaled into range by
+    # a power of two, so each answers as the frozen copy answers that pair,
+    # scaled back: bit for bit, and DyOP as _assert_dyop_matches_reference
+    # holds it. The oracle and GJK answer within 1e-12 of the pair's
+    # largest coordinate of the exact distance, 0 where the overlap test
+    # finds contact, where Lin-Canny refuses the pair as Penetrating.
+    # Unshifted, the overlap test calls every pair B drawn apart from A
+    # disjoint, where the frozen copy called some overlapping; shifted by
+    # 1.7e308, the pairs round to one vertical line and may touch. A copy C
+    # of A shifted by 0.3 of the unit box often overlaps A.
+    # (exact_squared_distance is the distance of disjoint triangles only.)
     rng = random.Random(9)
     for _ in range(300):
         a, b, velocity = random_separated_pair(rng)
         a = a.scaled(scale).translated(shift, 0.0)
         b = b.scaled(scale).translated(shift, 0.0)
-        _assert_dyop_at_float_range(a, b, velocity)
-        _assert_same(brute_force_triangle_distance, ref.brute_force_triangle_distance, a, b)
-        _assert_same(gjk_distance, ref.gjk_distance, a, b)
-        _assert_same(triangles_overlap, ref.triangles_overlap, a, b)
         c = a.translated(0.3 * scale, 0.0)
-        _assert_same(brute_force_triangle_distance, ref.brute_force_triangle_distance, a, c)
-        if _outcome(ref.lin_canny_distance, a, c)[0] == "raised":
-            _assert_same(lin_canny_distance, ref.lin_canny_distance, a, c)
+        size = _pair_size(a, c)
+        _assert_dyop_matches_reference(a, b, velocity, _scaled_into_range(ref.dyop_distance))
+        _assert_same(gjk_distance, _scaled_into_range(ref.gjk_distance), a, b)
+        if shift == 0.0:
+            assert triangles_overlap(a, b) is False, (a, b)
+        for other in (b, c):
+            contact = triangles_overlap(a, other)
+            assert contact is ref.triangles_overlap(*_into_range(a, other)[:2]), (a, other)
+            oracle = _scaled_into_range(ref.brute_force_triangle_distance)
+            _assert_same(brute_force_triangle_distance, oracle, a, other)
+            squared = 0 if contact else exact_squared_distance(a, other)
+            assert _near(brute_force_triangle_distance(a, other).distance, squared, size), (a, other)
+            if a.is_degenerate or other.is_degenerate:
+                continue
+            if other is b:
+                assert _near(gjk_distance(a, b).distance, squared, size), (a, b)
+            elif contact:
+                with pytest.raises(Penetrating):
+                    lin_canny_distance(a, c)
+            else:
+                assert _near(lin_canny_distance(a, c)[0].distance, squared, size), (a, c)
 
 
 def _assert_lin_canny_matches_reference(a, b):

@@ -24,6 +24,7 @@ from dyop2d.geometry import (
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
     _answer,
+    _brute_force,
     _classify_edge_point,
     _edge_sweep,
     _edges,
@@ -41,7 +42,7 @@ from dyop2d.geometry import (
 )
 from dyop2d.verify import random_separated_pair
 from seed_reference import edge_feature, vertex_feature
-from test_equivalence import OVERFLOW_SCALES, _value_or_error
+from test_equivalence import OVERFLOW_SCALES, _bits, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -148,15 +149,34 @@ def test_the_smallest_clockwise_orientation_is_swapped():
     assert _orient(t.v0.x, t.v0.y, t.v1.x, t.v1.y, t.v2.x, t.v2.y) == 5e-324
     assert t.is_degenerate
     assert _point_in_triangle(_edges(t), 0.0, 0.5e-162)
+    # At s = 1e155 the orientation of (0, 0), (s, 2s), (s, s) is s*s - 2s*s,
+    # inf - inf, on raw coordinates. The triangle has coordinates past 2^250,
+    # so it is decided on them scaled into range, where it is negative: v1
+    # and v2 swap, and the triangle is not degenerate.
+    s = 1e155
+    assert math.isnan(_orient(0.0, 0.0, s, 2 * s, s, s))
+    t = tri((0.0, 0.0), (s, 2 * s), (s, s))
+    assert t.vertices == (Point2(0.0, 0.0), Point2(s, s), Point2(s, 2 * s))
+    assert t.is_huge and not t.is_degenerate
+
+
+def test_a_triangle_is_huge_only_past_2_to_the_250():
+    r = 2.0**250
+    past = math.nextafter(r, math.inf)
+    assert not tri((0, 0), (r, 0), (0, -r)).is_huge
+    assert tri((0, 0), (past, 0), (0, 1)).is_huge
+    assert tri((0, 0), (1, 0), (0, -past)).is_huge
 
 
 def test_degeneracy_flag_is_not_a_field():
     t = tri((0, 0), (1, 0), (0, 1))
     assert [f.name for f in dataclasses.fields(t)] == ["v0", "v1", "v2", "name"]
     assert t == tri((0, 0), (1, 0), (0, 1)) and hash(t) == hash(tri((0, 0), (1, 0), (0, 1)))
-    assert "is_degenerate" not in repr(t)
+    assert "is_degenerate" not in repr(t) and "is_huge" not in repr(t)
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.is_degenerate = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.is_huge = True
 
 
 _REFUSALS = [
@@ -458,19 +478,50 @@ def _segment_branch(ends):
     return "record d", _t_name(t_a)
 
 
+# The kernels take coordinates at most 2^250 in magnitude; the public
+# entries scale a pair past that into range by one power of two.
+RANGE = 2.0**250
+
+
+def _in_range(values):
+    return max(abs(v) for v in values) <= RANGE
+
+
+def _scale_exponent(values):
+    """A power-of-two exponent that brings the largest |value| into [2^199,
+    2^200): another target than the entries' own, so a test that scales by
+    it checks that the answers scale, not how the entries pick the power."""
+    return 200 - math.frexp(max(abs(v) for v in values))[1]
+
+
 def test_segment_segment_equals_its_definition():
-    # All seven values, t1 and t2 included, bit for bit (the sign of zero
-    # and int against float too), or the same exception and message.
+    # In range, the kernel's precondition: all seven values, t1 and t2
+    # included, bit for bit (the sign of zero and int against float too),
+    # or the same exception and message. Past the range, the public entry
+    # answers as the definition does on the segments scaled into range by
+    # a power of two, scaled back; the crossing branch, the same code at
+    # any scale, still refuses a non-finite contact point as _intersect does.
     seen = set()
     for args in _segment_cases():
-        got = _value_or_error(_segment_segment, *args)
-        assert got == _value_or_error(_segment_segment_by_definition, *args), args
-        seen.add(_segment_branch(args))
+        if _in_range(args):
+            got = _value_or_error(_segment_segment, *args)
+            assert got == _value_or_error(_segment_segment_by_definition, *args), args
+            seen.add(_segment_branch(args))
+            continue
+        k = _scale_exponent(args)
+        d, pax, pay, pbx, pby, _, _ = _segment_segment_by_definition(*(v * 2.0**k for v in args))
+        got = segment_segment_distance(seg(args[0:2], args[2:4]), seg(args[4:6], args[6:8]))
+        expected = tuple(v * 2.0**-k for v in (d, pax, pay, pbx, pby))
+        assert _bits(got) == _bits((expected[0], Point2(*expected[1:3]), Point2(*expected[3:5]))), args
+        seen.add("past the range")
+        if _value_or_error(_intersect, *args)[0] == "raised":
+            assert _value_or_error(_segment_segment, *args) == _value_or_error(_intersect, *args), args
+            seen.add("crossing refused")
     # Every branch is reached. Records of c and d count at interior points
     # only: at t = 0 or t = 1 the earlier record of a or b ties with them,
     # up to rounding, and keeps the tie.
     assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
-    assert seen >= {"crossing refused", "projection refused", "zero-length edges"}
+    assert seen >= {"crossing refused", "zero-length edges", "past the range"}
     names = ("t = 0", "t = 1", "interior")
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
@@ -561,18 +612,28 @@ def _sweep_cases():
 
 
 def test_edge_sweep_equals_its_definition():
-    # All seven values bit for bit (the sign of zero and int against float
-    # too, and the feature names), or the same exception and message.
+    # In range, the kernel's precondition: all seven values bit for bit
+    # (the sign of zero and int against float too, and the feature names).
+    # Past the range, the oracle's public entry on the pair as triangles
+    # answers as the oracle does on them scaled into range by a power of
+    # two, scaled back.
     kinds = set()
-    for args in _sweep_cases():
-        got = _value_or_error(_edge_sweep, *args)
-        assert got == _value_or_error(_edge_sweep_by_definition, *args), args
-        if got[0] == "raised":
-            kinds.add("raised")
-        else:
+    for edges_a, edges_b in _sweep_cases():
+        coordinates = [v for edges in (edges_a, edges_b) for edge in edges for v in edge]
+        if _in_range(coordinates):
+            got = _value_or_error(_edge_sweep, edges_a, edges_b)
+            assert got == _value_or_error(_edge_sweep_by_definition, edges_a, edges_b), (edges_a, edges_b)
             kinds.add("zero" if got[1][0] == "0.0" else "apart")
             kinds.update(f"{kind.value}-{index}" for _, kind, index in got[1][5:])
-    assert {"raised", "zero", "apart"} <= kinds
+            continue
+        a, b = (tri(*(edge[:2] for edge in edges)) for edges in (edges_a, edges_b))
+        k = _scale_exponent(coordinates)
+        scaled = [tuple(tuple(v * 2.0**k for v in edge) for edge in _edges(t)) for t in (a, b)]
+        d, pax, pay, pbx, pby, fa, fb, counters = _brute_force(*scaled)
+        expected = _answer(*(v * 2.0**-k for v in (d, pax, pay, pbx, pby)), fa, fb, counters)
+        assert _bits(brute_force_triangle_distance(a, b)) == _bits(expected), (edges_a, edges_b)
+        kinds.add("past the range")
+    assert {"zero", "apart", "past the range"} <= kinds
     assert {f"{k}-{i}" for k in ("vertex", "edge") for i in range(3)} <= kinds
 
 

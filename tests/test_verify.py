@@ -145,3 +145,20 @@ def test_run_verify_builds_no_triangle_point_or_answer(monkeypatch):
     a, b, _ = random_separated_pair(random.Random(7))
     brute_force_triangle_distance(a, b)
     assert set(calls) == {"Triangle", "Point2", "_answer"}
+
+
+def test_run_verify_counts_a_pruned_distance_below_the_oracle(monkeypatch):
+    # DyOP can only overestimate, so its kernel never answers below the
+    # oracle. One patched to answer the oracle's distance less 1e-6, less
+    # 1e-13 (within CONSERVATIVE_SLACK) and plus 0.25 on three trials is
+    # counted: one violation, two mismatches beyond the 1e-9 tolerance, and
+    # a maximum overestimate of 0.25.
+    shifts = iter([-1e-6, -1e-13, 0.25])
+
+    def pruned(edges_a, edges_b, axis):
+        return (verify._brute_force(edges_a, edges_b)[0] + next(shifts),)
+
+    monkeypatch.setattr(verify, "_dyop", pruned)
+    report = run_verify(3, 1)
+    assert (report.trials, report.conservative_violations, report.mismatches) == (3, 1, 2)
+    assert report.max_overestimate == pytest.approx(0.25, abs=1e-15)
