@@ -11,6 +11,7 @@ import pytest
 
 import dyop2d
 from dyop2d import benchmark
+from dyop2d import dyop as dyop_module
 from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.cli import main
 from dyop2d.sceneio import load_scene, write_scene
@@ -229,6 +230,27 @@ def test_bench_exits_4_when_dyop_refuses_a_pair(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "missing dyop record" in captured.err
+    assert not out_csv.exists() and not out_json.exists()
+
+
+@pytest.mark.parametrize("names,s,message", [(("Obj1", "Obj5"), 0.9e154, "missing dyop record")])
+def test_bench_exits_4_when_an_algorithm_overflows(tmp_path, capsys, monkeypatch, names, s, message):
+    # A crossing whose contact point overflows makes the segment test refuse
+    # it with ValueError. No input in range is known to get there, so the
+    # refusal is put into DyOP's segment test: bench runs the query on the
+    # scene scaled towards the float range, where DyOP answers the pair
+    # scaled into range, and the refusal leaves no DyOP record to compare.
+    def refused(*ends):
+        raise ValueError("non-finite coordinate: inf")
+
+    monkeypatch.setattr(dyop_module, "_segment_segment", refused)
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    args = ["bench", "--scene", _scene_path(tmp_path, scaled_default_scene(s, names))]
+    args += ["--repeats", "1", "--algos", "dyop,gjk"]
+    assert main(args + ["--out-csv", str(out_csv), "--out-json", str(out_json)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
     assert not out_csv.exists() and not out_json.exists()
 
 

@@ -135,26 +135,24 @@ def test_compute_dyop_trivial_boxes():
 
 def test_overflowed_gap_box_is_refused_by_the_candidate_rule():
     # The stages are definitions on raw coordinates. Overlapping x-extents
-    # near the float range clamp to a midpoint that overflows, and a gap
-    # from x = 1.65e308 to 1.7e308 has one too. The box keeps it and the
-    # pivot returns it; every squared distance to that pivot is infinite,
-    # so the candidate rule refuses it. The query scales the pair into
-    # range first, so it answers, as the chain of stages does on the
-    # scaled pair, and not below the exact distance.
-    overlapping = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1)), tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
-    apart = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1)), tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
-    for (a, b), pivot_y, clamped in ((overlapping, 2.0, True), (apart, 0.5, False)):
-        box = build_internal_aabb(a, b, MovementAxis.X)
-        assert (box[2] == box[4] == math.inf) is clamped and box[6] is clamped
-        pivot = compute_dyop(box)
-        assert pivot == (math.inf, pivot_y)
-        for t in (a, b):
-            with pytest.raises(OverflowError, match=r"^squared distances to the pivot overflow$"):
-                select_candidates(t, pivot)
-        r = dyop_distance(a, b, Vector2(1, 0))
-        assert _bits(r) == _bits(_scaled_into_range(_dyop_by_stages)(a, b, Vector2(1, 0)))
-        assert _not_below(r.distance, exact_squared_distance(a, b))
-        assert r.flags == (("overlapping-boxes",) if clamped else ())
+    # near the float range clamp to a midpoint that overflows. The box
+    # keeps it and the pivot returns it; every squared distance to that
+    # pivot is infinite, so the candidate rule refuses it. The query scales
+    # the pair into range first, so it answers, as the chain of stages does
+    # on the scaled pair, and not below the exact distance.
+    a = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1))
+    b = tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
+    box = build_internal_aabb(a, b, MovementAxis.X)
+    assert box[2] == box[4] == math.inf and box[6]
+    pivot = compute_dyop(box)
+    assert pivot == (math.inf, 2.0)
+    for t in (a, b):
+        with pytest.raises(OverflowError, match=r"^squared distances to the pivot overflow$"):
+            select_candidates(t, pivot)
+    r = dyop_distance(a, b, Vector2(1, 0))
+    assert _bits(r) == _bits(_scaled_into_range(_dyop_by_stages)(a, b, Vector2(1, 0)))
+    assert _not_below(r.distance, exact_squared_distance(a, b))
+    assert r.flags == ("overlapping-boxes",)
 
 
 def test_compute_dyop_midpoint():
@@ -250,6 +248,27 @@ def test_dyop_distance_rejects_degenerate():
         dyop_distance(
             tri((0, 0), (1, 0), (2, 0)), tri((5, 0), (6, 0), (5, 1)), Vector2(1, 0)
         )
+
+
+def test_dyop_distance_refuses_overflowing_pivot():
+    # The gap box runs from x = 1.65e308 to 1.7e308, so its midpoint
+    # overflows. The pivot returns it, and the candidate rule refuses it.
+    # The query never takes that pivot: it scales the pair into range
+    # first, and answers as the chain of stages does on the scaled pair.
+    a = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1))
+    b = tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
+    box = build_internal_aabb(a, b, MovementAxis.X)
+    assert box[2] == 1.65e308 and box[4] == 1.7e308 and not box[6]
+    pivot = compute_dyop(box)
+    assert pivot == (math.inf, 0.5)
+    with pytest.raises(OverflowError) as info:
+        select_candidates(a, pivot)
+    assert type(info.value) is OverflowError
+    assert str(info.value) == "squared distances to the pivot overflow"
+    r = dyop_distance(a, b, Vector2(1, 0))
+    assert _bits(r) == _bits(_scaled_into_range(_dyop_by_stages)(a, b, Vector2(1, 0)))
+    assert _not_below(r.distance, exact_squared_distance(a, b))
+    assert r.flags == ()
 
 
 def test_dyop_distance_flags_overlapping_boxes():
