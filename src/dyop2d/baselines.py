@@ -34,12 +34,13 @@ the certificate proves the triangles disjoint; only an aborted or
 uncertified walk runs the overlap test (see ``lin_canny_distance``).
 
 Both the loop and the walk run on edges in range, at most 2^250 in
-magnitude: each public function refuses degenerate triangles and scales
-a pair past that range into it by one power of two, the package's one
-overflow rule, so neither guards against overflow. GJK's kernel
-``_gjk`` goes through ``geometry._in_range``; the walk scales its answer
-back itself, since a seeded walk is short enough that a separate kernel
-call shows in its time.
+magnitude for GJK and 2^510 for the walk: each public function refuses
+degenerate triangles and scales a pair past its range into it by one
+power of two, the package's one overflow rule, so neither guards
+against overflow. Both take their edges from
+``geometry._pair_in_range`` and scale their answers back themselves:
+GJK scales its absolute tolerances with the pair too, and a seeded walk
+is short enough that a separate kernel call shows in its time.
 """
 
 from __future__ import annotations
@@ -57,15 +58,14 @@ from .geometry import (
     Triangle,
     Vector2,
     _EDGE_FEATURES,
+    _GJK_RANGE_EXPONENT,
     _VERTEX_FEATURES,
     _answer,
     _contact_witness,
     _edge_sweep,
     _Edges,
     _edges,
-    _in_range,
-    _pair_scale,
-    _scaled_edges,
+    _pair_in_range,
     _segment_segment,
     _separated,
 )
@@ -209,20 +209,27 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     point repeats, or after GJK_MAX_ITERATIONS (then flagged
     "gjk-unconverged" and the last solve's simplex is reported).
     Intersecting triangles return distance 0 with coincident witnesses.
-    A pair with a coordinate past 2^250 is answered scaled into range.
+    A pair with a coordinate past 2^250 is answered scaled into range,
+    with the two absolute tolerances, on squared lengths in the pair's own
+    units, scaled by the square of the same power of two, so that every
+    comparison decides as on the raw pair.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
     if tA.is_huge or tB.is_huge:
-        return _answer(*_in_range(_gjk, tA, tB))
+        edges_a, edges_b, f = _pair_in_range(tA, tB, exponent=_GJK_RANGE_EXPONENT)
+        d, pax, pay, pbx, pby, *rest = _gjk(edges_a, edges_b, f * f)
+        return _answer(d / f, pax / f, pay / f, pbx / f, pby / f, *rest)
     return _answer(*_gjk(_edges(tA), _edges(tB)))
 
 
 def _gjk(
-    edges_a: _Edges, edges_b: _Edges
+    edges_a: _Edges, edges_b: _Edges, square_scale: float = 1.0
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
-    """GJK on two non-degenerate triangles' edges in range: the arguments of
-    its ``_answer``.
+    """GJK on two non-degenerate triangles' edges in range, with its
+    tolerances on squared lengths times ``square_scale``, the square of
+    the power of two that scaled the pair: the arguments of its
+    ``_answer``.
 
     Straight-line code: the point and segment solves follow
     ``_closest_on_segment`` and the feature names ``_side_feature``,
@@ -230,6 +237,10 @@ def _gjk(
     """
     (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
     (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    # The tolerances are on squared lengths in the pair's own units, so they
+    # scale with it; one that the scaling underflows stays the least
+    # positive float, which still tells a zero from a positive gap.
+    improvement_tol, contact_tol = GJK_IMPROVEMENT_TOL * square_scale or 5e-324, 1e-24 * square_scale or 5e-324
 
     # The first search direction is the centroid difference.
     dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
@@ -269,7 +280,7 @@ def _gjk(
         if n and (
             (ia == ia0 and ib == ib0)
             or (n == 2 and ia == ia1 and ib == ib1)
-            or v2 - (vx * x + vy * y) < GJK_IMPROVEMENT_TOL
+            or v2 - (vx * x + vy * y) < improvement_tol
         ):
             converged = True
             break
@@ -311,7 +322,7 @@ def _gjk(
                 if n == 2:
                     (x1, y1, ia1, ib1), w1 = solved[1]
         v2 = vx * vx + vy * vy
-        if v2 <= 1e-24:
+        if v2 <= contact_tol:
             intersecting = True
             converged = True
             break
@@ -400,7 +411,7 @@ def lin_canny_distance(
     ee_tests to the walk's counters. A walk whose edge-edge crossing
     divides by a subnormal, which ``_segment_segment`` refuses with
     ValueError, is decided by the same one test: Penetrating on contact,
-    else that ValueError. A pair with a coordinate past 2^250 is walked
+    else that ValueError. A pair with a coordinate past 2^510 is walked
     scaled into range.
 
     The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
@@ -422,12 +433,8 @@ def lin_canny_distance(
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
-    # The walk runs in range; g scales its distance and witnesses back.
-    if tA.is_huge or tB.is_huge:
-        f = _pair_scale(tA, tB)
-        edges_a, edges_b, g = _scaled_edges(tA, f), _scaled_edges(tB, f), 1.0 / f
-    else:
-        edges_a, edges_b, g = _edges(tA), _edges(tB), None
+    # The walk runs in range; its distance and witnesses are divided by f.
+    edges_a, edges_b, f = _pair_in_range(tA, tB) if tA.is_huge or tB.is_huge else (_edges(tA), _edges(tB), 1.0)
     hypot = math.hypot
     visited = 0
     prev = math.inf
@@ -545,14 +552,14 @@ def lin_canny_distance(
             raise
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only") from None
     if certified:
-        if g is not None:
-            d, pax, pay, pbx, pby = d * g, pax * g, pay * g, pbx * g, pby * g
-        result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], TestCounters(vv, ve, ee))
-        return result, _PAIRS[ca * 6 + cb]
-    if _contact_witness(edges_a, edges_b) is not None:
-        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-    d, pax, pay, pbx, pby, fa, fb = _edge_sweep(edges_a, edges_b)
-    if g is not None:
-        d, pax, pay, pbx, pby = d * g, pax * g, pay * g, pbx * g, pby * g
-    result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
-    return result, _PAIRS[_code(fa) * 6 + _code(fb)]
+        counters, flags = TestCounters(vv, ve, ee), ()
+    else:
+        if _contact_witness(edges_a, edges_b) is not None:
+            raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
+        d, pax, pay, pbx, pby, fa, fb = _edge_sweep(edges_a, edges_b)
+        ca, cb = _code(fa), _code(fb)
+        counters, flags = TestCounters(vv, ve, ee + 9), ("lincanny-fallback",)
+    if f != 1.0:
+        d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
+    result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], counters, flags)
+    return result, _PAIRS[ca * 6 + cb]

@@ -6,7 +6,7 @@ is translated along the negative movement axis, by an offset found in
 closed form, until the exact distance is the scene's separation, so every
 algorithm answers the same question. The offset kernel, ``_offset``, is
 straight-line code on the two triangles' edges, in range as every
-kernel's are (a pair past 2^250 is scaled into range first): it
+kernel's are (a pair past 2^510 is scaled into range first): it
 computes each of the 9 vertex-vertex disk exits and each of the 18
 vertex-edge strip crossings once, each edge's direction, slope and
 length once, and keeps a running maximum. Wall times use a monotonic clock
@@ -40,15 +40,12 @@ from .baselines import gjk_distance, lin_canny_distance
 from .dyop import MovementAxis, dyop_distance
 from .errors import IncompleteRecords, Penetrating, PlacementFailure
 from .geometry import (
-    _RANGE,
     DistanceResult,
     Point2,
     Triangle,
     Vector2,
     _Edges,
-    _edges,
-    _pair_scale,
-    _scaled_edges,
+    _pair_in_range,
     brute_force_triangle_distance,
 )
 
@@ -136,7 +133,7 @@ def default_scene() -> Scene:
 def _offset(edges_a: _Edges, edges_b: _Edges, ux: float, uy: float, r: float) -> float:
     """Largest t at which the mover A, translated by -t*u, is within r of
     the static triangle B; -inf when no t is. The coordinates and r are in
-    range, at most 2^250 in magnitude.
+    range, at most 2^510 in magnitude.
 
     u is (1, 0) or (0, 1), so u.u is exactly 1 and a disk exit needs no
     division. The points within r of an edge are the disks of radius r
@@ -256,7 +253,7 @@ def place_pair(
     along the axis from the band of radius s around an edge of the other
     triangle. ``_offset`` finds it from 9 disk exits and 18 strip
     crossings, each computed once; a pair with a coordinate or a
-    separation past 2^250 is searched scaled into range by one power of
+    separation past 2^510 is searched scaled into range by one power of
     two, and its offset scaled back. One oracle call checks it to
     PLACEMENT_TOLERANCE * s. A pair that cannot be placed, or whose placed
     coordinates leave the float range, raises PlacementFailure naming it.
@@ -268,11 +265,8 @@ def place_pair(
     mover, static, s = scene.objects[i], scene.objects[j], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
     try:
-        if mover.is_huge or static.is_huge or s > _RANGE:
-            f = _pair_scale(mover, static, s)
-            offset = _offset(_scaled_edges(mover, f), _scaled_edges(static, f), ux, uy, s * f) / f
-        else:
-            offset = _offset(_edges(mover), _edges(static), ux, uy, s)
+        edges_m, edges_s, f = _pair_in_range(mover, static, s)
+        offset = _offset(edges_m, edges_s, ux, uy, s * f) / f
         if offset == -math.inf:
             raise PlacementFailure(
                 f"pair {mover.name}->{static.name} cannot reach separation {s} along {scene.axis.value}"
@@ -280,7 +274,8 @@ def place_pair(
         moved = mover.translated(-offset, 0.0) if ux else mover.translated(0.0, -offset)
         gap = brute_force_triangle_distance(moved, static).distance - s
     except ValueError as exc:
-        # An offset or a placed coordinate past the float range.
+        # A pair too wide to scale into range, or an offset or a placed
+        # coordinate past the float range.
         raise PlacementFailure(f"pair {mover.name}->{static.name} cannot be placed: {exc}") from exc
     if abs(gap) > PLACEMENT_TOLERANCE * s:
         raise PlacementFailure(f"pair {mover.name}->{static.name} placed {gap:+.3g} off separation {s}")

@@ -8,7 +8,8 @@ diagnostics go to stderr.
 Exit codes: 0 success, 1 usage error (an output path that cannot be
 written, or two ``bench`` paths naming one file, included; no output file
 is left behind), 2 invalid input file (read first) or
-unplaceable scene pair (placed coordinates past the float range included), 3 verification
+unplaceable scene pair (one too wide to scale into range, or whose placed
+coordinates leave the float range, included), 3 verification
 failure, 4 algorithm error (for ``bench``: no comparison report, because
 DyOP failed on a pair or no baseline answered any), 5 benchmark mismatch:
 a baseline off the exact distance, or DyOP below it (a DyOP

@@ -45,10 +45,11 @@ The candidate choice squares each vertex's offset from the pivot as a
 product, ``ex * ex + ey * ey``. IEEE multiplication rounds correctly
 and a libm ``pow`` behind ``** 2`` does not always, so where two
 vertices nearly tie, the choice no longer depends on the platform's
-``pow``. The kernel takes coordinates in range, at most 2^250 in
+``pow``. The kernel takes coordinates in range, at most 2^510 in
 magnitude, where no square overflows: ``dyop_distance`` scales a pair
 past that into range by one power of two (geometry's one overflow
-rule), so the query refuses nothing but a degenerate triangle. The
+rule), so the query refuses nothing but a degenerate triangle or a pair
+too wide to scale. The
 public stages are definitions on raw coordinates, and there a square can
 overflow to inf. One infinite square still decides: its vertex is the
 farthest, and the stages' sort puts it last. Two or more in one
@@ -177,7 +178,7 @@ def dyop_distance(
     whenever the true witness features survive pruning. A
     "overlapping-boxes" flag marks queries whose extents were not
     disjoint along the movement axis. A pair with a coordinate past
-    2^250 is answered scaled into range (``geometry._in_range``).
+    2^510 is answered scaled into range (``geometry._in_range``).
     """
     axis = dominant_axis(relative_velocity)
     if tA.is_degenerate or tB.is_degenerate:

@@ -37,18 +37,24 @@ and writes its 18 vertex-edge projections out as ``_project`` defines
 them, with no Python call per projection.
 
 There is one overflow rule, at the edge. The kernels take coordinates in
-range, at most 2^250 in magnitude, where no difference, square or
-product they form can overflow, so they carry no overflow guard. A
-``Triangle`` records at construction whether it has a coordinate past
-2^250 (``is_huge``), and each public query on such a pair scales it
+range, where no difference, square or product they form can overflow,
+so they carry no overflow guard: at most 2^510 in magnitude for the
+oracle, DyOP, Lin-Canny, the overlap test and placement, which form
+differences, their squares and sums of two products, and at most 2^250
+for GJK, which also multiplies two dot products. A ``Triangle`` records
+at construction whether it has a coordinate past 2^250 (``is_huge``),
+and each public query on such a pair past its kernel's range scales it
 into range by one power of two, runs the unchanged kernel and scales
-the distance and witnesses back (``_in_range``). Scaling by a power of
-two is exact in binary floating point wherever it does not underflow,
-so the answers do not depend on the coordinates' scale, and in range
-nothing changes. The finiteness checks that stay guard other things:
-the input points, ``_answer``'s witnesses, a crossing that divides by a
-subnormal (``_intersect`` and ``_segment_segment``), and ``_project``,
-which ``point_segment_distance`` calls on raw points.
+the distance and witnesses back (``_pair_in_range``, ``_in_range``).
+Scaling by a power of two is exact wherever it does not underflow, so
+in range nothing changes and past it the answers are the in-range ones
+scaled. A pair whose small differences the scaling would take below
+2^(10 - range exponent), where their squares or GJK's products of four
+would underflow, is refused with ValueError instead (``_pair_scale``).
+The finiteness checks that stay guard other things: the input points,
+``_answer``'s witnesses, a crossing that divides by a subnormal
+(``_intersect`` and ``_segment_segment``), and ``_project``, which
+``point_segment_distance`` calls on raw points.
 """
 
 from __future__ import annotations
@@ -59,11 +65,14 @@ from enum import Enum
 
 # Triangles with |signed area| at or below this are treated as degenerate.
 DEGENERATE_AREA = 1e-12
-# The kernels' range: at or below 2^250 in magnitude no coordinate difference,
-# square or product of two dot products overflows (the largest stays under
-# about 2^1010). A triangle records whether it has a coordinate past it.
-_RANGE_EXPONENT = 250
-_RANGE = math.ldexp(1.0, _RANGE_EXPONENT)
+# The kernels' ranges, as exponents of two. At or below 2^510 in magnitude no
+# coordinate difference, square or sum of two products overflows, which is all
+# the oracle, DyOP, Lin-Canny, the overlap test and placement form; GJK also
+# multiplies two dot products, which stays under about 2^1010 at or below
+# 2^250. A triangle records whether it has a coordinate past the smaller one.
+_RANGE_EXPONENT = 510
+_GJK_RANGE_EXPONENT = 250
+_HUGE = math.ldexp(1.0, _GJK_RANGE_EXPONENT)
 
 
 def _require_finite(*values: float) -> None:
@@ -133,11 +142,26 @@ def _winding(
     return orientation < 0.0, abs(0.5 * orientation) <= area
 
 
-def _range_scale(*values: float) -> float:
-    """The power of two that scales the largest |value|, past 2^250, into
-    [2^249, 2^250). Its reciprocal is exact, and scaling by either is
-    exact wherever it does not underflow."""
-    return math.ldexp(1.0, _RANGE_EXPONENT - math.frexp(max(map(abs, values)))[1])
+def _pair_scale(exponent: int, xs: list[float], ys: list[float], *values: float) -> float:
+    """1.0 when the x coordinates ``xs``, the y coordinates ``ys`` and the
+    lengths ``values`` of a pair are at most 2^exponent in magnitude, else
+    the power of two f that scales the largest into [2^(exponent - 1),
+    2^exponent). Scaling by f, and back by dividing by it, is exact
+    wherever it does not underflow, so past the range it raises
+    ValueError when it would take a nonzero difference of two coordinates
+    along one axis, or a nonzero value, below 2^(10 - exponent). The
+    kernels square and multiply these, and the floor keeps a product of
+    two at least 2^-1000 in the 2^510 range, and GJK's products of four at
+    least 2^-960 in the 2^250 range: normal, so rounded as in range."""
+    size = max(map(abs, (*xs, *ys, *values)))
+    if size <= math.ldexp(1.0, exponent):
+        return 1.0
+    f = math.ldexp(1.0, exponent - math.frexp(size)[1])
+    floor = math.ldexp(1.0, 10 - exponent) / f
+    gaps = [hi - lo for vs in (sorted(xs), sorted(ys)) for lo, hi in zip(vs, vs[1:])]
+    if any(0.0 < v < floor for v in (*gaps, *map(abs, values))):
+        raise ValueError(f"a difference or length below {floor!r} does not scale into range")
+    return f
 
 
 _Edges = tuple[tuple[float, float, float, float], ...]
@@ -157,12 +181,6 @@ def _scaled_edges(tri: Triangle, f: float) -> _Edges:
     return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
 
 
-def _pair_scale(tA: Triangle, tB: Triangle, *values: float) -> float:
-    """``_range_scale`` of the pair's coordinates and ``values``."""
-    (a, b, c), (d, e, f) = tA.vertices, tB.vertices
-    return _range_scale(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y, e.x, e.y, f.x, f.y, *values)
-
-
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices, normalized to counter-clockwise order on construction.
@@ -173,11 +191,13 @@ class Triangle:
     ``is_degenerate``; algorithms that cannot handle them refuse them
     explicitly. Both decisions come from one ``_winding`` call at
     construction. A triangle with a coordinate past 2^250 in magnitude is
-    flagged ``is_huge``, and its winding and degeneracy are decided on its
+    flagged ``is_huge``. Past 2^510 both products of its orientation can
+    overflow, and inf - inf is NaN, which reads as neither clockwise nor
+    degenerate: only then are its winding and degeneracy decided on its
     coordinates scaled into range by one power of two, with the area
-    bound scaled alike, since its orientation can overflow. Both flags
-    are non-field attributes, so they stay out of ``fields()``, ``repr``,
-    ``==`` and ``hash``.
+    bound scaled alike. Every other orientation, an infinite one too,
+    has its sign on raw coordinates. Both flags are non-field attributes,
+    so they stay out of ``fields()``, ``repr``, ``==`` and ``hash``.
     """
 
     v0: Point2
@@ -188,14 +208,14 @@ class Triangle:
     def __post_init__(self) -> None:
         v0, v1, v2 = self.v0, self.v1, self.v2
         x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
-        r = _RANGE
+        r = _HUGE
         huge = not (
             abs(x0) <= r and abs(y0) <= r and abs(x1) <= r and abs(y1) <= r and abs(x2) <= r and abs(y2) <= r
         )
-        if huge:
-            f = _range_scale(x0, y0, x1, y1, x2, y2)
-            x0, y0, x1, y1, x2, y2 = x0 * f, y0 * f, x1 * f, y1 * f, x2 * f, y2 * f
-            clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2, DEGENERATE_AREA * f * f)
+        if huge and math.isnan(_orient(x0, y0, x1, y1, x2, y2)):
+            # Only a coordinate past 2^511 overflows a product: f < 1.
+            f = math.ldexp(1.0, _RANGE_EXPONENT - math.frexp(max(map(abs, (x0, y0, x1, y1, x2, y2))))[1])
+            clockwise, degenerate = _winding(*(v * f for v in (x0, y0, x1, y1, x2, y2)), DEGENERATE_AREA * f * f)
         else:
             clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2)
         if clockwise:
@@ -339,20 +359,28 @@ def _answer(
     return result
 
 
+def _pair_in_range(tA: Triangle, tB: Triangle, *values: float, exponent: int = _RANGE_EXPONENT) -> tuple:
+    """The pair's edges in the range 2^exponent and ``_pair_scale``'s
+    power of two f for the pair and the lengths ``values``: the edges as
+    they are, with f = 1.0, when all are in range, else scaled by f. A
+    length the kernel returns is scaled back by dividing it by f."""
+    points = (*tA.vertices, *tB.vertices)
+    f = _pair_scale(exponent, [p.x for p in points], [p.y for p in points], *values)
+    return (_edges(tA), _edges(tB), f) if f == 1.0 else (_scaled_edges(tA, f), _scaled_edges(tB, f), f)
+
+
 def _in_range(kernel, tA: Triangle, tB: Triangle, *args) -> tuple:
     """``kernel``'s values on a pair with a coordinate past 2^250.
 
-    The kernel runs on the pair's edges scaled into range by one power of
-    two, and its distance and witnesses, its first five values, are
-    scaled back by the reciprocal; the rest (features, counters, flags)
-    pass through. Scaling by a power of two is exact where it does not
-    underflow, so these are the in-range values scaled, and a distance
-    past the float range comes back as inf.
+    The kernel runs on the pair's edges in the 2^510 range
+    (``_pair_in_range``), and where they were scaled, its distance and
+    witnesses, its first five values, are scaled back; the rest
+    (features, counters, flags) pass through. These are then the in-range
+    values scaled, and a distance past the float range comes back as inf.
     """
-    f = _pair_scale(tA, tB)
-    d, pax, pay, pbx, pby, *rest = kernel(_scaled_edges(tA, f), _scaled_edges(tB, f), *args)
-    g = 1.0 / f
-    return d * g, pax * g, pay * g, pbx * g, pby * g, *rest
+    edges_a, edges_b, f = _pair_in_range(tA, tB)
+    d, pax, pay, pbx, pby, *rest = values = kernel(edges_a, edges_b, *args)
+    return values if f == 1.0 else (d / f, pax / f, pay / f, pbx / f, pby / f, *rest)
 
 
 def _project(
@@ -435,7 +463,7 @@ def _segment_segment(
     Straight-line code: ``_intersect``'s four orientations and each
     projection, ``_project`` with its zero-length branch and clamp, are
     written out on the directions r = b - a and s = d - c, computed once
-    for all of them. The coordinates are in range (at most 2^250 in
+    for all of them. The coordinates are in range (at most 2^510 in
     magnitude), so no projection overflows; a crossing that divides by a
     subnormal is refused as ``_intersect`` refuses it.
     """
@@ -528,25 +556,22 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
     """Shortest distance between two closed segments, with witness points.
 
     Intersecting segments report distance 0 with coincident witnesses.
-    Segments with a coordinate past 2^250 are measured scaled into range
+    Segments with a coordinate past 2^510 are measured scaled into range
     by one power of two, as the triangle queries are.
     """
     ends = (s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
-    if max(map(abs, ends)) <= _RANGE:
-        d, pax, pay, pbx, pby, _, _ = _segment_segment(*ends)
-        return d, Point2(pax, pay), Point2(pbx, pby)
-    f = _range_scale(*ends)
-    d, pax, pay, pbx, pby, _, _ = _segment_segment(*(v * f for v in ends))
-    g = 1.0 / f
-    return d * g, Point2(pax * g, pay * g), Point2(pbx * g, pby * g)
+    f = _pair_scale(_RANGE_EXPONENT, list(ends[0::2]), list(ends[1::2]))
+    d, pax, pay, pbx, pby, _, _ = _segment_segment(*(ends if f == 1.0 else [v * f for v in ends]))
+    if f != 1.0:
+        d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
+    return d, Point2(pax, pay), Point2(pbx, pby)
 
 
 def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
     """True when the triangles share any point; boundary contact counts.
-    A pair with a coordinate past 2^250 is tested scaled into range."""
+    A pair with a coordinate past 2^510 is tested scaled into range."""
     if tA.is_huge or tB.is_huge:
-        f = _pair_scale(tA, tB)
-        return _contact_witness(_scaled_edges(tA, f), _scaled_edges(tB, f)) is not None
+        return _contact_witness(*_pair_in_range(tA, tB)[:2]) is not None
     return _contact_witness(_edges(tA), _edges(tB)) is not None
 
 
@@ -605,7 +630,7 @@ def _edge_sweep(
     caller proves by ``_separated`` or ``_contact_witness``. Ties keep the
     earliest projection in row-major edge-pair order, then (a, b, c, d)
     order, so the reported feature indices stay as low as possible. The
-    coordinates are in range (at most 2^250 in magnitude), so no direction,
+    coordinates are in range (at most 2^510 in magnitude), so no direction,
     squared length or projection overflows.
 
     The sweep is straight-line code that makes no call per projection:
@@ -808,7 +833,7 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     ``_separated``. Only when they fail does the overlap test run, as
     ``_contact_witness``: overlapping or touching triangles then report
     distance 0 with coincident witnesses, and disjoint ones the sweep's
-    answer. A pair with a coordinate past 2^250 is answered scaled into
+    answer. A pair with a coordinate past 2^510 is answered scaled into
     range (``_in_range``).
     """
     if tA.is_huge or tB.is_huge:

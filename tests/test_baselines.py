@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 import sys
@@ -35,7 +36,16 @@ from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, ulp_error
 from seed_reference import edge_feature, random_triangle, vertex_feature
 from test_benchmark import obj10_movers
-from test_equivalence import OVERFLOW_SCALES, RANGE, _bits, _pair_size, _scaled_into_range, _value_or_error
+from test_equivalence import (
+    GJK_RANGE_EXPONENT,
+    OVERFLOW_SCALES,
+    RANGE,
+    _bits,
+    _into_range,
+    _pair_size,
+    _scaled_into_range,
+    _value_or_error,
+)
 
 
 def tri(a, b, c, name=None):
@@ -84,19 +94,26 @@ def test_gjk_rejects_degenerate():
         gjk_distance(tri((0, 0), (1, 0), (2, 0)), tri((5, 0), (6, 0), (5, 1)))
 
 
-def test_gjk_answers_where_a_support_point_would_overflow():
-    # The first support point, A's vertex at x = -1e308 minus B's vertex at
-    # x = 1e308, lies past the float range; the pair scaled into range
-    # answers, as the oracle does, and exactly as the pair scaled by 2^-774.
+def test_gjk_refuses_overflowing_support_point():
+    # The centroids are about 6.7e307 apart, but the first support point,
+    # A's vertex at x = -1e308 minus B's vertex at x = 1e308, overflows on
+    # raw coordinates. Scaled into GJK's range, [2^249, 2^250), the pair's
+    # unit differences would fall to 2^-774, where GJK's products underflow:
+    # it refuses the pair with ValueError, and so does the oracle, whose
+    # range of 2^510 takes them to 2^-514. The same pair with features of
+    # 1e307 scales cleanly, and GJK answers it as the oracle does.
+    a = tri((-1e308, 0), (0, 0), (0, 1))
+    b = tri((1e308, 2), (1, 2), (1, 3))
+    for query in (gjk_distance, brute_force_triangle_distance):
+        with pytest.raises(ValueError) as info:
+            query(a, b)
+        assert type(info.value) is ValueError
+        assert str(info.value).endswith("does not scale into range")
     a = tri((-1e308, 0), (0, 0), (0, 1e307))
     b = tri((1e308, 2e307), (1e307, 2e307), (1e307, 3e307))
-    r = gjk_distance(a, b)
-    exact = brute_force_triangle_distance(a, b)
+    r, exact = gjk_distance(a, b), brute_force_triangle_distance(a, b)
     assert (r.distance, r.point_a, r.point_b) == (exact.distance, exact.point_a, exact.point_b)
     assert r.flags == ()
-    f = 2.0**-774
-    scaled = gjk_distance(a.scaled(f), b.scaled(f))
-    assert r.distance == scaled.distance / f
 
 
 def test_gjk_closest_points_realize_distance():
@@ -143,9 +160,11 @@ def test_gjk_counts_simplex_solves():
     assert not any("gjk-unconverged" in r.flags for r in results)
 
 
-def _gjk_by_definition(tA, tB, seen=None):
+def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
     """``gjk_distance`` as a loop over a list simplex that composes
-    ``_closest_on_segment``, ``_closest_on_triangle`` and ``_side_feature``.
+    ``_closest_on_segment``, ``_closest_on_triangle`` and ``_side_feature``,
+    with its two tolerances on squared lengths times ``tolerance_scale``,
+    or the least positive float where that product underflows to 0.
 
     The simplex follows the order of the last solve's weights; a repeat is
     checked against every kept point; the answer comes from the last
@@ -175,7 +194,7 @@ def _gjk_by_definition(tA, tB, seen=None):
         x, y = edges_a[ia][0] - edges_b[ib][0], edges_a[ia][1] - edges_b[ib][1]
         if simplex:
             repeat = any(sa == ia and sb == ib for _, _, sa, sb in simplex)
-            if repeat or v2 - (vx * x + vy * y) < baselines.GJK_IMPROVEMENT_TOL:
+            if repeat or v2 - (vx * x + vy * y) < (baselines.GJK_IMPROVEMENT_TOL * tolerance_scale or 5e-324):
                 converged = True
                 seen.add("repeat" if repeat else "improvement")
                 break
@@ -197,7 +216,7 @@ def _gjk_by_definition(tA, tB, seen=None):
                 vx, vy, lambdas = baselines._closest_on_triangle(*simplex)
             simplex = [sp for sp, _ in lambdas]
         v2 = vx * vx + vy * vy
-        if v2 <= 1e-24:
+        if v2 <= (1e-24 * tolerance_scale or 5e-324):
             intersecting = True
             converged = True
             seen.add(f"intersecting-{len(lambdas)}")
@@ -273,6 +292,14 @@ def _gjk_cases():
             for other in (b, a.translated(0.3 * scale, 0.0)):
                 yield a, other
                 yield other, a
+    for length in (1e150, 1e200, 1e300):
+        # A sliver whose tip is 1e60 from a small triangle: scaled into
+        # [2^249, 2^250), the gap squared is under 1e-24, which would call
+        # the pair intersecting if the tolerances were not scaled too.
+        a = tri((0.0, 0.0), (-length, -1e100), (-length, 1e100))
+        b = tri((1e60, 0.0), (2e60, -1e60), (2e60, 1e60))
+        yield a, b
+        yield b, a
     for _ in range(300):
         # Facing edges a hair off parallel, overlapping by less than the
         # angle between them: the simplex can be a sliver that holds the
@@ -333,19 +360,36 @@ def _has_negative_zero(t):
     return any(math.copysign(1.0, v) < 0.0 and v == 0.0 for p in t.vertices for v in (p.x, p.y))
 
 
+def _gjk_in_range(a, b, seen=None, scale_tolerances=True):
+    """``_gjk_by_definition`` on the pair as ``gjk_distance`` answers it:
+    past 2^250 scaled into range by a power of two, with its tolerances
+    scaled by that power's square unless ``scale_tolerances`` is False, and
+    scaled back."""
+    up = _into_range(a, b, GJK_RANGE_EXPONENT)[2]
+    square = (1.0 / up) * (1.0 / up) if scale_tolerances else 1.0
+    definition = functools.partial(_gjk_by_definition, tolerance_scale=square)
+    return _scaled_into_range(definition, GJK_RANGE_EXPONENT)(a, b, seen)
+
+
 def test_gjk_equals_its_definition(monkeypatch):
     # Every answer field bit for bit (the sign of zero and int against float
     # too, and the feature names), or the same exception and message. A
     # pair past 2^250 is answered as the definition answers it scaled into
-    # range by a power of two, scaled back.
+    # range by a power of two, with its tolerances scaled by that power's
+    # square, scaled back, or refused as too wide to scale. Where the
+    # tolerances left unscaled would call a pair intersecting, the scaled
+    # ones decide.
     kinds = _record_triangle_solves(monkeypatch)
     cases = list(_gjk_cases())
-    definition = _scaled_into_range(_gjk_by_definition)
     for a, b in cases:
         got = _value_or_error(gjk_distance, a, b)
-        assert got == _value_or_error(definition, a, b, kinds), (a, b)
-        if _pair_size(a, b) > RANGE:
+        assert got == _value_or_error(_gjk_in_range, a, b, kinds), (a, b)
+        if _pair_size(a, b) > 2.0**GJK_RANGE_EXPONENT:
             kinds.add("past the range")
+            if got[0] == "raised" and got[2].endswith("does not scale into range"):
+                kinds.add("too wide")
+            elif got != _value_or_error(_gjk_in_range, a, b, None, False):
+                kinds.add("scaled tolerances decide")
         if got[0] == "ok" and isinstance(a.v0.x, int) and isinstance(b.v0.x, int):
             kinds.add("int")
         if _has_negative_zero(a) or _has_negative_zero(b):
@@ -354,7 +398,7 @@ def test_gjk_equals_its_definition(monkeypatch):
         monkeypatch.setattr(baselines, "GJK_MAX_ITERATIONS", cap)
         for a, b in cases[:1000]:
             got = _value_or_error(gjk_distance, a, b)
-            assert got == _value_or_error(definition, a, b, kinds), (cap, a, b)
+            assert got == _value_or_error(_gjk_in_range, a, b, kinds), (cap, a, b)
             if got[0] == "ok" and "gjk-unconverged" in got[1][-1]:
                 kinds.add(f"unconverged-{cap}")
             elif got[0] == "raised" and got[1] is UnboundLocalError:
@@ -365,7 +409,8 @@ def test_gjk_equals_its_definition(monkeypatch):
     # stays among the kept points. (Only a pair whose squared lengths
     # overflowed, answered now in range, kept a segment's a alone.)
     expected = {"size-1", "size-2", "size-3", "segment-b", "segment-ab"}
-    expected |= {"triangle-c", "triangle-ac", "triangle-bc", "triangle-abc", "flat", "past the range"}
+    expected |= {"triangle-c", "triangle-ac", "triangle-bc", "triangle-abc", "flat"}
+    expected |= {"past the range", "too wide", "scaled tolerances decide"}
     expected |= {"repeat", "improvement", "intersecting-3"}
     expected |= {"int", "negative-zero", "unbound-0", "unconverged-1", "unconverged-2", "unconverged-3"}
     assert expected <= kinds, sorted(expected - kinds)
@@ -806,8 +851,9 @@ def _lin_canny_cases():
 def test_lin_canny_equals_its_definition():
     # Every answer field bit for bit (the sign of zero and int against float
     # too, the feature names and the returned pair), or the same exception
-    # and message. A pair past 2^250 is answered as the definition answers
-    # it scaled into range by a power of two, scaled back.
+    # and message. A pair past 2^510 is answered as the definition answers
+    # it scaled into range by a power of two, scaled back, or refused as
+    # too wide to scale.
     seen = set()
     definition = _scaled_into_range(_lin_canny_by_definition)
     for a, b, seed in _lin_canny_cases():
@@ -1175,16 +1221,19 @@ def _scaled_result(r, s):
     return dataclasses.replace(r, distance=r.distance * s, point_a=point_a, point_b=point_b)
 
 
-@pytest.mark.parametrize("k", [-20, 20, 260, 520, 1000])
+@pytest.mark.parametrize("k", [-20, 20, 260, 487, 520, 1000])
 def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
     # DEGENERATE_AREA is still an absolute area bound, so the pairs are
     # taken at 2**20 times their unit size: at every scaling every
-    # triangle's area stays far above it. Past 2^250, up to near the float
-    # maximum (2^1022 here), the entries scale the pair back into range,
-    # so every answer is the in-range one times 2**k, bit for bit: the
-    # oracle's, Lin-Canny's, DyOP's, the overlap test's and placement's.
-    # GJK_IMPROVEMENT_TOL is absolute, so GJK is held to this only between
-    # two exponents past the range.
+    # triangle's area stays far above it. Up to 2^510 the kernels run on
+    # raw coordinates (at 2**487 the pairs reach from 2^506 to 2^510, the
+    # edge of that range); past it, up to near the float maximum (2^1022
+    # here), the entries scale the pair back into range. Either way every
+    # answer is the one at 2**20 times 2**k, bit for bit: the oracle's,
+    # Lin-Canny's, DyOP's, the overlap test's and placement's. GJK's
+    # tolerances are absolute, and below 2^20 they can decide; from there
+    # up, GJK is held to this too, past its range of 2^250 with its
+    # tolerances scaled with the pair.
     rng = random.Random(28)
     base = 2.0**20
     scene = default_scene()
@@ -1206,10 +1255,8 @@ def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
             if outcome[0] == "raised":
                 assert _value_or_error(query, sa, sb) == outcome
             elif query is gjk_distance:
-                if k > 250:
-                    past = 2.0**260
-                    expected = _scaled_result(gjk_distance(a.scaled(past), b.scaled(past)), s / past)
-                    assert _bits(gjk_distance(sa, sb)) == _bits(expected)
+                if k > 0:
+                    assert _bits(gjk_distance(sa, sb)) == _bits(_scaled_result(gjk_distance(a, b), s))
             elif query is lin_canny_distance:
                 result, pair = lin_canny_distance(a, b)
                 assert _bits(lin_canny_distance(sa, sb)) == _bits((_scaled_result(result, s), pair))

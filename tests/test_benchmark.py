@@ -23,7 +23,7 @@ from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dyop_di
 from dyop2d.errors import IncompleteRecords, PlacementFailure
 from dyop2d.geometry import FeatureKind, Point2, Triangle, Vector2, _edges, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair
-from test_equivalence import RANGE, _pair_size
+from test_equivalence import RANGE, RANGE_EXPONENT, _pair_size, _too_wide
 
 
 def tri(name, a, b, c):
@@ -244,7 +244,8 @@ def _offset_by_definition(mover, static, ux, uy, r):
 def _place_by_definition(scene, pair):
     """``place_pair`` with its offset from ``_offset_by_definition``, taken on
     the pair and the separation scaled into range by a power of two where a
-    coordinate or the separation is past 2^250, and scaled back."""
+    coordinate or the separation is past 2^510, and scaled back; a pair
+    too wide to scale is refused as ``_too_wide`` refuses it."""
     mover, static, s = scene.objects[pair[0]], scene.objects[pair[1]], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
     label = f"pair {mover.name}->{static.name}"
@@ -253,7 +254,12 @@ def _place_by_definition(scene, pair):
         if size <= RANGE:
             offset = _offset_by_definition(mover, static, ux, uy, s)
         else:
-            # Another target than place_pair's own [2^249, 2^250): the offset
+            points = mover.vertices + static.vertices
+            k = RANGE_EXPONENT - math.frexp(size)[1]
+            refusal = _too_wide([p.x for p in points], [p.y for p in points], (s,), k, RANGE_EXPONENT)
+            if refusal is not None:
+                raise refusal
+            # Another target than place_pair's own [2^509, 2^510): the offset
             # scales with the pair, whatever the power.
             f = 2.0 ** (200 - math.frexp(size)[1])
             offset = _offset_by_definition(mover.scaled(f), static.scaled(f), ux, uy, s * f) / f
@@ -302,10 +308,12 @@ def _definition_scenes():
             objects = tuple(o.scaled(k) for o in scene.objects)
             yield dataclasses.replace(scene, objects=objects, separation=k, axis=axis)
     # A scene whose placed coordinates leave the float range: each object
-    # must cross about 3.3e308 to reach the other.
-    left = tri("L", (-1.7e308, 0.0), (-1.7e308, 1.0), (-1.6e308, 0.5))
-    right = tri("R", (1.7e308, 0.0), (1.7e308, 1.0), (1.6e308, 0.5))
-    yield Scene((left, right), 1.0, MovementAxis.X)
+    # must cross about 3.3e308 to reach the other. With unit features
+    # instead of 1e307 ones, it is too wide to scale into range.
+    for size in (1e307, 1.0):
+        left = tri("L", (-1.7e308, 0.0), (-1.7e308, size), (-1.6e308, 0.5 * size))
+        right = tri("R", (1.7e308, 0.0), (1.7e308, size), (1.6e308, 0.5 * size))
+        yield Scene((left, right), size, MovementAxis.X)
     # Random pairs, along either axis, so that some cannot be placed.
     rng = random.Random(7)
     for _ in range(3000):
@@ -315,7 +323,7 @@ def _definition_scenes():
 
 
 def test_placement_equals_its_definition():
-    kinds = ("cannot reach", "cannot be placed", "off separation")
+    kinds = ("cannot reach", "does not scale into range", "cannot be placed", "off separation")
     outcomes = collections.Counter()
     for scene in _definition_scenes():
         ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
@@ -330,8 +338,10 @@ def test_placement_equals_its_definition():
             assert placed == _placement(_place_by_definition, scene, pair), (scene, pair)
             outcomes[placed[0] if placed[0] == "placed" else next(k for k in kinds if k in placed[1])] += 1
     # Every outcome occurs: shifted by 1e9, a coordinate's rounding exceeds
-    # 1e-9 * s at small s, and two objects 3.4e308 apart cannot be placed.
-    assert set(outcomes) == {"placed", "cannot reach", "cannot be placed", "off separation"}, outcomes
+    # 1e-9 * s at small s, two objects 3.4e308 apart cannot be placed, and
+    # with unit features they cannot be scaled into range.
+    expected = {"placed", "cannot reach", "does not scale into range", "cannot be placed", "off separation"}
+    assert set(outcomes) == expected, outcomes
 
 
 def test_offset_keeps_the_first_of_tied_exits():

@@ -278,19 +278,25 @@ def _scaled_scene(s, rise=0.0):
     return Scene((tri("A", (0, 0), (s, 0), (0, s)), b), s, MovementAxis.X)
 
 
-@pytest.mark.parametrize("algorithm", ["dyop", "gjk", "lincanny"])
+@pytest.mark.parametrize("algorithm", list(benchmark.ALGORITHMS))
 def test_dist_overflowing_coordinates_exit_4(tmp_path, capsys, algorithm):
     # Coordinates whose squares overflow are answered scaled into range, so
-    # what still fails there is a refused input: a flat triangle, which every
-    # algorithm but the oracle refuses.
+    # what still fails there is an input that cannot be: a unit triangle
+    # beside one at 1e308, whose unit differences every algorithm would
+    # scale below where their squares stay normal, and so refuses; and a
+    # flat triangle, which every algorithm but the oracle refuses.
+    unit, far = tri("A", (0, 0), (1, 0), (0, 1)), tri("B", (1e308, 0), (1.1e308, 0), (1e308, 1))
+    wide = Scene((unit, far), 1.0, MovementAxis.X)
     scene = _scaled_scene(1e155)
-    flat = tri("B", (3e155, 0), (4e155, 0), (5e155, 0))
-    path = _scene_path(tmp_path, dataclasses.replace(scene, objects=(scene.objects[0], flat)))
-    code = main(["dist", "--scene", path, "--a", "A", "--b", "B", "--algo", algorithm])
-    assert code == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("algorithm error (DegenerateInput)")
+    flat = dataclasses.replace(scene, objects=(scene.objects[0], tri("B", (3e155, 0), (4e155, 0), (5e155, 0))))
+    cases = [(wide, "ValueError")] + ([] if algorithm == "oracle" else [(flat, "DegenerateInput")])
+    for case, error in cases:
+        path = _scene_path(tmp_path, case)
+        code = main(["dist", "--scene", path, "--a", "A", "--b", "B", "--algo", algorithm])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"algorithm error ({error})")
 
 
 @pytest.mark.parametrize("algorithm", list(benchmark.ALGORITHMS))

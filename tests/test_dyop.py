@@ -137,9 +137,11 @@ def test_overflowed_gap_box_is_refused_by_the_candidate_rule():
     # The stages are definitions on raw coordinates. Overlapping x-extents
     # near the float range clamp to a midpoint that overflows. The box
     # keeps it and the pivot returns it; every squared distance to that
-    # pivot is infinite, so the candidate rule refuses it. The query scales
-    # the pair into range first, so it answers, as the chain of stages does
-    # on the scaled pair, and not below the exact distance.
+    # pivot is infinite, so the candidate rule refuses it. The query never
+    # takes that pivot: it would scale the pair into range first, but its
+    # y coordinates, 1 apart beside 1.79e308, would fall below 2^-500
+    # there, so it refuses the pair with ValueError, as the chain of
+    # stages does.
     a = tri((1.5e308, 0), (1.7e308, 0), (1.6e308, 1))
     b = tri((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))
     box = build_internal_aabb(a, b, MovementAxis.X)
@@ -149,10 +151,9 @@ def test_overflowed_gap_box_is_refused_by_the_candidate_rule():
     for t in (a, b):
         with pytest.raises(OverflowError, match=r"^squared distances to the pivot overflow$"):
             select_candidates(t, pivot)
-    r = dyop_distance(a, b, Vector2(1, 0))
-    assert _bits(r) == _bits(_scaled_into_range(_dyop_by_stages)(a, b, Vector2(1, 0)))
-    assert _not_below(r.distance, exact_squared_distance(a, b))
-    assert r.flags == ("overlapping-boxes",)
+    query = _value_or_error(dyop_distance, a, b, Vector2(1, 0))
+    assert query == _value_or_error(_scaled_into_range(_dyop_by_stages), a, b, Vector2(1, 0))
+    assert query[:2] == ("raised", ValueError) and query[2].endswith("does not scale into range")
 
 
 def test_compute_dyop_midpoint():
@@ -253,8 +254,9 @@ def test_dyop_distance_rejects_degenerate():
 def test_dyop_distance_refuses_overflowing_pivot():
     # The gap box runs from x = 1.65e308 to 1.7e308, so its midpoint
     # overflows. The pivot returns it, and the candidate rule refuses it.
-    # The query never takes that pivot: it scales the pair into range
-    # first, and answers as the chain of stages does on the scaled pair.
+    # The query never takes that pivot: the pair's y coordinates, 1 apart
+    # beside 1.75e308, would fall below 2^-500 scaled into range, so it
+    # refuses the pair with ValueError, as the chain of stages does.
     a = tri((1.6e308, 0), (1.65e308, 0), (1.6e308, 1))
     b = tri((1.7e308, 0), (1.75e308, 0), (1.7e308, 1))
     box = build_internal_aabb(a, b, MovementAxis.X)
@@ -265,10 +267,12 @@ def test_dyop_distance_refuses_overflowing_pivot():
         select_candidates(a, pivot)
     assert type(info.value) is OverflowError
     assert str(info.value) == "squared distances to the pivot overflow"
-    r = dyop_distance(a, b, Vector2(1, 0))
-    assert _bits(r) == _bits(_scaled_into_range(_dyop_by_stages)(a, b, Vector2(1, 0)))
-    assert _not_below(r.distance, exact_squared_distance(a, b))
-    assert r.flags == ()
+    with pytest.raises(ValueError) as info:
+        dyop_distance(a, b, Vector2(1, 0))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "a difference or length below 16384.0 does not scale into range"
+    chain = _value_or_error(_scaled_into_range(_dyop_by_stages), a, b, Vector2(1, 0))
+    assert chain == ("raised", ValueError, str(info.value))
 
 
 def test_dyop_distance_flags_overlapping_boxes():
@@ -465,6 +469,12 @@ def _stage_cases():
         velocity = Vector2(1.0, 0.0) if rng.random() < 0.5 else Vector2(0.0, 1.0)
         yield a, b, velocity
         yield b, a, velocity
+    for pair in (((1.5e308, 0), (1.7e308, 0), (1.6e308, 1)), ((1.6e308, 3), (1.79e308, 3), (1.7e308, 4))), (
+        ((1.6e308, 0), (1.65e308, 0), (1.6e308, 1)),
+        ((1.7e308, 0), (1.75e308, 0), (1.7e308, 1)),
+    ):
+        # Unit y features beside 1.7e308: too wide to scale into range.
+        yield tri(*pair[0]), tri(*pair[1]), Vector2(1.0, 0.0)
     for _ in range(2000):
         # The integer grid centred on the origin at a scale whose squared
         # distances to the pivot stay finite while the segment test's
@@ -476,9 +486,10 @@ def _stage_cases():
 def test_dyop_distance_is_the_chain_of_its_stages():
     # Distance, witnesses, features, counters and flags bit for bit, or the
     # same exception and message. Only the refusal of a degenerate triangle
-    # names the entry point that refused it. A pair past 2^250 is answered
+    # names the entry point that refused it. A pair past 2^510 is answered
     # as the chain answers it scaled into range by a power of two, scaled
-    # back; the branches reached are counted on the pair the kernel sees.
+    # back, or refused as too wide to scale; the branches reached are
+    # counted on the pair the kernel sees.
     seen = set()
     chain = _scaled_into_range(_dyop_by_stages)
     for a, b, velocity in _stage_cases():
@@ -492,9 +503,12 @@ def test_dyop_distance_is_the_chain_of_its_stages():
         seen.add(query[1] if query[0] == "raised" else "overlapping-boxes" in query[1][-1])
         if query[0] == "ok" and "overlapping-boxes" in query[1][-1]:
             seen.add(("overlapping-boxes", dominant_axis(velocity)))
-        a, b, up = _into_range(a, b)
+        a, b, up, refusal = _into_range(a, b)
         if up != 1.0:
             seen.add("past the range")
+        if refusal is not None:
+            seen.add("too wide")
+            continue
         seen.add(_segment_case(a, b, velocity))
         seen.update(_tied_extents(a, b))
         seen.update(("squares tie", tie) for tie in _tied_squares(a, b, velocity))
@@ -503,7 +517,7 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     # Every branch of the kernel is reached. A projection record of c or d
     # naming a vertex of A's edge ties with the earlier record of a or b,
     # which keeps the tie.
-    assert seen >= {ZeroVelocity, DegenerateInput, True, False, "past the range"}
+    assert seen >= {ZeroVelocity, DegenerateInput, ValueError, True, False, "past the range", "too wide"}
     assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
     assert "zero-length edges" in seen
     names = ("t = 0", "t = 1", "interior")
@@ -554,7 +568,7 @@ def test_dyop_refuses_only_where_its_candidate_choice_is_undecided():
     # coordinates, refuses with OverflowError exactly where two or more of
     # one triangle's squares are infinite, which leaves its nearest two
     # undecided; one infinite square marks the farthest vertex. The query
-    # scales a pair past 2^250 into range, where every square is finite and
+    # scales a pair past 2^510 into range, where every square is finite and
     # every choice decided, so it answers every pair, never below the exact
     # distance.
     seen = set()

@@ -13,6 +13,7 @@ witnesses and features may differ on ties.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,7 +31,7 @@ from dyop2d.dyop import (
     dyop_distance,
     select_candidates,
 )
-from dyop2d.errors import DegenerateInput, Penetrating
+from dyop2d.errors import DegenerateInput, Penetrating, ZeroVelocity
 from dyop2d.geometry import (
     Point2,
     Segment,
@@ -80,40 +81,69 @@ def _assert_same(new, old, *args):
     assert _outcome(new, *args) == _outcome(old, *args), args
 
 
-# The kernels take coordinates at most 2^250 in magnitude; each public
-# entry scales a pair past that into range by one power of two.
-RANGE = 2.0**250
+# The kernels' ranges, as exponents of two: 2^510 for the oracle, DyOP,
+# Lin-Canny, the overlap test and placement, 2^250 for GJK. Each public entry
+# scales a pair past its kernel's range into it by one power of two.
+RANGE_EXPONENT, GJK_RANGE_EXPONENT = 510, 250
+RANGE = 2.0**RANGE_EXPONENT
 
 
 def _pair_size(a, b):
     return max(abs(v) for t in (a, b) for p in t.vertices for v in (p.x, p.y))
 
 
-def _into_range(a, b):
-    """(a, b, up): the pair scaled by the power of two that brings its
-    largest coordinate into [2^249, 2^250), and the power that scales back;
-    a pair in range as it is, with up = 1.0. DEGENERATE_AREA bounds the
-    area in the pair's own units, so the scaled triangles keep the flags of
-    the pair."""
+def _too_wide(xs, ys, values, k, exponent):
+    """The ValueError with which an entry refuses to scale by 2**k, into the
+    range 2^exponent, a pair with x coordinates ``xs``, y coordinates ``ys``
+    and lengths ``values`` when some two coordinates along one axis, or a
+    value, are nonzero and less than 2^(10 - exponent) apart once scaled;
+    else None. Taken exactly, over every two coordinates."""
+    floor = Fraction(2) ** (10 - exponent - k)
+    gaps = [Fraction(u) - Fraction(v) for axis in (xs, ys) for u, v in itertools.combinations(axis, 2)]
+    if any(0 < abs(g) < floor for g in gaps + [Fraction(v) for v in values]):
+        return ValueError(f"a difference or length below {float(floor)!r} does not scale into range")
+    return None
+
+
+def _into_range(a, b, exponent=RANGE_EXPONENT):
+    """(a, b, up, refusal): the pair scaled by the power of two that brings
+    its largest coordinate into [2^(exponent - 1), 2^exponent), the power
+    that scales back, and ``_too_wide``'s ValueError for it; a pair in
+    range as it is, with up = 1.0 and no refusal. DEGENERATE_AREA bounds
+    the area in the pair's own units, so the scaled triangles keep the
+    flags of the pair."""
     size = _pair_size(a, b)
-    if size <= RANGE:
-        return a, b, 1.0
-    k = 250 - math.frexp(size)[1]
+    if size <= 2.0**exponent:
+        return a, b, 1.0, None
+    k = exponent - math.frexp(size)[1]
+    points = [p for t in (a, b) for p in t.vertices]
+    refusal = _too_wide([p.x for p in points], [p.y for p in points], (), k, exponent)
     scaled = a.scaled(2.0**k), b.scaled(2.0**k)
     for t, original in zip(scaled, (a, b)):
         object.__setattr__(t, "is_degenerate", original.is_degenerate)
-    return *scaled, 2.0**-k
+    return *scaled, 2.0**-k, refusal
 
 
-def _scaled_into_range(fn):
+def _scaled_into_range(fn, exponent=RANGE_EXPONENT):
     """``fn`` on a pair run on it ``_into_range``, with the distance and
-    witnesses of its answer scaled back. An answer may come first in a tuple."""
+    witnesses of its answer scaled back. An answer may come first in a
+    tuple. A pair too wide to scale raises its refusal, unless ``fn``
+    refuses it first as degenerate or for a zero velocity, as the entries
+    do before they scale."""
 
     def run(a, b, *args):
-        a, b, up = _into_range(a, b)
+        a, b, up, refusal = _into_range(a, b, exponent)
+        try:
+            answer = fn(a, b, *args)
+        except (DegenerateInput, ZeroVelocity):
+            raise
+        except Exception:
+            if refusal is None:
+                raise
+        if refusal is not None:
+            raise refusal
         if up == 1.0:
-            return fn(a, b, *args)
-        answer = fn(a, b, *args)
+            return answer
         r = answer[0] if isinstance(answer, tuple) else answer
         r = dataclasses.replace(
             r,
@@ -301,13 +331,11 @@ def _not_below(distance, squared, slack=1e-12):
     return Fraction(distance) ** 2 >= squared * Fraction(1.0 - slack) ** 2
 
 
-def _near(distance, squared, size, rel=1e-12):
-    """Whether ``distance`` is within ``rel`` times ``size``, the pair's
-    largest coordinate, of the exact root of ``squared``, up to its own
-    rounding."""
+def _near(distance, squared, rel=1e-12):
+    """Whether ``distance`` is within ``rel`` of itself of the exact root of
+    ``squared``: 0 only where ``squared`` is 0."""
     d = Fraction(distance)
-    slack = Fraction(rel) * Fraction(size) + d * Fraction(1e-15)
-    return max(d - slack, Fraction(0)) ** 2 <= squared <= (d + slack) ** 2
+    return (d * (1 - Fraction(rel))) ** 2 <= squared <= (d * (1 + Fraction(rel))) ** 2
 
 
 @pytest.mark.parametrize("scale, shift", OVERFLOW_SCALES)
@@ -315,44 +343,136 @@ def test_overflowing_coordinates_match_reference(scale, shift):
     # Near the float range intermediate values overflow on raw coordinates:
     # the original code refused some pairs with ValueError wherever it
     # built a Point2, and answered others off the mark where an overflow
-    # went unchecked. Every query now runs on the pair scaled into range by
-    # a power of two, so each answers as the frozen copy answers that pair,
-    # scaled back: bit for bit, and DyOP as _assert_dyop_matches_reference
-    # holds it. The oracle and GJK answer within 1e-12 of the pair's
-    # largest coordinate of the exact distance, 0 where the overlap test
-    # finds contact, where Lin-Canny refuses the pair as Penetrating.
-    # Unshifted, the overlap test calls every pair B drawn apart from A
-    # disjoint, where the frozen copy called some overlapping; shifted by
-    # 1.7e308, the pairs round to one vertical line and may touch. A copy C
-    # of A shifted by 0.3 of the unit box often overlaps A.
+    # went unchecked. Every query now runs on the pair scaled into its
+    # kernel's range by a power of two, so each answers as the frozen copy
+    # answers that pair, scaled back: bit for bit, and DyOP as
+    # _assert_dyop_matches_reference holds it. At 1e150, past GJK's range
+    # of 2^250 but not past the others', GJK also answers as the frozen
+    # copy does on the raw pair wherever that answers: its tolerances,
+    # scaled with the pair, decide as there. The oracle, GJK and
+    # Lin-Canny answer within 1e-12 of the distance of the exact distance,
+    # 0 where the overlap test finds contact, where Lin-Canny refuses the
+    # pair as Penetrating. Unshifted, the overlap test calls every pair B
+    # drawn apart from A disjoint, where the frozen copy called some
+    # overlapping. A copy C of A shifted by 0.3 of the unit box often
+    # overlaps A. Shifted by 1.7e308, the unit-size pairs round to one
+    # vertical line, and their y coordinates, under 16384 apart, cannot be
+    # scaled into range with squares that stay normal: every query refuses
+    # every pair, as no pair is refused at the other scales.
     # (exact_squared_distance is the distance of disjoint triangles only.)
     rng = random.Random(9)
+    refused = set()
+    oracle = _scaled_into_range(ref.brute_force_triangle_distance)
     for _ in range(300):
         a, b, velocity = random_separated_pair(rng)
         a = a.scaled(scale).translated(shift, 0.0)
         b = b.scaled(scale).translated(shift, 0.0)
         c = a.translated(0.3 * scale, 0.0)
-        size = _pair_size(a, c)
         _assert_dyop_matches_reference(a, b, velocity, _scaled_into_range(ref.dyop_distance))
-        _assert_same(gjk_distance, _scaled_into_range(ref.gjk_distance), a, b)
-        if shift == 0.0:
-            assert triangles_overlap(a, b) is False, (a, b)
+        _assert_same(gjk_distance, _scaled_into_range(ref.gjk_distance, GJK_RANGE_EXPONENT), a, b)
+        raw = _outcome(ref.gjk_distance, a, b)
+        if scale == 1e150 and raw[0] == "ok":
+            assert _outcome(gjk_distance, a, b) == raw, (a, b)
         for other in (b, c):
+            answer = _value_or_error(brute_force_triangle_distance, a, other)
+            assert answer == _value_or_error(oracle, a, other), (a, other)
+            refusal = _into_range(a, other)[3]
+            refused.add(refusal is not None)
+            if refusal is not None:
+                assert answer == ("raised", ValueError, str(refusal))
+                assert _value_or_error(triangles_overlap, a, other) == answer
+                continue
             contact = triangles_overlap(a, other)
             assert contact is ref.triangles_overlap(*_into_range(a, other)[:2]), (a, other)
-            oracle = _scaled_into_range(ref.brute_force_triangle_distance)
-            _assert_same(brute_force_triangle_distance, oracle, a, other)
+            if shift == 0.0 and other is b:
+                assert contact is False, (a, b)
             squared = 0 if contact else exact_squared_distance(a, other)
-            assert _near(brute_force_triangle_distance(a, other).distance, squared, size), (a, other)
+            assert _near(brute_force_triangle_distance(a, other).distance, squared), (a, other)
             if a.is_degenerate or other.is_degenerate:
                 continue
             if other is b:
-                assert _near(gjk_distance(a, b).distance, squared, size), (a, b)
+                assert _near(gjk_distance(a, b).distance, squared), (a, b)
             elif contact:
                 with pytest.raises(Penetrating):
                     lin_canny_distance(a, c)
             else:
-                assert _near(lin_canny_distance(a, c)[0].distance, squared, size), (a, c)
+                assert _near(lin_canny_distance(a, c)[0].distance, squared), (a, c)
+    assert refused == {shift == 1.7e308}
+
+
+def _sliver_pairs():
+    """(a, b, gap): a sliver A of length L and half-width w whose tip is the
+    origin, and a triangle B of size gap whose nearest vertex lies gap
+    beyond that tip, at distance gap; along x either way and along y.
+    Every edge from a far vertex ends at the origin, and every edge of B
+    at a vertex that a projection clamped to that end reaches exactly, so
+    the kernels answer these in range. (B is no smaller than 1e-5, so
+    that it is not degenerate.)"""
+    for length in (1e150, 1e154, 1e155, 1e200, 1e300, 1.7e308):
+        for width in (1e-90, 1e-10, 1.0, 1e100, 1e140):
+            for gap in (1e-5, 1.0, 1e60, 1e145):
+                a = ((0.0, 0.0), (-length, -width), (-length, width))
+                b = ((gap, 0.0), (2 * gap, -gap), (2 * gap, gap))
+                for sx, swap in ((1.0, False), (-1.0, False), (1.0, True)):
+                    pair = [[(sx * y, x) if swap else (sx * x, y) for x, y in t] for t in (a, b)]
+                    yield *(Triangle(*(Point2(*p) for p in t)) for t in pair), gap
+
+
+def test_wide_pairs_at_the_float_range_answer_or_refuse():
+    # A long sliver and a small triangle near its tip: the pair spans up to
+    # about 2^1322. Each query answers within 1e-12 of the distance of the
+    # exact distance, or, where the pair cannot be scaled into its
+    # kernel's range with its small differences kept clear of underflow,
+    # refuses it with that ValueError; DyOP's answer is not below the exact
+    # distance. Nothing answered calls the pair overlapping.
+    velocity = Vector2(1.0, 0.0)
+    outcomes = set()
+    for a, b, gap in _sliver_pairs():
+        squared = exact_squared_distance(a, b)
+        assert Fraction(gap) ** 2 == squared, (a, b)
+        for name, query, exponent in (
+            ("oracle", brute_force_triangle_distance, RANGE_EXPONENT),
+            ("overlap", triangles_overlap, RANGE_EXPONENT),
+            ("dyop", lambda t, u: dyop_distance(t, u, velocity), RANGE_EXPONENT),
+            ("lincanny", lambda t, u: lin_canny_distance(t, u)[0], RANGE_EXPONENT),
+            ("gjk", gjk_distance, GJK_RANGE_EXPONENT),
+        ):
+            refusal = _into_range(a, b, exponent)[3]
+            got = _value_or_error(query, a, b)
+            if refusal is not None:
+                assert got == ("raised", ValueError, str(refusal)), (name, a, b)
+                outcomes.add((name, "refused"))
+                continue
+            assert got[0] == "ok", (name, a, b, got)
+            result = query(a, b)
+            if name == "overlap":
+                assert result is False, (a, b)
+            elif name == "dyop":
+                assert _not_below(result.distance, squared), (a, b)
+            else:
+                assert _near(result.distance, squared), (name, a, b, result.distance)
+            outcomes.add((name, "answered"))
+    names = ("oracle", "overlap", "dyop", "lincanny", "gjk")
+    assert outcomes == {(name, outcome) for name in names for outcome in ("answered", "refused")}
+
+
+@pytest.mark.parametrize("k", [0, 20, 300, 520])
+def test_two_slivers_1e_minus_90_apart(k):
+    # Two slivers 1e150 long whose nearest features are 2e-90 and 1e-90
+    # wide, 1e-90 apart, scaled by 2**k: in range at 2**0 and 2**20 for
+    # all but GJK, and past it, without a difference small enough to
+    # refuse, at 2**300 and 2**520. The oracle and Lin-Canny answer the
+    # distance and the overlap test calls them apart at every scale. GJK's
+    # range is 2^250, into which this pair does not scale with its small
+    # differences above 2^-240, so GJK refuses it.
+    s = 2.0**k
+    a = Triangle(Point2(-1e150 * s, 0.0), Point2(0.0, -1e-90 * s), Point2(0.0, 1e-90 * s))
+    b = Triangle(Point2(1e-90 * s, 0.0), Point2(1e150 * s, -1e-90 * s), Point2(1e150 * s, 1e-90 * s))
+    assert brute_force_triangle_distance(a, b).distance == 1e-90 * s
+    assert lin_canny_distance(a, b)[0].distance == 1e-90 * s
+    assert triangles_overlap(a, b) is False
+    with pytest.raises(ValueError, match="does not scale into range"):
+        gjk_distance(a, b)
 
 
 def _assert_lin_canny_matches_reference(a, b):

@@ -42,7 +42,7 @@ from dyop2d.geometry import (
 )
 from dyop2d.verify import random_separated_pair
 from seed_reference import edge_feature, vertex_feature
-from test_equivalence import OVERFLOW_SCALES, _bits, _value_or_error
+from test_equivalence import OVERFLOW_SCALES, RANGE, RANGE_EXPONENT, _bits, _too_wide, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -150,13 +150,20 @@ def test_the_smallest_clockwise_orientation_is_swapped():
     assert t.is_degenerate
     assert _point_in_triangle(_edges(t), 0.0, 0.5e-162)
     # At s = 1e155 the orientation of (0, 0), (s, 2s), (s, s) is s*s - 2s*s,
-    # inf - inf, on raw coordinates. The triangle has coordinates past 2^250,
-    # so it is decided on them scaled into range, where it is negative: v1
-    # and v2 swap, and the triangle is not degenerate.
+    # inf - inf, on raw coordinates. Only such a NaN is decided on the
+    # coordinates scaled into range, where it is negative: v1 and v2 swap,
+    # and the triangle is not degenerate.
     s = 1e155
     assert math.isnan(_orient(0.0, 0.0, s, 2 * s, s, s))
     t = tri((0.0, 0.0), (s, 2 * s), (s, s))
     assert t.vertices == (Point2(0.0, 0.0), Point2(s, s), Point2(s, 2 * s))
+    assert t.is_huge and not t.is_degenerate
+    # Any other orientation keeps its raw sign and size. That of (1e300, 0),
+    # (0, 0), (0, 1e-200) is -1e100; scaled into range, 1e-200 would
+    # underflow to 0 and the triangle read as degenerate.
+    t = tri((1e300, 0.0), (0.0, 0.0), (0.0, 1e-200))
+    assert _orient(1e300, 0.0, 0.0, 0.0, 0.0, 1e-200) == -1e100
+    assert t.vertices == (Point2(1e300, 0.0), Point2(0.0, 1e-200), Point2(0.0, 0.0))
     assert t.is_huge and not t.is_degenerate
 
 
@@ -478,13 +485,15 @@ def _segment_branch(ends):
     return "record d", _t_name(t_a)
 
 
-# The kernels take coordinates at most 2^250 in magnitude; the public
-# entries scale a pair past that into range by one power of two.
-RANGE = 2.0**250
-
-
 def _in_range(values):
     return max(abs(v) for v in values) <= RANGE
+
+
+def _refusal(xs, ys):
+    """The ValueError with which an entry refuses to scale a pair past 2^510
+    with these x and y coordinates into range, or None."""
+    size = max(abs(v) for v in (*xs, *ys))
+    return _too_wide(xs, ys, (), RANGE_EXPONENT - math.frexp(size)[1], RANGE_EXPONENT)
 
 
 def _scale_exponent(values):
@@ -497,10 +506,11 @@ def _scale_exponent(values):
 def test_segment_segment_equals_its_definition():
     # In range, the kernel's precondition: all seven values, t1 and t2
     # included, bit for bit (the sign of zero and int against float too),
-    # or the same exception and message. Past the range, the public entry
-    # answers as the definition does on the segments scaled into range by
-    # a power of two, scaled back; the crossing branch, the same code at
-    # any scale, still refuses a non-finite contact point as _intersect does.
+    # or the same exception and message. Past the range, 2^510, the public
+    # entry answers as the definition does on the segments scaled into
+    # range by a power of two, scaled back, or refuses segments too wide to
+    # scale; the crossing branch, the same code at any scale, still refuses
+    # a non-finite contact point as _intersect does.
     seen = set()
     for args in _segment_cases():
         if _in_range(args):
@@ -508,12 +518,17 @@ def test_segment_segment_equals_its_definition():
             assert got == _value_or_error(_segment_segment_by_definition, *args), args
             seen.add(_segment_branch(args))
             continue
+        seen.add("past the range")
+        got = _value_or_error(segment_segment_distance, seg(args[0:2], args[2:4]), seg(args[4:6], args[6:8]))
+        refusal = _refusal(args[0::2], args[1::2])
+        if refusal is not None:
+            assert got == ("raised", ValueError, str(refusal)), args
+            seen.add("too wide")
+            continue
         k = _scale_exponent(args)
         d, pax, pay, pbx, pby, _, _ = _segment_segment_by_definition(*(v * 2.0**k for v in args))
-        got = segment_segment_distance(seg(args[0:2], args[2:4]), seg(args[4:6], args[6:8]))
         expected = tuple(v * 2.0**-k for v in (d, pax, pay, pbx, pby))
-        assert _bits(got) == _bits((expected[0], Point2(*expected[1:3]), Point2(*expected[3:5]))), args
-        seen.add("past the range")
+        assert got == ("ok", _bits((expected[0], Point2(*expected[1:3]), Point2(*expected[3:5])))), args
         if _value_or_error(_intersect, *args)[0] == "raised":
             assert _value_or_error(_segment_segment, *args) == _value_or_error(_intersect, *args), args
             seen.add("crossing refused")
@@ -521,7 +536,7 @@ def test_segment_segment_equals_its_definition():
     # only: at t = 0 or t = 1 the earlier record of a or b ties with them,
     # up to rounding, and keeps the tie.
     assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
-    assert seen >= {"crossing refused", "zero-length edges", "past the range"}
+    assert seen >= {"crossing refused", "zero-length edges", "past the range", "too wide"}
     names = ("t = 0", "t = 1", "interior")
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
@@ -614,9 +629,9 @@ def _sweep_cases():
 def test_edge_sweep_equals_its_definition():
     # In range, the kernel's precondition: all seven values bit for bit
     # (the sign of zero and int against float too, and the feature names).
-    # Past the range, the oracle's public entry on the pair as triangles
-    # answers as the oracle does on them scaled into range by a power of
-    # two, scaled back.
+    # Past the range, 2^510, the oracle's public entry on the pair as
+    # triangles answers as the oracle does on them scaled into range by a
+    # power of two, scaled back, or refuses a pair too wide to scale.
     kinds = set()
     for edges_a, edges_b in _sweep_cases():
         coordinates = [v for edges in (edges_a, edges_b) for edge in edges for v in edge]
@@ -627,13 +642,19 @@ def test_edge_sweep_equals_its_definition():
             kinds.update(f"{kind.value}-{index}" for _, kind, index in got[1][5:])
             continue
         a, b = (tri(*(edge[:2] for edge in edges)) for edges in (edges_a, edges_b))
+        refusal = _refusal(coordinates[0::2], coordinates[1::2])
+        if refusal is not None:
+            got = _value_or_error(brute_force_triangle_distance, a, b)
+            assert got == ("raised", ValueError, str(refusal)), (edges_a, edges_b)
+            kinds.add("too wide")
+            continue
         k = _scale_exponent(coordinates)
         scaled = [tuple(tuple(v * 2.0**k for v in edge) for edge in _edges(t)) for t in (a, b)]
         d, pax, pay, pbx, pby, fa, fb, counters = _brute_force(*scaled)
         expected = _answer(*(v * 2.0**-k for v in (d, pax, pay, pbx, pby)), fa, fb, counters)
         assert _bits(brute_force_triangle_distance(a, b)) == _bits(expected), (edges_a, edges_b)
         kinds.add("past the range")
-    assert {"zero", "apart", "past the range"} <= kinds
+    assert {"zero", "apart", "past the range", "too wide"} <= kinds
     assert {f"{k}-{i}" for k in ("vertex", "edge") for i in range(3)} <= kinds
 
 
