@@ -345,8 +345,10 @@ def test_overflowing_coordinates_match_reference(scale, shift):
     # built a Point2, and answered others off the mark where an overflow
     # went unchecked. Every query now runs on the pair scaled into its
     # kernel's range by a power of two, so each answers as the frozen copy
-    # answers that pair, scaled back: bit for bit, and DyOP as
-    # _assert_dyop_matches_reference holds it. At 1e150, past GJK's range
+    # answers that pair, scaled back: bit for bit (GJK's tolerances, which
+    # it scales with the pair and the frozen copy does not, decide nothing
+    # on these pairs), and DyOP as _assert_dyop_matches_reference holds
+    # it. At 1e150, past GJK's range
     # of 2^250 but not past the others', GJK also answers as the frozen
     # copy does on the raw pair wherever that answers: its tolerances,
     # scaled with the pair, decide as there. The oracle, GJK and
