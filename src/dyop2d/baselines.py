@@ -408,11 +408,8 @@ def lin_canny_distance(
     test, ``_contact_witness``, once: overlapping or touching triangles
     raise Penetrating, and disjoint ones are answered by the oracle's
     nine-edge sweep, flagged "lincanny-fallback", which adds its nine
-    ee_tests to the walk's counters. A walk whose edge-edge crossing
-    divides by a subnormal, which ``_segment_segment`` refuses with
-    ValueError, is decided by the same one test: Penetrating on contact,
-    else that ValueError. A pair with a coordinate past 2^510 is walked
-    scaled into range.
+    ee_tests to the walk's counters. A pair with a coordinate past 2^510
+    is walked scaled into range.
 
     The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
     and, after evaluating a pair, steps to a neighbouring feature of A
@@ -440,117 +437,109 @@ def lin_canny_distance(
     prev = math.inf
     vv = ve = ee = 0
     certified = False
-    try:
-        while True:
-            bit = 1 << (ca * 6 + cb)
-            if visited & bit:
-                break
-            visited |= bit
-            # The pair's distance and witnesses; vertex i starts edge i. A
-            # vertex against an edge is projected as _project does it.
-            if ca < 3:
-                pax, pay, _, _ = edges_a[ca]
-                if cb < 3:
-                    vv += 1
-                    pbx, pby, _, _ = edges_b[cb]
-                    d = hypot(pax - pbx, pay - pby)
-                else:
-                    ve += 1
-                    ex, ey, fx, fy = edges_b[cb - 3]
-                    ux, uy = fx - ex, fy - ey
-                    u2 = ux * ux + uy * uy
-                    if u2 == 0.0:
-                        d, pbx, pby = hypot(pax - ex, pay - ey), ex, ey
-                    else:
-                        t = ((pax - ex) * ux + (pay - ey) * uy) / u2
-                        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                        pbx, pby = ex + t * ux, ey + t * uy
-                        d = hypot(pax - pbx, pay - pby)
-            elif cb < 3:
-                ve += 1
+    while True:
+        bit = 1 << (ca * 6 + cb)
+        if visited & bit:
+            break
+        visited |= bit
+        # The pair's distance and witnesses; vertex i starts edge i. A
+        # vertex against an edge is projected as _project does it.
+        if ca < 3:
+            pax, pay, _, _ = edges_a[ca]
+            if cb < 3:
+                vv += 1
                 pbx, pby, _, _ = edges_b[cb]
-                ex, ey, fx, fy = edges_a[ca - 3]
+                d = hypot(pax - pbx, pay - pby)
+            else:
+                ve += 1
+                ex, ey, fx, fy = edges_b[cb - 3]
                 ux, uy = fx - ex, fy - ey
                 u2 = ux * ux + uy * uy
                 if u2 == 0.0:
-                    d, pax, pay = hypot(pbx - ex, pby - ey), ex, ey
+                    d, pbx, pby = hypot(pax - ex, pay - ey), ex, ey
                 else:
-                    t = ((pbx - ex) * ux + (pby - ey) * uy) / u2
+                    t = ((pax - ex) * ux + (pay - ey) * uy) / u2
                     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                    pax, pay = ex + t * ux, ey + t * uy
-                    d = hypot(pbx - pax, pby - pay)
+                    pbx, pby = ex + t * ux, ey + t * uy
+                    d = hypot(pax - pbx, pay - pby)
+        elif cb < 3:
+            ve += 1
+            pbx, pby, _, _ = edges_b[cb]
+            ex, ey, fx, fy = edges_a[ca - 3]
+            ux, uy = fx - ex, fy - ey
+            u2 = ux * ux + uy * uy
+            if u2 == 0.0:
+                d, pax, pay = hypot(pbx - ex, pby - ey), ex, ey
             else:
-                ee += 1
-                d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
-            if d > prev:
-                break
-            prev = d
-
-            # B's witness against the outer Voronoi region of A's feature.
-            # At vertex i, e is the vertex and f the next one, then the
-            # previous one, which starts edge i - 1 (mod 3).
-            if ca < 3:
-                ex, ey, fx, fy = edges_a[ca]
-                if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
-                    ca += 3
-                    continue
-                fx, fy, _, _ = edges_a[ca - 1]
-                if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
-                    ca = 3 + (ca + 2) % 3
-                    continue
-            else:
-                i = ca - 3
-                ex, ey, fx, fy = edges_a[i]
-                ux, uy = fx - ex, fy - ey
-                t = (pbx - ex) * ux + (pby - ey) * uy
-                if t < 0.0:
-                    ca = i
-                    continue
-                if t > ux * ux + uy * uy:
-                    ca = (i + 1) % 3
-                    continue
-                # CCW winding puts the outward normal at (uy, -ux); a point
-                # behind the edge cannot have it as closest feature, so step
-                # to the nearer endpoint.
-                if (pbx - ex) * uy - (pby - ey) * ux < 0.0:
-                    ca = i if hypot(pbx - ex, pby - ey) <= hypot(pbx - fx, pby - fy) else (i + 1) % 3
-                    continue
-            # A's witness against the outer Voronoi region of B's feature.
-            if cb < 3:
-                ex, ey, fx, fy = edges_b[cb]
-                if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
-                    cb += 3
-                    continue
-                fx, fy, _, _ = edges_b[cb - 1]
-                if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
-                    cb = 3 + (cb + 2) % 3
-                    continue
-            else:
-                i = cb - 3
-                ex, ey, fx, fy = edges_b[i]
-                ux, uy = fx - ex, fy - ey
-                t = (pax - ex) * ux + (pay - ey) * uy
-                if t < 0.0:
-                    cb = i
-                    continue
-                if t > ux * ux + uy * uy:
-                    cb = (i + 1) % 3
-                    continue
-                if (pax - ex) * uy - (pay - ey) * ux < 0.0:
-                    cb = i if hypot(pax - ex, pay - ey) <= hypot(pax - fx, pay - fy) else (i + 1) % 3
-                    continue
-
-            # Both Voronoi conditions hold: the end pair answers if the
-            # oracle's certificate proves the triangles disjoint.
-            certified = _separated(edges_a, edges_b, pax, pay, pbx, pby)
+                t = ((pbx - ex) * ux + (pby - ey) * uy) / u2
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                pax, pay = ex + t * ux, ey + t * uy
+                d = hypot(pbx - pax, pby - pay)
+        else:
+            ee += 1
+            d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
+        if d > prev:
             break
-    except ValueError:
-        # An edge-edge crossing that divides by a subnormal refuses its
-        # witness; overlapping triangles are still refused as overlapping,
-        # without walk counts.
-        if _contact_witness(edges_a, edges_b) is None:
-            raise
-        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only") from None
+        prev = d
+
+        # B's witness against the outer Voronoi region of A's feature.
+        # At vertex i, e is the vertex and f the next one, then the
+        # previous one, which starts edge i - 1 (mod 3).
+        if ca < 3:
+            ex, ey, fx, fy = edges_a[ca]
+            if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
+                ca += 3
+                continue
+            fx, fy, _, _ = edges_a[ca - 1]
+            if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
+                ca = 3 + (ca + 2) % 3
+                continue
+        else:
+            i = ca - 3
+            ex, ey, fx, fy = edges_a[i]
+            ux, uy = fx - ex, fy - ey
+            t = (pbx - ex) * ux + (pby - ey) * uy
+            if t < 0.0:
+                ca = i
+                continue
+            if t > ux * ux + uy * uy:
+                ca = (i + 1) % 3
+                continue
+            # CCW winding puts the outward normal at (uy, -ux); a point
+            # behind the edge cannot have it as closest feature, so step
+            # to the nearer endpoint.
+            if (pbx - ex) * uy - (pby - ey) * ux < 0.0:
+                ca = i if hypot(pbx - ex, pby - ey) <= hypot(pbx - fx, pby - fy) else (i + 1) % 3
+                continue
+        # A's witness against the outer Voronoi region of B's feature.
+        if cb < 3:
+            ex, ey, fx, fy = edges_b[cb]
+            if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
+                cb += 3
+                continue
+            fx, fy, _, _ = edges_b[cb - 1]
+            if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
+                cb = 3 + (cb + 2) % 3
+                continue
+        else:
+            i = cb - 3
+            ex, ey, fx, fy = edges_b[i]
+            ux, uy = fx - ex, fy - ey
+            t = (pax - ex) * ux + (pay - ey) * uy
+            if t < 0.0:
+                cb = i
+                continue
+            if t > ux * ux + uy * uy:
+                cb = (i + 1) % 3
+                continue
+            if (pax - ex) * uy - (pay - ey) * ux < 0.0:
+                cb = i if hypot(pax - ex, pay - ey) <= hypot(pax - fx, pay - fy) else (i + 1) % 3
+                continue
+
+        # Both Voronoi conditions hold: the end pair answers if the
+        # oracle's certificate proves the triangles disjoint.
+        certified = _separated(edges_a, edges_b, pax, pay, pbx, pby)
+        break
     if certified:
         counters, flags = TestCounters(vv, ve, ee), ()
     else:

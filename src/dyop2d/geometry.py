@@ -52,9 +52,8 @@ scaled. A pair whose small differences the scaling would take below
 2^(10 - range exponent), where their squares or GJK's products of four
 would underflow, is refused with ValueError instead (``_pair_scale``).
 The finiteness checks that stay guard other things: the input points,
-``_answer``'s witnesses, a crossing that divides by a subnormal
-(``_intersect`` and ``_segment_segment``), and ``_project``, which
-``point_segment_distance`` calls on raw points.
+``_answer``'s witnesses, and ``_project``, which ``point_segment_distance``
+calls on raw points.
 """
 
 from __future__ import annotations
@@ -402,16 +401,6 @@ def _project(
     return math.hypot(px - cx, py - cy), cx, cy, t
 
 
-def _param_on(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:
-    """Clamped parameter of p projected on segment ab; 0 when a == b."""
-    dx, dy = bx - ax, by - ay
-    len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        return 0.0
-    t = ((px - ax) * dx + (py - ay) * dy) / len2
-    return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-
-
 def _within_extent(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> bool:
     return (ax <= px <= bx or bx <= px <= ax) and (ay <= py <= by or by <= py <= ay)
 
@@ -425,6 +414,12 @@ def _intersect(
     returned witness for those cases is the first touching endpoint in
     (c, d, a, b) order. The four orientations are ``_orient``'s
     expressions written out on the directions r = b - a and s = d - c.
+    A strict crossing lies at t = o3 / (o3 - o4) along ab, from the
+    signed areas of a and b against cd (Ericson, Real-Time Collision
+    Detection, 2004, 5.1.9.1). The branch runs only when o3 and o4 are
+    nonzero and of opposite sign, so the rounded |o3 - o4| is at least
+    |o3| > 0 and 0 <= t <= 1; in range (at most 2^510) it stays at or
+    below about 2^1023. The point is finite and on ab up to one rounding.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -435,11 +430,8 @@ def _intersect(
     if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
         (o3 > 0.0) != (o4 > 0.0)
     ) and o3 != 0.0 and o4 != 0.0:
-        denom = rx * sy - ry * sx
-        t = ((cx - ax) * sy - (cy - ay) * sx) / denom
-        hx, hy = ax + t * rx, ay + t * ry
-        _require_finite(hx, hy)
-        return hx, hy
+        t = o3 / (o3 - o4)
+        return ax + t * rx, ay + t * ry
     if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
         return cx, cy
     if o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
@@ -464,8 +456,8 @@ def _segment_segment(
     projection, ``_project`` with its zero-length branch and clamp, are
     written out on the directions r = b - a and s = d - c, computed once
     for all of them. The coordinates are in range (at most 2^510 in
-    magnitude), so no projection overflows; a crossing that divides by a
-    subnormal is refused as ``_intersect`` refuses it.
+    magnitude), so no projection overflows and no input raises. A
+    contact point's parameters are ``_project``'s.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -476,9 +468,8 @@ def _segment_segment(
     if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
         (o3 > 0.0) != (o4 > 0.0)
     ) and o3 != 0.0 and o4 != 0.0:
-        t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
+        t = o3 / (o3 - o4)
         hx, hy = ax + t * rx, ay + t * ry
-        _require_finite(hx, hy)
     elif o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
         hx, hy = cx, cy
     elif o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
@@ -529,7 +520,7 @@ def _segment_segment(
         if d < best_d:
             best = (d, qdx, qdy, dx, dy, td, 1.0)
         return best
-    return 0.0, hx, hy, hx, hy, _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
+    return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3]
 
 
 def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:

@@ -19,6 +19,7 @@ from dyop2d.benchmark import CSV_COLUMNS, Scene
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
 from dyop2d.verify import VerifyReport
+from test_baselines import NEAR_COLLINEAR_PAIR
 from test_benchmark import degenerate_scene, scaled_default_scene
 
 
@@ -129,6 +130,18 @@ def test_dist_algorithm_error_exit_4(capsys):
     code = main(["dist", "--a", "Obj1", "--b", "Obj2", "--algo", "lincanny"])
     assert code == 4
     assert "Penetrating" in capsys.readouterr().err
+
+
+def test_dist_near_collinear_crossing_pair(tmp_path, capsys):
+    # The oracle answers the pair at distance 0 and the Lin-Canny walk
+    # refuses it as overlapping; neither ends in a traceback.
+    a, b = (dataclasses.replace(t, name=name) for t, name in zip(NEAR_COLLINEAR_PAIR, "AB"))
+    path = _scene_path(tmp_path, Scene((a, b), 1.0, MovementAxis.X))
+    args = ["dist", "--scene", path, "--a", "A", "--b", "B", "--algo"]
+    assert main(args + ["oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == 0.0
+    assert main(args + ["lincanny"]) == 4
+    assert capsys.readouterr().err.startswith("algorithm error (Penetrating)")
 
 
 def test_dist_missing_required_args_is_usage_error(capsys):

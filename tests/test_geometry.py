@@ -30,7 +30,6 @@ from dyop2d.geometry import (
     _edges,
     _intersect,
     _orient,
-    _param_on,
     _point_in_triangle,
     _project,
     _segment_segment,
@@ -42,7 +41,7 @@ from dyop2d.geometry import (
 )
 from dyop2d.verify import random_separated_pair
 from seed_reference import edge_feature, vertex_feature
-from test_equivalence import OVERFLOW_SCALES, RANGE, RANGE_EXPONENT, _bits, _too_wide, _value_or_error
+from test_equivalence import OVERFLOW_SCALES, RANGE, RANGE_EXPONENT, _bits, _on_segment, _too_wide, _value_or_error
 
 
 def tri(a, b, c, name=None):
@@ -380,7 +379,7 @@ def _segment_segment_by_definition(ax, ay, bx, by, cx, cy, dx, dy):
     hit = _intersect(ax, ay, bx, by, cx, cy, dx, dy)
     if hit is not None:
         hx, hy = hit
-        return 0.0, hx, hy, hx, hy, _param_on(ax, ay, bx, by, hx, hy), _param_on(cx, cy, dx, dy, hx, hy)
+        return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3]
     d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
     candidates = [(d, ax, ay, qx, qy, 0.0, t)]
     d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
@@ -454,25 +453,18 @@ def _t_name(t):
 
 def _segment_branch(ends):
     """The branch of the segment test that ends (ax, ay, bx, by, cx, cy, dx, dy)
-    reach: a proper crossing, the touching endpoint that witnesses a contact
-    (c, d, a, b are tried in that order), a crossing or a projection refused
-    near the float range, two edges whose squared lengths underflow to 0, or
-    the winning projection record with the parameter of the point it
-    projects to."""
+    reach, in range: a proper crossing, the touching endpoint that witnesses
+    a contact (c, d, a, b are tried in that order), two edges whose squared
+    lengths underflow to 0, or the winning projection record with the
+    parameter of the point it projects to."""
     ax, ay, bx, by, cx, cy, dx, dy = ends
-    try:
-        hit = _intersect(*ends)
-    except ValueError:
-        return "crossing refused"
+    hit = _intersect(*ends)
     if hit is not None:
         for name, end in (("c", (cx, cy)), ("d", (dx, dy)), ("a", (ax, ay)), ("b", (bx, by))):
             if hit == end:
                 return "touching " + name
         return "crossing"
-    try:
-        _, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
-    except ValueError:
-        return "projection refused"
+    _, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
     rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
     if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
         return "zero-length edges"
@@ -506,16 +498,13 @@ def _scale_exponent(values):
 def test_segment_segment_equals_its_definition():
     # In range, the kernel's precondition: all seven values, t1 and t2
     # included, bit for bit (the sign of zero and int against float too),
-    # or the same exception and message. Past the range, 2^510, the public
-    # entry answers as the definition does on the segments scaled into
-    # range by a power of two, scaled back, or refuses segments too wide to
-    # scale; the crossing branch, the same code at any scale, still refuses
-    # a non-finite contact point as _intersect does.
+    # and neither raises. Past the range, 2^510, the public entry answers
+    # as the definition does on the segments scaled into range by a power
+    # of two, scaled back, or refuses segments too wide to scale.
     seen = set()
     for args in _segment_cases():
         if _in_range(args):
-            got = _value_or_error(_segment_segment, *args)
-            assert got == _value_or_error(_segment_segment_by_definition, *args), args
+            assert _bits(_segment_segment(*args)) == _bits(_segment_segment_by_definition(*args)), args
             seen.add(_segment_branch(args))
             continue
         seen.add("past the range")
@@ -529,17 +518,53 @@ def test_segment_segment_equals_its_definition():
         d, pax, pay, pbx, pby, _, _ = _segment_segment_by_definition(*(v * 2.0**k for v in args))
         expected = tuple(v * 2.0**-k for v in (d, pax, pay, pbx, pby))
         assert got == ("ok", _bits((expected[0], Point2(*expected[1:3]), Point2(*expected[3:5])))), args
-        if _value_or_error(_intersect, *args)[0] == "raised":
-            assert _value_or_error(_segment_segment, *args) == _value_or_error(_intersect, *args), args
-            seen.add("crossing refused")
     # Every branch is reached. Records of c and d count at interior points
     # only: at t = 0 or t = 1 the earlier record of a or b ties with them,
     # up to rounding, and keeps the tie.
     assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
-    assert seen >= {"crossing refused", "zero-length edges", "past the range", "too wide"}
+    assert seen >= {"zero-length edges", "past the range", "too wide"}
     names = ("t = 0", "t = 1", "interior")
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
+
+
+def _near_collinear_segments(rng, n):
+    """Seeded (ax, ay, bx, by, cx, cy, dx, dy): ab in the box [-1, 1]^2,
+    and c and d at parameters 0.1 to 0.4 and 0.6 to 0.9 along it, each
+    coordinate nudged by 1e-17 either way. cd then lies along ab, and where
+    the two cross, their orientations are rounding noise."""
+    for _ in range(n):
+        ax, ay, bx, by = (rng.uniform(-1.0, 1.0) for _ in range(4))
+        ends = [ax, ay, bx, by]
+        for lo in (0.1, 0.6):
+            t = rng.uniform(lo, lo + 0.3)
+            for u, v in ((ax, bx), (ay, by)):
+                ends.append(u + t * (v - u) + rng.choice((-1e-17, 1e-17)))
+        yield tuple(ends)
+
+
+def test_near_collinear_crossings_lie_on_the_first_segment():
+    # The crossing point is a + t (b - a) with t = o3 / (o3 - o4), from the
+    # orientations of a and b against cd. The branch runs only when o3 and
+    # o4 are nonzero and of opposite sign, so 0 <= t <= 1 and no division
+    # can fail: on segments nearly along one line, where the product
+    # difference r x s rounds to 0 or near it, neither test raises, both
+    # give one contact point, and that point lies on ab up to rounding.
+    # The diagonals of the square of side 2^511 cross with |o3 - o4| =
+    # 2^1023, the largest value in range.
+    m = 2.0**510
+    cases = [*_near_collinear_segments(random.Random(5), 20000), (-m, -m, m, m, -m, m, m, -m)]
+    crossings = 0
+    for ends in cases:
+        d, pax, pay, pbx, pby, _, _ = _segment_segment(*ends)
+        hit = _intersect(*ends)
+        if hit is None:
+            continue
+        assert (d, pax, pay, pbx, pby) == (0.0, *hit, *hit), ends
+        assert _on_segment(*hit, *ends[:4]), ends
+        crossings += hit not in (ends[0:2], ends[2:4], ends[4:6], ends[6:8])
+    assert _intersect(*cases[-1]) == (0.0, 0.0)
+    assert crossings > 4000
 
 
 def _edge_sweep_by_definition(edges_a, edges_b):
