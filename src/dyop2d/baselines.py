@@ -1,10 +1,11 @@
 """Comparison algorithms: GJK distance and a planar Lin-Canny feature walk.
 
 Both are specialized to 2D triangles and run on the float core of
-``geometry.py``: a query reads each triangle's ``_edges`` tuples once,
-refuses a degenerate triangle by the flag the ``Triangle`` computed at
-construction, and builds its answer once, with ``geometry._answer``,
-which checks the witnesses' finiteness there. GJK
+``geometry.py``: a query refuses a degenerate triangle by the flag the
+``Triangle`` computed at construction, takes the two triangles' six
+coordinates each from ``geometry._pair`` once, and builds its answer
+once, with ``geometry._answer``, which checks the witnesses' finiteness
+there. GJK
 runs its loop as one straight-line kernel on scalar locals: the six
 vertex coordinates of each triangle are unpacked once, and the support
 argmaxes, point and segment solves, repeat and improvement checks, solve
@@ -33,14 +34,15 @@ returns one of 36 prebuilt ``FeaturePair``s. Its end pair answers once
 the certificate proves the triangles disjoint; only an aborted or
 uncertified walk runs the overlap test (see ``lin_canny_distance``).
 
-Both the loop and the walk run on edges in range, at most 2^250 in
-magnitude for GJK and 2^510 for the walk: each public function refuses
-degenerate triangles and scales a pair past its range into it by one
-power of two, the package's one overflow rule, so neither guards
-against overflow. Both take their edges from
-``geometry._pair_in_range`` and scale their answers back themselves:
-GJK scales its absolute tolerances with the pair too, and a seeded walk
-is short enough that a separate kernel call shows in its time.
+Both the loop and the walk run on coordinates in range, at most 2^250
+in magnitude for GJK and 2^510 for the walk: ``geometry._pair`` scales
+a pair past its range into it by one power of two, the package's one
+overflow rule, and ``geometry._answer`` scales the answer back, so
+neither guards against overflow. GJK scales its absolute tolerances with
+the pair too. The walk stays inline in ``lin_canny_distance``, since a
+seeded walk is short enough that a separate kernel call shows in its
+time, and it reads each edge from a tuple it builds from the
+coordinates once per query.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ from .geometry import (
     _VERTEX_FEATURES,
     _answer,
     _contact_witness,
+    _Coords,
     _edge_sweep,
-    _Edges,
-    _edges,
-    _pair_in_range,
+    _pair,
     _segment_segment,
     _separated,
 )
@@ -216,27 +217,27 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
-    if tA.is_huge or tB.is_huge:
-        edges_a, edges_b, f = _pair_in_range(tA, tB, exponent=_GJK_RANGE_EXPONENT)
-        d, pax, pay, pbx, pby, *rest = _gjk(edges_a, edges_b, f * f)
-        return _answer(d / f, pax / f, pay / f, pbx / f, pby / f, *rest)
-    return _answer(*_gjk(_edges(tA), _edges(tB)))
+    a, b, f = _pair(tA, tB, _GJK_RANGE_EXPONENT)
+    return _answer(*_gjk(a, b, f * f), f)
 
 
 def _gjk(
-    edges_a: _Edges, edges_b: _Edges, square_scale: float = 1.0
+    a: _Coords, b: _Coords, square_scale: float = 1.0
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
-    """GJK on two non-degenerate triangles' edges in range, with its
+    """GJK on two non-degenerate triangles' coordinates in range, with its
     tolerances on squared lengths times ``square_scale``, the square of
     the power of two that scaled the pair: the arguments of its
     ``_answer``.
 
     Straight-line code: the point and segment solves follow
     ``_closest_on_segment`` and the feature names ``_side_feature``,
-    written out inline (see the module docstring).
+    written out inline (see the module docstring). A cap GJK_MAX_ITERATIONS
+    below 1, which would leave no solve to answer from, raises ValueError.
     """
-    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
-    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    if GJK_MAX_ITERATIONS < 1:
+        raise ValueError(f"GJK_MAX_ITERATIONS must be at least 1: {GJK_MAX_ITERATIONS!r}")
+    ax0, ay0, ax1, ay1, ax2, ay2 = a
+    bx0, by0, bx1, by1, bx2, by2 = b
     # The tolerances are on squared lengths in the pair's own units, so they
     # scale with it; one that the scaling underflows stays the least
     # positive float, which still tells a zero from a positive gap.
@@ -250,8 +251,7 @@ def _gjk(
     # The simplex after a solve: n support points (x0, y0, ia0, ib0) and
     # (x1, y1, ia1, ib1), in the order of that solve's weights w0 and w1; a
     # single point has weight 1.0. A solve with three weights keeps them in
-    # lambdas, which the first solve sets to None. At a cap of 0 no solve
-    # runs, and reading lambdas raises UnboundLocalError.
+    # lambdas, which the first solve sets to None.
     n = vv = ve = ee = 0
     intersecting = False
     converged = False
@@ -334,21 +334,19 @@ def _gjk(
         # as it was on every interpreter: from Python 3.12 on, sum()
         # compensates, which a plain loop does not; on one or two terms
         # the two agree.
-        pax = sum(lam * edges_a[sp[2]][0] for sp, lam in lambdas)
-        pay = sum(lam * edges_a[sp[2]][1] for sp, lam in lambdas)
+        pax = sum(lam * a[2 * sp[2]] for sp, lam in lambdas)
+        pay = sum(lam * a[2 * sp[2] + 1] for sp, lam in lambdas)
         fa, fb = _side_feature(lambdas, 2), _side_feature(lambdas, 3)
     else:
         # Summed from int 0 in weight order, as sum() does, so -0.0 comes
         # out as 0.0.
-        xa, ya, _, _ = edges_a[ia0]
-        xb, yb, _, _ = edges_b[ib0]
-        pax, pay, pbx, pby = 0 + w0 * xa, 0 + w0 * ya, 0 + w0 * xb, 0 + w0 * yb
+        i, j = 2 * ia0, 2 * ib0
+        pax, pay, pbx, pby = 0 + w0 * a[i], 0 + w0 * a[i + 1], 0 + w0 * b[j], 0 + w0 * b[j + 1]
         if n == 1:
             fa, fb = _VERTEX_FEATURES[ia0], _VERTEX_FEATURES[ib0]
         else:
-            xa, ya, _, _ = edges_a[ia1]
-            xb, yb, _, _ = edges_b[ib1]
-            pax, pay, pbx, pby = pax + w1 * xa, pay + w1 * ya, pbx + w1 * xb, pby + w1 * yb
+            i, j = 2 * ia1, 2 * ib1
+            pax, pay, pbx, pby = pax + w1 * a[i], pay + w1 * a[i + 1], pbx + w1 * b[j], pby + w1 * b[j + 1]
             # _side_feature's rule: a vertex is active when its weight
             # exceeds 1e-12. Two active vertices name the edge joining them
             # (or the one vertex, on equal indices). The two weights sum to
@@ -429,9 +427,18 @@ def lin_canny_distance(
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
-    ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
-    # The walk runs in range; its distance and witnesses are divided by f.
-    edges_a, edges_b, f = _pair_in_range(tA, tB) if tA.is_huge or tB.is_huge else (_edges(tA), _edges(tB), 1.0)
+    ca = cb = 0
+    if seed is not None:
+        # _code written out: a seeded walk is short, and two calls show in its time.
+        fa, fb = seed.feature_a, seed.feature_b
+        ca = fa.index if fa.kind is FeatureKind.VERTEX else 3 + fa.index
+        cb = fb.index if fb.kind is FeatureKind.VERTEX else 3 + fb.index
+    a, b, f = _pair(tA, tB)
+    # The walk reads each edge as (start x, start y, end x, end y).
+    x0, y0, x1, y1, x2, y2 = a
+    edges_a = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+    x0, y0, x1, y1, x2, y2 = b
+    edges_b = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
     hypot = math.hypot
     visited = 0
     prev = math.inf
@@ -477,7 +484,9 @@ def lin_canny_distance(
                 d = hypot(pbx - pax, pby - pay)
         else:
             ee += 1
-            d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
+            ex, ey, fx, fy = edges_a[ca - 3]
+            gx, gy, hx, hy = edges_b[cb - 3]
+            d, pax, pay, pbx, pby, _, _ = _segment_segment(ex, ey, fx, fy, gx, gy, hx, hy)
         if d > prev:
             break
         prev = d
@@ -538,17 +547,15 @@ def lin_canny_distance(
 
         # Both Voronoi conditions hold: the end pair answers if the
         # oracle's certificate proves the triangles disjoint.
-        certified = _separated(edges_a, edges_b, pax, pay, pbx, pby)
+        certified = _separated(a, b, pax, pay, pbx, pby)
         break
     if certified:
         counters, flags = TestCounters(vv, ve, ee), ()
     else:
-        if _contact_witness(edges_a, edges_b) is not None:
+        if _contact_witness(a, b) is not None:
             raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-        d, pax, pay, pbx, pby, fa, fb = _edge_sweep(edges_a, edges_b)
+        d, pax, pay, pbx, pby, fa, fb = _edge_sweep(a, b)
         ca, cb = _code(fa), _code(fb)
         counters, flags = TestCounters(vv, ve, ee + 9), ("lincanny-fallback",)
-    if f != 1.0:
-        d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
-    result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], counters, flags)
+    result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], counters, flags, f)
     return result, _PAIRS[ca * 6 + cb]

@@ -5,8 +5,9 @@ A scene holds n named triangles; the plan runs every ordered pair
 is translated along the negative movement axis, by an offset found in
 closed form, until the exact distance is the scene's separation, so every
 algorithm answers the same question. The offset kernel, ``_offset``, is
-straight-line code on the two triangles' edges, in range as every
-kernel's are (a pair past 2^510 is scaled into range first): it
+straight-line code on the two triangles' coordinates, in range as every
+kernel's are (``geometry._pair`` scales a pair past 2^510 into range
+first): it
 computes each of the 9 vertex-vertex disk exits and each of the 18
 vertex-edge strip crossings once, each edge's direction, slope and
 length once, and keeps a running maximum. Wall times use a monotonic clock
@@ -44,8 +45,8 @@ from .geometry import (
     Point2,
     Triangle,
     Vector2,
-    _Edges,
-    _pair_in_range,
+    _Coords,
+    _pair,
     brute_force_triangle_distance,
 )
 
@@ -130,7 +131,7 @@ def default_scene() -> Scene:
     )
 
 
-def _offset(edges_a: _Edges, edges_b: _Edges, ux: float, uy: float, r: float) -> float:
+def _offset(a: _Coords, b: _Coords, ux: float, uy: float, r: float) -> float:
     """Largest t at which the mover A, translated by -t*u, is within r of
     the static triangle B; -inf when no t is. The coordinates and r are in
     range, at most 2^510 in magnitude.
@@ -153,8 +154,8 @@ def _offset(edges_a: _Edges, edges_b: _Edges, ux: float, uy: float, r: float) ->
     so a zero offset keeps that exit's sign.
     """
     sqrt, copysign = math.sqrt, math.copysign
-    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
-    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    ax0, ay0, ax1, ay1, ax2, ay2 = a
+    bx0, by0, bx1, by1, bx2, by2 = b
     nx, ny = -ux, -uy
     rr = r * r
     # Each edge's direction, its slope against the direction its crossing
@@ -265,8 +266,8 @@ def place_pair(
     mover, static, s = scene.objects[i], scene.objects[j], scene.separation
     ux, uy = (1.0, 0.0) if scene.axis is MovementAxis.X else (0.0, 1.0)
     try:
-        edges_m, edges_s, f = _pair_in_range(mover, static, s)
-        offset = _offset(edges_m, edges_s, ux, uy, s * f) / f
+        a, b, f = _pair(mover, static, length=s)
+        offset = _offset(a, b, ux, uy, s * f) / f
         if offset == -math.inf:
             raise PlacementFailure(
                 f"pair {mover.name}->{static.name} cannot reach separation {s} along {scene.axis.value}"

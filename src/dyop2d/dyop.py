@@ -19,8 +19,8 @@ distance. It is exact whenever the winning features lie on the
 candidate edges; the verify sweep measures the observed mismatch rate
 empirically.
 
-The query runs on flat scalars: each triangle is read once, into
-geometry's ``_edges`` tuples, the layout that the oracle, GJK and
+The query runs on flat scalars: ``geometry._pair`` reads each triangle
+once, into its six coordinates, the layout that the oracle, GJK and
 Lin-Canny read too. Its kernel ``_dyop`` is one straight-line function,
 as the oracle's ``geometry._edge_sweep`` is: the gap box, the pivot, the
 candidate choice and the naming of the witnesses' features are written
@@ -46,7 +46,7 @@ product, ``ex * ex + ey * ey``. IEEE multiplication rounds correctly
 and a libm ``pow`` behind ``** 2`` does not always, so where two
 vertices nearly tie, the choice no longer depends on the platform's
 ``pow``. The kernel takes coordinates in range, at most 2^510 in
-magnitude, where no square overflows: ``dyop_distance`` scales a pair
+magnitude, where no square overflows: ``geometry._pair`` scales a pair
 past that into range by one power of two (geometry's one overflow
 rule), so the query refuses nothing but a degenerate triangle or a pair
 too wide to scale. The
@@ -73,9 +73,8 @@ from .geometry import (
     Triangle,
     Vector2,
     _answer,
-    _Edges,
-    _edges,
-    _in_range,
+    _Coords,
+    _pair,
     _segment_segment,
 )
 
@@ -178,20 +177,19 @@ def dyop_distance(
     whenever the true witness features survive pruning. A
     "overlapping-boxes" flag marks queries whose extents were not
     disjoint along the movement axis. A pair with a coordinate past
-    2^510 is answered scaled into range (``geometry._in_range``).
+    2^510 is answered scaled into range (``geometry._pair``).
     """
     axis = dominant_axis(relative_velocity)
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("pruned distance requires non-degenerate triangles")
-    if tA.is_huge or tB.is_huge:
-        return _answer(*_in_range(_dyop, tA, tB, axis))
-    return _answer(*_dyop(_edges(tA), _edges(tB), axis))
+    a, b, f = _pair(tA, tB)
+    return _answer(*_dyop(a, b, axis), f)
 
 
 def _dyop(
-    edges_a: _Edges, edges_b: _Edges, axis: MovementAxis
+    a: _Coords, b: _Coords, axis: MovementAxis
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
-    """DyOP on two non-degenerate triangles' edges in range, along ``axis``:
+    """DyOP on two non-degenerate triangles' coordinates in range, along ``axis``:
     the arguments of its ``_answer``.
 
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
@@ -209,8 +207,8 @@ def _dyop(
     the segment test's ``t_a`` and ``t_b`` name the features its
     witnesses lie on.
     """
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges_a
-    (u0, v0, u1, v1), (_, _, u2, v2), _ = edges_b
+    x0, y0, x1, y1, x2, y2 = a
+    u0, v0, u1, v1, u2, v2 = b
     xa_lo = x0 if x0 <= x1 and x0 <= x2 else (x1 if x1 <= x2 else x2)
     xa_hi = x0 if x0 >= x1 and x0 >= x2 else (x1 if x1 >= x2 else x2)
     ya_lo = y0 if y0 <= y1 and y0 <= y2 else (y1 if y1 <= y2 else y2)

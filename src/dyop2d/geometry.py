@@ -4,14 +4,18 @@ Everything here is a pure function of its inputs; the brute-force
 distance is the reference that every faster algorithm in the package is
 validated against.
 
-The primitives work on plain float coordinates, in one flat form built
-here: every algorithm and the verify sweep take a triangle as its
-three edges (``_edges``), each an ``(ax, ay, bx, by)`` tuple running
-from vertex i to vertex (i + 1) % 3. DyOP's stages pass plain tuples, so
-there is no box or pivot type here. Every algorithm's answer is built once,
-by ``_answer``: it checks the four witness coordinates for finiteness
-and fills the ``Point2`` and ``DistanceResult`` fields directly, without
-re-running their constructors. ``_winding`` is the one rule for a
+The primitives work on plain float coordinates, in one flat form: every
+kernel and the verify sweep take a triangle as its six coordinates
+``(x0, y0, x1, y1, x2, y2)`` in one tuple (``_Coords``), vertex i at 2i
+and 2i + 1, and edge i from vertex i to vertex (i + 1) % 3. A function
+that walks the edges builds them locally. DyOP's stages pass plain
+tuples, so there is no box or pivot type here. Every query has one path:
+``_pair`` hands its kernel the two triangles' coordinates in range, the
+kernel returns the nine arguments of ``_answer``, and ``_answer`` builds
+the answer once: it scales the distance and witnesses back, checks the
+four witness coordinates for finiteness and fills the ``Point2`` and
+``DistanceResult`` fields directly, without re-running their
+constructors. ``_winding`` is the one rule for a
 triangle's winding and degeneracy: a ``Triangle`` calls it once, at
 construction, and keeps the flag as ``is_degenerate``, which the
 algorithms read instead of recomputing the area per query; the verify
@@ -42,18 +46,18 @@ so they carry no overflow guard: at most 2^510 in magnitude for the
 oracle, DyOP, Lin-Canny, the overlap test and placement, which form
 differences, their squares and sums of two products, and at most 2^250
 for GJK, which also multiplies two dot products. A ``Triangle`` records
-at construction whether it has a coordinate past 2^250 (``is_huge``),
-and each public query on such a pair past its kernel's range scales it
-into range by one power of two, runs the unchanged kernel and scales
-the distance and witnesses back (``_pair_in_range``, ``_in_range``).
-Scaling by a power of two is exact wherever it does not underflow, so
-in range nothing changes and past it the answers are the in-range ones
-scaled. A pair whose small differences the scaling would take below
+at construction whether it has a coordinate past 2^250 (``is_huge``).
+``_pair`` alone reads it: a pair past its kernel's range is scaled into
+range by one power of two f, the unchanged kernel runs, and ``_answer``
+divides the distance and witnesses by f. The point and segment queries
+scale their points the same way (``_points_in_range``). Scaling by a
+power of two is exact wherever it does not underflow, so in range
+nothing changes and past it the answers are the in-range ones scaled. A
+pair whose small differences the scaling would take below
 2^(10 - range exponent), where their squares or GJK's products of four
 would underflow, is refused with ValueError instead (``_pair_scale``).
-The finiteness checks that stay guard other things: the input points,
-``_answer``'s witnesses, and ``_project``, which ``point_segment_distance``
-calls on raw points.
+The finiteness checks that stay guard the input points and
+``_answer``'s witnesses.
 """
 
 from __future__ import annotations
@@ -163,21 +167,9 @@ def _pair_scale(exponent: int, xs: list[float], ys: list[float], *values: float)
     return f
 
 
-_Edges = tuple[tuple[float, float, float, float], ...]
-
-
-def _edges(tri: Triangle) -> _Edges:
-    """The triangle's three edges as float tuples, edge i from vertex i to (i + 1) % 3."""
-    v0, v1, v2 = tri.v0, tri.v1, tri.v2
-    x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
-    return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
-
-
-def _scaled_edges(tri: Triangle, f: float) -> _Edges:
-    """``_edges`` of the triangle scaled by ``f``, in its own vertex order."""
-    v0, v1, v2 = tri.v0, tri.v1, tri.v2
-    x0, y0, x1, y1, x2, y2 = v0.x * f, v0.y * f, v1.x * f, v1.y * f, v2.x * f, v2.y * f
-    return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+# A triangle's six coordinates (x0, y0, x1, y1, x2, y2): vertex i at 2i and
+# 2i + 1, and edge i from vertex i to vertex (i + 1) % 3.
+_Coords = tuple[float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -318,10 +310,14 @@ def _answer(
     fb: FeatureId,
     counters: TestCounters,
     flags: tuple[str, ...] = (),
+    f: float = 1.0,
 ) -> DistanceResult:
-    """The ``DistanceResult`` of witnesses pa = (pax, pay) on A and pb = (pbx, pby) on B.
+    """The ``DistanceResult`` of witnesses pa = (pax, pay) on A and pb = (pbx, pby) on B,
+    with the distance and witnesses divided by ``_pair``'s power of two f.
 
-    The witnesses are checked for finiteness in the order in which
+    Dividing by a power of two is exact, and it is skipped at f = 1.0,
+    where it would change nothing but an int witness into a float. The
+    witnesses are then checked for finiteness in the order in which
     ``Point2(pax, pay)`` and then ``Point2(pbx, pby)`` check them, and
     raise the same ``ValueError``. The two points and the result are then
     made with ``object.__new__`` and their fields stored in place, in
@@ -334,6 +330,8 @@ def _answer(
     hash, print, pickle, deep-copy and ``dataclasses.replace`` as
     constructed ones do.
     """
+    if f != 1.0:
+        d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
     isfinite = math.isfinite
     if not (isfinite(pax) and isfinite(pay) and isfinite(pbx) and isfinite(pby)):
         _require_finite(pax, pay, pbx, pby)
@@ -358,28 +356,31 @@ def _answer(
     return result
 
 
-def _pair_in_range(tA: Triangle, tB: Triangle, *values: float, exponent: int = _RANGE_EXPONENT) -> tuple:
-    """The pair's edges in the range 2^exponent and ``_pair_scale``'s
-    power of two f for the pair and the lengths ``values``: the edges as
-    they are, with f = 1.0, when all are in range, else scaled by f. A
-    length the kernel returns is scaled back by dividing it by f."""
-    points = (*tA.vertices, *tB.vertices)
-    f = _pair_scale(exponent, [p.x for p in points], [p.y for p in points], *values)
-    return (_edges(tA), _edges(tB), f) if f == 1.0 else (_scaled_edges(tA, f), _scaled_edges(tB, f), f)
+def _pair(
+    tA: Triangle, tB: Triangle, exponent: int = _RANGE_EXPONENT, length: float = 0.0
+) -> tuple[_Coords, _Coords, float]:
+    """(a, b, f): each triangle's six coordinates (``_Coords``) in the
+    kernel's range 2^exponent, and the power of two f that put them there.
 
-
-def _in_range(kernel, tA: Triangle, tB: Triangle, *args) -> tuple:
-    """``kernel``'s values on a pair with a coordinate past 2^250.
-
-    The kernel runs on the pair's edges in the 2^510 range
-    (``_pair_in_range``), and where they were scaled, its distance and
-    witnesses, its first five values, are scaled back; the rest
-    (features, counters, flags) pass through. These are then the in-range
-    values scaled, and a distance past the float range comes back as inf.
+    Every query reaches its kernel through here, and only here is the
+    overflow rule applied. A pair without a coordinate past 2^250
+    (``is_huge``) and without a ``length`` is in every kernel's range, and
+    comes as it is, with f = 1.0. Any other pair gets ``_pair_scale``'s f
+    for its coordinates and the length, and is scaled by it, or refused
+    with ValueError as too wide to scale. A length the kernel returns is
+    scaled back by dividing it by f, as ``_answer`` does. It takes no
+    variable arguments, which would keep CPython off its fast call path.
     """
-    edges_a, edges_b, f = _pair_in_range(tA, tB)
-    d, pax, pay, pbx, pby, *rest = values = kernel(edges_a, edges_b, *args)
-    return values if f == 1.0 else (d / f, pax / f, pay / f, pbx / f, pby / f, *rest)
+    v0, v1, v2 = tA.v0, tA.v1, tA.v2
+    a = (v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+    v0, v1, v2 = tB.v0, tB.v1, tB.v2
+    b = (v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+    if not (length or tA.is_huge or tB.is_huge):
+        return a, b, 1.0
+    f = _pair_scale(exponent, [*a[0::2], *b[0::2]], [*a[1::2], *b[1::2]], length)
+    if f == 1.0:
+        return a, b, f
+    return tuple([v * f for v in a]), tuple([v * f for v in b]), f
 
 
 def _project(
@@ -393,11 +394,6 @@ def _project(
     t = ((px - ax) * abx + (py - ay) * aby) / ab2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     cx, cy = ax + t * abx, ay + t * aby
-    if t != t or ab2 == math.inf:
-        # Only coordinates near the float range make t NaN or ab2
-        # overflow; the closest point can then be non-finite, and is
-        # refused as Point2 refuses one.
-        _require_finite(cx, cy)
     return math.hypot(px - cx, py - cy), cx, cy, t
 
 
@@ -523,23 +519,38 @@ def _segment_segment(
     return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3]
 
 
-def _point_in_triangle(edges: _Edges, px: float, py: float) -> bool:
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:
+    x0, y0, x1, y1, x2, y2 = a
     if _orient(x0, y0, x1, y1, x2, y2) == 0.0:
-        for ax, ay, bx, by in edges:
-            if _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py):
-                return True
-        return False
+        return any(
+            _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py)
+            for ax, ay, bx, by in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+        )
     # CCW-normalized, so inside means left of (or on) every edge.
-    for ax, ay, bx, by in edges:
-        if _orient(ax, ay, bx, by, px, py) < 0.0:
-            return False
-    return True
+    return not (
+        _orient(x0, y0, x1, y1, px, py) < 0.0
+        or _orient(x1, y1, x2, y2, px, py) < 0.0
+        or _orient(x2, y2, x0, y0, px, py) < 0.0
+    )
+
+
+def _points_in_range(*coords: float) -> tuple[list[float] | tuple[float, ...], float]:
+    """The points' coordinates (x, y, x, y, ...) in the 2^510 range and the
+    power of two f that put them there (``_pair_scale``, 1.0 in range)."""
+    f = _pair_scale(_RANGE_EXPONENT, list(coords[0::2]), list(coords[1::2]))
+    return (coords if f == 1.0 else [v * f for v in coords]), f
 
 
 def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
-    """Shortest distance from a point to a closed segment, with the closest point."""
-    d, cx, cy, _ = _project(p.x, p.y, s.a.x, s.a.y, s.b.x, s.b.y)
+    """Shortest distance from a point to a closed segment, with the closest point.
+
+    A point and segment with a coordinate past 2^510 are measured scaled
+    into range by one power of two, as the triangle queries are.
+    """
+    coords, f = _points_in_range(p.x, p.y, s.a.x, s.a.y, s.b.x, s.b.y)
+    d, cx, cy, _ = _project(*coords)
+    if f != 1.0:
+        d, cx, cy = d / f, cx / f, cy / f
     return d, Point2(cx, cy)
 
 
@@ -550,9 +561,8 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
     Segments with a coordinate past 2^510 are measured scaled into range
     by one power of two, as the triangle queries are.
     """
-    ends = (s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
-    f = _pair_scale(_RANGE_EXPONENT, list(ends[0::2]), list(ends[1::2]))
-    d, pax, pay, pbx, pby, _, _ = _segment_segment(*(ends if f == 1.0 else [v * f for v in ends]))
+    coords, f = _points_in_range(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
+    d, pax, pay, pbx, pby, _, _ = _segment_segment(*coords)
     if f != 1.0:
         d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
     return d, Point2(pax, pay), Point2(pbx, pby)
@@ -561,9 +571,8 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
 def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
     """True when the triangles share any point; boundary contact counts.
     A pair with a coordinate past 2^510 is tested scaled into range."""
-    if tA.is_huge or tB.is_huge:
-        return _contact_witness(*_pair_in_range(tA, tB)[:2]) is not None
-    return _contact_witness(_edges(tA), _edges(tB)) is not None
+    a, b, _ = _pair(tA, tB)
+    return _contact_witness(a, b) is not None
 
 
 def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
@@ -575,13 +584,12 @@ def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
     return _EDGE_FEATURES[edge_index]
 
 
-def _nearest_edge_feature(edges: _Edges, px: float, py: float) -> FeatureId:
-    return _EDGE_FEATURES[min(range(3), key=lambda i: _project(px, py, *edges[i])[0])]
+def _nearest_edge_feature(a: _Coords, px: float, py: float) -> FeatureId:
+    ring = a + a
+    return _EDGE_FEATURES[min(range(3), key=lambda i: _project(px, py, *ring[2 * i : 2 * i + 4])[0])]
 
 
-def _contact_witness(
-    edges_a: _Edges, edges_b: _Edges
-) -> tuple[float, float, FeatureId | None, FeatureId | None] | None:
+def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId | None, FeatureId | None] | None:
     """Contact point (x, y) and features of overlapping triangles, or None when
     they share no point; boundary contact counts.
 
@@ -595,23 +603,22 @@ def _contact_witness(
     callers that only ask whether the triangles overlap then run no
     projection.
     """
-    for i, ea in enumerate(edges_a):
+    x0, y0, x1, y1, x2, y2 = a
+    u0, v0, u1, v1, u2, v2 = b
+    edges_b = ((u0, v0, u1, v1), (u1, v1, u2, v2), (u2, v2, u0, v0))
+    for i, ea in enumerate(((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))):
         for j, eb in enumerate(edges_b):
             hit = _intersect(*ea, *eb)
             if hit is not None:
                 return *hit, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
-    vx, vy, _, _ = edges_b[0]
-    if _point_in_triangle(edges_a, vx, vy):
-        return vx, vy, None, _VERTEX_FEATURES[0]
-    vx, vy, _, _ = edges_a[0]
-    if _point_in_triangle(edges_b, vx, vy):
-        return vx, vy, _VERTEX_FEATURES[0], None
+    if _point_in_triangle(a, u0, v0):
+        return u0, v0, None, _VERTEX_FEATURES[0]
+    if _point_in_triangle(b, x0, y0):
+        return x0, y0, _VERTEX_FEATURES[0], None
     return None
 
 
-def _edge_sweep(
-    edges_a: _Edges, edges_b: _Edges
-) -> tuple[float, float, float, float, float, FeatureId, FeatureId]:
+def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, float, FeatureId, FeatureId]:
     """(distance, pa.x, pa.y, pb.x, pb.y, feature_a, feature_b) of disjoint triangles
     over their nine edge pairs.
 
@@ -632,8 +639,8 @@ def _edge_sweep(
     vertex j along (vxj, vyj). A record names a vertex as the start of
     its own edge, at t = 0.
     """
-    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
-    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    ax0, ay0, ax1, ay1, ax2, ay2 = a
+    bx0, by0, bx1, by1, bx2, by2 = b
     ux0, uy0, ux1, uy1, ux2, uy2 = ax1 - ax0, ay1 - ay0, ax2 - ax1, ay2 - ay1, ax0 - ax2, ay0 - ay2
     vx0, vy0, vx1, vy1, vx2, vy2 = bx1 - bx0, by1 - by0, bx2 - bx1, by2 - by1, bx0 - bx2, by0 - by2
     uu0, uu1, uu2 = ux0 * ux0 + uy0 * uy0, ux1 * ux1 + uy1 * uy1, ux2 * ux2 + uy2 * uy2
@@ -761,9 +768,7 @@ def _edge_sweep(
     return best_d, pax, pay, pbx, pby, _classify_edge_point(i, ta), _classify_edge_point(j, tb)
 
 
-def _separated(
-    edges_a: _Edges, edges_b: _Edges, pax: float, pay: float, pbx: float, pby: float
-) -> bool:
+def _separated(a: _Coords, b: _Coords, pax: float, pay: float, pbx: float, pby: float) -> bool:
     """True when the witnesses pa on A and pb on B prove the triangles disjoint.
 
     With n = pb - pa, sa = pa.n and sb = pb.n, every vertex of A must
@@ -780,8 +785,8 @@ def _separated(
     comparison is written to fail on NaN. The Lin-Canny walk ends on
     this test too, so the six comparisons are straight-line code.
     """
-    (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
-    (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
+    ax0, ay0, ax1, ay1, ax2, ay2 = a
+    bx0, by0, bx1, by1, bx2, by2 = b
     nx, ny = pbx - pax, pby - pay
     sa, sb = pax * nx + pay * ny, pbx * nx + pby * ny
     tol = 1e-12 * (abs(pax * nx) + abs(pay * ny) + abs(pbx * nx) + abs(pby * ny))
@@ -798,22 +803,22 @@ def _separated(
 
 
 def _brute_force(
-    edges_a: _Edges, edges_b: _Edges
-) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters]:
-    """The oracle on two triangles' edge tuples, in range: the arguments of its ``_answer``."""
-    swept = _edge_sweep(edges_a, edges_b)
-    if _separated(edges_a, edges_b, swept[1], swept[2], swept[3], swept[4]):
-        return *swept, TestCounters(0, 0, 9)
-    contact = _contact_witness(edges_a, edges_b)
+    a: _Coords, b: _Coords
+) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
+    """The oracle on two triangles' coordinates in range: the arguments of its ``_answer``."""
+    swept = _edge_sweep(a, b)
+    if _separated(a, b, swept[1], swept[2], swept[3], swept[4]):
+        return *swept, TestCounters(0, 0, 9), ()
+    contact = _contact_witness(a, b)
     if contact is not None:
         px, py, fa, fb = contact
         # A contained vertex is named against the container's nearest edge.
         if fa is None:
-            fa = _nearest_edge_feature(edges_a, px, py)
+            fa = _nearest_edge_feature(a, px, py)
         elif fb is None:
-            fb = _nearest_edge_feature(edges_b, px, py)
-        return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0)
-    return *swept, TestCounters(0, 0, 9)
+            fb = _nearest_edge_feature(b, px, py)
+        return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0), ()
+    return *swept, TestCounters(0, 0, 9), ()
 
 
 def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
@@ -825,8 +830,7 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     ``_contact_witness``: overlapping or touching triangles then report
     distance 0 with coincident witnesses, and disjoint ones the sweep's
     answer. A pair with a coordinate past 2^510 is answered scaled into
-    range (``_in_range``).
+    range (``_pair``).
     """
-    if tA.is_huge or tB.is_huge:
-        return _answer(*_in_range(_brute_force, tA, tB))
-    return _answer(*_brute_force(_edges(tA), _edges(tB)))
+    a, b, f = _pair(tA, tB)
+    return _answer(*_brute_force(a, b), f)

@@ -7,8 +7,8 @@ mismatch rate (overestimates beyond tolerance) and the count of
 conservative-bound violations, which must be zero on a correct build.
 
 Each trial runs on flat coordinates: the generator draws a pair as the
-three counter-clockwise edges of each triangle, the layout that every
-algorithm reads, and the oracle's and DyOP's own kernels answer it, so
+six counter-clockwise coordinates of each triangle, the layout that
+every kernel reads, and the oracle's and DyOP's own kernels answer it, so
 a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``. Every
 coordinate lies in [0, 4.5): a ``random()`` draw plus a push of at most
 the unit box's diameter plus 2. So every witness is finite, and the one
@@ -27,7 +27,7 @@ from math import hypot
 
 from .dyop import MovementAxis, _dyop
 from .errors import DegenerateInput
-from .geometry import Point2, Triangle, Vector2, _brute_force, _Edges, _winding
+from .geometry import Point2, Triangle, Vector2, _brute_force, _Coords, _winding
 
 CONSERVATIVE_SLACK = 1e-12
 DEFAULT_TOLERANCE = 1e-9
@@ -46,24 +46,22 @@ class VerifyReport:
         return self.mismatches / self.trials
 
 
-def _random_edges(rng: random.Random) -> _Edges:
+def _random_coords(rng: random.Random) -> _Coords:
     """A non-degenerate triangle with vertices uniform in the unit box, as its
-    three counter-clockwise edges; six ``random()`` calls per draw, redrawn
-    until it is not degenerate, both decided by ``_winding`` as
-    ``Triangle`` decides them."""
+    six coordinates in counter-clockwise order; six ``random()`` calls per
+    draw, redrawn until it is not degenerate, both decided by ``_winding``
+    as ``Triangle`` decides them."""
     random_ = rng.random
     while True:
         x0, y0, x1, y1, x2, y2 = random_(), random_(), random_(), random_(), random_(), random_()
         clockwise, degenerate = _winding(x0, y0, x1, y1, x2, y2)
         if not degenerate:
-            if clockwise:
-                return ((x0, y0, x2, y2), (x2, y2, x1, y1), (x1, y1, x0, y0))
-            return ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+            return (x0, y0, x2, y2, x1, y1) if clockwise else (x0, y0, x1, y1, x2, y2)
 
 
-def _separated_edges(rng: random.Random) -> tuple[_Edges, _Edges, bool, MovementAxis]:
-    """(edges_a, edges_b, degenerate_b, axis): the draw ``random_separated_pair``
-    builds its triangles from.
+def _separated_coords(rng: random.Random) -> tuple[_Coords, _Coords, bool, MovementAxis]:
+    """(a, b, degenerate_b, axis): the draw ``random_separated_pair`` builds
+    its triangles from.
 
     The second triangle is pushed along a random axis by its diameter plus
     ``uniform(0.0, 2.0)``; draws whose boxes still overlap on that axis are
@@ -73,10 +71,10 @@ def _separated_edges(rng: random.Random) -> tuple[_Edges, _Edges, bool, Movement
     the pushed coordinates moves the computed area by less than 1e-14, so
     the pushed triangle is still counter-clockwise.
     """
-    edges_a = (x0, y0, x1, y1), (_, _, x2, y2), _ = _random_edges(rng)
+    a = x0, y0, x1, y1, x2, y2 = _random_coords(rng)
     ax_hi, ay_hi = max(x0, x1, x2), max(y0, y1, y2)
     while True:
-        (x0, y0, x1, y1), (_, _, x2, y2), _ = _random_edges(rng)
+        x0, y0, x1, y1, x2, y2 = _random_coords(rng)
         along_x = rng.random() < 0.5
         offset = max(hypot(x0 - x1, y0 - y1), hypot(x0 - x2, y0 - y2), hypot(x1 - x2, y1 - y2))
         offset += rng.uniform(0.0, 2.0)
@@ -89,12 +87,11 @@ def _separated_edges(rng: random.Random) -> tuple[_Edges, _Edges, bool, Movement
         if separated:
             break
     degenerate_b = _winding(x0, y0, x1, y1, x2, y2)[1]
-    edges_b = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
-    return edges_a, edges_b, degenerate_b, MovementAxis.X if along_x else MovementAxis.Y
+    return a, (x0, y0, x1, y1, x2, y2), degenerate_b, MovementAxis.X if along_x else MovementAxis.Y
 
 
-def _triangle(edges: _Edges) -> Triangle:
-    (x0, y0, x1, y1), (_, _, x2, y2), _ = edges
+def _triangle(c: _Coords) -> Triangle:
+    x0, y0, x1, y1, x2, y2 = c
     return Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2))
 
 
@@ -107,9 +104,9 @@ def random_separated_pair(
     own diameter; samples whose boxes still overlap on that axis are
     rejected and redrawn.
     """
-    edges_a, edges_b, _, axis = _separated_edges(rng)
+    a, b, _, axis = _separated_coords(rng)
     velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
-    return _triangle(edges_a), _triangle(edges_b), velocity
+    return _triangle(a), _triangle(b), velocity
 
 
 def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> VerifyReport:
@@ -131,11 +128,11 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
     violations = 0
     max_over = 0.0
     for _ in range(trials):
-        edges_a, edges_b, degenerate_b, axis = _separated_edges(rng)
-        exact = _brute_force(edges_a, edges_b)[0]
+        a, b, degenerate_b, axis = _separated_coords(rng)
+        exact = _brute_force(a, b)[0]
         if degenerate_b:
             raise DegenerateInput("pruned distance requires non-degenerate triangles")
-        pruned = _dyop(edges_a, edges_b, axis)[0]
+        pruned = _dyop(a, b, axis)[0]
         if pruned < exact - CONSERVATIVE_SLACK:
             violations += 1
         over = pruned - exact

@@ -24,7 +24,6 @@ from dyop2d.geometry import (
     Triangle,
     Vector2,
     _contact_witness,
-    _edges,
     _edge_sweep,
     _project,
     _segment_segment,
@@ -41,6 +40,8 @@ from test_equivalence import (
     OVERFLOW_SCALES,
     RANGE,
     _bits,
+    _coords,
+    _edge_list,
     _into_range,
     _on_edge,
     _pair_size,
@@ -176,7 +177,9 @@ def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
-    edges_a, edges_b = _edges(tA), _edges(tB)
+    if baselines.GJK_MAX_ITERATIONS < 1:
+        raise ValueError(f"GJK_MAX_ITERATIONS must be at least 1: {baselines.GJK_MAX_ITERATIONS!r}")
+    edges_a, edges_b = _edge_list(_coords(tA)), _edge_list(_coords(tB))
     (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
     (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
     dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
@@ -402,8 +405,8 @@ def test_gjk_equals_its_definition(monkeypatch):
             assert got == _value_or_error(_gjk_in_range, a, b, kinds), (cap, a, b)
             if got[0] == "ok" and "gjk-unconverged" in got[1][-1]:
                 kinds.add(f"unconverged-{cap}")
-            elif got[0] == "raised" and got[1] is UnboundLocalError:
-                kinds.add(f"unbound-{cap}")
+            elif got == ("raised", ValueError, f"GJK_MAX_ITERATIONS must be at least 1: {cap}"):
+                kinds.add(f"refused-{cap}")
     # No input here makes a triangle solve keep only a, b or both, or a
     # segment solve keep only a: the newest point lies beyond the last
     # closest point, toward the origin, by the improvement check, so it
@@ -413,12 +416,12 @@ def test_gjk_equals_its_definition(monkeypatch):
     expected |= {"triangle-c", "triangle-ac", "triangle-bc", "triangle-abc", "flat"}
     expected |= {"past the range", "too wide", "scaled tolerances decide"}
     expected |= {"repeat", "improvement", "intersecting-3"}
-    expected |= {"int", "negative-zero", "unbound-0", "unconverged-1", "unconverged-2", "unconverged-3"}
+    expected |= {"int", "negative-zero", "refused-0", "unconverged-1", "unconverged-2", "unconverged-3"}
     assert expected <= kinds, sorted(expected - kinds)
 
 
 def _distance_to_feature(t, feature, x, y):
-    edges = _edges(t)
+    edges = _edge_list(_coords(t))
     if feature.kind is FeatureKind.VERTEX:
         vx, vy, _, _ = edges[feature.index]
         return math.hypot(x - vx, y - vy)
@@ -671,9 +674,10 @@ def _code(feature):
     return feature.index + (3 if feature.kind is FeatureKind.EDGE else 0)
 
 
-def _walk_by_definition(edges_a, edges_b, ca, cb, trace=None, seen=None):
-    """Lin-Canny's walk over feature codes, composed of ``_project`` and
-    ``_segment_segment`` with a ``set`` of visited pairs.
+def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
+    """Lin-Canny's walk over feature codes on the triangles' coordinates
+    ``a`` and ``b``, composed of ``_project`` and ``_segment_segment`` with a
+    ``set`` of visited pairs.
 
     Vertex i has code i, edge i code 3 + i and a pair code ca * 6 + cb.
     Returns (d, pa.x, pa.y, pb.x, pb.y, code_a, code_b, vv, ve, ee): the
@@ -684,6 +688,7 @@ def _walk_by_definition(edges_a, edges_b, ca, cb, trace=None, seen=None):
     evaluation and escape and how the walk ended.
     """
     seen = set() if seen is None else seen
+    edges_a, edges_b = _edge_list(a), _edge_list(b)
 
     def escape(edges, code, px, py):
         # None when p lies in the feature's outer Voronoi region, else the
@@ -777,26 +782,26 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
     seen = set() if seen is None else seen
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
-    edges_a, edges_b = _edges(tA), _edges(tB)
+    a, b = _coords(tA), _coords(tB)
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
     try:
-        d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_by_definition(edges_a, edges_b, ca, cb, seen=seen)
+        d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_by_definition(a, b, ca, cb, seen=seen)
     except ValueError:
-        if _contact_witness(edges_a, edges_b) is None:
+        if _contact_witness(a, b) is None:
             seen.add("value-error")
             raise
         seen.add("value-error-contact")
         d = None
-    if d is not None and _separated(edges_a, edges_b, pax, pay, pbx, pby):
+    if d is not None and _separated(a, b, pax, pay, pbx, pby):
         seen.add("certified")
         fa, fb = baselines._FEATURES[ca], baselines._FEATURES[cb]
         result = geometry._answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee))
         return result, FeaturePair(fa, fb)
-    if _contact_witness(edges_a, edges_b) is not None:
+    if _contact_witness(a, b) is not None:
         seen.add("penetrating")
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
     seen.add("fallback")
-    swept = _edge_sweep(edges_a, edges_b)
+    swept = _edge_sweep(a, b)
     result = geometry._answer(*swept, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
     return result, FeaturePair(swept[5], swept[6])
 
@@ -805,7 +810,7 @@ def _walk(a, b, counters=None, trace=None, seed=None):
     """The end pair of the walk from the seed's features (cold: vertex 0 and
     vertex 0), or None when it aborts; its evaluations are added to ``counters``."""
     ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
-    *end, vv, ve, ee = _walk_by_definition(_edges(a), _edges(b), ca, cb, trace)
+    *end, vv, ve, ee = _walk_by_definition(_coords(a), _coords(b), ca, cb, trace)
     if counters is not None:
         counters.vv_tests += vv
         counters.ve_tests += ve
@@ -1079,9 +1084,9 @@ def _count_overlap_calls(monkeypatch):
     calls = []
     contact_witness = geometry._contact_witness
 
-    def counted(edges_a, edges_b):
+    def counted(a, b):
         calls.append(sys._getframe(1).f_code.co_name)
-        return contact_witness(edges_a, edges_b)
+        return contact_witness(a, b)
 
     monkeypatch.setattr(geometry, "_contact_witness", counted)
     monkeypatch.setattr(baselines, "_contact_witness", counted)
@@ -1133,13 +1138,60 @@ def test_near_contact_pairs_are_certified_wherever_the_origin_is():
             assert fell_back == fallbacks, (s, shift)
 
 
+def _movers(fallbacks):
+    """Pair labels of the default scene from {mover number: static numbers}."""
+    return {f"Obj{i}->Obj{j}" for i, statics in fallbacks.items() for j in statics}
+
+
+def test_near_contact_fallbacks_along_y_are_pinned():
+    # The default scene moved along y and placed at separations 1e-2, 1e-3
+    # and 1e-6. Measured: the walk falls back on 13, 19 and 43 of the 90
+    # pairs (at separation 1 on the nine Obj10 movers alone), more than
+    # along x. Each fallback is the oracle's sweep, so its distance is the
+    # oracle's, bit for bit. Pinned so that a change to the certificate
+    # shows as a change of these sets.
+    obj10 = obj10_movers(*range(1, 10))
+    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
+    names = [o.name for o in scene.objects]
+    cases = [
+        (1e-2, obj10 | _movers({2: [8], 3: [8], 4: [8, 10]})),
+        (1e-3, obj10 | _movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6]})),
+        (
+            1e-6,
+            obj10
+            | _movers(
+                {
+                    2: [5, 8, 9, 10],
+                    3: [1, 2, 5, 6, 7, 8, 9, 10],
+                    4: [1, 5, 6, 8, 9, 10],
+                    5: [7, 9, 10],
+                    6: [9, 10],
+                    8: [1, 2, 3, 5, 6, 7, 9, 10],
+                    9: [3, 6, 10],
+                }
+            ),
+        ),
+    ]
+    assert [len(expected) for _, expected in cases] == [13, 19, 43]
+    for s, expected in cases:
+        near = dataclasses.replace(scene, separation=s)
+        fell_back = set()
+        for i, j in enumerate_pairs(len(names)):
+            a, b, _ = place_pair(near, (i, j))
+            result, _ = lin_canny_distance(a, b)
+            if "lincanny-fallback" in result.flags:
+                fell_back.add(f"{names[i]}->{names[j]}")
+                assert repr(result.distance) == repr(brute_force_triangle_distance(a, b).distance), (s, i, j)
+        assert fell_back == expected, (s, sorted(fell_back ^ expected))
+
+
 def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
     # A walk that is not certified on disjoint triangles is answered by
     # one call of the oracle's nine-edge sweep, whose answer it reports.
     sweeps = []
 
-    def recording_sweep(edges_a, edges_b):
-        answer = _edge_sweep(edges_a, edges_b)
+    def recording_sweep(a, b):
+        answer = _edge_sweep(a, b)
         sweeps.append(answer)
         return answer
 

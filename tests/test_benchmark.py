@@ -21,9 +21,9 @@ from dyop2d.benchmark import (
 )
 from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dyop_distance, select_candidates
 from dyop2d.errors import IncompleteRecords, PlacementFailure
-from dyop2d.geometry import FeatureKind, Point2, Triangle, Vector2, _edges, brute_force_triangle_distance
+from dyop2d.geometry import FeatureKind, Point2, Triangle, Vector2, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair
-from test_equivalence import RANGE, RANGE_EXPONENT, _pair_size, _too_wide
+from test_equivalence import RANGE, RANGE_EXPONENT, _coords, _edge_list, _pair_size, _too_wide
 
 
 def tri(name, a, b, c):
@@ -234,7 +234,7 @@ def _offset_by_definition(mover, static, ux, uy, r):
     """The placement offset as the largest of 36 ``_far_exit`` calls: each
     vertex of one triangle, moving along the axis, against each edge of the
     other. Each vertex-vertex disk exit is computed four times."""
-    edges_m, edges_s = _edges(mover), _edges(static)
+    edges_m, edges_s = _edge_list(_coords(mover)), _edge_list(_coords(static))
     return max(
         [_far_exit(px, py, -ux, -uy, *e, r) for px, py, _, _ in edges_m for e in edges_s]
         + [_far_exit(qx, qy, ux, uy, *e, r) for qx, qy, _, _ in edges_s for e in edges_m]
@@ -331,7 +331,7 @@ def test_placement_equals_its_definition():
             mover, static = scene.objects[pair[0]], scene.objects[pair[1]]
             if max(_pair_size(mover, static), scene.separation) <= RANGE:
                 # The kernel's precondition: coordinates and separation in range.
-                got = benchmark._offset(_edges(mover), _edges(static), ux, uy, scene.separation)
+                got = benchmark._offset(_coords(mover), _coords(static), ux, uy, scene.separation)
                 expected = _offset_by_definition(mover, static, ux, uy, scene.separation)
                 assert _hex(got) == _hex(expected), (scene, pair)
             placed = _placement(place_pair, scene, pair)
@@ -359,7 +359,7 @@ def test_offset_keeps_the_first_of_tied_exits():
     for a, b, (ux, uy), r in pinned:
         mover, static = Triangle(*(Point2(*p) for p in a)), Triangle(*(Point2(*p) for p in b))
         assert _hex(_offset_by_definition(mover, static, ux, uy, r)) == "-0x0.0p+0"
-        assert _hex(benchmark._offset(_edges(mover), _edges(static), ux, uy, r)) == "-0x0.0p+0", (a, b)
+        assert _hex(benchmark._offset(_coords(mover), _coords(static), ux, uy, r)) == "-0x0.0p+0", (a, b)
     values = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
     rng = random.Random(3)
     for _ in range(5000):
@@ -368,7 +368,7 @@ def test_offset_keeps_the_first_of_tied_exits():
         ux, uy = rng.choice(((1.0, 0.0), (0.0, 1.0)))
         r = rng.choice((0.5, 1.0, 1.5, 2.0, 2.5))
         expected = _offset_by_definition(mover, static, ux, uy, r)
-        got = benchmark._offset(_edges(mover), _edges(static), ux, uy, r)
+        got = benchmark._offset(_coords(mover), _coords(static), ux, uy, r)
         assert _hex(got) == _hex(expected), (mover, static, ux, r)
 
 

@@ -38,7 +38,6 @@ from dyop2d.geometry import (
     TestCounters,
     Triangle,
     Vector2,
-    _edges,
     _intersect,
     _point_in_triangle,
     brute_force_triangle_distance,
@@ -48,6 +47,16 @@ from dyop2d.geometry import (
 )
 from dyop2d.verify import random_separated_pair
 from exact_reference import _point_segment_squared, exact_squared_distance
+
+
+def _coords(t):
+    """The triangle's six coordinates (x0, y0, x1, y1, x2, y2), the layout every kernel reads."""
+    return tuple(v for p in t.vertices for v in (p.x, p.y))
+
+
+def _edge_list(c):
+    """The three edges (ax, ay, bx, by) of the coordinates ``c``, edge i from vertex i to (i + 1) % 3."""
+    return tuple((c + c)[2 * i : 2 * i + 4] for i in range(3))
 
 
 def _bits(value):
@@ -231,7 +240,7 @@ def test_primitives_match_reference_on_grid():
         a, b = _grid_triangle(rng), _grid_triangle(rng)
         _assert_same(triangles_overlap, ref.triangles_overlap, a, b)
         _assert_same(
-            lambda t, p: _point_in_triangle(_edges(t), p.x, p.y), ref.point_in_triangle, a, b.v0
+            lambda t, p: _point_in_triangle(_coords(t), p.x, p.y), ref.point_in_triangle, a, b.v0
         )
         for i in range(3):
             ea = Segment(a.vertex(i), a.vertex((i + 1) % 3))
@@ -515,7 +524,7 @@ def _assert_lin_canny_matches_reference(a, b):
     # so it is imported here, once both modules are loaded.
     from test_baselines import _walk_by_definition
 
-    walk_counters = TestCounters(*_walk_by_definition(_edges(a), _edges(b), 0, 0)[7:])
+    walk_counters = TestCounters(*_walk_by_definition(_coords(a), _coords(b), 0, 0)[7:])
     if new.flags == ():
         # A certified walk reports its own witnesses; a tie realized by
         # another feature pair may round differently from the oracle's.

@@ -27,7 +27,6 @@ from dyop2d.geometry import (
     _brute_force,
     _classify_edge_point,
     _edge_sweep,
-    _edges,
     _intersect,
     _orient,
     _point_in_triangle,
@@ -41,7 +40,17 @@ from dyop2d.geometry import (
 )
 from dyop2d.verify import random_separated_pair
 from seed_reference import edge_feature, vertex_feature
-from test_equivalence import OVERFLOW_SCALES, RANGE, RANGE_EXPONENT, _bits, _on_segment, _too_wide, _value_or_error
+from test_equivalence import (
+    OVERFLOW_SCALES,
+    RANGE,
+    RANGE_EXPONENT,
+    _bits,
+    _coords,
+    _edge_list,
+    _on_segment,
+    _too_wide,
+    _value_or_error,
+)
 
 
 def tri(a, b, c, name=None):
@@ -147,7 +156,7 @@ def test_the_smallest_clockwise_orientation_is_swapped():
     assert t.vertices == (Point2(x0, y0), Point2(x2, y2), Point2(x1, y1))
     assert _orient(t.v0.x, t.v0.y, t.v1.x, t.v1.y, t.v2.x, t.v2.y) == 5e-324
     assert t.is_degenerate
-    assert _point_in_triangle(_edges(t), 0.0, 0.5e-162)
+    assert _point_in_triangle(_coords(t), 0.0, 0.5e-162)
     # At s = 1e155 the orientation of (0, 0), (s, 2s), (s, s) is s*s - 2s*s,
     # inf - inf, on raw coordinates. Only such a NaN is decided on the
     # coordinates scaled into range, where it is negative: v1 and v2 swap,
@@ -333,6 +342,31 @@ def test_point_segment_distance_degenerate_segment():
     d, closest = point_segment_distance(Point2(2, 2), seg((0, 0), (0, 0)))
     assert d == pytest.approx(2 * math.sqrt(2), abs=1e-12)
     assert closest == Point2(0, 0)
+
+
+def test_point_segment_distance_scales_a_pair_past_the_range():
+    # Past 2^510 a point and a segment are measured scaled into range by a
+    # power of two and scaled back, as segment_segment_distance measures two
+    # segments. On raw coordinates this pair's projection parameter is
+    # inf / inf, NaN; scaled, the distance is past the float range and the
+    # closest point finite, as for the point taken as a zero-length segment.
+    p, s = Point2(1.5e308, 1e308), seg((-1.5e308, -1e308), (1.5e308, -1e308))
+    d, closest = point_segment_distance(p, s)
+    assert (d, closest) == (math.inf, Point2(1.5e308, -1e308))
+    assert segment_segment_distance(Segment(p, p), s)[::2] == (d, closest)
+    with pytest.raises(ValueError, match="does not scale into range"):
+        point_segment_distance(p, seg((0.0, 0.0), (0.0, 1e-300)))
+    # At every scaling, in range or past it, the answer is the one at 2^10
+    # scaled, bit for bit.
+    rng = random.Random(44)
+    for _ in range(300):
+        c = [rng.uniform(-1024.0, 1024.0) for _ in range(6)]
+        d, q = point_segment_distance(Point2(*c[:2]), seg(c[2:4], c[4:6]))
+        for k in (400, 600, 1000):
+            f = 2.0**k
+            scaled = [v * f for v in c]
+            got = point_segment_distance(Point2(*scaled[:2]), seg(scaled[2:4], scaled[4:6]))
+            assert got == (d * f, Point2(q.x * f, q.y * f)), (c, k)
 
 
 def test_segment_segment_parallel():
@@ -567,11 +601,12 @@ def test_near_collinear_crossings_lie_on_the_first_segment():
     assert crossings > 4000
 
 
-def _edge_sweep_by_definition(edges_a, edges_b):
+def _edge_sweep_by_definition(a, b):
     """``_edge_sweep`` composed from ``_project``: the 18 vertex-edge
     projections, each in the first edge pair that holds it, in row-major
     edge-pair order and then (a, b, c, d) order, where only a strictly
     smaller distance replaces the best so far."""
+    edges_a, edges_b = _edge_list(a), _edge_list(b)
     best_d, best = math.inf, (*edges_a[0][:2], *edges_b[0][:2], 0.0, 0.0, 0, 0)
     for i, (ax, ay, bx, by) in enumerate(edges_a):
         for j, (cx, cy, dx, dy) in enumerate(edges_b):
@@ -595,60 +630,54 @@ def _edge_sweep_by_definition(edges_a, edges_b):
     return best_d, pax, pay, pbx, pby, _classify_edge_point(bi, t1), _classify_edge_point(bj, t2)
 
 
-def _flat_edges(x0, y0, x1, y1, x2, y2):
-    """The ``_edges`` layout of vertices taken as given: no winding swap."""
-    return (x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0)
-
-
 def _sweep_cases():
-    """Seeded (edges_a, edges_b) inputs for the nine-edge sweep."""
+    """Seeded (a, b) coordinate inputs for the nine-edge sweep, vertices
+    taken as given: no winding swap."""
     scene = default_scene()
     n = len(scene.objects)
     for i in range(n):
         for j in range(n):
             if i != j:
                 a, b, _ = place_pair(scene, (i, j))
-                yield _edges(a), _edges(b)
+                yield _coords(a), _coords(b)
     rng = random.Random(17)
     for _ in range(1000):
         a, b, _ = random_separated_pair(rng)
-        yield _edges(a), _edges(b)
-        yield _edges(b), _edges(a)
+        yield _coords(a), _coords(b)
+        yield _coords(b), _coords(a)
     for k in range(2000):
         # Integer grid: ties, touching, collinear and overlapping pairs, on
         # int coordinates, or on floats for B.
         cast = float if k % 2 else int
-        yield _flat_edges(*(rng.randint(0, 4) for _ in range(6))), _flat_edges(
-            *(cast(rng.randint(0, 4)) for _ in range(6))
-        )
+        yield tuple(rng.randint(0, 4) for _ in range(6)), tuple(cast(rng.randint(0, 4)) for _ in range(6))
     for _ in range(3000):
         # Repeated vertices, so zero-length edges on either side or both, on
         # coordinates where -0.0, 0.0 and 0 are common and compare equal.
         v = [[rng.choice((-0.0, 0.0, 0, -1.0, 1, 2.0, rng.uniform(-2.0, 2.0))) for _ in "xy"] for _ in range(6)]
         for k in rng.sample(range(6), rng.randint(1, 4)):
             v[k] = v[k // 3 * 3 + (k + 1) % 3]
-        yield _flat_edges(*v[0], *v[1], *v[2]), _flat_edges(*v[3], *v[4], *v[5])
+        yield (*v[0], *v[1], *v[2]), (*v[3], *v[4], *v[5])
     for _ in range(6000):
         # Huge and small coordinates mixed: edges whose direction or squared
         # length overflows, so projections raise in different places.
         huge = rng.choice((1e154, 1e308, 1.7e308))
         c = [rng.choice((-huge, huge)) if rng.random() < 0.2 else rng.uniform(-2.0, 2.0) for _ in range(12)]
-        yield _flat_edges(*c[:6]), _flat_edges(*c[6:])
+        yield tuple(c[:6]), tuple(c[6:])
     for x, y in ((1e308, 0.0), (0.0, -1.7e308), (9e307, 9e307)):
         # Two points farther apart than the float range: every distance is
         # inf, so the sweep keeps its first record.
-        yield _flat_edges(*(-x, -y) * 3), _flat_edges(*(x, y) * 3)
+        yield (-x, -y) * 3, (x, y) * 3
     # Two vertical segments on x = -1e308 and x = 1e308: every squared length
     # is finite, and every t is NaN (inf * 0).
-    yield _flat_edges(-1e308, 0.0, -1e308, 1.0, -1e308, 2.0), _flat_edges(1e308, 0.0, 1e308, 1.0, 1e308, 3.0)
+    yield (-1e308, 0.0, -1e308, 1.0, -1e308, 2.0), (1e308, 0.0, 1e308, 1.0, 1e308, 3.0)
     for scale, shift in OVERFLOW_SCALES:
         for _ in range(40):
             a, b, _ = random_separated_pair(rng)
             a = a.scaled(scale).translated(shift, 0.0)
             b = b.scaled(scale).translated(shift, 0.0)
             for other in (b, a.translated(0.3 * scale, 0.0)):
-                yield _edges(a), _edges(other)
-                yield _edges(other), _edges(a)
+                yield _coords(a), _coords(other)
+                yield _coords(other), _coords(a)
 
 
 def test_edge_sweep_equals_its_definition():
@@ -658,26 +687,26 @@ def test_edge_sweep_equals_its_definition():
     # triangles answers as the oracle does on them scaled into range by a
     # power of two, scaled back, or refuses a pair too wide to scale.
     kinds = set()
-    for edges_a, edges_b in _sweep_cases():
-        coordinates = [v for edges in (edges_a, edges_b) for edge in edges for v in edge]
+    for a, b in _sweep_cases():
+        coordinates = [*a, *b]
         if _in_range(coordinates):
-            got = _value_or_error(_edge_sweep, edges_a, edges_b)
-            assert got == _value_or_error(_edge_sweep_by_definition, edges_a, edges_b), (edges_a, edges_b)
+            got = _value_or_error(_edge_sweep, a, b)
+            assert got == _value_or_error(_edge_sweep_by_definition, a, b), (a, b)
             kinds.add("zero" if got[1][0] == "0.0" else "apart")
             kinds.update(f"{kind.value}-{index}" for _, kind, index in got[1][5:])
             continue
-        a, b = (tri(*(edge[:2] for edge in edges)) for edges in (edges_a, edges_b))
+        ta, tb = (tri(*zip(c[0::2], c[1::2])) for c in (a, b))
         refusal = _refusal(coordinates[0::2], coordinates[1::2])
         if refusal is not None:
-            got = _value_or_error(brute_force_triangle_distance, a, b)
-            assert got == ("raised", ValueError, str(refusal)), (edges_a, edges_b)
+            got = _value_or_error(brute_force_triangle_distance, ta, tb)
+            assert got == ("raised", ValueError, str(refusal)), (a, b)
             kinds.add("too wide")
             continue
         k = _scale_exponent(coordinates)
-        scaled = [tuple(tuple(v * 2.0**k for v in edge) for edge in _edges(t)) for t in (a, b)]
-        d, pax, pay, pbx, pby, fa, fb, counters = _brute_force(*scaled)
-        expected = _answer(*(v * 2.0**-k for v in (d, pax, pay, pbx, pby)), fa, fb, counters)
-        assert _bits(brute_force_triangle_distance(a, b)) == _bits(expected), (edges_a, edges_b)
+        scaled = [tuple(v * 2.0**k for v in _coords(t)) for t in (ta, tb)]
+        d, pax, pay, pbx, pby, fa, fb, counters, flags = _brute_force(*scaled)
+        expected = _answer(*(v * 2.0**-k for v in (d, pax, pay, pbx, pby)), fa, fb, counters, flags)
+        assert _bits(brute_force_triangle_distance(ta, tb)) == _bits(expected), (a, b)
         kinds.add("past the range")
     assert {"zero", "apart", "past the range", "too wide"} <= kinds
     assert {f"{k}-{i}" for k in ("vertex", "edge") for i in range(3)} <= kinds

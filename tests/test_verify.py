@@ -20,6 +20,7 @@ from dyop2d import dyop, geometry, verify
 from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import Point2, Triangle, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair, run_verify
+from test_equivalence import _coords
 from test_geometry import _degeneracy_cases
 
 
@@ -106,12 +107,12 @@ def test_random_ring_rejects_exactly_the_draws_triangle_flags_degenerate():
         for order in ((v0, v1, v2), (v0, v2, v1)):
             drawn = Triangle(*order)
             rng = _Scripted([c for v in order for c in (v.x, v.y)] + FIRST)
-            edges = verify._random_edges(rng)
+            coords = verify._random_coords(rng)
             if drawn.is_degenerate:
-                first = ((0.1, 0.1, 0.3, 0.1), (0.3, 0.1, 0.1, 0.3), (0.1, 0.3, 0.1, 0.1))
-                assert rng.used == 12 and edges == first
+                first = (0.1, 0.1, 0.3, 0.1, 0.1, 0.3)
+                assert rng.used == 12 and coords == first
             else:
-                assert rng.used == 6 and edges == geometry._edges(drawn)
+                assert rng.used == 6 and coords == _coords(drawn)
 
 
 def test_a_second_triangle_degenerate_after_its_push_is_refused_by_both_sweeps(monkeypatch):
@@ -155,8 +156,8 @@ def test_run_verify_counts_a_pruned_distance_below_the_oracle(monkeypatch):
     # a maximum overestimate of 0.25.
     shifts = iter([-1e-6, -1e-13, 0.25])
 
-    def pruned(edges_a, edges_b, axis):
-        return (verify._brute_force(edges_a, edges_b)[0] + next(shifts),)
+    def pruned(a, b, axis):
+        return (verify._brute_force(a, b)[0] + next(shifts),)
 
     monkeypatch.setattr(verify, "_dyop", pruned)
     report = run_verify(3, 1)
