@@ -31,8 +31,10 @@ both sides are inline; only an edge-edge pair calls
 oracle's separating-line certificate, so the two algorithms share one
 rule. An answer maps the codes back to the shared ``FeatureId``s and
 returns one of 36 prebuilt ``FeaturePair``s. Its end pair answers once
-the certificate proves the triangles disjoint; only an aborted or
-uncertified walk runs the overlap test (see ``lin_canny_distance``).
+the certificate proves the triangles disjoint; an aborted or uncertified
+walk falls back on the oracle's own steps in the oracle's order, so the
+overlap test runs only where the oracle would run it too (see
+``lin_canny_distance``).
 
 Both the loop and the walk run on coordinates in range, at most 2^250
 in magnitude for GJK and 2^510 for the walk: ``geometry._pair`` scales
@@ -402,12 +404,14 @@ def lin_canny_distance(
     back as ``seed`` on temporally coherent queries lets the walk
     terminate in a single verification step. A walk whose end witnesses
     pass ``_separated`` has proved the triangles disjoint, at a positive
-    distance, and answers. Any other walk runs the oracle's overlap
-    test, ``_contact_witness``, once: overlapping or touching triangles
-    raise Penetrating, and disjoint ones are answered by the oracle's
-    nine-edge sweep, flagged "lincanny-fallback", which adds its nine
-    ee_tests to the walk's counters. A pair with a coordinate past 2^510
-    is walked scaled into range.
+    distance, and answers. Any other walk falls back on the oracle's
+    steps, those of ``geometry._brute_force``: the nine-edge sweep, then
+    ``_separated`` on the sweep's witnesses, and only when that fails the
+    overlap test, ``_contact_witness``. A contact found then raises
+    Penetrating; otherwise the sweep answers, flagged
+    "lincanny-fallback", and adds its nine ee_tests to the walk's
+    counters, so a fallback is the oracle's answer by construction. A
+    pair with a coordinate past 2^510 is walked scaled into range.
 
     The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
     and, after evaluating a pair, steps to a neighbouring feature of A
@@ -552,9 +556,10 @@ def lin_canny_distance(
     if certified:
         counters, flags = TestCounters(vv, ve, ee), ()
     else:
-        if _contact_witness(a, b) is not None:
-            raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
+        # The oracle's steps, in its order (see geometry._brute_force).
         d, pax, pay, pbx, pby, fa, fb = _edge_sweep(a, b)
+        if not _separated(a, b, pax, pay, pbx, pby) and _contact_witness(a, b) is not None:
+            raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
         ca, cb = _code(fa), _code(fb)
         counters, flags = TestCounters(vv, ve, ee + 9), ("lincanny-fallback",)
     result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], counters, flags, f)

@@ -302,7 +302,8 @@ def run_benchmark(
     the oracle to PLACEMENT_TOLERANCE * s.
 
     The plan is checked before any pair is placed: an empty, unknown or
-    repeated algorithm, and then repeats below 1, raise ValueError.
+    repeated algorithm, then repeats below 1, then a scene of fewer than
+    two objects, which has no pair, raise ValueError.
     """
     if not algorithms:
         raise ValueError("no algorithm given")
@@ -313,6 +314,8 @@ def run_benchmark(
             raise ValueError(f"repeated algorithm: {algorithm}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1: {repeats}")
+    if len(scene.objects) < 2:
+        raise ValueError(f"a scene needs at least two objects to benchmark: it has {len(scene.objects)}")
 
     records: list[dict] = []
     for i, j in enumerate_pairs(len(scene.objects)):

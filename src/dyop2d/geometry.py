@@ -589,7 +589,7 @@ def _nearest_edge_feature(a: _Coords, px: float, py: float) -> FeatureId:
     return _EDGE_FEATURES[min(range(3), key=lambda i: _project(px, py, *ring[2 * i : 2 * i + 4])[0])]
 
 
-def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId | None, FeatureId | None] | None:
+def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId, FeatureId] | None:
     """Contact point (x, y) and features of overlapping triangles, or None when
     they share no point; boundary contact counts.
 
@@ -598,10 +598,9 @@ def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId | 
     triangle overlaps the other only by containing it, and then every
     vertex of the contained one lies inside the other, so one vertex
     decides each way. The witness is the first intersection in edge-pair
-    order, else B's vertex 0, else A's vertex 0. A contained vertex's
-    feature on the containing triangle is None, for the caller to name:
-    callers that only ask whether the triangles overlap then run no
-    projection.
+    order, with the two edges as its features, else B's vertex 0, else
+    A's vertex 0; a contained vertex's feature on the container is the
+    container's nearest edge (``_nearest_edge_feature``).
     """
     x0, y0, x1, y1, x2, y2 = a
     u0, v0, u1, v1, u2, v2 = b
@@ -612,9 +611,9 @@ def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId | 
             if hit is not None:
                 return *hit, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
     if _point_in_triangle(a, u0, v0):
-        return u0, v0, None, _VERTEX_FEATURES[0]
+        return u0, v0, _nearest_edge_feature(a, u0, v0), _VERTEX_FEATURES[0]
     if _point_in_triangle(b, x0, y0):
-        return x0, y0, _VERTEX_FEATURES[0], None
+        return x0, y0, _VERTEX_FEATURES[0], _nearest_edge_feature(b, x0, y0)
     return None
 
 
@@ -805,19 +804,20 @@ def _separated(a: _Coords, b: _Coords, pax: float, pay: float, pbx: float, pby: 
 def _brute_force(
     a: _Coords, b: _Coords
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
-    """The oracle on two triangles' coordinates in range: the arguments of its ``_answer``."""
+    """The oracle on two triangles' coordinates in range: the arguments of its ``_answer``.
+
+    The sweep, then the certificate on its witnesses, then, only when the
+    certificate fails, the overlap test: a contact answers 0 with
+    coincident witnesses and no tests counted, and anything else is the
+    sweep's answer, counted as nine ee tests. The Lin-Canny fallback takes
+    the same three steps.
+    """
     swept = _edge_sweep(a, b)
-    if _separated(a, b, swept[1], swept[2], swept[3], swept[4]):
-        return *swept, TestCounters(0, 0, 9), ()
-    contact = _contact_witness(a, b)
-    if contact is not None:
-        px, py, fa, fb = contact
-        # A contained vertex is named against the container's nearest edge.
-        if fa is None:
-            fa = _nearest_edge_feature(a, px, py)
-        elif fb is None:
-            fb = _nearest_edge_feature(b, px, py)
-        return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0), ()
+    if not _separated(a, b, swept[1], swept[2], swept[3], swept[4]):
+        contact = _contact_witness(a, b)
+        if contact is not None:
+            px, py, fa, fb = contact
+            return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0), ()
     return *swept, TestCounters(0, 0, 9), ()
 
 
@@ -828,9 +828,10 @@ def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     answers, counted as nine ee_tests, when its witnesses pass
     ``_separated``. Only when they fail does the overlap test run, as
     ``_contact_witness``: overlapping or touching triangles then report
-    distance 0 with coincident witnesses, and disjoint ones the sweep's
-    answer. A pair with a coordinate past 2^510 is answered scaled into
-    range (``_pair``).
+    distance 0 with coincident witnesses at the contact point, named as
+    the two crossing edges or as a contained vertex and the container's
+    nearest edge, and disjoint ones the sweep's answer. A pair with a
+    coordinate past 2^510 is answered scaled into range (``_pair``).
     """
     a, b, f = _pair(tA, tB)
     return _answer(*_brute_force(a, b), f)

@@ -778,7 +778,10 @@ def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
 def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
     """``lin_canny_distance`` composed of ``_walk_by_definition``,
     ``_separated``, ``_contact_witness`` and ``_edge_sweep``; ``seen``
-    also gets how the query ended."""
+    also gets how the query ended. It runs the overlap test before the
+    sweep, where the kernel takes the oracle's order (sweep, certificate,
+    then the overlap test); both orders answer alike on disjoint and on
+    overlapping pairs."""
     seen = set() if seen is None else seen
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
@@ -1106,6 +1109,42 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
     assert calls == []
 
 
+def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_certified(monkeypatch):
+    # A fallback takes the oracle's steps in the oracle's order: the
+    # nine-edge sweep, the certificate on its witnesses, and the overlap
+    # test only when the certificate fails. Measured: 34 of 300 random
+    # pairs fall back, each with a certified sweep; along y, 12 of the 19
+    # fallbacks at s = 1e-3 and 36 of the 43 at s = 1e-6 have a sweep
+    # that fails the certificate.
+    calls = _count_overlap_calls(monkeypatch)
+    rng = random.Random(26)
+    fallbacks = 0
+    for _ in range(300):
+        a, b, _ = random_separated_pair(rng)
+        result, _ = lin_canny_distance(a, b)
+        fallbacks += result.flags == ("lincanny-fallback",)
+    assert (fallbacks, calls) == (34, [])
+    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
+    for s, expected in ((1e-3, (12, 19)), (1e-6, (36, 43))):
+        near = dataclasses.replace(scene, separation=s)
+        uncertified = fallbacks = 0
+        for i, j in enumerate_pairs(len(near.objects)):
+            a, b, _ = place_pair(near, (i, j))
+            calls.clear()
+            result, _ = lin_canny_distance(a, b)
+            if not result.flags:
+                assert calls == []
+                continue
+            fallbacks += 1
+            ca, cb = _coords(a), _coords(b)
+            if _separated(ca, cb, *_edge_sweep(ca, cb)[1:5]):
+                assert calls == [], (s, i, j)
+            else:
+                uncertified += 1
+                assert calls == ["lin_canny_distance"], (s, i, j)
+        assert (uncertified, fallbacks) == expected, s
+
+
 def test_near_contact_pairs_are_certified_wherever_the_origin_is():
     # The default scene placed at separations 1e-2, 1e-3 and 1e-6, the
     # paper's nearly intersecting regime. Each static triangle has a vertex
@@ -1258,9 +1297,10 @@ def test_near_touching_copies_still_count_as_contact(monkeypatch):
 
 @pytest.mark.parametrize("s", [1e154, 1e200, 1e300, 1e307])
 def test_contained_triangles_near_the_float_range_still_overlap(s):
-    # Naming the contained vertex's nearest edge overflows a projection at
-    # these scales; the overlap test alone must not need it, so Lin-Canny
-    # still refuses the pair as overlapping rather than with a ValueError.
+    # Contained triangles near the float maximum: _pair scales each pair
+    # into range, so naming the contained vertex's nearest edge overflows
+    # no projection, and Lin-Canny refuses the pair as overlapping rather
+    # than with a ValueError.
     big = tri((0, 0), (10, 0), (0, 10)).scaled(s)
     small = tri((1, 1), (2, 1), (1, 2)).scaled(s)
     for a, b in ((big, small), (small, big)):

@@ -579,14 +579,18 @@ def test_run_benchmark_rejects_bad_args():
         run_benchmark(small_scene(), repeats=0)
     with pytest.raises(ValueError):
         run_benchmark(small_scene(), algorithms=("nope",), repeats=1)
-    # The algorithm list is checked before the repeats.
-    for algorithms, repeats, message in (
-        ((), 1, "no algorithm given"),
-        (("nope",), 0, "unknown algorithm: nope (choose from dyop, gjk, lincanny, oracle)"),
-        (("dyop",), 0, "repeats must be at least 1: 0"),
+    # The algorithm list is checked before the repeats, and both before the
+    # scene's object count.
+    one = dataclasses.replace(small_scene(), objects=small_scene().objects[:1])
+    for scene, algorithms, repeats, message in (
+        (small_scene(), (), 1, "no algorithm given"),
+        (small_scene(), ("nope",), 0, "unknown algorithm: nope (choose from dyop, gjk, lincanny, oracle)"),
+        (small_scene(), ("dyop",), 0, "repeats must be at least 1: 0"),
+        (one, ("dyop",), 0, "repeats must be at least 1: 0"),
+        (one, ("dyop", "gjk"), 1, "a scene needs at least two objects to benchmark: it has 1"),
     ):
         with pytest.raises(ValueError) as info:
-            run_benchmark(small_scene(), algorithms, repeats)
+            run_benchmark(scene, algorithms, repeats)
         assert str(info.value) == message
 
 

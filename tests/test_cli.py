@@ -416,6 +416,17 @@ def test_bench_refuses_repeats_below_one_and_writes_nothing(tmp_path, scene_file
     assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
 
 
+def test_bench_refuses_a_one_object_scene_and_writes_nothing(tmp_path, capsys):
+    # One object makes no pair, so there is nothing to compare; baselines
+    # were asked for all the same, so this is a usage error, not exit 4.
+    path = tmp_path / "scene.json"
+    write_scene(Scene(objects=(tri("A", (0, 0), (1, 0), (0, 1)),), separation=1.0, axis=MovementAxis.X), str(path))
+    args = ["bench", "--scene", str(path), "--repeats", "1", "--algos", "dyop,gjk"]
+    assert main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr() == ("", "a scene needs at least two objects to benchmark: it has 1\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_bench_invalid_scene_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[]", encoding="utf-8")
