@@ -490,7 +490,7 @@ def lin_canny_distance(
             ee += 1
             ex, ey, fx, fy = edges_a[ca - 3]
             gx, gy, hx, hy = edges_b[cb - 3]
-            d, pax, pay, pbx, pby, _, _ = _segment_segment(ex, ey, fx, fy, gx, gy, hx, hy)
+            d, pax, pay, pbx, pby, _, _, _ = _segment_segment(ex, ey, fx, fy, gx, gy, hx, hy)
         if d > prev:
             break
         prev = d

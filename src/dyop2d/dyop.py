@@ -257,7 +257,7 @@ def _dyop(
         eb, nb, cx, cy, dx, dy = 2, 0, u2, v2, u0, v0
     else:
         eb, nb, cx, cy, dx, dy = 1, 2, u1, v1, u2, v2
-    best_d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(ax, ay, bx, by, cx, cy, dx, dy)
+    best_d, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(ax, ay, bx, by, cx, cy, dx, dy)
     # Each witness names the feature it lies on: its edge's start at t = 0,
     # its end at t = 1, else the edge itself.
     if t_a == 0.0:

@@ -25,14 +25,14 @@ flagged degenerate but with positive area is counter-clockwise, so the
 orientation test decides it like any other triangle. The public point
 and segment functions are thin wrappers over the same core.
 
-``_segment_segment`` is the one segment-segment test: DyOP's query, the
-Lin-Canny walk's edge-edge steps and ``segment_segment_distance`` all
-call it. It is straight-line code: ``_intersect``'s four orientations
-and ``_project``'s four endpoint projections are written out in it, on
-the two segments' directions, so a test without contact makes no
-further Python call; its bits equal those of the definition composed
-from those helpers. ``_intersect`` stays the edge-pair primitive of the
-overlap test, ``_contact_witness``.
+``_segment_segment`` is the one segment-segment test, and the one place
+that decides whether two segments touch: DyOP's query, the Lin-Canny
+walk's edge-edge steps, ``segment_segment_distance`` and the overlap
+test, ``_contact_witness``, all call it. It is straight-line code: four
+orientations and ``_project``'s four endpoint projections are written
+out in it, on the two segments' directions, so a test without contact
+makes no further Python call. It reports contact as its own flag, set
+by the orientations alone, never read off a distance.
 
 ``_edge_sweep``, the oracle's nine-edge sweep, is straight-line code in
 the same way: it unpacks the six vertices once, computes the six edge
@@ -401,59 +401,30 @@ def _within_extent(ax: float, ay: float, bx: float, by: float, px: float, py: fl
     return (ax <= px <= bx or bx <= px <= ax) and (ay <= py <= by or by <= py <= ay)
 
 
-def _intersect(
-    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
-) -> tuple[float, float] | None:
-    """Intersection point of closed segments ab and cd, or None if disjoint.
-
-    Endpoint contact and collinear overlap count as intersecting; the
-    returned witness for those cases is the first touching endpoint in
-    (c, d, a, b) order. The four orientations are ``_orient``'s
-    expressions written out on the directions r = b - a and s = d - c.
-    A strict crossing lies at t = o3 / (o3 - o4) along ab, from the
-    signed areas of a and b against cd (Ericson, Real-Time Collision
-    Detection, 2004, 5.1.9.1). The branch runs only when o3 and o4 are
-    nonzero and of opposite sign, so the rounded |o3 - o4| is at least
-    |o3| > 0 and 0 <= t <= 1; in range (at most 2^510) it stays at or
-    below about 2^1023. The point is finite and on ab up to one rounding.
-    """
-    rx, ry = bx - ax, by - ay
-    sx, sy = dx - cx, dy - cy
-    o1 = rx * (cy - ay) - ry * (cx - ax)
-    o2 = rx * (dy - ay) - ry * (dx - ax)
-    o3 = sx * (ay - cy) - sy * (ax - cx)
-    o4 = sx * (by - cy) - sy * (bx - cx)
-    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
-        (o3 > 0.0) != (o4 > 0.0)
-    ) and o3 != 0.0 and o4 != 0.0:
-        t = o3 / (o3 - o4)
-        return ax + t * rx, ay + t * ry
-    if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
-        return cx, cy
-    if o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
-        return dx, dy
-    if o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
-        return ax, ay
-    if o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
-        return bx, by
-    return None
-
-
 def _segment_segment(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
-) -> tuple[float, float, float, float, float, float, float]:
-    """(distance, pa.x, pa.y, pb.x, pb.y, t1, t2) of closed segments ab and cd.
+) -> tuple[float, float, float, float, float, float, float, bool]:
+    """(distance, pa.x, pa.y, pb.x, pb.y, t1, t2, contact) of closed segments ab and cd.
 
-    Intersecting segments report distance 0 with coincident witnesses,
-    ``_intersect``'s contact point. Otherwise the minimum over the four
-    clamped endpoint projections is exact (Ericson, Real-Time Collision
-    Detection, 2004, 5.1.9); ties keep the earliest in (a, b, c, d) order.
-    Straight-line code: ``_intersect``'s four orientations and each
-    projection, ``_project`` with its zero-length branch and clamp, are
-    written out on the directions r = b - a and s = d - c, computed once
-    for all of them. The coordinates are in range (at most 2^510 in
-    magnitude), so no projection overflows and no input raises. A
-    contact point's parameters are ``_project``'s.
+    The four orientations, ``_orient``'s expressions on the directions
+    r = b - a and s = d - c, decide contact first. A proper crossing lies
+    at t = o3 / (o3 - o4) along ab, from the signed areas of a and b
+    against cd (Ericson, Real-Time Collision Detection, 2004, 5.1.9.1).
+    That branch runs only when o3 and o4 are nonzero and of opposite
+    sign, so the rounded |o3 - o4| is at least |o3| > 0 and 0 <= t <= 1;
+    in range it stays at or below about 2^1023, and the point is finite
+    and on ab up to one rounding. Otherwise an endpoint with a zero
+    orientation within the other segment's extent touches it; endpoint
+    contact and collinear overlap take the first such endpoint in
+    (c, d, a, b) order. Contact reports distance 0 with coincident
+    witnesses at that point, ``_project``'s parameters for it, and
+    ``contact`` True. Without contact the minimum over the four clamped
+    endpoint projections is exact (Ericson, 5.1.9); ties keep the
+    earliest in (a, b, c, d) order, and ``contact`` is False even where
+    that distance rounds to 0. Each projection, ``_project`` with its
+    zero-length branch and clamp, is written out on r and s, computed
+    once for all of them. The coordinates are in range (at most 2^510 in
+    magnitude), so no projection overflows and no input raises.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -502,21 +473,21 @@ def _segment_segment(
             td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
             qdx, qdy = ax + td * rx, ay + td * ry
         hypot, inf = math.hypot, math.inf
-        best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0)
+        best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0, False)
         d = hypot(ax - qax, ay - qay)
         if d < best_d:
-            best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta)
+            best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta, False)
         d = hypot(bx - qbx, by - qby)
         if d < best_d:
-            best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb)
+            best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb, False)
         d = hypot(cx - qcx, cy - qcy)
         if d < best_d:
-            best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0)
+            best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0, False)
         d = hypot(dx - qdx, dy - qdy)
         if d < best_d:
-            best = (d, qdx, qdy, dx, dy, td, 1.0)
+            best = (d, qdx, qdy, dx, dy, td, 1.0, False)
         return best
-    return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3]
+    return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3], True
 
 
 def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:
@@ -562,7 +533,7 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
     by one power of two, as the triangle queries are.
     """
     coords, f = _points_in_range(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
-    d, pax, pay, pbx, pby, _, _ = _segment_segment(*coords)
+    d, pax, pay, pbx, pby, _, _, _ = _segment_segment(*coords)
     if f != 1.0:
         d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
     return d, Point2(pax, pay), Point2(pbx, pby)
@@ -593,23 +564,28 @@ def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId, F
     """Contact point (x, y) and features of overlapping triangles, or None when
     they share no point; boundary contact counts.
 
-    This is the one overlap test. It runs the nine edge pairs, then B's
-    vertex 0 in A, then A's vertex 0 in B: without edge contact, one
-    triangle overlaps the other only by containing it, and then every
-    vertex of the contained one lies inside the other, so one vertex
-    decides each way. The witness is the first intersection in edge-pair
+    This is the one overlap test. It runs ``_segment_segment`` on the
+    nine edge pairs, then B's vertex 0 in A, then A's vertex 0 in B:
+    without edge contact, one triangle overlaps the other only by
+    containing it, and then every vertex of the contained one lies inside
+    the other, so one vertex decides each way. An edge pair touches only
+    when the segment test reports ``contact``, never by a distance that
+    rounds to 0. The witness is the first contact point in edge-pair
     order, with the two edges as its features, else B's vertex 0, else
     A's vertex 0; a contained vertex's feature on the container is the
-    container's nearest edge (``_nearest_edge_feature``).
+    container's nearest edge (``_nearest_edge_feature``). A pair without
+    edge contact also pays each edge pair's four projections, which no
+    placed pair reaches: the oracle and the Lin-Canny fallback run this
+    test only when the certificate fails.
     """
     x0, y0, x1, y1, x2, y2 = a
     u0, v0, u1, v1, u2, v2 = b
     edges_b = ((u0, v0, u1, v1), (u1, v1, u2, v2), (u2, v2, u0, v0))
     for i, ea in enumerate(((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))):
         for j, eb in enumerate(edges_b):
-            hit = _intersect(*ea, *eb)
-            if hit is not None:
-                return *hit, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
+            _, hx, hy, _, _, _, _, contact = _segment_segment(*ea, *eb)
+            if contact:
+                return hx, hy, _EDGE_FEATURES[i], _EDGE_FEATURES[j]
     if _point_in_triangle(a, u0, v0):
         return u0, v0, _nearest_edge_feature(a, u0, v0), _VERTEX_FEATURES[0]
     if _point_in_triangle(b, x0, y0):

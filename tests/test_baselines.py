@@ -756,7 +756,7 @@ def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
         else:
             seen.add("ee")
             ee += 1
-            d, pax, pay, pbx, pby, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
+            d, pax, pay, pbx, pby, _, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
         if trace is not None:
             trace.append((baselines._FEATURES[ca], baselines._FEATURES[cb], d))
         if d > prev:
@@ -1249,16 +1249,17 @@ def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
 
 
 def test_contained_triangle_is_decided_by_nine_intersection_tests(monkeypatch):
-    # With no edge contact, the contact witness's nine edge pairs and two
-    # containment tests decide the overlap; they are not run twice.
+    # With no edge contact, the contact witness's nine segment tests, one
+    # per edge pair, and two containment tests decide the overlap; they
+    # are not run twice.
     calls = []
-    intersect = geometry._intersect
+    segment_segment = geometry._segment_segment
 
     def counting(*args):
         calls.append(args)
-        return intersect(*args)
+        return segment_segment(*args)
 
-    monkeypatch.setattr(geometry, "_intersect", counting)
+    monkeypatch.setattr(geometry, "_segment_segment", counting)
     big, small = tri((0, 0), (10, 0), (0, 10)), tri((1, 1), (2, 1), (1, 2))
     for a, b in ((big, small), (small, big)):
         calls.clear()

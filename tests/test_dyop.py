@@ -381,7 +381,7 @@ def _candidate_edges(a, b, velocity):
 def _dyop_by_stages(a, b, velocity):
     """``dyop_distance`` as the chain of its public stages."""
     box, edge_a, edge_b, ends = _candidate_edges(a, b, velocity)
-    d, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
+    d, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(*ends)
     return DistanceResult(
         d,
         Point2(pax, pay),

@@ -38,8 +38,8 @@ from dyop2d.geometry import (
     TestCounters,
     Triangle,
     Vector2,
-    _intersect,
     _point_in_triangle,
+    _segment_segment,
     brute_force_triangle_distance,
     point_segment_distance,
     segment_segment_distance,
@@ -225,7 +225,8 @@ def test_integer_grid_pairs_match_reference():
 
 
 def _intersection(s1, s2):
-    return _intersect(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
+    _, hx, hy, _, _, _, _, contact = _segment_segment(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
+    return (hx, hy) if contact else None
 
 
 def _reference_intersection(s1, s2):

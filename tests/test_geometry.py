@@ -27,12 +27,12 @@ from dyop2d.geometry import (
     _brute_force,
     _classify_edge_point,
     _edge_sweep,
-    _intersect,
     _orient,
     _point_in_triangle,
     _project,
     _segment_segment,
     _winding,
+    _within_extent,
     brute_force_triangle_distance,
     point_segment_distance,
     segment_segment_distance,
@@ -406,14 +406,53 @@ def test_segment_segment_bounded_by_endpoint_projections():
             assert d <= point_segment_distance(p, s1)[0] + 1e-12
 
 
+def _intersect(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
+) -> tuple[float, float] | None:
+    """Intersection point of closed segments ab and cd, or None if disjoint.
+
+    Endpoint contact and collinear overlap count as intersecting; the
+    returned witness for those cases is the first touching endpoint in
+    (c, d, a, b) order. The four orientations are ``_orient``'s
+    expressions written out on the directions r = b - a and s = d - c.
+    A strict crossing lies at t = o3 / (o3 - o4) along ab, from the
+    signed areas of a and b against cd (Ericson, Real-Time Collision
+    Detection, 2004, 5.1.9.1). The branch runs only when o3 and o4 are
+    nonzero and of opposite sign, so the rounded |o3 - o4| is at least
+    |o3| > 0 and 0 <= t <= 1; in range (at most 2^510) it stays at or
+    below about 2^1023. The point is finite and on ab up to one rounding.
+    """
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
+    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
+        (o3 > 0.0) != (o4 > 0.0)
+    ) and o3 != 0.0 and o4 != 0.0:
+        t = o3 / (o3 - o4)
+        return ax + t * rx, ay + t * ry
+    if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
+        return cx, cy
+    if o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
+        return dx, dy
+    if o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
+        return ax, ay
+    if o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
+        return bx, by
+    return None
+
+
 def _segment_segment_by_definition(ax, ay, bx, by, cx, cy, dx, dy):
     """``_segment_segment`` composed from its parts: the intersection test,
     else the four endpoint projections in (a, b, c, d) order, where only a
-    strictly smaller distance replaces the best so far."""
+    strictly smaller distance replaces the best so far. The eighth value,
+    ``contact``, is whether the intersection test found a point."""
     hit = _intersect(ax, ay, bx, by, cx, cy, dx, dy)
     if hit is not None:
         hx, hy = hit
-        return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3]
+        return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3], True
     d, qx, qy, t = _project(ax, ay, cx, cy, dx, dy)
     candidates = [(d, ax, ay, qx, qy, 0.0, t)]
     d, qx, qy, t = _project(bx, by, cx, cy, dx, dy)
@@ -426,7 +465,7 @@ def _segment_segment_by_definition(ax, ay, bx, by, cx, cy, dx, dy):
     for candidate in candidates:
         if candidate[0] < best[0]:
             best = candidate
-    return best
+    return (*best, False)
 
 
 def _segment_cases():
@@ -498,7 +537,7 @@ def _segment_branch(ends):
             if hit == end:
                 return "touching " + name
         return "crossing"
-    _, pax, pay, pbx, pby, t_a, t_b = _segment_segment(*ends)
+    _, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(*ends)
     rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
     if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
         return "zero-length edges"
@@ -530,8 +569,8 @@ def _scale_exponent(values):
 
 
 def test_segment_segment_equals_its_definition():
-    # In range, the kernel's precondition: all seven values, t1 and t2
-    # included, bit for bit (the sign of zero and int against float too),
+    # In range, the kernel's precondition: all eight values, t1, t2 and
+    # the contact flag included, bit for bit (the sign of zero and int against float too),
     # and neither raises. Past the range, 2^510, the public entry answers
     # as the definition does on the segments scaled into range by a power
     # of two, scaled back, or refuses segments too wide to scale.
@@ -549,7 +588,7 @@ def test_segment_segment_equals_its_definition():
             seen.add("too wide")
             continue
         k = _scale_exponent(args)
-        d, pax, pay, pbx, pby, _, _ = _segment_segment_by_definition(*(v * 2.0**k for v in args))
+        d, pax, pay, pbx, pby, _, _, _ = _segment_segment_by_definition(*(v * 2.0**k for v in args))
         expected = tuple(v * 2.0**-k for v in (d, pax, pay, pbx, pby))
         assert got == ("ok", _bits((expected[0], Point2(*expected[1:3]), Point2(*expected[3:5])))), args
     # Every branch is reached. Records of c and d count at interior points
@@ -590,7 +629,7 @@ def test_near_collinear_crossings_lie_on_the_first_segment():
     cases = [*_near_collinear_segments(random.Random(5), 20000), (-m, -m, m, m, -m, m, m, -m)]
     crossings = 0
     for ends in cases:
-        d, pax, pay, pbx, pby, _, _ = _segment_segment(*ends)
+        d, pax, pay, pbx, pby, _, _, _ = _segment_segment(*ends)
         hit = _intersect(*ends)
         if hit is None:
             continue
@@ -599,6 +638,24 @@ def test_near_collinear_crossings_lie_on_the_first_segment():
         crossings += hit not in (ends[0:2], ends[2:4], ends[4:6], ends[6:8])
     assert _intersect(*cases[-1]) == (0.0, 0.0)
     assert crossings > 4000
+
+
+def test_contact_is_decided_by_orientations_not_by_a_zero_distance():
+    # A's vertex 0 is 1e-20 left of B's vertex 0. Projected on B's edge 2,
+    # from (1, 1) to (1e-20, 0), the end comes out as 1 + 1 * (1e-20 - 1),
+    # which rounds to 0.0, so A's edges 0 and 2 measure distance 0.0 to it.
+    # No orientation is zero and nothing crosses, so the segment test
+    # reports no contact, the overlap test finds none, and Lin-Canny
+    # answers the true gap.
+    a = tri((0, 0), (-1, 0.5), (-1, -0.5))
+    b = tri((1e-20, 0), (1, -1), (1, 1))
+    edges_a, edges_b = _edge_list(_coords(a)), _edge_list(_coords(b))
+    for i in (0, 2):
+        d, *_, contact = _segment_segment(*edges_a[i], *edges_b[2])
+        assert (d, contact) == (0.0, False), i
+    assert triangles_overlap(a, b) is False
+    result, _ = lin_canny_distance(a, b)
+    assert (result.distance, result.flags) == (1e-20, ())
 
 
 def _edge_sweep_by_definition(a, b):
