@@ -24,9 +24,16 @@ once, into its six coordinates, the layout that the oracle, GJK and
 Lin-Canny read too. Its kernel ``_dyop`` is one straight-line function,
 as the oracle's ``geometry._edge_sweep`` is: the gap box, the pivot, the
 candidate choice and the naming of the witnesses' features are written
-out in it, and the candidate edges go to the package's one
-segment-segment test, ``geometry._segment_segment``. On its way to an
-answer without contact it makes two calls: that test and the one that
+out in it, and the candidate edges go to one segment test. The gap box
+has a gap on an axis when the two triangles' extents are apart there;
+then their bounding boxes are apart, the candidate edges cannot touch
+(Ericson, Real-Time Collision Detection, 2004, 4.2), and the kernel
+calls ``geometry._segment_projections``, the segment test's four
+endpoint projections without its contact half. Without a gap it calls
+``geometry._segment_segment``, the package's one test that decides
+contact. On segments whose boxes are apart the two answer alike, bit
+for bit, so the query's answers are those of the full test. On its way
+to an answer it makes two calls: the segment test and the one that
 builds its counters. The three public stages below are the definition
 that the kernel writes out. They state the paper's rule plainly, from
 each triangle's vertices: the extents by ``min`` and ``max``, and the
@@ -75,6 +82,7 @@ from .geometry import (
     _answer,
     _Coords,
     _pair,
+    _segment_projections,
     _segment_segment,
 )
 
@@ -195,9 +203,14 @@ def _dyop(
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
     ``select_candidates`` on both triangles (squares as products, none of
     which overflows in range) and ``_classify_edge_point`` written out,
-    and one call of ``geometry._segment_segment`` on the candidate edges,
-    so that an answer without contact costs two calls: the segment test
-    and its ``TestCounters``. The stages are the definition: they state the rule
+    and one segment test on the candidate edges, so that an answer costs
+    two calls: that test and its ``TestCounters``. A gap on either axis
+    (``x_lo < x_hi or y_lo < y_hi``) puts the candidate edges' boxes apart,
+    so they cannot touch, and the test is ``geometry._segment_projections``;
+    otherwise it is ``geometry._segment_segment``, which decides contact.
+    Both answer segments whose boxes are apart alike, bit for bit, so the
+    kernel equals the chain of its stages and ``_segment_segment``. The
+    stages are the definition: they state the rule
     with ``min``/``max`` and a stable sort, and the kernel writes it out
     comparison by comparison, with their tie rules. Only the gap box's
     midpoint clamp is left out, as the pivot cannot tell it apart, and
@@ -257,7 +270,12 @@ def _dyop(
         eb, nb, cx, cy, dx, dy = 2, 0, u2, v2, u0, v0
     else:
         eb, nb, cx, cy, dx, dy = 1, 2, u1, v1, u2, v2
-    best_d, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(ax, ay, bx, by, cx, cy, dx, dy)
+    # A gap on either axis puts the triangles' boxes, and so the candidate
+    # edges, apart: they cannot touch, and the projections alone answer.
+    if x_lo < x_hi or y_lo < y_hi:
+        best_d, pax, pay, pbx, pby, t_a, t_b, _ = _segment_projections(ax, ay, bx, by, cx, cy, dx, dy)
+    else:
+        best_d, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(ax, ay, bx, by, cx, cy, dx, dy)
     # Each witness names the feature it lies on: its edge's start at t = 0,
     # its end at t = 1, else the edge itself.
     if t_a == 0.0:

@@ -26,13 +26,21 @@ orientation test decides it like any other triangle. The public point
 and segment functions are thin wrappers over the same core.
 
 ``_segment_segment`` is the one segment-segment test, and the one place
-that decides whether two segments touch: DyOP's query, the Lin-Canny
-walk's edge-edge steps, ``segment_segment_distance`` and the overlap
-test, ``_contact_witness``, all call it. It is straight-line code: four
-orientations and ``_project``'s four endpoint projections are written
-out in it, on the two segments' directions, so a test without contact
-makes no further Python call. It reports contact as its own flag, set
-by the orientations alone, never read off a distance.
+that decides whether two segments touch: the Lin-Canny walk's edge-edge
+steps, ``segment_segment_distance``, the overlap test
+``_contact_witness`` and DyOP's query on a pair without a gap all call
+it. It is straight-line code: four orientations decide contact, and
+where the segments do not touch, ``_segment_projections`` answers with
+``_project``'s four endpoint projections, written out on the two
+segments' directions. It reports contact as its own flag, set by the
+orientations alone, never read off a distance. A crossing also needs the
+two segments' bounding boxes to meet: on nearly collinear segments the
+orientations are rounding noise, and without that check segments apart
+along their common line could read as crossing. Segments whose boxes are
+apart never touch, so ``_segment_segment`` answers them as
+``_segment_projections`` does, bit for bit. A DyOP gap box with a gap
+proves the candidate edges' boxes apart, so DyOP's query then calls
+``_segment_projections`` directly and skips the contact half.
 
 ``_edge_sweep``, the oracle's nine-edge sweep, is straight-line code in
 the same way: it unpacks the six vertices once, computes the six edge
@@ -401,6 +409,16 @@ def _within_extent(ax: float, ay: float, bx: float, by: float, px: float, py: fl
     return (ax <= px <= bx or bx <= px <= ax) and (ay <= py <= by or by <= py <= ay)
 
 
+def _boxes_meet(ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float) -> bool:
+    """True when the bounding boxes of segments ab and cd share a point."""
+    return (
+        min(ax, bx) <= max(cx, dx)
+        and min(cx, dx) <= max(ax, bx)
+        and min(ay, by) <= max(cy, dy)
+        and min(cy, dy) <= max(ay, by)
+    )
+
+
 def _segment_segment(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
 ) -> tuple[float, float, float, float, float, float, float, bool]:
@@ -410,21 +428,24 @@ def _segment_segment(
     r = b - a and s = d - c, decide contact first. A proper crossing lies
     at t = o3 / (o3 - o4) along ab, from the signed areas of a and b
     against cd (Ericson, Real-Time Collision Detection, 2004, 5.1.9.1).
-    That branch runs only when o3 and o4 are nonzero and of opposite
-    sign, so the rounded |o3 - o4| is at least |o3| > 0 and 0 <= t <= 1;
-    in range it stays at or below about 2^1023, and the point is finite
-    and on ab up to one rounding. Otherwise an endpoint with a zero
-    orientation within the other segment's extent touches it; endpoint
-    contact and collinear overlap take the first such endpoint in
-    (c, d, a, b) order. Contact reports distance 0 with coincident
+    That branch runs only when o1 and o2, and o3 and o4, are nonzero and
+    of opposite sign, and the segments' bounding boxes meet
+    (``_boxes_meet``), as they do wherever two segments share a point; on
+    nearly collinear segments the signs are rounding noise, and the box
+    check keeps segments apart along their line from reading as a
+    crossing. So the rounded |o3 - o4| is at least |o3| > 0 and
+    0 <= t <= 1; in range it stays at or below about 2^1023, and the
+    point is finite and on ab up to one rounding. Otherwise an endpoint
+    with a zero orientation within the other segment's extent touches it;
+    endpoint contact and collinear overlap take the first such endpoint
+    in (c, d, a, b) order. Contact reports distance 0 with coincident
     witnesses at that point, ``_project``'s parameters for it, and
-    ``contact`` True. Without contact the minimum over the four clamped
-    endpoint projections is exact (Ericson, 5.1.9); ties keep the
-    earliest in (a, b, c, d) order, and ``contact`` is False even where
-    that distance rounds to 0. Each projection, ``_project`` with its
-    zero-length branch and clamp, is written out on r and s, computed
-    once for all of them. The coordinates are in range (at most 2^510 in
-    magnitude), so no projection overflows and no input raises.
+    ``contact`` True. Without contact ``_segment_projections`` answers,
+    with ``contact`` False even where its distance rounds to 0. Segments
+    whose boxes are apart on an axis reach neither contact branch, so
+    there this test and ``_segment_projections`` answer alike, bit for
+    bit. The coordinates are in range (at most 2^510 in magnitude), so
+    no input raises.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -434,7 +455,7 @@ def _segment_segment(
     o4 = sx * (by - cy) - sy * (bx - cx)
     if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
         (o3 > 0.0) != (o4 > 0.0)
-    ) and o3 != 0.0 and o4 != 0.0:
+    ) and o3 != 0.0 and o4 != 0.0 and _boxes_meet(ax, ay, bx, by, cx, cy, dx, dy):
         t = o3 / (o3 - o4)
         hx, hy = ax + t * rx, ay + t * ry
     elif o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
@@ -446,48 +467,70 @@ def _segment_segment(
     elif o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
         hx, hy = bx, by
     else:
-        # a and b projected on cd.
-        s2 = sx * sx + sy * sy
-        if s2 == 0.0:
-            qax = qbx = cx
-            qay = qby = cy
-            ta = tb = 0.0
-        else:
-            ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
-            ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
-            qax, qay = cx + ta * sx, cy + ta * sy
-            tb = ((bx - cx) * sx + (by - cy) * sy) / s2
-            tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
-            qbx, qby = cx + tb * sx, cy + tb * sy
-        # c and d projected on ab.
-        r2 = rx * rx + ry * ry
-        if r2 == 0.0:
-            qcx = qdx = ax
-            qcy = qdy = ay
-            tc = td = 0.0
-        else:
-            tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
-            tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
-            qcx, qcy = ax + tc * rx, ay + tc * ry
-            td = ((dx - ax) * rx + (dy - ay) * ry) / r2
-            td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
-            qdx, qdy = ax + td * rx, ay + td * ry
-        hypot, inf = math.hypot, math.inf
-        best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0, False)
-        d = hypot(ax - qax, ay - qay)
-        if d < best_d:
-            best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta, False)
-        d = hypot(bx - qbx, by - qby)
-        if d < best_d:
-            best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb, False)
-        d = hypot(cx - qcx, cy - qcy)
-        if d < best_d:
-            best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0, False)
-        d = hypot(dx - qdx, dy - qdy)
-        if d < best_d:
-            best = (d, qdx, qdy, dx, dy, td, 1.0, False)
-        return best
+        return _segment_projections(ax, ay, bx, by, cx, cy, dx, dy)
     return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3], True
+
+
+def _segment_projections(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
+) -> tuple[float, float, float, float, float, float, float, bool]:
+    """``_segment_segment``'s answer for closed segments ab and cd that do
+    not touch: (distance, pa.x, pa.y, pb.x, pb.y, t1, t2, False).
+
+    Without contact the minimum over the four clamped endpoint
+    projections is exact (Ericson, 5.1.9); ties keep the earliest in
+    (a, b, c, d) order. Each projection, ``_project`` with its
+    zero-length branch and clamp, is written out on the directions
+    r = b - a and s = d - c, computed once for all of them. The
+    coordinates are in range (at most 2^510 in magnitude), so no
+    projection overflows and no input raises. It decides no contact: a
+    caller that has not proved the segments apart, as DyOP's gap box
+    does, calls ``_segment_segment``, which calls this where they do not
+    touch.
+    """
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    # a and b projected on cd.
+    s2 = sx * sx + sy * sy
+    if s2 == 0.0:
+        qax = qbx = cx
+        qay = qby = cy
+        ta = tb = 0.0
+    else:
+        ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
+        ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
+        qax, qay = cx + ta * sx, cy + ta * sy
+        tb = ((bx - cx) * sx + (by - cy) * sy) / s2
+        tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
+        qbx, qby = cx + tb * sx, cy + tb * sy
+    # c and d projected on ab.
+    r2 = rx * rx + ry * ry
+    if r2 == 0.0:
+        qcx = qdx = ax
+        qcy = qdy = ay
+        tc = td = 0.0
+    else:
+        tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
+        tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
+        qcx, qcy = ax + tc * rx, ay + tc * ry
+        td = ((dx - ax) * rx + (dy - ay) * ry) / r2
+        td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
+        qdx, qdy = ax + td * rx, ay + td * ry
+    hypot, inf = math.hypot, math.inf
+    best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0, False)
+    d = hypot(ax - qax, ay - qay)
+    if d < best_d:
+        best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta, False)
+    d = hypot(bx - qbx, by - qby)
+    if d < best_d:
+        best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb, False)
+    d = hypot(cx - qcx, cy - qcy)
+    if d < best_d:
+        best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0, False)
+    d = hypot(dx - qdx, dy - qdy)
+    if d < best_d:
+        best = (d, qdx, qdy, dx, dy, td, 1.0, False)
+    return best
 
 
 def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:

@@ -20,7 +20,9 @@ a query.
 
 Run as a script, it prints each algorithm's operations per query on
 the default scene's placed pairs (along x at separations 1 and 1e-3,
-and along y) and on the first 2,000 seed-7 random pairs:
+and along y) and on the first 2,000 seed-7 random pairs, then DyOP's
+count split into its one segment test and the rest (gap box, pivot,
+candidate choice and feature naming):
 
     PYTHONPATH=src python tests/opcount.py
 """
@@ -121,6 +123,35 @@ def operations(query, pairs) -> tuple[int, list]:
     return total, answers
 
 
+def dyop_split(pairs) -> tuple[int, int]:
+    """DyOP's operations over ``pairs`` of (a, b, velocity), and how many of
+    them its one segment test made: ``_segment_projections`` or
+    ``_segment_segment``, wrapped where ``_dyop`` looks them up."""
+    from dyop2d import dyop
+
+    inside = [0]
+    tests = {name: getattr(dyop, name) for name in ("_segment_projections", "_segment_segment")}
+
+    def wrapped(test):
+        def counted(*ends):
+            start = _tally[0]
+            try:
+                return test(*ends)
+            finally:
+                inside[0] += _tally[0] - start
+
+        return counted
+
+    for name, test in tests.items():
+        setattr(dyop, name, wrapped(test))
+    try:
+        total = operations(dyop.dyop_distance, pairs)[0]
+    finally:
+        for name, test in tests.items():
+            setattr(dyop, name, test)
+    return total, inside[0]
+
+
 def _main() -> None:
     import dataclasses
     import random
@@ -145,6 +176,13 @@ def _main() -> None:
     for label, pairs in inputs.items():
         per_query = [operations(query, pairs)[0] / len(pairs) for query in ALGORITHMS.values()]
         print(f"| {label} | " + " | ".join(f"{n:.1f}" for n in per_query) + " |")
+    print()
+    print("| input | dyop | segment test | the rest |")
+    print("|---|---|---|---|")
+    for label, pairs in inputs.items():
+        total, inside = dyop_split(pairs)
+        n = len(pairs)
+        print(f"| {label} | {total / n:.1f} | {inside / n:.1f} | {(total - inside) / n:.1f} |")
 
 
 if __name__ == "__main__":

@@ -253,10 +253,12 @@ def test_bench_exits_4_when_an_algorithm_overflows(tmp_path, capsys, monkeypatch
     # refusal is put into DyOP's segment test: bench runs the query on the
     # scene scaled towards the float range, where DyOP answers the pair
     # scaled into range, and the refusal leaves no DyOP record to compare.
+    # Obj1 and Obj5 have a gap between their boxes, so the test DyOP runs on
+    # them is the projections alone.
     def refused(*ends):
         raise ValueError("non-finite coordinate: inf")
 
-    monkeypatch.setattr(dyop_module, "_segment_segment", refused)
+    monkeypatch.setattr(dyop_module, "_segment_projections", refused)
     out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
     args = ["bench", "--scene", _scene_path(tmp_path, scaled_default_scene(s, names))]
     args += ["--repeats", "1", "--algos", "dyop,gjk"]

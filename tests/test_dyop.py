@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import dyop2d.dyop as dyop_module
 from dyop2d.benchmark import MISMATCH_TOLERANCE, default_scene, enumerate_pairs, place_pair
 from dyop2d.dyop import (
     MovementAxis,
@@ -393,6 +394,17 @@ def _dyop_by_stages(a, b, velocity):
     )
 
 
+def _gap_case(a, b, velocity):
+    """"gap" when the gap box has positive width on an axis, so that the two
+    triangles' boxes are apart, "no gap" when it has none; None when the
+    gap box refuses the pair."""
+    try:
+        _, _, x_lo, y_lo, x_hi, y_hi, _ = build_internal_aabb(a, b, dominant_axis(velocity))
+    except ValueError:
+        return None
+    return "gap" if x_lo < x_hi or y_lo < y_hi else "no gap"
+
+
 def _segment_case(a, b, velocity):
     """``_segment_branch`` on the candidate edges; None when an earlier stage
     refuses the pair."""
@@ -510,6 +522,7 @@ def test_dyop_distance_is_the_chain_of_its_stages():
             seen.add("too wide")
             continue
         seen.add(_segment_case(a, b, velocity))
+        seen.add(_gap_case(a, b, velocity))
         seen.update(_tied_extents(a, b))
         seen.update(("squares tie", tie) for tie in _tied_squares(a, b, velocity))
         # In range no squared distance to the pivot overflows.
@@ -520,6 +533,7 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     assert seen >= {ZeroVelocity, DegenerateInput, ValueError, True, False, "past the range", "too wide"}
     assert seen >= {"crossing", "touching c", "touching d", "touching a", "touching b"}
     assert "zero-length edges" in seen
+    assert seen >= {"gap", "no gap"}
     names = ("t = 0", "t = 1", "interior")
     assert seen >= {(record, name) for record in ("record a", "record b") for name in names}
     assert seen >= {("record c", "interior"), ("record d", "interior")}
@@ -528,6 +542,77 @@ def test_dyop_distance_is_the_chain_of_its_stages():
     }
     # Every tie class of the candidate rule's stable sort.
     assert seen >= {("squares tie", tie) for tie in ("all three", "two nearest", "two farthest")}
+
+
+def _counted_segment_tests(monkeypatch):
+    """Count the calls ``_dyop`` makes of each segment test it may run."""
+    calls = {"_segment_projections": 0, "_segment_segment": 0}
+    for name in calls:
+
+        def counted(*ends, name=name, test=getattr(dyop_module, name)):
+            calls[name] += 1
+            return test(*ends)
+
+        monkeypatch.setattr(dyop_module, name, counted)
+    return calls
+
+
+def test_dyop_runs_the_contact_half_only_without_a_gap(monkeypatch):
+    # A gap box with a gap puts the candidate edges' boxes apart, and the
+    # projections alone answer; the full segment test runs exactly where the
+    # gap box has no gap. Every placed pair of the default scene has a gap.
+    # Placed along y, every pair's extents overlap along x, so the gap along
+    # y alone decides. At s = 1e-6 the slanted Obj10 faces leave some pairs
+    # without a gap.
+    scene = default_scene()
+    pairs = list(enumerate_pairs(len(scene.objects)))
+    placed = [place_pair(scene, pair) for pair in pairs]
+    along_y = [place_pair(dataclasses.replace(scene, axis=MovementAxis.Y), pair) for pair in pairs]
+    near = [place_pair(dataclasses.replace(scene, separation=1e-6), pair) for pair in pairs]
+    calls = _counted_segment_tests(monkeypatch)
+    for a, b, velocity in placed:
+        dyop_distance(a, b, velocity)
+    assert calls == {"_segment_projections": 90, "_segment_segment": 0}
+    for a, b, velocity in along_y:
+        _, _, x_lo, _, x_hi, _, _ = build_internal_aabb(a, b, MovementAxis.Y)
+        assert x_lo == x_hi and _gap_case(a, b, velocity) == "gap", (a, b)
+        dyop_distance(a, b, velocity)
+    assert calls == {"_segment_projections": 180, "_segment_segment": 0}
+    cases = {"gap": 0, "no gap": 0}
+    for a, b, velocity in near:
+        before = dict(calls)
+        dyop_distance(a, b, velocity)
+        case = _gap_case(a, b, velocity)
+        full = calls["_segment_segment"] - before["_segment_segment"]
+        assert (full, calls["_segment_projections"] - before["_segment_projections"]) == (
+            (1, 0) if case == "no gap" else (0, 1)
+        ), (a, b)
+        cases[case] += 1
+    assert cases["gap"] > 0 and cases["no gap"] > 0, cases
+
+
+def test_dyop_answers_candidate_edges_along_one_line():
+    # A's edge 2 and B's edge 2, the candidate edges, lie along one line,
+    # 16.6 apart along it. Their rounded orientations have a crossing's
+    # signs: read as a crossing, DyOP answered 0.0 at a point on A's edge
+    # alone, below the exact distance. The gap box has a gap, so the
+    # projections answer, and the segment test agrees with them.
+    a = tri(
+        (2.7987413600600863, -13.693828960038513),
+        (1.4976327289902551, -20.512149104722212),
+        (10.728301239295456, -4.8149245982123325),
+    )
+    b = tri(
+        (21.796941215657906, 7.578877486940073),
+        (118.39442385560025, 80.16620063493616),
+        (74.41233737613427, 66.49350548436607),
+    )
+    velocity = Vector2(1.0, 0.0)
+    result = dyop_distance(a, b, velocity)
+    assert _gap_case(a, b, velocity) == "gap"
+    assert _bits(result) == _bits(_dyop_by_stages(a, b, velocity))
+    assert is_correctly_rounded_sqrt(result.distance, exact_squared_distance(a, b))
+    assert result.distance > 16.6
 
 
 def test_dyop_does_not_depend_on_the_movement_axis():

@@ -30,6 +30,7 @@ from dyop2d.geometry import (
     _orient,
     _point_in_triangle,
     _project,
+    _segment_projections,
     _segment_segment,
     _winding,
     _within_extent,
@@ -406,6 +407,12 @@ def test_segment_segment_bounded_by_endpoint_projections():
             assert d <= point_segment_distance(p, s1)[0] + 1e-12
 
 
+def _signs_cross(o1, o2, o3, o4):
+    """True when c and d lie strictly on opposite sides of ab (o1, o2) and
+    a and b strictly on opposite sides of cd (o3, o4)."""
+    return (o1 > 0.0) != (o2 > 0.0) and o1 != 0.0 and o2 != 0.0 and (o3 > 0.0) != (o4 > 0.0) and o3 != 0.0 and o4 != 0.0
+
+
 def _intersect(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
 ) -> tuple[float, float] | None:
@@ -421,16 +428,20 @@ def _intersect(
     nonzero and of opposite sign, so the rounded |o3 - o4| is at least
     |o3| > 0 and 0 <= t <= 1; in range (at most 2^510) it stays at or
     below about 2^1023. The point is finite and on ab up to one rounding.
+    Segments that share a point have bounding boxes that meet, so a
+    crossing also needs the boxes to meet: where one segment lies wholly
+    on one side of the other along x or y, the orientations' signs are
+    rounding noise, not a crossing.
     """
+    apart = max(ax, bx) < min(cx, dx) or max(cx, dx) < min(ax, bx)
+    apart = apart or max(ay, by) < min(cy, dy) or max(cy, dy) < min(ay, by)
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
     o1 = rx * (cy - ay) - ry * (cx - ax)
     o2 = rx * (dy - ay) - ry * (dx - ax)
     o3 = sx * (ay - cy) - sy * (ax - cx)
     o4 = sx * (by - cy) - sy * (bx - cx)
-    if ((o1 > 0.0) != (o2 > 0.0)) and o1 != 0.0 and o2 != 0.0 and (
-        (o3 > 0.0) != (o4 > 0.0)
-    ) and o3 != 0.0 and o4 != 0.0:
+    if _signs_cross(o1, o2, o3, o4) and not apart:
         t = o3 / (o3 - o4)
         return ax + t * rx, ay + t * ry
     if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
@@ -638,6 +649,115 @@ def test_near_collinear_crossings_lie_on_the_first_segment():
         crossings += hit not in (ends[0:2], ends[2:4], ends[4:6], ends[6:8])
     assert _intersect(*cases[-1]) == (0.0, 0.0)
     assert crossings > 4000
+
+
+def _orientation_signs_cross(ends):
+    """Whether the segment test's four orientations on (ax, ay, bx, by, cx,
+    cy, dx, dy) have a crossing's signs, as computed in floats."""
+    ax, ay, bx, by, cx, cy, dx, dy = ends
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    return _signs_cross(
+        rx * (cy - ay) - ry * (cx - ax),
+        rx * (dy - ay) - ry * (dx - ax),
+        sx * (ay - cy) - sy * (ax - cx),
+        sx * (by - cy) - sy * (bx - cx),
+    )
+
+
+def _boxes_apart(ends):
+    """Whether the bounding boxes of ab and cd lie strictly apart on an axis."""
+    ax, ay, bx, by, cx, cy, dx, dy = ends
+    return (
+        max(ax, bx) < min(cx, dx)
+        or max(cx, dx) < min(ax, bx)
+        or max(ay, by) < min(cy, dy)
+        or max(cy, dy) < min(ay, by)
+    )
+
+
+def _apart_segment_cases(rng, n):
+    """Seeded (kind, ends) segment pairs, n of each kind, each segment's ends
+    in either order:
+    - "random": ends uniform in [-2, 2]^2;
+    - "near-collinear": ab in [-1, 1]^2, and cd along its line past b, 1e-15
+      to 1e-1 after it, with c and d nudged sideways by 1e-18 to 1e-8;
+    - "collinear": four points of the line y = k x + m, at x from 1e-2 to
+      1e2 either side of 0, ab before cd, 4 n of them; their orientations
+      are rounding noise, and about one pair in 500 has a crossing's
+      signs."""
+    for _ in range(n):
+        yield "random", tuple(rng.uniform(-2.0, 2.0) for _ in range(8))
+    for _ in range(n):
+        ax, ay, bx, by = (rng.uniform(-1.0, 1.0) for _ in range(4))
+        length = math.hypot(bx - ax, by - ay)
+        ux, uy = (bx - ax) / length, (by - ay) / length
+        along = length + 10.0 ** rng.uniform(-15.0, -1.0)
+        ends = [ax, ay, bx, by]
+        for t in (along, along + rng.uniform(0.01, 2.0)):
+            side = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-18.0, -8.0)
+            ends += [ax + t * ux - side * uy, ay + t * uy + side * ux]
+        yield "near-collinear", _shuffled_ends(rng, ends)
+    for _ in range(4 * n):
+        k, m = rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)
+        ends = []
+        for x in sorted(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.0) for _ in range(4)):
+            ends += [x, k * x + m]
+        yield "collinear", _shuffled_ends(rng, ends)
+
+
+def _shuffled_ends(rng, ends):
+    """``ends`` with each segment's two ends swapped or not, at random."""
+    for start in (0, 4):
+        if rng.random() < 0.5:
+            ends[start : start + 4] = ends[start + 2 : start + 4] + ends[start : start + 2]
+    return tuple(ends)
+
+
+def test_segment_projections_answer_wherever_the_boxes_are_apart():
+    # Segments whose bounding boxes lie strictly apart on an axis share no
+    # point, and no contact branch of the segment test applies to them: the
+    # projection half answers alone. All eight values bit for bit, the sign
+    # of zero included, with contact False, in both argument orders. On
+    # nearly collinear pairs the four orientations are rounding noise, and
+    # some have a crossing's signs; the box check keeps those from reading
+    # as contact.
+    apart = {"random": 0, "near-collinear": 0, "collinear": 0}
+    noisy = dict.fromkeys(apart, 0)
+    for kind, ends in _apart_segment_cases(random.Random(29), 3000):
+        for args in (ends, ends[4:] + ends[:4]):
+            if not _boxes_apart(args):
+                continue
+            apart[kind] += 1
+            projected = _segment_projections(*args)
+            assert projected[7] is False, args
+            assert _bits(projected) == _bits(_segment_segment(*args)), args
+            noisy[kind] += _orientation_signs_cross(args)
+    assert min(apart.values()) > 2000, apart
+    assert noisy["collinear"] > 40, noisy
+
+
+def test_segments_apart_along_their_line_do_not_cross():
+    # Both segments lie along one line and 26.7 apart in x. Their rounded
+    # orientations have a crossing's signs; read as a crossing, the test
+    # answered 0.0 at a point on neither segment. The nearest ends are b
+    # and d, 33.0 apart.
+    ends = (
+        91.71789270079184,
+        -19.13971215116056,
+        49.20678219613082,
+        11.816777075176956,
+        3.3900880461498755,
+        45.180384424008224,
+        22.53488978147436,
+        31.239185485087066,
+    )
+    assert _orientation_signs_cross(ends) and _boxes_apart(ends)
+    assert _intersect(*ends) is None
+    answer = _segment_segment(*ends)
+    assert answer[7] is False and _bits(answer) == _bits(_segment_projections(*ends))
+    d, pa, pb = segment_segment_distance(seg(ends[0:2], ends[2:4]), seg(ends[4:6], ends[6:8]))
+    assert (d, pa, pb) == (answer[0], Point2(*answer[1:3]), Point2(*answer[3:5]))
+    assert pa == Point2(*ends[2:4]) and math.isclose(d, math.hypot(ends[2] - ends[6], ends[3] - ends[7]), rel_tol=1e-15)
 
 
 def test_contact_is_decided_by_orientations_not_by_a_zero_distance():
