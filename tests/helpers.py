@@ -1,0 +1,435 @@
+"""Helpers that several test modules share: triangle and pair builders,
+the kernels' ranges, comparable answers, and definitions written out for
+the tests to hold the package to.
+
+No test module imports another; each imports what it shares from here.
+"""
+
+import dataclasses
+import itertools
+import math
+import random
+from fractions import Fraction
+
+from dyop2d import baselines
+from dyop2d.benchmark import Scene, default_scene
+from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dominant_axis
+from dyop2d.errors import DegenerateInput, ZeroVelocity
+from dyop2d.geometry import (
+    DEGENERATE_AREA,
+    FeatureId,
+    FeatureKind,
+    Point2,
+    Triangle,
+    _project,
+    _segment_segment,
+    _within_extent,
+)
+from exact_reference import squared_distance_to_segment
+
+
+def tri(a, b, c, name=None):
+    return Triangle(Point2(*a), Point2(*b), Point2(*c), name)
+
+
+def vertex_feature(i: int) -> FeatureId:
+    return FeatureId(FeatureKind.VERTEX, i)
+
+
+def edge_feature(i: int) -> FeatureId:
+    return FeatureId(FeatureKind.EDGE, i)
+
+
+def random_tri(rng, span=1.0):
+    """A non-degenerate triangle with vertices uniform in the box [0, span]^2."""
+    while True:
+        t = tri(
+            (rng.uniform(0, span), rng.uniform(0, span)),
+            (rng.uniform(0, span), rng.uniform(0, span)),
+            (rng.uniform(0, span), rng.uniform(0, span)),
+        )
+        if not t.is_degenerate:
+            return t
+
+
+def _grid_triangle(rng):
+    return Triangle(*(Point2(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3)))
+
+
+def _threshold_triangles():
+    # Signed area 0.5 * h: h = 2e-12 puts it exactly at DEGENERATE_AREA.
+    h = 2 * DEGENERATE_AREA
+    return [
+        tri((0, 0), (1, 0), (0, math.nextafter(h, 0.0))),
+        tri((0, 0), (1, 0), (0, h)),
+        tri((0, 0), (1, 0), (0, math.nextafter(h, 1.0))),
+    ]
+
+
+def _degeneracy_cases():
+    rng = random.Random(41)
+    cases = [random_tri(rng) for _ in range(200)]
+    cases += [tri((0, 0), (0, 1), (1, 0)), tri((0, 0), (1, 0), (2, 0)), tri((1, 1), (1, 1), (1, 1))]
+    for t in _threshold_triangles():
+        # Each at-threshold triangle clockwise too, and shifted off the origin.
+        clockwise = tri((t.v0.x, t.v0.y), (t.v2.x, t.v2.y), (t.v1.x, t.v1.y))
+        cases += [t, clockwise, t.translated(3.0, -5.0)]
+    return cases
+
+
+# Two unit-size triangles whose edges 0 cross nearly along one line, where
+# the product difference r x s of the two edge directions rounds to 0: a
+# crossing point divided out by it does not exist.
+NEAR_COLLINEAR_PAIR = (
+    tri(
+        (-0.2791745560846477, -0.04256874895973306),
+        (0.13408577991610393, -1.6193413336394855),
+        (1.134085779916104, -0.8309550413096093),
+    ),
+    tri(
+        (-0.23151370849149377, -0.2244161494984298),
+        (-0.01459101376893257, -1.0520730239601677),
+        (0.9854089862310674, -0.6382445867292988),
+    ),
+)
+
+
+def degenerate_scene():
+    # B is collinear: DyOP and GJK refuse it, while the oracle measures it.
+    return Scene(
+        (tri((0, 0), (1, 0), (0, 1), "A"), tri((0, 0), (1, 0), (2, 0), "B")),
+        1.0,
+        MovementAxis.X,
+    )
+
+
+def scaled_default_scene(s, names=None):
+    # The default scene's objects (all, or those named) scaled by s about
+    # the origin, with the separation scaled by s too.
+    scene = default_scene()
+    objects = tuple(o.scaled(s) for o in scene.objects if names is None or o.name in names)
+    return dataclasses.replace(scene, objects=objects, separation=scene.separation * s)
+
+
+def obj10_movers(*statics):
+    """Labels of the default scene's pairs with Obj10 moving, by static number."""
+    return {f"Obj10->Obj{j}" for j in statics}
+
+
+def _coords(t):
+    """The triangle's six coordinates (x0, y0, x1, y1, x2, y2), the layout every kernel reads."""
+    return tuple(v for p in t.vertices for v in (p.x, p.y))
+
+
+def _edge_list(c):
+    """The three edges (ax, ay, bx, by) of the coordinates ``c``, edge i from vertex i to (i + 1) % 3."""
+    return tuple((c + c)[2 * i : 2 * i + 4] for i in range(3))
+
+
+def _bits(value):
+    """A comparable form of an answer that tells -0.0 from 0.0 and 3 from 3.0."""
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value).__name__,) + tuple(_bits(getattr(value, f.name)) for f in fields)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _value_or_error(fn, *args):
+    """("ok", the answer's ``_bits``) or ("raised", the exception's type, its message)."""
+    try:
+        return "ok", _bits(fn(*args))
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+# The kernels' ranges, as exponents of two: 2^510 for the oracle, DyOP,
+# Lin-Canny, the overlap test and placement, 2^250 for GJK. Each public entry
+# scales a pair past its kernel's range into it by one power of two.
+RANGE_EXPONENT, GJK_RANGE_EXPONENT = 510, 250
+RANGE = 2.0**RANGE_EXPONENT
+
+
+def _pair_size(a, b):
+    return max(abs(v) for t in (a, b) for p in t.vertices for v in (p.x, p.y))
+
+
+def _too_wide(xs, ys, values, k, exponent):
+    """The ValueError with which an entry refuses to scale by 2**k, into the
+    range 2^exponent, a pair with x coordinates ``xs``, y coordinates ``ys``
+    and lengths ``values`` when some two coordinates along one axis, or a
+    value, are nonzero and less than 2^(10 - exponent) apart once scaled;
+    else None. Taken exactly, over every two coordinates."""
+    floor = Fraction(2) ** (10 - exponent - k)
+    gaps = [Fraction(u) - Fraction(v) for axis in (xs, ys) for u, v in itertools.combinations(axis, 2)]
+    if any(0 < abs(g) < floor for g in gaps + [Fraction(v) for v in values]):
+        return ValueError(f"a difference or length below {float(floor)!r} does not scale into range")
+    return None
+
+
+def _into_range(a, b, exponent=RANGE_EXPONENT):
+    """(a, b, up, refusal): the pair scaled by the power of two that brings
+    its largest coordinate into [2^(exponent - 1), 2^exponent), the power
+    that scales back, and ``_too_wide``'s ValueError for it; a pair in
+    range as it is, with up = 1.0 and no refusal. DEGENERATE_AREA bounds
+    the area in the pair's own units, so the scaled triangles keep the
+    flags of the pair."""
+    size = _pair_size(a, b)
+    if size <= 2.0**exponent:
+        return a, b, 1.0, None
+    k = exponent - math.frexp(size)[1]
+    points = [p for t in (a, b) for p in t.vertices]
+    refusal = _too_wide([p.x for p in points], [p.y for p in points], (), k, exponent)
+    scaled = a.scaled(2.0**k), b.scaled(2.0**k)
+    for t, original in zip(scaled, (a, b)):
+        object.__setattr__(t, "is_degenerate", original.is_degenerate)
+    return *scaled, 2.0**-k, refusal
+
+
+def _scaled_into_range(fn, exponent=RANGE_EXPONENT):
+    """``fn`` on a pair run on it ``_into_range``, with the distance and
+    witnesses of its answer scaled back. An answer may come first in a
+    tuple. A pair too wide to scale raises its refusal, unless ``fn``
+    refuses it first as degenerate or for a zero velocity, as the entries
+    do before they scale."""
+
+    def run(a, b, *args):
+        a, b, up, refusal = _into_range(a, b, exponent)
+        try:
+            answer = fn(a, b, *args)
+        except (DegenerateInput, ZeroVelocity):
+            raise
+        except Exception:
+            if refusal is None:
+                raise
+        if refusal is not None:
+            raise refusal
+        if up == 1.0:
+            return answer
+        r = answer[0] if isinstance(answer, tuple) else answer
+        r = dataclasses.replace(
+            r,
+            distance=r.distance * up,
+            point_a=Point2(r.point_a.x * up, r.point_a.y * up),
+            point_b=Point2(r.point_b.x * up, r.point_b.y * up),
+        )
+        return (r, *answer[1:]) if isinstance(answer, tuple) else r
+
+    return run
+
+
+# (scale, shift) of pairs whose intermediate values overflow near the float range.
+OVERFLOW_SCALES = [(1e150, 0.0), (1e154, 0.0), (1e155, 0.0), (1e300, 0.0), (1.0, 1.7e308), (1e307, 8e307)]
+
+
+def _infinite_squares(a, b, velocity):
+    """The most squared distances to the pivot, as products, that overflow
+    to inf in one triangle; None when the gap box refuses the pair. An
+    overflowed pivot is not refused: all three squares to it are inf."""
+    try:
+        px, py = compute_dyop(build_internal_aabb(a, b, dominant_axis(velocity)))
+    except ValueError:
+        return None
+    return max(
+        sum((p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) == math.inf for p in t.vertices) for t in (a, b)
+    )
+
+
+def _not_below(distance, squared, slack=1e-12):
+    """Whether ``distance`` is at least the exact root of ``squared``, less a
+    relative ``slack``."""
+    return Fraction(distance) ** 2 >= squared * Fraction(1.0 - slack) ** 2
+
+
+def _on_segment(px, py, ax, ay, bx, by, rel=2.0**-50):
+    """Whether point p lies on the closed segment ab up to rounding: taken
+    exactly, no farther from it than ``rel`` of ab's largest coordinate."""
+    return squared_distance_to_segment(px, py, ax, ay, bx, by) <= (Fraction(rel) * max(map(abs, (ax, ay, bx, by)))) ** 2
+
+
+def _on_edge(p, t, i):
+    """Whether point p lies on edge i of triangle ``t`` up to rounding."""
+    a, b = t.vertex(i), t.vertex((i + 1) % 3)
+    return _on_segment(p.x, p.y, a.x, a.y, b.x, b.y)
+
+
+def _signs_cross(o1, o2, o3, o4):
+    """True when c and d lie strictly on opposite sides of ab (o1, o2) and
+    a and b strictly on opposite sides of cd (o3, o4)."""
+    return (o1 > 0.0) != (o2 > 0.0) and o1 != 0.0 and o2 != 0.0 and (o3 > 0.0) != (o4 > 0.0) and o3 != 0.0 and o4 != 0.0
+
+
+def _intersect(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
+) -> tuple[float, float] | None:
+    """Intersection point of closed segments ab and cd, or None if disjoint.
+
+    Endpoint contact and collinear overlap count as intersecting; the
+    returned witness for those cases is the first touching endpoint in
+    (c, d, a, b) order. The four orientations are ``_orient``'s
+    expressions written out on the directions r = b - a and s = d - c.
+    A strict crossing lies at t = o3 / (o3 - o4) along ab, from the
+    signed areas of a and b against cd (Ericson, Real-Time Collision
+    Detection, 2004, 5.1.9.1). The branch runs only when o3 and o4 are
+    nonzero and of opposite sign, so the rounded |o3 - o4| is at least
+    |o3| > 0 and 0 <= t <= 1; in range (at most 2^510) it stays at or
+    below about 2^1023. The point is finite and on ab up to one rounding.
+    Segments that share a point have bounding boxes that meet, so a
+    crossing also needs the boxes to meet: where one segment lies wholly
+    on one side of the other along x or y, the orientations' signs are
+    rounding noise, not a crossing.
+    """
+    apart = max(ax, bx) < min(cx, dx) or max(cx, dx) < min(ax, bx)
+    apart = apart or max(ay, by) < min(cy, dy) or max(cy, dy) < min(ay, by)
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
+    if _signs_cross(o1, o2, o3, o4) and not apart:
+        t = o3 / (o3 - o4)
+        return ax + t * rx, ay + t * ry
+    if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
+        return cx, cy
+    if o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
+        return dx, dy
+    if o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
+        return ax, ay
+    if o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
+        return bx, by
+    return None
+
+
+def _t_name(t):
+    return "t = 0" if t == 0.0 else ("t = 1" if t == 1.0 else "interior")
+
+
+def _segment_branch(ends):
+    """The branch of the segment test that ends (ax, ay, bx, by, cx, cy, dx, dy)
+    reach, in range: a proper crossing, the touching endpoint that witnesses
+    a contact (c, d, a, b are tried in that order), two edges whose squared
+    lengths underflow to 0, or the winning projection record with the
+    parameter of the point it projects to."""
+    ax, ay, bx, by, cx, cy, dx, dy = ends
+    hit = _intersect(*ends)
+    if hit is not None:
+        for name, end in (("c", (cx, cy)), ("d", (dx, dy)), ("a", (ax, ay)), ("b", (bx, by))):
+            if hit == end:
+                return "touching " + name
+        return "crossing"
+    _, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(*ends)
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
+        return "zero-length edges"
+    if t_a == 0.0 and (pax, pay) == (ax, ay):
+        return "record a", _t_name(t_b)
+    if t_a == 1.0 and (pax, pay) == (bx, by):
+        return "record b", _t_name(t_b)
+    if t_b == 0.0 and (pbx, pby) == (cx, cy):
+        return "record c", _t_name(t_a)
+    return "record d", _t_name(t_a)
+
+
+def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
+    """Lin-Canny's walk over feature codes on the triangles' coordinates
+    ``a`` and ``b``, composed of ``_project`` and ``_segment_segment`` with a
+    ``set`` of visited pairs.
+
+    Vertex i has code i, edge i code 3 + i and a pair code ca * 6 + cb.
+    Returns (d, pa.x, pa.y, pb.x, pb.y, code_a, code_b, vv, ve, ee): the
+    pair whose witnesses each lie in the other feature's outer Voronoi
+    region, and the evaluations made by kind; d is None when a step
+    increases the distance or revisits a pair. ``trace`` gets
+    (feature_a, feature_b, d) per step, and ``seen`` the kinds of
+    evaluation and escape and how the walk ended.
+    """
+    seen = set() if seen is None else seen
+    edges_a, edges_b = _edge_list(a), _edge_list(b)
+
+    def escape(edges, code, px, py):
+        # None when p lies in the feature's outer Voronoi region, else the
+        # code to move to.
+        if code < 3:
+            # a is the vertex, b the next one and c, starting edge code - 1 (mod 3), the previous one.
+            ax, ay, bx, by = edges[code]
+            if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
+                seen.add("vertex-to-own-edge")
+                return 3 + code
+            cx, cy, _, _ = edges[code - 1]
+            if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
+                seen.add("vertex-to-previous-edge")
+                return 3 + (code + 2) % 3
+            return None
+        i = code - 3
+        ax, ay, bx, by = edges[i]
+        ux, uy = bx - ax, by - ay
+        t = (px - ax) * ux + (py - ay) * uy
+        if t < 0.0:
+            seen.add("edge-to-start")
+            return i
+        if t > ux * ux + uy * uy:
+            seen.add("edge-to-end")
+            return (i + 1) % 3
+        if (px - ax) * uy - (py - ay) * ux < 0.0:
+            da = math.hypot(px - ax, py - ay)
+            db = math.hypot(px - bx, py - by)
+            seen.add("behind-to-start" if da <= db else "behind-to-end")
+            return i if da <= db else (i + 1) % 3
+        return None
+
+    def zero_length(edge):
+        ax, ay, bx, by = edge
+        if (bx - ax) * (bx - ax) + (by - ay) * (by - ay) == 0.0:
+            seen.add("zero-length-edge")
+
+    visited = set()
+    prev = math.inf
+    vv = ve = ee = 0
+    while True:
+        key = ca * 6 + cb
+        if key in visited:
+            seen.add("revisit")
+            break
+        visited.add(key)
+        if ca < 3:
+            pax, pay, _, _ = edges_a[ca]
+            if cb < 3:
+                seen.add("vv")
+                vv += 1
+                pbx, pby, _, _ = edges_b[cb]
+                d = math.hypot(pax - pbx, pay - pby)
+            else:
+                seen.add("ve")
+                ve += 1
+                zero_length(edges_b[cb - 3])
+                d, pbx, pby, _ = _project(pax, pay, *edges_b[cb - 3])
+        elif cb < 3:
+            seen.add("ev")
+            ve += 1
+            pbx, pby, _, _ = edges_b[cb]
+            zero_length(edges_a[ca - 3])
+            d, pax, pay, _ = _project(pbx, pby, *edges_a[ca - 3])
+        else:
+            seen.add("ee")
+            ee += 1
+            d, pax, pay, pbx, pby, _, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
+        if trace is not None:
+            trace.append((baselines._FEATURES[ca], baselines._FEATURES[cb], d))
+        if d > prev:
+            seen.add("increase")
+            break
+        prev = d
+        step = escape(edges_a, ca, pbx, pby)
+        if step is not None:
+            ca = step
+            continue
+        step = escape(edges_b, cb, pax, pay)
+        if step is not None:
+            cb = step
+            continue
+        return d, pax, pay, pbx, pby, ca, cb, vv, ve, ee
+    return None, 0.0, 0.0, 0.0, 0.0, ca, cb, vv, ve, ee

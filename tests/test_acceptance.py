@@ -20,7 +20,7 @@ from dyop2d.cli import main
 from dyop2d.dyop import build_internal_aabb, compute_dyop, dominant_axis, dyop_distance, select_candidates
 from dyop2d.geometry import brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair, run_verify
-from seed_reference import random_triangle
+from helpers import random_tri
 
 
 def _report(criterion, ok):
@@ -137,7 +137,7 @@ def test_criterion_6_property_suites():
     rng = random.Random(3)
     ok = True
     for _ in range(400):
-        a, b = random_triangle(rng), random_triangle(rng)
+        a, b = random_tri(rng), random_tri(rng)
         d_ab = brute_force_triangle_distance(a, b).distance
         d_ba = brute_force_triangle_distance(b, a).distance
         ok = ok and abs(d_ab - d_ba) <= 1e-12

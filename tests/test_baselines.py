@@ -21,22 +21,19 @@ from dyop2d.geometry import (
     FeatureKind,
     Point2,
     TestCounters,
-    Triangle,
     Vector2,
     _contact_witness,
     _edge_sweep,
     _project,
-    _segment_segment,
     _separated,
     brute_force_triangle_distance,
     triangles_overlap,
 )
 from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, ulp_error
-from seed_reference import edge_feature, random_triangle, vertex_feature
-from test_benchmark import obj10_movers
-from test_equivalence import (
+from helpers import (
     GJK_RANGE_EXPONENT,
+    NEAR_COLLINEAR_PAIR,
     OVERFLOW_SCALES,
     RANGE,
     _bits,
@@ -47,11 +44,13 @@ from test_equivalence import (
     _pair_size,
     _scaled_into_range,
     _value_or_error,
+    _walk_by_definition,
+    edge_feature,
+    obj10_movers,
+    random_tri,
+    tri,
+    vertex_feature,
 )
-
-
-def tri(a, b, c, name=None):
-    return Triangle(Point2(*a), Point2(*b), Point2(*c), name)
 
 
 def test_support_extremes():
@@ -281,7 +280,7 @@ def _gjk_cases():
         yield tri(*zip(c[:6:2], c[1:6:2])), tri(*zip(c[6::2], c[7::2]))
     for _ in range(500):
         # A triangle inside the other, so GJK ends on three weights.
-        a = random_triangle(rng)
+        a = random_tri(rng)
         (x0, y0), (x1, y1), (x2, y2) = ((p.x, p.y) for p in a.vertices)
         cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
         s = rng.uniform(0.05, 0.9)
@@ -606,23 +605,6 @@ def test_lin_canny_overlap_raises():
         lin_canny_distance(a, tri((2, 0), (4, 0), (3, 1)))
 
 
-# Two unit-size triangles whose edges 0 cross nearly along one line, where
-# the product difference r x s of the two edge directions rounds to 0: a
-# crossing point divided out by it does not exist.
-NEAR_COLLINEAR_PAIR = (
-    tri(
-        (-0.2791745560846477, -0.04256874895973306),
-        (0.13408577991610393, -1.6193413336394855),
-        (1.134085779916104, -0.8309550413096093),
-    ),
-    tri(
-        (-0.23151370849149377, -0.2244161494984298),
-        (-0.01459101376893257, -1.0520730239601677),
-        (0.9854089862310674, -0.6382445867292988),
-    ),
-)
-
-
 def test_near_collinear_crossing_pair_is_answered():
     # The overlap test and the oracle take the crossing of the edges 0
     # from their orientations, on A's edge 0, and the Lin-Canny walk, which
@@ -672,107 +654,6 @@ def test_lin_canny_counters_populated():
 
 def _code(feature):
     return feature.index + (3 if feature.kind is FeatureKind.EDGE else 0)
-
-
-def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
-    """Lin-Canny's walk over feature codes on the triangles' coordinates
-    ``a`` and ``b``, composed of ``_project`` and ``_segment_segment`` with a
-    ``set`` of visited pairs.
-
-    Vertex i has code i, edge i code 3 + i and a pair code ca * 6 + cb.
-    Returns (d, pa.x, pa.y, pb.x, pb.y, code_a, code_b, vv, ve, ee): the
-    pair whose witnesses each lie in the other feature's outer Voronoi
-    region, and the evaluations made by kind; d is None when a step
-    increases the distance or revisits a pair. ``trace`` gets
-    (feature_a, feature_b, d) per step, and ``seen`` the kinds of
-    evaluation and escape and how the walk ended.
-    """
-    seen = set() if seen is None else seen
-    edges_a, edges_b = _edge_list(a), _edge_list(b)
-
-    def escape(edges, code, px, py):
-        # None when p lies in the feature's outer Voronoi region, else the
-        # code to move to.
-        if code < 3:
-            # a is the vertex, b the next one and c, starting edge code - 1 (mod 3), the previous one.
-            ax, ay, bx, by = edges[code]
-            if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
-                seen.add("vertex-to-own-edge")
-                return 3 + code
-            cx, cy, _, _ = edges[code - 1]
-            if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
-                seen.add("vertex-to-previous-edge")
-                return 3 + (code + 2) % 3
-            return None
-        i = code - 3
-        ax, ay, bx, by = edges[i]
-        ux, uy = bx - ax, by - ay
-        t = (px - ax) * ux + (py - ay) * uy
-        if t < 0.0:
-            seen.add("edge-to-start")
-            return i
-        if t > ux * ux + uy * uy:
-            seen.add("edge-to-end")
-            return (i + 1) % 3
-        if (px - ax) * uy - (py - ay) * ux < 0.0:
-            da = math.hypot(px - ax, py - ay)
-            db = math.hypot(px - bx, py - by)
-            seen.add("behind-to-start" if da <= db else "behind-to-end")
-            return i if da <= db else (i + 1) % 3
-        return None
-
-    def zero_length(edge):
-        ax, ay, bx, by = edge
-        if (bx - ax) * (bx - ax) + (by - ay) * (by - ay) == 0.0:
-            seen.add("zero-length-edge")
-
-    visited = set()
-    prev = math.inf
-    vv = ve = ee = 0
-    while True:
-        key = ca * 6 + cb
-        if key in visited:
-            seen.add("revisit")
-            break
-        visited.add(key)
-        if ca < 3:
-            pax, pay, _, _ = edges_a[ca]
-            if cb < 3:
-                seen.add("vv")
-                vv += 1
-                pbx, pby, _, _ = edges_b[cb]
-                d = math.hypot(pax - pbx, pay - pby)
-            else:
-                seen.add("ve")
-                ve += 1
-                zero_length(edges_b[cb - 3])
-                d, pbx, pby, _ = _project(pax, pay, *edges_b[cb - 3])
-        elif cb < 3:
-            seen.add("ev")
-            ve += 1
-            pbx, pby, _, _ = edges_b[cb]
-            zero_length(edges_a[ca - 3])
-            d, pax, pay, _ = _project(pbx, pby, *edges_a[ca - 3])
-        else:
-            seen.add("ee")
-            ee += 1
-            d, pax, pay, pbx, pby, _, _, _ = _segment_segment(*edges_a[ca - 3], *edges_b[cb - 3])
-        if trace is not None:
-            trace.append((baselines._FEATURES[ca], baselines._FEATURES[cb], d))
-        if d > prev:
-            seen.add("increase")
-            break
-        prev = d
-        step = escape(edges_a, ca, pbx, pby)
-        if step is not None:
-            ca = step
-            continue
-        step = escape(edges_b, cb, pax, pay)
-        if step is not None:
-            cb = step
-            continue
-        return d, pax, pay, pbx, pby, ca, cb, vv, ve, ee
-    return None, 0.0, 0.0, 0.0, 0.0, ca, cb, vv, ve, ee
 
 
 def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
@@ -851,7 +732,7 @@ def _lin_canny_cases():
         yield a, b, rng.choice(_SEEDS)
     for _ in range(300):
         # A triangle inside the other, and a copy shifted by less than its size.
-        a = random_triangle(rng)
+        a = random_tri(rng)
         (x0, y0), (x1, y1), (x2, y2) = ((p.x, p.y) for p in a.vertices)
         cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
         s = rng.uniform(0.05, 0.9)

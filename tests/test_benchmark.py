@@ -2,10 +2,10 @@ import collections
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-import seed_reference as ref
 from dyop2d import benchmark
 from dyop2d.benchmark import (
     CSV_COLUMNS,
@@ -23,7 +23,18 @@ from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dyop_di
 from dyop2d.errors import IncompleteRecords, PlacementFailure
 from dyop2d.geometry import FeatureKind, Point2, Triangle, Vector2, brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair
-from test_equivalence import RANGE, RANGE_EXPONENT, _coords, _edge_list, _pair_size, _too_wide
+from exact_reference import exact_squared_distance
+from helpers import (
+    RANGE,
+    RANGE_EXPONENT,
+    _coords,
+    _edge_list,
+    _pair_size,
+    _too_wide,
+    degenerate_scene,
+    obj10_movers,
+    scaled_default_scene,
+)
 
 
 def tri(name, a, b, c):
@@ -172,6 +183,11 @@ def _perpendicular_gap(a, b, axis):
 
 
 def test_place_pair_matches_bisection_on_random_scenes():
+    # A bisection from far out along the axis ends at the last exit: the
+    # pose at which the pair, still drawing apart, is s from contact. The
+    # distance of two convex sets is convex in the offset, so the placed
+    # pose is the last exit when the pair moved on by s/1000 is farther
+    # apart. Both distances are exact; the step keeps the pair disjoint.
     rng = random.Random(2024)
     placed = refused = 0
     for _ in range(40):
@@ -182,24 +198,21 @@ def test_place_pair_matches_bisection_on_random_scenes():
                 objects.append(t)
         axis = rng.choice((MovementAxis.X, MovementAxis.Y))
         scene = Scene(tuple(objects), rng.choice((0.1, 0.5, 1.0, 2.0, 5.0)), axis)
+        s = scene.separation
         for pair in enumerate_pairs(3):
             mover, static = objects[pair[0]], objects[pair[1]]
-            try:
-                frozen = ref.place_pair(scene, pair)[0]
-            except PlacementFailure:
-                frozen = None
-            if _perpendicular_gap(mover, static, axis) > scene.separation:
+            if _perpendicular_gap(mover, static, axis) > s:
                 with pytest.raises(PlacementFailure):
                     place_pair(scene, pair)
-                assert frozen is None
                 refused += 1
                 continue
             moved, _, _ = place_pair(scene, pair)
-            got = brute_force_triangle_distance(moved, static).distance
-            assert abs(got - scene.separation) <= 1e-9
-            if frozen is not None:
-                for p, q in zip(moved.vertices, frozen.vertices):
-                    assert abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9
+            squared = exact_squared_distance(moved, static)
+            tolerance = Fraction(benchmark.PLACEMENT_TOLERANCE) * Fraction(s)
+            assert (s - tolerance) ** 2 <= squared <= (s + tolerance) ** 2, pair
+            step = s / 1000
+            beyond = moved.translated(-step, 0.0) if axis is MovementAxis.X else moved.translated(0.0, -step)
+            assert exact_squared_distance(beyond, static) > squared, pair
             placed += 1
     assert placed > 0 and refused > 0
 
@@ -438,15 +451,6 @@ def test_run_benchmark_mismatch_flagging():
             assert r["distance"] > 1.0 + MISMATCH_TOLERANCE
 
 
-def degenerate_scene():
-    # B is collinear: DyOP and GJK refuse it, while the oracle measures it.
-    return Scene(
-        (tri("A", (0, 0), (1, 0), (0, 1)), tri("B", (0, 0), (1, 0), (2, 0))),
-        1.0,
-        MovementAxis.X,
-    )
-
-
 def test_run_benchmark_records_a_failed_query():
     records = run_benchmark(degenerate_scene(), algorithms=("gjk", "oracle"), repeats=1)
     assert [(r["pair_a"], r["pair_b"], r["algorithm"]) for r in records] == [
@@ -467,19 +471,6 @@ def test_run_benchmark_records_a_failed_query():
             assert r["flags"] == []
             assert abs(r["distance"] - 1.0) <= 1e-9
             assert r["ee_tests"] == 9
-
-
-def scaled_default_scene(s, names=None):
-    # The default scene's objects (all, or those named) scaled by s about
-    # the origin, with the separation scaled by s too.
-    scene = default_scene()
-    objects = tuple(o.scaled(s) for o in scene.objects if names is None or o.name in names)
-    return dataclasses.replace(scene, objects=objects, separation=scene.separation * s)
-
-
-def obj10_movers(*statics):
-    """Labels of the default scene's pairs with Obj10 moving, by static number."""
-    return {f"Obj10->Obj{j}" for j in statics}
 
 
 def test_default_scene_places_and_answers_along_y():

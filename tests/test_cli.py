@@ -19,8 +19,7 @@ from dyop2d.benchmark import CSV_COLUMNS, Scene
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
 from dyop2d.verify import VerifyReport
-from test_baselines import NEAR_COLLINEAR_PAIR
-from test_benchmark import degenerate_scene, scaled_default_scene
+from helpers import NEAR_COLLINEAR_PAIR, degenerate_scene, scaled_default_scene
 
 
 def tri(name, a, b, c):

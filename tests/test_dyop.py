@@ -20,7 +20,6 @@ from dyop2d.geometry import (
     FeatureKind,
     Point2,
     TestCounters,
-    Triangle,
     Vector2,
     _classify_edge_point,
     _segment_segment,
@@ -28,9 +27,7 @@ from dyop2d.geometry import (
 )
 from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, is_correctly_rounded_sqrt
-from seed_reference import random_triangle
-from test_benchmark import obj10_movers, scaled_default_scene
-from test_equivalence import (
+from helpers import (
     OVERFLOW_SCALES,
     _bits,
     _grid_triangle,
@@ -38,13 +35,13 @@ from test_equivalence import (
     _into_range,
     _not_below,
     _scaled_into_range,
+    _segment_branch,
     _value_or_error,
+    obj10_movers,
+    random_tri,
+    scaled_default_scene,
+    tri,
 )
-from test_geometry import _segment_branch
-
-
-def tri(a, b, c, name=None):
-    return Triangle(Point2(*a), Point2(*b), Point2(*c), name)
 
 
 def test_dominant_axis():
@@ -198,7 +195,7 @@ def test_select_candidates_equidistant_tie():
 def test_select_candidates_arity_random():
     rng = random.Random(11)
     for _ in range(400):
-        t = random_triangle(rng)
+        t = random_tri(rng)
         pivot = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         i, j, edge = select_candidates(t, pivot)
         assert len({i, j}) == 2

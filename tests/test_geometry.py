@@ -19,7 +19,6 @@ from dyop2d.geometry import (
     Point2,
     Segment,
     TestCounters,
-    Triangle,
     Vector2,
     _EDGE_FEATURES,
     _VERTEX_FEATURES,
@@ -33,29 +32,32 @@ from dyop2d.geometry import (
     _segment_projections,
     _segment_segment,
     _winding,
-    _within_extent,
     brute_force_triangle_distance,
     point_segment_distance,
     segment_segment_distance,
     triangles_overlap,
 )
 from dyop2d.verify import random_separated_pair
-from seed_reference import edge_feature, vertex_feature
-from test_equivalence import (
+from helpers import (
     OVERFLOW_SCALES,
     RANGE,
     RANGE_EXPONENT,
     _bits,
     _coords,
+    _degeneracy_cases,
     _edge_list,
+    _intersect,
     _on_segment,
+    _segment_branch,
+    _signs_cross,
+    _threshold_triangles,
     _too_wide,
     _value_or_error,
+    edge_feature,
+    random_tri,
+    tri,
+    vertex_feature,
 )
-
-
-def tri(a, b, c, name=None):
-    return Triangle(Point2(*a), Point2(*b), Point2(*c), name)
 
 
 def seg(a, b):
@@ -64,17 +66,6 @@ def seg(a, b):
 
 def _signed_area(t):
     return 0.5 * _orient(t.v0.x, t.v0.y, t.v1.x, t.v1.y, t.v2.x, t.v2.y)
-
-
-def random_tri(rng, span=1.0):
-    while True:
-        t = tri(
-            (rng.uniform(0, span), rng.uniform(0, span)),
-            (rng.uniform(0, span), rng.uniform(0, span)),
-            (rng.uniform(0, span), rng.uniform(0, span)),
-        )
-        if not t.is_degenerate:
-            return t
 
 
 def test_point_rejects_non_finite():
@@ -97,27 +88,6 @@ def test_triangle_degenerate_flag():
     assert tri((0, 0), (1, 0), (2, 0)).is_degenerate
     assert tri((1, 1), (1, 1), (1, 1)).is_degenerate
     assert not tri((0, 0), (1, 0), (0, 1)).is_degenerate
-
-
-def _threshold_triangles():
-    # Signed area 0.5 * h: h = 2e-12 puts it exactly at DEGENERATE_AREA.
-    h = 2 * DEGENERATE_AREA
-    return [
-        tri((0, 0), (1, 0), (0, math.nextafter(h, 0.0))),
-        tri((0, 0), (1, 0), (0, h)),
-        tri((0, 0), (1, 0), (0, math.nextafter(h, 1.0))),
-    ]
-
-
-def _degeneracy_cases():
-    rng = random.Random(41)
-    cases = [random_tri(rng) for _ in range(200)]
-    cases += [tri((0, 0), (0, 1), (1, 0)), tri((0, 0), (1, 0), (2, 0)), tri((1, 1), (1, 1), (1, 1))]
-    for t in _threshold_triangles():
-        # Each at-threshold triangle clockwise too, and shifted off the origin.
-        clockwise = tri((t.v0.x, t.v0.y), (t.v2.x, t.v2.y), (t.v1.x, t.v1.y))
-        cases += [t, clockwise, t.translated(3.0, -5.0)]
-    return cases
 
 
 def test_triangle_threshold_areas():
@@ -407,54 +377,6 @@ def test_segment_segment_bounded_by_endpoint_projections():
             assert d <= point_segment_distance(p, s1)[0] + 1e-12
 
 
-def _signs_cross(o1, o2, o3, o4):
-    """True when c and d lie strictly on opposite sides of ab (o1, o2) and
-    a and b strictly on opposite sides of cd (o3, o4)."""
-    return (o1 > 0.0) != (o2 > 0.0) and o1 != 0.0 and o2 != 0.0 and (o3 > 0.0) != (o4 > 0.0) and o3 != 0.0 and o4 != 0.0
-
-
-def _intersect(
-    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, dx: float, dy: float
-) -> tuple[float, float] | None:
-    """Intersection point of closed segments ab and cd, or None if disjoint.
-
-    Endpoint contact and collinear overlap count as intersecting; the
-    returned witness for those cases is the first touching endpoint in
-    (c, d, a, b) order. The four orientations are ``_orient``'s
-    expressions written out on the directions r = b - a and s = d - c.
-    A strict crossing lies at t = o3 / (o3 - o4) along ab, from the
-    signed areas of a and b against cd (Ericson, Real-Time Collision
-    Detection, 2004, 5.1.9.1). The branch runs only when o3 and o4 are
-    nonzero and of opposite sign, so the rounded |o3 - o4| is at least
-    |o3| > 0 and 0 <= t <= 1; in range (at most 2^510) it stays at or
-    below about 2^1023. The point is finite and on ab up to one rounding.
-    Segments that share a point have bounding boxes that meet, so a
-    crossing also needs the boxes to meet: where one segment lies wholly
-    on one side of the other along x or y, the orientations' signs are
-    rounding noise, not a crossing.
-    """
-    apart = max(ax, bx) < min(cx, dx) or max(cx, dx) < min(ax, bx)
-    apart = apart or max(ay, by) < min(cy, dy) or max(cy, dy) < min(ay, by)
-    rx, ry = bx - ax, by - ay
-    sx, sy = dx - cx, dy - cy
-    o1 = rx * (cy - ay) - ry * (cx - ax)
-    o2 = rx * (dy - ay) - ry * (dx - ax)
-    o3 = sx * (ay - cy) - sy * (ax - cx)
-    o4 = sx * (by - cy) - sy * (bx - cx)
-    if _signs_cross(o1, o2, o3, o4) and not apart:
-        t = o3 / (o3 - o4)
-        return ax + t * rx, ay + t * ry
-    if o1 == 0.0 and _within_extent(ax, ay, bx, by, cx, cy):
-        return cx, cy
-    if o2 == 0.0 and _within_extent(ax, ay, bx, by, dx, dy):
-        return dx, dy
-    if o3 == 0.0 and _within_extent(cx, cy, dx, dy, ax, ay):
-        return ax, ay
-    if o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
-        return bx, by
-    return None
-
-
 def _segment_segment_by_definition(ax, ay, bx, by, cx, cy, dx, dy):
     """``_segment_segment`` composed from its parts: the intersection test,
     else the four endpoint projections in (a, b, c, d) order, where only a
@@ -529,36 +451,6 @@ def _segment_cases():
                     for j in range(3):
                         e, f = a.edge(i), other.edge(j)
                         yield e.a.x, e.a.y, e.b.x, e.b.y, f.a.x, f.a.y, f.b.x, f.b.y
-
-
-def _t_name(t):
-    return "t = 0" if t == 0.0 else ("t = 1" if t == 1.0 else "interior")
-
-
-def _segment_branch(ends):
-    """The branch of the segment test that ends (ax, ay, bx, by, cx, cy, dx, dy)
-    reach, in range: a proper crossing, the touching endpoint that witnesses
-    a contact (c, d, a, b are tried in that order), two edges whose squared
-    lengths underflow to 0, or the winning projection record with the
-    parameter of the point it projects to."""
-    ax, ay, bx, by, cx, cy, dx, dy = ends
-    hit = _intersect(*ends)
-    if hit is not None:
-        for name, end in (("c", (cx, cy)), ("d", (dx, dy)), ("a", (ax, ay)), ("b", (bx, by))):
-            if hit == end:
-                return "touching " + name
-        return "crossing"
-    _, pax, pay, pbx, pby, t_a, t_b, _ = _segment_segment(*ends)
-    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
-    if rx * rx + ry * ry == 0.0 and sx * sx + sy * sy == 0.0:
-        return "zero-length edges"
-    if t_a == 0.0 and (pax, pay) == (ax, ay):
-        return "record a", _t_name(t_b)
-    if t_a == 1.0 and (pax, pay) == (bx, by):
-        return "record b", _t_name(t_b)
-    if t_b == 0.0 and (pbx, pby) == (cx, cy):
-        return "record c", _t_name(t_a)
-    return "record d", _t_name(t_a)
 
 
 def _in_range(values):

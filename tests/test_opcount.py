@@ -4,8 +4,8 @@ not depend on the host, pinned on the paper's protocol."""
 import math
 
 from dyop2d.benchmark import ALGORITHMS, default_scene, enumerate_pairs, place_pair
+from helpers import _bits
 from opcount import CountingFloat, counting, operations
-from test_equivalence import _bits
 
 
 def test_counting_float_counts_each_operation_once():

@@ -1,27 +1,26 @@
-"""The verify sweep against a frozen copy of its object-based original.
+"""The verify sweep and its draw stream.
 
 ``run_verify`` draws each pair as flat coordinates and answers it through
 the oracle's and DyOP's kernels; ``random_separated_pair`` builds the same
-draw into ``Triangle``s. Both must match ``seed_reference``'s copies of the
-sweep, which build every pair through ``Triangle`` and answer it with whole
-queries: the same triangles from the same draws, the same report, and the
-same exceptions.
+draw into ``Triangle``s. The stream is pinned by a digest, each scripted
+draw to the pair it defines, and the sweep to a recount through the
+public queries: the same report and the same exceptions.
 """
 
+import hashlib
+import itertools
 import math
 import random
-import types
 from collections import Counter
 
 import pytest
 
-import seed_reference as ref
 from dyop2d import dyop, geometry, verify
 from dyop2d.errors import DegenerateInput
-from dyop2d.geometry import Point2, Triangle, brute_force_triangle_distance
-from dyop2d.verify import random_separated_pair, run_verify
-from test_equivalence import _coords
-from test_geometry import _degeneracy_cases
+from dyop2d.dyop import dyop_distance
+from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
+from dyop2d.verify import VerifyReport, random_separated_pair, run_verify
+from helpers import _coords, _degeneracy_cases
 
 
 class _Scripted(random.Random):
@@ -43,20 +42,47 @@ def _pair_bits(pair):
     return repr((a, b, velocity)), a.is_degenerate, b.is_degenerate
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2024])
+# SHA-256 of 5000 pairs drawn from each seed, with the generator's state
+# after them: the draw stream of the original object-based generator.
+STREAM_DIGESTS = {
+    0: "dd019ab74d6c163052905ed605bea0dd2e874eec1d40d3031119051bc93daaad",
+    1: "fda77dc952fb1914e27dec1924bdc912250c152d660facdf82a09d9c8f373d80",
+    2024: "6e32e7a308761ba3bfdcea3be2c7db338c7ad0a5b7c5d1f4a2a441b00da4fe99",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STREAM_DIGESTS))
 def test_separated_pairs_and_rng_state_match_the_frozen_generator(seed):
-    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
     for _ in range(5000):
-        assert _pair_bits(random_separated_pair(new_rng)) == _pair_bits(ref.random_separated_pair(old_rng))
-    assert new_rng.getstate() == old_rng.getstate()
+        digest.update(repr(_pair_bits(random_separated_pair(rng))).encode())
+    digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[seed]
+
+
+def _recount(trials, seed, tolerance):
+    """``run_verify``'s report, recounted through ``random_separated_pair``
+    and the public oracle and DyOP queries."""
+    rng = random.Random(seed)
+    mismatches = violations = 0
+    max_over = 0.0
+    for _ in range(trials):
+        a, b, velocity = random_separated_pair(rng)
+        exact = brute_force_triangle_distance(a, b).distance
+        pruned = dyop_distance(a, b, velocity).distance
+        violations += pruned < exact - verify.CONSERVATIVE_SLACK
+        max_over = max(max_over, pruned - exact)
+        mismatches += abs(pruned - exact) > tolerance
+    return VerifyReport(trials, mismatches, max_over, violations, tolerance)
 
 
 @pytest.mark.parametrize("tolerance", [verify.DEFAULT_TOLERANCE, 0.0])
 def test_run_verify_matches_the_frozen_sweep(tolerance):
     for seed in range(50):
-        new, old = run_verify(200, seed, tolerance), ref.run_verify(200, seed, tolerance)
-        assert new == old, seed
-        assert repr(new.max_overestimate) == repr(old.max_overestimate), seed
+        report, recount = run_verify(200, seed, tolerance), _recount(200, seed, tolerance)
+        assert report == recount, seed
+        assert repr(report.max_overestimate) == repr(recount.max_overestimate), seed
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
@@ -85,14 +111,35 @@ SCRIPTS = {
 }
 
 
+# The draws that each script's pair is built from: the first triangle, the
+# second before its push, the axis of the push and its uniform draw u.
+ACCEPTED = {
+    "collinear-first": (FIRST, SECOND, "x", 0.5),
+    "clockwise": ([0.1, 0.1, 0.1, 0.3, 0.3, 0.1], [0.0, 0.0, 0.0, 0.2, 0.2, 0.0], "x", 0.5),
+    "overlap-redrawn": ([0.1, 0.1, 0.9, 0.1, 0.1, 0.3], SECOND, "x", 0.9),
+    "y-axis": (FIRST, SECOND, "y", 0.5),
+    "degenerate-after-push": (FIRST, CROSSING, "x", _U),
+}
+
+
+def _accepted_pair(first, second, axis, u):
+    """The pair the generator defines: the second triangle pushed along the
+    axis by its diameter plus uniform(0, 2), which is 2u."""
+    a, b = (Triangle(Point2(*c[0:2]), Point2(*c[2:4]), Point2(*c[4:6])) for c in (first, second))
+    push = max(math.hypot(p.x - q.x, p.y - q.y) for p, q in itertools.combinations(b.vertices, 2)) + 2.0 * u
+    if axis == "x":
+        return a, b.translated(push, 0.0), Vector2(1.0, 0.0)
+    return a, b.translated(0.0, push), Vector2(0.0, 1.0)
+
+
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_scripted_draws_match_the_frozen_generator(name):
     draws = SCRIPTS[name]
-    new_rng, old_rng = _Scripted(draws), _Scripted(draws)
-    new = random_separated_pair(new_rng)
-    assert _pair_bits(new) == _pair_bits(ref.random_separated_pair(old_rng))
-    assert new_rng.used == old_rng.used == len(draws)
-    a, b, velocity = new
+    rng = _Scripted(draws)
+    pair = random_separated_pair(rng)
+    assert _pair_bits(pair) == _pair_bits(_accepted_pair(*ACCEPTED[name]))
+    assert rng.used == len(draws)
+    a, b, velocity = pair
     if name == "clockwise":
         assert (a.v1, a.v2) == (Point2(0.3, 0.1), Point2(0.1, 0.3))
         assert (b.v1, b.v2) == (Point2(0.2 + b.v0.x, 0.0), Point2(b.v0.x, 0.2))
@@ -119,10 +166,11 @@ def test_a_second_triangle_degenerate_after_its_push_is_refused_by_both_sweeps(m
     draws = SCRIPTS["degenerate-after-push"]
     x0, y0, x1, y1, x2, y2 = CROSSING
     assert not Triangle(Point2(x0, y0), Point2(x1, y1), Point2(x2, y2)).is_degenerate
-    for module in (verify, ref):
-        monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=lambda seed: _Scripted(draws)))
+    # Both the sweep and its recount through the public queries.
+    monkeypatch.setattr(random, "Random", lambda seed: _Scripted(draws))
+    for sweep in (run_verify, _recount):
         with pytest.raises(DegenerateInput):
-            module.run_verify(1, 0)
+            sweep(1, 0, verify.DEFAULT_TOLERANCE)
 
 
 def test_run_verify_builds_no_triangle_point_or_answer(monkeypatch):
