@@ -19,8 +19,8 @@ Both fill the same counters as the other algorithms, each in its own
 unit, so counts of two algorithms are not a cost ratio. For GJK the
 counters record simplex solves by size (vv = point, ve = segment,
 ee = triangle); for the feature walk they record the actual feature-pair
-distance evaluations, plus nine ee tests when it falls back on the
-oracle's edge sweep.
+distance evaluations, plus the oracle's nine ee tests when it falls back
+on the oracle.
 
 The feature walk is a straight-line kernel too. It names vertex i by
 the int i, edge i by 3 + i and a pair by ca * 6 + cb, so it hashes no
@@ -32,9 +32,9 @@ oracle's separating-line certificate, so the two algorithms share one
 rule. An answer maps the codes back to the shared ``FeatureId``s and
 returns one of 36 prebuilt ``FeaturePair``s. Its end pair answers once
 the certificate proves the triangles disjoint; an aborted or uncertified
-walk falls back on the oracle's own steps in the oracle's order, so the
-overlap test runs only where the oracle would run it too (see
-``lin_canny_distance``).
+walk falls back by calling the oracle's kernel, ``geometry._brute_force``,
+so the oracle's steps are written once and the overlap test runs only
+where the oracle would run it too (see ``lin_canny_distance``).
 
 Both the loop and the walk run on coordinates in range, at most 2^250
 in magnitude for GJK and 2^510 for the walk: ``geometry._pair`` scales
@@ -65,9 +65,8 @@ from .geometry import (
     _GJK_RANGE_EXPONENT,
     _VERTEX_FEATURES,
     _answer,
-    _contact_witness,
+    _brute_force,
     _Coords,
-    _edge_sweep,
     _pair,
     _segment_segment,
     _separated,
@@ -171,6 +170,15 @@ def _closest_on_triangle(
     return 0.0, 0.0, [(a, u), (b, v), (c, w)]
 
 
+# _SIDE_PAIR[3 * i + j] is vertex i when i == j, else the edge joining
+# vertices i and j: edge i joins i and i + 1, and edge 2 joins 2 and 0.
+_SIDE_PAIR = tuple(
+    _VERTEX_FEATURES[i] if i == j else _EDGE_FEATURES[i if j == (i + 1) % 3 else j]
+    for i in range(3)
+    for j in range(3)
+)
+
+
 def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
     """The feature of A (slot 2) or B (slot 3) that the weighted support points lie on.
 
@@ -186,21 +194,11 @@ def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
     if len(active) == 1:
         return _VERTEX_FEATURES[active[0]]
     if len(active) == 2:
-        # Vertices i < j: edge i joins i and i + 1, and edge 2 joins 2 and 0.
         i, j = active
-        return _EDGE_FEATURES[i if j == i + 1 else j]
+        return _SIDE_PAIR[3 * i + j]
     # All three vertices active: an interior contact; report the heaviest
     # vertex, ties to the lower index.
     return _VERTEX_FEATURES[max((0, 1, 2), key=weights.__getitem__)]
-
-
-# _SIDE_PAIR[3 * i + j] is vertex i when i == j, else the edge joining
-# vertices i and j: edge i joins i and i + 1, and edge 2 joins 2 and 0.
-_SIDE_PAIR = tuple(
-    _VERTEX_FEATURES[i] if i == j else _EDGE_FEATURES[i if j == (i + 1) % 3 else j]
-    for i in range(3)
-    for j in range(3)
-)
 
 
 def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
@@ -404,14 +402,16 @@ def lin_canny_distance(
     back as ``seed`` on temporally coherent queries lets the walk
     terminate in a single verification step. A walk whose end witnesses
     pass ``_separated`` has proved the triangles disjoint, at a positive
-    distance, and answers. Any other walk falls back on the oracle's
-    steps, those of ``geometry._brute_force``: the nine-edge sweep, then
+    distance, and answers. Any other walk falls back by calling the
+    oracle's kernel, ``geometry._brute_force``: the nine-edge sweep, then
     ``_separated`` on the sweep's witnesses, and only when that fails the
-    overlap test, ``_contact_witness``. A contact found then raises
-    Penetrating; otherwise the sweep answers, flagged
-    "lincanny-fallback", and adds its nine ee_tests to the walk's
-    counters, so a fallback is the oracle's answer by construction. A
-    pair with a coordinate past 2^510 is walked scaled into range.
+    overlap test. A contact, which the oracle reports by counting no
+    tests (a distance of 0.0 would not tell it, since the sweep can round
+    a positive gap to 0), raises Penetrating; otherwise the oracle's
+    distance, witnesses and features answer, flagged "lincanny-fallback",
+    with its nine ee_tests added to the walk's counters, so a fallback is
+    the oracle's answer by construction. A pair with a coordinate past
+    2^510 is walked scaled into range.
 
     The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
     and, after evaluating a pair, steps to a neighbouring feature of A
@@ -447,7 +447,6 @@ def lin_canny_distance(
     visited = 0
     prev = math.inf
     vv = ve = ee = 0
-    certified = False
     while True:
         bit = 1 << (ca * 6 + cb)
         if visited & bit:
@@ -551,16 +550,14 @@ def lin_canny_distance(
 
         # Both Voronoi conditions hold: the end pair answers if the
         # oracle's certificate proves the triangles disjoint.
-        certified = _separated(a, b, pax, pay, pbx, pby)
+        if _separated(a, b, pax, pay, pbx, pby):
+            result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], TestCounters(vv, ve, ee), (), f)
+            return result, _PAIRS[ca * 6 + cb]
         break
-    if certified:
-        counters, flags = TestCounters(vv, ve, ee), ()
-    else:
-        # The oracle's steps, in its order (see geometry._brute_force).
-        d, pax, pay, pbx, pby, fa, fb = _edge_sweep(a, b)
-        if not _separated(a, b, pax, pay, pbx, pby) and _contact_witness(a, b) is not None:
-            raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-        ca, cb = _code(fa), _code(fb)
-        counters, flags = TestCounters(vv, ve, ee + 9), ("lincanny-fallback",)
-    result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], counters, flags, f)
-    return result, _PAIRS[ca * 6 + cb]
+    # The oracle answers an aborted or uncertified walk; it counts no tests
+    # exactly when it finds a contact.
+    d, pax, pay, pbx, pby, fa, fb, counters, _ = _brute_force(a, b)
+    if not counters.ee_tests:
+        raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
+    result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",), f)
+    return result, _PAIRS[_code(fa) * 6 + _code(fb)]

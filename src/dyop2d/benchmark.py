@@ -98,6 +98,9 @@ class Scene:
             raise ValueError(f"duplicate object name: {duplicate}")
         if not self.separation > 0.0:
             raise ValueError(f"separation must be positive: {self.separation}")
+        if self.separation == math.inf:
+            # No pair can be placed at an infinite distance.
+            raise ValueError(f"separation must be finite: {self.separation}")
 
 
 def enumerate_pairs(n: int) -> tuple[tuple[int, int], ...]:

@@ -20,10 +20,11 @@ triangle's winding and degeneracy: a ``Triangle`` calls it once, at
 construction, and keeps the flag as ``is_degenerate``, which the
 algorithms read instead of recomputing the area per query; the verify
 sweep's draws call it on flat coordinates. The point-in-triangle test
-takes its on-edge branch only for an exactly zero orientation: a sliver
-flagged degenerate but with positive area is counter-clockwise, so the
-orientation test decides it like any other triangle. The public point
-and segment functions are thin wrappers over the same core.
+decides containment only: a triangle of exactly zero orientation
+contains no point, and a sliver flagged degenerate but with positive
+area is counter-clockwise, so the orientation test decides it like any
+other triangle. The public point and segment functions are thin
+wrappers over the same core.
 
 ``_segment_segment`` is the one segment-segment test, and the one place
 that decides whether two segments touch: the Lin-Canny walk's edge-edge
@@ -40,7 +41,9 @@ along their common line could read as crossing. Segments whose boxes are
 apart never touch, so ``_segment_segment`` answers them as
 ``_segment_projections`` does, bit for bit. A DyOP gap box with a gap
 proves the candidate edges' boxes apart, so DyOP's query then calls
-``_segment_projections`` directly and skips the contact half.
+``_segment_projections`` directly and skips the contact half. The
+overlap test's containment step, ``_point_in_triangle``, decides no
+contact of its own.
 
 ``_edge_sweep``, the oracle's nine-edge sweep, is straight-line code in
 the same way: it unpacks the six vertices once, computes the six edge
@@ -295,8 +298,7 @@ class DistanceResult:
     ``flags`` carries advisory signals such as "overlapping-boxes"
     (pruning assumptions violated), "gjk-unconverged", or
     "lincanny-fallback" (the feature walk aborted or was not certified,
-    and the oracle's nine-edge sweep answered); an empty tuple means a
-    clean result.
+    and the oracle answered); an empty tuple means a clean result.
     """
 
     distance: float
@@ -534,12 +536,19 @@ def _segment_projections(
 
 
 def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:
+    """True when the point lies in the counter-clockwise triangle a; a
+    triangle of exactly zero orientation contains no point.
+
+    Only ``_contact_witness`` calls it, after no edge pair touched, and
+    on a vertex that starts an edge of the other triangle. A point on an
+    edge of a zero-orientation triangle, with a zero orientation against
+    that edge and within its extent, made ``_segment_segment`` report
+    contact on those two edges from the same floats, so no such point
+    reaches this test.
+    """
     x0, y0, x1, y1, x2, y2 = a
     if _orient(x0, y0, x1, y1, x2, y2) == 0.0:
-        return any(
-            _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py)
-            for ax, ay, bx, by in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
-        )
+        return False
     # CCW-normalized, so inside means left of (or on) every edge.
     return not (
         _orient(x0, y0, x1, y1, px, py) < 0.0
@@ -828,8 +837,8 @@ def _brute_force(
     The sweep, then the certificate on its witnesses, then, only when the
     certificate fails, the overlap test: a contact answers 0 with
     coincident witnesses and no tests counted, and anything else is the
-    sweep's answer, counted as nine ee tests. The Lin-Canny fallback takes
-    the same three steps.
+    sweep's answer, counted as nine ee tests. The Lin-Canny fallback calls
+    it, and reads a contact off the count of no tests.
     """
     swept = _edge_sweep(a, b)
     if not _separated(a, b, swept[1], swept[2], swept[3], swept[4]):

@@ -21,6 +21,9 @@ from dyop2d.geometry import (
     FeatureKind,
     Point2,
     Triangle,
+    _nearest_edge_feature,
+    _orient,
+    _point_in_triangle,
     _project,
     _segment_segment,
     _within_extent,
@@ -301,6 +304,37 @@ def _intersect(
         return ax, ay
     if o4 == 0.0 and _within_extent(cx, cy, dx, dy, bx, by):
         return bx, by
+    return None
+
+
+def _flat_branch_accepts(a, px, py):
+    """Whether the triangle coordinates ``a`` have exactly zero orientation
+    and the point (px, py) has a zero orientation against one of their
+    edges, within its extent: the zero-orientation branch that
+    ``_point_in_triangle`` does without, kept as a definition."""
+    return _orient(*a) == 0.0 and any(
+        _orient(ax, ay, bx, by, px, py) == 0.0 and _within_extent(ax, ay, bx, by, px, py)
+        for ax, ay, bx, by in _edge_list(a)
+    )
+
+
+def _contact_witness_with_flat_branch(a, b):
+    """``_contact_witness`` written out with that branch back in its
+    containment test: the nine edge pairs' ``_segment_segment`` in
+    row-major order, then B's vertex 0 in A, then A's vertex 0 in B."""
+
+    def contains(t, px, py):
+        return _flat_branch_accepts(t, px, py) if _orient(*t) == 0.0 else _point_in_triangle(t, px, py)
+
+    for i, ea in enumerate(_edge_list(a)):
+        for j, eb in enumerate(_edge_list(b)):
+            _, hx, hy, _, _, _, _, contact = _segment_segment(*ea, *eb)
+            if contact:
+                return hx, hy, edge_feature(i), edge_feature(j)
+    if contains(a, b[0], b[1]):
+        return b[0], b[1], _nearest_edge_feature(a, b[0], b[1]), vertex_feature(0)
+    if contains(b, a[0], a[1]):
+        return a[0], a[1], vertex_feature(0), _nearest_edge_feature(b, a[0], a[1])
     return None
 
 

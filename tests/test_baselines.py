@@ -660,9 +660,9 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
     """``lin_canny_distance`` composed of ``_walk_by_definition``,
     ``_separated``, ``_contact_witness`` and ``_edge_sweep``; ``seen``
     also gets how the query ended. It runs the overlap test before the
-    sweep, where the kernel takes the oracle's order (sweep, certificate,
-    then the overlap test); both orders answer alike on disjoint and on
-    overlapping pairs."""
+    sweep, where the kernel calls the oracle's kernel ``_brute_force``
+    (sweep, certificate, then the overlap test); both orders answer alike
+    on disjoint and on overlapping pairs."""
     seen = set() if seen is None else seen
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
@@ -961,10 +961,10 @@ def test_lin_canny_threads_its_seed_along_a_trajectory():
 
 
 def _count_overlap_calls(monkeypatch):
-    # Every overlap test is _contact_witness: the oracle's (in its kernel
-    # _brute_force) and triangles_overlap's in geometry, Lin-Canny's in
-    # baselines. Each call is recorded under the name of the function that
-    # made it.
+    # Every overlap test is geometry's _contact_witness: the oracle's kernel
+    # _brute_force calls it, for the oracle and for a Lin-Canny fallback,
+    # and so does triangles_overlap. Each call is recorded under the name
+    # of the function that made it.
     calls = []
     contact_witness = geometry._contact_witness
 
@@ -973,7 +973,6 @@ def _count_overlap_calls(monkeypatch):
         return contact_witness(a, b)
 
     monkeypatch.setattr(geometry, "_contact_witness", counted)
-    monkeypatch.setattr(baselines, "_contact_witness", counted)
     return calls
 
 
@@ -991,9 +990,9 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
 
 
 def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_certified(monkeypatch):
-    # A fallback takes the oracle's steps in the oracle's order: the
-    # nine-edge sweep, the certificate on its witnesses, and the overlap
-    # test only when the certificate fails. Measured: 34 of 300 random
+    # A fallback calls the oracle's kernel, _brute_force: the nine-edge
+    # sweep, the certificate on its witnesses, and the overlap test only
+    # when the certificate fails. Measured: 34 of 300 random
     # pairs fall back, each with a certified sweep; along y, 12 of the 19
     # fallbacks at s = 1e-3 and 36 of the 43 at s = 1e-6 have a sweep
     # that fails the certificate.
@@ -1022,7 +1021,7 @@ def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_cer
                 assert calls == [], (s, i, j)
             else:
                 uncertified += 1
-                assert calls == ["lin_canny_distance"], (s, i, j)
+                assert calls == ["_brute_force"], (s, i, j)
         assert (uncertified, fallbacks) == expected, s
 
 
@@ -1115,7 +1114,7 @@ def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
         sweeps.append(answer)
         return answer
 
-    monkeypatch.setattr(baselines, "_edge_sweep", recording_sweep)
+    monkeypatch.setattr(geometry, "_edge_sweep", recording_sweep)
     rng = random.Random(26)
     for _ in range(300):
         a, b, _ = random_separated_pair(rng)
@@ -1157,6 +1156,7 @@ def test_near_touching_copies_still_count_as_contact(monkeypatch):
     # shifted by exactly the width touches at a vertex; at 2**15 times
     # their size, every gap here rounds away.
     calls = _count_overlap_calls(monkeypatch)
+    touching = 0
     for scale in (1.0, 2.0**15):
         for obj in default_scene().objects[:9]:
             t = obj.scaled(scale)
@@ -1167,14 +1167,18 @@ def test_near_touching_copies_still_count_as_contact(monkeypatch):
                 exact = brute_force_triangle_distance(t, b)
                 if triangles_overlap(t, b):
                     assert exact.distance == 0.0
+                    calls.clear()
                     with pytest.raises(Penetrating):
                         lin_canny_distance(t, b)
+                    # The walk's contact is the oracle's overlap test's.
+                    assert calls == ["_brute_force"]
+                    touching += 1
                 else:
                     assert scale == 1.0 and gap > 0.0 and exact.distance > 0.0
                     result, _ = lin_canny_distance(t, b)
                     assert result.distance == exact.distance
                     assert result.flags == ("lincanny-fallback",)
-    assert "_brute_force" in calls and "lin_canny_distance" in calls
+    assert touching > 0
 
 
 @pytest.mark.parametrize("s", [1e154, 1e200, 1e300, 1e307])

@@ -84,6 +84,14 @@ def test_scene_validation():
         )
 
 
+def test_scene_refuses_an_infinite_separation():
+    # No pair can be placed at an infinite separation; a scene file with
+    # one is refused by sceneio, and a scene built in code is refused when
+    # it is built, not by every place_pair.
+    with pytest.raises(ValueError, match="separation must be finite: inf"):
+        Scene((tri("A", (0, 0), (1, 0), (0, 1)), tri("B", (0, 0), (1, 0), (0, 1))), math.inf, MovementAxis.X)
+
+
 def test_default_scene_shape():
     scene = default_scene()
     assert len(scene.objects) == 10

@@ -35,6 +35,7 @@ from dyop2d.geometry import (
     TestCounters,
     Triangle,
     Vector2,
+    _orient,
     _point_in_triangle,
     _segment_segment,
     brute_force_triangle_distance,
@@ -263,15 +264,19 @@ def test_lin_canny_matches_reference_on_grid():
 
 def test_primitives_match_reference_on_grid():
     # Orientations are exact on small integers, so the segment test's
-    # contact, the point-in-triangle test and the overlap test agree with
-    # the exact ones on every pair. A point's or a segment's distance is 0
-    # exactly where the exact one is, and else within its measured ulps.
+    # contact and the overlap test agree with the exact ones on every pair,
+    # and the point-in-triangle test on every triangle of nonzero
+    # orientation: one of zero orientation contains no point, since the
+    # overlap test reaches it only after no edge pair touched. A point's or
+    # a segment's distance is 0 exactly where the exact one is, and else
+    # within its measured ulps.
     rng = random.Random(8)
     errors = collections.defaultdict(list)
     for _ in range(1500):
         a, b = _grid_triangle(rng), _grid_triangle(rng)
         assert triangles_overlap(a, b) is triangles_meet(a, b), (a, b)
-        assert _point_in_triangle(_coords(a), b.v0.x, b.v0.y) is point_in_triangle(b.v0.x, b.v0.y, a), (a, b)
+        if _orient(*_coords(a)) != 0.0:
+            assert _point_in_triangle(_coords(a), b.v0.x, b.v0.y) is point_in_triangle(b.v0.x, b.v0.y, a), (a, b)
         for ea, p in zip(_edge_list(_coords(a)), b.vertices):
             squared = squared_distance_to_segment(p.x, p.y, *ea)
             d = point_segment_distance(p, Segment(Point2(*ea[:2]), Point2(*ea[2:])))[0]
