@@ -24,17 +24,20 @@ on the oracle.
 
 The feature walk is a straight-line kernel too. It names vertex i by
 the int i, edge i by 3 + i and a pair by ca * 6 + cb, so it hashes no
-``FeatureId`` and keeps the visited pairs as bits of one int. The
-vertex-vertex and vertex-edge evaluations and the Voronoi escapes of
-both sides are inline; only an edge-edge pair calls
-``_segment_segment``. The walk ends on ``geometry._separated``, the
-oracle's separating-line certificate, so the two algorithms share one
-rule. An answer maps the codes back to the shared ``FeatureId``s and
-returns one of 36 prebuilt ``FeaturePair``s. Its end pair answers once
-the certificate proves the triangles disjoint; an aborted or uncertified
-walk falls back by calling the oracle's kernel, ``geometry._brute_force``,
-so the oracle's steps are written once and the overlap test runs only
-where the oracle would run it too (see ``lin_canny_distance``).
+``FeatureId`` and keeps the visited pairs as bits of one int. A cold
+walk starts on the facing vertex pair, the vertices furthest along the
+centroid directions, and a witness past both edges of a vertex leaves
+along the steeper one. The start pair, the vertex-vertex and
+vertex-edge evaluations and the Voronoi escapes of both sides are
+inline; only an edge-edge pair calls ``_segment_segment``. The walk
+ends on ``geometry._separated``, the oracle's separating-line
+certificate, so the two algorithms share one rule. An answer maps the
+codes back to the shared ``FeatureId``s and returns one of 36 prebuilt
+``FeaturePair``s. Its end pair answers once the certificate proves the
+triangles disjoint; an aborted or uncertified walk falls back by
+calling the oracle's kernel, ``geometry._brute_force``, so the oracle's
+steps are written once and the overlap test runs only where the oracle
+would run it too (see ``lin_canny_distance``).
 
 Both the loop and the walk run on coordinates in range, at most 2^250
 in magnitude for GJK and 2^510 for the walk: ``geometry._pair`` scales
@@ -413,36 +416,59 @@ def lin_canny_distance(
     the oracle's answer by construction. A pair with a coordinate past
     2^510 is walked scaled into range.
 
-    The walk starts from the seed's pair (cold: vertex 0 and vertex 0)
-    and, after evaluating a pair, steps to a neighbouring feature of A
-    when B's witness leaves the outer Voronoi region of A's feature, else
-    to one of B when A's witness leaves B's, else ends. A vertex-to-edge
-    step decreases the distance and an edge-to-vertex step keeps it, so a
-    step that increases it (the "behind the edge" escape) or revisits a
-    pair aborts the walk: there is no endless loop. The Voronoi tests
-    have no slack: the certificate, not a tolerance, guards the answer,
-    so the walk does not depend on the coordinates' scale.
+    The walk starts from the seed's pair. A cold walk starts on the
+    facing vertex pair: A's vertex furthest along cB - cA and B's
+    furthest along cA - cB, with the centroids taken as sums of the three
+    coordinates and ties to the lower index. After evaluating a pair, the
+    walk steps to a neighbouring feature of A when B's witness leaves the
+    outer Voronoi region of A's feature, else to one of B when A's
+    witness leaves B's, else ends. A witness that leaves a vertex's
+    region across both adjacent edges leaves along the steeper one: the
+    larger dot product per unit of edge length, ties to the vertex's own
+    edge i rather than edge i - 1. A vertex-to-edge step decreases the
+    distance and an edge-to-vertex step keeps it, so a step that
+    increases it (the "behind the edge" escape) or revisits a pair aborts
+    the walk: there is no endless loop. The Voronoi tests have no slack:
+    the certificate, not a tolerance, guards the answer, so the walk does
+    not depend on the coordinates' scale.
 
-    Straight-line code: the walk, the vertex-vertex and vertex-edge
-    evaluations (``_project``'s rule) and both sides' Voronoi escapes are
-    written out inline; visited pairs are bits of an int. Only an
+    Straight-line code: the start pair, the walk, the vertex-vertex and
+    vertex-edge evaluations (``_project``'s rule) and both sides' Voronoi
+    escapes are written out inline; visited pairs are bits of an int. Only an
     edge-edge pair calls ``_segment_segment``, and the walk ends on
     ``geometry._separated``, the certificate the oracle checks too.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
-    ca = cb = 0
-    if seed is not None:
+    a, b, f = _pair(tA, tB)
+    # The walk reads each edge as (start x, start y, end x, end y).
+    ax0, ay0, ax1, ay1, ax2, ay2 = a
+    edges_a = ((ax0, ay0, ax1, ay1), (ax1, ay1, ax2, ay2), (ax2, ay2, ax0, ay0))
+    bx0, by0, bx1, by1, bx2, by2 = b
+    edges_b = ((bx0, by0, bx1, by1), (bx1, by1, bx2, by2), (bx2, by2, bx0, by0))
+    if seed is None:
+        # The facing vertex pair: A's vertex furthest along cB - cA and B's
+        # furthest along cA - cB, that is nearest along cB - cA, with the
+        # centroids as sums of the three coordinates; ties to the lower index.
+        dx = bx0 + bx1 + bx2 - (ax0 + ax1 + ax2)
+        dy = by0 + by1 + by2 - (ay0 + ay1 + ay2)
+        ca, best = 0, ax0 * dx + ay0 * dy
+        k = ax1 * dx + ay1 * dy
+        if k > best:
+            ca, best = 1, k
+        if ax2 * dx + ay2 * dy > best:
+            ca = 2
+        cb, best = 0, bx0 * dx + by0 * dy
+        k = bx1 * dx + by1 * dy
+        if k < best:
+            cb, best = 1, k
+        if bx2 * dx + by2 * dy < best:
+            cb = 2
+    else:
         # _code written out: a seeded walk is short, and two calls show in its time.
         fa, fb = seed.feature_a, seed.feature_b
         ca = fa.index if fa.kind is FeatureKind.VERTEX else 3 + fa.index
         cb = fb.index if fb.kind is FeatureKind.VERTEX else 3 + fb.index
-    a, b, f = _pair(tA, tB)
-    # The walk reads each edge as (start x, start y, end x, end y).
-    x0, y0, x1, y1, x2, y2 = a
-    edges_a = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
-    x0, y0, x1, y1, x2, y2 = b
-    edges_b = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
     hypot = math.hypot
     visited = 0
     prev = math.inf
@@ -495,15 +521,20 @@ def lin_canny_distance(
         prev = d
 
         # B's witness against the outer Voronoi region of A's feature.
-        # At vertex i, e is the vertex and f the next one, then the
-        # previous one, which starts edge i - 1 (mod 3).
+        # At vertex i, e is the vertex, f the next one and g the previous
+        # one, which starts edge i - 1 (mod 3). A witness past both edges
+        # leaves along the steeper one, by its dot per unit of edge length
+        # (ties to edge i); the quotients do not overflow where squared
+        # lengths would.
         if ca < 3:
             ex, ey, fx, fy = edges_a[ca]
-            if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
+            gx, gy, _, _ = edges_a[ca - 1]
+            k1 = (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey)
+            k2 = (pbx - ex) * (gx - ex) + (pby - ey) * (gy - ey)
+            if k1 > 0.0 and (k2 <= 0.0 or k1 / hypot(fx - ex, fy - ey) >= k2 / hypot(gx - ex, gy - ey)):
                 ca += 3
                 continue
-            fx, fy, _, _ = edges_a[ca - 1]
-            if (pbx - ex) * (fx - ex) + (pby - ey) * (fy - ey) > 0.0:
+            if k2 > 0.0:
                 ca = 3 + (ca + 2) % 3
                 continue
         else:
@@ -526,11 +557,13 @@ def lin_canny_distance(
         # A's witness against the outer Voronoi region of B's feature.
         if cb < 3:
             ex, ey, fx, fy = edges_b[cb]
-            if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
+            gx, gy, _, _ = edges_b[cb - 1]
+            k1 = (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey)
+            k2 = (pax - ex) * (gx - ex) + (pay - ey) * (gy - ey)
+            if k1 > 0.0 and (k2 <= 0.0 or k1 / hypot(fx - ex, fy - ey) >= k2 / hypot(gx - ex, gy - ey)):
                 cb += 3
                 continue
-            fx, fy, _, _ = edges_b[cb - 1]
-            if (pax - ex) * (fx - ex) + (pay - ey) * (fy - ey) > 0.0:
+            if k2 > 0.0:
                 cb = 3 + (cb + 2) % 3
                 continue
         else:

@@ -368,6 +368,18 @@ def _segment_branch(ends):
     return "record d", _t_name(t_a)
 
 
+def _cold_start(a, b):
+    """The codes of the cold walk's start pair on the coordinates ``a`` and
+    ``b``: A's vertex furthest along cB - cA and B's furthest along cA - cB,
+    the centroid directions taken as sums of the three coordinates; ties
+    go to the lower index."""
+    dx = b[0] + b[2] + b[4] - (a[0] + a[2] + a[4])
+    dy = b[1] + b[3] + b[5] - (a[1] + a[3] + a[5])
+    ca = max((0, 1, 2), key=lambda i: a[2 * i] * dx + a[2 * i + 1] * dy)
+    cb = min((0, 1, 2), key=lambda j: b[2 * j] * dx + b[2 * j + 1] * dy)
+    return ca, cb
+
+
 def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
     """Lin-Canny's walk over feature codes on the triangles' coordinates
     ``a`` and ``b``, composed of ``_project`` and ``_segment_segment`` with a
@@ -388,13 +400,19 @@ def _walk_by_definition(a, b, ca, cb, trace=None, seen=None):
         # None when p lies in the feature's outer Voronoi region, else the
         # code to move to.
         if code < 3:
-            # a is the vertex, b the next one and c, starting edge code - 1 (mod 3), the previous one.
+            # a is the vertex, b the next one and c, starting edge code - 1
+            # (mod 3), the previous one. p leaves along the edge with the
+            # larger positive dot per unit length, ties to the vertex's own edge.
             ax, ay, bx, by = edges[code]
-            if (px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0:
+            cx, cy, _, _ = edges[code - 1]
+            own = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
+            previous = (px - ax) * (cx - ax) + (py - ay) * (cy - ay)
+            if own > 0.0 and (
+                previous <= 0.0 or own / math.hypot(bx - ax, by - ay) >= previous / math.hypot(cx - ax, cy - ay)
+            ):
                 seen.add("vertex-to-own-edge")
                 return 3 + code
-            cx, cy, _, _ = edges[code - 1]
-            if (px - ax) * (cx - ax) + (py - ay) * (cy - ay) > 0.0:
+            if previous > 0.0:
                 seen.add("vertex-to-previous-edge")
                 return 3 + (code + 2) % 3
             return None

@@ -29,7 +29,7 @@ from dyop2d import (
     random_separated_pair,
 )
 
-DIGEST = "3ff481dd714becab2d4d0fb9553d63166ca7eaf1eabc402d5256bf48d8ba3e64"
+DIGEST = "7dffbe64f36ec2828d5291d55914c6fce83ff9969ad720f39dfb03227149ae34"
 
 
 def _hex(value):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -37,6 +38,7 @@ from helpers import (
     OVERFLOW_SCALES,
     RANGE,
     _bits,
+    _cold_start,
     _coords,
     _edge_list,
     _into_range,
@@ -667,7 +669,7 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     a, b = _coords(tA), _coords(tB)
-    ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    ca, cb = _cold_start(a, b) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
     try:
         d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_by_definition(a, b, ca, cb, seen=seen)
     except ValueError:
@@ -691,10 +693,12 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
 
 
 def _walk(a, b, counters=None, trace=None, seed=None):
-    """The end pair of the walk from the seed's features (cold: vertex 0 and
-    vertex 0), or None when it aborts; its evaluations are added to ``counters``."""
-    ca, cb = (0, 0) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
-    *end, vv, ve, ee = _walk_by_definition(_coords(a), _coords(b), ca, cb, trace)
+    """The end pair of the walk from the seed's features (cold: the facing
+    vertex pair, ``_cold_start``), or None when it aborts; its evaluations
+    are added to ``counters``."""
+    a, b = _coords(a), _coords(b)
+    ca, cb = _cold_start(a, b) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    *end, vv, ve, ee = _walk_by_definition(a, b, ca, cb, trace)
     if counters is not None:
         counters.vv_tests += vv
         counters.ve_tests += ve
@@ -804,12 +808,14 @@ def test_lin_canny_equals_its_definition():
 def test_lin_canny_witnesses_lie_on_the_features_they_name():
     # Each witness is within rounding of the vertex or edge that its
     # feature names, relative to the largest coordinate of the pair, for a
-    # certified walk and for the sweep that answers a fallback.
+    # certified walk and for the sweep that answers a fallback (the
+    # near-contact pairs along y).
     scene = default_scene()
     n = len(scene.objects)
     pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
     rng = random.Random(44)
     pairs += [random_separated_pair(rng)[:2] for _ in range(2000)]
+    pairs += _near_contact_pairs_along_y()
     kinds = set()
     for a, b in pairs:
         r, pair = lin_canny_distance(a, b)
@@ -824,7 +830,8 @@ def test_lin_canny_witnesses_lie_on_the_features_they_name():
 def test_lin_canny_counts_walk_steps():
     # Each vertex-vertex evaluation is counted as vv, each vertex-edge one
     # as ve and each edge-edge one as ee; on the placed pairs every cold
-    # walk ends, certified, after three or four evaluations.
+    # walk ends certified, 81 of them on the facing vertex pair it starts
+    # from.
     scene = default_scene()
     n = len(scene.objects)
     results = [
@@ -835,9 +842,8 @@ def test_lin_canny_counts_walk_steps():
     ]
     steps = [(r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in results]
     assert len(steps) == 90
-    assert tuple(map(sum, zip(*steps))) == (180, 93, 0)
-    assert [sum(s) for s in steps].count(3) == 87
-    assert [sum(s) for s in steps].count(4) == 3
+    assert tuple(map(sum, zip(*steps))) == (91, 15, 6)
+    assert collections.Counter(sum(s) for s in steps) == {1: 81, 2: 3, 4: 5, 5: 1}
     assert not any("lincanny-fallback" in r.flags for r in results)
 
 
@@ -847,28 +853,39 @@ def test_walk_never_increases_and_never_revisits():
     # random pairs never hit); an edge->vertex step moves to the endpoint
     # the witness was already clamped to, so it keeps the distance, unless
     # the point lay behind the edge, whose escape raises it and aborts.
+    # Each pair is walked cold and from a drawn seed: the cold walks of
+    # these pairs never reach the behind-the-edge escape.
     rng = random.Random(25)
     kinds = {"vertex->edge": 0, "edge->vertex": 0, "raised": 0}
     for _ in range(500):
         a, b, _ = random_separated_pair(rng)
-        trace = []
-        walked = _walk(a, b, trace=trace)
-        pairs = [(fa, fb) for fa, fb, _ in trace]
-        assert len(pairs) == len(set(pairs))
-        for k in range(1, len(trace)):
-            (fa0, fb0, d0), (fa1, fb1, d1) = trace[k - 1], trace[k]
-            old, new = (fa0, fa1) if fa0 != fa1 else (fb0, fb1)
-            if old.kind is FeatureKind.VERTEX:
-                assert new.kind is FeatureKind.EDGE and d1 < d0
-                kinds["vertex->edge"] += 1
-            else:
-                assert new.kind is FeatureKind.VERTEX and d1 >= d0
-                kinds["edge->vertex"] += 1
-                if d1 > d0:
-                    # No accepted step increases the distance: this one aborts.
-                    assert k == len(trace) - 1 and walked is None
-                    kinds["raised"] += 1
+        for seed in (None, rng.choice(_SEEDS)):
+            trace = []
+            walked = _walk(a, b, trace=trace, seed=seed)
+            pairs = [(fa, fb) for fa, fb, _ in trace]
+            assert len(pairs) == len(set(pairs))
+            for k in range(1, len(trace)):
+                (fa0, fb0, d0), (fa1, fb1, d1) = trace[k - 1], trace[k]
+                old, new = (fa0, fa1) if fa0 != fa1 else (fb0, fb1)
+                if old.kind is FeatureKind.VERTEX:
+                    assert new.kind is FeatureKind.EDGE and d1 < d0
+                    kinds["vertex->edge"] += 1
+                else:
+                    assert new.kind is FeatureKind.VERTEX and d1 >= d0
+                    kinds["edge->vertex"] += 1
+                    if d1 > d0:
+                        # No accepted step increases the distance: this one aborts.
+                        assert k == len(trace) - 1 and walked is None
+                        kinds["raised"] += 1
     assert all(kinds.values())
+
+
+def _near_contact_pairs_along_y(s=1e-3):
+    """The default scene moved along y and placed at separation s: at 1e-3
+    the cold walk falls back on 15 of its 90 pairs, three walks that abort
+    and twelve whose end pair the certificate rejects."""
+    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y, separation=s)
+    return [place_pair(scene, pair)[:2] for pair in enumerate_pairs(len(scene.objects))]
 
 
 def _realizes(r):
@@ -879,8 +896,8 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
     rng = random.Random(26)
     certified = fallbacks = 0
     fields = ("distance", "point_a", "point_b", "feature_a", "feature_b")
-    for _ in range(300):
-        a, b, _ = random_separated_pair(rng)
+    pairs = [random_separated_pair(rng)[:2] for _ in range(300)] + _near_contact_pairs_along_y()
+    for a, b in pairs:
         walk_counters = TestCounters()
         _walk(a, b, walk_counters)
         result, witness = lin_canny_distance(a, b)
@@ -992,10 +1009,10 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
 def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_certified(monkeypatch):
     # A fallback calls the oracle's kernel, _brute_force: the nine-edge
     # sweep, the certificate on its witnesses, and the overlap test only
-    # when the certificate fails. Measured: 34 of 300 random
-    # pairs fall back, each with a certified sweep; along y, 12 of the 19
-    # fallbacks at s = 1e-3 and 36 of the 43 at s = 1e-6 have a sweep
-    # that fails the certificate.
+    # when the certificate fails. Measured: none of 300 random pairs falls
+    # back; along y, 5 of the 8 fallbacks at s = 1e-2, 12 of the 15 at
+    # s = 1e-3 and 36 of the 39 at s = 1e-6 have a sweep that fails the
+    # certificate, and the other three, aborted walks, one that passes.
     calls = _count_overlap_calls(monkeypatch)
     rng = random.Random(26)
     fallbacks = 0
@@ -1003,9 +1020,9 @@ def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_cer
         a, b, _ = random_separated_pair(rng)
         result, _ = lin_canny_distance(a, b)
         fallbacks += result.flags == ("lincanny-fallback",)
-    assert (fallbacks, calls) == (34, [])
+    assert (fallbacks, calls) == (0, [])
     scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
-    for s, expected in ((1e-3, (12, 19)), (1e-6, (36, 43))):
+    for s, expected in ((1e-2, (5, 8)), (1e-3, (12, 15)), (1e-6, (36, 39))):
         near = dataclasses.replace(scene, separation=s)
         uncertified = fallbacks = 0
         for i, j in enumerate_pairs(len(near.objects)):
@@ -1064,20 +1081,23 @@ def _movers(fallbacks):
 
 def test_near_contact_fallbacks_along_y_are_pinned():
     # The default scene moved along y and placed at separations 1e-2, 1e-3
-    # and 1e-6. Measured: the walk falls back on 13, 19 and 43 of the 90
-    # pairs (at separation 1 on the nine Obj10 movers alone), more than
-    # along x. Each fallback is the oracle's sweep, so its distance is the
-    # oracle's, bit for bit. Pinned so that a change to the certificate
-    # shows as a change of these sets.
-    obj10 = obj10_movers(*range(1, 10))
+    # and 1e-6. Measured: the walk falls back on 8, 15 and 39 of the 90
+    # pairs (at separation 1 on none), more than along x. At each
+    # separation three of them, the Obj5 movers to Obj3, Obj4 and Obj8,
+    # abort: an edge-to-vertex step raises the distance by rounding, since
+    # the clamped projection e + 1.0 * (f - e) rounds off vertex f. The
+    # rest end on a pair the certificate rejects. Each fallback is the
+    # oracle's sweep, so its distance is the oracle's, bit for bit. Pinned
+    # so that a change to the certificate shows as a change of these sets.
+    aborts = _movers({5: [3, 4, 8]})
     scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
     names = [o.name for o in scene.objects]
     cases = [
-        (1e-2, obj10 | _movers({2: [8], 3: [8], 4: [8, 10]})),
-        (1e-3, obj10 | _movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6]})),
+        (1e-2, aborts | _movers({2: [8], 3: [8], 4: [8, 10], 10: [8]})),
+        (1e-3, aborts | _movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]})),
         (
             1e-6,
-            obj10
+            aborts
             | _movers(
                 {
                     2: [5, 8, 9, 10],
@@ -1087,11 +1107,12 @@ def test_near_contact_fallbacks_along_y_are_pinned():
                     6: [9, 10],
                     8: [1, 2, 3, 5, 6, 7, 9, 10],
                     9: [3, 6, 10],
+                    10: [8, 9],
                 }
             ),
         ),
     ]
-    assert [len(expected) for _, expected in cases] == [13, 19, 43]
+    assert [len(expected) for _, expected in cases] == [8, 15, 39]
     for s, expected in cases:
         near = dataclasses.replace(scene, separation=s)
         fell_back = set()
@@ -1104,6 +1125,63 @@ def test_near_contact_fallbacks_along_y_are_pinned():
         assert fell_back == expected, (s, sorted(fell_back ^ expected))
 
 
+def test_cold_walk_fallback_counts_are_pinned():
+    # Cold-walk fallbacks on the default scene placed along x and along y
+    # at separations 1, 1e-2, 1e-3 and 1e-6, and on the first 5000 random
+    # pairs of seed 7. Measured, not required: along x each fallback is a
+    # certificate that fails near contact (ROADMAP item 6), along y three
+    # aborted walks join them from 1e-2 on, and no random pair falls back.
+    scene = default_scene()
+    counts = {}
+    for axis in MovementAxis:
+        for s in (1.0, 1e-2, 1e-3, 1e-6):
+            near = dataclasses.replace(scene, axis=axis, separation=s)
+            pairs = [place_pair(near, pair)[:2] for pair in enumerate_pairs(len(near.objects))]
+            counts[axis.value, s] = sum("lincanny-fallback" in lin_canny_distance(a, b)[0].flags for a, b in pairs)
+    rng = random.Random(7)
+    pairs = [random_separated_pair(rng)[:2] for _ in range(5000)]
+    counts["random"] = sum("lincanny-fallback" in lin_canny_distance(a, b)[0].flags for a, b in pairs)
+    assert counts == {
+        ("x", 1.0): 0,
+        ("x", 1e-2): 0,
+        ("x", 1e-3): 3,
+        ("x", 1e-6): 9,
+        ("y", 1.0): 0,
+        ("y", 1e-2): 8,
+        ("y", 1e-3): 15,
+        ("y", 1e-6): 39,
+        "random": 0,
+    }
+
+
+def test_cold_walk_starts_on_the_facing_vertex_pair():
+    # A cold query answers as the query seeded with the facing vertex pair,
+    # bit for bit, counters included: A's vertex furthest along cB - cA and
+    # B's furthest along cA - cB, as ``support`` picks them, with the
+    # centroids as sums of the three coordinates. Integer grid pairs add
+    # ties, which go to the lower index, and pairs that meet.
+    rng = random.Random(45)
+    pairs = [random_separated_pair(rng)[:2] for _ in range(1000)]
+    pairs += [
+        (tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))), random_tri(rng, 4.0).translated(6.0, 0.0))
+        for _ in range(500)
+    ]
+    pairs += [tuple(tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))) for _ in "ab") for _ in range(500)]
+    starts = set()
+    for a, b in pairs:
+        ca, cb = _cold_start(_coords(a), _coords(b))
+        dx = b.v0.x + b.v1.x + b.v2.x - (a.v0.x + a.v1.x + a.v2.x)
+        dy = b.v0.y + b.v1.y + b.v2.y - (a.v0.y + a.v1.y + a.v2.y)
+        if dx or dy:
+            assert (ca, cb) == (support(a, Vector2(dx, dy))[0], support(b, Vector2(-dx, -dy))[0]), (a, b)
+        else:
+            assert (ca, cb) == (0, 0), (a, b)
+        starts.add((ca, cb))
+        seed = FeaturePair(vertex_feature(ca), vertex_feature(cb))
+        assert _value_or_error(lin_canny_distance, a, b) == _value_or_error(lin_canny_distance, a, b, seed), (a, b)
+    assert len(starts) == 9
+
+
 def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
     # A walk that is not certified on disjoint triangles is answered by
     # one call of the oracle's nine-edge sweep, whose answer it reports.
@@ -1114,10 +1192,10 @@ def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
         sweeps.append(answer)
         return answer
 
+    # Placement runs the sweep too, so the pairs are placed first.
+    pairs = _near_contact_pairs_along_y()
     monkeypatch.setattr(geometry, "_edge_sweep", recording_sweep)
-    rng = random.Random(26)
-    for _ in range(300):
-        a, b, _ = random_separated_pair(rng)
+    for a, b in pairs:
         result, _ = lin_canny_distance(a, b)
         if result.flags:
             break
@@ -1252,11 +1330,13 @@ def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
 
 
 def test_lin_canny_seeded_repeat_after_fallback_is_one_pass_without_flag():
+    # The first query starts from a drawn seed, since no cold walk falls
+    # back on these pairs: 26 of the 300 seeded walks abort.
     rng = random.Random(27)
     fallbacks = 0
     for _ in range(300):
         a, b, _ = random_separated_pair(rng)
-        first, witness = lin_canny_distance(a, b)
+        first, witness = lin_canny_distance(a, b, seed=rng.choice(_SEEDS))
         fallbacks += "lincanny-fallback" in first.flags
         second, witness2 = lin_canny_distance(a, b, seed=witness)
         assert second.flags == ()

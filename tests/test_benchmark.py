@@ -32,7 +32,6 @@ from helpers import (
     _pair_size,
     _too_wide,
     degenerate_scene,
-    obj10_movers,
     scaled_default_scene,
 )
 
@@ -483,9 +482,9 @@ def test_run_benchmark_records_a_failed_query():
 
 def test_default_scene_places_and_answers_along_y():
     # The default scene moved along y. Every pair is placed within
-    # PLACEMENT_TOLERANCE * s; the Lin-Canny walk falls back on the nine
-    # Obj10 movers, all answered by the sweep, and DyOP overestimates on
-    # 20 pairs. Measured, not required: these pin what a fix would change.
+    # PLACEMENT_TOLERANCE * s; the Lin-Canny walk answers every pair by
+    # itself, and DyOP overestimates on 20 pairs. Measured, not required:
+    # these pin what a fix would change.
     scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
     s = scene.separation
     for pair in enumerate_pairs(len(scene.objects)):
@@ -498,7 +497,7 @@ def test_default_scene_places_and_answers_along_y():
         return [r for r in records if r["algorithm"] == algorithm and flag in r["flags"]]
 
     fell_back = {f"{r['pair_a']}->{r['pair_b']}" for r in flagged("lincanny", "lincanny-fallback")}
-    assert fell_back == obj10_movers(*range(1, 10))
+    assert fell_back == set()
     assert flagged("lincanny", "mismatch") == []
     missed = flagged("dyop", "mismatch")
     assert len(missed) == 20 and all(r["distance"] > s for r in missed)

@@ -57,6 +57,7 @@ from helpers import (
     OVERFLOW_SCALES,
     RANGE_EXPONENT,
     _bits,
+    _cold_start,
     _coords,
     _edge_list,
     _grid_triangle,
@@ -146,10 +147,11 @@ def _dyop_rules(r, a, b, velocity):
 
 def _lin_canny_rules(r, pair, a, b):
     assert pair == FeaturePair(r.feature_a, r.feature_b)
-    # The cold walk's own evaluations, from the vertex pair (0, 0), on the
+    # The cold walk's own evaluations, from the facing vertex pair, on the
     # pair in range.
     a_in, b_in = _into_range(a, b)[:2]
-    counters = TestCounters(*_walk_by_definition(_coords(a_in), _coords(b_in), 0, 0)[7:])
+    a_in, b_in = _coords(a_in), _coords(b_in)
+    counters = TestCounters(*_walk_by_definition(a_in, b_in, *_cold_start(a_in, b_in))[7:])
     if r.flags == ():
         assert r.counters == counters, (a, b)
         return
