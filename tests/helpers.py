@@ -1,4 +1,5 @@
 """Helpers that several test modules share: triangle and pair builders,
+the default scene placed once per regime with the facts pinned for each,
 the kernels' ranges, comparable answers, and definitions written out for
 the tests to hold the package to.
 
@@ -6,13 +7,14 @@ No test module imports another; each imports what it shares from here.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 from dyop2d import baselines
-from dyop2d.benchmark import Scene, default_scene
+from dyop2d.benchmark import Scene, default_scene, enumerate_pairs, place_pair
 from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dominant_axis
 from dyop2d.errors import DegenerateInput, ZeroVelocity
 from dyop2d.geometry import (
@@ -114,9 +116,122 @@ def scaled_default_scene(s, names=None):
     return dataclasses.replace(scene, objects=objects, separation=scene.separation * s)
 
 
-def obj10_movers(*statics):
-    """Labels of the default scene's pairs with Obj10 moving, by static number."""
-    return {f"Obj10->Obj{j}" for j in statics}
+def placed(axis, s, shift=0.0):
+    """The default scene's 90 (a, b, velocity) triples in the regime
+    (axis, s, shift): placed along ``axis`` ("x" or "y") at separation
+    ``s``, then both triangles translated by (shift, shift). Each regime is
+    placed once; call this before monkeypatching what placement runs, such
+    as the sweep."""
+    return _placed(axis, float(s), float(shift))
+
+
+@functools.cache
+def _placed(axis, s, shift):
+    scene = dataclasses.replace(default_scene(), axis=MovementAxis(axis), separation=s)
+    pairs = (place_pair(scene, pair) for pair in enumerate_pairs(len(scene.objects)))
+    if shift == 0.0:
+        return tuple(pairs)
+    return tuple((a.translated(shift, shift), b.translated(shift, shift), v) for a, b, v in pairs)
+
+
+def regime_id(regime):
+    """A test id for the regime (axis, s, shift): "x-0.001", or "x-0.001-5.0" when shifted."""
+    axis, s, shift = regime
+    return f"{axis}-{s}" + (f"-{shift}" if shift else "")
+
+
+def movers(statics):
+    """Pair labels "ObjI->ObjJ" of the default scene from {mover number: static numbers}."""
+    return {f"Obj{i}->Obj{j}" for i, js in statics.items() for j in js}
+
+
+# Along y, from s = 1e-2 on, the Lin-Canny walks of the Obj5 movers to
+# Obj3, Obj4 and Obj8 abort: an edge-to-vertex step raises the distance by
+# rounding, since the clamped projection e + 1.0 * (f - e) rounds off
+# vertex f. Their sweeps pass the certificate; every other fallback ends on
+# a pair the certificate rejects, and its sweep fails it too.
+_ABORTED_ALONG_Y = movers({5: [3, 4, 8]})
+# From s = 1e-2 on along x, a slanted Obj10 face leaves DyOP no gap along x
+# against seven statics (ROADMAP item 7).
+_OBJ10_WITHOUT_GAP = movers({10: [2, 3, 4, 5, 6, 8, 9]})
+_MISSED_ALONG_X = movers({10: [6]})
+
+# The facts that each regime (axis, s, shift) of the default scene is pinned
+# to, measured and not required, on ``placed(*regime)``. A label is the
+# pair's "mover->static"; test_regimes computes each fact from the queries.
+# - lincanny_fallbacks: pairs whose cold walk falls back to the oracle's
+#   sweep (near contact, ROADMAP item 6);
+# - certified_sweeps: the fallbacks whose sweep passes the certificate,
+#   so that only the others run the overlap test;
+# - dyop_misses: pairs where DyOP strays from s by more than the bench's
+#   MISMATCH_TOLERANCE * s, as its pruning drops the winning feature pair;
+# - overlapping_boxes: pairs whose gap box DyOP flags overlapping-boxes;
+# - lincanny_step_totals and gjk_solve_totals: the (vv, ve, ee) counters
+#   summed over the pairs, and lincanny_step_histogram the number of walks
+#   by evaluations made (one: the walk ends on the facing vertex pair it
+#   starts from);
+# - gjk_one_point_one_segment: the queries that stop after one point and
+#   one segment solve; gjk_unconverged: pairs flagged gjk-unconverged.
+REGIMES = {
+    ("x", 1.0, 0.0): {
+        "lincanny_fallbacks": set(),
+        "dyop_misses": _MISSED_ALONG_X,
+        "overlapping_boxes": set(),
+        "lincanny_step_totals": (91, 15, 6),
+        "lincanny_step_histogram": {1: 81, 2: 3, 4: 5, 5: 1},
+        "gjk_solve_totals": (90, 95, 18),
+        "gjk_one_point_one_segment": 76,
+        "gjk_unconverged": set(),
+    },
+    ("x", 1e-2, 0.0): {
+        "lincanny_fallbacks": set(),
+        "dyop_misses": _MISSED_ALONG_X,
+        "overlapping_boxes": _OBJ10_WITHOUT_GAP,
+    },
+    ("x", 1e-3, 0.0): {
+        "lincanny_fallbacks": movers({10: [1, 6, 7]}),
+        "dyop_misses": _MISSED_ALONG_X,
+        "overlapping_boxes": _OBJ10_WITHOUT_GAP,
+    },
+    ("x", 1e-6, 0.0): {
+        "lincanny_fallbacks": movers({10: range(1, 10)}),
+        "dyop_misses": _MISSED_ALONG_X,
+        "overlapping_boxes": _OBJ10_WITHOUT_GAP,
+    },
+    ("x", 1e-2, 5.0): {"lincanny_fallbacks": set()},
+    ("x", 1e-3, 5.0): {"lincanny_fallbacks": set()},
+    ("x", 1e-6, 5.0): {"lincanny_fallbacks": movers({10: [2, 3, 5, 6, 8, 9]})},
+    ("y", 1.0, 0.0): {
+        "lincanny_fallbacks": set(),
+        "dyop_misses": movers({2: [4, 8], 3: [4, 8], 4: [8], 5: [3, 4, 7, 8], 6: [3, 4, 8], 8: [4], 9: [3, 4, 7, 8], 10: [3, 4, 8]}),
+        "overlapping_boxes": set(),
+    },
+    ("y", 1e-2, 0.0): {
+        "lincanny_fallbacks": _ABORTED_ALONG_Y | movers({2: [8], 3: [8], 4: [8, 10], 10: [8]}),
+        "certified_sweeps": _ABORTED_ALONG_Y,
+    },
+    ("y", 1e-3, 0.0): {
+        "lincanny_fallbacks": _ABORTED_ALONG_Y
+        | movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]}),
+        "certified_sweeps": _ABORTED_ALONG_Y,
+    },
+    ("y", 1e-6, 0.0): {
+        "lincanny_fallbacks": _ABORTED_ALONG_Y
+        | movers(
+            {
+                2: [5, 8, 9, 10],
+                3: [1, 2, 5, 6, 7, 8, 9, 10],
+                4: [1, 5, 6, 8, 9, 10],
+                5: [7, 9, 10],
+                6: [9, 10],
+                8: [1, 2, 3, 5, 6, 7, 9, 10],
+                9: [3, 6, 10],
+                10: [8, 9],
+            }
+        ),
+        "certified_sweeps": _ABORTED_ALONG_Y,
+    },
+}
 
 
 def _coords(t):

@@ -153,22 +153,17 @@ def dyop_split(pairs) -> tuple[int, int]:
 
 
 def _main() -> None:
-    import dataclasses
     import random
 
-    from dyop2d.benchmark import ALGORITHMS, default_scene, enumerate_pairs, place_pair
-    from dyop2d.dyop import MovementAxis
+    from dyop2d.benchmark import ALGORITHMS
     from dyop2d.verify import random_separated_pair
+    from helpers import placed
 
-    def placed(scene):
-        return [place_pair(scene, pair) for pair in enumerate_pairs(len(scene.objects))]
-
-    scene = default_scene()
     rng = random.Random(7)
     inputs = {
-        "placed pairs, s = 1": placed(scene),
-        "near contact, s = 1e-3": placed(dataclasses.replace(scene, separation=1e-3)),
-        "placed along y, s = 1": placed(dataclasses.replace(scene, axis=MovementAxis.Y)),
+        "placed pairs, s = 1": placed("x", 1.0),
+        "near contact, s = 1e-3": placed("x", 1e-3),
+        "placed along y, s = 1": placed("y", 1.0),
         "random pairs (first 2000)": [random_separated_pair(rng) for _ in range(2000)],
     }
     print("| input | " + " | ".join(ALGORITHMS) + " |")

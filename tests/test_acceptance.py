@@ -13,14 +13,13 @@ from dyop2d.benchmark import (
     build_report,
     default_scene,
     enumerate_pairs,
-    place_pair,
     run_benchmark,
 )
 from dyop2d.cli import main
 from dyop2d.dyop import build_internal_aabb, compute_dyop, dominant_axis, dyop_distance, select_candidates
 from dyop2d.geometry import brute_force_triangle_distance
 from dyop2d.verify import random_separated_pair, run_verify
-from helpers import random_tri
+from helpers import placed, random_tri
 
 
 def _report(criterion, ok):
@@ -123,12 +122,10 @@ def test_criterion_4_baseline_oracle_equivalence():
 
 
 def test_criterion_5_placement_exactness():
-    scene = default_scene()
     worst = 0.0
-    for pair in enumerate_pairs(len(scene.objects)):
-        moving, static, _ = place_pair(scene, pair)
+    for moving, static, _ in placed("x", 1.0):
         got = brute_force_triangle_distance(moving, static).distance
-        worst = max(worst, abs(got - scene.separation))
+        worst = max(worst, abs(got - 1.0))
     ok = worst <= 1e-9
     _report(f"5 placement exactness: worst |d - 1.0| = {worst:.2e} over 90 pairs", ok)
 

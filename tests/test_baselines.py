@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import functools
 import math
@@ -37,6 +36,7 @@ from helpers import (
     NEAR_COLLINEAR_PAIR,
     OVERFLOW_SCALES,
     RANGE,
+    REGIMES,
     _bits,
     _cold_start,
     _coords,
@@ -48,7 +48,7 @@ from helpers import (
     _value_or_error,
     _walk_by_definition,
     edge_feature,
-    obj10_movers,
+    placed,
     random_tri,
     tri,
     vertex_feature,
@@ -147,22 +147,6 @@ def test_gjk_convergence_flag_rate():
     assert converged / n >= 0.999
 
 
-def test_gjk_counts_simplex_solves():
-    # One point, one segment and one triangle solve are counted as vv, ve
-    # and ee; on the placed pairs most queries stop after a point and a
-    # segment solve.
-    scene = default_scene()
-    n = len(scene.objects)
-    results = [
-        gjk_distance(*place_pair(scene, (i, j))[:2]) for i in range(n) for j in range(n) if i != j
-    ]
-    solves = [(r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in results]
-    assert len(solves) == 90
-    assert tuple(map(sum, zip(*solves))) == (90, 95, 18)
-    assert solves.count((1, 1, 0)) == 76
-    assert not any("gjk-unconverged" in r.flags for r in results)
-
-
 def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
     """``gjk_distance`` as a loop over a list simplex that composes
     ``_closest_on_segment``, ``_closest_on_triangle`` and ``_side_feature``,
@@ -258,12 +242,8 @@ def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
 
 def _gjk_cases():
     """Seeded (tA, tB) inputs for GJK."""
-    scene = default_scene()
-    n = len(scene.objects)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield place_pair(scene, (i, j))[:2]
+    for a, b, _ in placed("x", 1.0):
+        yield a, b
     rng = random.Random(41)
     for _ in range(1000):
         a, b, _ = random_separated_pair(rng)
@@ -384,8 +364,8 @@ def test_gjk_equals_its_definition(monkeypatch):
     # square, scaled back, or refused as too wide to scale. Where the
     # tolerances left unscaled would call a pair intersecting, the scaled
     # ones decide.
-    kinds = _record_triangle_solves(monkeypatch)
     cases = list(_gjk_cases())
+    kinds = _record_triangle_solves(monkeypatch)
     for a, b in cases:
         got = _value_or_error(gjk_distance, a, b)
         assert got == _value_or_error(_gjk_in_range, a, b, kinds), (a, b)
@@ -432,9 +412,7 @@ def _distance_to_feature(t, feature, x, y):
 def test_gjk_witnesses_lie_on_the_features_they_name():
     # Each witness is within rounding of the vertex or edge that its
     # feature names, relative to the largest coordinate of the pair.
-    scene = default_scene()
-    n = len(scene.objects)
-    pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
+    pairs = [(a, b) for a, b, _ in placed("x", 1.0)]
     rng = random.Random(42)
     pairs += [random_separated_pair(rng)[:2] for _ in range(2000)]
     kinds = set()
@@ -711,13 +689,8 @@ _SEEDS = [FeaturePair(fa, fb) for fa in baselines._FEATURES for fb in baselines.
 
 def _lin_canny_cases():
     """Seeded (tA, tB, seed) inputs for Lin-Canny; seed None is a cold query."""
-    scene = default_scene()
-    n = len(scene.objects)
-    placed = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
     # Near contact too, where the certificate's slack decides some end pairs.
-    near = dataclasses.replace(scene, separation=1e-3)
-    placed += [place_pair(near, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
-    for a, b in placed:
+    for a, b, _ in placed("x", 1.0) + placed("x", 1e-3):
         for seed in [None] + _SEEDS:
             yield a, b, seed
     rng = random.Random(43)
@@ -810,12 +783,9 @@ def test_lin_canny_witnesses_lie_on_the_features_they_name():
     # feature names, relative to the largest coordinate of the pair, for a
     # certified walk and for the sweep that answers a fallback (the
     # near-contact pairs along y).
-    scene = default_scene()
-    n = len(scene.objects)
-    pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
     rng = random.Random(44)
-    pairs += [random_separated_pair(rng)[:2] for _ in range(2000)]
-    pairs += _near_contact_pairs_along_y()
+    pairs = [random_separated_pair(rng)[:2] for _ in range(2000)]
+    pairs += [(a, b) for a, b, _ in placed("x", 1.0) + placed("y", 1e-3)]
     kinds = set()
     for a, b in pairs:
         r, pair = lin_canny_distance(a, b)
@@ -825,26 +795,6 @@ def test_lin_canny_witnesses_lie_on_the_features_they_name():
             assert _distance_to_feature(t, feature, p.x, p.y) <= 1e-12 * (1.0 + size), (a, b, r)
             kinds.add((feature.kind, r.flags))
     assert kinds == {(kind, flags) for kind in FeatureKind for flags in ((), ("lincanny-fallback",))}
-
-
-def test_lin_canny_counts_walk_steps():
-    # Each vertex-vertex evaluation is counted as vv, each vertex-edge one
-    # as ve and each edge-edge one as ee; on the placed pairs every cold
-    # walk ends certified, 81 of them on the facing vertex pair it starts
-    # from.
-    scene = default_scene()
-    n = len(scene.objects)
-    results = [
-        lin_canny_distance(*place_pair(scene, (i, j))[:2])[0]
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
-    steps = [(r.counters.vv_tests, r.counters.ve_tests, r.counters.ee_tests) for r in results]
-    assert len(steps) == 90
-    assert tuple(map(sum, zip(*steps))) == (91, 15, 6)
-    assert collections.Counter(sum(s) for s in steps) == {1: 81, 2: 3, 4: 5, 5: 1}
-    assert not any("lincanny-fallback" in r.flags for r in results)
 
 
 def test_walk_never_increases_and_never_revisits():
@@ -880,14 +830,6 @@ def test_walk_never_increases_and_never_revisits():
     assert all(kinds.values())
 
 
-def _near_contact_pairs_along_y(s=1e-3):
-    """The default scene moved along y and placed at separation s: at 1e-3
-    the cold walk falls back on 15 of its 90 pairs, three walks that abort
-    and twelve whose end pair the certificate rejects."""
-    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y, separation=s)
-    return [place_pair(scene, pair)[:2] for pair in enumerate_pairs(len(scene.objects))]
-
-
 def _realizes(r):
     return math.hypot(r.point_a.x - r.point_b.x, r.point_a.y - r.point_b.y) == r.distance
 
@@ -896,7 +838,9 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
     rng = random.Random(26)
     certified = fallbacks = 0
     fields = ("distance", "point_a", "point_b", "feature_a", "feature_b")
-    pairs = [random_separated_pair(rng)[:2] for _ in range(300)] + _near_contact_pairs_along_y()
+    pairs = [random_separated_pair(rng)[:2] for _ in range(300)]
+    # Along y at s = 1e-3 the walk falls back on some placed pairs (REGIMES).
+    pairs += [(a, b) for a, b, _ in placed("y", 1e-3)]
     for a, b in pairs:
         walk_counters = TestCounters()
         _walk(a, b, walk_counters)
@@ -994,25 +938,21 @@ def _count_overlap_calls(monkeypatch):
 
 
 def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
+    pairs = placed("x", 1.0)
     calls = _count_overlap_calls(monkeypatch)
-    scene = default_scene()
-    n = len(scene.objects)
-    pairs = [place_pair(scene, (i, j)) for i in range(n) for j in range(n) if i != j]
-    assert len(pairs) == 90
     for a, b, _ in pairs:
         assert brute_force_triangle_distance(a, b).counters.ee_tests == 9
-        result, _ = lin_canny_distance(a, b)
-        assert "lincanny-fallback" not in result.flags
+        lin_canny_distance(a, b)
     assert calls == []
 
 
 def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_certified(monkeypatch):
     # A fallback calls the oracle's kernel, _brute_force: the nine-edge
     # sweep, the certificate on its witnesses, and the overlap test only
-    # when the certificate fails. Measured: none of 300 random pairs falls
-    # back; along y, 5 of the 8 fallbacks at s = 1e-2, 12 of the 15 at
-    # s = 1e-3 and 36 of the 39 at s = 1e-6 have a sweep that fails the
-    # certificate, and the other three, aborted walks, one that passes.
+    # when the certificate fails, so on the fallbacks of each regime in
+    # REGIMES but its certified sweeps. Measured: none of 300 random pairs
+    # falls back.
+    regimes = {regime: placed(*regime) for regime, facts in REGIMES.items() if "certified_sweeps" in facts}
     calls = _count_overlap_calls(monkeypatch)
     rng = random.Random(26)
     fallbacks = 0
@@ -1021,137 +961,41 @@ def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_cer
         result, _ = lin_canny_distance(a, b)
         fallbacks += result.flags == ("lincanny-fallback",)
     assert (fallbacks, calls) == (0, [])
-    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
-    for s, expected in ((1e-2, (5, 8)), (1e-3, (12, 15)), (1e-6, (36, 39))):
-        near = dataclasses.replace(scene, separation=s)
-        uncertified = fallbacks = 0
-        for i, j in enumerate_pairs(len(near.objects)):
-            a, b, _ = place_pair(near, (i, j))
+    for regime, pairs in regimes.items():
+        facts = REGIMES[regime]
+        uncertified = facts["lincanny_fallbacks"] - facts["certified_sweeps"]
+        for a, b, _ in pairs:
             calls.clear()
-            result, _ = lin_canny_distance(a, b)
-            if not result.flags:
-                assert calls == []
-                continue
-            fallbacks += 1
-            ca, cb = _coords(a), _coords(b)
-            if _separated(ca, cb, *_edge_sweep(ca, cb)[1:5]):
-                assert calls == [], (s, i, j)
-            else:
-                uncertified += 1
-                assert calls == ["_brute_force"], (s, i, j)
-        assert (uncertified, fallbacks) == expected, s
+            lin_canny_distance(a, b)
+            label = f"{a.name}->{b.name}"
+            assert calls == (["_brute_force"] if label in uncertified else []), (regime, label)
 
 
 def test_near_contact_pairs_are_certified_wherever_the_origin_is():
-    # The default scene placed at separations 1e-2, 1e-3 and 1e-6, the
-    # paper's nearly intersecting regime. Each static triangle has a vertex
-    # at the origin, so separating lines pass near it, where the dot
-    # products pa.n and pb.n cancel; the certificate's slack sums the
-    # products' sizes instead. Measured: no fallback at 1e-2, three Obj10
-    # movers at 1e-3 and all nine at 1e-6; shifted by (5, 5), none at 1e-2
-    # or 1e-3 and six Obj10 movers at 1e-6. Each distance is as many ulps
-    # off the exact one as the oracle's (at most 27 at 1e-2 and 160 at 1e-3
-    # unshifted).
-    scene = default_scene()
-    names = [o.name for o in scene.objects]
-    for s, expected, shifted in (
-        (1e-2, set(), set()),
-        (1e-3, obj10_movers(1, 6, 7), set()),
-        (1e-6, obj10_movers(*range(1, 10)), obj10_movers(2, 3, 5, 6, 8, 9)),
-    ):
-        near = dataclasses.replace(scene, separation=s)
-        for shift, fallbacks in ((0.0, expected), (5.0, shifted)):
-            fell_back = set()
-            for i, j in enumerate_pairs(len(names)):
-                a, b, _ = place_pair(near, (i, j))
-                a, b = a.translated(shift, shift), b.translated(shift, shift)
-                result, _ = lin_canny_distance(a, b)
-                if "lincanny-fallback" in result.flags:
-                    fell_back.add(f"{names[i]}->{names[j]}")
-                squared = exact_squared_distance(a, b)
-                oracle = brute_force_triangle_distance(a, b)
-                assert ulp_error(result.distance, squared) == ulp_error(oracle.distance, squared), (s, shift, i, j)
-            assert fell_back == fallbacks, (s, shift)
-
-
-def _movers(fallbacks):
-    """Pair labels of the default scene from {mover number: static numbers}."""
-    return {f"Obj{i}->Obj{j}" for i, statics in fallbacks.items() for j in statics}
-
-
-def test_near_contact_fallbacks_along_y_are_pinned():
-    # The default scene moved along y and placed at separations 1e-2, 1e-3
-    # and 1e-6. Measured: the walk falls back on 8, 15 and 39 of the 90
-    # pairs (at separation 1 on none), more than along x. At each
-    # separation three of them, the Obj5 movers to Obj3, Obj4 and Obj8,
-    # abort: an edge-to-vertex step raises the distance by rounding, since
-    # the clamped projection e + 1.0 * (f - e) rounds off vertex f. The
-    # rest end on a pair the certificate rejects. Each fallback is the
-    # oracle's sweep, so its distance is the oracle's, bit for bit. Pinned
-    # so that a change to the certificate shows as a change of these sets.
-    aborts = _movers({5: [3, 4, 8]})
-    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
-    names = [o.name for o in scene.objects]
-    cases = [
-        (1e-2, aborts | _movers({2: [8], 3: [8], 4: [8, 10], 10: [8]})),
-        (1e-3, aborts | _movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]})),
-        (
-            1e-6,
-            aborts
-            | _movers(
-                {
-                    2: [5, 8, 9, 10],
-                    3: [1, 2, 5, 6, 7, 8, 9, 10],
-                    4: [1, 5, 6, 8, 9, 10],
-                    5: [7, 9, 10],
-                    6: [9, 10],
-                    8: [1, 2, 3, 5, 6, 7, 9, 10],
-                    9: [3, 6, 10],
-                    10: [8, 9],
-                }
-            ),
-        ),
-    ]
-    assert [len(expected) for _, expected in cases] == [8, 15, 39]
-    for s, expected in cases:
-        near = dataclasses.replace(scene, separation=s)
-        fell_back = set()
-        for i, j in enumerate_pairs(len(names)):
-            a, b, _ = place_pair(near, (i, j))
+    # The default scene in each regime of REGIMES, near contact the paper's
+    # nearly intersecting objects. Each static triangle has a vertex at the
+    # origin, so separating lines pass near it, where the dot products pa.n
+    # and pb.n cancel; the certificate's slack sums the products' sizes
+    # instead. Each distance is as many ulps off the exact one as the
+    # oracle's (at most 27 at 1e-2 and 160 at 1e-3 unshifted along x). A
+    # fallback is the oracle's sweep, so its distance is the oracle's, bit
+    # for bit.
+    for regime in REGIMES:
+        for a, b, _ in placed(*regime):
             result, _ = lin_canny_distance(a, b)
-            if "lincanny-fallback" in result.flags:
-                fell_back.add(f"{names[i]}->{names[j]}")
-                assert repr(result.distance) == repr(brute_force_triangle_distance(a, b).distance), (s, i, j)
-        assert fell_back == expected, (s, sorted(fell_back ^ expected))
+            squared = exact_squared_distance(a, b)
+            oracle = brute_force_triangle_distance(a, b)
+            assert ulp_error(result.distance, squared) == ulp_error(oracle.distance, squared), (regime, a.name, b.name)
+            if result.flags:
+                assert repr(result.distance) == repr(oracle.distance), (regime, a.name, b.name)
 
 
 def test_cold_walk_fallback_counts_are_pinned():
-    # Cold-walk fallbacks on the default scene placed along x and along y
-    # at separations 1, 1e-2, 1e-3 and 1e-6, and on the first 5000 random
-    # pairs of seed 7. Measured, not required: along x each fallback is a
-    # certificate that fails near contact (ROADMAP item 6), along y three
-    # aborted walks join them from 1e-2 on, and no random pair falls back.
-    scene = default_scene()
-    counts = {}
-    for axis in MovementAxis:
-        for s in (1.0, 1e-2, 1e-3, 1e-6):
-            near = dataclasses.replace(scene, axis=axis, separation=s)
-            pairs = [place_pair(near, pair)[:2] for pair in enumerate_pairs(len(near.objects))]
-            counts[axis.value, s] = sum("lincanny-fallback" in lin_canny_distance(a, b)[0].flags for a, b in pairs)
+    # Measured, not required: no cold walk falls back on the first 5000
+    # random pairs of seed 7. REGIMES pins the default scene's fallbacks.
     rng = random.Random(7)
     pairs = [random_separated_pair(rng)[:2] for _ in range(5000)]
-    counts["random"] = sum("lincanny-fallback" in lin_canny_distance(a, b)[0].flags for a, b in pairs)
-    assert counts == {
-        ("x", 1.0): 0,
-        ("x", 1e-2): 0,
-        ("x", 1e-3): 3,
-        ("x", 1e-6): 9,
-        ("y", 1.0): 0,
-        ("y", 1e-2): 8,
-        ("y", 1e-3): 15,
-        ("y", 1e-6): 39,
-        "random": 0,
-    }
+    assert sum("lincanny-fallback" in lin_canny_distance(a, b)[0].flags for a, b in pairs) == 0
 
 
 def test_cold_walk_starts_on_the_facing_vertex_pair():
@@ -1193,9 +1037,9 @@ def test_lin_canny_fallback_is_answered_by_one_sweep(monkeypatch):
         return answer
 
     # Placement runs the sweep too, so the pairs are placed first.
-    pairs = _near_contact_pairs_along_y()
+    pairs = placed("y", 1e-3)
     monkeypatch.setattr(geometry, "_edge_sweep", recording_sweep)
-    for a, b in pairs:
+    for a, b, _ in pairs:
         result, _ = lin_canny_distance(a, b)
         if result.flags:
             break
@@ -1294,9 +1138,7 @@ def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
     # tolerances scaled with the pair.
     rng = random.Random(28)
     base = 2.0**20
-    scene = default_scene()
-    n = len(scene.objects)
-    pairs = [place_pair(scene, (i, j))[:2] for i in range(n) for j in range(n) if i != j]
+    pairs = [(a, b) for a, b, _ in placed("x", 1.0)]
     pairs += [random_separated_pair(rng)[:2] for _ in range(300)]
     grid = [tri(*((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))) for _ in range(600)]
     pairs += list(zip(grid[::2], grid[1::2]))
@@ -1320,11 +1162,12 @@ def test_scaling_by_a_power_of_two_scales_the_answers_exactly(k):
                 assert _bits(lin_canny_distance(sa, sb)) == _bits((_scaled_result(result, s), pair))
             else:
                 assert _bits(query(sa, sb)) == _bits(_scaled_result(query(a, b), s))
+    scene = default_scene()
+    objects = tuple(o.scaled(base) for o in scene.objects)
     for axis in MovementAxis:
-        objects = tuple(o.scaled(base) for o in scene.objects)
         unit = dataclasses.replace(scene, objects=objects, separation=base, axis=axis)
         scaled = dataclasses.replace(unit, objects=tuple(o.scaled(s) for o in objects), separation=base * s)
-        for pair in enumerate_pairs(n):
+        for pair in enumerate_pairs(len(objects)):
             moved, static, v = place_pair(unit, pair)
             assert _bits(place_pair(scaled, pair)) == _bits((moved.scaled(s), static.scaled(s), v))
 

@@ -27,11 +27,13 @@ from exact_reference import exact_squared_distance
 from helpers import (
     RANGE,
     RANGE_EXPONENT,
+    REGIMES,
     _coords,
     _edge_list,
     _pair_size,
     _too_wide,
     degenerate_scene,
+    placed,
     scaled_default_scene,
 )
 
@@ -481,62 +483,44 @@ def test_run_benchmark_records_a_failed_query():
 
 
 def test_default_scene_places_and_answers_along_y():
-    # The default scene moved along y. Every pair is placed within
-    # PLACEMENT_TOLERANCE * s; the Lin-Canny walk answers every pair by
-    # itself, and DyOP overestimates on 20 pairs. Measured, not required:
-    # these pin what a fix would change.
-    scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
-    s = scene.separation
-    for pair in enumerate_pairs(len(scene.objects)):
-        moved, static, velocity = place_pair(scene, pair)
-        assert abs(brute_force_triangle_distance(moved, static).distance - s) <= benchmark.PLACEMENT_TOLERANCE * s
+    # The default scene moved along y: every pair is placed within
+    # PLACEMENT_TOLERANCE * s and moves along (0, 1). REGIMES pins its
+    # Lin-Canny fallbacks, DyOP misses and overlapping boxes.
+    for moved, static, velocity in placed("y", 1.0):
+        assert abs(brute_force_triangle_distance(moved, static).distance - 1.0) <= benchmark.PLACEMENT_TOLERANCE
         assert (velocity.dx, velocity.dy) == (0.0, 1.0)
-    records = run_benchmark(scene, ("dyop", "lincanny"), repeats=1)
-
-    def flagged(algorithm, flag):
-        return [r for r in records if r["algorithm"] == algorithm and flag in r["flags"]]
-
-    fell_back = {f"{r['pair_a']}->{r['pair_b']}" for r in flagged("lincanny", "lincanny-fallback")}
-    assert fell_back == set()
-    assert flagged("lincanny", "mismatch") == []
-    missed = flagged("dyop", "mismatch")
-    assert len(missed) == 20 and all(r["distance"] > s for r in missed)
-    assert flagged("dyop", "overlapping-boxes") == []
 
 
 @pytest.mark.parametrize(
-    "axis, static_misses, edges",
+    "axis, static_edges",
     [
         # Obj6's vertices lie 0.94, 1.87 and 2.81 from the pivot: the rule
         # keeps edge 0, and the mover's vertex wins on edge 2.
-        (MovementAxis.X, {"Obj6": 1}, {("Obj6", 0, 2)}),
+        (MovementAxis.X, {("Obj6", 0, 2)}),
         # The mover sits below each static, whose base, edge 0 from (0, 0)
         # to (w, 0), faces it. The apex, vertex 2, is nearer the pivot than
         # the base's far end, vertex 1, so the rule keeps edge 2.
-        (MovementAxis.Y, {"Obj4": 7, "Obj8": 7, "Obj3": 4, "Obj7": 2}, {(f"Obj{j}", 2, 0) for j in (3, 4, 7, 8)}),
+        (MovementAxis.Y, {(f"Obj{j}", 2, 0) for j in (3, 4, 7, 8)}),
     ],
 )
-def test_default_scene_dyop_misses_drop_the_static_winning_edge(axis, static_misses, edges):
-    # Why DyOP misses placed pairs of the default scene: in every miss the
-    # oracle's winning pair is a vertex of the mover against an edge of the
-    # static that select_candidates(static, pivot) dropped. ``edges`` holds
+def test_default_scene_dyop_misses_drop_the_static_winning_edge(axis, static_edges):
+    # Why DyOP misses placed pairs of the default scene (REGIMES pins
+    # which): in every miss it overestimates, and the oracle's winning pair
+    # is a vertex of the mover against an edge of the static that
+    # select_candidates(static, pivot) dropped. ``static_edges`` holds
     # (static, kept edge, winning edge). Measured, not required: these pin
     # what a change to the pivot rule would move.
-    scene = dataclasses.replace(default_scene(), axis=axis)
-    s = scene.separation
-    misses = collections.Counter()
+    misses = REGIMES[axis.value, 1.0, 0.0]["dyop_misses"]
     features = set()
-    for pair in enumerate_pairs(len(scene.objects)):
-        moved, static, velocity = place_pair(scene, pair)
-        if dyop_distance(moved, static, velocity).distance - s <= MISMATCH_TOLERANCE * s:
+    for moved, static, velocity in placed(axis.value, 1.0):
+        if f"{moved.name}->{static.name}" not in misses:
             continue
+        assert dyop_distance(moved, static, velocity).distance - 1.0 > MISMATCH_TOLERANCE
         exact = brute_force_triangle_distance(moved, static)
         pivot = compute_dyop(build_internal_aabb(moved, static, axis))
         assert exact.feature_a.kind is FeatureKind.VERTEX and exact.feature_b.kind is FeatureKind.EDGE
-        misses[static.name] += 1
         features.add((static.name, select_candidates(static, pivot)[2], exact.feature_b.index))
-    assert misses == static_misses
-    assert features == edges
+    assert features == static_edges
 
 
 def test_run_benchmark_records_an_overflowing_query():

@@ -1,11 +1,10 @@
-import dataclasses
 import math
 import random
 
 import pytest
 
 import dyop2d.dyop as dyop_module
-from dyop2d.benchmark import MISMATCH_TOLERANCE, default_scene, enumerate_pairs, place_pair
+from dyop2d.benchmark import enumerate_pairs, place_pair
 from dyop2d.dyop import (
     MovementAxis,
     build_internal_aabb,
@@ -37,7 +36,7 @@ from helpers import (
     _scaled_into_range,
     _segment_branch,
     _value_or_error,
-    obj10_movers,
+    placed,
     random_tri,
     scaled_default_scene,
     tri,
@@ -282,28 +281,6 @@ def test_dyop_distance_flags_overlapping_boxes():
     assert r.distance >= brute_force_triangle_distance(a, b).distance - 1e-12
 
 
-def test_near_contact_misses_and_overlapping_boxes():
-    # The default scene placed at separations from 1 down to 1e-6, toward
-    # the paper's nearly intersecting regime. DyOP misses (strays from s by
-    # more than the bench's mismatch tolerance) only on Obj10->Obj6. At
-    # s = 1 every pair leaves a gap along x; from 1e-2 on, a slanted Obj10
-    # face leaves none against seven statics, which DyOP flags.
-    scene = default_scene()
-    names = [o.name for o in scene.objects]
-    near_contact = obj10_movers(2, 3, 4, 5, 6, 8, 9)
-    for s, overlapping in ((1.0, set()), (1e-2, near_contact), (1e-3, near_contact), (1e-6, near_contact)):
-        near = dataclasses.replace(scene, separation=s)
-        missed, flagged = set(), set()
-        for i, j in enumerate_pairs(len(names)):
-            result = dyop_distance(*place_pair(near, (i, j)))
-            if abs(result.distance - s) > MISMATCH_TOLERANCE * s:
-                missed.add(f"{names[i]}->{names[j]}")
-            if "overlapping-boxes" in result.flags:
-                flagged.add(f"{names[i]}->{names[j]}")
-        assert missed == {"Obj10->Obj6"}, s
-        assert flagged == overlapping, s
-
-
 def test_dyop_counters_always_one_ee_test():
     rng = random.Random(12)
     for _ in range(300):
@@ -443,12 +420,7 @@ def _tied_squares(a, b, velocity):
 
 
 def _stage_cases():
-    scene = default_scene()
-    n = len(scene.objects)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield place_pair(scene, (i, j))
+    yield from placed("x", 1.0)
     rng = random.Random(17)
     for _ in range(2000):
         yield random_separated_pair(rng)
@@ -561,13 +533,9 @@ def test_dyop_runs_the_contact_half_only_without_a_gap(monkeypatch):
     # Placed along y, every pair's extents overlap along x, so the gap along
     # y alone decides. At s = 1e-6 the slanted Obj10 faces leave some pairs
     # without a gap.
-    scene = default_scene()
-    pairs = list(enumerate_pairs(len(scene.objects)))
-    placed = [place_pair(scene, pair) for pair in pairs]
-    along_y = [place_pair(dataclasses.replace(scene, axis=MovementAxis.Y), pair) for pair in pairs]
-    near = [place_pair(dataclasses.replace(scene, separation=1e-6), pair) for pair in pairs]
+    along_x, along_y, near = placed("x", 1.0), placed("y", 1.0), placed("x", 1e-6)
     calls = _counted_segment_tests(monkeypatch)
-    for a, b, velocity in placed:
+    for a, b, velocity in along_x:
         dyop_distance(a, b, velocity)
     assert calls == {"_segment_projections": 90, "_segment_segment": 0}
     for a, b, velocity in along_y:
@@ -620,9 +588,7 @@ def test_dyop_does_not_depend_on_the_movement_axis():
     # along y, 2000 random pairs and the chain test's cases (the scene
     # placed along x among them).
     def cases():
-        scene = dataclasses.replace(default_scene(), axis=MovementAxis.Y)
-        for pair in enumerate_pairs(len(scene.objects)):
-            yield place_pair(scene, pair)
+        yield from placed("y", 1.0)
         rng = random.Random(23)
         for _ in range(2000):
             yield random_separated_pair(rng)

@@ -17,7 +17,6 @@ definition, and by the verify document.
 """
 
 import collections
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -25,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from dyop2d.baselines import FeaturePair, gjk_distance, lin_canny_distance
-from dyop2d.benchmark import ALGORITHMS, default_scene, enumerate_pairs, place_pair
+from dyop2d.benchmark import ALGORITHMS
 from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dominant_axis, dyop_distance, select_candidates
 from dyop2d.errors import DegenerateInput, Penetrating, ZeroVelocity
 from dyop2d.geometry import (
@@ -66,6 +65,8 @@ from helpers import (
     _pair_size,
     _value_or_error,
     _walk_by_definition,
+    placed,
+    regime_id,
 )
 
 # (worst ulp error, answers correctly rounded) of each algorithm on the
@@ -206,21 +207,16 @@ def _judge(names, a, b, velocity, errors):
     return meet
 
 
-def _placed_pairs():
-    scene = default_scene()
-    return [place_pair(scene, pair) for pair in enumerate_pairs(len(scene.objects))]
-
-
 def test_default_scene_placed_pairs_match_reference():
     errors = collections.defaultdict(list)
-    for a, b, velocity in _placed_pairs():
+    for a, b, velocity in placed("x", 1.0):
         _judge(("oracle", "gjk", "dyop"), a, b, velocity, errors)
     _assert_bounds(errors, BOUNDS["placed"])
 
 
 def test_lin_canny_matches_reference_on_placed_pairs():
     errors = collections.defaultdict(list)
-    for a, b, velocity in _placed_pairs():
+    for a, b, velocity in placed("x", 1.0):
         _judge(("lincanny",), a, b, velocity, errors)
     _assert_bounds(errors, BOUNDS["placed"])
 
@@ -296,26 +292,30 @@ def test_primitives_match_reference_on_grid():
     _assert_bounds(errors, BOUNDS["grid 8"])
 
 
-@pytest.mark.parametrize("axis, s", [("x", 1e-2), ("x", 1e-6), ("y", 1.0), ("y", 1e-6)])
-def test_near_contact_answers_are_within_an_ulp_of_the_scale(axis, s):
-    # The paper's regime: the default scene placed at s along x, and along
-    # y, the scenes that CI benches plus a deeper one along y. Every answer
-    # is within one ulp of the pair's scale (2^-52 of its largest
-    # coordinate) of the exact distance, DyOP from above; the worst is a
-    # third of that, GJK's along y at s = 1. In ulps of the distance the
-    # same answers are up to 622,025 off (GJK along y at 1e-6), and the
-    # oracle 135,205 along x at 1e-6, where DyOP is as far below the exact
-    # distance: near contact no bound in ulps of the distance can judge,
-    # and the float oracle is no ground truth to its last ulp.
-    scene = dataclasses.replace(default_scene(), axis=MovementAxis(axis), separation=s)
-    for pair in enumerate_pairs(len(scene.objects)):
-        a, b, velocity = place_pair(scene, pair)
+@pytest.mark.parametrize(
+    "regime",
+    [(axis, s, shift) for axis in "xy" for s in (1.0, 1e-2, 1e-3, 1e-6) for shift in (0.0, 5.0)],
+    ids=regime_id,
+)
+def test_near_contact_answers_are_within_an_ulp_of_the_scale(regime):
+    # The paper's regime: the default scene placed at s along x and along
+    # y, and translated by (5, 5) after placement, away from the statics'
+    # vertices at the origin. Every answer is within one ulp of the pair's
+    # scale (2^-52 of its largest coordinate) of the exact distance, DyOP
+    # from above; the worst is 0.69 of that, GJK's along y at s = 1e-3
+    # shifted, and unshifted 0.38, along y at s = 1. In ulps of the
+    # distance the same answers are up to 622,025 off (GJK along y at 1e-6;
+    # 4,361,440 shifted), and the oracle 135,205 along x at 1e-6, where
+    # DyOP is as far below the exact distance: near contact no bound in ulps
+    # of the distance can judge, and the float oracle is no ground truth to
+    # its last ulp.
+    for a, b, velocity in placed(*regime):
         squared = exact_squared_distance(a, b)
         unit = Fraction(2.0**-52) * Fraction(_pair_size(a, b))
         for name, query in ALGORITHMS.items():
             d = Fraction(query(a, b, velocity).distance)
-            assert squared <= (d + unit) ** 2, (name, pair)
-            assert name == "dyop" or d <= unit or (d - unit) ** 2 <= squared, (name, pair)
+            assert squared <= (d + unit) ** 2, (name, a.name, b.name)
+            assert name == "dyop" or d <= unit or (d - unit) ** 2 <= squared, (name, a.name, b.name)
 
 
 def _midpoint(u, v):

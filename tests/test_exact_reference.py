@@ -4,10 +4,11 @@ import math
 import random
 from fractions import Fraction
 
-from dyop2d.benchmark import ALGORITHMS, default_scene, enumerate_pairs, place_pair
+from dyop2d.benchmark import ALGORITHMS
 from dyop2d.geometry import Point2, Triangle
 from dyop2d.verify import random_separated_pair
 from exact_reference import exact_squared_distance, is_correctly_rounded_sqrt, rounded_sqrt, ulp_error
+from helpers import placed
 
 
 def tri(a, b, c):
@@ -46,12 +47,11 @@ def _errors(pairs):
 def test_placed_pairs_are_answered_correctly_rounded():
     # GJK, cold Lin-Canny and the oracle are exact on every placed pair of
     # the default scene; DyOP on all but the one pair that it overestimates.
-    scene = default_scene()
-    names = [(scene.objects[i].name, scene.objects[j].name) for i, j in enumerate_pairs(len(scene.objects))]
-    errors = _errors(place_pair(scene, pair) for pair in enumerate_pairs(len(scene.objects)))
+    pairs = placed("x", 1.0)
+    errors = _errors(pairs)
     for name in ("gjk", "lincanny", "oracle"):
         assert errors[name] == [0] * 90, name
-    missed = {pair: e for pair, e in zip(names, errors["dyop"]) if e != 0}
+    missed = {(a.name, b.name): e for (a, b, _), e in zip(pairs, errors["dyop"]) if e != 0}
     assert set(missed) <= {("Obj10", "Obj6")}
     assert all(e > 0 for e in missed.values())
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dyop2d.baselines import gjk_distance, lin_canny_distance
-from dyop2d.benchmark import ALGORITHMS, default_scene, place_pair
+from dyop2d.benchmark import ALGORITHMS
 from dyop2d.dyop import dyop_distance
 from dyop2d.errors import DegenerateInput
 from dyop2d.geometry import (
@@ -58,6 +58,7 @@ from helpers import (
     _too_wide,
     _value_or_error,
     edge_feature,
+    placed,
     random_tri,
     tri,
     vertex_feature,
@@ -239,7 +240,7 @@ def test_answer_matches_the_constructed_result(args):
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_public_answers_match_the_constructed_result(name):
-    mover, static, velocity = place_pair(default_scene(), (0, 1))
+    mover, static, velocity = placed("x", 1.0)[0]
     built = ALGORITHMS[name](mover, static, velocity)
     pa, pb = built.point_a, built.point_b
     expected = _constructed(
@@ -706,13 +707,8 @@ def _edge_sweep_by_definition(a, b):
 def _sweep_cases():
     """Seeded (a, b) coordinate inputs for the nine-edge sweep, vertices
     taken as given: no winding swap."""
-    scene = default_scene()
-    n = len(scene.objects)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                a, b, _ = place_pair(scene, (i, j))
-                yield _coords(a), _coords(b)
+    for a, b, _ in placed("x", 1.0):
+        yield _coords(a), _coords(b)
     rng = random.Random(17)
     for _ in range(1000):
         a, b, _ = random_separated_pair(rng)

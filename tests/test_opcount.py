@@ -3,8 +3,8 @@ not depend on the host, pinned on the paper's protocol."""
 
 import math
 
-from dyop2d.benchmark import ALGORITHMS, default_scene, enumerate_pairs, place_pair
-from helpers import _bits
+from dyop2d.benchmark import ALGORITHMS
+from helpers import _bits, placed
 from opcount import CountingFloat, counting, operations
 
 
@@ -28,8 +28,7 @@ def test_operation_counts_on_the_placed_pairs_are_pinned():
     # digest holds on every interpreter, and every answer is the plain
     # float one, bit for bit. Per query: DyOP 137.2, GJK 154.9, Lin-Canny
     # 133.1 and the oracle 359.5 operations.
-    scene = default_scene()
-    pairs = [place_pair(scene, pair) for pair in enumerate_pairs(len(scene.objects))]
+    pairs = placed("x", 1.0)
     totals = {}
     for name, query in ALGORITHMS.items():
         totals[name], answers = operations(query, pairs)
