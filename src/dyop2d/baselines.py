@@ -433,7 +433,8 @@ def lin_canny_distance(
     not depend on the coordinates' scale.
 
     Straight-line code: the start pair, the walk, the vertex-vertex and
-    vertex-edge evaluations (``_project``'s rule) and both sides' Voronoi
+    vertex-edge evaluations (``_project``'s one branch per clamp, so a
+    witness clamped to an end is that vertex) and both sides' Voronoi
     escapes are written out inline; visited pairs are bits of an int. Only an
     edge-edge pair calls ``_segment_segment``, and the walk ends on
     ``geometry._separated``, the certificate the oracle checks too.
@@ -479,7 +480,10 @@ def lin_canny_distance(
             break
         visited |= bit
         # The pair's distance and witnesses; vertex i starts edge i. A
-        # vertex against an edge is projected as _project does it.
+        # vertex against an edge is projected as _project does it, one
+        # branch per clamp, with a clamped end taken as the vertex itself.
+        # math.inf is read only on a zero-length edge, so the walk's
+        # per-query set-up does not pay for it.
         if ca < 3:
             pax, pay, _, _ = edges_a[ca]
             if cb < 3:
@@ -490,27 +494,27 @@ def lin_canny_distance(
                 ve += 1
                 ex, ey, fx, fy = edges_b[cb - 3]
                 ux, uy = fx - ex, fy - ey
-                u2 = ux * ux + uy * uy
-                if u2 == 0.0:
-                    d, pbx, pby = hypot(pax - ex, pay - ey), ex, ey
+                t = ((pax - ex) * ux + (pay - ey) * uy) / (ux * ux + uy * uy or math.inf)
+                if t <= 0.0:
+                    pbx, pby = ex, ey
+                elif t >= 1.0:
+                    pbx, pby = fx, fy
                 else:
-                    t = ((pax - ex) * ux + (pay - ey) * uy) / u2
-                    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
                     pbx, pby = ex + t * ux, ey + t * uy
-                    d = hypot(pax - pbx, pay - pby)
+                d = hypot(pax - pbx, pay - pby)
         elif cb < 3:
             ve += 1
             pbx, pby, _, _ = edges_b[cb]
             ex, ey, fx, fy = edges_a[ca - 3]
             ux, uy = fx - ex, fy - ey
-            u2 = ux * ux + uy * uy
-            if u2 == 0.0:
-                d, pax, pay = hypot(pbx - ex, pby - ey), ex, ey
+            t = ((pbx - ex) * ux + (pby - ey) * uy) / (ux * ux + uy * uy or math.inf)
+            if t <= 0.0:
+                pax, pay = ex, ey
+            elif t >= 1.0:
+                pax, pay = fx, fy
             else:
-                t = ((pbx - ex) * ux + (pby - ey) * uy) / u2
-                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
                 pax, pay = ex + t * ux, ey + t * uy
-                d = hypot(pbx - pax, pby - pay)
+            d = hypot(pbx - pax, pby - pay)
         else:
             ee += 1
             ex, ey, fx, fy = edges_a[ca - 3]

@@ -51,6 +51,16 @@ directions and squared lengths once (6, not one per projection, 18),
 and writes its 18 vertex-edge projections out as ``_project`` defines
 them, with no Python call per projection.
 
+Every clamped projection, in ``_project``, ``_segment_projections``,
+``_edge_sweep`` and the Lin-Canny walk, is one branch: a parameter t at
+or below 0 takes the edge's start vertex itself and one at or above 1
+its end vertex itself, and only a t strictly between computes
+e + t (f - e). So a witness named as a vertex is that vertex, bit for
+bit, and a clamped end is never the rounded e + 1.0 (f - e), which can
+lose f's small coordinates beside a large e. The squared length divides
+as ``len2 or inf``: a zero-length edge gives t = +-0.0 and takes its
+start vertex, with no branch of its own.
+
 There is one overflow rule, at the edge. The kernels take coordinates in
 range, where no difference, square or product they form can overflow,
 so they carry no overflow guard: at most 2^510 in magnitude for the
@@ -396,14 +406,22 @@ def _pair(
 def _project(
     px: float, py: float, ax: float, ay: float, bx: float, by: float
 ) -> tuple[float, float, float, float]:
-    """Distance, closest point (x, y) and clamped parameter t of p against segment ab."""
+    """Distance, closest point (x, y) and clamped parameter t of p against segment ab.
+
+    A t at or below 0 takes a itself and one at or above 1 takes b
+    itself, with t set to 0.0 or 1.0; only a t strictly between computes
+    a + t (b - a), which at t = 1 could round off b (Ericson, Real-Time
+    Collision Detection, 2004, 5.1.2). A zero-length segment divides by
+    inf, so its t is +-0.0 and it takes a.
+    """
     abx, aby = bx - ax, by - ay
-    ab2 = abx * abx + aby * aby
-    if ab2 == 0.0:
-        return math.hypot(px - ax, py - ay), ax, ay, 0.0
-    t = ((px - ax) * abx + (py - ay) * aby) / ab2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    cx, cy = ax + t * abx, ay + t * aby
+    t = ((px - ax) * abx + (py - ay) * aby) / (abx * abx + aby * aby or math.inf)
+    if t <= 0.0:
+        cx, cy, t = ax, ay, 0.0
+    elif t >= 1.0:
+        cx, cy, t = bx, by, 1.0
+    else:
+        cx, cy = ax + t * abx, ay + t * aby
     return math.hypot(px - cx, py - cy), cx, cy, t
 
 
@@ -481,10 +499,10 @@ def _segment_projections(
 
     Without contact the minimum over the four clamped endpoint
     projections is exact (Ericson, 5.1.9); ties keep the earliest in
-    (a, b, c, d) order. Each projection, ``_project`` with its
-    zero-length branch and clamp, is written out on the directions
-    r = b - a and s = d - c, computed once for all of them. The
-    coordinates are in range (at most 2^510 in magnitude), so no
+    (a, b, c, d) order. Each projection, ``_project``'s one branch per
+    clamp, is written out on the directions r = b - a and s = d - c, and
+    on their squared lengths as divisors, computed once for all of them.
+    The coordinates are in range (at most 2^510 in magnitude), so no
     projection overflows and no input raises. It decides no contact: a
     caller that has not proved the segments apart, as DyOP's gap box
     does, calls ``_segment_segment``, which calls this where they do not
@@ -492,33 +510,39 @@ def _segment_projections(
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
+    hypot, inf = math.hypot, math.inf
     # a and b projected on cd.
-    s2 = sx * sx + sy * sy
-    if s2 == 0.0:
-        qax = qbx = cx
-        qay = qby = cy
-        ta = tb = 0.0
+    s2 = sx * sx + sy * sy or inf
+    ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
+    if ta <= 0.0:
+        qax, qay, ta = cx, cy, 0.0
+    elif ta >= 1.0:
+        qax, qay, ta = dx, dy, 1.0
     else:
-        ta = ((ax - cx) * sx + (ay - cy) * sy) / s2
-        ta = 0.0 if ta < 0.0 else (1.0 if ta > 1.0 else ta)
         qax, qay = cx + ta * sx, cy + ta * sy
-        tb = ((bx - cx) * sx + (by - cy) * sy) / s2
-        tb = 0.0 if tb < 0.0 else (1.0 if tb > 1.0 else tb)
+    tb = ((bx - cx) * sx + (by - cy) * sy) / s2
+    if tb <= 0.0:
+        qbx, qby, tb = cx, cy, 0.0
+    elif tb >= 1.0:
+        qbx, qby, tb = dx, dy, 1.0
+    else:
         qbx, qby = cx + tb * sx, cy + tb * sy
     # c and d projected on ab.
-    r2 = rx * rx + ry * ry
-    if r2 == 0.0:
-        qcx = qdx = ax
-        qcy = qdy = ay
-        tc = td = 0.0
+    r2 = rx * rx + ry * ry or inf
+    tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
+    if tc <= 0.0:
+        qcx, qcy, tc = ax, ay, 0.0
+    elif tc >= 1.0:
+        qcx, qcy, tc = bx, by, 1.0
     else:
-        tc = ((cx - ax) * rx + (cy - ay) * ry) / r2
-        tc = 0.0 if tc < 0.0 else (1.0 if tc > 1.0 else tc)
         qcx, qcy = ax + tc * rx, ay + tc * ry
-        td = ((dx - ax) * rx + (dy - ay) * ry) / r2
-        td = 0.0 if td < 0.0 else (1.0 if td > 1.0 else td)
+    td = ((dx - ax) * rx + (dy - ay) * ry) / r2
+    if td <= 0.0:
+        qdx, qdy, td = ax, ay, 0.0
+    elif td >= 1.0:
+        qdx, qdy, td = bx, by, 1.0
+    else:
         qdx, qdy = ax + td * rx, ay + td * ry
-    hypot, inf = math.hypot, math.inf
     best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0, False)
     d = hypot(ax - qax, ay - qay)
     if d < best_d:
@@ -659,9 +683,9 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     squared length or projection overflows.
 
     The sweep is straight-line code that makes no call per projection:
-    each is ``_project`` written out, with its zero-length branch and
-    clamp, on the six edge directions and squared lengths,
-    computed once rather than once per projection (6, not 18). Edge i of A
+    each is ``_project``'s one branch per clamp written out, on the six
+    edge directions and the six squared lengths as divisors, computed
+    once rather than once per projection (6, not 18). Edge i of A
     runs from A's vertex i along (uxi, uyi), and edge j of B from B's
     vertex j along (vxj, vyj). A record names a vertex as the start of
     its own edge, at t = 0.
@@ -670,124 +694,198 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     bx0, by0, bx1, by1, bx2, by2 = b
     ux0, uy0, ux1, uy1, ux2, uy2 = ax1 - ax0, ay1 - ay0, ax2 - ax1, ay2 - ay1, ax0 - ax2, ay0 - ay2
     vx0, vy0, vx1, vy1, vx2, vy2 = bx1 - bx0, by1 - by0, bx2 - bx1, by2 - by1, bx0 - bx2, by0 - by2
-    uu0, uu1, uu2 = ux0 * ux0 + uy0 * uy0, ux1 * ux1 + uy1 * uy1, ux2 * ux2 + uy2 * uy2
-    vv0, vv1, vv2 = vx0 * vx0 + vy0 * vy0, vx1 * vx1 + vy1 * vy1, vx2 * vx2 + vy2 * vy2
     inf, hypot = math.inf, math.hypot
+    # The squared lengths as divisors: a zero-length edge divides by inf, so
+    # its t is +-0.0 and the projection takes its start vertex.
+    uu0, uu1, uu2 = ux0 * ux0 + uy0 * uy0 or inf, ux1 * ux1 + uy1 * uy1 or inf, ux2 * ux2 + uy2 * uy2 or inf
+    vv0, vv1, vv2 = vx0 * vx0 + vy0 * vy0 or inf, vx1 * vx1 + vy1 * vy1 or inf, vx2 * vx2 + vy2 * vy2 or inf
     # (pa.x, pa.y, pb.x, pb.y, edge of A, t on it, edge of B, t on it)
     best_d, best = inf, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
     # Edge pair (0, 0): A's vertices 0 and 1 on B's edge 0, B's vertices 0 and 1 on A's edge 0.
-    t = ((ax0 - bx0) * vx0 + (ay0 - by0) * vy0) / vv0 if vv0 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
+    t = ((ax0 - bx0) * vx0 + (ay0 - by0) * vy0) / vv0
+    if t <= 0.0:
+        qx, qy, t = bx0, by0, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx1, by1, 1.0
+    else:
+        qx, qy = bx0 + t * vx0, by0 + t * vy0
     d = hypot(ax0 - qx, ay0 - qy)
     if d < best_d:
         best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 0, t)
-    t = ((ax1 - bx0) * vx0 + (ay1 - by0) * vy0) / vv0 if vv0 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
+    t = ((ax1 - bx0) * vx0 + (ay1 - by0) * vy0) / vv0
+    if t <= 0.0:
+        qx, qy, t = bx0, by0, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx1, by1, 1.0
+    else:
+        qx, qy = bx0 + t * vx0, by0 + t * vy0
     d = hypot(ax1 - qx, ay1 - qy)
     if d < best_d:
         best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 0, t)
-    t = ((bx0 - ax0) * ux0 + (by0 - ay0) * uy0) / uu0 if uu0 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
+    t = ((bx0 - ax0) * ux0 + (by0 - ay0) * uy0) / uu0
+    if t <= 0.0:
+        qx, qy, t = ax0, ay0, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax1, ay1, 1.0
+    else:
+        qx, qy = ax0 + t * ux0, ay0 + t * uy0
     d = hypot(bx0 - qx, by0 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx0, by0, 0, t, 0, 0.0)
-    t = ((bx1 - ax0) * ux0 + (by1 - ay0) * uy0) / uu0 if uu0 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
+    t = ((bx1 - ax0) * ux0 + (by1 - ay0) * uy0) / uu0
+    if t <= 0.0:
+        qx, qy, t = ax0, ay0, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax1, ay1, 1.0
+    else:
+        qx, qy = ax0 + t * ux0, ay0 + t * uy0
     d = hypot(bx1 - qx, by1 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx1, by1, 0, t, 1, 0.0)
     # (0, 1): A's vertices 0 and 1 on B's edge 1, B's vertex 2 on A's edge 0.
-    t = ((ax0 - bx1) * vx1 + (ay0 - by1) * vy1) / vv1 if vv1 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
+    t = ((ax0 - bx1) * vx1 + (ay0 - by1) * vy1) / vv1
+    if t <= 0.0:
+        qx, qy, t = bx1, by1, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx2, by2, 1.0
+    else:
+        qx, qy = bx1 + t * vx1, by1 + t * vy1
     d = hypot(ax0 - qx, ay0 - qy)
     if d < best_d:
         best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 1, t)
-    t = ((ax1 - bx1) * vx1 + (ay1 - by1) * vy1) / vv1 if vv1 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
+    t = ((ax1 - bx1) * vx1 + (ay1 - by1) * vy1) / vv1
+    if t <= 0.0:
+        qx, qy, t = bx1, by1, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx2, by2, 1.0
+    else:
+        qx, qy = bx1 + t * vx1, by1 + t * vy1
     d = hypot(ax1 - qx, ay1 - qy)
     if d < best_d:
         best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 1, t)
-    t = ((bx2 - ax0) * ux0 + (by2 - ay0) * uy0) / uu0 if uu0 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax0 + t * ux0, ay0 + t * uy0) if uu0 else (ax0, ay0)
+    t = ((bx2 - ax0) * ux0 + (by2 - ay0) * uy0) / uu0
+    if t <= 0.0:
+        qx, qy, t = ax0, ay0, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax1, ay1, 1.0
+    else:
+        qx, qy = ax0 + t * ux0, ay0 + t * uy0
     d = hypot(bx2 - qx, by2 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx2, by2, 0, t, 2, 0.0)
     # (0, 2): A's vertices 0 and 1 on B's edge 2.
-    t = ((ax0 - bx2) * vx2 + (ay0 - by2) * vy2) / vv2 if vv2 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
+    t = ((ax0 - bx2) * vx2 + (ay0 - by2) * vy2) / vv2
+    if t <= 0.0:
+        qx, qy, t = bx2, by2, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx0, by0, 1.0
+    else:
+        qx, qy = bx2 + t * vx2, by2 + t * vy2
     d = hypot(ax0 - qx, ay0 - qy)
     if d < best_d:
         best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 2, t)
-    t = ((ax1 - bx2) * vx2 + (ay1 - by2) * vy2) / vv2 if vv2 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
+    t = ((ax1 - bx2) * vx2 + (ay1 - by2) * vy2) / vv2
+    if t <= 0.0:
+        qx, qy, t = bx2, by2, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx0, by0, 1.0
+    else:
+        qx, qy = bx2 + t * vx2, by2 + t * vy2
     d = hypot(ax1 - qx, ay1 - qy)
     if d < best_d:
         best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 2, t)
     # (1, 0): A's vertex 2 on B's edge 0, B's vertices 0 and 1 on A's edge 1.
-    t = ((ax2 - bx0) * vx0 + (ay2 - by0) * vy0) / vv0 if vv0 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx0 + t * vx0, by0 + t * vy0) if vv0 else (bx0, by0)
+    t = ((ax2 - bx0) * vx0 + (ay2 - by0) * vy0) / vv0
+    if t <= 0.0:
+        qx, qy, t = bx0, by0, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx1, by1, 1.0
+    else:
+        qx, qy = bx0 + t * vx0, by0 + t * vy0
     d = hypot(ax2 - qx, ay2 - qy)
     if d < best_d:
         best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 0, t)
-    t = ((bx0 - ax1) * ux1 + (by0 - ay1) * uy1) / uu1 if uu1 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
+    t = ((bx0 - ax1) * ux1 + (by0 - ay1) * uy1) / uu1
+    if t <= 0.0:
+        qx, qy, t = ax1, ay1, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax2, ay2, 1.0
+    else:
+        qx, qy = ax1 + t * ux1, ay1 + t * uy1
     d = hypot(bx0 - qx, by0 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx0, by0, 1, t, 0, 0.0)
-    t = ((bx1 - ax1) * ux1 + (by1 - ay1) * uy1) / uu1 if uu1 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
+    t = ((bx1 - ax1) * ux1 + (by1 - ay1) * uy1) / uu1
+    if t <= 0.0:
+        qx, qy, t = ax1, ay1, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax2, ay2, 1.0
+    else:
+        qx, qy = ax1 + t * ux1, ay1 + t * uy1
     d = hypot(bx1 - qx, by1 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx1, by1, 1, t, 1, 0.0)
     # (1, 1): A's vertex 2 on B's edge 1, B's vertex 2 on A's edge 1.
-    t = ((ax2 - bx1) * vx1 + (ay2 - by1) * vy1) / vv1 if vv1 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx1 + t * vx1, by1 + t * vy1) if vv1 else (bx1, by1)
+    t = ((ax2 - bx1) * vx1 + (ay2 - by1) * vy1) / vv1
+    if t <= 0.0:
+        qx, qy, t = bx1, by1, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx2, by2, 1.0
+    else:
+        qx, qy = bx1 + t * vx1, by1 + t * vy1
     d = hypot(ax2 - qx, ay2 - qy)
     if d < best_d:
         best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 1, t)
-    t = ((bx2 - ax1) * ux1 + (by2 - ay1) * uy1) / uu1 if uu1 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax1 + t * ux1, ay1 + t * uy1) if uu1 else (ax1, ay1)
+    t = ((bx2 - ax1) * ux1 + (by2 - ay1) * uy1) / uu1
+    if t <= 0.0:
+        qx, qy, t = ax1, ay1, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax2, ay2, 1.0
+    else:
+        qx, qy = ax1 + t * ux1, ay1 + t * uy1
     d = hypot(bx2 - qx, by2 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx2, by2, 1, t, 2, 0.0)
     # (1, 2): A's vertex 2 on B's edge 2.
-    t = ((ax2 - bx2) * vx2 + (ay2 - by2) * vy2) / vv2 if vv2 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (bx2 + t * vx2, by2 + t * vy2) if vv2 else (bx2, by2)
+    t = ((ax2 - bx2) * vx2 + (ay2 - by2) * vy2) / vv2
+    if t <= 0.0:
+        qx, qy, t = bx2, by2, 0.0
+    elif t >= 1.0:
+        qx, qy, t = bx0, by0, 1.0
+    else:
+        qx, qy = bx2 + t * vx2, by2 + t * vy2
     d = hypot(ax2 - qx, ay2 - qy)
     if d < best_d:
         best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 2, t)
     # (2, 0): B's vertices 0 and 1 on A's edge 2.
-    t = ((bx0 - ax2) * ux2 + (by0 - ay2) * uy2) / uu2 if uu2 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
+    t = ((bx0 - ax2) * ux2 + (by0 - ay2) * uy2) / uu2
+    if t <= 0.0:
+        qx, qy, t = ax2, ay2, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax0, ay0, 1.0
+    else:
+        qx, qy = ax2 + t * ux2, ay2 + t * uy2
     d = hypot(bx0 - qx, by0 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx0, by0, 2, t, 0, 0.0)
-    t = ((bx1 - ax2) * ux2 + (by1 - ay2) * uy2) / uu2 if uu2 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
+    t = ((bx1 - ax2) * ux2 + (by1 - ay2) * uy2) / uu2
+    if t <= 0.0:
+        qx, qy, t = ax2, ay2, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax0, ay0, 1.0
+    else:
+        qx, qy = ax2 + t * ux2, ay2 + t * uy2
     d = hypot(bx1 - qx, by1 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx1, by1, 2, t, 1, 0.0)
     # (2, 1): B's vertex 2 on A's edge 2; edge pair (2, 2) adds no projection.
-    t = ((bx2 - ax2) * ux2 + (by2 - ay2) * uy2) / uu2 if uu2 else 0.0
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = (ax2 + t * ux2, ay2 + t * uy2) if uu2 else (ax2, ay2)
+    t = ((bx2 - ax2) * ux2 + (by2 - ay2) * uy2) / uu2
+    if t <= 0.0:
+        qx, qy, t = ax2, ay2, 0.0
+    elif t >= 1.0:
+        qx, qy, t = ax0, ay0, 1.0
+    else:
+        qx, qy = ax2 + t * ux2, ay2 + t * uy2
     d = hypot(bx2 - qx, by2 - qy)
     if d < best_d:
         best_d, best = d, (qx, qy, bx2, by2, 2, t, 2, 0.0)

@@ -145,12 +145,6 @@ def movers(statics):
     return {f"Obj{i}->Obj{j}" for i, js in statics.items() for j in js}
 
 
-# Along y, from s = 1e-2 on, the Lin-Canny walks of the Obj5 movers to
-# Obj3, Obj4 and Obj8 abort: an edge-to-vertex step raises the distance by
-# rounding, since the clamped projection e + 1.0 * (f - e) rounds off
-# vertex f. Their sweeps pass the certificate; every other fallback ends on
-# a pair the certificate rejects, and its sweep fails it too.
-_ABORTED_ALONG_Y = movers({5: [3, 4, 8]})
 # From s = 1e-2 on along x, a slanted Obj10 face leaves DyOP no gap along x
 # against seven statics (ROADMAP item 7).
 _OBJ10_WITHOUT_GAP = movers({10: [2, 3, 4, 5, 6, 8, 9]})
@@ -162,7 +156,9 @@ _MISSED_ALONG_X = movers({10: [6]})
 # - lincanny_fallbacks: pairs whose cold walk falls back to the oracle's
 #   sweep (near contact, ROADMAP item 6);
 # - certified_sweeps: the fallbacks whose sweep passes the certificate,
-#   so that only the others run the overlap test;
+#   so that only the others run the overlap test (none in any regime:
+#   every fallback ends on a pair the certificate rejects, and its sweep
+#   fails it too);
 # - dyop_misses: pairs where DyOP strays from s by more than the bench's
 #   MISMATCH_TOLERANCE * s, as its pruning drops the winning feature pair;
 # - overlapping_boxes: pairs whose gap box DyOP flags overlapping-boxes;
@@ -207,17 +203,15 @@ REGIMES = {
         "overlapping_boxes": set(),
     },
     ("y", 1e-2, 0.0): {
-        "lincanny_fallbacks": _ABORTED_ALONG_Y | movers({2: [8], 3: [8], 4: [8, 10], 10: [8]}),
-        "certified_sweeps": _ABORTED_ALONG_Y,
+        "lincanny_fallbacks": movers({2: [8], 3: [8], 4: [8, 10], 10: [8]}),
+        "certified_sweeps": set(),
     },
     ("y", 1e-3, 0.0): {
-        "lincanny_fallbacks": _ABORTED_ALONG_Y
-        | movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]}),
-        "certified_sweeps": _ABORTED_ALONG_Y,
+        "lincanny_fallbacks": movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]}),
+        "certified_sweeps": set(),
     },
     ("y", 1e-6, 0.0): {
-        "lincanny_fallbacks": _ABORTED_ALONG_Y
-        | movers(
+        "lincanny_fallbacks": movers(
             {
                 2: [5, 8, 9, 10],
                 3: [1, 2, 5, 6, 7, 8, 9, 10],
@@ -229,7 +223,7 @@ REGIMES = {
                 10: [8, 9],
             }
         ),
-        "certified_sweeps": _ABORTED_ALONG_Y,
+        "certified_sweeps": set(),
     },
 }
 

@@ -67,6 +67,7 @@ from helpers import (
     _walk_by_definition,
     placed,
     regime_id,
+    tri,
 )
 
 # (worst ulp error, answers correctly rounded) of each algorithm on the
@@ -81,8 +82,9 @@ BOUNDS = {
     "grid 7": {"oracle": (6, 984), "gjk": (9, 433), "dyop": (-5, 264)},
     "grid 8": {"point": (6, 4089), "segment": (6, 6990)},
     "grid 11": {"lincanny": (6, 460)},
+    "hair apart": {"oracle": (0, 402), "dyop": (0, 402), "lincanny": (0, 402)},
     (1e150, 0.0): {"oracle": (115, 274), "gjk": (30, 214), "dyop": (-30, 207), "lincanny": (115, 47)},
-    (1e154, 0.0): {"oracle": (61, 261), "gjk": (63, 212), "dyop": (-1, 200), "lincanny": (61, 43)},
+    (1e154, 0.0): {"oracle": (61, 260), "gjk": (63, 212), "dyop": (-1, 200), "lincanny": (61, 43)},
     (1e155, 0.0): {"oracle": (85, 270), "gjk": (32, 211), "dyop": (-32, 211), "lincanny": (85, 43)},
     (1e300, 0.0): {"oracle": (146, 275), "gjk": (11, 230), "dyop": (-1, 213), "lincanny": (146, 42)},
     (1.0, 1.7e308): {},
@@ -258,6 +260,39 @@ def test_lin_canny_matches_reference_on_grid():
         a, b = _grid_triangle(rng), _grid_triangle(rng)
         assert triangles_overlap(a, b) is _judge(("lincanny",), a, b, None, errors), (a, b)
     _assert_bounds(errors, BOUNDS["grid 11"])
+
+
+def _hair_apart_pairs():
+    """A = (0, 0), (-1, 0.5), (-1, -0.5) against B = (eps, 0), (1, -1), (1, 1),
+    both ways round: the vertices (0, 0) and (eps, 0) are closest, eps
+    apart, at eps = 1e-20 and then at 200 seeded eps from 1e-30 to 1e-8."""
+    rng = random.Random(36)
+    a = tri((0, 0), (-1, 0.5), (-1, -0.5))
+    for eps in [1e-20] + [10.0 ** rng.uniform(-30.0, -8.0) for _ in range(200)]:
+        b = tri((eps, 0), (1, -1), (1, 1))
+        yield a, b, Vector2(1.0, 0.0)
+        yield b, a, Vector2(-1.0, 0.0)
+
+
+def test_triangles_a_hair_apart_are_measured_with_their_vertices_as_witnesses():
+    # A projection clamped to the end of an edge must take the end vertex
+    # itself: computed as e + 1.0 * (f - e), the end (eps, 0) of B's edge 2
+    # from (1, 1) rounds to (1 + (eps - 1), 0.0), which is (0.0, 0.0) for
+    # eps up to 1e-17, where A's vertex (0, 0) would measure 0.0 to it.
+    # Here every answer is exact, and a witness named as a vertex is that
+    # vertex, int coordinates included. GJK is left out: it calls these
+    # pairs intersecting by an absolute tolerance (ROADMAP item 14).
+    names = ("oracle", "dyop", "lincanny")
+    errors = collections.defaultdict(list)
+    for a, b, velocity in _hair_apart_pairs():
+        _judge(names, a, b, velocity, errors)
+        for name in names:
+            r = ALGORITHMS[name](a, b, velocity)
+            for t, p, feature in ((a, r.point_a, r.feature_a), (b, r.point_b, r.feature_b)):
+                if feature.kind is FeatureKind.VERTEX:
+                    v = t.vertex(feature.index)
+                    assert repr((p.x, p.y)) == repr((v.x, v.y)), (name, a, b, r)
+    _assert_bounds(errors, BOUNDS["hair apart"])
 
 
 def test_primitives_match_reference_on_grid():

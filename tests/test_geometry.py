@@ -659,17 +659,18 @@ def test_segments_apart_along_their_line_do_not_cross():
 
 def test_contact_is_decided_by_orientations_not_by_a_zero_distance():
     # A's vertex 0 is 1e-20 left of B's vertex 0. Projected on B's edge 2,
-    # from (1, 1) to (1e-20, 0), the end comes out as 1 + 1 * (1e-20 - 1),
-    # which rounds to 0.0, so A's edges 0 and 2 measure distance 0.0 to it.
-    # No orientation is zero and nothing crosses, so the segment test
-    # reports no contact, the overlap test finds none, and Lin-Canny
-    # answers the true gap.
+    # from (1, 1) to (1e-20, 0), it clamps to the end, which is taken as
+    # the vertex (1e-20, 0) itself: computed as 1 + 1 * (1e-20 - 1) it
+    # would round to 0.0 and measure distance 0.0. So A's edges 0 and 2
+    # measure the true gap to it. No orientation is zero and nothing
+    # crosses, so the segment test reports no contact, the overlap test
+    # finds none, and Lin-Canny answers the true gap too.
     a = tri((0, 0), (-1, 0.5), (-1, -0.5))
     b = tri((1e-20, 0), (1, -1), (1, 1))
     edges_a, edges_b = _edge_list(_coords(a)), _edge_list(_coords(b))
     for i in (0, 2):
         d, *_, contact = _segment_segment(*edges_a[i], *edges_b[2])
-        assert (d, contact) == (0.0, False), i
+        assert (d, contact) == (1e-20, False), i
     assert triangles_overlap(a, b) is False
     result, _ = lin_canny_distance(a, b)
     assert (result.distance, result.flags) == (1e-20, ())
