@@ -2,8 +2,8 @@
 
 Both are specialized to 2D triangles and run on the float core of
 ``geometry.py``: a query refuses a degenerate triangle by the flag the
-``Triangle`` computed at construction, takes the two triangles' six
-coordinates each from ``geometry._pair`` once, and builds its answer
+``Triangle`` computed at construction, takes the six coordinates that
+each triangle cached there from ``geometry._pair``, and builds its answer
 once, with ``geometry._answer``, which checks the witnesses' finiteness
 there. GJK
 runs its loop as one straight-line kernel on scalar locals: the six
@@ -390,10 +390,12 @@ class FeaturePair:
 
 _FEATURES = _VERTEX_FEATURES + _EDGE_FEATURES
 _PAIRS = tuple(FeaturePair(fa, fb) for fa in _FEATURES for fb in _FEATURES)
+# Read once at import, as dyop's axes are: a global read, not an Enum member lookup per use.
+_VERTEX = FeatureKind.VERTEX
 
 
 def _code(feature: FeatureId) -> int:
-    return feature.index if feature.kind is FeatureKind.VERTEX else 3 + feature.index
+    return feature.index if feature.kind is _VERTEX else 3 + feature.index
 
 
 def lin_canny_distance(
@@ -468,8 +470,8 @@ def lin_canny_distance(
     else:
         # _code written out: a seeded walk is short, and two calls show in its time.
         fa, fb = seed.feature_a, seed.feature_b
-        ca = fa.index if fa.kind is FeatureKind.VERTEX else 3 + fa.index
-        cb = fb.index if fb.kind is FeatureKind.VERTEX else 3 + fb.index
+        ca = fa.index if fa.kind is _VERTEX else 3 + fa.index
+        cb = fb.index if fb.kind is _VERTEX else 3 + fb.index
     hypot = math.hypot
     visited = 0
     prev = math.inf

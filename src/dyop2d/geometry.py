@@ -7,11 +7,13 @@ validated against.
 The primitives work on plain float coordinates, in one flat form: every
 kernel and the verify sweep take a triangle as its six coordinates
 ``(x0, y0, x1, y1, x2, y2)`` in one tuple (``_Coords``), vertex i at 2i
-and 2i + 1, and edge i from vertex i to vertex (i + 1) % 3. A function
-that walks the edges builds them locally. DyOP's stages pass plain
-tuples, so there is no box or pivot type here. Every query has one path:
-``_pair`` hands its kernel the two triangles' coordinates in range, the
-kernel returns the nine arguments of ``_answer``, and ``_answer`` builds
+and 2i + 1, and edge i from vertex i to vertex (i + 1) % 3. A
+``Triangle`` builds that tuple once, at construction, and keeps it as
+``coords``, so no query flattens a triangle. A function that walks the
+edges builds them locally. DyOP's stages pass plain tuples, so there is
+no box or pivot type here. Every query has one path: ``_pair`` hands
+its kernel the two triangles' cached coordinates, in range, the kernel
+returns the nine arguments of ``_answer``, and ``_answer`` builds
 the answer once: it scales the distance and witnesses back, checks the
 four witness coordinates for finiteness and fills the ``Point2`` and
 ``DistanceResult`` fields directly, without re-running their
@@ -208,8 +210,13 @@ class Triangle:
     degenerate: only then are its winding and degeneracy decided on its
     coordinates scaled into range by one power of two, with the area
     bound scaled alike. Every other orientation, an infinite one too,
-    has its sign on raw coordinates. Both flags are non-field attributes,
-    so they stay out of ``fields()``, ``repr``, ``==`` and ``hash``.
+    has its sign on raw coordinates. After the swap, the normalized
+    vertices' six coordinates are kept as ``coords``
+    (``(x0, y0, x1, y1, x2, y2)``, ``_Coords``), the tuple every kernel
+    reads, so that ``_pair`` hands it on instead of flattening the
+    triangle per query. The two flags and ``coords`` are non-field
+    attributes, so they stay out of ``fields()``, ``repr``, ``==`` and
+    ``hash``; like the fields, they cannot be assigned.
     """
 
     v0: Point2
@@ -233,8 +240,10 @@ class Triangle:
         if clockwise:
             object.__setattr__(self, "v1", v2)
             object.__setattr__(self, "v2", v1)
+            x1, y1, x2, y2 = x2, y2, x1, y1
         object.__setattr__(self, "is_degenerate", degenerate)
         object.__setattr__(self, "is_huge", huge)
+        object.__setattr__(self, "coords", (x0, y0, x1, y1, x2, y2))
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -383,18 +392,17 @@ def _pair(
     kernel's range 2^exponent, and the power of two f that put them there.
 
     Every query reaches its kernel through here, and only here is the
-    overflow rule applied. A pair without a coordinate past 2^250
-    (``is_huge``) and without a ``length`` is in every kernel's range, and
-    comes as it is, with f = 1.0. Any other pair gets ``_pair_scale``'s f
-    for its coordinates and the length, and is scaled by it, or refused
-    with ValueError as too wide to scale. A length the kernel returns is
+    overflow rule applied. Each triangle's coordinates are the tuple it
+    cached at construction (``Triangle.coords``). A pair without a
+    coordinate past 2^250 (``is_huge``) and without a ``length`` is in
+    every kernel's range, and those two tuples come as they are, with
+    f = 1.0. Any other pair gets ``_pair_scale``'s f for its coordinates
+    and the length, and is scaled by it into new tuples, or refused with
+    ValueError as too wide to scale. A length the kernel returns is
     scaled back by dividing it by f, as ``_answer`` does. It takes no
     variable arguments, which would keep CPython off its fast call path.
     """
-    v0, v1, v2 = tA.v0, tA.v1, tA.v2
-    a = (v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
-    v0, v1, v2 = tB.v0, tB.v1, tB.v2
-    b = (v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+    a, b = tA.coords, tB.coords
     if not (length or tA.is_huge or tB.is_huge):
         return a, b, 1.0
     f = _pair_scale(exponent, [*a[0::2], *b[0::2]], [*a[1::2], *b[1::2]], length)
@@ -459,9 +467,11 @@ def _segment_segment(
     with a zero orientation within the other segment's extent touches it;
     endpoint contact and collinear overlap take the first such endpoint
     in (c, d, a, b) order. Contact reports distance 0 with coincident
-    witnesses at that point, ``_project``'s parameters for it, and
-    ``contact`` True. Without contact ``_segment_projections`` answers,
-    with ``contact`` False even where its distance rounds to 0. Segments
+    witnesses at that point, its parameters on ab and cd as ``_project``
+    divides and clamps them, computed on r and s without ``_project``'s
+    distance, and ``contact`` True. Without contact
+    ``_segment_projections`` answers, with ``contact`` False even where
+    its distance rounds to 0. Segments
     whose boxes are apart on an axis reach neither contact branch, so
     there this test and ``_segment_projections`` answer alike, bit for
     bit. The coordinates are in range (at most 2^510 in magnitude), so
@@ -488,7 +498,12 @@ def _segment_segment(
         hx, hy = bx, by
     else:
         return _segment_projections(ax, ay, bx, by, cx, cy, dx, dy)
-    return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3], True
+    # The contact point's parameters on ab and cd, as _project computes and clamps them.
+    t1 = ((hx - ax) * rx + (hy - ay) * ry) / (rx * rx + ry * ry or math.inf)
+    t2 = ((hx - cx) * sx + (hy - cy) * sy) / (sx * sx + sy * sy or math.inf)
+    t1 = 0.0 if t1 <= 0.0 else (1.0 if t1 >= 1.0 else t1)
+    t2 = 0.0 if t2 <= 0.0 else (1.0 if t2 >= 1.0 else t2)
+    return 0.0, hx, hy, hx, hy, t1, t2, True
 
 
 def _segment_projections(
@@ -543,20 +558,22 @@ def _segment_projections(
         qdx, qdy, td = bx, by, 1.0
     else:
         qdx, qdy = ax + td * rx, ay + td * ry
-    best_d, best = inf, (inf, ax, ay, cx, cy, 0.0, 0.0, False)
-    d = hypot(ax - qax, ay - qay)
-    if d < best_d:
-        best_d, best = d, (d, ax, ay, qax, qay, 0.0, ta, False)
+    # The winner by index, ties to the earliest in (a, b, c, d) order; only its tuple is built.
+    best_d, win = hypot(ax - qax, ay - qay), 0
     d = hypot(bx - qbx, by - qby)
     if d < best_d:
-        best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb, False)
+        best_d, win = d, 1
     d = hypot(cx - qcx, cy - qcy)
     if d < best_d:
-        best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0, False)
+        best_d, win = d, 2
     d = hypot(dx - qdx, dy - qdy)
     if d < best_d:
-        best = (d, qdx, qdy, dx, dy, td, 1.0, False)
-    return best
+        return d, qdx, qdy, dx, dy, td, 1.0, False
+    if win == 0:
+        return best_d, ax, ay, qax, qay, 0.0, ta, False
+    if win == 1:
+        return best_d, bx, by, qbx, qby, 1.0, tb, False
+    return best_d, qcx, qcy, cx, cy, tc, 0.0, False
 
 
 def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from math import hypot
 
-from .dyop import MovementAxis, _dyop
+from .dyop import _X, _Y, MovementAxis, _dyop
 from .errors import DegenerateInput
 from .geometry import Point2, Triangle, Vector2, _brute_force, _Coords, _winding
 
@@ -87,7 +87,7 @@ def _separated_coords(rng: random.Random) -> tuple[_Coords, _Coords, bool, Movem
         if separated:
             break
     degenerate_b = _winding(x0, y0, x1, y1, x2, y2)[1]
-    return a, (x0, y0, x1, y1, x2, y2), degenerate_b, MovementAxis.X if along_x else MovementAxis.Y
+    return a, (x0, y0, x1, y1, x2, y2), degenerate_b, _X if along_x else _Y
 
 
 def _triangle(c: _Coords) -> Triangle:
@@ -105,7 +105,7 @@ def random_separated_pair(
     rejected and redrawn.
     """
     a, b, _, axis = _separated_coords(rng)
-    velocity = Vector2(1.0, 0.0) if axis is MovementAxis.X else Vector2(0.0, 1.0)
+    velocity = Vector2(1.0, 0.0) if axis is _X else Vector2(0.0, 1.0)
     return _triangle(a), _triangle(b), velocity
 
 

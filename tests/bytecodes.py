@@ -16,7 +16,12 @@ measures counts, never time.
 Run as a script, it prints the interpreter and each algorithm's
 bytecodes per query on the inputs of ``opcount``'s table: the default
 scene's placed pairs (along x at separations 1 and 1e-3, and along y)
-and the first 2,000 seed-7 random pairs:
+and the first 2,000 seed-7 random pairs. Then, on the placed pairs at
+separation 1, it splits each algorithm's count by function
+(``by_function``): the public wrapper, ``_pair``, the kernel(s) and
+``_answer``, each function in the order it first runs. A count weighs
+every bytecode alike, so it misses what one slow bytecode costs, such as
+an Enum member lookup ``MovementAxis.X`` against a module global read:
 
     PYTHONPATH=src python tests/bytecodes.py
 """
@@ -25,7 +30,10 @@ from __future__ import annotations
 
 import sys
 
-_tally = [0]
+# Bytecodes run, by function name, since the last ``by_function`` call
+# began. Keyed by name, whose hash a str caches: a code object hashes its
+# whole contents on every lookup.
+_tally: dict[str, int] = {}
 
 
 def _tracer(frame, event, arg):
@@ -33,24 +41,34 @@ def _tracer(frame, event, arg):
     frame.f_trace_lines = False
     frame.f_trace_opcodes = True
     if event == "opcode":
-        _tally[0] += 1
+        name = frame.f_code.co_name
+        _tally[name] = _tally.get(name, 0) + 1
     return _tracer
 
 
-def bytecodes(query, *args) -> tuple[int, object]:
-    """The number of bytecodes that ``query(*args)`` runs, and its answer.
+def by_function(query, *args) -> tuple[dict[str, int], object]:
+    """The bytecodes that ``query(*args)`` runs in each function, by name
+    in the order each first runs, and its answer.
 
     Only frames entered after the tracer is set are traced, so this
     function's own bytecodes are not counted; any trace function that
-    was set before is set again after."""
+    was set before is set again after. Functions of one name share a
+    count: a dataclass's generated ``__init__``, such as
+    ``TestCounters``', counts as ``__init__``."""
     previous = sys.gettrace()
-    start = _tally[0]
+    _tally.clear()
     sys.settrace(_tracer)
     try:
         answer = query(*args)
     finally:
         sys.settrace(previous)
-    return _tally[0] - start, answer
+    return dict(_tally), answer
+
+
+def bytecodes(query, *args) -> tuple[int, object]:
+    """The number of bytecodes that ``query(*args)`` runs, and its answer."""
+    split, answer = by_function(query, *args)
+    return sum(split.values()), answer
 
 
 def per_query(query, pairs) -> float:
@@ -79,6 +97,19 @@ def _main() -> None:
     print("|---|" + "---|" * len(ALGORITHMS))
     for label, pairs in inputs.items():
         print(f"| {label} | " + " | ".join(f"{per_query(query, pairs):.1f}" for query in ALGORITHMS.values()) + " |")
+    pairs = inputs["placed pairs, s = 1"]
+    print()
+    print("bytecodes per query by function, placed pairs, s = 1")
+    print()
+    print("| algorithm | function | bytecodes |")
+    print("|---|---|---|")
+    for name, query in ALGORITHMS.items():
+        split: dict[str, int] = {}
+        for pair in pairs:
+            for function, n in by_function(query, *pair)[0].items():
+                split[function] = split.get(function, 0) + n
+        for function, n in split.items():
+            print(f"| {name} | {function} | {n / len(pairs):.1f} |")
 
 
 if __name__ == "__main__":

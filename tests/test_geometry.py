@@ -28,6 +28,7 @@ from dyop2d.geometry import (
     _contact_witness,
     _edge_sweep,
     _orient,
+    _pair,
     _point_in_triangle,
     _project,
     _segment_projections,
@@ -168,6 +169,49 @@ def test_degeneracy_flag_is_not_a_field():
         t.is_degenerate = True
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.is_huge = True
+
+
+def _coordinate_cache_cases():
+    """Seeded triangles, each as given and with its input order clockwise,
+    plus int coordinates, signed zeros, and coordinates past 2^250 and
+    past 2^510."""
+    rng = random.Random(49)
+    cases = [tri((0, 0), (1, 0), (0, 1)), tri((3, -2), (-1, 4), (5, 7)), tri((-0.0, 0.0), (1.0, -0.0), (0.0, 1.0))]
+    for _ in range(40):
+        t = random_tri(rng)
+        for s in (1.0, -1.0, 2.0**260, 2.0**515, -1e300):
+            u = t.scaled(s)
+            cases += [u, tri((u.v0.x, u.v0.y), (u.v2.x, u.v2.y), (u.v1.x, u.v1.y))]
+    cases += [tri((0, 0), (0, 1), (1, 0)), tri((-0.0, -0.0), (1.0, 1.0), (0.0, -0.0))]
+    return cases
+
+
+def test_a_triangle_caches_its_normalized_coordinates_once():
+    cases = _coordinate_cache_cases()
+    assert any(t.is_huge for t in cases) and any(abs(t.v0.x) > RANGE for t in cases)
+    assert any(type(t.v0.x) is int for t in cases) and any(repr(v) == "-0.0" for t in cases for v in _coords(t))
+    for t in cases:
+        # The tuple every kernel reads, after the clockwise swap: by repr,
+        # so -0.0 and int coordinates stay as they were given.
+        assert type(t.coords) is tuple and repr(t.coords) == repr(_coords(t)), t
+        # It survives a copy, a pickle round trip and a rebuild.
+        for u in (dataclasses.replace(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert u == t and repr(u.coords) == repr(t.coords), t
+        swapped = dataclasses.replace(t, v1=t.v2, v2=t.v1)
+        assert repr(swapped.coords) == repr(_coords(swapped)), t
+    t = cases[0]
+    assert [f.name for f in dataclasses.fields(t)] == ["v0", "v1", "v2", "name"] and "coords" not in repr(t)
+    # Not part of == or hash: a triangle with its cache replaced still equals t.
+    other = copy.copy(t)
+    object.__setattr__(other, "coords", None)
+    assert other == t and hash(other) == hash(t)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.coords = (0.0,) * 6
+    # In range, a query's pair is the two cached tuples themselves, not copies.
+    for t, u in zip(cases, cases[1:]):
+        if not (t.is_huge or u.is_huge):
+            a, b, f = _pair(t, u)
+            assert a is t.coords and b is u.coords and f == 1.0
 
 
 _REFUSALS = [
