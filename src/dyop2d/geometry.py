@@ -467,11 +467,9 @@ def _segment_segment(
     with a zero orientation within the other segment's extent touches it;
     endpoint contact and collinear overlap take the first such endpoint
     in (c, d, a, b) order. Contact reports distance 0 with coincident
-    witnesses at that point, its parameters on ab and cd as ``_project``
-    divides and clamps them, computed on r and s without ``_project``'s
-    distance, and ``contact`` True. Without contact
-    ``_segment_projections`` answers, with ``contact`` False even where
-    its distance rounds to 0. Segments
+    witnesses at that point, ``_project``'s parameters for it, and
+    ``contact`` True. Without contact ``_segment_projections`` answers,
+    with ``contact`` False even where its distance rounds to 0. Segments
     whose boxes are apart on an axis reach neither contact branch, so
     there this test and ``_segment_projections`` answer alike, bit for
     bit. The coordinates are in range (at most 2^510 in magnitude), so
@@ -498,12 +496,7 @@ def _segment_segment(
         hx, hy = bx, by
     else:
         return _segment_projections(ax, ay, bx, by, cx, cy, dx, dy)
-    # The contact point's parameters on ab and cd, as _project computes and clamps them.
-    t1 = ((hx - ax) * rx + (hy - ay) * ry) / (rx * rx + ry * ry or math.inf)
-    t2 = ((hx - cx) * sx + (hy - cy) * sy) / (sx * sx + sy * sy or math.inf)
-    t1 = 0.0 if t1 <= 0.0 else (1.0 if t1 >= 1.0 else t1)
-    t2 = 0.0 if t2 <= 0.0 else (1.0 if t2 >= 1.0 else t2)
-    return 0.0, hx, hy, hx, hy, t1, t2, True
+    return 0.0, hx, hy, hx, hy, _project(hx, hy, ax, ay, bx, by)[3], _project(hx, hy, cx, cy, dx, dy)[3], True
 
 
 def _segment_projections(
@@ -558,22 +551,18 @@ def _segment_projections(
         qdx, qdy, td = bx, by, 1.0
     else:
         qdx, qdy = ax + td * rx, ay + td * ry
-    # The winner by index, ties to the earliest in (a, b, c, d) order; only its tuple is built.
-    best_d, win = hypot(ax - qax, ay - qay), 0
+    best_d = hypot(ax - qax, ay - qay)
+    best = (best_d, ax, ay, qax, qay, 0.0, ta, False)
     d = hypot(bx - qbx, by - qby)
     if d < best_d:
-        best_d, win = d, 1
+        best_d, best = d, (d, bx, by, qbx, qby, 1.0, tb, False)
     d = hypot(cx - qcx, cy - qcy)
     if d < best_d:
-        best_d, win = d, 2
+        best_d, best = d, (d, qcx, qcy, cx, cy, tc, 0.0, False)
     d = hypot(dx - qdx, dy - qdy)
     if d < best_d:
-        return d, qdx, qdy, dx, dy, td, 1.0, False
-    if win == 0:
-        return best_d, ax, ay, qax, qay, 0.0, ta, False
-    if win == 1:
-        return best_d, bx, by, qbx, qby, 1.0, tb, False
-    return best_d, qcx, qcy, cx, cy, tc, 0.0, False
+        best = (d, qdx, qdy, dx, dy, td, 1.0, False)
+    return best
 
 
 def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:
