@@ -51,7 +51,12 @@ contact of its own.
 the same way: it unpacks the six vertices once, computes the six edge
 directions and squared lengths once (6, not one per projection, 18),
 and writes its 18 vertex-edge projections out as ``_project`` defines
-them, with no Python call per projection.
+them, with no Python call per projection. It also computes the nine
+vertex-pair differences and distances once, in a table. A projection
+that clamps to an end reads its distance there, so ``hypot`` runs 9
+times plus once per projection strictly inside an edge, not 18 times.
+B's vertex j on A's edge i reuses the difference of A's vertex i and B's
+vertex j, negated, which is exact, since rounding is symmetric in sign.
 
 Every clamped projection, in ``_project``, ``_segment_projections``,
 ``_edge_sweep`` and the Lin-Canny walk, is one branch: a parameter t at
@@ -695,6 +700,20 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     runs from A's vertex i along (uxi, uyi), and edge j of B from B's
     vertex j along (vxj, vyj). A record names a vertex as the start of
     its own edge, at t = 0.
+
+    The nine vertex pairs are measured once too, in a table: the
+    differences (wxij, wyij), A's vertex i minus B's vertex j, and their
+    lengths dij, 9 ``hypot`` calls where one per projection made 18. A
+    projection of A's vertex i on B's edge j takes its t from (wxij,
+    wyij). One of B's vertex j on A's edge i takes s from the same
+    differences, and s is exactly -t: rounding is symmetric in sign, so
+    negating a difference negates every product, sum and quotient formed
+    from it (a zero may keep its sign, and either zero clamps to the
+    start). So s >= 0 clamps to the edge's start and s <= -1 to its end,
+    and a t strictly between is -s. A clamped projection's distance is a
+    vertex pair's, its table entry (``hypot`` ignores signs), so the
+    branch only compares it and builds its record when it wins; only a t
+    strictly between computes a point and its distance.
     """
     ax0, ay0, ax1, ay1, ax2, ay2 = a
     bx0, by0, bx1, by1, bx2, by2 = b
@@ -705,196 +724,254 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     # its t is +-0.0 and the projection takes its start vertex.
     uu0, uu1, uu2 = ux0 * ux0 + uy0 * uy0 or inf, ux1 * ux1 + uy1 * uy1 or inf, ux2 * ux2 + uy2 * uy2 or inf
     vv0, vv1, vv2 = vx0 * vx0 + vy0 * vy0 or inf, vx1 * vx1 + vy1 * vy1 or inf, vx2 * vx2 + vy2 * vy2 or inf
+    # The vertex-pair table: A's vertex i minus B's vertex j, and its length.
+    wx00, wy00 = ax0 - bx0, ay0 - by0
+    wx01, wy01 = ax0 - bx1, ay0 - by1
+    wx02, wy02 = ax0 - bx2, ay0 - by2
+    wx10, wy10 = ax1 - bx0, ay1 - by0
+    wx11, wy11 = ax1 - bx1, ay1 - by1
+    wx12, wy12 = ax1 - bx2, ay1 - by2
+    wx20, wy20 = ax2 - bx0, ay2 - by0
+    wx21, wy21 = ax2 - bx1, ay2 - by1
+    wx22, wy22 = ax2 - bx2, ay2 - by2
+    d00, d01, d02 = hypot(wx00, wy00), hypot(wx01, wy01), hypot(wx02, wy02)
+    d10, d11, d12 = hypot(wx10, wy10), hypot(wx11, wy11), hypot(wx12, wy12)
+    d20, d21, d22 = hypot(wx20, wy20), hypot(wx21, wy21), hypot(wx22, wy22)
     # (pa.x, pa.y, pb.x, pb.y, edge of A, t on it, edge of B, t on it)
     best_d, best = inf, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
     # Edge pair (0, 0): A's vertices 0 and 1 on B's edge 0, B's vertices 0 and 1 on A's edge 0.
-    t = ((ax0 - bx0) * vx0 + (ay0 - by0) * vy0) / vv0
+    t = (wx00 * vx0 + wy00 * vy0) / vv0
     if t <= 0.0:
-        qx, qy, t = bx0, by0, 0.0
+        if d00 < best_d:
+            best_d, best = d00, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx1, by1, 1.0
+        if d01 < best_d:
+            best_d, best = d01, (ax0, ay0, bx1, by1, 0, 0.0, 0, 1.0)
     else:
         qx, qy = bx0 + t * vx0, by0 + t * vy0
-    d = hypot(ax0 - qx, ay0 - qy)
-    if d < best_d:
-        best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 0, t)
-    t = ((ax1 - bx0) * vx0 + (ay1 - by0) * vy0) / vv0
+        d = hypot(ax0 - qx, ay0 - qy)
+        if d < best_d:
+            best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 0, t)
+    t = (wx10 * vx0 + wy10 * vy0) / vv0
     if t <= 0.0:
-        qx, qy, t = bx0, by0, 0.0
+        if d10 < best_d:
+            best_d, best = d10, (ax1, ay1, bx0, by0, 1, 0.0, 0, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx1, by1, 1.0
+        if d11 < best_d:
+            best_d, best = d11, (ax1, ay1, bx1, by1, 1, 0.0, 0, 1.0)
     else:
         qx, qy = bx0 + t * vx0, by0 + t * vy0
-    d = hypot(ax1 - qx, ay1 - qy)
-    if d < best_d:
-        best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 0, t)
-    t = ((bx0 - ax0) * ux0 + (by0 - ay0) * uy0) / uu0
-    if t <= 0.0:
-        qx, qy, t = ax0, ay0, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax1, ay1, 1.0
+        d = hypot(ax1 - qx, ay1 - qy)
+        if d < best_d:
+            best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 0, t)
+    s = (wx00 * ux0 + wy00 * uy0) / uu0
+    if s >= 0.0:
+        if d00 < best_d:
+            best_d, best = d00, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
+    elif s <= -1.0:
+        if d10 < best_d:
+            best_d, best = d10, (ax1, ay1, bx0, by0, 0, 1.0, 0, 0.0)
     else:
+        t = -s
         qx, qy = ax0 + t * ux0, ay0 + t * uy0
-    d = hypot(bx0 - qx, by0 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx0, by0, 0, t, 0, 0.0)
-    t = ((bx1 - ax0) * ux0 + (by1 - ay0) * uy0) / uu0
-    if t <= 0.0:
-        qx, qy, t = ax0, ay0, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax1, ay1, 1.0
+        d = hypot(bx0 - qx, by0 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx0, by0, 0, t, 0, 0.0)
+    s = (wx01 * ux0 + wy01 * uy0) / uu0
+    if s >= 0.0:
+        if d01 < best_d:
+            best_d, best = d01, (ax0, ay0, bx1, by1, 0, 0.0, 1, 0.0)
+    elif s <= -1.0:
+        if d11 < best_d:
+            best_d, best = d11, (ax1, ay1, bx1, by1, 0, 1.0, 1, 0.0)
     else:
+        t = -s
         qx, qy = ax0 + t * ux0, ay0 + t * uy0
-    d = hypot(bx1 - qx, by1 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx1, by1, 0, t, 1, 0.0)
+        d = hypot(bx1 - qx, by1 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx1, by1, 0, t, 1, 0.0)
     # (0, 1): A's vertices 0 and 1 on B's edge 1, B's vertex 2 on A's edge 0.
-    t = ((ax0 - bx1) * vx1 + (ay0 - by1) * vy1) / vv1
+    t = (wx01 * vx1 + wy01 * vy1) / vv1
     if t <= 0.0:
-        qx, qy, t = bx1, by1, 0.0
+        if d01 < best_d:
+            best_d, best = d01, (ax0, ay0, bx1, by1, 0, 0.0, 1, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx2, by2, 1.0
+        if d02 < best_d:
+            best_d, best = d02, (ax0, ay0, bx2, by2, 0, 0.0, 1, 1.0)
     else:
         qx, qy = bx1 + t * vx1, by1 + t * vy1
-    d = hypot(ax0 - qx, ay0 - qy)
-    if d < best_d:
-        best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 1, t)
-    t = ((ax1 - bx1) * vx1 + (ay1 - by1) * vy1) / vv1
+        d = hypot(ax0 - qx, ay0 - qy)
+        if d < best_d:
+            best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 1, t)
+    t = (wx11 * vx1 + wy11 * vy1) / vv1
     if t <= 0.0:
-        qx, qy, t = bx1, by1, 0.0
+        if d11 < best_d:
+            best_d, best = d11, (ax1, ay1, bx1, by1, 1, 0.0, 1, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx2, by2, 1.0
+        if d12 < best_d:
+            best_d, best = d12, (ax1, ay1, bx2, by2, 1, 0.0, 1, 1.0)
     else:
         qx, qy = bx1 + t * vx1, by1 + t * vy1
-    d = hypot(ax1 - qx, ay1 - qy)
-    if d < best_d:
-        best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 1, t)
-    t = ((bx2 - ax0) * ux0 + (by2 - ay0) * uy0) / uu0
-    if t <= 0.0:
-        qx, qy, t = ax0, ay0, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax1, ay1, 1.0
+        d = hypot(ax1 - qx, ay1 - qy)
+        if d < best_d:
+            best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 1, t)
+    s = (wx02 * ux0 + wy02 * uy0) / uu0
+    if s >= 0.0:
+        if d02 < best_d:
+            best_d, best = d02, (ax0, ay0, bx2, by2, 0, 0.0, 2, 0.0)
+    elif s <= -1.0:
+        if d12 < best_d:
+            best_d, best = d12, (ax1, ay1, bx2, by2, 0, 1.0, 2, 0.0)
     else:
+        t = -s
         qx, qy = ax0 + t * ux0, ay0 + t * uy0
-    d = hypot(bx2 - qx, by2 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx2, by2, 0, t, 2, 0.0)
+        d = hypot(bx2 - qx, by2 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx2, by2, 0, t, 2, 0.0)
     # (0, 2): A's vertices 0 and 1 on B's edge 2.
-    t = ((ax0 - bx2) * vx2 + (ay0 - by2) * vy2) / vv2
+    t = (wx02 * vx2 + wy02 * vy2) / vv2
     if t <= 0.0:
-        qx, qy, t = bx2, by2, 0.0
+        if d02 < best_d:
+            best_d, best = d02, (ax0, ay0, bx2, by2, 0, 0.0, 2, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx0, by0, 1.0
+        if d00 < best_d:
+            best_d, best = d00, (ax0, ay0, bx0, by0, 0, 0.0, 2, 1.0)
     else:
         qx, qy = bx2 + t * vx2, by2 + t * vy2
-    d = hypot(ax0 - qx, ay0 - qy)
-    if d < best_d:
-        best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 2, t)
-    t = ((ax1 - bx2) * vx2 + (ay1 - by2) * vy2) / vv2
+        d = hypot(ax0 - qx, ay0 - qy)
+        if d < best_d:
+            best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 2, t)
+    t = (wx12 * vx2 + wy12 * vy2) / vv2
     if t <= 0.0:
-        qx, qy, t = bx2, by2, 0.0
+        if d12 < best_d:
+            best_d, best = d12, (ax1, ay1, bx2, by2, 1, 0.0, 2, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx0, by0, 1.0
+        if d10 < best_d:
+            best_d, best = d10, (ax1, ay1, bx0, by0, 1, 0.0, 2, 1.0)
     else:
         qx, qy = bx2 + t * vx2, by2 + t * vy2
-    d = hypot(ax1 - qx, ay1 - qy)
-    if d < best_d:
-        best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 2, t)
+        d = hypot(ax1 - qx, ay1 - qy)
+        if d < best_d:
+            best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 2, t)
     # (1, 0): A's vertex 2 on B's edge 0, B's vertices 0 and 1 on A's edge 1.
-    t = ((ax2 - bx0) * vx0 + (ay2 - by0) * vy0) / vv0
+    t = (wx20 * vx0 + wy20 * vy0) / vv0
     if t <= 0.0:
-        qx, qy, t = bx0, by0, 0.0
+        if d20 < best_d:
+            best_d, best = d20, (ax2, ay2, bx0, by0, 2, 0.0, 0, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx1, by1, 1.0
+        if d21 < best_d:
+            best_d, best = d21, (ax2, ay2, bx1, by1, 2, 0.0, 0, 1.0)
     else:
         qx, qy = bx0 + t * vx0, by0 + t * vy0
-    d = hypot(ax2 - qx, ay2 - qy)
-    if d < best_d:
-        best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 0, t)
-    t = ((bx0 - ax1) * ux1 + (by0 - ay1) * uy1) / uu1
-    if t <= 0.0:
-        qx, qy, t = ax1, ay1, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax2, ay2, 1.0
+        d = hypot(ax2 - qx, ay2 - qy)
+        if d < best_d:
+            best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 0, t)
+    s = (wx10 * ux1 + wy10 * uy1) / uu1
+    if s >= 0.0:
+        if d10 < best_d:
+            best_d, best = d10, (ax1, ay1, bx0, by0, 1, 0.0, 0, 0.0)
+    elif s <= -1.0:
+        if d20 < best_d:
+            best_d, best = d20, (ax2, ay2, bx0, by0, 1, 1.0, 0, 0.0)
     else:
+        t = -s
         qx, qy = ax1 + t * ux1, ay1 + t * uy1
-    d = hypot(bx0 - qx, by0 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx0, by0, 1, t, 0, 0.0)
-    t = ((bx1 - ax1) * ux1 + (by1 - ay1) * uy1) / uu1
-    if t <= 0.0:
-        qx, qy, t = ax1, ay1, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax2, ay2, 1.0
+        d = hypot(bx0 - qx, by0 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx0, by0, 1, t, 0, 0.0)
+    s = (wx11 * ux1 + wy11 * uy1) / uu1
+    if s >= 0.0:
+        if d11 < best_d:
+            best_d, best = d11, (ax1, ay1, bx1, by1, 1, 0.0, 1, 0.0)
+    elif s <= -1.0:
+        if d21 < best_d:
+            best_d, best = d21, (ax2, ay2, bx1, by1, 1, 1.0, 1, 0.0)
     else:
+        t = -s
         qx, qy = ax1 + t * ux1, ay1 + t * uy1
-    d = hypot(bx1 - qx, by1 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx1, by1, 1, t, 1, 0.0)
+        d = hypot(bx1 - qx, by1 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx1, by1, 1, t, 1, 0.0)
     # (1, 1): A's vertex 2 on B's edge 1, B's vertex 2 on A's edge 1.
-    t = ((ax2 - bx1) * vx1 + (ay2 - by1) * vy1) / vv1
+    t = (wx21 * vx1 + wy21 * vy1) / vv1
     if t <= 0.0:
-        qx, qy, t = bx1, by1, 0.0
+        if d21 < best_d:
+            best_d, best = d21, (ax2, ay2, bx1, by1, 2, 0.0, 1, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx2, by2, 1.0
+        if d22 < best_d:
+            best_d, best = d22, (ax2, ay2, bx2, by2, 2, 0.0, 1, 1.0)
     else:
         qx, qy = bx1 + t * vx1, by1 + t * vy1
-    d = hypot(ax2 - qx, ay2 - qy)
-    if d < best_d:
-        best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 1, t)
-    t = ((bx2 - ax1) * ux1 + (by2 - ay1) * uy1) / uu1
-    if t <= 0.0:
-        qx, qy, t = ax1, ay1, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax2, ay2, 1.0
+        d = hypot(ax2 - qx, ay2 - qy)
+        if d < best_d:
+            best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 1, t)
+    s = (wx12 * ux1 + wy12 * uy1) / uu1
+    if s >= 0.0:
+        if d12 < best_d:
+            best_d, best = d12, (ax1, ay1, bx2, by2, 1, 0.0, 2, 0.0)
+    elif s <= -1.0:
+        if d22 < best_d:
+            best_d, best = d22, (ax2, ay2, bx2, by2, 1, 1.0, 2, 0.0)
     else:
+        t = -s
         qx, qy = ax1 + t * ux1, ay1 + t * uy1
-    d = hypot(bx2 - qx, by2 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx2, by2, 1, t, 2, 0.0)
+        d = hypot(bx2 - qx, by2 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx2, by2, 1, t, 2, 0.0)
     # (1, 2): A's vertex 2 on B's edge 2.
-    t = ((ax2 - bx2) * vx2 + (ay2 - by2) * vy2) / vv2
+    t = (wx22 * vx2 + wy22 * vy2) / vv2
     if t <= 0.0:
-        qx, qy, t = bx2, by2, 0.0
+        if d22 < best_d:
+            best_d, best = d22, (ax2, ay2, bx2, by2, 2, 0.0, 2, 0.0)
     elif t >= 1.0:
-        qx, qy, t = bx0, by0, 1.0
+        if d20 < best_d:
+            best_d, best = d20, (ax2, ay2, bx0, by0, 2, 0.0, 2, 1.0)
     else:
         qx, qy = bx2 + t * vx2, by2 + t * vy2
-    d = hypot(ax2 - qx, ay2 - qy)
-    if d < best_d:
-        best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 2, t)
+        d = hypot(ax2 - qx, ay2 - qy)
+        if d < best_d:
+            best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 2, t)
     # (2, 0): B's vertices 0 and 1 on A's edge 2.
-    t = ((bx0 - ax2) * ux2 + (by0 - ay2) * uy2) / uu2
-    if t <= 0.0:
-        qx, qy, t = ax2, ay2, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax0, ay0, 1.0
+    s = (wx20 * ux2 + wy20 * uy2) / uu2
+    if s >= 0.0:
+        if d20 < best_d:
+            best_d, best = d20, (ax2, ay2, bx0, by0, 2, 0.0, 0, 0.0)
+    elif s <= -1.0:
+        if d00 < best_d:
+            best_d, best = d00, (ax0, ay0, bx0, by0, 2, 1.0, 0, 0.0)
     else:
+        t = -s
         qx, qy = ax2 + t * ux2, ay2 + t * uy2
-    d = hypot(bx0 - qx, by0 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx0, by0, 2, t, 0, 0.0)
-    t = ((bx1 - ax2) * ux2 + (by1 - ay2) * uy2) / uu2
-    if t <= 0.0:
-        qx, qy, t = ax2, ay2, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax0, ay0, 1.0
+        d = hypot(bx0 - qx, by0 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx0, by0, 2, t, 0, 0.0)
+    s = (wx21 * ux2 + wy21 * uy2) / uu2
+    if s >= 0.0:
+        if d21 < best_d:
+            best_d, best = d21, (ax2, ay2, bx1, by1, 2, 0.0, 1, 0.0)
+    elif s <= -1.0:
+        if d01 < best_d:
+            best_d, best = d01, (ax0, ay0, bx1, by1, 2, 1.0, 1, 0.0)
     else:
+        t = -s
         qx, qy = ax2 + t * ux2, ay2 + t * uy2
-    d = hypot(bx1 - qx, by1 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx1, by1, 2, t, 1, 0.0)
+        d = hypot(bx1 - qx, by1 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx1, by1, 2, t, 1, 0.0)
     # (2, 1): B's vertex 2 on A's edge 2; edge pair (2, 2) adds no projection.
-    t = ((bx2 - ax2) * ux2 + (by2 - ay2) * uy2) / uu2
-    if t <= 0.0:
-        qx, qy, t = ax2, ay2, 0.0
-    elif t >= 1.0:
-        qx, qy, t = ax0, ay0, 1.0
+    s = (wx22 * ux2 + wy22 * uy2) / uu2
+    if s >= 0.0:
+        if d22 < best_d:
+            best_d, best = d22, (ax2, ay2, bx2, by2, 2, 0.0, 2, 0.0)
+    elif s <= -1.0:
+        if d02 < best_d:
+            best_d, best = d02, (ax0, ay0, bx2, by2, 2, 1.0, 2, 0.0)
     else:
+        t = -s
         qx, qy = ax2 + t * ux2, ay2 + t * uy2
-    d = hypot(bx2 - qx, by2 - qy)
-    if d < best_d:
-        best_d, best = d, (qx, qy, bx2, by2, 2, t, 2, 0.0)
+        d = hypot(bx2 - qx, by2 - qy)
+        if d < best_d:
+            best_d, best = d, (qx, qy, bx2, by2, 2, t, 2, 0.0)
     pax, pay, pbx, pby, i, ta, j, tb = best
     return best_d, pax, pay, pbx, pby, _classify_edge_point(i, ta), _classify_edge_point(j, tb)
 

@@ -20,9 +20,11 @@ a query.
 
 Run as a script, it prints each algorithm's operations per query on
 the default scene's placed pairs (along x at separations 1 and 1e-3,
-and along y) and on the first 2,000 seed-7 random pairs, then DyOP's
-count split into its one segment test and the rest (gap box, pivot,
-candidate choice and feature naming):
+and along y) and on the first 2,000 seed-7 random pairs. Then it splits
+DyOP's count into its one segment test and the rest (gap box, pivot,
+candidate choice and feature naming), and the oracle's into its
+nine-edge sweep and the rest (the certificate, and the overlap test
+where the certificate fails):
 
     PYTHONPATH=src python tests/opcount.py
 """
@@ -123,33 +125,50 @@ def operations(query, pairs) -> tuple[int, list]:
     return total, answers
 
 
+def _split(module, names, query, pairs) -> tuple[int, int]:
+    """``query``'s operations over ``pairs`` of (a, b, velocity), and how
+    many of them the functions ``names`` of ``module`` made, each wrapped
+    where the query looks it up, as a global of ``module``."""
+    inside = [0]
+    inner = {name: getattr(module, name) for name in names}
+
+    def wrapped(function):
+        def counted(*args):
+            start = _tally[0]
+            try:
+                return function(*args)
+            finally:
+                inside[0] += _tally[0] - start
+
+        return counted
+
+    for name, function in inner.items():
+        setattr(module, name, wrapped(function))
+    try:
+        total = operations(query, pairs)[0]
+    finally:
+        for name, function in inner.items():
+            setattr(module, name, function)
+    return total, inside[0]
+
+
 def dyop_split(pairs) -> tuple[int, int]:
     """DyOP's operations over ``pairs`` of (a, b, velocity), and how many of
     them its one segment test made: ``_segment_projections`` or
     ``_segment_segment``, wrapped where ``_dyop`` looks them up."""
     from dyop2d import dyop
 
-    inside = [0]
-    tests = {name: getattr(dyop, name) for name in ("_segment_projections", "_segment_segment")}
+    return _split(dyop, ("_segment_projections", "_segment_segment"), dyop.dyop_distance, pairs)
 
-    def wrapped(test):
-        def counted(*ends):
-            start = _tally[0]
-            try:
-                return test(*ends)
-            finally:
-                inside[0] += _tally[0] - start
 
-        return counted
+def oracle_split(pairs) -> tuple[int, int]:
+    """The oracle's operations over ``pairs`` of (a, b, velocity), and how
+    many of them its nine-edge sweep made: ``_edge_sweep``, wrapped where
+    ``_brute_force`` looks it up."""
+    from dyop2d import geometry
+    from dyop2d.benchmark import ALGORITHMS
 
-    for name, test in tests.items():
-        setattr(dyop, name, wrapped(test))
-    try:
-        total = operations(dyop.dyop_distance, pairs)[0]
-    finally:
-        for name, test in tests.items():
-            setattr(dyop, name, test)
-    return total, inside[0]
+    return _split(geometry, ("_edge_sweep",), ALGORITHMS["oracle"], pairs)
 
 
 def _main() -> None:
@@ -171,13 +190,14 @@ def _main() -> None:
     for label, pairs in inputs.items():
         per_query = [operations(query, pairs)[0] / len(pairs) for query in ALGORITHMS.values()]
         print(f"| {label} | " + " | ".join(f"{n:.1f}" for n in per_query) + " |")
-    print()
-    print("| input | dyop | segment test | the rest |")
-    print("|---|---|---|---|")
-    for label, pairs in inputs.items():
-        total, inside = dyop_split(pairs)
-        n = len(pairs)
-        print(f"| {label} | {total / n:.1f} | {inside / n:.1f} | {(total - inside) / n:.1f} |")
+    for split, columns in ((dyop_split, "dyop | segment test"), (oracle_split, "oracle | sweep")):
+        print()
+        print(f"| input | {columns} | the rest |")
+        print("|---|---|---|---|")
+        for label, pairs in inputs.items():
+            total, inside = split(pairs)
+            n = len(pairs)
+            print(f"| {label} | {total / n:.1f} | {inside / n:.1f} | {(total - inside) / n:.1f} |")
 
 
 if __name__ == "__main__":

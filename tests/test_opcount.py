@@ -5,7 +5,7 @@ import math
 
 from dyop2d.benchmark import ALGORITHMS
 from helpers import _bits, placed
-from opcount import CountingFloat, counting, operations
+from opcount import CountingFloat, counting, dyop_split, operations, oracle_split
 
 
 def test_counting_float_counts_each_operation_once():
@@ -27,10 +27,12 @@ def test_operation_counts_on_the_placed_pairs_are_pinned():
     # count follows from the branches a query takes, which the answer
     # digest holds on every interpreter, and every answer is the plain
     # float one, bit for bit. Per query: DyOP 119.7, GJK 154.9, Lin-Canny
-    # 131.7 and the oracle 295.5 operations.
+    # 131.7 and the oracle 239.6 operations.
     pairs = placed("x", 1.0)
     totals = {}
     for name, query in ALGORITHMS.items():
         totals[name], answers = operations(query, pairs)
         assert [_bits(r) for r in answers] == [_bits(query(*pair)) for pair in pairs], name
-    assert totals == {"dyop": 10775, "gjk": 13943, "lincanny": 11857, "oracle": 26596}
+    assert totals == {"dyop": 10775, "gjk": 13943, "lincanny": 11857, "oracle": 21565}
+    # Wrapping a kernel to count its share leaves the query's count as it is.
+    assert [dyop_split(pairs)[0], oracle_split(pairs)[0]] == [totals["dyop"], totals["oracle"]]
