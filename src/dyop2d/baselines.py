@@ -3,17 +3,20 @@
 Both are specialized to 2D triangles and run on the float core of
 ``geometry.py``: a query refuses a degenerate triangle by the flag the
 ``Triangle`` computed at construction, takes the six coordinates that
-each triangle cached there from ``geometry._pair``, and builds its answer
-once, with ``geometry._answer``, which checks the witnesses' finiteness
-there. GJK
-runs its loop as one straight-line kernel on scalar locals: the six
-vertex coordinates of each triangle are unpacked once, and the support
-argmaxes, point and segment solves, repeat and improvement checks, solve
-counts, witness sums and feature names are inline. Its simplex is at most three ``(x, y, index_a, index_b)``
-support points and their weights, held in locals, with no list. Only
-the rare triangle solve calls ``_closest_on_triangle``, and only an
-intersecting answer with three weights calls ``sum()`` and
-``_side_feature``.
+each triangle cached there from ``geometry._pair``, and builds its
+answer once, with ``geometry._answer``, which checks the witnesses'
+finiteness there. Both start on the same pair: GJK takes its first
+support point toward the origin, along cB - cA with the centroids taken
+as sums of the three coordinates, which is the facing vertex pair that a
+cold walk starts from, so most separated pairs stop after that one
+point. GJK runs its loop as one straight-line kernel on scalar locals:
+the six vertex coordinates of each triangle are unpacked once, and the
+support argmaxes, point and segment solves, repeat and improvement
+checks, solve counts, witness sums and feature names are inline. Its
+simplex is at most three ``(x, y, index_a, index_b)`` support points and
+their weights, held in locals, with no list. Only the rare triangle
+solve calls ``_closest_on_triangle``, and only an intersecting answer
+with three weights calls ``sum()`` and ``_side_feature``.
 
 Both fill the same counters as the other algorithms, each in its own
 unit, so counts of two algorithms are not a cost ratio. For GJK the
@@ -208,7 +211,11 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """Distance between convex triangles via support functions.
 
     Iterates on the difference space of the two shapes, keeping a 1-3
-    point simplex of support points. Terminates when the squared-length
+    point simplex of support points. The first support point is taken
+    toward the origin, as textbook GJK takes s(-v) for a start point v of
+    A - B: along cB - cA, with the centroids as sums of the three
+    coordinates, which gives the facing vertex pair that the Lin-Canny
+    walk starts from (vertex 0 of each on a zero direction). Terminates when the squared-length
     improvement bound drops below GJK_IMPROVEMENT_TOL, when a support
     point repeats, or after GJK_MAX_ITERATIONS (then flagged
     "gjk-unconverged" and the last solve's simplex is reported).
@@ -232,7 +239,8 @@ def _gjk(
     the power of two that scaled the pair: the arguments of its
     ``_answer``.
 
-    Straight-line code: the point and segment solves follow
+    Straight-line code: the first support point is the walk's facing
+    vertex pair, the point and segment solves follow
     ``_closest_on_segment`` and the feature names ``_side_feature``,
     written out inline (see the module docstring). A cap GJK_MAX_ITERATIONS
     below 1, which would leave no solve to answer from, raises ValueError.
@@ -246,11 +254,13 @@ def _gjk(
     # positive float, which still tells a zero from a positive gap.
     improvement_tol, contact_tol = GJK_IMPROVEMENT_TOL * square_scale or 5e-324, 1e-24 * square_scale or 5e-324
 
-    # The first search direction is the centroid difference.
-    dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
-    dy = (ay0 + ay1 + ay2) / 3.0 - (by0 + by1 + by2) / 3.0
-    if dx == 0.0 and dy == 0.0:
-        dx = 1.0
+    # The first search direction is cB - cA, toward the origin from the
+    # centroid difference, with the centroids taken as sums of the three
+    # coordinates as the feature walk's cold start takes them: the first
+    # support point is the walk's facing vertex pair. A zero direction
+    # leaves both argmaxes on vertex 0, as it leaves the walk's start.
+    dx = bx0 + bx1 + bx2 - (ax0 + ax1 + ax2)
+    dy = by0 + by1 + by2 - (ay0 + ay1 + ay2)
     # The simplex after a solve: n support points (x0, y0, ia0, ib0) and
     # (x1, y1, ia1, ib1), in the order of that solve's weights w0 and w1; a
     # single point has weight 1.0. A solve with three weights keeps them in

@@ -23,6 +23,7 @@ from dyop2d.geometry import (
     FeatureKind,
     Point2,
     Triangle,
+    _contact_witness,
     _nearest_edge_feature,
     _orient,
     _point_in_triangle,
@@ -55,6 +56,26 @@ def random_tri(rng, span=1.0):
         )
         if not t.is_degenerate:
             return t
+
+
+def mover_frames(rng, trajectories):
+    """Frames (a, static, heading) of a mover stepped past a static triangle:
+    per trajectory two ``random_tri`` triangles, a heading within 0.6 rad of
+    the x axis and a sideways offset, then 12 steps of 0.25. A frame is kept,
+    as the mover's and the static's coordinates and the heading (ux, uy),
+    where the two are disjoint but their boxes overlap."""
+    for _ in range(trajectories):
+        static, mover = _coords(random_tri(rng)), _coords(random_tri(rng))
+        theta, lateral = rng.uniform(-0.6, 0.6), rng.uniform(-0.5, 0.5)
+        ux, uy = math.cos(theta), math.sin(theta)
+        for k in range(12):
+            along = 0.25 * k - 1.5
+            dx, dy = ux * along - uy * lateral, uy * along + ux * lateral
+            a = tuple(v + dy if i % 2 else v + dx for i, v in enumerate(mover))
+            xa, ya, xs, ys = a[0::2], a[1::2], static[0::2], static[1::2]
+            boxes_meet = min(xa) <= max(xs) and min(xs) <= max(xa) and min(ya) <= max(ys) and min(ys) <= max(ya)
+            if boxes_meet and _contact_witness(a, static) is None:
+                yield a, static, (ux, uy)
 
 
 def _grid_triangle(rng):
@@ -166,8 +187,9 @@ _MISSED_ALONG_X = movers({10: [6]})
 #   summed over the pairs, and lincanny_step_histogram the number of walks
 #   by evaluations made (one: the walk ends on the facing vertex pair it
 #   starts from);
-# - gjk_one_point_one_segment: the queries that stop after one point and
-#   one segment solve; gjk_unconverged: pairs flagged gjk-unconverged.
+# - gjk_one_point: the queries that stop after one point solve, on the
+#   facing vertex pair that the walk starts from too; gjk_unconverged:
+#   pairs flagged gjk-unconverged.
 REGIMES = {
     ("x", 1.0, 0.0): {
         "lincanny_fallbacks": set(),
@@ -175,8 +197,8 @@ REGIMES = {
         "overlapping_boxes": set(),
         "lincanny_step_totals": (91, 15, 6),
         "lincanny_step_histogram": {1: 81, 2: 3, 4: 5, 5: 1},
-        "gjk_solve_totals": (90, 95, 18),
-        "gjk_one_point_one_segment": 76,
+        "gjk_solve_totals": (90, 9, 6),
+        "gjk_one_point": 81,
         "gjk_unconverged": set(),
     },
     ("x", 1e-2, 0.0): {

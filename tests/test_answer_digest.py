@@ -29,7 +29,7 @@ from dyop2d import (
     random_separated_pair,
 )
 
-DIGEST = "7dffbe64f36ec2828d5291d55914c6fce83ff9969ad720f39dfb03227149ae34"
+DIGEST = "091893f43164e09b85f6872460a6b6be75c854a7c6224f237f641b2a430ce895"
 
 
 def _hex(value):

@@ -157,8 +157,9 @@ def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
     checked against every kept point; the answer comes from the last
     solve's weights (at the cap too, not from the support point added
     before the break) and is summed from int 0 in weight order, with
-    ``sum()`` on three weights. ``seen`` gets the simplex size of each
-    solve, the segment solves' regions and how the loop ended.
+    ``sum()`` on three weights. ``seen`` gets the first support pair as
+    ("start", index_a, index_b), the simplex size of each solve, the
+    segment solves' regions and how the loop ended.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
@@ -167,10 +168,8 @@ def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
     edges_a, edges_b = _edge_list(_coords(tA)), _edge_list(_coords(tB))
     (ax0, ay0, ax1, ay1), (_, _, ax2, ay2), _ = edges_a
     (bx0, by0, bx1, by1), (_, _, bx2, by2), _ = edges_b
-    dx = (ax0 + ax1 + ax2) / 3.0 - (bx0 + bx1 + bx2) / 3.0
-    dy = (ay0 + ay1 + ay2) / 3.0 - (by0 + by1 + by2) / 3.0
-    if dx == 0.0 and dy == 0.0:
-        dx = 1.0
+    dx = bx0 + bx1 + bx2 - (ax0 + ax1 + ax2)
+    dy = by0 + by1 + by2 - (ay0 + ay1 + ay2)
     seen = set() if seen is None else seen
     simplex = []
     vv = ve = ee = 0
@@ -180,6 +179,8 @@ def _gjk_by_definition(tA, tB, seen=None, tolerance_scale=1.0):
         ia = max((0, 1, 2), key=lambda i: edges_a[i][0] * dx + edges_a[i][1] * dy)
         ib = max((0, 1, 2), key=lambda i: edges_b[i][0] * -dx + edges_b[i][1] * -dy)
         dx, dy = -dx, -dy
+        if not solves:
+            seen.add(("start", ia, ib))
         x, y = edges_a[ia][0] - edges_b[ib][0], edges_a[ia][1] - edges_b[ib][1]
         if simplex:
             repeat = any(sa == ia and sb == ib for _, _, sa, sb in simplex)
@@ -401,6 +402,26 @@ def test_gjk_equals_its_definition(monkeypatch):
     assert expected <= kinds, sorted(expected - kinds)
 
 
+def test_gjk_starts_on_the_walks_facing_vertex_pair():
+    # GJK takes its first support point toward the origin, along cB - cA
+    # with the centroids as sums of the three coordinates, as textbook GJK
+    # takes s(-v) for a start point v of A - B. So it starts on the pair
+    # that a cold Lin-Canny walk starts from: A's vertex furthest along
+    # cB - cA and B's furthest along cA - cB, ties to the lower index, a
+    # zero direction on vertex 0 of each. The definition records its start,
+    # and test_gjk_equals_its_definition holds the kernel to it.
+    starts = set()
+    for a, b in _gjk_cases():
+        if a.is_degenerate or b.is_degenerate or _pair_size(a, b) > 2.0**GJK_RANGE_EXPONENT:
+            continue
+        seen = set()
+        _gjk_by_definition(a, b, seen)
+        start = {kind for kind in seen if isinstance(kind, tuple)}
+        assert start == {("start", *_cold_start(_coords(a), _coords(b)))}, (a, b)
+        starts |= start
+    assert starts == {("start", i, j) for i in range(3) for j in range(3)}
+
+
 def _distance_to_feature(t, feature, x, y):
     edges = _edge_list(_coords(t))
     if feature.kind is FeatureKind.VERTEX:
@@ -589,8 +610,10 @@ def test_near_collinear_crossing_pair_is_answered():
     # The overlap test and the oracle take the crossing of the edges 0
     # from their orientations, on A's edge 0, and the Lin-Canny walk, which
     # reaches it too, refuses the pair as overlapping. DyOP's candidate
-    # edges do not cross and GJK takes no crossing point: their answers are
-    # pinned.
+    # edges do not cross, and GJK takes no crossing point: it puts the
+    # origin inside its simplex triangle and answers A's weighted point,
+    # the same under sum()'s plain and compensated rounding. Their answers
+    # are pinned.
     a, b = NEAR_COLLINEAR_PAIR
     assert triangles_overlap(a, b) is True
     r = brute_force_triangle_distance(a, b)
@@ -600,9 +623,9 @@ def test_near_collinear_crossing_pair_is_answered():
     assert r.point_a == r.point_b and _on_edge(r.point_a, a, 0)
     with pytest.raises(Penetrating):
         lin_canny_distance(a, b)
-    hit = Point2(-0.10566641913567137, -0.7045797133013684)
+    hit = Point2(0.4027487497446946, -0.4401043300413455)
     assert gjk_distance(a, b) == geometry.DistanceResult(
-        0.0, hit, hit, edge_feature(0), edge_feature(0), TestCounters(1, 1, 0)
+        0.0, hit, hit, vertex_feature(0), edge_feature(2), TestCounters(1, 1, 1)
     )
     for velocity in (Vector2(1.0, 0.0), Vector2(0.0, 1.0)):
         assert dyop_distance(a, b, velocity) == geometry.DistanceResult(

@@ -59,6 +59,7 @@ from helpers import (
     _too_wide,
     _value_or_error,
     edge_feature,
+    mover_frames,
     placed,
     random_tri,
     tri,
@@ -794,21 +795,10 @@ def _sweep_cases():
             for other in (b, a.translated(0.3 * scale, 0.0)):
                 yield _coords(a), _coords(other)
                 yield _coords(other), _coords(a)
-    for _ in range(400):
-        # Frames of a mover stepped past a static triangle, kept where the two
-        # are disjoint but their boxes overlap: there 7 of the 18 projections
-        # land inside an edge on average, against 2 on the placed pairs.
-        static, mover = _coords(random_tri(rng)), _coords(random_tri(rng))
-        theta, lateral = rng.uniform(-0.6, 0.6), rng.uniform(-0.5, 0.5)
-        ux, uy = math.cos(theta), math.sin(theta)
-        for k in range(12):
-            along = 0.25 * k - 1.5
-            dx, dy = ux * along - uy * lateral, uy * along + ux * lateral
-            a = tuple(v + dy if i % 2 else v + dx for i, v in enumerate(mover))
-            xa, ya, xs, ys = a[0::2], a[1::2], static[0::2], static[1::2]
-            boxes_meet = min(xa) <= max(xs) and min(xs) <= max(xa) and min(ya) <= max(ys) and min(ys) <= max(ya)
-            if boxes_meet and _contact_witness(a, static) is None:
-                yield a, static
+    # There 7 of the 18 projections land inside an edge on average, against
+    # 2 on the placed pairs.
+    for a, static, _ in mover_frames(rng, 400):
+        yield a, static
 
 
 def test_edge_sweep_equals_its_definition():

@@ -49,6 +49,6 @@ def test_regime_facts_are_pinned(regime):
     facts["lincanny_step_totals"] = tuple(map(sum, zip(*steps)))
     facts["lincanny_step_histogram"] = dict(collections.Counter(map(sum, steps)))
     facts["gjk_solve_totals"] = tuple(map(sum, zip(*solves)))
-    facts["gjk_one_point_one_segment"] = solves.count((1, 1, 0))
+    facts["gjk_one_point"] = solves.count((1, 0, 0))
     expected = REGIMES[regime]
     assert {key: facts[key] for key in expected} == expected
