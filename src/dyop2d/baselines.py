@@ -215,15 +215,16 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     toward the origin, as textbook GJK takes s(-v) for a start point v of
     A - B: along cB - cA, with the centroids as sums of the three
     coordinates, which gives the facing vertex pair that the Lin-Canny
-    walk starts from (vertex 0 of each on a zero direction). Terminates when the squared-length
-    improvement bound drops below GJK_IMPROVEMENT_TOL, when a support
-    point repeats, or after GJK_MAX_ITERATIONS (then flagged
-    "gjk-unconverged" and the last solve's simplex is reported).
-    Intersecting triangles return distance 0 with coincident witnesses.
-    A pair with a coordinate past 2^250 is answered scaled into range,
-    with the two absolute tolerances, on squared lengths in the pair's own
-    units, scaled by the square of the same power of two, so that every
-    comparison decides as on the raw pair.
+    walk starts from (vertex 0 of each on a zero direction). Terminates
+    when the squared-length improvement bound drops below
+    GJK_IMPROVEMENT_TOL, when a support point repeats, or after
+    GJK_MAX_ITERATIONS (then flagged "gjk-unconverged" and the last
+    solve's simplex is reported). Intersecting triangles return distance 0
+    with coincident witnesses. A pair with a coordinate past 2^250 is
+    answered scaled into range, with the two absolute tolerances, on
+    squared lengths in the pair's own units, scaled by the square of the
+    same power of two, so that every comparison decides as on the raw
+    pair.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
@@ -255,7 +256,7 @@ def _gjk(
     improvement_tol, contact_tol = GJK_IMPROVEMENT_TOL * square_scale or 5e-324, 1e-24 * square_scale or 5e-324
 
     # The first search direction is cB - cA, toward the origin from the
-    # centroid difference, with the centroids taken as sums of the three
+    # point cA - cB of A - B, with the centroids taken as sums of the three
     # coordinates as the feature walk's cold start takes them: the first
     # support point is the walk's facing vertex pair. A zero direction
     # leaves both argmaxes on vertex 0, as it leaves the walk's start.

@@ -132,16 +132,15 @@ def load_ref(ref: str, root: Path = ROOT):
     return package
 
 
-def _prepared(lib, name, inputs):
-    """``name``'s function in the package ``lib`` and its argument tuples
-    for ``inputs``."""
-    find, prepare = CALLABLES[name]
+def _arguments(lib, prepare, inputs):
+    """The argument tuples that ``prepare`` makes in the package ``lib``
+    for ``inputs``, on triangles built there."""
     Point2, Triangle, Vector2 = lib.geometry.Point2, lib.geometry.Triangle, lib.geometry.Vector2
     arguments = []
     for ca, cb, (vx, vy) in inputs:
         a, b = (Triangle(*(Point2(c[i], c[i + 1]) for i in (0, 2, 4))) for c in (ca, cb))
         arguments.append(prepare(lib, a, b, Vector2(vx, vy)))
-    return find(lib), arguments
+    return arguments
 
 
 def _time(fn, arguments) -> float:
@@ -215,10 +214,9 @@ def main(argv=None) -> None:
     sets = input_sets()
     callables = {}
     for name in names:
+        find, prepare = CALLABLES[name]
         for tag, lib in libraries.items():
-            prepared = {s: _prepared(lib, name, inputs) for s, inputs in sets.items()}
-            fn = next(iter(prepared.values()))[0]
-            callables[name + tag] = fn, {s: arguments for s, (_, arguments) in prepared.items()}
+            callables[name + tag] = find(lib), {s: _arguments(lib, prepare, inputs) for s, inputs in sets.items()}
     report = compare(callables, sets, args.rounds, baseline)
     print(f"µs per call, median of {args.rounds} interleaved rounds, "
           f"{platform.python_implementation()} {platform.python_version()}")
