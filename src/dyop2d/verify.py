@@ -29,7 +29,6 @@ from .dyop import _X, _Y, MovementAxis, _dyop
 from .errors import DegenerateInput
 from .geometry import Point2, Triangle, Vector2, _brute_force, _Coords, _winding
 
-CONSERVATIVE_SLACK = 1e-12
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -118,6 +117,15 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
     refusal those functions make that a draw can meet is kept: a second
     triangle made degenerate by its push raises ``DegenerateInput``, as
     ``dyop_distance`` does.
+
+    A violation is a pruned distance below the exact one, with no slack.
+    A drawn pair is separated along an axis, so DyOP's one segment test is
+    ``_segment_projections`` and the oracle's distance is the minimum of
+    ``_edge_sweep``'s 18 projections. Each of DyOP's four projections is
+    one of those, bit for bit: the same differences, directions, quotients
+    and ``hypot`` arguments, up to sign, and B's projections onto A's edge
+    are exactly the sweep's -s. So DyOP's distance cannot fall below the
+    oracle's, and a violation is a fault.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
@@ -133,7 +141,7 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
         if degenerate_b:
             raise DegenerateInput("pruned distance requires non-degenerate triangles")
         pruned = _dyop(a, b, axis)[0]
-        if pruned < exact - CONSERVATIVE_SLACK:
+        if pruned < exact:
             violations += 1
         over = pruned - exact
         if over > max_over:

@@ -78,19 +78,11 @@ def per_query(query, pairs) -> float:
 
 def _main() -> None:
     import platform
-    import random
 
     from dyop2d.benchmark import ALGORITHMS
-    from dyop2d.verify import random_separated_pair
-    from helpers import placed
+    from helpers import cost_inputs
 
-    rng = random.Random(7)
-    inputs = {
-        "placed pairs, s = 1": placed("x", 1.0),
-        "near contact, s = 1e-3": placed("x", 1e-3),
-        "placed along y, s = 1": placed("y", 1.0),
-        "random pairs (first 2000)": [random_separated_pair(rng) for _ in range(2000)],
-    }
+    inputs = cost_inputs(2000)
     print(f"bytecodes per query, {platform.python_implementation()} {platform.python_version()}")
     print()
     print("| input | " + " | ".join(ALGORITHMS) + " |")

@@ -31,6 +31,7 @@ from dyop2d.geometry import (
     _segment_segment,
     _within_extent,
 )
+from dyop2d.verify import random_separated_pair
 from exact_reference import squared_distance_to_segment
 
 
@@ -155,6 +156,20 @@ def _placed(axis, s, shift):
     return tuple((a.translated(shift, shift), b.translated(shift, shift), v) for a, b, v in pairs)
 
 
+def cost_inputs(random_pairs):
+    """The input sets of ``opcount``, ``bytecodes`` and ``kerneltime``, one
+    table row each, as lists of (a, b, velocity) by label: the default
+    scene's placed pairs along x at separations 1 and 1e-3 and along y at
+    1, and the first ``random_pairs`` seed-7 random pairs."""
+    rng = random.Random(7)
+    return {
+        "placed pairs, s = 1": placed("x", 1.0),
+        "near contact, s = 1e-3": placed("x", 1e-3),
+        "placed along y, s = 1": placed("y", 1.0),
+        f"random pairs (first {random_pairs})": [random_separated_pair(rng) for _ in range(random_pairs)],
+    }
+
+
 def regime_id(regime):
     """A test id for the regime (axis, s, shift): "x-0.001", or "x-0.001-5.0" when shifted."""
     axis, s, shift = regime
@@ -189,7 +204,7 @@ _MISSED_ALONG_X = movers({10: [6]})
 #   starts from);
 # - gjk_one_point: the queries that stop after one point solve, on the
 #   facing vertex pair that the walk starts from too; gjk_unconverged:
-#   pairs flagged gjk-unconverged.
+#   pairs flagged gjk-unconverged (none in any regime).
 REGIMES = {
     ("x", 1.0, 0.0): {
         "lincanny_fallbacks": set(),
@@ -205,32 +220,38 @@ REGIMES = {
         "lincanny_fallbacks": set(),
         "dyop_misses": _MISSED_ALONG_X,
         "overlapping_boxes": _OBJ10_WITHOUT_GAP,
+        "gjk_unconverged": set(),
     },
     ("x", 1e-3, 0.0): {
         "lincanny_fallbacks": movers({10: [1, 6, 7]}),
         "dyop_misses": _MISSED_ALONG_X,
         "overlapping_boxes": _OBJ10_WITHOUT_GAP,
+        "gjk_unconverged": set(),
     },
     ("x", 1e-6, 0.0): {
         "lincanny_fallbacks": movers({10: range(1, 10)}),
         "dyop_misses": _MISSED_ALONG_X,
         "overlapping_boxes": _OBJ10_WITHOUT_GAP,
+        "gjk_unconverged": set(),
     },
-    ("x", 1e-2, 5.0): {"lincanny_fallbacks": set()},
-    ("x", 1e-3, 5.0): {"lincanny_fallbacks": set()},
-    ("x", 1e-6, 5.0): {"lincanny_fallbacks": movers({10: [2, 3, 5, 6, 8, 9]})},
+    ("x", 1e-2, 5.0): {"lincanny_fallbacks": set(), "gjk_unconverged": set()},
+    ("x", 1e-3, 5.0): {"lincanny_fallbacks": set(), "gjk_unconverged": set()},
+    ("x", 1e-6, 5.0): {"lincanny_fallbacks": movers({10: [2, 3, 5, 6, 8, 9]}), "gjk_unconverged": set()},
     ("y", 1.0, 0.0): {
         "lincanny_fallbacks": set(),
         "dyop_misses": movers({2: [4, 8], 3: [4, 8], 4: [8], 5: [3, 4, 7, 8], 6: [3, 4, 8], 8: [4], 9: [3, 4, 7, 8], 10: [3, 4, 8]}),
         "overlapping_boxes": set(),
+        "gjk_unconverged": set(),
     },
     ("y", 1e-2, 0.0): {
         "lincanny_fallbacks": movers({2: [8], 3: [8], 4: [8, 10], 10: [8]}),
         "certified_sweeps": set(),
+        "gjk_unconverged": set(),
     },
     ("y", 1e-3, 0.0): {
         "lincanny_fallbacks": movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]}),
         "certified_sweeps": set(),
+        "gjk_unconverged": set(),
     },
     ("y", 1e-6, 0.0): {
         "lincanny_fallbacks": movers(
@@ -246,6 +267,7 @@ REGIMES = {
             }
         ),
         "certified_sweeps": set(),
+        "gjk_unconverged": set(),
     },
 }
 

@@ -83,20 +83,14 @@ def input_sets() -> dict[str, list[tuple]]:
     """Each shared input set by label, as ((x0, y0, ..., y2) of A, of B,
     (vx, vy)): raw numbers, so that each loaded package builds its own
     triangles."""
-    from dyop2d.verify import random_separated_pair
-    from helpers import _coords, mover_frames, placed
+    from helpers import _coords, cost_inputs, mover_frames
 
-    def raw(pairs):
-        return [(_coords(a), _coords(b), (v.dx, v.dy)) for a, b, v in pairs]
-
-    rng = random.Random(7)
-    return {
-        "placed pairs, s = 1": raw(placed("x", 1.0)),
-        "near contact, s = 1e-3": raw(placed("x", 1e-3)),
-        "placed along y, s = 1": raw(placed("y", 1.0)),
-        "random pairs (first 500)": raw(random_separated_pair(rng) for _ in range(500)),
-        "mover frames": list(mover_frames(random.Random(17), 400)),
+    sets = {
+        label: [(_coords(a), _coords(b), (v.dx, v.dy)) for a, b, v in pairs]
+        for label, pairs in cost_inputs(500).items()
     }
+    sets["mover frames"] = list(mover_frames(random.Random(17), 400))
+    return sets
 
 
 def load_ref(ref: str, root: Path = ROOT):

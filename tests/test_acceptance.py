@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with ``pytest -s`` to see them inline)."""
 
+import contextlib
 import csv
+import io
 import json
 import random
 import time
@@ -18,7 +20,7 @@ from dyop2d.benchmark import (
 from dyop2d.cli import main
 from dyop2d.dyop import build_internal_aabb, compute_dyop, dominant_axis, dyop_distance, select_candidates
 from dyop2d.geometry import brute_force_triangle_distance
-from dyop2d.verify import random_separated_pair, run_verify
+from dyop2d.verify import random_separated_pair
 from helpers import placed, random_tri
 
 
@@ -52,9 +54,13 @@ def bench_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def verify_run():
+    # The verify command's exit code, document and time, so that its
+    # 10,000 trials run once for both tests that read them.
+    out = io.StringIO()
     start = time.perf_counter()
-    report = run_verify(trials=10000, seed=1)
-    return report, time.perf_counter() - start
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--trials", "10000", "--seed", "1"])
+    return code, out.getvalue(), time.perf_counter() - start
 
 
 def test_criterion_1_pairing_protocol(bench_run):
@@ -86,21 +92,25 @@ def test_criterion_2_vertex_test_reduction(bench_run):
 
 
 def test_criterion_3_conservative_bound(verify_run):
-    report, elapsed = verify_run
-    ok = report.conservative_violations == 0 and elapsed < 5.0
+    code, document, elapsed = verify_run
+    report = json.loads(document)
+    ok = code == 0 and report["conservative_violations"] == 0 and elapsed < 5.0
     _report(
         f"3 conservative bound: 0 violations in 10000 trials "
-        f"(mismatch rate {report.mismatch_rate:.4f}, {elapsed:.2f}s)",
+        f"(mismatch rate {report['mismatch_rate']:.4f}, {elapsed:.2f}s)",
         ok,
     )
 
 
 def test_verify_document_is_pinned(verify_run):
-    # The oracle and DyOP on 10,000 seeded pairs: any change to either
-    # answer moves one of these values.
-    report, _ = verify_run
-    assert (report.trials, report.mismatches, report.conservative_violations) == (10000, 673, 0)
-    assert repr(report.max_overestimate) == "0.4667220283239716"
+    # The oracle and DyOP on 10,000 seeded pairs, byte for byte: any change
+    # to either answer moves one of these values.
+    code, document, _ = verify_run
+    assert code == 0
+    assert document == (
+        '{"trials": 10000, "mismatches": 673, "mismatch_rate": 0.0673, "max_overestimate": 0.4667220283239716, '
+        '"conservative_violations": 0, "tolerance": 1e-09}\n'
+    )
 
 
 def test_criterion_4_baseline_oracle_equivalence():

@@ -544,11 +544,14 @@ def test_run_benchmark_records_an_overflowing_query():
             assert r["flags"] == []
 
 
-@pytest.mark.parametrize("k", [7, 12, 100, 153])
+@pytest.mark.parametrize("k", [7, 12, 100, 153, 154, 300])
 def test_run_benchmark_flags_do_not_depend_on_the_scene_scale(k):
     # Placement and the mismatch check are relative to the separation, so
     # every pair places at any scale the coordinates survive, and each
-    # record is flagged as at unit scale.
+    # record is flagged as at unit scale. From 1e154 on, squares of raw
+    # coordinates overflow, and every query and placement scales its pair
+    # into range by a power of two. A failed record carries an "error:"
+    # flag, so it fails the comparison too.
     algorithms = ("dyop", "gjk", "lincanny", "oracle")
     unscaled = run_benchmark(default_scene(), algorithms, repeats=1)
     scaled = run_benchmark(scaled_default_scene(10.0**k), algorithms, repeats=1)
