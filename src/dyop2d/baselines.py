@@ -419,11 +419,12 @@ def lin_canny_distance(
     terminate in a single verification step. A walk whose end witnesses
     pass ``_separated`` has proved the triangles disjoint, at a positive
     distance, and answers. Any other walk falls back by calling the
-    oracle's kernel, ``geometry._brute_force``: the nine-edge sweep, then
-    ``_separated`` on the sweep's witnesses, and only when that fails the
-    overlap test. A contact, which the oracle reports by counting no
-    tests (a distance of 0.0 would not tell it, since the sweep can round
-    a positive gap to 0), raises Penetrating; otherwise the oracle's
+    oracle's kernel, ``geometry._brute_force``: the bounding-box test and
+    the nine-edge sweep, which answers alone where the boxes have a gap;
+    where they meet, ``_separated`` on the sweep's witnesses, and only
+    when that fails the overlap test. A contact, which the oracle reports
+    by counting no tests (a distance of 0.0 would not tell it, since the
+    sweep can round a positive gap to 0), raises Penetrating; otherwise the oracle's
     distance, witnesses and features answer, flagged "lincanny-fallback",
     with its nine ee_tests added to the walk's counters, so a fallback is
     the oracle's answer by construction. A pair with a coordinate past

@@ -207,8 +207,9 @@ def _dyop(
 
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
     ``select_candidates`` on both triangles (squares as products, none of
-    which overflows in range) and ``_classify_edge_point`` written out,
-    and one segment test on the candidate edges, so that an answer costs
+    which overflows in range) and the naming of each witness's feature
+    (its edge's start at t = 0, its end at t = 1, else the edge) written
+    out, and one segment test on the candidate edges, so that an answer costs
     two calls: that test and its ``TestCounters``. A gap on either axis
     (``x_lo < x_hi or y_lo < y_hi``) puts the candidate edges' boxes apart,
     so they cannot touch, and the test is ``geometry._segment_projections``;

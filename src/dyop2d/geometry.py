@@ -57,6 +57,12 @@ that clamps to an end reads its distance there, so ``hypot`` runs 9
 times plus once per projection strictly inside an edge, not 18 times.
 B's vertex j on A's edge i reuses the difference of A's vertex i and B's
 vertex j, negated, which is exact, since rounding is symmetric in sign.
+Each record names its two features as it is built, so the sweep returns
+its best record with no naming step. The oracle's kernel ``_brute_force``
+first compares the two triangles' bounding boxes: a gap along x or y
+proves the pair disjoint exactly (Ericson, 2004, 4.2), and the sweep
+then answers alone. Only a pair whose boxes meet or touch goes on to the
+certificate ``_separated`` and, where that fails, the overlap test.
 
 Every clamped projection, in ``_project``, ``_segment_projections``,
 ``_edge_sweep`` and the Lin-Canny walk, is one branch: a parameter t at
@@ -633,15 +639,6 @@ def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
     return _contact_witness(a, b) is not None
 
 
-def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
-    """Name the feature a witness on edge ``edge_index`` actually lies on."""
-    if t == 0.0:
-        return _VERTEX_FEATURES[edge_index]
-    if t == 1.0:
-        return _VERTEX_FEATURES[(edge_index + 1) % 3]
-    return _EDGE_FEATURES[edge_index]
-
-
 def _nearest_edge_feature(a: _Coords, px: float, py: float) -> FeatureId:
     ring = a + a
     return _EDGE_FEATURES[min(range(3), key=lambda i: _project(px, py, *ring[2 * i : 2 * i + 4])[0])]
@@ -663,7 +660,8 @@ def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId, F
     container's nearest edge (``_nearest_edge_feature``). A pair without
     edge contact also pays each edge pair's four projections, which no
     placed pair reaches: the oracle and the Lin-Canny fallback run this
-    test only when the certificate fails.
+    test only on a pair whose bounding boxes meet and whose sweep the
+    certificate rejects.
     """
     x0, y0, x1, y1, x2, y2 = a
     u0, v0, u1, v1, u2, v2 = b
@@ -687,7 +685,8 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     The minimum over the 18 vertex-edge projections, each computed once,
     in the first edge pair that holds it: vertex i + 1 ends edge i and
     starts edge i + 1. It is exact only for disjoint triangles, which the
-    caller proves by ``_separated`` or ``_contact_witness``. Ties keep the
+    caller proves by a gap between their bounding boxes, by ``_separated``
+    or by ``_contact_witness``. Ties keep the
     earliest projection in row-major edge-pair order, then (a, b, c, d)
     order, so the reported feature indices stay as low as possible. The
     coordinates are in range (at most 2^510 in magnitude), so no direction,
@@ -698,8 +697,10 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     edge directions and the six squared lengths as divisors, computed
     once rather than once per projection (6, not 18). Edge i of A
     runs from A's vertex i along (uxi, uyi), and edge j of B from B's
-    vertex j along (vxj, vyj). A record names a vertex as the start of
-    its own edge, at t = 0.
+    vertex j along (vxj, vyj). Each record carries its two ``FeatureId``s:
+    a projection clamped to an end names that vertex, and one strictly
+    inside an edge names the edge. So the sweep returns its best record
+    as it is, with no naming step after the sweep.
 
     The nine vertex pairs are measured once too, in a table: the
     differences (wxij, wyij), A's vertex i minus B's vertex j, and their
@@ -720,6 +721,9 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     ux0, uy0, ux1, uy1, ux2, uy2 = ax1 - ax0, ay1 - ay0, ax2 - ax1, ay2 - ay1, ax0 - ax2, ay0 - ay2
     vx0, vy0, vx1, vy1, vx2, vy2 = bx1 - bx0, by1 - by0, bx2 - bx1, by2 - by1, bx0 - bx2, by0 - by2
     inf, hypot = math.inf, math.hypot
+    # The features a record names: vertex i of either triangle, or edge i.
+    fv0, fv1, fv2 = _VERTEX_FEATURES
+    fe0, fe1, fe2 = _EDGE_FEATURES
     # The squared lengths as divisors: a zero-length edge divides by inf, so
     # its t is +-0.0 and the projection takes its start vertex.
     uu0, uu1, uu2 = ux0 * ux0 + uy0 * uy0 or inf, ux1 * ux1 + uy1 * uy1 or inf, ux2 * ux2 + uy2 * uy2 or inf
@@ -737,243 +741,242 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     d00, d01, d02 = hypot(wx00, wy00), hypot(wx01, wy01), hypot(wx02, wy02)
     d10, d11, d12 = hypot(wx10, wy10), hypot(wx11, wy11), hypot(wx12, wy12)
     d20, d21, d22 = hypot(wx20, wy20), hypot(wx21, wy21), hypot(wx22, wy22)
-    # (pa.x, pa.y, pb.x, pb.y, edge of A, t on it, edge of B, t on it)
-    best_d, best = inf, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
+    # (pa.x, pa.y, pb.x, pb.y, feature of A, feature of B)
+    best_d, best = inf, (ax0, ay0, bx0, by0, fv0, fv0)
     # Edge pair (0, 0): A's vertices 0 and 1 on B's edge 0, B's vertices 0 and 1 on A's edge 0.
     t = (wx00 * vx0 + wy00 * vy0) / vv0
     if t <= 0.0:
         if d00 < best_d:
-            best_d, best = d00, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
+            best_d, best = d00, (ax0, ay0, bx0, by0, fv0, fv0)
     elif t >= 1.0:
         if d01 < best_d:
-            best_d, best = d01, (ax0, ay0, bx1, by1, 0, 0.0, 0, 1.0)
+            best_d, best = d01, (ax0, ay0, bx1, by1, fv0, fv1)
     else:
         qx, qy = bx0 + t * vx0, by0 + t * vy0
         d = hypot(ax0 - qx, ay0 - qy)
         if d < best_d:
-            best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 0, t)
+            best_d, best = d, (ax0, ay0, qx, qy, fv0, fe0)
     t = (wx10 * vx0 + wy10 * vy0) / vv0
     if t <= 0.0:
         if d10 < best_d:
-            best_d, best = d10, (ax1, ay1, bx0, by0, 1, 0.0, 0, 0.0)
+            best_d, best = d10, (ax1, ay1, bx0, by0, fv1, fv0)
     elif t >= 1.0:
         if d11 < best_d:
-            best_d, best = d11, (ax1, ay1, bx1, by1, 1, 0.0, 0, 1.0)
+            best_d, best = d11, (ax1, ay1, bx1, by1, fv1, fv1)
     else:
         qx, qy = bx0 + t * vx0, by0 + t * vy0
         d = hypot(ax1 - qx, ay1 - qy)
         if d < best_d:
-            best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 0, t)
+            best_d, best = d, (ax1, ay1, qx, qy, fv1, fe0)
     s = (wx00 * ux0 + wy00 * uy0) / uu0
     if s >= 0.0:
         if d00 < best_d:
-            best_d, best = d00, (ax0, ay0, bx0, by0, 0, 0.0, 0, 0.0)
+            best_d, best = d00, (ax0, ay0, bx0, by0, fv0, fv0)
     elif s <= -1.0:
         if d10 < best_d:
-            best_d, best = d10, (ax1, ay1, bx0, by0, 0, 1.0, 0, 0.0)
+            best_d, best = d10, (ax1, ay1, bx0, by0, fv1, fv0)
     else:
         t = -s
         qx, qy = ax0 + t * ux0, ay0 + t * uy0
         d = hypot(bx0 - qx, by0 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx0, by0, 0, t, 0, 0.0)
+            best_d, best = d, (qx, qy, bx0, by0, fe0, fv0)
     s = (wx01 * ux0 + wy01 * uy0) / uu0
     if s >= 0.0:
         if d01 < best_d:
-            best_d, best = d01, (ax0, ay0, bx1, by1, 0, 0.0, 1, 0.0)
+            best_d, best = d01, (ax0, ay0, bx1, by1, fv0, fv1)
     elif s <= -1.0:
         if d11 < best_d:
-            best_d, best = d11, (ax1, ay1, bx1, by1, 0, 1.0, 1, 0.0)
+            best_d, best = d11, (ax1, ay1, bx1, by1, fv1, fv1)
     else:
         t = -s
         qx, qy = ax0 + t * ux0, ay0 + t * uy0
         d = hypot(bx1 - qx, by1 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx1, by1, 0, t, 1, 0.0)
+            best_d, best = d, (qx, qy, bx1, by1, fe0, fv1)
     # (0, 1): A's vertices 0 and 1 on B's edge 1, B's vertex 2 on A's edge 0.
     t = (wx01 * vx1 + wy01 * vy1) / vv1
     if t <= 0.0:
         if d01 < best_d:
-            best_d, best = d01, (ax0, ay0, bx1, by1, 0, 0.0, 1, 0.0)
+            best_d, best = d01, (ax0, ay0, bx1, by1, fv0, fv1)
     elif t >= 1.0:
         if d02 < best_d:
-            best_d, best = d02, (ax0, ay0, bx2, by2, 0, 0.0, 1, 1.0)
+            best_d, best = d02, (ax0, ay0, bx2, by2, fv0, fv2)
     else:
         qx, qy = bx1 + t * vx1, by1 + t * vy1
         d = hypot(ax0 - qx, ay0 - qy)
         if d < best_d:
-            best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 1, t)
+            best_d, best = d, (ax0, ay0, qx, qy, fv0, fe1)
     t = (wx11 * vx1 + wy11 * vy1) / vv1
     if t <= 0.0:
         if d11 < best_d:
-            best_d, best = d11, (ax1, ay1, bx1, by1, 1, 0.0, 1, 0.0)
+            best_d, best = d11, (ax1, ay1, bx1, by1, fv1, fv1)
     elif t >= 1.0:
         if d12 < best_d:
-            best_d, best = d12, (ax1, ay1, bx2, by2, 1, 0.0, 1, 1.0)
+            best_d, best = d12, (ax1, ay1, bx2, by2, fv1, fv2)
     else:
         qx, qy = bx1 + t * vx1, by1 + t * vy1
         d = hypot(ax1 - qx, ay1 - qy)
         if d < best_d:
-            best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 1, t)
+            best_d, best = d, (ax1, ay1, qx, qy, fv1, fe1)
     s = (wx02 * ux0 + wy02 * uy0) / uu0
     if s >= 0.0:
         if d02 < best_d:
-            best_d, best = d02, (ax0, ay0, bx2, by2, 0, 0.0, 2, 0.0)
+            best_d, best = d02, (ax0, ay0, bx2, by2, fv0, fv2)
     elif s <= -1.0:
         if d12 < best_d:
-            best_d, best = d12, (ax1, ay1, bx2, by2, 0, 1.0, 2, 0.0)
+            best_d, best = d12, (ax1, ay1, bx2, by2, fv1, fv2)
     else:
         t = -s
         qx, qy = ax0 + t * ux0, ay0 + t * uy0
         d = hypot(bx2 - qx, by2 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx2, by2, 0, t, 2, 0.0)
+            best_d, best = d, (qx, qy, bx2, by2, fe0, fv2)
     # (0, 2): A's vertices 0 and 1 on B's edge 2.
     t = (wx02 * vx2 + wy02 * vy2) / vv2
     if t <= 0.0:
         if d02 < best_d:
-            best_d, best = d02, (ax0, ay0, bx2, by2, 0, 0.0, 2, 0.0)
+            best_d, best = d02, (ax0, ay0, bx2, by2, fv0, fv2)
     elif t >= 1.0:
         if d00 < best_d:
-            best_d, best = d00, (ax0, ay0, bx0, by0, 0, 0.0, 2, 1.0)
+            best_d, best = d00, (ax0, ay0, bx0, by0, fv0, fv0)
     else:
         qx, qy = bx2 + t * vx2, by2 + t * vy2
         d = hypot(ax0 - qx, ay0 - qy)
         if d < best_d:
-            best_d, best = d, (ax0, ay0, qx, qy, 0, 0.0, 2, t)
+            best_d, best = d, (ax0, ay0, qx, qy, fv0, fe2)
     t = (wx12 * vx2 + wy12 * vy2) / vv2
     if t <= 0.0:
         if d12 < best_d:
-            best_d, best = d12, (ax1, ay1, bx2, by2, 1, 0.0, 2, 0.0)
+            best_d, best = d12, (ax1, ay1, bx2, by2, fv1, fv2)
     elif t >= 1.0:
         if d10 < best_d:
-            best_d, best = d10, (ax1, ay1, bx0, by0, 1, 0.0, 2, 1.0)
+            best_d, best = d10, (ax1, ay1, bx0, by0, fv1, fv0)
     else:
         qx, qy = bx2 + t * vx2, by2 + t * vy2
         d = hypot(ax1 - qx, ay1 - qy)
         if d < best_d:
-            best_d, best = d, (ax1, ay1, qx, qy, 1, 0.0, 2, t)
+            best_d, best = d, (ax1, ay1, qx, qy, fv1, fe2)
     # (1, 0): A's vertex 2 on B's edge 0, B's vertices 0 and 1 on A's edge 1.
     t = (wx20 * vx0 + wy20 * vy0) / vv0
     if t <= 0.0:
         if d20 < best_d:
-            best_d, best = d20, (ax2, ay2, bx0, by0, 2, 0.0, 0, 0.0)
+            best_d, best = d20, (ax2, ay2, bx0, by0, fv2, fv0)
     elif t >= 1.0:
         if d21 < best_d:
-            best_d, best = d21, (ax2, ay2, bx1, by1, 2, 0.0, 0, 1.0)
+            best_d, best = d21, (ax2, ay2, bx1, by1, fv2, fv1)
     else:
         qx, qy = bx0 + t * vx0, by0 + t * vy0
         d = hypot(ax2 - qx, ay2 - qy)
         if d < best_d:
-            best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 0, t)
+            best_d, best = d, (ax2, ay2, qx, qy, fv2, fe0)
     s = (wx10 * ux1 + wy10 * uy1) / uu1
     if s >= 0.0:
         if d10 < best_d:
-            best_d, best = d10, (ax1, ay1, bx0, by0, 1, 0.0, 0, 0.0)
+            best_d, best = d10, (ax1, ay1, bx0, by0, fv1, fv0)
     elif s <= -1.0:
         if d20 < best_d:
-            best_d, best = d20, (ax2, ay2, bx0, by0, 1, 1.0, 0, 0.0)
+            best_d, best = d20, (ax2, ay2, bx0, by0, fv2, fv0)
     else:
         t = -s
         qx, qy = ax1 + t * ux1, ay1 + t * uy1
         d = hypot(bx0 - qx, by0 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx0, by0, 1, t, 0, 0.0)
+            best_d, best = d, (qx, qy, bx0, by0, fe1, fv0)
     s = (wx11 * ux1 + wy11 * uy1) / uu1
     if s >= 0.0:
         if d11 < best_d:
-            best_d, best = d11, (ax1, ay1, bx1, by1, 1, 0.0, 1, 0.0)
+            best_d, best = d11, (ax1, ay1, bx1, by1, fv1, fv1)
     elif s <= -1.0:
         if d21 < best_d:
-            best_d, best = d21, (ax2, ay2, bx1, by1, 1, 1.0, 1, 0.0)
+            best_d, best = d21, (ax2, ay2, bx1, by1, fv2, fv1)
     else:
         t = -s
         qx, qy = ax1 + t * ux1, ay1 + t * uy1
         d = hypot(bx1 - qx, by1 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx1, by1, 1, t, 1, 0.0)
+            best_d, best = d, (qx, qy, bx1, by1, fe1, fv1)
     # (1, 1): A's vertex 2 on B's edge 1, B's vertex 2 on A's edge 1.
     t = (wx21 * vx1 + wy21 * vy1) / vv1
     if t <= 0.0:
         if d21 < best_d:
-            best_d, best = d21, (ax2, ay2, bx1, by1, 2, 0.0, 1, 0.0)
+            best_d, best = d21, (ax2, ay2, bx1, by1, fv2, fv1)
     elif t >= 1.0:
         if d22 < best_d:
-            best_d, best = d22, (ax2, ay2, bx2, by2, 2, 0.0, 1, 1.0)
+            best_d, best = d22, (ax2, ay2, bx2, by2, fv2, fv2)
     else:
         qx, qy = bx1 + t * vx1, by1 + t * vy1
         d = hypot(ax2 - qx, ay2 - qy)
         if d < best_d:
-            best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 1, t)
+            best_d, best = d, (ax2, ay2, qx, qy, fv2, fe1)
     s = (wx12 * ux1 + wy12 * uy1) / uu1
     if s >= 0.0:
         if d12 < best_d:
-            best_d, best = d12, (ax1, ay1, bx2, by2, 1, 0.0, 2, 0.0)
+            best_d, best = d12, (ax1, ay1, bx2, by2, fv1, fv2)
     elif s <= -1.0:
         if d22 < best_d:
-            best_d, best = d22, (ax2, ay2, bx2, by2, 1, 1.0, 2, 0.0)
+            best_d, best = d22, (ax2, ay2, bx2, by2, fv2, fv2)
     else:
         t = -s
         qx, qy = ax1 + t * ux1, ay1 + t * uy1
         d = hypot(bx2 - qx, by2 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx2, by2, 1, t, 2, 0.0)
+            best_d, best = d, (qx, qy, bx2, by2, fe1, fv2)
     # (1, 2): A's vertex 2 on B's edge 2.
     t = (wx22 * vx2 + wy22 * vy2) / vv2
     if t <= 0.0:
         if d22 < best_d:
-            best_d, best = d22, (ax2, ay2, bx2, by2, 2, 0.0, 2, 0.0)
+            best_d, best = d22, (ax2, ay2, bx2, by2, fv2, fv2)
     elif t >= 1.0:
         if d20 < best_d:
-            best_d, best = d20, (ax2, ay2, bx0, by0, 2, 0.0, 2, 1.0)
+            best_d, best = d20, (ax2, ay2, bx0, by0, fv2, fv0)
     else:
         qx, qy = bx2 + t * vx2, by2 + t * vy2
         d = hypot(ax2 - qx, ay2 - qy)
         if d < best_d:
-            best_d, best = d, (ax2, ay2, qx, qy, 2, 0.0, 2, t)
+            best_d, best = d, (ax2, ay2, qx, qy, fv2, fe2)
     # (2, 0): B's vertices 0 and 1 on A's edge 2.
     s = (wx20 * ux2 + wy20 * uy2) / uu2
     if s >= 0.0:
         if d20 < best_d:
-            best_d, best = d20, (ax2, ay2, bx0, by0, 2, 0.0, 0, 0.0)
+            best_d, best = d20, (ax2, ay2, bx0, by0, fv2, fv0)
     elif s <= -1.0:
         if d00 < best_d:
-            best_d, best = d00, (ax0, ay0, bx0, by0, 2, 1.0, 0, 0.0)
+            best_d, best = d00, (ax0, ay0, bx0, by0, fv0, fv0)
     else:
         t = -s
         qx, qy = ax2 + t * ux2, ay2 + t * uy2
         d = hypot(bx0 - qx, by0 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx0, by0, 2, t, 0, 0.0)
+            best_d, best = d, (qx, qy, bx0, by0, fe2, fv0)
     s = (wx21 * ux2 + wy21 * uy2) / uu2
     if s >= 0.0:
         if d21 < best_d:
-            best_d, best = d21, (ax2, ay2, bx1, by1, 2, 0.0, 1, 0.0)
+            best_d, best = d21, (ax2, ay2, bx1, by1, fv2, fv1)
     elif s <= -1.0:
         if d01 < best_d:
-            best_d, best = d01, (ax0, ay0, bx1, by1, 2, 1.0, 1, 0.0)
+            best_d, best = d01, (ax0, ay0, bx1, by1, fv0, fv1)
     else:
         t = -s
         qx, qy = ax2 + t * ux2, ay2 + t * uy2
         d = hypot(bx1 - qx, by1 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx1, by1, 2, t, 1, 0.0)
+            best_d, best = d, (qx, qy, bx1, by1, fe2, fv1)
     # (2, 1): B's vertex 2 on A's edge 2; edge pair (2, 2) adds no projection.
     s = (wx22 * ux2 + wy22 * uy2) / uu2
     if s >= 0.0:
         if d22 < best_d:
-            best_d, best = d22, (ax2, ay2, bx2, by2, 2, 0.0, 2, 0.0)
+            best_d, best = d22, (ax2, ay2, bx2, by2, fv2, fv2)
     elif s <= -1.0:
         if d02 < best_d:
-            best_d, best = d02, (ax0, ay0, bx2, by2, 2, 1.0, 2, 0.0)
+            best_d, best = d02, (ax0, ay0, bx2, by2, fv0, fv2)
     else:
         t = -s
         qx, qy = ax2 + t * ux2, ay2 + t * uy2
         d = hypot(bx2 - qx, by2 - qy)
         if d < best_d:
-            best_d, best = d, (qx, qy, bx2, by2, 2, t, 2, 0.0)
-    pax, pay, pbx, pby, i, ta, j, tb = best
-    return best_d, pax, pay, pbx, pby, _classify_edge_point(i, ta), _classify_edge_point(j, tb)
+            best_d, best = d, (qx, qy, bx2, by2, fe2, fv2)
+    return best_d, *best
 
 
 def _separated(a: _Coords, b: _Coords, pax: float, pay: float, pbx: float, pby: float) -> bool:
@@ -990,8 +993,10 @@ def _separated(a: _Coords, b: _Coords, pax: float, pay: float, pbx: float, pby: 
     products' sizes, not the dot products': sa and sb cancel to about
     zero when the separating line passes near the origin, while the
     witnesses' rounding, which the slack must cover, does not. Every
-    comparison is written to fail on NaN. The Lin-Canny walk ends on
-    this test too, so the six comparisons are straight-line code.
+    comparison is written to fail on NaN. It is the Lin-Canny walk's end
+    certificate, and the oracle's proof for a pair whose bounding boxes
+    meet (a box gap proves a pair disjoint before this test, exactly), so
+    the six comparisons are straight-line code.
     """
     ax0, ay0, ax1, ay1, ax2, ay2 = a
     bx0, by0, bx1, by1, bx2, by2 = b
@@ -1015,14 +1020,32 @@ def _brute_force(
 ) -> tuple[float, float, float, float, float, FeatureId, FeatureId, TestCounters, tuple[str, ...]]:
     """The oracle on two triangles' coordinates in range: the arguments of its ``_answer``.
 
-    The sweep, then the certificate on its witnesses, then, only when the
-    certificate fails, the overlap test: a contact answers 0 with
-    coincident witnesses and no tests counted, and anything else is the
-    sweep's answer, counted as nine ee tests. The Lin-Canny fallback calls
-    it, and reads a contact off the count of no tests.
+    First the bounding boxes: when A's largest x is below B's least x, or
+    B's largest x below A's least x, or the same along y, the triangles
+    cannot meet (Ericson, Real-Time Collision Detection, 2004, 4.2). The
+    four comparisons are exact and run lazily, each extent a conditional
+    expression as in DyOP's kernel, so a gap on the first axis tested
+    decides. Then the sweep. On a pair with a box gap it answers alone;
+    on any other pair the certificate runs on its witnesses, and only
+    when that fails, the overlap test: a contact answers 0 with
+    coincident witnesses and no tests counted. Anything else is the
+    sweep's answer, counted as nine ee tests. The Lin-Canny fallback
+    calls it, and reads a contact off the count of no tests.
     """
+    x0, y0, x1, y1, x2, y2 = a
+    u0, v0, u1, v1, u2, v2 = b
+    apart = (
+        (x0 if x0 >= x1 and x0 >= x2 else (x1 if x1 >= x2 else x2))
+        < (u0 if u0 <= u1 and u0 <= u2 else (u1 if u1 <= u2 else u2))
+        or (u0 if u0 >= u1 and u0 >= u2 else (u1 if u1 >= u2 else u2))
+        < (x0 if x0 <= x1 and x0 <= x2 else (x1 if x1 <= x2 else x2))
+        or (y0 if y0 >= y1 and y0 >= y2 else (y1 if y1 >= y2 else y2))
+        < (v0 if v0 <= v1 and v0 <= v2 else (v1 if v1 <= v2 else v2))
+        or (v0 if v0 >= v1 and v0 >= v2 else (v1 if v1 >= v2 else v2))
+        < (y0 if y0 <= y1 and y0 <= y2 else (y1 if y1 <= y2 else y2))
+    )
     swept = _edge_sweep(a, b)
-    if not _separated(a, b, swept[1], swept[2], swept[3], swept[4]):
+    if not apart and not _separated(a, b, swept[1], swept[2], swept[3], swept[4]):
         contact = _contact_witness(a, b)
         if contact is not None:
             px, py, fa, fb = contact
@@ -1033,8 +1056,9 @@ def _brute_force(
 def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """Exact separation distance by exhausting all nine edge pairs.
 
-    The nine-edge sweep (``_edge_sweep``, 18 projections) runs first and
-    answers, counted as nine ee_tests, when its witnesses pass
+    The nine-edge sweep (``_edge_sweep``, 18 projections) answers, counted
+    as nine ee_tests, when the triangles' bounding boxes have a gap, which
+    proves them disjoint exactly, or else when its witnesses pass
     ``_separated``. Only when they fail does the overlap test run, as
     ``_contact_witness``: overlapping or touching triangles then report
     distance 0 with coincident witnesses at the contact point, named as

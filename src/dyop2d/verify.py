@@ -119,8 +119,10 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
     ``dyop_distance`` does.
 
     A violation is a pruned distance below the exact one, with no slack.
-    A drawn pair is separated along an axis, so DyOP's one segment test is
-    ``_segment_projections`` and the oracle's distance is the minimum of
+    A drawn pair is strictly separated along an axis, so its bounding
+    boxes have a gap there: DyOP's one segment test is
+    ``_segment_projections``, and the oracle is the sweep alone, with no
+    certificate and no overlap test, its distance the minimum of
     ``_edge_sweep``'s 18 projections. Each of DyOP's four projections is
     one of those, bit for bit: the same differences, directions, quotients
     and ``hypot`` arguments, up to sign, and B's projections onto A's edge

@@ -47,6 +47,17 @@ def edge_feature(i: int) -> FeatureId:
     return FeatureId(FeatureKind.EDGE, i)
 
 
+def _classify_edge_point(edge_index: int, t: float) -> FeatureId:
+    """The feature that a witness at parameter t on edge ``edge_index`` lies
+    on: the edge's start vertex at t = 0, its end vertex at t = 1, else the
+    edge itself."""
+    if t == 0.0:
+        return vertex_feature(edge_index)
+    if t == 1.0:
+        return vertex_feature((edge_index + 1) % 3)
+    return edge_feature(edge_index)
+
+
 def random_tri(rng, span=1.0):
     """A non-degenerate triangle with vertices uniform in the box [0, span]^2."""
     while True:
@@ -57,6 +68,13 @@ def random_tri(rng, span=1.0):
         )
         if not t.is_degenerate:
             return t
+
+
+def boxes_apart(a, b):
+    """Whether the bounding boxes of the coordinates ``a`` and ``b`` have a
+    strict gap along x or y, which proves the triangles disjoint."""
+    xa, ya, xb, yb = a[0::2], a[1::2], b[0::2], b[1::2]
+    return max(xa) < min(xb) or max(xb) < min(xa) or max(ya) < min(yb) or max(yb) < min(ya)
 
 
 def mover_frames(rng, trajectories):
@@ -73,9 +91,7 @@ def mover_frames(rng, trajectories):
             along = 0.25 * k - 1.5
             dx, dy = ux * along - uy * lateral, uy * along + ux * lateral
             a = tuple(v + dy if i % 2 else v + dx for i, v in enumerate(mover))
-            xa, ya, xs, ys = a[0::2], a[1::2], static[0::2], static[1::2]
-            boxes_meet = min(xa) <= max(xs) and min(xs) <= max(xa) and min(ya) <= max(ys) and min(ys) <= max(ya)
-            if boxes_meet and _contact_witness(a, static) is None:
+            if not boxes_apart(a, static) and _contact_witness(a, static) is None:
                 yield a, static, (ux, uy)
 
 
@@ -191,10 +207,11 @@ _MISSED_ALONG_X = movers({10: [6]})
 # pair's "mover->static"; test_regimes computes each fact from the queries.
 # - lincanny_fallbacks: pairs whose cold walk falls back to the oracle's
 #   sweep (near contact, ROADMAP item 6);
-# - certified_sweeps: the fallbacks whose sweep passes the certificate,
-#   so that only the others run the overlap test (none in any regime:
-#   every fallback ends on a pair the certificate rejects, and its sweep
-#   fails it too);
+# - fallbacks_with_meeting_boxes: the fallbacks whose triangles' bounding
+#   boxes meet or touch. The oracle's kernel answers the others by its
+#   sweep alone, as a box gap proves a pair disjoint; only these reach the
+#   certificate, which rejects each of their sweeps, and so the overlap
+#   test (along x at 1e-6 they are the pairs that leave DyOP no gap);
 # - dyop_misses: pairs where DyOP strays from s by more than the bench's
 #   MISMATCH_TOLERANCE * s, as its pruning drops the winning feature pair;
 # - overlapping_boxes: pairs whose gap box DyOP flags overlapping-boxes;
@@ -224,19 +241,25 @@ REGIMES = {
     },
     ("x", 1e-3, 0.0): {
         "lincanny_fallbacks": movers({10: [1, 6, 7]}),
+        "fallbacks_with_meeting_boxes": movers({10: [6]}),
         "dyop_misses": _MISSED_ALONG_X,
         "overlapping_boxes": _OBJ10_WITHOUT_GAP,
         "gjk_unconverged": set(),
     },
     ("x", 1e-6, 0.0): {
         "lincanny_fallbacks": movers({10: range(1, 10)}),
+        "fallbacks_with_meeting_boxes": _OBJ10_WITHOUT_GAP,
         "dyop_misses": _MISSED_ALONG_X,
         "overlapping_boxes": _OBJ10_WITHOUT_GAP,
         "gjk_unconverged": set(),
     },
     ("x", 1e-2, 5.0): {"lincanny_fallbacks": set(), "gjk_unconverged": set()},
     ("x", 1e-3, 5.0): {"lincanny_fallbacks": set(), "gjk_unconverged": set()},
-    ("x", 1e-6, 5.0): {"lincanny_fallbacks": movers({10: [2, 3, 5, 6, 8, 9]}), "gjk_unconverged": set()},
+    ("x", 1e-6, 5.0): {
+        "lincanny_fallbacks": movers({10: [2, 3, 5, 6, 8, 9]}),
+        "fallbacks_with_meeting_boxes": movers({10: [2, 3, 5, 6, 8, 9]}),
+        "gjk_unconverged": set(),
+    },
     ("y", 1.0, 0.0): {
         "lincanny_fallbacks": set(),
         "dyop_misses": movers({2: [4, 8], 3: [4, 8], 4: [8], 5: [3, 4, 7, 8], 6: [3, 4, 8], 8: [4], 9: [3, 4, 7, 8], 10: [3, 4, 8]}),
@@ -245,12 +268,12 @@ REGIMES = {
     },
     ("y", 1e-2, 0.0): {
         "lincanny_fallbacks": movers({2: [8], 3: [8], 4: [8, 10], 10: [8]}),
-        "certified_sweeps": set(),
+        "fallbacks_with_meeting_boxes": movers({4: [10]}),
         "gjk_unconverged": set(),
     },
     ("y", 1e-3, 0.0): {
         "lincanny_fallbacks": movers({2: [8], 3: [5, 8], 4: [8, 10], 5: [7, 9], 6: [9], 9: [3, 6], 10: [8, 9]}),
-        "certified_sweeps": set(),
+        "fallbacks_with_meeting_boxes": movers({3: [5], 4: [10]}),
         "gjk_unconverged": set(),
     },
     ("y", 1e-6, 0.0): {
@@ -266,7 +289,9 @@ REGIMES = {
                 10: [8, 9],
             }
         ),
-        "certified_sweeps": set(),
+        "fallbacks_with_meeting_boxes": movers(
+            {2: [5, 9, 10], 3: [1, 2, 5, 6, 7, 9, 10], 4: [1, 5, 6, 9, 10], 5: [10], 6: [10], 8: [1, 2, 3, 5, 6, 7, 9, 10], 9: [10]}
+        ),
         "gjk_unconverged": set(),
     },
 }

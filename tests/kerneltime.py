@@ -10,8 +10,11 @@ has it, and rotates the order of the callables from one round to the
 next.
 
 The callables are the four public queries and the kernels that they
-reach through ``geometry._pair``: ``_dyop``, ``_gjk``, ``_edge_sweep``
-and ``_separated`` (on the sweep's witnesses). Each takes its arguments
+reach through ``geometry._pair``: ``_dyop``, ``_gjk``, the oracle's
+``_brute_force`` (its box test, sweep, and certificate and overlap test
+where the boxes meet), its sweep ``_edge_sweep``, and ``_separated`` on
+the sweep's witnesses, Lin-Canny's end certificate and the oracle's
+proof for pairs whose boxes meet. Each takes its arguments
 prepared before timing. The input sets are shared with ``opcount``'s
 table: the default scene's placed pairs (along x at separations 1 and
 1e-3, and along y), the first 500 seed-7 random pairs, and frames of a
@@ -71,6 +74,7 @@ CALLABLES = {
         lambda lib, a, b, velocity: (*_in_range(lib, a, b), lib.dyop.dominant_axis(velocity)),
     ),
     "_gjk": (lambda lib: lib.baselines._gjk, lambda lib, a, b, velocity: _in_range(lib, a, b)),
+    "_brute_force": (lambda lib: lib.geometry._brute_force, lambda lib, a, b, velocity: _in_range(lib, a, b)),
     "_edge_sweep": (lambda lib: lib.geometry._edge_sweep, lambda lib, a, b, velocity: _in_range(lib, a, b)),
     "_separated": (
         lambda lib: lib.geometry._separated,

@@ -970,14 +970,16 @@ def test_placed_pairs_are_answered_without_the_overlap_test(monkeypatch):
 
 
 def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_certified(monkeypatch):
-    # A fallback calls the oracle's kernel, _brute_force: the nine-edge
-    # sweep, the certificate on its witnesses, and the overlap test only
-    # when the certificate fails, so on the fallbacks of each regime in
-    # REGIMES but its certified sweeps. Measured: none of 300 random pairs
-    # falls back cold, and walks from a drawn seed fall back on 26 of 300
-    # (seed 27) by the escape from behind an edge, each answered by a
-    # sweep that the certificate passes.
-    regimes = {regime: placed(*regime) for regime, facts in REGIMES.items() if "certified_sweeps" in facts}
+    # A fallback calls the oracle's kernel, _brute_force: the box test and
+    # the nine-edge sweep, which answers alone where the triangles' boxes
+    # have a gap; where they meet, the certificate on its witnesses, and
+    # the overlap test only when the certificate fails. So in each regime
+    # of REGIMES the overlap test runs on its fallbacks with meeting boxes,
+    # whose sweeps the certificate rejects. Measured: none of 300 random
+    # pairs falls back cold, and walks from a drawn seed fall back on 26 of
+    # 300 (seed 27) by the escape from behind an edge, each answered by the
+    # sweep alone, since a random pair's boxes have a gap.
+    regimes = {regime: placed(*regime) for regime, facts in REGIMES.items() if "fallbacks_with_meeting_boxes" in facts}
     calls = _count_overlap_calls(monkeypatch)
     rng = random.Random(26)
     fallbacks = 0
@@ -993,13 +995,12 @@ def test_lin_canny_fallback_runs_the_overlap_test_only_when_its_sweep_is_not_cer
         fallbacks += result.flags == ("lincanny-fallback",)
     assert (fallbacks, calls) == (26, [])
     for regime, pairs in regimes.items():
-        facts = REGIMES[regime]
-        uncertified = facts["lincanny_fallbacks"] - facts["certified_sweeps"]
+        meeting = REGIMES[regime]["fallbacks_with_meeting_boxes"]
         for a, b, _ in pairs:
             calls.clear()
             lin_canny_distance(a, b)
             label = f"{a.name}->{b.name}"
-            assert calls == (["_brute_force"] if label in uncertified else []), (regime, label)
+            assert calls == (["_brute_force"] if label in meeting else []), (regime, label)
 
 
 def test_near_contact_pairs_are_certified_wherever_the_origin_is():

@@ -20,7 +20,6 @@ from dyop2d.geometry import (
     Point2,
     TestCounters,
     Vector2,
-    _classify_edge_point,
     _segment_segment,
     brute_force_triangle_distance,
 )
@@ -30,6 +29,7 @@ from helpers import (
     OVERFLOW_SCALES,
     REGIMES,
     _bits,
+    _classify_edge_point,
     _grid_triangle,
     _infinite_squares,
     _into_range,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyop2d import geometry
 from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.benchmark import ALGORITHMS
 from dyop2d.dyop import dyop_distance
@@ -24,7 +25,6 @@ from dyop2d.geometry import (
     _VERTEX_FEATURES,
     _answer,
     _brute_force,
-    _classify_edge_point,
     _contact_witness,
     _edge_sweep,
     _orient,
@@ -33,18 +33,22 @@ from dyop2d.geometry import (
     _project,
     _segment_projections,
     _segment_segment,
+    _separated,
     _winding,
     brute_force_triangle_distance,
     point_segment_distance,
     segment_segment_distance,
     triangles_overlap,
 )
-from dyop2d.verify import random_separated_pair
+from dyop2d.verify import random_separated_pair, run_verify
+from exact_reference import triangles_meet
 from helpers import (
     OVERFLOW_SCALES,
     RANGE,
     RANGE_EXPONENT,
+    REGIMES,
     _bits,
+    _classify_edge_point,
     _contact_witness_with_flat_branch,
     _coords,
     _degeneracy_cases,
@@ -58,6 +62,7 @@ from helpers import (
     _threshold_triangles,
     _too_wide,
     _value_or_error,
+    boxes_apart,
     edge_feature,
     mover_frames,
     placed,
@@ -909,6 +914,116 @@ def test_a_flat_triangle_contains_no_point_the_edge_pairs_did_not_find():
                         assert touched and witness[2].kind is witness[3].kind is FeatureKind.EDGE, (s, t)
         counts[name] = flat, accepted
     assert counts == {"grid": (889, 404), "float": (3409, 3716)}
+
+
+def _brute_force_by_its_former_rule(a, b):
+    """``_brute_force`` without its box test: the sweep, then the
+    certificate on its witnesses, then, only when that fails, the overlap
+    test."""
+    swept = _edge_sweep(a, b)
+    if not _separated(a, b, *swept[1:5]):
+        contact = _contact_witness(a, b)
+        if contact is not None:
+            px, py, fa, fb = contact
+            return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0), ()
+    return *swept, TestCounters(0, 0, 9), ()
+
+
+def _count_proof_calls(monkeypatch):
+    """The calls that the oracle's kernel makes to the certificate and the
+    overlap test, by name, in order."""
+    calls = []
+    for name in ("_separated", "_contact_witness"):
+
+        def counted(*args, name=name, function=getattr(geometry, name)):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def _box_test_inputs():
+    """(label, a, b) triangle pairs: the default scene in every regime of
+    REGIMES, 1000 seed-7 random pairs each way round, the frames of 200
+    mover trajectories (seed 17), whose boxes all meet, and 3000 seed-11
+    grid pairs of non-degenerate triangles."""
+    for regime in REGIMES:
+        for a, b, _ in placed(*regime):
+            yield "placed", a, b
+    rng = random.Random(7)
+    for _ in range(1000):
+        a, b, _ = random_separated_pair(rng)
+        yield "random", a, b
+        yield "random", b, a
+    for a, static, _ in mover_frames(random.Random(17), 200):
+        yield "mover", *(tri(*zip(c[0::2], c[1::2])) for c in (a, static))
+    rng = random.Random(11)
+    for _ in range(3000):
+        a, b = _grid_triangle(rng), _grid_triangle(rng)
+        if not (a.is_degenerate or b.is_degenerate):
+            yield "grid", a, b
+
+
+def test_a_box_gap_is_exact_and_is_the_oracles_only_shortcut(monkeypatch):
+    # A strict gap between the two bounding boxes along x or y proves a pair
+    # disjoint, so the oracle's kernel answers it by the sweep alone, with
+    # neither the certificate nor the overlap test. Every other pair still
+    # pays the certificate, and where it fails the overlap test, and every
+    # answer is the former rule's, bit for bit.
+    calls = _count_proof_calls(monkeypatch)
+    seen = {}
+    for label, a, b in _box_test_inputs():
+        ca, cb = _coords(a), _coords(b)
+        calls.clear()
+        got = _brute_force(ca, cb)
+        assert repr(got) == repr(_brute_force_by_its_former_rule(ca, cb)), (a, b)
+        apart = boxes_apart(ca, cb)
+        if apart:
+            assert not triangles_meet(a, b), (a, b)
+            assert calls == [], (a, b)
+        else:
+            assert calls[0] == "_separated" and calls[1:] in ([], ["_contact_witness"]), (a, b)
+        seen.setdefault(label, set()).add((apart, tuple(calls)))
+    assert seen == {
+        "placed": {(True, ()), (False, ("_separated",)), (False, ("_separated", "_contact_witness"))},
+        "random": {(True, ())},
+        "mover": {(False, ("_separated",))},
+        "grid": {(True, ()), (False, ("_separated",)), (False, ("_separated", "_contact_witness"))},
+    }
+
+
+@pytest.mark.parametrize(
+    "a, b, contact",
+    [
+        # A shared vertex, where the boxes touch at x = 1.
+        (((0, 0), (1, 0), (0, 1)), ((1, 0), (2, 0), (1, 1)), (1, 0)),
+        # A's vertex on B's edge on the line x = 1, the boxes' shared x extent.
+        (((0, 0), (1, 0), (0, 1)), ((1, -1), (2, 0), (1, 1)), (1, 0)),
+        # A's vertex on B's edge on the line y = 1, the boxes' shared y extent.
+        (((0, 0), (1, 0), (0, 1)), ((-1, 1), (1, 1), (0, 2)), (0, 1)),
+        # Two edges along one line, whose boxes share the segment between.
+        (((0, 0), (2, 0), (0, 1)), ((1, 0), (3, 0), (3, -1)), (1, 0)),
+    ],
+)
+def test_pairs_whose_boxes_touch_reach_the_overlap_test(monkeypatch, a, b, contact):
+    # A box gap must be strict: boxes that only touch can hold a contact.
+    calls = _count_proof_calls(monkeypatch)
+    for a, b in ((tri(*a), tri(*b)), (tri(*b), tri(*a))):
+        assert not boxes_apart(_coords(a), _coords(b)) and triangles_meet(a, b)
+        calls.clear()
+        r = brute_force_triangle_distance(a, b)
+        assert calls == ["_separated", "_contact_witness"]
+        assert (r.distance, r.point_a, r.point_b, r.counters) == (0.0, Point2(*contact), Point2(*contact), TestCounters())
+
+
+def test_verify_draws_are_answered_by_the_sweep_alone(monkeypatch):
+    # Every draw is strictly separated along its axis, so its boxes have a
+    # gap, and the oracle's kernel runs neither the certificate nor the
+    # overlap test on it.
+    calls = _count_proof_calls(monkeypatch)
+    report = run_verify(2000, 1)
+    assert (report.trials, report.conservative_violations, calls) == (2000, 0, [])
 
 
 def test_brute_force_shifted_pair():

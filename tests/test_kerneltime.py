@@ -29,6 +29,8 @@ def test_two_rounds_report_every_callable_on_every_input_set(capsys):
         assert [m[5] for m in rows] == [None] + ["dyop"] * (len(CALLABLES) - 1)
         assert [m[6] == "-" for m in rows] == [True] + [False] * (len(CALLABLES) - 1)
     assert len(sets["mover frames"]) > 0
+    # The oracle's kernel is timed as it runs, and beside it its sweep and certificate.
+    assert list(CALLABLES)[-3:] == ["_brute_force", "_edge_sweep", "_separated"]
 
 
 def test_a_committed_package_loads_under_another_name(tmp_path):

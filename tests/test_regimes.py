@@ -14,8 +14,7 @@ import pytest
 from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.benchmark import MISMATCH_TOLERANCE
 from dyop2d.dyop import dyop_distance
-from dyop2d.geometry import _edge_sweep, _separated
-from helpers import REGIMES, _coords, placed, regime_id
+from helpers import REGIMES, _coords, boxes_apart, placed, regime_id
 
 
 def _counts(result):
@@ -25,7 +24,7 @@ def _counts(result):
 @pytest.mark.parametrize("regime", REGIMES, ids=regime_id)
 def test_regime_facts_are_pinned(regime):
     s = regime[1]
-    sets = ("lincanny_fallbacks", "certified_sweeps", "dyop_misses", "overlapping_boxes", "gjk_unconverged")
+    sets = ("lincanny_fallbacks", "fallbacks_with_meeting_boxes", "dyop_misses", "overlapping_boxes", "gjk_unconverged")
     facts = {key: set() for key in sets}
     steps, solves = [], []
     for a, b, velocity in placed(*regime):
@@ -33,9 +32,8 @@ def test_regime_facts_are_pinned(regime):
         walk, _ = lin_canny_distance(a, b)
         if "lincanny-fallback" in walk.flags:
             facts["lincanny_fallbacks"].add(label)
-            ca, cb = _coords(a), _coords(b)
-            if _separated(ca, cb, *_edge_sweep(ca, cb)[1:5]):
-                facts["certified_sweeps"].add(label)
+            if not boxes_apart(_coords(a), _coords(b)):
+                facts["fallbacks_with_meeting_boxes"].add(label)
         dyop = dyop_distance(a, b, velocity)
         if abs(dyop.distance - s) > MISMATCH_TOLERANCE * s:
             facts["dyop_misses"].add(label)
