@@ -424,11 +424,11 @@ def lin_canny_distance(
     where they meet, ``_separated`` on the sweep's witnesses, and only
     when that fails the overlap test. A contact, which the oracle reports
     by counting no tests (a distance of 0.0 would not tell it, since the
-    sweep can round a positive gap to 0), raises Penetrating; otherwise the oracle's
-    distance, witnesses and features answer, flagged "lincanny-fallback",
-    with its nine ee_tests added to the walk's counters, so a fallback is
-    the oracle's answer by construction. A pair with a coordinate past
-    2^510 is walked scaled into range.
+    sweep can round a positive gap to 0), raises Penetrating; otherwise
+    the oracle's distance, witnesses and features answer, flagged
+    "lincanny-fallback", with its nine ee_tests added to the walk's
+    counters, so a fallback is the oracle's answer by construction. A
+    pair with a coordinate past 2^510 is walked scaled into range.
 
     The walk starts from the seed's pair. A cold walk starts on the
     facing vertex pair: A's vertex furthest along cB - cA and B's

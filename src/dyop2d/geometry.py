@@ -686,11 +686,11 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     in the first edge pair that holds it: vertex i + 1 ends edge i and
     starts edge i + 1. It is exact only for disjoint triangles, which the
     caller proves by a gap between their bounding boxes, by ``_separated``
-    or by ``_contact_witness``. Ties keep the
-    earliest projection in row-major edge-pair order, then (a, b, c, d)
-    order, so the reported feature indices stay as low as possible. The
-    coordinates are in range (at most 2^510 in magnitude), so no direction,
-    squared length or projection overflows.
+    or by ``_contact_witness``. Ties keep the earliest projection in
+    row-major edge-pair order, then (a, b, c, d) order, so the reported
+    feature indices stay as low as possible. The coordinates are in range
+    (at most 2^510 in magnitude), so no direction, squared length or
+    projection overflows.
 
     The sweep is straight-line code that makes no call per projection:
     each is ``_project``'s one branch per clamp written out, on the six
