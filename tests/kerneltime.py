@@ -11,10 +11,10 @@ next.
 
 The callables are the four public queries and the kernels that they
 reach through ``geometry._pair``: ``_dyop``, ``_gjk``, the oracle's
-``_brute_force`` (its box test, sweep, and certificate and overlap test
-where the boxes meet), its sweep ``_edge_sweep``, and ``_separated`` on
-the sweep's witnesses, Lin-Canny's end certificate and the oracle's
-proof for pairs whose boxes meet. Each takes its arguments
+``_brute_force`` (the box test and the sweep, and the certificate and
+the overlap test where the boxes meet), its sweep ``_edge_sweep``, and
+``_separated`` on the sweep's witnesses: Lin-Canny's end certificate,
+and the oracle's proof for pairs whose boxes meet. Each takes its arguments
 prepared before timing. The input sets are shared with ``opcount``'s
 table: the default scene's placed pairs (along x at separations 1 and
 1e-3, and along y), the first 500 seed-7 random pairs, and frames of a
