@@ -407,14 +407,18 @@ def _pair(
     cached at construction (``Triangle.coords``). A pair without a
     coordinate past 2^250 (``is_huge``) and without a ``length`` is in
     every kernel's range, and those two tuples come as they are, with
-    f = 1.0. Any other pair gets ``_pair_scale``'s f for its coordinates
-    and the length, and is scaled by it into new tuples, or refused with
+    f = 1.0; so do they when neither triangle is huge and the length is
+    at most 2^exponent, since 2^250 is no more than either range. Any
+    other pair gets ``_pair_scale``'s f for its coordinates and the
+    length, and is scaled by it into new tuples, or refused with
     ValueError as too wide to scale. A length the kernel returns is
     scaled back by dividing it by f, as ``_answer`` does. It takes no
     variable arguments, which would keep CPython off its fast call path.
     """
     a, b = tA.coords, tB.coords
     if not (length or tA.is_huge or tB.is_huge):
+        return a, b, 1.0
+    if not (tA.is_huge or tB.is_huge) and abs(length) <= math.ldexp(1.0, exponent):
         return a, b, 1.0
     f = _pair_scale(exponent, [*a[0::2], *b[0::2]], [*a[1::2], *b[1::2]], length)
     if f == 1.0:

@@ -8,8 +8,10 @@ conservative-bound violations, which must be zero on a correct build.
 
 Each trial runs on flat coordinates: the generator draws a pair as the
 six counter-clockwise coordinates of each triangle, the layout that
-every kernel reads, and the oracle's and DyOP's own kernels answer it, so
-a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``. Every
+every kernel reads, and the oracle's sweep and DyOP's own kernel answer
+it, so a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``.
+Every draw's bounding boxes have a gap, so the oracle answers it by its
+sweep alone, and the sweep's distance is the oracle's. Every
 coordinate lies in [0, 4.5): a ``random()`` draw plus a push of at most
 the unit box's diameter plus 2. So every witness is finite, and the one
 refusal of the public queries that a draw can meet is a second triangle
@@ -27,7 +29,7 @@ from math import hypot
 
 from .dyop import _X, _Y, MovementAxis, _dyop
 from .errors import DegenerateInput
-from .geometry import Point2, Triangle, Vector2, _brute_force, _Coords, _winding
+from .geometry import Point2, Triangle, Vector2, _Coords, _edge_sweep, _winding
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -112,22 +114,27 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
     """Compare the pruned distance to the oracle on ``trials`` random pairs.
 
     Each pair is drawn as ``random_separated_pair`` draws it and answered
-    by the kernels that ``brute_force_triangle_distance`` and
-    ``dyop_distance`` run. A drawn witness is always finite, so the one
-    refusal those functions make that a draw can meet is kept: a second
-    triangle made degenerate by its push raises ``DegenerateInput``, as
+    by the oracle's sweep and the kernel that ``dyop_distance`` runs. A
+    drawn witness is always finite, so the one refusal of the public
+    queries that a draw can meet is kept: a second triangle made
+    degenerate by its push raises ``DegenerateInput``, as
     ``dyop_distance`` does.
 
+    The exact distance is ``_edge_sweep``'s, the minimum of its 18
+    projections. A drawn pair is strictly separated along an axis (its
+    least coordinate on B exceeds its greatest on A), so its bounding
+    boxes have a gap there. ``_brute_force`` tests exactly that gap first
+    and, finding it, answers by the sweep alone, with no certificate and
+    no overlap test; so the sweep's distance is the oracle's, bit for
+    bit, and the trial skips the oracle's box test and answer tuple.
+
     A violation is a pruned distance below the exact one, with no slack.
-    A drawn pair is strictly separated along an axis, so its bounding
-    boxes have a gap there: DyOP's one segment test is
-    ``_segment_projections``, and the oracle is the sweep alone, with no
-    certificate and no overlap test, its distance the minimum of
-    ``_edge_sweep``'s 18 projections. Each of DyOP's four projections is
-    one of those, bit for bit: the same differences, directions, quotients
-    and ``hypot`` arguments, up to sign, and B's projections onto A's edge
-    are exactly the sweep's -s. So DyOP's distance cannot fall below the
-    oracle's, and a violation is a fault.
+    On the box gap DyOP's one segment test is ``_segment_projections``.
+    Each of its four projections is one of the sweep's 18, bit for bit:
+    the same differences, directions, quotients and ``hypot`` arguments,
+    up to sign, and B's projections onto A's edge are exactly the sweep's
+    -s. So DyOP's distance cannot fall below the oracle's, and a
+    violation is a fault.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
@@ -139,7 +146,7 @@ def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> 
     max_over = 0.0
     for _ in range(trials):
         a, b, degenerate_b, axis = _separated_coords(rng)
-        exact = _brute_force(a, b)[0]
+        exact = _edge_sweep(a, b)[0]
         if degenerate_b:
             raise DegenerateInput("pruned distance requires non-degenerate triangles")
         pruned = _dyop(a, b, axis)[0]

@@ -23,8 +23,8 @@ the default scene's placed pairs (along x at separations 1 and 1e-3,
 and along y) and on the first 2,000 seed-7 random pairs. Then it splits
 DyOP's count into its one segment test and the rest (gap box, pivot,
 candidate choice and feature naming), and the oracle's into its
-nine-edge sweep and the rest (the certificate, and the overlap test
-where the certificate fails):
+nine-edge sweep and the rest (the box test, and only where the two
+boxes meet, the certificate, and the overlap test where it fails):
 
     PYTHONPATH=src python tests/opcount.py
 """

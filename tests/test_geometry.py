@@ -40,7 +40,7 @@ from dyop2d.geometry import (
     segment_segment_distance,
     triangles_overlap,
 )
-from dyop2d.verify import random_separated_pair, run_verify
+from dyop2d.verify import _separated_coords, random_separated_pair
 from exact_reference import triangles_meet
 from helpers import (
     OVERFLOW_SCALES,
@@ -218,6 +218,28 @@ def test_a_triangle_caches_its_normalized_coordinates_once():
         if not (t.is_huge or u.is_huge):
             a, b, f = _pair(t, u)
             assert a is t.coords and b is u.coords and f == 1.0
+
+
+def test_an_in_range_placement_pair_is_the_two_cached_tuples(monkeypatch):
+    # With a length of at most 2^510 and neither triangle past 2^250, every
+    # value is in range, so a placement's pair is the two cached tuples with
+    # f = 1.0, and no scale is computed. A NaN length is not known to be in
+    # range, so it still goes to _pair_scale.
+    scales = []
+
+    def counted(*args, function=geometry._pair_scale):
+        scales.append(args[-1])
+        return function(*args)
+
+    monkeypatch.setattr(geometry, "_pair_scale", counted)
+    cases = [t for t in _coordinate_cache_cases() if not t.is_huge]
+    for t, u in zip(cases, cases[1:]):
+        for length in (1.0, 1e-3, 5e-324, 2.0**250, RANGE):
+            a, b, f = _pair(t, u, length=length)
+            assert a is t.coords and b is u.coords and f == 1.0
+    assert scales == []
+    _pair(cases[0], cases[1], length=math.nan)
+    assert len(scales) == 1 and math.isnan(scales[0])
 
 
 _REFUSALS = [
@@ -1017,13 +1039,17 @@ def test_pairs_whose_boxes_touch_reach_the_overlap_test(monkeypatch, a, b, conta
         assert (r.distance, r.point_a, r.point_b, r.counters) == (0.0, Point2(*contact), Point2(*contact), TestCounters())
 
 
-def test_verify_draws_are_answered_by_the_sweep_alone(monkeypatch):
+def test_verify_draws_are_answered_by_the_sweep_alone():
     # Every draw is strictly separated along its axis, so its boxes have a
-    # gap, and the oracle's kernel runs neither the certificate nor the
-    # overlap test on it.
-    calls = _count_proof_calls(monkeypatch)
-    report = run_verify(2000, 1)
-    assert (report.trials, report.conservative_violations, calls) == (2000, 0, [])
+    # gap, and the oracle's kernel answers it by the sweep alone: the
+    # sweep's answer, which run_verify takes as the exact distance, is the
+    # oracle's, bit for bit.
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(500):
+            a, b, _, _ = _separated_coords(rng)
+            assert boxes_apart(a, b), (a, b)
+            assert repr(_brute_force(a, b)[:7]) == repr(_edge_sweep(a, b)), (a, b)
 
 
 def test_brute_force_shifted_pair():

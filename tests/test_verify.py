@@ -205,7 +205,7 @@ def test_run_verify_counts_a_pruned_distance_below_the_oracle(monkeypatch):
     shifts = iter([-1e-6, -1e-13, 0.25])
 
     def pruned(a, b, axis):
-        return (verify._brute_force(a, b)[0] + next(shifts),)
+        return (geometry._brute_force(a, b)[0] + next(shifts),)
 
     monkeypatch.setattr(verify, "_dyop", pruned)
     report = run_verify(3, 1)
