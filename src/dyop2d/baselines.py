@@ -35,12 +35,13 @@ vertex-edge evaluations and the Voronoi escapes of both sides are
 inline; only an edge-edge pair calls ``_segment_segment``. The walk
 ends on ``geometry._separated``, the oracle's separating-line
 certificate, so the two algorithms share one rule. An answer maps the
-codes back to the shared ``FeatureId``s and returns one of 36 prebuilt
-``FeaturePair``s. Its end pair answers once the certificate proves the
-triangles disjoint; an aborted or uncertified walk falls back by
-calling the oracle's kernel, ``geometry._brute_force``, so the oracle's
-steps are written once and the overlap test runs only where the oracle
-would run it too (see ``lin_canny_distance``).
+codes back to the shared ``FeatureId``s and returns them beside its
+``DistanceResult`` as a plain pair, the seed of the next query. Its end
+pair answers once the certificate proves the triangles disjoint; an
+aborted or uncertified walk falls back by calling the oracle's kernel,
+``geometry._brute_force``, so the oracle's steps are written once and
+the overlap test runs only where the oracle would run it too (see
+``lin_canny_distance``).
 
 Both the loop and the walk run on coordinates in range, at most 2^250
 in magnitude for GJK and 2^510 for the walk: ``geometry._pair`` scales
@@ -56,7 +57,6 @@ coordinates once per query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateInput, Penetrating, ZeroDirection
 from .geometry import (
@@ -188,15 +188,13 @@ _SIDE_PAIR = tuple(
 def _side_feature(lambdas: _LambdaList, slot: int) -> FeatureId:
     """The feature of A (slot 2) or B (slot 3) that the weighted support points lie on.
 
-    A vertex is active when its summed weight exceeds 1e-12; when none
-    is, the lowest vertex index among the support points stands in.
+    A vertex is active when its summed weight exceeds 1e-12. The weights
+    sum to 1 up to rounding, so one of at most three is active.
     """
     weights = [0.0, 0.0, 0.0]
     for sp, lam in lambdas:
         weights[sp[slot]] += lam
     active = [i for i in (0, 1, 2) if weights[i] > 1e-12]
-    if not active:
-        return _VERTEX_FEATURES[min(sp[slot] for sp, _ in lambdas)]
     if len(active) == 1:
         return _VERTEX_FEATURES[active[0]]
     if len(active) == 2:
@@ -391,46 +389,34 @@ def _gjk(
     )
 
 
-@dataclass(frozen=True)
-class FeaturePair:
-    """A witness feature pair, reusable as the seed for the next query."""
-
-    feature_a: FeatureId
-    feature_b: FeatureId
-
-
 _FEATURES = _VERTEX_FEATURES + _EDGE_FEATURES
-_PAIRS = tuple(FeaturePair(fa, fb) for fa in _FEATURES for fb in _FEATURES)
 # Read once at import, as dyop's axes are: a global read, not an Enum member lookup per use.
 _VERTEX = FeatureKind.VERTEX
 
 
-def _code(feature: FeatureId) -> int:
-    return feature.index if feature.kind is _VERTEX else 3 + feature.index
-
-
 def lin_canny_distance(
-    tA: Triangle, tB: Triangle, seed: FeaturePair | None = None
-) -> tuple[DistanceResult, FeaturePair]:
+    tA: Triangle, tB: Triangle, seed: tuple[FeatureId, FeatureId] | None = None
+) -> tuple[DistanceResult, tuple[FeatureId, FeatureId]]:
     """Closest features of two disjoint triangles by Voronoi walking.
 
-    Returns the distance result and the witness pair; passing that pair
-    back as ``seed`` on temporally coherent queries lets the walk
-    terminate in a single verification step. A walk whose end witnesses
-    pass ``_separated`` has proved the triangles disjoint, at a positive
-    distance, and answers. Any other walk falls back by calling the
-    oracle's kernel, ``geometry._brute_force``: the bounding-box test and
-    the nine-edge sweep, which answers alone where the boxes have a gap;
-    where they meet, ``_separated`` on the sweep's witnesses, and only
-    when that fails the overlap test. A contact, which the oracle reports
-    by counting no tests (a distance of 0.0 would not tell it, since the
+    Returns the distance result and its features as a plain pair
+    ``(feature_a, feature_b)``; passing that pair back as ``seed`` on
+    temporally coherent queries lets the walk terminate in a single
+    verification step. A walk whose end witnesses pass ``_separated`` has
+    proved the triangles disjoint, at a positive distance, and answers.
+    Any other walk falls back by calling the oracle's kernel,
+    ``geometry._brute_force``: the bounding-box test and the nine-edge
+    sweep, which answers alone where the boxes have a gap; where they
+    meet, ``_separated`` on the sweep's witnesses, and only when that
+    fails the overlap test. A contact, which the oracle reports by
+    counting no tests (a distance of 0.0 would not tell it, since the
     sweep can round a positive gap to 0), raises Penetrating; otherwise
     the oracle's distance, witnesses and features answer, flagged
     "lincanny-fallback", with its nine ee_tests added to the walk's
-    counters, so a fallback is the oracle's answer by construction. A
-    pair with a coordinate past 2^510 is walked scaled into range.
+    counters, so a fallback is the oracle's answer by construction. A pair
+    with a coordinate past 2^510 is walked scaled into range.
 
-    The walk starts from the seed's pair. A cold walk starts on the
+    The walk starts from the seed's features. A cold walk starts on the
     facing vertex pair: A's vertex furthest along cB - cA and B's
     furthest along cA - cB, with the centroids taken as sums of the three
     coordinates and ties to the lower index. After evaluating a pair, the
@@ -480,8 +466,9 @@ def lin_canny_distance(
         if bx2 * dx + by2 * dy < best:
             cb = 2
     else:
-        # _code written out: a seeded walk is short, and two calls show in its time.
-        fa, fb = seed.feature_a, seed.feature_b
+        # The seed's codes, read inline: a seeded walk is short, and a
+        # call per feature shows in its time.
+        fa, fb = seed
         ca = fa.index if fa.kind is _VERTEX else 3 + fa.index
         cb = fb.index if fb.kind is _VERTEX else 3 + fb.index
     hypot = math.hypot
@@ -602,8 +589,8 @@ def lin_canny_distance(
         # Both Voronoi conditions hold: the end pair answers if the
         # oracle's certificate proves the triangles disjoint.
         if _separated(a, b, pax, pay, pbx, pby):
-            result = _answer(d, pax, pay, pbx, pby, _FEATURES[ca], _FEATURES[cb], TestCounters(vv, ve, ee), (), f)
-            return result, _PAIRS[ca * 6 + cb]
+            fa, fb = _FEATURES[ca], _FEATURES[cb]
+            return _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee), (), f), (fa, fb)
         break
     # The oracle answers an aborted or uncertified walk; it counts no tests
     # exactly when it finds a contact.
@@ -611,4 +598,4 @@ def lin_canny_distance(
     if not counters.ee_tests:
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
     result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",), f)
-    return result, _PAIRS[_code(fa) * 6 + _code(fb)]
+    return result, (fa, fb)

@@ -7,19 +7,21 @@ runs in the same process, on the same inputs, in rounds that interleave
 them. A round times each callable once on each input set, a whole pass
 over the set per timing, with the garbage collector off as ``timeit``
 has it, and rotates the order of the callables from one round to the
-next.
+next, reversing it every other round.
 
-The callables are the four public queries and the kernels that they
-reach through ``geometry._pair``: ``_dyop``, ``_gjk``, the oracle's
-``_brute_force`` (the box test and the sweep, and the certificate and
-the overlap test where the boxes meet), its sweep ``_edge_sweep``, and
-``_separated`` on the sweep's witnesses: Lin-Canny's end certificate,
-and the oracle's proof for pairs whose boxes meet. Each takes its arguments
-prepared before timing. The input sets are shared with ``opcount``'s
-table: the default scene's placed pairs (along x at separations 1 and
-1e-3, and along y), the first 500 seed-7 random pairs, and frames of a
-mover stepped past a static triangle, drawn as ``helpers.mover_frames``
-draws them for ``test_geometry._sweep_cases``, from seed 17.
+The callables are the four public queries, Lin-Canny seeded with the
+pair that its own cold query returned (the seed decode of a coherent
+frame), and the kernels that they reach through ``geometry._pair``:
+``_dyop``, ``_gjk``, the oracle's ``_brute_force`` (the box test and the
+sweep, and the certificate and the overlap test where the boxes meet),
+its sweep ``_edge_sweep``, and ``_separated`` on the sweep's witnesses:
+Lin-Canny's end certificate, and the oracle's proof for pairs whose
+boxes meet. Each takes its arguments prepared before timing. The input
+sets are shared with ``opcount``'s table: the default scene's placed
+pairs (along x at separations 1 and 1e-3, and along y), the first 500
+seed-7 random pairs, and frames of a mover stepped past a static
+triangle, drawn as ``helpers.mover_frames`` draws them for
+``test_geometry._sweep_cases``, from seed 17.
 
 Per input set and callable it prints the median µs per call over the
 rounds, the quartile spread (q3 - q1 over the median), the median over
@@ -68,6 +70,10 @@ CALLABLES = {
     "dyop": (lambda lib: lib.dyop.dyop_distance, lambda lib, a, b, velocity: (a, b, velocity)),
     "gjk": (lambda lib: lib.baselines.gjk_distance, _triangles),
     "lincanny": (lambda lib: lib.baselines.lin_canny_distance, _triangles),
+    "lincanny-seeded": (
+        lambda lib: lib.baselines.lin_canny_distance,
+        lambda lib, a, b, velocity: (a, b, lib.baselines.lin_canny_distance(a, b)[1]),
+    ),
     "oracle": (lambda lib: lib.geometry.brute_force_triangle_distance, _triangles),
     "_dyop": (
         lambda lib: lib.dyop._dyop,
@@ -167,7 +173,15 @@ def compare(callables, sets, rounds: int, baseline) -> dict[str, list[tuple]]:
     labels = list(callables)
     times = {s: {label: [] for label in labels} for s in sets}
     for r in range(rounds):
-        order = labels[r % len(labels) :] + labels[: r % len(labels)]
+        # A rotation alone keeps the cyclic order, so each callable would
+        # always follow the same one: with --base, a twin at the ref would
+        # always follow its own tree's callable, which warms the
+        # interpreter's path for it. Reversed every other round, each
+        # callable follows both of its neighbours in turn.
+        k = (r // 2) % len(labels)
+        order = labels[k:] + labels[:k]
+        if r % 2:
+            order.reverse()
         for s in sets:
             for label in order:
                 fn, arguments = callables[label]

@@ -56,7 +56,7 @@ def _line(fn, *args):
         return f"raised {type(exc).__name__}: {exc}"
     if isinstance(answer, tuple):
         result, pair = answer
-        return f"{_result(result)} | {_feature(pair.feature_a)} {_feature(pair.feature_b)}"
+        return f"{_result(result)} | {_feature(pair[0])} {_feature(pair[1])}"
     return _result(answer)
 
 

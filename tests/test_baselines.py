@@ -7,12 +7,7 @@ import sys
 import pytest
 
 from dyop2d import baselines, geometry
-from dyop2d.baselines import (
-    FeaturePair,
-    gjk_distance,
-    lin_canny_distance,
-    support,
-)
+from dyop2d.baselines import gjk_distance, lin_canny_distance, support
 from dyop2d.benchmark import default_scene, enumerate_pairs, place_pair
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.errors import DegenerateInput, Penetrating, ZeroDirection
@@ -463,8 +458,6 @@ def _sp(index_a, index_b):
             edge_feature(2),
             vertex_feature(0),
         ),
-        # No active vertex: the lowest index among the support points.
-        ([(_sp(2, 2), 1e-13), (_sp(1, 2), 0.0)], vertex_feature(1), vertex_feature(2)),
         # Three active vertices: the heaviest, ties to the lower index.
         (
             [(_sp(0, 2), 0.2), (_sp(1, 0), 0.5), (_sp(2, 1), 0.3)],
@@ -584,7 +577,7 @@ def test_lin_canny_disjoint_pair_matches_oracle():
     a = tri((0, 0), (1, 0), (0, 1))
     result, witness = lin_canny_distance(a, a.translated(3, 0))
     assert result.distance == pytest.approx(2.0, abs=1e-9)
-    assert witness == FeaturePair(result.feature_a, result.feature_b)
+    assert witness == (result.feature_a, result.feature_b)
 
 
 def test_lin_canny_seeded_repeat_is_one_pass():
@@ -670,7 +663,7 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")
     a, b = _coords(tA), _coords(tB)
-    ca, cb = _cold_start(a, b) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    ca, cb = _cold_start(a, b) if seed is None else (_code(seed[0]), _code(seed[1]))
     try:
         d, pax, pay, pbx, pby, ca, cb, vv, ve, ee = _walk_by_definition(a, b, ca, cb, seen=seen)
     except ValueError:
@@ -683,14 +676,14 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
         seen.add("certified")
         fa, fb = baselines._FEATURES[ca], baselines._FEATURES[cb]
         result = geometry._answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee))
-        return result, FeaturePair(fa, fb)
+        return result, (fa, fb)
     if _contact_witness(a, b) is not None:
         seen.add("penetrating")
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
     seen.add("fallback")
     swept = _edge_sweep(a, b)
     result = geometry._answer(*swept, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",))
-    return result, FeaturePair(swept[5], swept[6])
+    return result, (swept[5], swept[6])
 
 
 def _walk(a, b, counters=None, trace=None, seed=None):
@@ -698,7 +691,7 @@ def _walk(a, b, counters=None, trace=None, seed=None):
     vertex pair, ``_cold_start``), or None when it aborts; its evaluations
     are added to ``counters``."""
     a, b = _coords(a), _coords(b)
-    ca, cb = _cold_start(a, b) if seed is None else (_code(seed.feature_a), _code(seed.feature_b))
+    ca, cb = _cold_start(a, b) if seed is None else (_code(seed[0]), _code(seed[1]))
     *end, vv, ve, ee = _walk_by_definition(a, b, ca, cb, trace)
     if counters is not None:
         counters.vv_tests += vv
@@ -707,7 +700,7 @@ def _walk(a, b, counters=None, trace=None, seed=None):
     return None if end[0] is None else end
 
 
-_SEEDS = [FeaturePair(fa, fb) for fa in baselines._FEATURES for fb in baselines._FEATURES]
+_SEEDS = [(fa, fb) for fa in baselines._FEATURES for fb in baselines._FEATURES]
 
 
 def _lin_canny_cases():
@@ -812,7 +805,7 @@ def test_lin_canny_witnesses_lie_on_the_features_they_name():
     kinds = set()
     for a, b in pairs:
         r, pair = lin_canny_distance(a, b)
-        assert pair == FeaturePair(r.feature_a, r.feature_b)
+        assert pair == (r.feature_a, r.feature_b)
         size = max(abs(v) for t in (a, b) for p in t.vertices for v in (p.x, p.y))
         for t, feature, p in ((a, r.feature_a, r.point_a), (b, r.feature_b, r.point_b)):
             assert _distance_to_feature(t, feature, p.x, p.y) <= 1e-12 * (1.0 + size), (a, b, r)
@@ -869,7 +862,7 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
         _walk(a, b, walk_counters)
         result, witness = lin_canny_distance(a, b)
         exact = brute_force_triangle_distance(a, b)
-        assert witness == FeaturePair(result.feature_a, result.feature_b)
+        assert witness == (result.feature_a, result.feature_b)
         if result.flags == ():
             # A certified walk: its own witnesses, the oracle's distance.
             certified += 1
@@ -888,7 +881,7 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
 
 def _assert_seeded_answer(a, b, seed, result, pair):
     """A seeded answer is a certified walk from the seed or a flagged fallback."""
-    assert pair == FeaturePair(result.feature_a, result.feature_b)
+    assert pair == (result.feature_a, result.feature_b)
     walk_counters = TestCounters()
     _walk(a, b, walk_counters, seed=seed)
     exact = brute_force_triangle_distance(a, b)
@@ -911,7 +904,7 @@ def test_lin_canny_every_seed_answers_alike_from_fresh_and_returned_features():
     returned = {}
     for a, b in pairs:
         _, pair = lin_canny_distance(a, b)
-        for f in (pair.feature_a, pair.feature_b):
+        for f in pair:
             returned.setdefault((f.kind, f.index), f)
     keys = [(kind, i) for kind in FeatureKind for i in range(3)]
     assert sorted(returned, key=keys.index) == keys
@@ -919,9 +912,9 @@ def test_lin_canny_every_seed_answers_alike_from_fresh_and_returned_features():
     outcomes = {"certified": 0, "fallback": 0}
     for a, b in pairs:
         for ka, kb in seeds:
-            fresh = FeaturePair(FeatureId(*ka), FeatureId(*kb))
-            reused = FeaturePair(returned[ka], returned[kb])
-            assert fresh == reused and fresh.feature_a is not reused.feature_a
+            fresh = (FeatureId(*ka), FeatureId(*kb))
+            reused = (returned[ka], returned[kb])
+            assert fresh == reused and fresh[0] is not reused[0]
             result, pair = lin_canny_distance(a, b, seed=fresh)
             assert repr((result, pair)) == repr(lin_canny_distance(a, b, seed=reused))
             _assert_seeded_answer(a, b, fresh, result, pair)
@@ -1053,7 +1046,7 @@ def test_cold_walk_starts_on_the_facing_vertex_pair():
         else:
             assert (ca, cb) == (0, 0), (a, b)
         starts.add((ca, cb))
-        seed = FeaturePair(vertex_feature(ca), vertex_feature(cb))
+        seed = (vertex_feature(ca), vertex_feature(cb))
         assert _value_or_error(lin_canny_distance, a, b) == _value_or_error(lin_canny_distance, a, b, seed), (a, b)
     assert len(starts) == 9
 

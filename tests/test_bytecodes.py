@@ -66,7 +66,6 @@ def test_no_query_looks_up_an_enum_member_per_call():
         verify._separated_coords,
         verify.random_separated_pair,
         baselines.lin_canny_distance,
-        baselines._code,
     ]
     for function in functions:
         names, codes = set(), [function.__code__]

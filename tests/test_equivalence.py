@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyop2d.baselines import FeaturePair, gjk_distance, lin_canny_distance
+from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.benchmark import ALGORITHMS
 from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dominant_axis, dyop_distance, select_candidates
 from dyop2d.errors import DegenerateInput, Penetrating, ZeroVelocity
@@ -149,7 +149,7 @@ def _dyop_rules(r, a, b, velocity):
 
 
 def _lin_canny_rules(r, pair, a, b):
-    assert pair == FeaturePair(r.feature_a, r.feature_b)
+    assert pair == (r.feature_a, r.feature_b)
     # The cold walk's own evaluations, from the facing vertex pair, on the
     # pair in range.
     a_in, b_in = _into_range(a, b)[:2]

@@ -29,6 +29,8 @@ def test_two_rounds_report_every_callable_on_every_input_set(capsys):
         assert [m[5] for m in rows] == [None] + ["dyop"] * (len(CALLABLES) - 1)
         assert [m[6] == "-" for m in rows] == [True] + [False] * (len(CALLABLES) - 1)
     assert len(sets["mover frames"]) > 0
+    # Lin-Canny is timed cold and seeded with its own answer's pair.
+    assert list(CALLABLES)[2:4] == ["lincanny", "lincanny-seeded"]
     # The oracle's kernel is timed as it runs, and beside it its sweep and certificate.
     assert list(CALLABLES)[-3:] == ["_brute_force", "_edge_sweep", "_separated"]
 
