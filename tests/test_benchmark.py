@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,23 @@ def test_place_pair_refuses_an_offset_that_the_oracle_check_disagrees_with(monke
     )
     with pytest.raises(PlacementFailure, match=r"^pair Obj1->Obj2 placed \+0\.5 off separation "):
         place_pair(default_scene(), (0, 1))
+
+
+@pytest.mark.parametrize("off,message", [(1e-7, "placed +1e-07 off separation 1.0"), (1e-10, None)])
+def test_place_pair_holds_the_oracle_check_to_1e_9_of_the_separation(monkeypatch, off, message):
+    # Two unit right triangles along x: an offset search that lands off * r
+    # too far out leaves the placed pair that much past the separation. The
+    # check refuses 1e-7 of it and passes 1e-10, so its tolerance lies
+    # between the two.
+    real = benchmark._offset
+    monkeypatch.setattr(benchmark, "_offset", lambda a, b, ux, uy, r: real(a, b, ux, uy, r) + off * r)
+    scene = Scene((tri("M", (0, 0), (1, 0), (0, 1)), tri("S", (0, 0), (1, 0), (0, 1))), 1.0, MovementAxis.X)
+    if message is None:
+        moved, _, _ = place_pair(scene, (0, 1))
+        assert moved.v1 == Point2(-1.0000000001, 0.0)
+    else:
+        with pytest.raises(PlacementFailure, match="^pair M->S " + re.escape(message) + "$"):
+            place_pair(scene, (0, 1))
 
 
 def _perpendicular_gap(a, b, axis):

@@ -539,6 +539,27 @@ def test_bench_mismatch_exit_5(tmp_path, scene_file, monkeypatch, capsys, algori
     assert "6 record(s) exceeded the distance mismatch tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", [1.0, 1e3])
+@pytest.mark.parametrize("off,flagged", [(2e-6, True), (-2e-6, True), (5e-7, False), (-5e-7, False)])
+def test_bench_flags_a_baseline_more_than_1e_6_of_the_separation_off(tmp_path, monkeypatch, capsys, s, off, flagged):
+    # Two unit right triangles along x, placed at s: GJK reported off * s
+    # from the exact distance is a mismatch past 1e-6 of s and none within
+    # it, in run_benchmark's records and in bench's exit code.
+    real = benchmark.gjk_distance
+
+    def shifted(a, b):
+        result = real(a, b)
+        return dataclasses.replace(result, distance=result.distance + off * s)
+
+    monkeypatch.setattr(benchmark, "gjk_distance", shifted)
+    scene = Scene((tri("M", (0, 0), (1, 0), (0, 1)), tri("S", (0, 0), (1, 0), (0, 1))), s, MovementAxis.X)
+    records = benchmark.run_benchmark(scene, ("dyop", "gjk"), repeats=1)
+    assert [(r["algorithm"], "mismatch" in r["flags"]) for r in records] == [("dyop", False), ("gjk", flagged)] * 2
+    args = ["bench", "--scene", _scene_path(tmp_path, scene), "--repeats", "1", "--algos", "dyop,gjk"]
+    code = main(args + ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+    assert (code, json.loads(capsys.readouterr().out)["mismatches"]) == ((5, 2) if flagged else (0, 0))
+
+
 def test_verify_deterministic(capsys):
     assert main(["verify", "--trials", "200", "--seed", "7"]) == 0
     first = json.loads(capsys.readouterr().out)

@@ -1,8 +1,12 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import random
+import traceback
+import types
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -858,6 +862,38 @@ def test_edge_sweep_equals_its_definition():
         kinds.add("past the range")
     assert {"zero", "apart", "past the range", "too wide"} <= kinds
     assert {f"{k}-{i}" for k in ("vertex", "edge") for i in range(3)} <= kinds
+
+
+def test_the_generated_sweep_shows_its_text_to_inspect_and_tracebacks():
+    # geometry compiles the sweep at import from generated text, under a file
+    # name that names the module, and registers that text with linecache.
+    code = _edge_sweep.__code__
+    assert code.co_filename == "<generated dyop2d.geometry._edge_sweep>"
+    assert (_edge_sweep.__module__, _edge_sweep.__qualname__) == ("dyop2d.geometry", "_edge_sweep")
+    source = inspect.getsource(_edge_sweep)
+    assert source.startswith("def _edge_sweep(a: _Coords, b: _Coords) -> ")
+    # The text shown is the text compiled: compiled again, it gives the same code.
+    again = next(c for c in compile(source, "again", "exec").co_consts if isinstance(c, types.CodeType))
+    assert (again.co_code, again.co_consts, again.co_names) == (code.co_code, code.co_consts, code.co_names)
+    assert again.co_consts[0] == _edge_sweep.__doc__
+    # Each of the 18 projections once: A's vertex v on B's edge e by t, B's
+    # vertex v on A's edge e by s, from the table entry of A's i and B's j.
+    by_t = [line for line in source.splitlines() if line.startswith("    t = (wx")]
+    by_s = [line for line in source.splitlines() if line.startswith("    s = (wx")]
+    assert sorted(line[11:13] for line in by_t) == sorted(line[11:13] for line in by_s) == [
+        f"{i}{j}" for i in range(3) for j in range(3)
+    ]
+    # B's edge 0 has zero length, so its divisor is inf, and a Decimal t
+    # divided by a float raises TypeError in the first projection's line.
+    a, b = (tuple(map(Decimal, c)) for c in ((0, 0, 1, 0, 0, 1), (3, 0, 3, 0, 3, 1)))
+    with pytest.raises(TypeError) as info:
+        _edge_sweep(a, b)
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert (frame.filename, frame.name) == (code.co_filename, "_edge_sweep")
+    assert frame.line == source.splitlines()[frame.lineno - 1].strip() == "t = (wx00 * vx0 + wy00 * vy0) / vv0"
+    assert f'"{code.co_filename}", line {frame.lineno}, in _edge_sweep\n    {frame.line}\n' in "".join(
+        traceback.format_exception(info.value)
+    )
 
 
 def test_triangles_overlap_cases():
