@@ -53,7 +53,11 @@ directions and squared lengths once (6, not one per projection, 18),
 and writes its 18 vertex-edge projections out as ``_project`` defines
 them, with no Python call per projection. Its text is generated at
 import from two templates, A's vertex on B's edge by t and B's vertex on
-A's edge by s = -t, and compiled once (``_define_edge_sweep``). It also
+A's edge by s = -t (``_edge_sweep_text``), and compiled once
+(``_define_edge_sweep``). The generated text is shown only while
+``linecache`` holds it: after ``linecache.clearcache()``, which does not
+reload a name in angle brackets, ``inspect.getsource`` raises ``OSError``
+and tracebacks through the sweep show no source lines. It also
 computes the nine vertex-pair differences and distances once, in a
 table. A projection that clamps to an end reads its distance there, so
 ``hypot`` runs 9 times plus once per projection strictly inside an edge,
@@ -686,11 +690,8 @@ def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId, F
     return None
 
 
-# The oracle's sweep is generated at import, not written out: its text is
-# the head below, then, per edge pair in row-major order, each of the 18
-# projections that no earlier pair made, from one of two templates. It stays
-# straight-line code: a loop over the projections at run time gave the same
-# answers but took 4.0 to 4.3 times the sweep's time.
+# The sweep stays straight-line code: a loop over the projections at run
+# time gave the same answers but took 4.0 to 4.3 times the sweep's time.
 _EDGE_SWEEP_HEAD = '''\
 def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, float, FeatureId, FeatureId]:
     """(distance, pa.x, pa.y, pb.x, pb.y, feature_a, feature_b) of disjoint triangles
@@ -791,32 +792,34 @@ _B_ON_A = '''\
 '''
 
 
-def _define_edge_sweep() -> None:
+def _edge_sweep_text() -> str:
+    """The text of ``_edge_sweep``: the head, then each edge pair (i, j) in
+    row-major order: A's vertices i and i + 1 on B's edge j, then B's
+    vertices j and j + 1 on A's edge i, each projection only in the first
+    pair that holds it (the order the sweep's docstring states;
+    ``dict.fromkeys`` keeps the first of equal texts), then the return.
+    """
+    return _EDGE_SWEEP_HEAD + "".join(dict.fromkeys(
+        template.format(v=v % 3, e=e, n=(e + 1) % 3)
+        for i in range(3)
+        for j in range(3)
+        for template, v, e in ((_A_ON_B, i, j), (_A_ON_B, i + 1, j), (_B_ON_A, j, i), (_B_ON_A, j + 1, i))
+    )) + "    return best_d, *best\n"
+
+
+def _define_edge_sweep(source: str) -> None:
     """Define ``_edge_sweep`` in this module's globals from its text,
     compiled once under a file name that names this module (so that a
     second copy of the package gets its own) and registered with linecache
     there, so that ``inspect.getsource`` and tracebacks show the generated
     lines.
-
-    The text is the head, then each edge pair (i, j) in row-major order:
-    A's vertices i and i + 1 on B's edge j, then B's vertices j and j + 1
-    on A's edge i, each projection only in the first pair that holds it
-    (the order the sweep's docstring states; ``dict.fromkeys`` keeps the
-    first of equal texts), then the return.
     """
     filename = f"<generated {__name__}._edge_sweep>"
-    projections = dict.fromkeys(
-        template.format(v=v % 3, e=e, n=(e + 1) % 3)
-        for i in range(3)
-        for j in range(3)
-        for template, v, e in ((_A_ON_B, i, j), (_A_ON_B, i + 1, j), (_B_ON_A, j, i), (_B_ON_A, j + 1, i))
-    )
-    source = _EDGE_SWEEP_HEAD + "".join(projections) + "    return best_d, *best\n"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), globals())
 
 
-_define_edge_sweep()
+_define_edge_sweep(_edge_sweep_text())
 
 
 def _separated(a: _Coords, b: _Coords, pax: float, pay: float, pbx: float, pby: float) -> bool:

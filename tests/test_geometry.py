@@ -871,6 +871,7 @@ def test_the_generated_sweep_shows_its_text_to_inspect_and_tracebacks():
     assert code.co_filename == "<generated dyop2d.geometry._edge_sweep>"
     assert (_edge_sweep.__module__, _edge_sweep.__qualname__) == ("dyop2d.geometry", "_edge_sweep")
     source = inspect.getsource(_edge_sweep)
+    assert source == geometry._edge_sweep_text()
     assert source.startswith("def _edge_sweep(a: _Coords, b: _Coords) -> ")
     # The text shown is the text compiled: compiled again, it gives the same code.
     again = next(c for c in compile(source, "again", "exec").co_consts if isinstance(c, types.CodeType))
