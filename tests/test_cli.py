@@ -1,6 +1,7 @@
 import codecs
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from dyop2d import dyop as dyop_module
 from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.cli import main
 from dyop2d.sceneio import load_scene, write_scene
-from dyop2d.benchmark import CSV_COLUMNS, Scene
+from dyop2d.benchmark import CSV_COLUMNS, Scene, default_scene, place_pair
 from dyop2d.dyop import MovementAxis, dyop_distance
 from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
 from dyop2d.verify import VerifyReport
@@ -768,3 +769,35 @@ def test_bench_and_plot_read_and_write_utf8_whatever_the_locale(tmp_path):
         assert plot.returncode == 0, plot.stderr
         speed = read_csv(tmp_path / f"{name}-plots" / "speed.csv")
         assert {row[0] for row in speed[1:]} == {"Obj\u00e91", "B"}
+
+
+def _without_field(line, k):
+    return b",".join(cell for i, cell in enumerate(line.split(b",")) if i != k)
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, capsys):
+    # The bytes `dist` prints for the placed pair Obj10->Obj6 (DyOP's one
+    # miss along x) with each algorithm, and `bench`'s records on the
+    # default scene, in its JSON and CSV with the timing fields dropped.
+    # A change to the answer types must keep them byte for byte.
+    a, b, _ = place_pair(default_scene(), (9, 5))
+    path = str(tmp_path / "pair.json")
+    write_scene(Scene((a, b), 1.0, MovementAxis.X), path)
+    dist = hashlib.sha256()
+    for algorithm in benchmark.ALGORITHMS:
+        assert main(["dist", "--scene", path, "--a", "Obj10", "--b", "Obj6", "--algo", algorithm]) == 0
+        dist.update(capsys.readouterr().out.encode())
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    args = ["bench", "--repeats", "1", "--algos", "dyop,gjk,lincanny,oracle"]
+    assert main(args + ["--out-csv", str(out_csv), "--out-json", str(out_json)]) == 0
+    capsys.readouterr()
+    # The JSON up to the report, whose every figure derives from the timings.
+    head = out_json.read_bytes().split(b',\n  "report":')[0]
+    records = hashlib.sha256(b"\n".join(line for line in head.split(b"\n") if b'"median_ns":' not in line))
+    ns_col = CSV_COLUMNS.index("median_ns")
+    rows = hashlib.sha256(b"\r\n".join(_without_field(line, ns_col) for line in out_csv.read_bytes().split(b"\r\n")))
+    assert [h.hexdigest() for h in (dist, records, rows)] == [
+        "62e9004a49b3cc1dbaf80c7f18444f23b9cfe995047b2b85a9a16d8d8588f50b",
+        "c19d884e1af60c8b56cc67a21e7426a777d7456bb017555743cf6773f768252a",
+        "3e8b99efbecf98aeed096eddbb7455feac4245e33f9560cfb6dd9bab256a38ed",
+    ]
