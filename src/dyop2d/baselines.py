@@ -384,7 +384,7 @@ def _gjk(
         pby,
         fa,
         fb,
-        TestCounters(vv, ve, ee),
+        tuple.__new__(TestCounters, (vv, ve, ee)),
         () if converged else ("gjk-unconverged",),
     )
 
@@ -590,12 +590,12 @@ def lin_canny_distance(
         # oracle's certificate proves the triangles disjoint.
         if _separated(a, b, pax, pay, pbx, pby):
             fa, fb = _FEATURES[ca], _FEATURES[cb]
-            return _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee), (), f), (fa, fb)
+            return _answer(d, pax, pay, pbx, pby, fa, fb, tuple.__new__(TestCounters, (vv, ve, ee)), (), f), (fa, fb)
         break
     # The oracle answers an aborted or uncertified walk; it counts no tests
     # exactly when it finds a contact.
     d, pax, pay, pbx, pby, fa, fb, counters, _ = _brute_force(a, b)
     if not counters.ee_tests:
         raise Penetrating("triangles overlap; the feature walk handles disjoint shapes only")
-    result = _answer(d, pax, pay, pbx, pby, fa, fb, TestCounters(vv, ve, ee + 9), ("lincanny-fallback",), f)
-    return result, (fa, fb)
+    counters = tuple.__new__(TestCounters, (vv, ve, ee + 9))
+    return _answer(d, pax, pay, pbx, pby, fa, fb, counters, ("lincanny-fallback",), f), (fa, fb)

@@ -33,8 +33,8 @@ endpoint projections without its contact half. Without a gap it calls
 ``geometry._segment_segment``, the package's one test that decides
 contact. On segments whose boxes are apart the two answer alike, bit
 for bit, so the query's answers are those of the full test. On its way
-to an answer it makes two calls: the segment test and the one that
-builds its counters. The three public stages below are the definition
+to an answer it makes one call, the segment test; its counters are one
+shared constant. The three public stages below are the definition
 that the kernel writes out. They state the paper's rule plainly, from
 each triangle's vertices: the extents by ``min`` and ``max``, and the
 two vertices nearest the pivot by a stable sort of their squared
@@ -94,6 +94,9 @@ class MovementAxis(Enum):
     X = "x"
     Y = "y"
 
+
+# DyOP's one fixed count, shared by all its answers: the one ee test.
+_ONE_EE = TestCounters(0, 0, 1)
 
 # The members, read once at import: a read of ``MovementAxis.X`` took
 # 28-154 ns on CPython 3.10-3.13, where a module global takes a few.
@@ -210,7 +213,7 @@ def _dyop(
     which overflows in range) and the naming of each witness's feature
     (its edge's start at t = 0, its end at t = 1, else the edge) written
     out, and one segment test on the candidate edges, so that an answer costs
-    two calls: that test and its ``TestCounters``. A gap on either axis
+    one call, that test, and shares its counters (``_ONE_EE``). A gap on either axis
     (``x_lo < x_hi or y_lo < y_hi``) puts the candidate edges' boxes apart,
     so they cannot touch, and the test is ``geometry._segment_projections``;
     otherwise it is ``geometry._segment_segment``, which decides contact.
@@ -300,6 +303,6 @@ def _dyop(
         pby,
         fa,
         fb,
-        TestCounters(0, 0, 1),
+        _ONE_EE,
         ("overlapping-boxes",) if (x_lo > x_hi if axis is _X else y_lo > y_hi) else (),
     )

@@ -15,9 +15,11 @@ no box or pivot type here. Every query has one path: ``_pair`` hands
 its kernel the two triangles' cached coordinates, in range, the kernel
 returns the nine arguments of ``_answer``, and ``_answer`` builds
 the answer once: it scales the distance and witnesses back, checks the
-four witness coordinates for finiteness and fills the ``Point2`` and
-``DistanceResult`` fields directly, without re-running their
-constructors. ``_winding`` is the one rule for a
+four witness coordinates for finiteness and builds the ``Point2`` and
+``DistanceResult`` tuples with ``tuple.__new__``, without re-running
+their constructors. An answer, its points and its ``TestCounters`` are
+immutable named tuples, so the oracle and DyOP share one counters
+object per fixed count. ``_winding`` is the one rule for a
 triangle's winding and degeneracy: a ``Triangle`` calls it once, at
 construction, and keeps the flag as ``is_degenerate``, which the
 algorithms read instead of recomputing the area per query; the verify
@@ -105,8 +107,10 @@ from __future__ import annotations
 
 import linecache
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # Triangles with |signed area| at or below this are treated as degenerate.
 DEGENERATE_AREA = 1e-12
@@ -126,22 +130,37 @@ def _require_finite(*values: float) -> None:
             raise ValueError(f"non-finite coordinate: {v!r}")
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point in scene units."""
-
+class _Point2(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            _require_finite(self.x, self.y)
+
+class Point2(_Point2):
+    """A point in scene units: a tuple (x, y) of finite coordinates.
+
+    ``NamedTuple`` refuses a ``__new__`` of its own, so the validating
+    constructor sits on this subclass. ``_make``, which ``_replace`` calls,
+    would skip it, so it calls the constructor too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> Point2:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _require_finite(x, y)
+        return tuple.__new__(cls, (x, y))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> Point2:
+        return cls(*iterable)
 
     def translated(self, dx: float, dy: float) -> Point2:
-        return Point2(self.x + dx, self.y + dy)
+        x, y = self
+        return Point2(x + dx, y + dy)
 
     def scaled(self, s: float) -> Point2:
-        return Point2(self.x * s, self.y * s)
+        x, y = self
+        return Point2(x * s, y * s)
 
 
 @dataclass(frozen=True)
@@ -245,7 +264,7 @@ class Triangle:
 
     def __post_init__(self) -> None:
         v0, v1, v2 = self.v0, self.v1, self.v2
-        x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
+        (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
         r = _HUGE
         huge = not (
             abs(x0) <= r and abs(y0) <= r and abs(x1) <= r and abs(y1) <= r and abs(x2) <= r and abs(y2) <= r
@@ -315,8 +334,7 @@ _VERTEX_FEATURES = tuple(FeatureId(FeatureKind.VERTEX, i) for i in range(3))
 _EDGE_FEATURES = tuple(FeatureId(FeatureKind.EDGE, i) for i in range(3))
 
 
-@dataclass
-class TestCounters:
+class TestCounters(NamedTuple):
     """Counts of primitive distance evaluations, the portable cost metric."""
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -329,8 +347,13 @@ class TestCounters:
         return self.vv_tests + self.ve_tests + self.ee_tests
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+# The oracle's two fixed counts, shared by all its answers: nine ee tests
+# for the sweep, none for a contact.
+_NINE_EE = TestCounters(0, 0, 9)
+_NO_TESTS = TestCounters(0, 0, 0)
+
+
+class DistanceResult(NamedTuple):
     """A distance query answer with its witness points and feature pair.
 
     ``flags`` carries advisory signals such as "overlapping-boxes"
@@ -345,7 +368,7 @@ class DistanceResult:
     feature_a: FeatureId
     feature_b: FeatureId
     counters: TestCounters
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
 
 def _answer(
@@ -367,41 +390,16 @@ def _answer(
     where it would change nothing but an int witness into a float. The
     witnesses are then checked for finiteness in the order in which
     ``Point2(pax, pay)`` and then ``Point2(pbx, pby)`` check them, and
-    raise the same ``ValueError``. The two points and the result are then
-    made with ``object.__new__`` and their fields stored in place, in
-    field order, into each new object's own ``__dict__``. That skips the
-    generated frozen ``__init__`` (one ``object.__setattr__`` call per
-    field) and ``Point2.__post_init__``. Storing in place is cheaper than
-    assigning a whole new ``__dict__``: the instance's own dict shares its
-    keys with the class (and on CPython 3.11+ starts as inline values), so
-    no separate dict is built and then swapped in. The objects compare,
-    hash, print, pickle, deep-copy and ``dataclasses.replace`` as
-    constructed ones do.
+    raise the same ``ValueError``; the three tuples are then built with
+    ``tuple.__new__``, which skips the checks that already ran.
     """
     if f != 1.0:
         d, pax, pay, pbx, pby = d / f, pax / f, pay / f, pbx / f, pby / f
     isfinite = math.isfinite
     if not (isfinite(pax) and isfinite(pay) and isfinite(pbx) and isfinite(pby)):
         _require_finite(pax, pay, pbx, pby)
-    new = object.__new__
-    pa = new(Point2)
-    attrs = pa.__dict__
-    attrs["x"] = pax
-    attrs["y"] = pay
-    pb = new(Point2)
-    attrs = pb.__dict__
-    attrs["x"] = pbx
-    attrs["y"] = pby
-    result = new(DistanceResult)
-    attrs = result.__dict__
-    attrs["distance"] = d
-    attrs["point_a"] = pa
-    attrs["point_b"] = pb
-    attrs["feature_a"] = fa
-    attrs["feature_b"] = fb
-    attrs["counters"] = counters
-    attrs["flags"] = flags
-    return result
+    new = tuple.__new__
+    return new(DistanceResult, (d, new(Point2, (pax, pay)), new(Point2, (pbx, pby)), fa, fb, counters, flags))
 
 
 def _pair(
@@ -892,8 +890,8 @@ def _brute_force(
         contact = _contact_witness(a, b)
         if contact is not None:
             px, py, fa, fb = contact
-            return 0.0, px, py, px, py, fa, fb, TestCounters(0, 0, 0), ()
-    return *swept, TestCounters(0, 0, 9), ()
+            return 0.0, px, py, px, py, fa, fb, _NO_TESTS, ()
+    return *swept, _NINE_EE, ()
 
 
 def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:

@@ -9,7 +9,8 @@ conservative-bound violations, which must be zero on a correct build.
 Each trial runs on flat coordinates: the generator draws a pair as the
 six counter-clockwise coordinates of each triangle, the layout that
 every kernel reads, and the oracle's and DyOP's own kernels answer it, so
-a trial builds no ``Triangle``, ``Point2`` or ``DistanceResult``.
+a trial builds no ``Triangle``, ``Point2``, ``TestCounters`` or
+``DistanceResult``: the two kernels return shared counters.
 Every draw's bounding boxes have a gap, so the oracle answers it by its
 sweep alone. Every coordinate lies in [0, 4.5): a ``random()`` draw plus
 a push of at most the unit box's diameter plus 2. So every witness is

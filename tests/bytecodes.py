@@ -53,8 +53,8 @@ def by_function(query, *args) -> tuple[dict[str, int], object]:
     Only frames entered after the tracer is set are traced, so this
     function's own bytecodes are not counted; any trace function that
     was set before is set again after. Functions of one name share a
-    count: a dataclass's generated ``__init__``, such as
-    ``TestCounters``', counts as ``__init__``."""
+    count: every dataclass's generated ``__init__``, such as
+    ``Triangle``'s, counts as ``__init__``."""
     previous = sys.gettrace()
     _tally.clear()
     sys.settrace(_tracer)

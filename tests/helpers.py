@@ -19,6 +19,7 @@ from dyop2d.dyop import MovementAxis, build_internal_aabb, compute_dyop, dominan
 from dyop2d.errors import DegenerateInput, ZeroVelocity
 from dyop2d.geometry import (
     DEGENERATE_AREA,
+    DistanceResult,
     FeatureId,
     FeatureKind,
     Point2,
@@ -315,7 +316,9 @@ def _bits(value):
         fields = dataclasses.fields(value)
         return (type(value).__name__,) + tuple(_bits(getattr(value, f.name)) for f in fields)
     if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
+        # A named tuple, such as an answer or a point, keeps its type's name.
+        named = (type(value).__name__,) if hasattr(value, "_fields") else ()
+        return named + tuple(_bits(v) for v in value)
     return value
 
 
@@ -390,14 +393,14 @@ def _scaled_into_range(fn, exponent=RANGE_EXPONENT):
             raise refusal
         if up == 1.0:
             return answer
-        r = answer[0] if isinstance(answer, tuple) else answer
-        r = dataclasses.replace(
-            r,
+        alone = isinstance(answer, DistanceResult)
+        r = answer if alone else answer[0]
+        r = r._replace(
             distance=r.distance * up,
             point_a=Point2(r.point_a.x * up, r.point_a.y * up),
             point_b=Point2(r.point_b.x * up, r.point_b.y * up),
         )
-        return (r, *answer[1:]) if isinstance(answer, tuple) else r
+        return r if alone else (r, *answer[1:])
 
     return run
 

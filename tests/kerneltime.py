@@ -12,7 +12,9 @@ next, reversing it every other round.
 The callables are the four public queries, Lin-Canny seeded with the
 pair that its own cold query returned (the seed decode of a coherent
 frame), and the kernels that they reach through ``geometry._pair``:
-``_dyop``, ``_gjk``, the oracle's ``_brute_force`` (the box test and the
+``_dyop``, ``_gjk``, the fixed cost that every query pays after its
+kernel, ``_answer`` on ``_dyop``'s answer (as ``_answer(*r, 1.0)``), the
+oracle's ``_brute_force`` (the box test and the
 sweep, and the certificate and the overlap test where the boxes meet),
 its sweep ``_edge_sweep``, and ``_separated`` on the sweep's witnesses:
 Lin-Canny's end certificate, and the oracle's proof for pairs whose
@@ -64,6 +66,10 @@ def _in_range(lib, a, b):
     return lib.geometry._pair(a, b)[:2]
 
 
+def _dyop_arguments(lib, a, b, velocity):
+    return (*_in_range(lib, a, b), lib.dyop.dominant_axis(velocity))
+
+
 # Each callable by label: (its function in a loaded package, its
 # arguments there from the pair's triangles and velocity).
 CALLABLES = {
@@ -75,11 +81,12 @@ CALLABLES = {
         lambda lib, a, b, velocity: (a, b, lib.baselines.lin_canny_distance(a, b)[1]),
     ),
     "oracle": (lambda lib: lib.geometry.brute_force_triangle_distance, _triangles),
-    "_dyop": (
-        lambda lib: lib.dyop._dyop,
-        lambda lib, a, b, velocity: (*_in_range(lib, a, b), lib.dyop.dominant_axis(velocity)),
-    ),
+    "_dyop": (lambda lib: lib.dyop._dyop, _dyop_arguments),
     "_gjk": (lambda lib: lib.baselines._gjk, lambda lib, a, b, velocity: _in_range(lib, a, b)),
+    "_answer": (
+        lambda lib: lib.geometry._answer,
+        lambda lib, a, b, velocity: (*lib.dyop._dyop(*_dyop_arguments(lib, a, b, velocity)), 1.0),
+    ),
     "_brute_force": (lambda lib: lib.geometry._brute_force, lambda lib, a, b, velocity: _in_range(lib, a, b)),
     "_edge_sweep": (lambda lib: lib.geometry._edge_sweep, lambda lib, a, b, velocity: _in_range(lib, a, b)),
     "_separated": (

@@ -28,6 +28,7 @@ from dyop2d import (
     place_pair,
     random_separated_pair,
 )
+from dyop2d.geometry import DistanceResult
 
 DIGEST = "091893f43164e09b85f6872460a6b6be75c854a7c6224f237f641b2a430ce895"
 
@@ -54,10 +55,10 @@ def _line(fn, *args):
         answer = fn(*args)
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
-    if isinstance(answer, tuple):
-        result, pair = answer
-        return f"{_result(result)} | {_feature(pair[0])} {_feature(pair[1])}"
-    return _result(answer)
+    if isinstance(answer, DistanceResult):
+        return _result(answer)
+    result, pair = answer
+    return f"{_result(result)} | {_feature(pair[0])} {_feature(pair[1])}"
 
 
 def _pairs():

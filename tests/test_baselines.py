@@ -686,18 +686,14 @@ def _lin_canny_by_definition(tA, tB, seed=None, seen=None):
     return result, (swept[5], swept[6])
 
 
-def _walk(a, b, counters=None, trace=None, seed=None):
+def _walk(a, b, trace=None, seed=None):
     """The end pair of the walk from the seed's features (cold: the facing
-    vertex pair, ``_cold_start``), or None when it aborts; its evaluations
-    are added to ``counters``."""
+    vertex pair, ``_cold_start``), or None when it aborts, and its
+    evaluations as ``TestCounters``."""
     a, b = _coords(a), _coords(b)
     ca, cb = _cold_start(a, b) if seed is None else (_code(seed[0]), _code(seed[1]))
     *end, vv, ve, ee = _walk_by_definition(a, b, ca, cb, trace)
-    if counters is not None:
-        counters.vv_tests += vv
-        counters.ve_tests += ve
-        counters.ee_tests += ee
-    return None if end[0] is None else end
+    return None if end[0] is None else end, TestCounters(vv, ve, ee)
 
 
 _SEEDS = [(fa, fb) for fa in baselines._FEATURES for fb in baselines._FEATURES]
@@ -827,7 +823,7 @@ def test_walk_never_increases_and_never_revisits():
         a, b, _ = random_separated_pair(rng)
         for seed in (None, rng.choice(_SEEDS)):
             trace = []
-            walked = _walk(a, b, trace=trace, seed=seed)
+            walked = _walk(a, b, trace=trace, seed=seed)[0]
             pairs = [(fa, fb) for fa, fb, _ in trace]
             assert len(pairs) == len(set(pairs))
             for k in range(1, len(trace)):
@@ -858,8 +854,7 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
     # Along y at s = 1e-3 the walk falls back on some placed pairs (REGIMES).
     pairs += [(a, b) for a, b, _ in placed("y", 1e-3)]
     for a, b in pairs:
-        walk_counters = TestCounters()
-        _walk(a, b, walk_counters)
+        walk_counters = _walk(a, b)[1]
         result, witness = lin_canny_distance(a, b)
         exact = brute_force_triangle_distance(a, b)
         assert witness == (result.feature_a, result.feature_b)
@@ -874,16 +869,14 @@ def test_lin_canny_fallback_is_flagged_and_answers_as_the_oracle():
         assert result.flags == ("lincanny-fallback",)
         assert [getattr(result, f) for f in fields] == [getattr(exact, f) for f in fields]
         # The walk's own evaluations plus the sweep's nine edge pairs.
-        walk_counters.ee_tests += 9
-        assert result.counters == walk_counters
+        assert result.counters == walk_counters._replace(ee_tests=walk_counters.ee_tests + 9)
     assert certified > 0 and fallbacks > 0
 
 
 def _assert_seeded_answer(a, b, seed, result, pair):
     """A seeded answer is a certified walk from the seed or a flagged fallback."""
     assert pair == (result.feature_a, result.feature_b)
-    walk_counters = TestCounters()
-    _walk(a, b, walk_counters, seed=seed)
+    walk_counters = _walk(a, b, seed=seed)[1]
     exact = brute_force_triangle_distance(a, b)
     if result.flags == ():
         assert _realizes(result)
@@ -892,8 +885,7 @@ def _assert_seeded_answer(a, b, seed, result, pair):
         return
     assert result.flags == ("lincanny-fallback",)
     assert repr(result.distance) == repr(exact.distance)
-    walk_counters.ee_tests += 9
-    assert result.counters == walk_counters
+    assert result.counters == walk_counters._replace(ee_tests=walk_counters.ee_tests + 9)
 
 
 def test_lin_canny_every_seed_answers_alike_from_fresh_and_returned_features():
@@ -1145,7 +1137,7 @@ def test_contained_triangles_near_the_float_range_still_overlap(s):
 def _scaled_result(r, s):
     """``r`` with its distance and witnesses scaled by ``s``."""
     point_a, point_b = Point2(r.point_a.x * s, r.point_a.y * s), Point2(r.point_b.x * s, r.point_b.y * s)
-    return dataclasses.replace(r, distance=r.distance * s, point_a=point_a, point_b=point_b)
+    return r._replace(distance=r.distance * s, point_a=point_a, point_b=point_b)
 
 
 @pytest.mark.parametrize("k", [-20, 20, 260, 487, 520, 1000])

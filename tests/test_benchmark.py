@@ -178,7 +178,7 @@ def test_place_pair_refuses_an_offset_that_the_oracle_check_disagrees_with(monke
     monkeypatch.setattr(
         benchmark,
         "brute_force_triangle_distance",
-        lambda a, b: dataclasses.replace(real(a, b), distance=real(a, b).distance + 0.5),
+        lambda a, b: real(a, b)._replace(distance=real(a, b).distance + 0.5),
     )
     with pytest.raises(PlacementFailure, match=r"^pair Obj1->Obj2 placed \+0\.5 off separation "):
         place_pair(default_scene(), (0, 1))

@@ -531,7 +531,7 @@ def test_bench_mismatch_exit_5(tmp_path, scene_file, monkeypatch, capsys, algori
 
     def shifted(*args):
         result = real(*args)
-        return dataclasses.replace(result, distance=result.distance + shift)
+        return result._replace(distance=result.distance + shift)
 
     monkeypatch.setattr(benchmark, name, shifted)
     args = ["bench", "--scene", scene_file, "--repeats", "1", "--algos", "dyop,gjk"]
@@ -550,7 +550,7 @@ def test_bench_flags_a_baseline_more_than_1e_6_of_the_separation_off(tmp_path, m
 
     def shifted(a, b):
         result = real(a, b)
-        return dataclasses.replace(result, distance=result.distance + off * s)
+        return result._replace(distance=result.distance + off * s)
 
     monkeypatch.setattr(benchmark, "gjk_distance", shifted)
     scene = Scene((tri("M", (0, 0), (1, 0), (0, 1)), tri("S", (0, 0), (1, 0), (0, 1))), s, MovementAxis.X)

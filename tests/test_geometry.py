@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyop2d import geometry
+from dyop2d import dyop, geometry
 from dyop2d.baselines import gjk_distance, lin_canny_distance
 from dyop2d.benchmark import ALGORITHMS
 from dyop2d.dyop import dyop_distance
@@ -47,6 +47,7 @@ from dyop2d.geometry import (
 from dyop2d.verify import _separated_coords, random_separated_pair
 from exact_reference import triangles_meet
 from helpers import (
+    NEAR_COLLINEAR_PAIR,
     OVERFLOW_SCALES,
     RANGE,
     RANGE_EXPONENT,
@@ -278,35 +279,20 @@ _ANSWER_ARGS = [
 ]
 
 
-def _hash_outcome(value):
-    try:
-        return hash(value)
-    except TypeError as exc:
-        return str(exc)
-
-
 def _assert_like_constructed(built, expected):
-    assert type(built) is DistanceResult and type(built.point_a) is Point2
-    assert built == expected and repr(built) == repr(expected)
-    # The mutable TestCounters field makes both unhashable, with the same error.
-    assert _hash_outcome(built) == _hash_outcome(expected)
+    assert type(built) is DistanceResult and type(built.point_a) is Point2 and type(built.point_b) is Point2
+    assert built == expected and repr(built) == repr(expected) and _bits(built) == _bits(expected)
+    # Every field is immutable, so both hash, and alike.
+    assert hash(built) == hash(expected)
     assert built.point_a == expected.point_a and hash(built.point_a) == hash(expected.point_a)
     assert built.point_b == expected.point_b and hash(built.point_b) == hash(expected.point_b)
-    assert dataclasses.astuple(built) == dataclasses.astuple(expected)
-    assert vars(built).keys() == vars(expected).keys()
-    # The instance dicts hold the fields in the constructor's order, on
-    # every interpreter's instance layout.
-    assert list(vars(built)) == list(vars(expected)) == [f.name for f in dataclasses.fields(DistanceResult)]
-    assert list(vars(built.point_a)) == list(vars(expected.point_a)) == ["x", "y"]
-    assert list(vars(built.point_b)) == list(vars(expected.point_b)) == ["x", "y"]
+    # Tuples with no instance dict: the fields are the items, in field order.
+    assert not hasattr(built, "__dict__") and not hasattr(built.point_a, "__dict__")
+    assert tuple(built) == tuple(expected) and built._fields == expected._fields
+    assert repr(built._asdict()) == repr(expected._asdict())
     assert pickle.dumps(built) == pickle.dumps(expected)
-    unpickled = pickle.loads(pickle.dumps(built))
-    assert unpickled == expected and repr(unpickled) == repr(pickle.loads(pickle.dumps(expected)))
-    copied = copy.deepcopy(built)
-    assert copied == expected and repr(copied) == repr(copy.deepcopy(expected))
-    assert list(vars(copied)) == list(vars(expected))
-    assert dataclasses.asdict(built) == dataclasses.asdict(expected)
-    assert repr(dataclasses.asdict(built)) == repr(dataclasses.asdict(expected))
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert _bits(copied) == _bits(expected) and type(copied.point_b) is Point2
 
 
 @pytest.mark.parametrize("args", _ANSWER_ARGS)
@@ -327,16 +313,76 @@ def test_public_answers_match_the_constructed_result(name):
 
 def test_answer_is_frozen_and_replaceable():
     built = _answer(*_ANSWER_ARGS[0])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         built.distance = 2.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         built.point_a.x = 2.0
-    point_b = dataclasses.replace(built.point_b, y=1.0)
-    moved = dataclasses.replace(built, distance=2.0, point_b=point_b)
+    with pytest.raises(AttributeError):
+        built.counters.ee_tests = 2
+    point_b = built.point_b._replace(y=1.0)
+    moved = built._replace(distance=2.0, point_b=point_b)
     assert moved == _constructed(2.0, 0.0, -0.0, 1.5, 1.0, *_ANSWER_ARGS[0][5:])
     assert built.distance == 1.5 and built.point_b == Point2(1.5, 0.0)
+    assert type(point_b) is Point2 and type(moved) is DistanceResult
+
+
+def test_answers_points_and_counters_are_named_tuples():
+    # An answer, its points and its counters compare equal to plain
+    # tuples, iterate and unpack; an answer hashes.
+    built = _answer(*_ANSWER_ARGS[1])
+    d, pa, pb, fa, fb, counters, flags = built
+    assert (d, pa, pb, counters, flags) == (0.0, (1, 2), (1, 2), (2, 3, 4), ("flag",))
+    assert built == (0.0, (1, 2), (1, 2), fa, fb, (2, 3, 4), ("flag",))
+    x, y = pa
+    assert (x, y) == (pa.x, pa.y) == tuple(pa) and counters.total() == sum(counters) == 9
+    assert {built: 1}[_constructed(*_ANSWER_ARGS[1])] == 1
+    assert DistanceResult._fields == (
+        "distance", "point_a", "point_b", "feature_a", "feature_b", "counters", "flags"
+    )
+    assert Point2._fields == ("x", "y") and TestCounters._fields == ("vv_tests", "ve_tests", "ee_tests")
+    assert built._asdict()["counters"]._asdict() == {"vv_tests": 2, "ve_tests": 3, "ee_tests": 4}
+    assert DistanceResult(1.0, pa, pb, fa, fb, counters).flags == () and TestCounters() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_point_replace_and_make_validate_as_the_constructor_does(value):
+    point = Point2(1.0, 2.0)
+    with pytest.raises(ValueError) as info:
+        Point2(value, 2.0)
+    for build in (lambda: point._replace(x=value), lambda: Point2._make((value, 2.0))):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert type(caught.value) is ValueError and str(caught.value) == str(info.value)
+    with pytest.raises(ValueError, match=f"non-finite coordinate: {value!r}"):
+        point._replace(y=value)
+    assert point._replace(y=3.0) == Point2._make([1.0, 3.0]) == Point2(1.0, 3.0)
+    assert type(Point2._make([1.0, 3.0])) is Point2
+
+
+def test_points_and_answers_survive_pickle_and_deepcopy():
+    point = Point2(-0.0, 2.5)
+    for answer in (_answer(*_ANSWER_ARGS[0]), brute_force_triangle_distance(*placed("x", 1.0)[3][:2])):
+        for value in (point, answer):
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(copied) is type(value) and _bits(copied) == _bits(value)
+    # Unpickling builds a point through its validating constructor.
+    payload = pickle.dumps(point).replace(b"\x80\x00\x00\x00\x00\x00\x00\x00", b"\x7f\xf0\x00\x00\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="non-finite coordinate: inf"):
-        dataclasses.replace(built.point_a, x=math.inf)
+        pickle.loads(payload)
+
+
+def test_fixed_counts_are_shared_constants():
+    # DyOP's and the oracle's fixed counts are one object each, built at
+    # import rather than per answer; run_verify's kernels return them too.
+    one, nine, none = dyop._ONE_EE, geometry._NINE_EE, geometry._NO_TESTS
+    assert (one, nine, none) == ((0, 0, 1), (0, 0, 9), (0, 0, 0))
+    for mover, static, velocity in placed("x", 1.0)[:10]:
+        assert dyop_distance(mover, static, velocity).counters is one
+        assert brute_force_triangle_distance(mover, static).counters is nine
+        a, b = _coords(mover), _coords(static)
+        assert dyop._dyop(a, b, dyop.MovementAxis.X)[7] is one and _brute_force(a, b)[7] is nine
+    a, b = NEAR_COLLINEAR_PAIR
+    assert brute_force_triangle_distance(a, b).counters is none
 
 
 def _point_error(pax, pay, pbx, pby):

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from dyop2d import dyop, geometry, verify
 from dyop2d.errors import DegenerateInput
 from dyop2d.dyop import dyop_distance
-from dyop2d.geometry import Point2, Triangle, Vector2, brute_force_triangle_distance
+from dyop2d.geometry import Point2, TestCounters, Triangle, Vector2, brute_force_triangle_distance
 from dyop2d.verify import VerifyReport, random_separated_pair, run_verify
 from helpers import _coords, _degeneracy_cases
 
@@ -174,6 +175,9 @@ def test_a_second_triangle_degenerate_after_its_push_is_refused_by_both_sweeps(m
 
 
 def test_run_verify_builds_no_triangle_point_or_answer(monkeypatch):
+    # Nor counters: DyOP's and the oracle's kernels return shared ones. A
+    # profile hook counts the calls of tuple.__new__, which _answer, GJK
+    # and Lin-Canny build their tuples with.
     calls = Counter()
 
     def counting(name, fn):
@@ -183,17 +187,29 @@ def test_run_verify_builds_no_triangle_point_or_answer(monkeypatch):
 
         return wrapper
 
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is tuple.__new__:
+            calls["tuple.__new__"] += 1
+
     monkeypatch.setattr(Triangle, "__post_init__", counting("Triangle", Triangle.__post_init__))
-    monkeypatch.setattr(Point2, "__post_init__", counting("Point2", Point2.__post_init__))
+    monkeypatch.setattr(Point2, "__new__", staticmethod(counting("Point2", Point2.__new__)))
+    monkeypatch.setattr(TestCounters, "__new__", staticmethod(counting("TestCounters", TestCounters.__new__)))
     answer = counting("_answer", geometry._answer)
     monkeypatch.setattr(geometry, "_answer", answer)
     monkeypatch.setattr(dyop, "_answer", answer)
-    run_verify(200, 7)
-    assert calls == Counter()
-    # The wrappers count: one public pair and one public query use all three.
-    a, b, _ = random_separated_pair(random.Random(7))
-    brute_force_triangle_distance(a, b)
-    assert set(calls) == {"Triangle", "Point2", "_answer"}
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_verify(200, 7)
+        assert calls == Counter()
+        # The counters count: one public pair, one public query and one
+        # counters object use them all.
+        a, b, _ = random_separated_pair(random.Random(7))
+        brute_force_triangle_distance(a, b)
+        TestCounters(0, 0, 1)
+    finally:
+        sys.setprofile(previous)
+    assert set(calls) == {"Triangle", "Point2", "_answer", "TestCounters", "tuple.__new__"}
 
 
 def test_run_verify_counts_a_pruned_distance_below_the_oracle(monkeypatch):
