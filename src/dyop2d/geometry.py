@@ -264,7 +264,11 @@ class Triangle:
 
     def __post_init__(self) -> None:
         v0, v1, v2 = self.v0, self.v1, self.v2
-        (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
+        # Concatenated, the points are the coordinates as a plain tuple, which
+        # unpacks faster than a tuple subclass does, and which a
+        # counter-clockwise triangle keeps.
+        coords = v0 + v1 + v2
+        x0, y0, x1, y1, x2, y2 = coords
         r = _HUGE
         huge = not (
             abs(x0) <= r and abs(y0) <= r and abs(x1) <= r and abs(y1) <= r and abs(x2) <= r and abs(y2) <= r
@@ -278,10 +282,10 @@ class Triangle:
         if clockwise:
             object.__setattr__(self, "v1", v2)
             object.__setattr__(self, "v2", v1)
-            x1, y1, x2, y2 = x2, y2, x1, y1
+            coords = (x0, y0, x2, y2, x1, y1)
         object.__setattr__(self, "is_degenerate", degenerate)
         object.__setattr__(self, "is_huge", huge)
-        object.__setattr__(self, "coords", (x0, y0, x1, y1, x2, y2))
+        object.__setattr__(self, "coords", coords)
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
