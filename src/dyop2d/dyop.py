@@ -212,11 +212,12 @@ def _dyop(
     ``select_candidates`` on both triangles (squares as products, none of
     which overflows in range) and the naming of each witness's feature
     (its edge's start at t = 0, its end at t = 1, else the edge) written
-    out, and one segment test on the candidate edges, so that an answer costs
-    one call, that test, and shares its counters (``_ONE_EE``). A gap on either axis
-    (``x_lo < x_hi or y_lo < y_hi``) puts the candidate edges' boxes apart,
-    so they cannot touch, and the test is ``geometry._segment_projections``;
-    otherwise it is ``geometry._segment_segment``, which decides contact.
+    out, and one segment test on the candidate edges, so that an answer
+    costs one call, that test, and shares its counters (``_ONE_EE``). A
+    gap on either axis (``x_lo < x_hi or y_lo < y_hi``) puts the candidate
+    edges' boxes apart, so they cannot touch, and the test is
+    ``geometry._segment_projections``; otherwise it is
+    ``geometry._segment_segment``, which decides contact.
     Both answer segments whose boxes are apart alike, bit for bit, so the
     kernel equals the chain of its stages and ``_segment_segment``. The
     stages are the definition: they state the rule

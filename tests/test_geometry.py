@@ -359,12 +359,11 @@ def test_point_replace_and_make_validate_as_the_constructor_does(value):
     assert type(Point2._make([1.0, 3.0])) is Point2
 
 
-def test_points_and_answers_survive_pickle_and_deepcopy():
+def test_points_survive_pickle_and_deepcopy():
+    # Answers are round-tripped by _assert_like_constructed.
     point = Point2(-0.0, 2.5)
-    for answer in (_answer(*_ANSWER_ARGS[0]), brute_force_triangle_distance(*placed("x", 1.0)[3][:2])):
-        for value in (point, answer):
-            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-                assert type(copied) is type(value) and _bits(copied) == _bits(value)
+    for copied in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
+        assert type(copied) is Point2 and _bits(copied) == _bits(point)
     # Unpickling builds a point through its validating constructor.
     payload = pickle.dumps(point).replace(b"\x80\x00\x00\x00\x00\x00\x00\x00", b"\x7f\xf0\x00\x00\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="non-finite coordinate: inf"):
