@@ -4,15 +4,16 @@ A scene holds n named triangles; the plan runs every ordered pair
 (mover, static) once, n*(n-1) queries total. Before each query the mover
 is translated along the negative movement axis, by an offset found in
 closed form, until the exact distance is the scene's separation, so every
-algorithm answers the same question. The offset kernel, ``_offset``, is
-straight-line code on the two triangles' coordinates, in range as every
-kernel's are (``geometry._pair`` scales a pair past 2^510 into range
-first): it
-computes each of the 9 vertex-vertex disk exits and each of the 18
-vertex-edge strip crossings once, each edge's direction, slope and
-length once, and keeps a running maximum. Wall times use a monotonic clock
-(one warm-up, median of the repeats); primitive-test counters are
-recorded alongside as the machine-independent cost metric.
+algorithm answers the same question. The offset kernel, ``_offset``,
+runs on the two triangles' coordinates, in range as every kernel's are
+(``geometry._pair`` scales a pair past 2^510 into range first): in two
+loops over the three vertices and edges of each triangle, it computes
+each of the 9 vertex-vertex disk exits and each of the 18 vertex-edge
+strip crossings once, each edge's direction, slope and length once, and
+keeps a running maximum. Placement runs only in set-up, before a pair's
+queries are timed. Wall times use a monotonic clock (one warm-up, median
+of the repeats); primitive-test counters are recorded alongside as the
+machine-independent cost metric.
 
 Each record is the JSON object the ``bench`` command writes, from
 measurement on: a dict keyed by CSV_COLUMNS, in that order. A failed
@@ -134,6 +135,28 @@ def default_scene() -> Scene:
     )
 
 
+def _edges(coords: _Coords, dx: float, dy: float, r: float) -> list[tuple[float, ...]]:
+    """The three edges of a triangle, edge i from vertex i to vertex i + 1,
+    each as (sx, sy, ex, ey, slope, squared length, half-width): its start,
+    its direction, and its slope, the cross product of its direction with
+    (dx, dy), the direction its crossing vertices move in. Where the slope
+    is not zero, as only then does the edge have crossings, it also holds
+    its squared length and r times its length, signed as the slope;
+    elsewhere both are 0.0.
+    """
+    x0, y0, x1, y1, x2, y2 = coords
+    edges = []
+    for sx, sy, tx, ty in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0)):
+        ex, ey = tx - sx, ty - sy
+        es = ex * dy - ey * dx
+        ed = eh = 0.0
+        if es != 0.0:
+            ed = ex * ex + ey * ey
+            eh = math.copysign(r * math.sqrt(ed), es)
+        edges.append((sx, sy, ex, ey, es, ed, eh))
+    return edges
+
+
 def _offset(a: _Coords, b: _Coords, ux: float, uy: float, r: float) -> float:
     """Largest t at which the mover A, translated by -t*u, is within r of
     the static triangle B; -inf when no t is. The coordinates and r are in
@@ -145,103 +168,46 @@ def _offset(a: _Coords, b: _Coords, ux: float, uy: float, r: float) -> float:
     last exit of a mover vertex, moving along -u, from a disk around a
     static vertex or from a static edge's strip, or of a static vertex,
     moving along +u, from a mover edge's strip. That is 9 disk exits and
-    18 strip crossings, each computed once: a static vertex leaves the
-    disk around a mover vertex where that vertex leaves its own, since w
-    and u both change sign and the cross and dot products keep their
-    floats. Each edge's direction and slope are computed once, and its
-    squared length and r * sqrt of it once where the slope is not zero,
-    as only then does it have crossings. A crossing counts only between
-    the edge's ends. Ties keep the first exit in the order of the
-    18 vertex-edge pairs (mover vertices against static edges, then static
-    vertices against mover edges; an edge's end disks before its strip),
-    so a zero offset keeps that exit's sign.
+    18 strip crossings, each computed once, in two loops: each mover
+    vertex against each static edge's end disks not yet visited and then
+    its strip, and each static vertex against each mover edge's strip. A
+    static vertex leaves the disk around a mover vertex where that vertex
+    leaves its own, since w and u both change sign and the cross and dot
+    products keep their floats. ``_edges`` gives each edge's terms once per
+    triangle. A crossing counts only between the edge's ends. Ties keep the
+    first exit in the order of the 18 vertex-edge pairs (mover vertices
+    against static edges, then static vertices against mover edges; an
+    edge's end disks before its strip), so a zero offset keeps that exit's
+    sign.
     """
-    sqrt, copysign = math.sqrt, math.copysign
-    ax0, ay0, ax1, ay1, ax2, ay2 = a
-    bx0, by0, bx1, by1, bx2, by2 = b
+    sqrt = math.sqrt
     nx, ny = -ux, -uy
     rr = r * r
-    # Each edge's direction, its slope against the direction its crossing
-    # vertices move in, and, where it crosses, its squared length and the
-    # strip's half-width scaled by its length.
-    ex0, ey0 = bx1 - bx0, by1 - by0
-    es0 = ex0 * ny - ey0 * nx
-    if es0 != 0.0:
-        ed0 = ex0 * ex0 + ey0 * ey0
-        eh0 = copysign(r * sqrt(ed0), es0)
-    ex1, ey1 = bx2 - bx1, by2 - by1
-    es1 = ex1 * ny - ey1 * nx
-    if es1 != 0.0:
-        ed1 = ex1 * ex1 + ey1 * ey1
-        eh1 = copysign(r * sqrt(ed1), es1)
-    ex2, ey2 = bx0 - bx2, by0 - by2
-    es2 = ex2 * ny - ey2 * nx
-    if es2 != 0.0:
-        ed2 = ex2 * ex2 + ey2 * ey2
-        eh2 = copysign(r * sqrt(ed2), es2)
-    fx0, fy0 = ax1 - ax0, ay1 - ay0
-    fs0 = fx0 * uy - fy0 * ux
-    if fs0 != 0.0:
-        fd0 = fx0 * fx0 + fy0 * fy0
-        fh0 = copysign(r * sqrt(fd0), fs0)
-    fx1, fy1 = ax2 - ax1, ay2 - ay1
-    fs1 = fx1 * uy - fy1 * ux
-    if fs1 != 0.0:
-        fd1 = fx1 * fx1 + fy1 * fy1
-        fh1 = copysign(r * sqrt(fd1), fs1)
-    fx2, fy2 = ax0 - ax2, ay0 - ay2
-    fs2 = fx2 * uy - fy2 * ux
-    if fs2 != 0.0:
-        fd2 = fx2 * fx2 + fy2 * fy2
-        fh2 = copysign(r * sqrt(fd2), fs2)
+    # The end disks that each static edge's strip follows: vertices 0 and
+    # 1 before edge 0, vertex 2 before edge 1, none left before edge 2.
+    static = tuple(zip(((b[0:2], b[2:4]), (b[4:6],), ()), _edges(b, nx, ny, r)))
+    mover = _edges(a, ux, uy, r)
     best = -math.inf
-    for px, py in ((ax0, ay0), (ax1, ay1), (ax2, ay2)):
-        wx, wy = px - bx0, py - by0
-        c = nx * wy - ny * wx
-        disc = rr - c * c
-        if disc >= 0.0:
-            t = sqrt(disc) - (nx * wx + ny * wy)
-            if t > best:
-                best = t
-        wx, wy = px - bx1, py - by1
-        c = nx * wy - ny * wx
-        disc = rr - c * c
-        if disc >= 0.0:
-            t = sqrt(disc) - (nx * wx + ny * wy)
-            if t > best:
-                best = t
-        if es0 != 0.0:
-            t = (eh0 - ex0 * (py - by0) + ey0 * (px - bx0)) / es0
-            if t > best and 0.0 <= ex0 * (px + t * nx - bx0) + ey0 * (py + t * ny - by0) <= ed0:
-                best = t
-        wx, wy = px - bx2, py - by2
-        c = nx * wy - ny * wx
-        disc = rr - c * c
-        if disc >= 0.0:
-            t = sqrt(disc) - (nx * wx + ny * wy)
-            if t > best:
-                best = t
-        if es1 != 0.0:
-            t = (eh1 - ex1 * (py - by1) + ey1 * (px - bx1)) / es1
-            if t > best and 0.0 <= ex1 * (px + t * nx - bx1) + ey1 * (py + t * ny - by1) <= ed1:
-                best = t
-        if es2 != 0.0:
-            t = (eh2 - ex2 * (py - by2) + ey2 * (px - bx2)) / es2
-            if t > best and 0.0 <= ex2 * (px + t * nx - bx2) + ey2 * (py + t * ny - by2) <= ed2:
-                best = t
-    for qx, qy in ((bx0, by0), (bx1, by1), (bx2, by2)):
-        if fs0 != 0.0:
-            t = (fh0 - fx0 * (qy - ay0) + fy0 * (qx - ax0)) / fs0
-            if t > best and 0.0 <= fx0 * (qx + t * ux - ax0) + fy0 * (qy + t * uy - ay0) <= fd0:
-                best = t
-        if fs1 != 0.0:
-            t = (fh1 - fx1 * (qy - ay1) + fy1 * (qx - ax1)) / fs1
-            if t > best and 0.0 <= fx1 * (qx + t * ux - ax1) + fy1 * (qy + t * uy - ay1) <= fd1:
-                best = t
-        if fs2 != 0.0:
-            t = (fh2 - fx2 * (qy - ay2) + fy2 * (qx - ax2)) / fs2
-            if t > best and 0.0 <= fx2 * (qx + t * ux - ax2) + fy2 * (qy + t * uy - ay2) <= fd2:
-                best = t
+    for px, py in zip(a[::2], a[1::2]):
+        for ends, (sx, sy, ex, ey, es, ed, eh) in static:
+            for qx, qy in ends:
+                wx, wy = px - qx, py - qy
+                c = nx * wy - ny * wx
+                disc = rr - c * c
+                if disc >= 0.0:
+                    t = sqrt(disc) - (nx * wx + ny * wy)
+                    if t > best:
+                        best = t
+            if es != 0.0:
+                t = (eh - ex * (py - sy) + ey * (px - sx)) / es
+                if t > best and 0.0 <= ex * (px + t * nx - sx) + ey * (py + t * ny - sy) <= ed:
+                    best = t
+    for qx, qy in zip(b[::2], b[1::2]):
+        for sx, sy, ex, ey, es, ed, eh in mover:
+            if es != 0.0:
+                t = (eh - ex * (qy - sy) + ey * (qx - sx)) / es
+                if t > best and 0.0 <= ex * (qx + t * ux - sx) + ey * (qy + t * uy - sy) <= ed:
+                    best = t
     return best
 
 
@@ -256,11 +222,13 @@ def place_pair(
     there, so it is the last exit, over the 18 pairs, of a vertex moving
     along the axis from the band of radius s around an edge of the other
     triangle. ``_offset`` finds it from 9 disk exits and 18 strip
-    crossings, each computed once; a pair with a coordinate or a
-    separation past 2^510 is searched scaled into range by one power of
-    two, and its offset scaled back. One oracle call checks it to
-    PLACEMENT_TOLERANCE * s. A pair that cannot be placed, or whose placed
-    coordinates leave the float range, raises PlacementFailure naming it.
+    crossings, each computed once, in loops over the three vertices and
+    edges; a pair with a coordinate or a separation past 2^510 is searched
+    scaled into range by one power of two, and its offset scaled back. One
+    oracle call checks it to PLACEMENT_TOLERANCE * s. Placement runs only
+    in set-up: ``run_benchmark`` places each pair once, before timing its
+    queries. A pair that cannot be placed, or whose placed coordinates
+    leave the float range, raises PlacementFailure naming it.
     """
     i, j = pair
     n = len(scene.objects)

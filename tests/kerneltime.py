@@ -11,19 +11,21 @@ next, reversing it every other round.
 
 The callables are the four public queries, Lin-Canny seeded with the
 pair that its own cold query returned (the seed decode of a coherent
-frame), and the kernels that they reach through ``geometry._pair``:
-``_dyop``, ``_gjk``, the fixed cost that every query pays after its
-kernel, ``_answer`` on ``_dyop``'s answer (as ``_answer(*r, 1.0)``), the
-oracle's ``_brute_force`` (the box test and the
-sweep, and the certificate and the overlap test where the boxes meet),
-its sweep ``_edge_sweep``, and ``_separated`` on the sweep's witnesses:
-Lin-Canny's end certificate, and the oracle's proof for pairs whose
-boxes meet. Each takes its arguments prepared before timing. The input
-sets are shared with ``opcount``'s table: the default scene's placed
-pairs (along x at separations 1 and 1e-3, and along y), the first 500
-seed-7 random pairs, and frames of a mover stepped past a static
-triangle, drawn as ``helpers.mover_frames`` draws them for
-``test_geometry._sweep_cases``, from seed 17.
+frame), and the kernels that run on ``geometry._pair``'s in-range
+coordinates: ``_dyop``, ``_gjk``, the fixed cost that every query pays
+after its kernel, ``_answer`` on ``_dyop``'s answer (as
+``_answer(*r, 1.0)``), placement's ``_offset`` (along the unit vector of
+``dominant_axis(velocity)``, with r = 1.0), the oracle's
+``_brute_force`` (the box test and the sweep, and the certificate and
+the overlap test where the boxes meet), its sweep ``_edge_sweep``, and
+``_separated`` on the sweep's witnesses: Lin-Canny's end certificate,
+and the oracle's proof for pairs whose boxes meet. Each takes its
+arguments prepared before timing. The input sets are shared with
+``opcount``'s table: the default scene's placed pairs (along x at
+separations 1 and 1e-3, and along y), the first 500 seed-7 random
+pairs, and frames of a mover stepped past a static triangle, drawn as
+``helpers.mover_frames`` draws them for ``test_geometry._sweep_cases``,
+from seed 17.
 
 Per input set and callable it prints the median µs per call over the
 rounds, the quartile spread (q3 - q1 over the median), the median over
@@ -70,6 +72,11 @@ def _dyop_arguments(lib, a, b, velocity):
     return (*_in_range(lib, a, b), lib.dyop.dominant_axis(velocity))
 
 
+def _offset_arguments(lib, a, b, velocity):
+    x = lib.dyop.dominant_axis(velocity) is lib.dyop.MovementAxis.X
+    return (*_in_range(lib, a, b), *((1.0, 0.0) if x else (0.0, 1.0)), 1.0)
+
+
 # Each callable by label: (its function in a loaded package, its
 # arguments there from the pair's triangles and velocity).
 CALLABLES = {
@@ -87,6 +94,7 @@ CALLABLES = {
         lambda lib: lib.geometry._answer,
         lambda lib, a, b, velocity: (*lib.dyop._dyop(*_dyop_arguments(lib, a, b, velocity)), 1.0),
     ),
+    "_offset": (lambda lib: lib.benchmark._offset, _offset_arguments),
     "_brute_force": (lambda lib: lib.geometry._brute_force, lambda lib, a, b, velocity: _in_range(lib, a, b)),
     "_edge_sweep": (lambda lib: lib.geometry._edge_sweep, lambda lib, a, b, velocity: _in_range(lib, a, b)),
     "_separated": (
@@ -134,7 +142,7 @@ def load_ref(ref: str, root: Path = ROOT):
         sys.path.insert(0, directory)
         try:
             package = importlib.import_module(name)
-            for module in ("geometry", "dyop", "baselines"):
+            for module in ("geometry", "dyop", "baselines", "benchmark"):
                 importlib.import_module(f"{name}.{module}")
         finally:
             sys.path.remove(directory)

@@ -412,6 +412,85 @@ def test_offset_keeps_the_first_of_tied_exits():
         assert _hex(got) == _hex(expected), (mover, static, ux, r)
 
 
+def _at_an_edge_end(rng, draw):
+    """A triangle of vertices from ``draw()``, r, and a point r from one end
+    of one of its edges, on the edge's normal: there the end's disk of
+    radius r and the edge's strip meet."""
+    triangle = Triangle(draw(), draw(), draw())
+    while triangle.is_degenerate:
+        triangle = Triangle(draw(), draw(), draw())
+    c = _coords(triangle)
+    k = rng.randrange(3)
+    ex, ey = c[(2 * k + 2) % 6] - c[2 * k], c[(2 * k + 3) % 6] - c[2 * k + 1]
+    end = rng.choice((2 * k, (2 * k + 2) % 6))
+    r, side = rng.choice((0.25, 0.5, 1.0, 1.5)), rng.choice((-1.0, 1.0)) / math.hypot(ex, ey)
+    return triangle, r, Point2(c[end] - side * r * ey, c[end + 1] + side * r * ex)
+
+
+def _with_a_vertex_at(p, draw):
+    triangle = Triangle(p, draw(), draw())
+    while triangle.is_degenerate:
+        triangle = Triangle(p, draw(), draw())
+    return triangle
+
+
+def test_offset_equals_its_definition_where_a_disk_meets_a_strip():
+    # A vertex r from an edge's end, on the edge's normal, leaves the end's
+    # disk and the edge's strip at the same t, where two rules of the
+    # definition show. At t = 0 the disk exit is 0.0 and the crossing can
+    # be -0.0; the definition visits an edge's end disks before its strip,
+    # so it keeps 0.0. Rounded, the crossing can lie a little past the disk
+    # exit with its projection on the edge exactly 0 or exactly the squared
+    # length; the definition counts it there, so the extent test must hold
+    # at both ends, for the static edges' strips and the mover edges' alike.
+    # The first two pinned cases end edge 0 at static vertex 1 and edge 1
+    # at vertex 2, and visiting that vertex's disk after the edge's strip
+    # returns -0.0; the last two cross a mover edge's strip at its end and
+    # at its start, where a strict extent test returns 2^-54 and 0.0.
+    pinned = [
+        (((-1.5, 3.0), (-1.5, 2.0), (-1.0, -3.0)), ((0.0, -2.0), (0.0, -3.0), (0.5, -0.0)), (1.0, 0.0), 1.0,
+         "0x0.0p+0"),
+        (((-0.3, 0.6), (-0.5, -2.0), (-0.0, -1.0)), ((1.0, 3.0), (-2.0, 2.5), (0.0, 1.0)), (0.0, 1.0), 0.5,
+         "0x0.0p+0"),
+        (
+            ((-0.7338833830357303, -0.27293750843036735), (1.0463719740041042, 1.141647823723896),
+             (-1.240396527274271, 0.5035460213519203)),
+            ((1.2019000266228097, 0.9459158006703519), (0.1063692916195329, -1.445521033452057),
+             (0.42503961758243314, -0.9520638746204519)),
+            (1.0, 0.0), 0.25, "0x1.69f18ac88ad2ap-52",
+        ),
+        (
+            ((-0.3662763712962329, 0.4231164891120107), (-1.8503430591200885, 0.816531470339438),
+             (-1.7869028419498605, -0.11694452824772172)),
+            ((-0.23815547018140978, 0.9064228460922658), (0.1217758806967244, 1.0528116630401727),
+             (0.20411673995564295, 1.131705253828275)),
+            (0.0, 1.0), 0.5, "0x1.58ff7b32cd5bdp-55",
+        ),
+    ]
+    for a, b, (ux, uy), r, offset in pinned:
+        mover, static = Triangle(*(Point2(*p) for p in a)), Triangle(*(Point2(*p) for p in b))
+        assert _hex(_offset_by_definition(mover, static, ux, uy, r)) == offset
+        assert _hex(benchmark._offset(_coords(mover), _coords(static), ux, uy, r)) == offset, (a, b)
+    rng = random.Random(0)
+    grid = (-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0)
+    draws = (
+        lambda: Point2(rng.choice(grid), rng.choice(grid)),
+        lambda: Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
+    )
+    for k in range(8000):
+        draw = draws[k % 2]
+        if k % 4 < 2:
+            static, r, p = _at_an_edge_end(rng, draw)
+            mover = _with_a_vertex_at(p, draw)
+        else:
+            mover, r, q = _at_an_edge_end(rng, draw)
+            static = _with_a_vertex_at(q, draw)
+        ux, uy = rng.choice(((1.0, 0.0), (0.0, 1.0)))
+        expected = _offset_by_definition(mover, static, ux, uy, r)
+        got = benchmark._offset(_coords(mover), _coords(static), ux, uy, r)
+        assert _hex(got) == _hex(expected), (mover, static, ux, r)
+
+
 def test_run_benchmark_record_count_and_order():
     scene = small_scene()
     records = run_benchmark(scene, algorithms=("dyop", "gjk", "lincanny"), repeats=2)

@@ -5,7 +5,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from dyop2d import baselines
+from dyop2d import baselines, benchmark
 from helpers import _coords, placed
 from kerneltime import CALLABLES, ROOT, input_sets, load_ref, main
 
@@ -49,5 +49,9 @@ def test_a_committed_package_loads_under_another_name(tmp_path):
     assert loaded.__name__ == "dyop2d_at_HEAD" and loaded.baselines is not baselines
     for a, b, _ in placed("x", 1.0)[:5]:
         assert loaded.baselines._gjk(_coords(a), _coords(b))[:5] == baselines._gjk(_coords(a), _coords(b))[:5]
+        # Placement's kernel is loaded too, for the ``_offset`` callable.
+        assert loaded.benchmark._offset(_coords(a), _coords(b), 1.0, 0.0, 1.0) == benchmark._offset(
+            _coords(a), _coords(b), 1.0, 0.0, 1.0
+        )
     # The temporary directory it was imported from is gone.
     assert not Path(loaded.__path__[0]).exists()
