@@ -1,57 +1,18 @@
-"""Comparison algorithms: GJK distance and a planar Lin-Canny feature walk.
+"""The baselines: GJK distance and a planar Lin-Canny feature walk.
 
-Both are specialized to 2D triangles and run on the float core of
-``geometry.py``: a query refuses a degenerate triangle by the flag the
-``Triangle`` computed at construction, takes the six coordinates that
-each triangle cached there from ``geometry._pair``, and builds its
-answer once, with ``geometry._answer``, which checks the witnesses'
-finiteness there. Both start on the same pair: GJK takes its first
-support point toward the origin, along cB - cA with the centroids taken
-as sums of the three coordinates, which is the facing vertex pair that a
-cold walk starts from, so most separated pairs stop after that one
-point. GJK runs its loop as one straight-line kernel on scalar locals:
-the six vertex coordinates of each triangle are unpacked once, and the
-support argmaxes, point and segment solves, repeat and improvement
-checks, solve counts, witness sums and feature names are inline. Its
-simplex is at most three ``(x, y, index_a, index_b)`` support points and
-their weights, held in locals, with no list. Only the rare triangle
-solve calls ``_closest_on_triangle``, and only an intersecting answer
-with three weights calls ``sum()`` and ``_side_feature``.
+Both are specialized to 2D triangles and share the package's float core:
+each takes its coordinates from ``geometry._pair`` and builds its answer
+with ``geometry._answer``. Where each rule is stated:
 
-Both fill the same counters as the other algorithms, each in its own
-unit, so counts of two algorithms are not a cost ratio. For GJK the
-counters record simplex solves by size (vv = point, ve = segment,
-ee = triangle); for the feature walk they record the actual feature-pair
-distance evaluations, plus the oracle's nine ee tests when it falls back
-on the oracle.
-
-The feature walk is a straight-line kernel too. It names vertex i by
-the int i, edge i by 3 + i and a pair by ca * 6 + cb, so it hashes no
-``FeatureId`` and keeps the visited pairs as bits of one int. A cold
-walk starts on the facing vertex pair, the vertices furthest along the
-centroid directions, and a witness past both edges of a vertex leaves
-along the steeper one. The start pair, the vertex-vertex and
-vertex-edge evaluations and the Voronoi escapes of both sides are
-inline; only an edge-edge pair calls ``_segment_segment``. The walk
-ends on ``geometry._separated``, the oracle's separating-line
-certificate, so the two algorithms share one rule. An answer maps the
-codes back to the shared ``FeatureId``s and returns them beside its
-``DistanceResult`` as a plain pair, the seed of the next query. Its end
-pair answers once the certificate proves the triangles disjoint; an
-aborted or uncertified walk falls back by calling the oracle's kernel,
-``geometry._brute_force``, so the oracle's steps are written once and
-the overlap test runs only where the oracle would run it too (see
-``lin_canny_distance``).
-
-Both the loop and the walk run on coordinates in range, at most 2^250
-in magnitude for GJK and 2^510 for the walk: ``geometry._pair`` scales
-a pair past its range into it by one power of two, the package's one
-overflow rule, and ``geometry._answer`` scales the answer back, so
-neither guards against overflow. GJK scales its absolute tolerances with
-the pair too. The walk stays inline in ``lin_canny_distance``, since a
-seeded walk is short enough that a separate kernel call shows in its
-time, and it reads each edge from a tuple it builds from the
-coordinates once per query.
+- GJK's contract (its start, its ends, its counters, the
+  ``gjk-unconverged`` flag): ``gjk_distance``; its straight-line kernel
+  and its scaled tolerances: ``_gjk``, which writes out
+  ``_closest_on_segment`` and ``_side_feature`` and calls
+  ``_closest_on_triangle`` for the rare triangle solve;
+- the walk's contract (its start, its steps, its end on the oracle's
+  certificate, its fallback flagged ``lincanny-fallback``, its seed and
+  its counters) and why it stays inline: ``lin_canny_distance``;
+- the support function that ``_gjk`` writes out: ``support``.
 """
 
 from __future__ import annotations
@@ -211,18 +172,15 @@ def gjk_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     Iterates on the difference space of the two shapes, keeping a 1-3
     point simplex of support points. The first support point is taken
     toward the origin, as textbook GJK takes s(-v) for a start point v of
-    A - B: along cB - cA, with the centroids as sums of the three
-    coordinates, which gives the facing vertex pair that the Lin-Canny
-    walk starts from (vertex 0 of each on a zero direction). Terminates
-    when the squared-length improvement bound drops below
-    GJK_IMPROVEMENT_TOL, when a support point repeats, or after
-    GJK_MAX_ITERATIONS (then flagged "gjk-unconverged" and the last
-    solve's simplex is reported). Intersecting triangles return distance 0
-    with coincident witnesses. A pair with a coordinate past 2^250 is
-    answered scaled into range, with the two absolute tolerances, on
-    squared lengths in the pair's own units, scaled by the square of the
-    same power of two, so that every comparison decides as on the raw
-    pair.
+    A - B (van den Bergen, JGT 1999): along cB - cA, with the centroids
+    as sums of the three coordinates, which gives the facing vertex pair
+    that the Lin-Canny walk starts from (vertex 0 of each on a zero
+    direction). Terminates when the squared-length improvement bound
+    drops below GJK_IMPROVEMENT_TOL, when a support point repeats, or
+    after GJK_MAX_ITERATIONS (then flagged "gjk-unconverged" and the last
+    solve's simplex is reported). Intersecting triangles return distance
+    0 with coincident witnesses. The counters record simplex solves by
+    size: vv a point, ve a segment, ee a triangle.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("gjk requires non-degenerate triangles")
@@ -238,11 +196,19 @@ def _gjk(
     the power of two that scaled the pair: the arguments of its
     ``_answer``.
 
-    Straight-line code: the first support point is the walk's facing
-    vertex pair, the point and segment solves follow
-    ``_closest_on_segment`` and the feature names ``_side_feature``,
-    written out inline (see the module docstring). A cap GJK_MAX_ITERATIONS
-    below 1, which would leave no solve to answer from, raises ValueError.
+    The tolerances are absolute, on squared lengths in the pair's own
+    units, so scaled by the square of ``_pair``'s power of two every
+    comparison decides as on the raw pair. Straight-line code on scalar
+    locals: each triangle's six coordinates are unpacked once, and the
+    support argmaxes, the point and segment solves (``_closest_on_segment``),
+    the repeat and improvement checks, the solve counts, the witness sums
+    and the feature names (``_side_feature``) are written out inline. The
+    simplex is at most three ``(x, y, index_a, index_b)`` support points
+    and their weights, held in locals, with no list. Only the rare
+    triangle solve calls ``_closest_on_triangle``, and only an
+    intersecting answer with three weights calls ``sum()`` and
+    ``_side_feature``. A cap GJK_MAX_ITERATIONS below 1, which would leave
+    no solve to answer from, raises ValueError.
     """
     if GJK_MAX_ITERATIONS < 1:
         raise ValueError(f"GJK_MAX_ITERATIONS must be at least 1: {GJK_MAX_ITERATIONS!r}")
@@ -402,19 +368,18 @@ def lin_canny_distance(
     Returns the distance result and its features as a plain pair
     ``(feature_a, feature_b)``; passing that pair back as ``seed`` on
     temporally coherent queries lets the walk terminate in a single
-    verification step. A walk whose end witnesses pass ``_separated`` has
-    proved the triangles disjoint, at a positive distance, and answers.
-    Any other walk falls back by calling the oracle's kernel,
-    ``geometry._brute_force``: the bounding-box test and the nine-edge
-    sweep, which answers alone where the boxes have a gap; where they
-    meet, ``_separated`` on the sweep's witnesses, and only when that
-    fails the overlap test. A contact, which the oracle reports by
-    counting no tests (a distance of 0.0 would not tell it, since the
-    sweep can round a positive gap to 0), raises Penetrating; otherwise
-    the oracle's distance, witnesses and features answer, flagged
-    "lincanny-fallback", with its nine ee_tests added to the walk's
-    counters, so a fallback is the oracle's answer by construction. A pair
-    with a coordinate past 2^510 is walked scaled into range.
+    verification step. A walk whose end witnesses pass ``_separated``,
+    the oracle's certificate, has proved the triangles disjoint, at a
+    positive distance, and answers. Any other walk falls back by calling
+    the oracle's kernel, ``geometry._brute_force``, so the oracle's steps
+    are written once and the overlap test runs only where the oracle
+    would run it too. A contact, which the oracle reports by counting no
+    tests (a distance of 0.0 would not tell it, since the sweep can round
+    a positive gap to 0), raises Penetrating; otherwise the oracle's
+    distance, witnesses and features answer, flagged "lincanny-fallback",
+    with its nine ee_tests added to the walk's counters, so a fallback is
+    the oracle's answer by construction. The counters record one
+    evaluation per walk step, by the kinds of its two features.
 
     The walk starts from the seed's features. A cold walk starts on the
     facing vertex pair: A's vertex furthest along cB - cA and B's
@@ -432,12 +397,14 @@ def lin_canny_distance(
     the certificate, not a tolerance, guards the answer, so the walk does
     not depend on the coordinates' scale.
 
-    Straight-line code: the start pair, the walk, the vertex-vertex and
-    vertex-edge evaluations (``_project``'s one branch per clamp, so a
-    witness clamped to an end is that vertex) and both sides' Voronoi
-    escapes are written out inline; visited pairs are bits of an int. Only an
-    edge-edge pair calls ``_segment_segment``, and the walk ends on
-    ``geometry._separated``, the certificate the oracle checks too.
+    Straight-line code, inline here rather than in a kernel of its own,
+    since a seeded walk is short enough that one more call shows in its
+    time: the start pair, the vertex-vertex and vertex-edge evaluations
+    (``_project``'s, written out) and both sides' Voronoi escapes. It
+    names vertex i by the int i, edge i by 3 + i and a pair by
+    ca * 6 + cb, so it hashes no ``FeatureId`` and keeps the visited pairs
+    as bits of one int, and it reads each edge from a tuple it builds
+    once per query. Only an edge-edge pair calls ``_segment_segment``.
     """
     if tA.is_degenerate or tB.is_degenerate:
         raise DegenerateInput("feature walk requires non-degenerate triangles")

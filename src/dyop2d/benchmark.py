@@ -1,32 +1,20 @@
 """Benchmark protocol: named triangles, all ordered pairings, fixed separation.
 
-A scene holds n named triangles; the plan runs every ordered pair
-(mover, static) once, n*(n-1) queries total. Before each query the mover
-is translated along the negative movement axis, by an offset found in
-closed form, until the exact distance is the scene's separation, so every
-algorithm answers the same question. The offset kernel, ``_offset``,
-runs on the two triangles' coordinates, in range as every kernel's are
-(``geometry._pair`` scales a pair past 2^510 into range first): in two
-loops over the three vertices and edges of each triangle, it computes
-each of the 9 vertex-vertex disk exits and each of the 18 vertex-edge
-strip crossings once, each edge's direction, slope and length once, and
-keeps a running maximum. Placement runs only in set-up, before a pair's
-queries are timed. Wall times use a monotonic clock (one warm-up, median
-of the repeats); primitive-test counters are recorded alongside as the
-machine-independent cost metric.
+Where each rule is stated:
 
-Each record is the JSON object the ``bench`` command writes, from
-measurement on: a dict keyed by CSV_COLUMNS, in that order. A failed
-record carries an "error:<kind>" flag (record_failed), distance None and
-zero counters. write_records_csv is the one CSV writer, for the records
-and for the ``plot`` series.
-
-ALGORITHMS maps each algorithm name to its query. build_report turns the
-records into the comparison report as the JSON document the ``bench``
-command writes: each baseline's time as a percentage of DyOP's, per pair
-and summarized, and the counter totals per algorithm. Only the oracle
-counts in DyOP's unit, the ee test, so ``counter_pct`` holds the oracle
-alone.
+- a scene and its checks: ``Scene``; the built-in scene:
+  ``default_scene``; the order of the n*(n-1) ordered pairs (mover,
+  static): ``enumerate_pairs``;
+- placement at the separation: ``place_pair`` states its contract and
+  ``_offset`` the closed-form offset, with each edge's terms from
+  ``_edges``;
+- the timed run and its records: ``run_benchmark``, keyed by
+  ``CSV_COLUMNS``, each algorithm's query looked up in ``ALGORITHMS``; a
+  failed record: ``record_failed``;
+- the one CSV writer, for the records and the ``plot`` series:
+  ``write_records_csv``;
+- the comparison report, the JSON document ``bench`` writes:
+  ``build_report``.
 """
 
 from __future__ import annotations
@@ -160,17 +148,21 @@ def _edges(coords: _Coords, dx: float, dy: float, r: float) -> list[tuple[float,
 def _offset(a: _Coords, b: _Coords, ux: float, uy: float, r: float) -> float:
     """Largest t at which the mover A, translated by -t*u, is within r of
     the static triangle B; -inf when no t is. The coordinates and r are in
-    range, at most 2^510 in magnitude.
+    range (``geometry._pair``).
 
-    u is (1, 0) or (0, 1), so u.u is exactly 1 and a disk exit needs no
-    division. The points within r of an edge are the disks of radius r
-    around its ends and the strip of half-width r along it, so t is the
-    last exit of a mover vertex, moving along -u, from a disk around a
-    static vertex or from a static edge's strip, or of a static vertex,
-    moving along +u, from a mover edge's strip. That is 9 disk exits and
-    18 strip crossings, each computed once, in two loops: each mover
-    vertex against each static edge's end disks not yet visited and then
-    its strip, and each static vertex against each mover edge's strip. A
+    No vertex-edge pair is nearer than the triangles, and at a distance
+    r > 0 one realizes it, so t is the last exit, over the 18 vertex-edge
+    pairs, of a vertex moving along the axis from the band of radius r
+    around an edge of the other triangle. That band is the disks of
+    radius r around the edge's ends and the strip of half-width r along
+    it: t is the last exit of a mover vertex, moving along -u, from a disk
+    around a static vertex or from a static edge's strip, or of a static
+    vertex, moving along +u, from a mover edge's strip. u is (1, 0) or
+    (0, 1), so u.u is exactly 1 and a disk exit needs no division. That
+    is 9 disk exits and 18 strip crossings, each computed once, in two
+    loops: each mover vertex against each static edge's end disks not yet
+    visited and then its strip, and each static vertex against each mover
+    edge's strip. A
     static vertex leaves the disk around a mover vertex where that vertex
     leaves its own, since w and u both change sign and the cross and dot
     products keep their floats. ``_edges`` gives each edge's terms once per
@@ -217,14 +209,9 @@ def place_pair(
     """Translate the mover along the negative axis until the exact distance
     equals the scene separation s; the static object keeps its canonical pose.
 
-    The offset is the largest at which the distance is at most s. No
-    vertex-edge pair is nearer than the triangles and one realizes s > 0
-    there, so it is the last exit, over the 18 pairs, of a vertex moving
-    along the axis from the band of radius s around an edge of the other
-    triangle. ``_offset`` finds it from 9 disk exits and 18 strip
-    crossings, each computed once, in loops over the three vertices and
-    edges; a pair with a coordinate or a separation past 2^510 is searched
-    scaled into range by one power of two, and its offset scaled back. One
+    The offset is the largest at which the distance is at most s, found
+    in closed form by ``_offset`` on the pair and the separation in range
+    (``geometry._pair``, with s as its length), and scaled back. One
     oracle call checks it to PLACEMENT_TOLERANCE * s. Placement runs only
     in set-up: ``run_benchmark`` places each pair once, before timing its
     queries. A pair that cannot be placed, or whose placed coordinates
@@ -269,8 +256,7 @@ def run_benchmark(
     exact value from it is flagged "mismatch", and an algorithm error (one
     of ALGORITHM_ERRORS) produces a record flagged "error:<kind>", with
     distance None and zero counters, instead of aborting the run. The exact
-    value is the scene separation s, which place_pair has checked against
-    the oracle to PLACEMENT_TOLERANCE * s.
+    value is the scene separation s, at which place_pair placed the pair.
 
     The plan is checked before any pair is placed: an empty, unknown or
     repeated algorithm, then repeats below 1, then a scene of fewer than
@@ -353,8 +339,9 @@ def build_report(records: list[dict]) -> dict:
     The report is the JSON document ``bench`` writes: per-pair ratios
     (pct) and differences (delta_pct = pct - 100) of each baseline's time
     against the pruned algorithm's, their max/min/mean per baseline,
-    counter totals per algorithm, the oracle's counter total over DyOP's,
-    and the mismatch and failure counts.
+    counter totals per algorithm, the oracle's counter total over DyOP's
+    (only the oracle counts in DyOP's unit, the ee test), and the
+    mismatch and failure counts.
 
     Requires a successful pruned-algorithm record for every pair and at
     least one baseline algorithm; raises IncompleteRecords otherwise.

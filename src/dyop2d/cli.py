@@ -1,20 +1,12 @@
 """Command-line front end.
 
-Commands: ``dist`` (single query), ``bench`` (full pairing benchmark),
-``verify`` (randomized oracle cross-check), ``plot`` (plot-ready series
-from a benchmark report). Data documents go to stdout as JSON;
-diagnostics go to stderr.
-
-Exit codes: 0 success, 1 usage error (an output path that cannot be
-written, two ``bench`` paths naming one file, or a ``bench`` scene of
-one object, which has no pair, included; no output file is left behind),
-2 invalid input file (read first) or unplaceable scene pair (one too
-wide to scale into range, or whose placed coordinates leave the float
-range, included), 3 verification failure, 4 algorithm error (for
-``bench``: no comparison report, because DyOP failed on a pair or no
-baseline answered any), 5 benchmark mismatch: a baseline off the exact
-distance, or DyOP below it (a DyOP overestimate, which pruning allows,
-is only reported on stderr).
+Each command is one function: ``cmd_dist`` (single query), ``cmd_bench``
+(full pairing benchmark), ``cmd_verify`` (randomized oracle
+cross-check), ``cmd_plot`` (plot-ready series from a benchmark report);
+``build_parser`` holds their options and ``main`` runs one. Data
+documents go to stdout as JSON; diagnostics go to stderr. The exit codes
+0 to 5, and the output schemas, are stated once, in README.md, and
+tests/test_readme.py holds that table to the codes this module returns.
 """
 
 from __future__ import annotations

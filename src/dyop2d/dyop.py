@@ -1,68 +1,18 @@
-"""Pivot-point pruned triangle distance.
+"""DyOP: the pivot-point pruned triangle distance.
 
-For two triangles separated along a movement axis, the space between
-their facing extremes bounds an inner gap box. Its midpoint — the
-dynamic origin point — serves as a reference: only the two vertices of
-each triangle nearest to it, and the edge joining them, are kept as
-candidates.
+Where each rule is stated:
 
-The paper tests the candidates against each other with four
-vertex-vertex, four vertex-edge and one edge-edge test. All nine
-features lie on the two candidate edges, so the edge-edge test alone is
-their exact minimum and the other eight can never win by a smaller
-distance. The query therefore runs one segment-segment test and counts
-one ee test, the unit of which the oracle counts nine.
-
-The pruned minimum can only overestimate: it measures a subset of each
-triangle's boundary, so the result is never below the exact separation
-distance. It is exact whenever the winning features lie on the
-candidate edges; the verify sweep measures the observed mismatch rate
-empirically.
-
-The query runs on flat scalars: ``geometry._pair`` hands on the six
-coordinates each triangle cached, the layout that the oracle, GJK and
-Lin-Canny read too. Its kernel ``_dyop`` is one straight-line function,
-as the oracle's ``geometry._edge_sweep`` is: the gap box, the pivot, the
-candidate choice and the naming of the witnesses' features are written
-out in it, and the candidate edges go to one segment test. The gap box
-has a gap on an axis when the two triangles' extents are apart there;
-then their bounding boxes are apart, the candidate edges cannot touch
-(Ericson, Real-Time Collision Detection, 2004, 4.2), and the kernel
-calls ``geometry._segment_projections``, the segment test's four
-endpoint projections without its contact half. Without a gap it calls
-``geometry._segment_segment``, the package's one test that decides
-contact. On segments whose boxes are apart the two answer alike, bit
-for bit, so the query's answers are those of the full test. On its way
-to an answer it makes one call, the segment test; its counters are one
-shared constant. The three public stages below are the definition
-that the kernel writes out. They state the paper's rule plainly, from
-each triangle's vertices: the extents by ``min`` and ``max``, and the
-two vertices nearest the pivot by a stable sort of their squared
-distances. So the test that holds the kernel to their chain and the
-segment test, bit for bit, checks it against an independent statement
-of the rule. They return the kernel's values as plain tuples:
-
-- ``build_internal_aabb`` the gap box
-  ``(leading, higher, x_lo, y_lo, x_hi, y_hi, degenerate_gap)``;
-- ``compute_dyop`` the pivot ``(px, py)``;
-- ``select_candidates`` ``(i, j, edge)``, the two vertices nearest the
-  pivot and the edge joining them.
-
-The candidate choice squares each vertex's offset from the pivot as a
-product, ``ex * ex + ey * ey``. IEEE multiplication rounds correctly
-and a libm ``pow`` behind ``** 2`` does not always, so where two
-vertices nearly tie, the choice no longer depends on the platform's
-``pow``. The kernel takes coordinates in range, at most 2^510 in
-magnitude, where no square overflows: ``geometry._pair`` scales a pair
-past that into range by one power of two (geometry's one overflow
-rule), so the query refuses nothing but a degenerate triangle or a pair
-too wide to scale. The
-public stages are definitions on raw coordinates, and there a square can
-overflow to inf. One infinite square still decides: its vertex is the
-farthest, and the stages' sort puts it last. Two or more in one
-triangle, as every square to an overflowed pivot is, leave the nearest
-two undecided, and ``select_candidates`` refuses them with
-``OverflowError``.
+- the query's contract: what it answers and counts, that it never falls
+  below the exact distance, and the ``overlapping-boxes`` flag:
+  ``dyop_distance``;
+- the movement axis: ``dominant_axis``;
+- the paper's rule stated plainly, from each triangle's vertices: the
+  stages ``build_internal_aabb`` (the gap box), ``compute_dyop`` (the
+  pivot, the dynamic origin point) and ``select_candidates`` (the two
+  vertices nearest the pivot and the edge joining them, and why squares
+  are products);
+- the kernel that writes the stages out in straight-line code, and why
+  a gap lets it skip the contact half of the segment test: ``_dyop``.
 """
 
 from __future__ import annotations
@@ -164,10 +114,13 @@ def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, i
     one edge, so the candidate edge is always well defined.
 
     The vertex indices are sorted by their squared distances, products
-    on the offsets; the sort is stable, so the farthest vertex among
-    equals is the highest index. One infinite square marks its vertex as
-    the farthest; two or more leave the choice undecided and raise
-    ``OverflowError``."""
+    on the offsets, ``ex * ex + ey * ey``: IEEE multiplication rounds
+    correctly and a libm ``pow`` behind ``** 2`` does not always, so
+    where two vertices nearly tie the choice does not depend on the
+    platform. The sort is stable, so the farthest vertex among equals is
+    the highest index. On raw coordinates a square can overflow: one
+    infinite square marks its vertex as the farthest; two or more leave
+    the choice undecided and raise ``OverflowError``."""
     px, py = pivot
     squares = [(p.x - px) * (p.x - px) + (p.y - py) * (p.y - py) for p in tri.vertices]
     if squares.count(inf) > 1:
@@ -180,20 +133,20 @@ def select_candidates(tri: Triangle, pivot: tuple[float, float]) -> tuple[int, i
 def dyop_distance(
     tA: Triangle, tB: Triangle, relative_velocity: Vector2
 ) -> DistanceResult:
-    """Pruned shortest distance between two triangles.
+    """Pruned shortest distance between two triangles moving along
+    ``dominant_axis(relative_velocity)``.
 
-    Runs the full pipeline: the movement axis, then, in the one kernel
-    ``_dyop``, the internal gap box, pivot point, candidate selection and
-    one edge-edge test between the two candidate edges, which covers the
-    paper's four vertex-vertex and four vertex-edge tests too.
-    Intersecting candidate edges report their contact point at distance
-    0; otherwise equal distances keep the earliest endpoint projection in
-    (a, b, c, d) order, for candidate edge a-b of A against c-d of B. The
-    result is never below the exact separation distance; it equals it
-    whenever the true witness features survive pruning. A
-    "overlapping-boxes" flag marks queries whose extents were not
-    disjoint along the movement axis. A pair with a coordinate past
-    2^510 is answered scaled into range (``geometry._pair``).
+    The answer is one segment test between a candidate edge of each
+    triangle, counted as one ee test, the unit of which the oracle counts
+    nine. The paper tests the candidates with four vertex-vertex, four
+    vertex-edge and one edge-edge test, but all nine measure points on
+    the same two edges, so the edge-edge test alone is their minimum. The
+    candidate edges are part of each triangle's boundary, so the result
+    is never below the exact separation distance; it equals it whenever
+    the winning features lie on them. An "overlapping-boxes" flag marks a
+    query whose extents were not disjoint along the movement axis, where
+    pruning's premise of a gap fails. A degenerate triangle raises
+    DegenerateInput. The steps are ``_dyop``'s.
     """
     axis = dominant_axis(relative_velocity)
     if tA.is_degenerate or tB.is_degenerate:
@@ -209,26 +162,25 @@ def _dyop(
     the arguments of its ``_answer``.
 
     Straight-line code: ``build_internal_aabb``, ``compute_dyop``,
-    ``select_candidates`` on both triangles (squares as products, none of
-    which overflows in range) and the naming of each witness's feature
-    (its edge's start at t = 0, its end at t = 1, else the edge) written
-    out, and one segment test on the candidate edges, so that an answer
-    costs one call, that test, and shares its counters (``_ONE_EE``). A
-    gap on either axis (``x_lo < x_hi or y_lo < y_hi``) puts the candidate
-    edges' boxes apart, so they cannot touch, and the test is
-    ``geometry._segment_projections``; otherwise it is
-    ``geometry._segment_segment``, which decides contact.
-    Both answer segments whose boxes are apart alike, bit for bit, so the
-    kernel equals the chain of its stages and ``_segment_segment``. The
-    stages are the definition: they state the rule
-    with ``min``/``max`` and a stable sort, and the kernel writes it out
-    comparison by comparison, with their tie rules. Only the gap box's
-    midpoint clamp is left out, as the pivot cannot tell it apart, and
-    only the movement axis's interval is tested for inversion, as only
-    its flag is read. The candidate edges run from A's vertex ``ea``
-    to ``na`` (a to b) and from B's vertex ``eb`` to ``nb`` (c to d), and
-    the segment test's ``t_a`` and ``t_b`` name the features its
-    witnesses lie on.
+    ``select_candidates`` on both triangles and the naming of each
+    witness's feature (its edge's start at t = 0, its end at t = 1, else
+    the edge) written out, and one segment test on the candidate edges,
+    so that an answer costs one call, that test, and shares its counters
+    (``_ONE_EE``). The stages are the definition, with ``min``/``max``
+    and a stable sort; the kernel writes them out comparison by
+    comparison, with their tie rules, and a test holds it to their chain
+    and ``_segment_segment``, bit for bit. Only the gap box's midpoint
+    clamp is left out, as the pivot cannot tell it apart, and only the
+    movement axis's interval is tested for inversion, as only its flag
+    is read. A gap on either axis (``x_lo < x_hi or y_lo < y_hi``) puts
+    the two triangles' bounding boxes, and so the candidate edges, apart
+    (Ericson, Real-Time Collision Detection, 2004, 4.2): they cannot
+    touch, and the test is ``geometry._segment_projections``, which
+    answers such segments as ``geometry._segment_segment`` does;
+    otherwise it is ``_segment_segment``, which decides contact. The
+    candidate edges run from A's vertex ``ea`` to ``na`` (a to b) and
+    from B's vertex ``eb`` to ``nb`` (c to d), and the segment test's
+    ``t_a`` and ``t_b`` name the features its witnesses lie on.
     """
     x0, y0, x1, y1, x2, y2 = a
     u0, v0, u1, v1, u2, v2 = b

@@ -1,106 +1,24 @@
-"""Exact 2D primitives and the brute-force triangle distance oracle.
+"""2D primitives, the answer types and the brute-force oracle.
 
-Everything here is a pure function of its inputs; the brute-force
-distance is the reference that every faster algorithm in the package is
-validated against.
+The float core that every algorithm in the package runs on. Where each
+rule is stated:
 
-The primitives work on plain float coordinates, in one flat form: every
-kernel and the verify sweep take a triangle as its six coordinates
-``(x0, y0, x1, y1, x2, y2)`` in one tuple (``_Coords``), vertex i at 2i
-and 2i + 1, and edge i from vertex i to vertex (i + 1) % 3. A
-``Triangle`` builds that tuple once, at construction, and keeps it as
-``coords``, so no query flattens a triangle. A function that walks the
-edges builds them locally. DyOP's stages pass plain tuples, so there is
-no box or pivot type here. Every query has one path: ``_pair`` hands
-its kernel the two triangles' cached coordinates, in range, the kernel
-returns the nine arguments of ``_answer``, and ``_answer`` builds
-the answer once: it scales the distance and witnesses back, checks the
-four witness coordinates for finiteness and builds the ``Point2`` and
-``DistanceResult`` tuples with ``tuple.__new__``, without re-running
-their constructors. An answer, its points and its ``TestCounters`` are
-immutable named tuples, so the oracle and DyOP share one counters
-object per fixed count. ``_winding`` is the one rule for a
-triangle's winding and degeneracy: a ``Triangle`` calls it once, at
-construction, and keeps the flag as ``is_degenerate``, which the
-algorithms read instead of recomputing the area per query; the verify
-sweep's draws call it on flat coordinates. The point-in-triangle test
-decides containment only: a triangle of exactly zero orientation
-contains no point, and a sliver flagged degenerate but with positive
-area is counter-clockwise, so the orientation test decides it like any
-other triangle. The public point and segment functions are thin
-wrappers over the same core.
-
-``_segment_segment`` is the one segment-segment test, and the one place
-that decides whether two segments touch: the Lin-Canny walk's edge-edge
-steps, ``segment_segment_distance``, the overlap test
-``_contact_witness`` and DyOP's query on a pair without a gap all call
-it. It is straight-line code: four orientations decide contact, and
-where the segments do not touch, ``_segment_projections`` answers with
-``_project``'s four endpoint projections, written out on the two
-segments' directions. It reports contact as its own flag, set by the
-orientations alone, never read off a distance. A crossing also needs the
-two segments' bounding boxes to meet: on nearly collinear segments the
-orientations are rounding noise, and without that check segments apart
-along their common line could read as crossing. Segments whose boxes are
-apart never touch, so ``_segment_segment`` answers them as
-``_segment_projections`` does, bit for bit. A DyOP gap box with a gap
-proves the candidate edges' boxes apart, so DyOP's query then calls
-``_segment_projections`` directly and skips the contact half. The
-overlap test's containment step, ``_point_in_triangle``, decides no
-contact of its own.
-
-``_edge_sweep``, the oracle's nine-edge sweep, is straight-line code in
-the same way: it unpacks the six vertices once, computes the six edge
-directions and squared lengths once (6, not one per projection, 18),
-and writes its 18 vertex-edge projections out as ``_project`` defines
-them, with no Python call per projection. Its text is generated at
-import from two templates, A's vertex on B's edge by t and B's vertex on
-A's edge by s = -t (``_edge_sweep_text``), and compiled once
-(``_define_edge_sweep``). The generated text is shown only while
-``linecache`` holds it: after ``linecache.clearcache()``, which does not
-reload a name in angle brackets, ``inspect.getsource`` raises ``OSError``
-and tracebacks through the sweep show no source lines. It also
-computes the nine vertex-pair differences and distances once, in a
-table. A projection that clamps to an end reads its distance there, so
-``hypot`` runs 9 times plus once per projection strictly inside an edge,
-not 18 times. B's vertex j on A's edge i reuses the difference of A's
-vertex i and B's vertex j, negated, which is exact, since rounding is
-symmetric in sign. Each record names its two features as it is built,
-so the sweep returns its best record with no naming step. The oracle's
-kernel ``_brute_force`` first compares the two triangles' bounding
-boxes: a gap along x or y proves the pair disjoint exactly (Ericson,
-2004, 4.2), and the sweep then answers alone. Only a pair whose boxes
-meet or touch goes on to the certificate ``_separated`` and, where that
-fails, the overlap test.
-
-Every clamped projection, in ``_project``, ``_segment_projections``,
-``_edge_sweep`` and the Lin-Canny walk, is one branch: a parameter t at
-or below 0 takes the edge's start vertex itself and one at or above 1
-its end vertex itself, and only a t strictly between computes
-e + t (f - e). So a witness named as a vertex is that vertex, bit for
-bit, and a clamped end is never the rounded e + 1.0 (f - e), which can
-lose f's small coordinates beside a large e. The squared length divides
-as ``len2 or inf``: a zero-length edge gives t = +-0.0 and takes its
-start vertex, with no branch of its own.
-
-There is one overflow rule, at the edge. The kernels take coordinates in
-range, where no difference, square or product they form can overflow,
-so they carry no overflow guard: at most 2^510 in magnitude for the
-oracle, DyOP, Lin-Canny, the overlap test and placement, which form
-differences, their squares and sums of two products, and at most 2^250
-for GJK, which also multiplies two dot products. A ``Triangle`` records
-at construction whether it has a coordinate past 2^250 (``is_huge``).
-``_pair`` alone reads it: a pair past its kernel's range is scaled into
-range by one power of two f, the unchanged kernel runs, and ``_answer``
-divides the distance and witnesses by f. The point and segment queries
-scale their points the same way (``_points_in_range``). Scaling by a
-power of two is exact wherever it does not underflow, so in range
-nothing changes and past it the answers are the in-range ones scaled. A
-pair whose small differences the scaling would take below
-2^(10 - range exponent), where their squares or GJK's products of four
-would underflow, is refused with ValueError instead (``_pair_scale``).
-The finiteness checks that stay guard the input points and
-``_answer``'s witnesses.
+- a triangle's winding and degeneracy: ``_winding``; what a ``Triangle``
+  keeps from construction (``coords``, ``is_degenerate``, ``is_huge``):
+  ``Triangle``;
+- the overflow rule, on the one path from a query to its kernel:
+  ``_pair``, which scales by ``_pair_scale``, and ``_points_in_range``
+  for the point and segment queries;
+- how every answer is built and scaled back: ``_answer``;
+- a clamped projection: ``_project``;
+- whether two segments touch: ``_segment_segment``; its answer without
+  the contact half: ``_segment_projections``;
+- the overlap test: ``_contact_witness``, with ``_point_in_triangle``;
+- the oracle: ``brute_force_triangle_distance`` states its contract and
+  ``_brute_force`` its steps: the box test, the nine-edge sweep
+  ``_edge_sweep``, the certificate ``_separated`` and the overlap test;
+- how the sweep's text is generated and shown: ``_edge_sweep_text`` and
+  ``_define_edge_sweep``.
 """
 
 from __future__ import annotations
@@ -114,11 +32,8 @@ from typing import NamedTuple
 
 # Triangles with |signed area| at or below this are treated as degenerate.
 DEGENERATE_AREA = 1e-12
-# The kernels' ranges, as exponents of two. At or below 2^510 in magnitude no
-# coordinate difference, square or sum of two products overflows, which is all
-# the oracle, DyOP, Lin-Canny, the overlap test and placement form; GJK also
-# multiplies two dot products, which stays under about 2^1010 at or below
-# 2^250. A triangle records whether it has a coordinate past the smaller one.
+# The kernels' ranges, as exponents of two (``_pair`` states the rule). A
+# triangle records whether it has a coordinate past the smaller one.
 _RANGE_EXPONENT = 510
 _GJK_RANGE_EXPONENT = 250
 _HUGE = math.ldexp(1.0, _GJK_RANGE_EXPONENT)
@@ -238,23 +153,20 @@ class Triangle:
     """Three vertices, normalized to counter-clockwise order on construction.
 
     Normalization (swapping v1/v2 when the input winds clockwise) makes
-    vertex and edge indexing orientation-independent. Degenerate inputs
-    (|area| <= DEGENERATE_AREA) are representable but flagged via
-    ``is_degenerate``; algorithms that cannot handle them refuse them
-    explicitly. Both decisions come from one ``_winding`` call at
-    construction. A triangle with a coordinate past 2^250 in magnitude is
-    flagged ``is_huge``. Past 2^510 both products of its orientation can
+    vertex and edge indexing orientation-independent. One ``_winding``
+    call decides the swap and ``is_degenerate``: a degenerate triangle is
+    representable, and the algorithms that cannot handle one refuse it by
+    that flag. ``is_huge`` records a coordinate past 2^250 in magnitude,
+    for ``_pair``. Past 2^510 both products of the orientation can
     overflow, and inf - inf is NaN, which reads as neither clockwise nor
-    degenerate: only then are its winding and degeneracy decided on its
+    degenerate: only then are winding and degeneracy decided on the
     coordinates scaled into range by one power of two, with the area
     bound scaled alike. Every other orientation, an infinite one too,
-    has its sign on raw coordinates. After the swap, the normalized
-    vertices' six coordinates are kept as ``coords``
-    (``(x0, y0, x1, y1, x2, y2)``, ``_Coords``), the tuple every kernel
-    reads, so that ``_pair`` hands it on instead of flattening the
-    triangle per query. The two flags and ``coords`` are non-field
-    attributes, so they stay out of ``fields()``, ``repr``, ``==`` and
-    ``hash``; like the fields, they cannot be assigned.
+    has its sign on raw coordinates. After the swap the six coordinates
+    are kept as ``coords`` (``_Coords``), the tuple every kernel reads,
+    so that no query flattens the triangle. The two flags and ``coords``
+    are non-field attributes, so they stay out of ``fields()``, ``repr``,
+    ``==`` and ``hash``; like the fields, they cannot be assigned.
     """
 
     v0: Point2
@@ -360,10 +272,8 @@ _NO_TESTS = TestCounters(0, 0, 0)
 class DistanceResult(NamedTuple):
     """A distance query answer with its witness points and feature pair.
 
-    ``flags`` carries advisory signals such as "overlapping-boxes"
-    (pruning assumptions violated), "gjk-unconverged", or
-    "lincanny-fallback" (the feature walk aborted or was not certified,
-    and the oracle answered); an empty tuple means a clean result.
+    ``flags`` carries advisory signals, each stated by the query that sets
+    it; an empty tuple means a clean result.
     """
 
     distance: float
@@ -390,8 +300,8 @@ def _answer(
     """The ``DistanceResult`` of witnesses pa = (pax, pay) on A and pb = (pbx, pby) on B,
     with the distance and witnesses divided by ``_pair``'s power of two f.
 
-    Dividing by a power of two is exact, and it is skipped at f = 1.0,
-    where it would change nothing but an int witness into a float. The
+    The division is skipped at f = 1.0, where it would change nothing but
+    an int witness into a float. The
     witnesses are then checked for finiteness in the order in which
     ``Point2(pax, pay)`` and then ``Point2(pbx, pby)`` check them, and
     raise the same ``ValueError``; the three tuples are then built with
@@ -412,18 +322,22 @@ def _pair(
     """(a, b, f): each triangle's six coordinates (``_Coords``) in the
     kernel's range 2^exponent, and the power of two f that put them there.
 
-    Every query reaches its kernel through here, and only here is the
-    overflow rule applied. Each triangle's coordinates are the tuple it
-    cached at construction (``Triangle.coords``). A pair without a
-    coordinate past 2^250 (``is_huge``) and without a ``length`` is in
-    every kernel's range, and those two tuples come as they are, with
-    f = 1.0; so do they when neither triangle is huge and the length is
-    at most 2^exponent, since 2^250 is no more than either range. Any
-    other pair gets ``_pair_scale``'s f for its coordinates and the
-    length, and is scaled by it into new tuples, or refused with
-    ValueError as too wide to scale. A length the kernel returns is
-    scaled back by dividing it by f, as ``_answer`` does. It takes no
-    variable arguments, which would keep CPython off its fast call path.
+    The package's one overflow rule: every query reaches its kernel
+    through here. In range no coordinate difference, square or product
+    that a kernel forms can overflow, so no kernel guards against it: at
+    most 2^510 in magnitude for the oracle, DyOP, Lin-Canny, the overlap
+    test and placement, which form differences, their squares and sums of
+    two products, and at most 2^250 for GJK, which also multiplies two dot
+    products. A pair without a coordinate past 2^250 (``is_huge``) and
+    without a ``length`` past 2^exponent is in range, and the two tuples
+    cached at construction (``Triangle.coords``) come as they are, with
+    f = 1.0. Any other pair gets ``_pair_scale``'s f for its coordinates
+    and the length, and is scaled by it into new tuples, or refused with
+    ValueError as too wide to scale. Past the range the answers are then
+    the in-range ones scaled (``_pair_scale``): ``_answer`` divides them
+    by f, and so does a caller with a length the kernel returns. It takes
+    no variable arguments, which would keep CPython off its fast call
+    path.
     """
     a, b = tA.coords, tB.coords
     if not (length or tA.is_huge or tB.is_huge):
@@ -441,11 +355,15 @@ def _project(
 ) -> tuple[float, float, float, float]:
     """Distance, closest point (x, y) and clamped parameter t of p against segment ab.
 
-    A t at or below 0 takes a itself and one at or above 1 takes b
-    itself, with t set to 0.0 or 1.0; only a t strictly between computes
-    a + t (b - a), which at t = 1 could round off b (Ericson, Real-Time
-    Collision Detection, 2004, 5.1.2). A zero-length segment divides by
-    inf, so its t is +-0.0 and it takes a.
+    The one clamp rule, which ``_segment_projections``, ``_edge_sweep``
+    and the Lin-Canny walk write out inline: a t at or below 0 takes a
+    itself and one at or above 1 takes b itself, with t set to 0.0 or
+    1.0; only a t strictly between computes a + t (b - a), which at t = 1
+    could round off b and lose its small coordinates beside a large a
+    (Ericson, Real-Time Collision Detection, 2004, 5.1.2). So a witness
+    named as a vertex is that vertex, bit for bit. The squared length
+    divides as ``len2 or inf``: a zero-length segment gives t = +-0.0 and
+    takes a, with no branch of its own.
     """
     abx, aby = bx - ax, by - ay
     t = ((px - ax) * abx + (py - ay) * aby) / (abx * abx + aby * aby or math.inf)
@@ -487,18 +405,17 @@ def _segment_segment(
     nearly collinear segments the signs are rounding noise, and the box
     check keeps segments apart along their line from reading as a
     crossing. So the rounded |o3 - o4| is at least |o3| > 0 and
-    0 <= t <= 1; in range it stays at or below about 2^1023, and the
-    point is finite and on ab up to one rounding. Otherwise an endpoint
-    with a zero orientation within the other segment's extent touches it;
-    endpoint contact and collinear overlap take the first such endpoint
-    in (c, d, a, b) order. Contact reports distance 0 with coincident
-    witnesses at that point, ``_project``'s parameters for it, and
-    ``contact`` True. Without contact ``_segment_projections`` answers,
-    with ``contact`` False even where its distance rounds to 0. Segments
-    whose boxes are apart on an axis reach neither contact branch, so
-    there this test and ``_segment_projections`` answer alike, bit for
-    bit. The coordinates are in range (at most 2^510 in magnitude), so
-    no input raises.
+    0 <= t <= 1; in range (``_pair``) it stays at or below about 2^1023,
+    and the point is finite and on ab up to one rounding. Otherwise an
+    endpoint with a zero orientation within the other segment's extent
+    touches it; endpoint contact and collinear overlap take the first
+    such endpoint in (c, d, a, b) order. Contact reports distance 0 with
+    coincident witnesses at that point, ``_project``'s parameters for it,
+    and ``contact`` True. Without contact ``_segment_projections``
+    answers, with ``contact`` False even where its distance rounds to 0.
+    Segments whose boxes are apart on an axis reach neither contact
+    branch, so there this test and ``_segment_projections`` answer alike,
+    bit for bit.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -532,14 +449,10 @@ def _segment_projections(
 
     Without contact the minimum over the four clamped endpoint
     projections is exact (Ericson, 5.1.9); ties keep the earliest in
-    (a, b, c, d) order. Each projection, ``_project``'s one branch per
-    clamp, is written out on the directions r = b - a and s = d - c, and
-    on their squared lengths as divisors, computed once for all of them.
-    The coordinates are in range (at most 2^510 in magnitude), so no
-    projection overflows and no input raises. It decides no contact: a
-    caller that has not proved the segments apart, as DyOP's gap box
-    does, calls ``_segment_segment``, which calls this where they do not
-    touch.
+    (a, b, c, d) order. Each projection is ``_project``'s, written out on
+    the directions r = b - a and s = d - c, with their squared lengths as
+    divisors, computed once for all four. It decides no contact: a caller
+    that has not proved the segments apart calls ``_segment_segment``.
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -594,7 +507,9 @@ def _point_in_triangle(a: _Coords, px: float, py: float) -> bool:
     """True when the point lies in the counter-clockwise triangle a; a
     triangle of exactly zero orientation contains no point.
 
-    Only ``_contact_witness`` calls it, after no edge pair touched, and
+    A sliver flagged degenerate but of positive area is counter-clockwise
+    too, so the orientation test decides it as any other triangle. Only
+    ``_contact_witness`` calls it, after no edge pair touched, and
     on a vertex that starts an edge of the other triangle. A point on an
     edge of a zero-orientation triangle, with a zero orientation against
     that edge and within its extent, made ``_segment_segment`` report
@@ -620,11 +535,8 @@ def _points_in_range(*coords: float) -> tuple[list[float] | tuple[float, ...], f
 
 
 def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
-    """Shortest distance from a point to a closed segment, with the closest point.
-
-    A point and segment with a coordinate past 2^510 are measured scaled
-    into range by one power of two, as the triangle queries are.
-    """
+    """Shortest distance from a point to a closed segment, with the closest
+    point: ``_project`` on the points in range (``_points_in_range``)."""
     coords, f = _points_in_range(p.x, p.y, s.a.x, s.a.y, s.b.x, s.b.y)
     d, cx, cy, _ = _project(*coords)
     if f != 1.0:
@@ -633,12 +545,8 @@ def point_segment_distance(p: Point2, s: Segment) -> tuple[float, Point2]:
 
 
 def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, Point2]:
-    """Shortest distance between two closed segments, with witness points.
-
-    Intersecting segments report distance 0 with coincident witnesses.
-    Segments with a coordinate past 2^510 are measured scaled into range
-    by one power of two, as the triangle queries are.
-    """
+    """Shortest distance between two closed segments, with witness points:
+    ``_segment_segment`` on the points in range (``_points_in_range``)."""
     coords, f = _points_in_range(s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y)
     d, pax, pay, pbx, pby, _, _, _ = _segment_segment(*coords)
     if f != 1.0:
@@ -647,8 +555,7 @@ def segment_segment_distance(s1: Segment, s2: Segment) -> tuple[float, Point2, P
 
 
 def triangles_overlap(tA: Triangle, tB: Triangle) -> bool:
-    """True when the triangles share any point; boundary contact counts.
-    A pair with a coordinate past 2^510 is tested scaled into range."""
+    """True when the triangles share any point (``_contact_witness``)."""
     a, b, _ = _pair(tA, tB)
     return _contact_witness(a, b) is not None
 
@@ -672,10 +579,8 @@ def _contact_witness(a: _Coords, b: _Coords) -> tuple[float, float, FeatureId, F
     order, with the two edges as its features, else B's vertex 0, else
     A's vertex 0; a contained vertex's feature on the container is the
     container's nearest edge (``_nearest_edge_feature``). A pair without
-    edge contact also pays each edge pair's four projections, which no
-    placed pair reaches: the oracle and the Lin-Canny fallback run this
-    test only on a pair whose bounding boxes meet and whose sweep the
-    certificate rejects.
+    edge contact also pays each edge pair's four projections; the oracle
+    runs this test only where ``_brute_force`` says.
     """
     x0, y0, x1, y1, x2, y2 = a
     u0, v0, u1, v1, u2, v2 = b
@@ -702,36 +607,25 @@ def _edge_sweep(a: _Coords, b: _Coords) -> tuple[float, float, float, float, flo
     The minimum over the 18 vertex-edge projections, each computed once,
     in the first edge pair that holds it: vertex i + 1 ends edge i and
     starts edge i + 1. It is exact only for disjoint triangles, which the
-    caller proves by a gap between their bounding boxes, by ``_separated``
-    or by ``_contact_witness``. Ties keep the earliest projection in
+    caller proves (``_brute_force``). Ties keep the earliest projection in
     row-major edge-pair order, then (a, b, c, d) order, so the reported
-    feature indices stay as low as possible. The coordinates are in range
-    (at most 2^510 in magnitude), so no direction, squared length or
-    projection overflows.
+    feature indices stay as low as possible.
 
-    The sweep is straight-line code that makes no call per projection:
-    each is ``_project``'s one branch per clamp written out, on the six
-    edge directions and the six squared lengths as divisors, computed
-    once rather than once per projection (6, not 18). Edge i of A
-    runs from A's vertex i along (uxi, uyi), and edge j of B from B's
-    vertex j along (vxj, vyj). Each record carries its two ``FeatureId``s:
-    a projection clamped to an end names that vertex, and one strictly
-    inside an edge names the edge. So the sweep returns its best record
-    as it is, with no naming step after the sweep.
-
-    The nine vertex pairs are measured once too, in a table: the
-    differences (wxij, wyij), A's vertex i minus B's vertex j, and their
-    lengths dij, 9 ``hypot`` calls where one per projection made 18. A
-    projection of A's vertex i on B's edge j takes its t from (wxij,
-    wyij). One of B's vertex j on A's edge i takes s from the same
-    differences, and s is exactly -t: rounding is symmetric in sign, so
-    negating a difference negates every product, sum and quotient formed
-    from it (a zero may keep its sign, and either zero clamps to the
-    start). So s >= 0 clamps to the edge's start and s <= -1 to its end,
-    and a t strictly between is -s. A clamped projection's distance is a
-    vertex pair's, its table entry (``hypot`` ignores signs), so the
-    branch only compares it and builds its record when it wins; only a t
-    strictly between computes a point and its distance.
+    Straight-line code with no call per projection: each is ``_project``'s,
+    written out on the six edge directions and squared lengths, computed
+    once (6, not 18). Edge i of A runs from A's vertex i along (uxi, uyi),
+    and edge j of B from B's vertex j along (vxj, vyj). Each record names
+    its two features as it is built, a clamped end its vertex and a point
+    strictly inside its edge, so the best record is the answer. The nine
+    vertex pairs are measured once, in a table: (wxij, wyij) is A's vertex
+    i minus B's vertex j, and dij its length. A's vertex i on B's edge j
+    takes its t from (wxij, wyij). B's vertex j on A's edge i takes s from
+    the same differences, and s is exactly -t: rounding is symmetric in
+    sign (a zero may keep its sign, and either zero clamps to the start).
+    So s >= 0 clamps to the edge's start and s <= -1 to its end, and a t
+    strictly between is -s. A clamped projection's distance is its vertex
+    pair's table entry (``hypot`` ignores signs), so only a t strictly
+    between computes a point and its distance.
     """
     ax0, ay0, ax1, ay1, ax2, ay2 = a
     bx0, by0, bx1, by1, bx2, by2 = b
@@ -814,7 +708,9 @@ def _define_edge_sweep(source: str) -> None:
     compiled once under a file name that names this module (so that a
     second copy of the package gets its own) and registered with linecache
     there, so that ``inspect.getsource`` and tracebacks show the generated
-    lines.
+    lines. They show them only while linecache holds them:
+    ``linecache.clearcache()`` drops the entry and cannot reload a name in
+    angle brackets, and ``inspect.getsource`` then raises ``OSError``.
     """
     filename = f"<generated {__name__}._edge_sweep>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -839,9 +735,8 @@ def _separated(a: _Coords, b: _Coords, pax: float, pay: float, pbx: float, pby: 
     zero when the separating line passes near the origin, while the
     witnesses' rounding, which the slack must cover, does not. Every
     comparison is written to fail on NaN. It is the Lin-Canny walk's end
-    certificate, and the oracle's proof for a pair whose bounding boxes
-    meet (a box gap proves a pair disjoint before this test, exactly), so
-    the six comparisons are straight-line code.
+    certificate and the oracle's proof for a pair whose bounding boxes
+    meet, so the comparisons are straight-line code.
     """
     ax0, ay0, ax1, ay1, ax2, ay2 = a
     bx0, by0, bx1, by1, bx2, by2 = b
@@ -870,12 +765,11 @@ def _brute_force(
     cannot meet (Ericson, Real-Time Collision Detection, 2004, 4.2). The
     four comparisons are exact and run lazily, each extent a conditional
     expression as in DyOP's kernel, so a gap on the first axis tested
-    decides. Then the sweep. On a pair with a box gap it answers alone;
-    on any other pair the certificate runs on its witnesses, and only
-    when that fails, the overlap test: a contact answers 0 with
-    coincident witnesses and no tests counted. Anything else is the
-    sweep's answer, counted as nine ee tests. The Lin-Canny fallback
-    calls it, and reads a contact off the count of no tests.
+    decides. Then the sweep, which answers alone on a pair with a box
+    gap. On any other pair the certificate runs on the sweep's witnesses,
+    and only where that fails the overlap test, whose contact, if any, is
+    the answer. The Lin-Canny fallback calls it, and reads a contact off
+    the count of no tests.
     """
     x0, y0, x1, y1, x2, y2 = a
     u0, v0, u1, v1, u2, v2 = b
@@ -901,15 +795,11 @@ def _brute_force(
 def brute_force_triangle_distance(tA: Triangle, tB: Triangle) -> DistanceResult:
     """Exact separation distance by exhausting all nine edge pairs.
 
-    The nine-edge sweep (``_edge_sweep``, 18 projections) answers, counted
-    as nine ee_tests, when the triangles' bounding boxes have a gap, which
-    proves them disjoint exactly, or else when its witnesses pass
-    ``_separated``. Only when they fail does the overlap test run, as
-    ``_contact_witness``: overlapping or touching triangles then report
-    distance 0 with coincident witnesses at the contact point, named as
-    the two crossing edges or as a contained vertex and the container's
-    nearest edge, and disjoint ones the sweep's answer. A pair with a
-    coordinate past 2^510 is answered scaled into range (``_pair``).
+    Disjoint triangles get the nine-edge sweep's answer, counted as nine
+    ee_tests. Touching or overlapping ones get distance 0 with coincident
+    witnesses at a contact point (``_contact_witness``), counted as no
+    tests. Degenerate triangles are answered too. The steps are
+    ``_brute_force``'s.
     """
     a, b, f = _pair(tA, tB)
     return _answer(*_brute_force(a, b), f)

@@ -1,22 +1,13 @@
-"""Scene file ingestion and export.
-
-A scene file is a flat JSON document:
-
-    {
-      "objects": [{"name": "Obj1", "vertices": [[0, 0], [1, 0], [0, 1]]}, ...],
-      "separation": 1.0,
-      "axis": "x"
-    }
-
-Every object needs exactly three vertices and a unique name; vertices
-are normalized to counter-clockwise order on load, and the export
-writes the normalized order back, so a round trip is identity.
+"""Scene file ingestion and export; README.md shows the format.
 
 ``scene_from_dict`` checks only the document's JSON shape: a list of
 objects, each with a string name and three finite vertex pairs, a finite
 separation and an axis of ``x`` or ``y``. ``Scene`` checks the scene
-itself (at least one object, non-empty unique names, a positive
-separation), and its ``ValueError`` is raised as ``SceneFormatError``.
+itself, and its ``ValueError`` is raised as ``SceneFormatError``, so a
+file and a scene built in code are refused for the same reasons.
+Vertices are normalized to counter-clockwise order on load
+(``Triangle``), and ``write_scene`` writes that order back, so a round
+trip is identity.
 """
 
 from __future__ import annotations

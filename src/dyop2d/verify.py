@@ -1,23 +1,12 @@
 """Randomized cross-check of the pruned distance against the exact oracle.
 
-The pruned algorithm minimizes over a subset of the oracle's feature
-pairs, so it can overestimate but never underestimate. This sweep
-generates seeded random axis-separated pairs and measures both the
-mismatch rate (overestimates beyond tolerance) and the count of
-conservative-bound violations, which must be zero on a correct build.
+Where each rule is stated:
 
-Each trial runs on flat coordinates: the generator draws a pair as the
-six counter-clockwise coordinates of each triangle, the layout that
-every kernel reads, and the oracle's and DyOP's own kernels answer it, so
-a trial builds no ``Triangle``, ``Point2``, ``TestCounters`` or
-``DistanceResult``: the two kernels return shared counters.
-Every draw's bounding boxes have a gap, so the oracle answers it by its
-sweep alone. Every coordinate lies in [0, 4.5): a ``random()`` draw plus
-a push of at most the unit box's diameter plus 2. So every witness is
-finite, and the one refusal of the public queries that a draw can meet
-is a second triangle made degenerate by rounding its pushed coordinates.
-``random_separated_pair`` is the same draw stream, built into
-``Triangle``s.
+- the sweep: what it counts as a mismatch and as a violation, why a
+  violation is a fault, and what a trial builds: ``run_verify``;
+- the draw, and why its coordinates stay finite: ``_separated_coords``,
+  from one triangle at a time drawn by ``_random_coords``;
+- the same draw built into ``Triangle``s: ``random_separated_pair``.
 """
 
 from __future__ import annotations
@@ -66,7 +55,9 @@ def _separated_coords(rng: random.Random) -> tuple[_Coords, _Coords, bool, Movem
 
     The second triangle is pushed along a random axis by its diameter plus
     ``uniform(0.0, 2.0)``; draws whose boxes still overlap on that axis are
-    redrawn. Its degeneracy is decided by ``_winding`` on the pushed
+    redrawn. So every coordinate lies in [0, 4.5): a ``random()`` draw plus
+    a push of at most the unit box's diameter plus 2, and every witness is
+    finite. Its degeneracy is decided by ``_winding`` on the pushed
     coordinates, as ``Triangle`` does on construction. Its winding needs
     no second look: the draw's area exceeds DEGENERATE_AREA, and rounding
     the pushed coordinates moves the computed area by less than 1e-14, so
@@ -99,12 +90,8 @@ def _triangle(c: _Coords) -> Triangle:
 def random_separated_pair(
     rng: random.Random,
 ) -> tuple[Triangle, Triangle, Vector2]:
-    """Two disjoint triangles with boxes strictly separated along an axis.
-
-    The second triangle is pushed along a random axis by at least its
-    own diameter; samples whose boxes still overlap on that axis are
-    rejected and redrawn.
-    """
+    """Two disjoint triangles with boxes strictly separated along an axis,
+    and the unit velocity along it: ``_separated_coords``'s draw."""
     a, b, _, axis = _separated_coords(rng)
     velocity = Vector2(1.0, 0.0) if axis is _X else Vector2(0.0, 1.0)
     return _triangle(a), _triangle(b), velocity
@@ -113,27 +100,28 @@ def random_separated_pair(
 def run_verify(trials: int, seed: int, tolerance: float = DEFAULT_TOLERANCE) -> VerifyReport:
     """Compare the pruned distance to the oracle on ``trials`` random pairs.
 
-    Each pair is drawn as ``random_separated_pair`` draws it and answered
-    by the kernels that ``brute_force_triangle_distance`` and
-    ``dyop_distance`` run. A drawn witness is always finite, so the one
+    Each pair is drawn as ``random_separated_pair`` draws it, as six
+    coordinates per triangle, and answered by the kernels that
+    ``brute_force_triangle_distance`` and ``dyop_distance`` run, so a
+    trial builds no ``Triangle``, ``Point2``, ``TestCounters`` or
+    ``DistanceResult``. A drawn witness is always finite, so the one
     refusal of the public queries that a draw can meet is kept: a second
     triangle made degenerate by its push raises ``DegenerateInput``, as
     ``dyop_distance`` does.
 
-    A drawn pair is strictly separated along an axis (its least
-    coordinate on B exceeds its greatest on A), so its bounding boxes have
-    a gap there. ``_brute_force`` tests exactly that gap first and,
-    finding it, answers by the sweep alone, with no certificate and no
-    overlap test: the exact distance is the minimum of ``_edge_sweep``'s
-    18 projections. The sweep itself is called only in ``geometry``.
+    A drawn pair is strictly separated along an axis, so its bounding
+    boxes have a gap, and ``_brute_force`` answers it by the sweep alone:
+    the exact distance is the minimum of ``_edge_sweep``'s 18
+    projections. The sweep itself is called only in ``geometry``.
 
-    A violation is a pruned distance below the exact one, with no slack.
-    On the box gap DyOP's one segment test is ``_segment_projections``.
-    Each of its four projections is one of the sweep's 18, bit for bit:
-    the same differences, directions, quotients and ``hypot`` arguments,
-    up to sign, and B's projections onto A's edge are exactly the sweep's
-    -s. So DyOP's distance cannot fall below the oracle's, and a
-    violation is a fault.
+    A mismatch is a pruned distance more than ``tolerance`` from the
+    exact one. A violation is one below it, with no slack. On the box gap
+    DyOP's one segment test is ``_segment_projections``. Each of its four
+    projections is one of the sweep's 18, bit for bit: the same
+    differences, directions, quotients and ``hypot`` arguments, up to
+    sign, and B's projections onto A's edge are exactly the sweep's -s.
+    So DyOP's distance cannot fall below the oracle's, and a violation is
+    a fault.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
